@@ -22,6 +22,7 @@ import numpy as np
 
 from . import newton, verify
 from .conditions import (
+    ConditionReport,
     check_condition_i,
     check_condition_ii,
     oned_check,
@@ -426,7 +427,10 @@ EXIT_EXCISED = 3
 EXIT_CONFIG = 4
 
 
-def _condition_sections(cfg: RunConfig) -> Tuple[Dict[str, Dict[str, object]], bool]:
+def _condition_sections(cfg: RunConfig
+                        ) -> Tuple[Dict[str, Dict[str, object]], Dict[str, ConditionReport]]:
+    """Report sections of the admissibility checks, and the verdicts of
+    conditions (i) and (ii) on the condition box, keyed "i" and "ii"."""
     spec = cfg.problem
     box = cfg.condition_box()
     rep_i = check_condition_i(spec)
@@ -472,16 +476,19 @@ def _condition_sections(cfg: RunConfig) -> Tuple[Dict[str, Dict[str, object]], b
             "gamma_minus_size": oned.details["gamma_minus_size"],
             "pair_count": len(oned.details["pairs"]),
         }
-    failed = (rep_i.verdict == "fail") or (rep_ii.verdict == "fail")
-    return sections, failed
+    return sections, {"i": rep_i, "ii": rep_ii}
+
+
+def _failed(reports: Dict[str, ConditionReport]) -> bool:
+    return any(rep.verdict == "fail" for rep in reports.values())
 
 
 def cmd_check(cfg: RunConfig, out_path: Optional[str]) -> int:
     sections = {"meta": meta_section(cfg)}
-    cond, failed = _condition_sections(cfg)
+    cond, reports = _condition_sections(cfg)
     sections.update(cond)
     _emit(write_report(sections), out_path)
-    return EXIT_CONDITION if failed else EXIT_OK
+    return EXIT_CONDITION if _failed(reports) else EXIT_OK
 
 
 def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
@@ -489,13 +496,16 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     box = cfg.box()
     ncfg = cfg.newton
     sections = {"meta": meta_section(cfg)}
-    cond, failed = _condition_sections(cfg)
+    cond, reports = _condition_sections(cfg)
     sections.update(cond)
-    if failed:
+    if _failed(reports):
         _emit(write_report(sections), os.path.join(out_dir, "report.txt"))
         return EXIT_CONDITION
+    # One admissibility verdict per run: the Newton gate reuses the reports
+    # above rather than checking again on the solve box.
     report = newton.solve(
         spec, box=box, tol=ncfg.tol, max_iter=ncfg.max_iter,
+        condition_reports=reports,
         kappa=ncfg.kappa, gamma=ncfg.gamma, dio_radius=ncfg.dio_radius,
         m_max=cfg.conditions.m_max,
         eps_first=ncfg.eps_first, eps_second=ncfg.eps_second,

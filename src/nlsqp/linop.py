@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .characteristics import CharClass, ConvolutionSymbols, ResonanceGraph, resonance_graph
@@ -296,55 +297,6 @@ class BlockDecomposition:
     sizes: List[int]
 
 
-def _doubled_components(op: BlockOperator) -> List[List[int]]:
-    """Connected components of the resonant doubled indices under the
-    structural sparsity of A.  Coincides with the resonance-graph
-    components except at j = 0 kernel sites, where both copies are
-    resonant and the extra copy joins through the diagonal symbol."""
-    res_idx = np.nonzero(op.resonant_mask)[0]
-    res_set = set(int(i) for i in res_idx)
-    ns = op.n_sites
-    diag_shifts = [s for s in op.symbols.uv_p.support() if not s.is_zero()]
-    uu_shifts = op.symbols.uu.support()
-    vv_shifts = op.symbols.vv.support()
-
-    def neighbors(idx: int) -> List[int]:
-        comp_u = idx < ns
-        s = op.site_at(idx % ns)
-        out = []
-        same_off = 0 if comp_u else ns
-        for shift in diag_shifts:
-            k = op.lin_index(s - shift)
-            if k is not None and (k + same_off) in res_set:
-                out.append(k + same_off)
-        cross = uu_shifts if comp_u else vv_shifts
-        cross_off = ns if comp_u else 0
-        for shift in cross:
-            k = op.lin_index(s - shift)
-            if k is not None and (k + cross_off) in res_set:
-                out.append(k + cross_off)
-        return out
-
-    seen: set = set()
-    comps: List[List[int]] = []
-    for start in res_idx:
-        start = int(start)
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp = []
-        while stack:
-            cur = stack.pop()
-            comp.append(cur)
-            for nb in neighbors(cur):
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        comps.append(sorted(comp))
-    return comps
-
-
 def block_decompose(op: BlockOperator, graph: Optional[ResonanceGraph] = None,
                     a: Optional[Sequence[float]] = None,
                     exclude: frozenset = frozenset()) -> BlockDecomposition:
@@ -353,12 +305,22 @@ def block_decompose(op: BlockOperator, graph: Optional[ResonanceGraph] = None,
     At the seed frequency the diagonal vanishes on the variety and each
     block is delta * A_k; afterwards the diag(n . delta-omega) part rides
     along automatically since blocks are cut from the assembled matrix.
-    With an explicit graph the blocks are its components (one doubled index
-    per vertex); by default the decomposition runs on the full resonant
-    index set.  `exclude` removes doubled indices (the seed equations).
+
+    By default the blocks are the connected components of the resonant
+    doubled indices under the sparsity pattern of the operator; they
+    coincide with the resonance-graph components except at j = 0 kernel
+    sites, where both copies are resonant and the extra copy joins through
+    the diagonal symbol.  With an explicit graph the blocks are its
+    components (one doubled index per vertex, in vertex order).  Blocks are
+    ordered by their smallest index.  `exclude` removes doubled indices
+    (the seed equations) from their blocks after the components are found.
+
+    The operator is sliced once, to the indices of all blocks; the entries
+    of that slice are scattered into one (count, k, k) stack per block size,
+    so det and svd run once per distinct size.
     """
     if graph is not None:
-        comp_lists = []
+        comps = []
         for comp in graph.components:
             idxs = []
             for vi in comp.indices:
@@ -366,25 +328,74 @@ def block_decompose(op: BlockOperator, graph: Optional[ResonanceGraph] = None,
                 di = op.doubled_index(s, "U" if tag is CharClass.CPLUS else "V")
                 if di is not None:
                     idxs.append(di)
-            comp_lists.append(idxs)
+            comps.append(np.array(idxs, dtype=np.int64))
+        index = np.unique(np.concatenate(comps)) if comps else np.zeros(0, np.int64)
+        sub = op.matrix[index][:, index]
+        comps = [np.searchsorted(index, c) for c in comps]
     else:
-        comp_lists = _doubled_components(op)
-    decomp = BlockDecomposition([], [], [], [], [], [])
-    mat = op.matrix
-    for idxs in comp_lists:
-        idxs = [i for i in idxs if i not in exclude]
-        if not idxs:
-            continue
-        sub = mat[idxs][:, idxs].toarray()
-        det = complex(np.linalg.det(sub))
-        size = len(idxs)
-        decomp.component_indices.append(idxs)
-        decomp.gammas.append(sub)
-        decomp.dets.append(det)
-        decomp.dets_normalized.append(abs(det) / op.delta ** size)
-        decomp.min_singulars.append(float(np.linalg.svd(sub, compute_uv=False)[-1]))
-        decomp.sizes.append(size)
-    return decomp
+        index = np.nonzero(op.resonant_mask)[0]
+        sub = op.matrix[index][:, index]
+        pattern = sp.csr_matrix(
+            (np.ones(sub.nnz, dtype=bool), sub.indices, sub.indptr), shape=sub.shape)
+        _, labels = csgraph.connected_components(pattern, connection="weak")
+        # Number components by their smallest member (the order ExcisionError
+        # block indices refer to); a stable sort keeps members ascending.
+        _, first = np.unique(labels, return_index=True)
+        labels = np.argsort(np.argsort(first))[labels]
+        members = np.argsort(labels, kind="stable")
+        comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+    if exclude:
+        dropped = np.isin(index, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
+        comps = [c[~dropped[c]] for c in comps]
+    comps = [c for c in comps if len(c)]
+    return _block_stacks(op, index, sub, comps)
+
+
+def _block_stacks(op: BlockOperator, index: np.ndarray, sub: sp.csr_matrix,
+                  comps: List[np.ndarray]) -> BlockDecomposition:
+    """Scatter the entries of `sub` (the operator on `index`) into the dense
+    blocks over `comps` (positions into `index`) and take their
+    determinants and smallest singular values, one batched call per size."""
+    n_comp = len(comps)
+    sizes = np.array([len(c) for c in comps], dtype=np.int64)
+    comp_of = np.full(len(index), -1, dtype=np.int64)
+    pos = np.zeros(len(index), dtype=np.int64)
+    if n_comp:
+        flat = np.concatenate(comps)
+        comp_of[flat] = np.repeat(np.arange(n_comp), sizes)
+        pos[flat] = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    coo = sub.tocoo()
+    rows, cols, vals = coo.row, coo.col, coo.data
+    owner = comp_of[rows]
+    inside = (owner >= 0) & (owner == comp_of[cols])
+    rows, cols, vals, owner = rows[inside], cols[inside], vals[inside], owner[inside]
+
+    gammas: List[np.ndarray] = [None] * n_comp  # type: ignore[list-item]
+    dets = np.empty(n_comp, dtype=complex)
+    min_sv = np.empty(n_comp)
+    slot = np.empty(n_comp, dtype=np.int64)
+    for k in np.unique(sizes):
+        members = np.nonzero(sizes == k)[0]
+        slot[members] = np.arange(len(members))
+        sel = sizes[owner] == k
+        stack = np.zeros((len(members), k, k), dtype=complex)
+        np.add.at(stack, (slot[owner[sel]], pos[rows[sel]], pos[cols[sel]]), vals[sel])
+        dets[members] = np.linalg.det(stack)
+        min_sv[members] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        for m, block in zip(members.tolist(), stack):
+            gammas[m] = block
+
+    delta = op.delta
+    det_list = [complex(x) for x in dets]
+    size_list = sizes.tolist()
+    return BlockDecomposition(
+        component_indices=[index[c].tolist() for c in comps],
+        gammas=gammas,
+        dets=det_list,
+        dets_normalized=[abs(x) / delta ** k for x, k in zip(det_list, size_list)],
+        min_singulars=min_sv.tolist(),
+        sizes=size_list,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +420,18 @@ class CertifiedInverse:
     mode: str
     threshold: float
     min_block_value: float
-    _solve: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
+    # The factorisation that was certified: solve(rhs, trans="N") takes and
+    # returns vectors indexed by `keep`, the doubled indices not dropped.
+    solve: Callable[..., np.ndarray] = field(repr=False, default=None)
+    keep: np.ndarray = field(repr=False, default=None)
+    power_iterations: int = 0
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self._solve(vec)
+        return self.solve(vec)
+
+
+# Power iteration stops once sigma changes by at most this fraction.
+_SIGMA_RTOL = 1e-13
 
 
 def invert_with_certificates(
@@ -440,6 +459,12 @@ def invert_with_certificates(
     doubled indices.  The Newton iteration passes the 2b seed equations
     here: at a frequency solving them the seed block carries the exact
     phase-symmetry kernel, which the scheme never needs to invert.
+
+    The matrix is factored once, by `restricted_solver`; the factor is
+    returned on the certificate (`solve`, `keep`) for the caller to reuse.
+    The norm is estimated by power iteration on (F'^H F')^{-1}, at most
+    power_iters rounds, stopping early once sigma has settled to a relative
+    change of 1e-13.
     """
     if mode is None:
         w = np.array(op.omega.omega)
@@ -470,56 +495,52 @@ def invert_with_certificates(
             full = np.nonzero(~op.resonant_mask)[0][k]
             raise OffCharDiagonalError(op.site_at(full % op.n_sites), float(gap))
 
-    if dropped:
-        keep_mask = np.ones(op.dim, dtype=bool)
-        keep_mask[list(dropped)] = False
-        keep = np.nonzero(keep_mask)[0]
-        mat = (op.matrix[keep][:, keep]
-               - lam * sp.identity(len(keep), format="csr")).tocsc()
-    else:
-        keep = np.arange(op.dim)
-        mat = (op.matrix - lam * sp.identity(op.dim, format="csr")).tocsc()
-    lu = spla.splu(mat)
+    solve, keep = restricted_solver(op, sorted(dropped), lam=lam)
     dim = len(keep)
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)
     sigma = 0.0
-    for _ in range(power_iters):
-        y = lu.solve(x)
-        z = lu.solve(y, trans="H")
+    rounds = 0
+    for rounds in range(1, power_iters + 1):
+        y = solve(x)
+        z = solve(y, trans="H")
         nrm = np.linalg.norm(z)
         if nrm == 0:
             break
-        sigma = math.sqrt(nrm)
+        prev, sigma = sigma, math.sqrt(nrm)
         x = z / nrm
+        if abs(sigma - prev) <= _SIGMA_RTOL * sigma:
+            break
     norm_bound = float(sigma)
 
     decay = None
     if fit_decay:
-        decay = _fit_decay(op, lu, decay_probes, keep)
+        decay = _fit_decay(op, solve, decay_probes, keep)
 
     return CertifiedInverse(norm_bound=norm_bound, decay=decay, mode=mode,
                             threshold=threshold, min_block_value=min_val,
-                            _solve=lambda vec: lu.solve(vec))
+                            solve=solve, keep=keep, power_iterations=rounds)
 
 
-def _fit_decay(op: BlockOperator, lu, n_probes: int,
+def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], n_probes: int,
                keep: np.ndarray) -> DecayFit:
     """Least-squares decay exponent of the inverse kernel.
 
     Probes columns at the seed sites (or, when those rows are excluded, at
     the nonlinear forcing sites next to them), pools log|entry| against the
     l1 site distance, and fits log|entry| = c - beta * |log delta| * dist.
+    `solve` is the restricted factor, indexed by the sorted `keep`.
     """
     delta = op.delta
     logd = abs(math.log(delta))
-    kept_set = set(int(i) for i in keep)
+    kept = np.zeros(op.dim, dtype=bool)
+    kept[keep] = True
     candidates: List[int] = []
     for s in op.spec.seed_sites():
         for idx in (op.doubled_index(s, "U"), op.doubled_index(-s, "V")):
-            if idx is not None and idx in kept_set:
+            if idx is not None and kept[idx]:
                 candidates.append(idx)
     if not candidates:
         from .lattice import convolve as _conv
@@ -529,18 +550,16 @@ def _fit_decay(op: BlockOperator, lu, n_probes: int,
             if s in seeds:
                 continue
             idx = op.doubled_index(s, "U")
-            if idx is not None and idx in kept_set:
+            if idx is not None and kept[idx]:
                 candidates.append(idx)
     probe_idx = candidates[:max(2, n_probes)]
 
-    pos_of = {int(g): i for i, g in enumerate(keep)}
-    site_l1 = {}
-    dists: List[float] = []
-    logs: List[float] = []
+    dists: List[np.ndarray] = []
+    logs: List[np.ndarray] = []
     for pi in probe_idx:
         e = np.zeros(len(keep), dtype=complex)
-        e[pos_of[pi]] = 1.0
-        col = lu.solve(e)
+        e[np.searchsorted(keep, pi)] = 1.0
+        col = solve(e)
         ps = op.site_at(pi % op.n_sites)
         av = np.abs(col)
         floor = max(av.max() * 1e-16, 1e-300)
@@ -548,11 +567,12 @@ def _fit_decay(op: BlockOperator, lu, n_probes: int,
         dist_all = np.sum(np.abs(op.coords - src), axis=1)
         dist_full = np.concatenate([dist_all, dist_all]).astype(float)[keep]
         mask = (av > floor) & (dist_full >= 1)
-        dists.extend(dist_full[mask])
-        logs.extend(np.log(av[mask]))
-    dists_a = np.array(dists)
-    logs_a = np.array(logs)
-    if len(dists_a) < 2 or len(set(dists_a)) < 2:
+        dists.append(dist_full[mask])
+        logs.append(np.log(av[mask]))
+    dists_a = np.concatenate(dists) if dists else np.zeros(0)
+    logs_a = np.concatenate(logs) if logs else np.zeros(0)
+    levels = np.unique(dists_a)
+    if len(dists_a) < 2 or len(levels) < 2:
         return DecayFit(beta_hat=0.0, beta_ls=0.0, intercept=0.0,
                         n_points=len(dists_a), fit_rms=0.0, bound_ok=True,
                         checked_beyond=0)
@@ -567,10 +587,9 @@ def _fit_decay(op: BlockOperator, lu, n_probes: int,
     # exactly why the bound only starts past 1/beta^2: the cutoff must be
     # pushed beyond the block diameter.
     per_entry = -logs_a / (dists_a * logd)
-    order = np.argsort(dists_a)
     beta = 0.0
     checked = 0
-    for cut in [0.0] + sorted(set(dists_a)):
+    for cut in [0.0] + levels.tolist():
         far = dists_a > cut
         cap = beta_ls if cut == 0 else min(beta_ls, (1.0 - 1e-12) / math.sqrt(cut))
         cand = cap if not np.any(far) else min(cap, float(np.min(per_entry[far])))
@@ -588,19 +607,22 @@ def _fit_decay(op: BlockOperator, lu, n_probes: int,
                     fit_rms=rms, bound_ok=ok, checked_beyond=checked)
 
 
-def restricted_solver(op: BlockOperator, exclude: Sequence[int]
-                      ) -> Tuple[Callable[[np.ndarray], np.ndarray], np.ndarray]:
-    """LU solver for the operator restricted off a set of doubled indices.
+def restricted_solver(op: BlockOperator, exclude: Sequence[int], lam: float = 0.0
+                      ) -> Tuple[Callable[..., np.ndarray], np.ndarray]:
+    """LU factorisation of F' - lam restricted off a set of doubled indices.
 
-    Returns (solve, kept_indices): solve takes and returns vectors indexed
-    by kept_indices.
+    Returns (solve, kept_indices): solve(rhs, trans="N") takes and returns
+    vectors indexed by kept_indices; trans="H" solves with the adjoint.
     """
     mask = np.ones(op.dim, dtype=bool)
     mask[list(exclude)] = False
     keep = np.nonzero(mask)[0]
-    sub = op.matrix[keep][:, keep].tocsc()
+    sub = op.matrix[keep][:, keep]
+    if lam != 0.0:
+        sub = sub - lam * sp.identity(len(keep), format="csr")
+    sub = sub.tocsc()  # drop the CSR copy before SuperLU's workspace peaks
     lu = spla.splu(sub)
-    return (lambda rhs: lu.solve(rhs)), keep
+    return lu.solve, keep
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ picks up its amplitude modulation and becomes Diophantine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import CharClass
+from .characteristics import CharClass, ResonanceGraph
 from .conditions import ConditionReport, check_condition_i, check_condition_ii
 from .lattice import (
     Box,
@@ -170,10 +171,14 @@ def newton_step(
     if certify:
         # Certify exactly what is inverted: the operator restricted off the
         # seed equations (the full operator carries the phase-symmetry
-        # kernel once omega solves them).
-        invert_with_certificates(op, mode=None, eps_first=eps_first,
-                                 eps_second=eps_second, fit_decay=False,
-                                 drop_indices=op.q_indices(), power_iters=0)
+        # kernel once omega solves them).  The certified factor is the one
+        # the step solves with.
+        cert = invert_with_certificates(op, mode=None, eps_first=eps_first,
+                                        eps_second=eps_second, fit_decay=False,
+                                        drop_indices=op.q_indices(), power_iters=0)
+        solve, keep = cert.solve, cert.keep
+    else:
+        solve, keep = restricted_solver(op, op.q_indices())
 
     fu, fv = residual_series(u, v, omega_work, spec)
     rhs = np.zeros(op.dim, dtype=complex)
@@ -182,7 +187,6 @@ def newton_step(
     for s, val in _box_restrict(fv, box).items():
         rhs[op.doubled_index(s, "V")] = val
 
-    solve, keep = restricted_solver(op, op.q_indices())
     delta_vec = solve(rhs[keep])
 
     du_terms: Dict[SiteIndex, complex] = {}
@@ -256,9 +260,11 @@ def default_dio_radius(b: int) -> int:
     return {1: 20, 2: 20, 3: 12, 4: 8}.get(b, 5)
 
 
-def _dio_candidates(b: int, n_radius: int) -> List[Tuple[int, ...]]:
+@functools.lru_cache(maxsize=16)
+def _dio_candidates(b: int, n_radius: int) -> Tuple[Tuple[int, ...], ...]:
     """Canonical representatives n (first nonzero positive), sorted by
-    (sup norm, l1 norm, preferring earlier coordinates)."""
+    (sup norm, l1 norm, preferring earlier coordinates).  Built once per
+    (b, n_radius) and shared by every scan."""
     cands = set()
     for n in itertools.product(range(-n_radius, n_radius + 1), repeat=b):
         if all(x == 0 for x in n):
@@ -269,9 +275,9 @@ def _dio_candidates(b: int, n_radius: int) -> List[Tuple[int, ...]]:
                     n = tuple(-y for y in n)
                 break
         cands.add(n)
-    return sorted(cands, key=lambda n: (max(abs(x) for x in n),
-                                        sum(abs(x) for x in n),
-                                        tuple(-x for x in n)))
+    return tuple(sorted(cands, key=lambda n: (max(abs(x) for x in n),
+                                              sum(abs(x) for x in n),
+                                              tuple(-x for x in n))))
 
 
 def diophantine_check(omega: FrequencyVector, delta: float, kappa: float,
@@ -536,10 +542,18 @@ def excision_sweep(
     """Monte Carlo measure of the excised amplitude set.
 
     Samples a uniformly from (0, 1]^b, computes the delta-free normalized
-    block determinants of the first-step operator (their support pattern
-    does not depend on a, so the graph is built once) and the Diophantine
+    block determinants of the first-step operator and the Diophantine
     margin of the modulated frequency.  Fractions are computed per epsilon
     from a single sample set, hence monotone by construction.
+
+    The blocks are the resonance-graph components, whose support pattern
+    does not depend on a, so the graph and a gather plan are built once:
+    every block entry reads one symbol at one shift (the difference of its
+    two sites), the diagonal symbol (p+1) (u*v)^{*p} between equal branch
+    tags, p uu from a C+ row to a C- column and p vv the other way.  Per
+    sample the three symbols are evaluated at the distinct shifts, the
+    blocks are gathered into one (count, k, k) stack per size, and det runs
+    once per size.
     """
     if n_samples < 100:
         raise NewtonError("n_samples must be at least 100")
@@ -551,10 +565,8 @@ def excision_sweep(
 
     u_t, v_t = linear_solution(spec)
     graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
+    shift_sites, plan = _sweep_gather_plan(graph, spec.b)
     p = spec.p
-
-    comp_sites: List[List[Tuple[SiteIndex, CharClass]]] = [
-        [graph.vertices[i] for i in comp.indices] for comp in graph.components]
 
     rng = np.random.default_rng(seed)
     samples = 1.0 - rng.random((n_samples, spec.b))  # uniform on (0, 1]
@@ -564,20 +576,16 @@ def excision_sweep(
         spec_a = spec.with_amplitudes(samples[i])
         u0, v0 = linear_solution(spec_a)
         symbols = ConvolutionSymbols.from_fields(u0, v0, p)
+        table = np.array([[(p + 1) * symbols.uv_p[dd] for dd in shift_sites],
+                          [p * symbols.uu[dd] for dd in shift_sites],
+                          [p * symbols.vv[dd] for dd in shift_sites]],
+                         dtype=complex)
         worst = math.inf
-        for sites in comp_sites:
-            k = len(sites)
-            block = np.zeros((k, k), dtype=complex)
-            for r, (sr, tr) in enumerate(sites):
-                for c, (sc, tc) in enumerate(sites):
-                    dd = sr - sc
-                    if tr is tc:
-                        block[r, c] = (p + 1) * symbols.uv_p[dd]
-                    elif tr is CharClass.CPLUS:
-                        block[r, c] = p * symbols.uu[dd]
-                    else:
-                        block[r, c] = p * symbols.vv[dd]
-            worst = min(worst, abs(np.linalg.det(block)))
+        for kind, shift_id in plan:
+            dets = np.linalg.det(table[kind, shift_id])
+            # np.hypot equals Python's abs() of a complex bit for bit;
+            # numpy's vectorised complex abs can differ in the last bit.
+            worst = min(worst, float(np.min(np.hypot(dets.real, dets.imag))))
         min_vals[i] = worst
         omega1 = q_solve(u0, spec_a)
         dio_vals[i] = diophantine_check(omega1, spec.delta, kappa, gamma,
@@ -592,3 +600,33 @@ def excision_sweep(
     return SweepResult(epsilons=eps_list, fractions=fractions, counts=counts,
                        n_samples=n_samples, seed=seed, min_block_values=min_vals,
                        dio_kappas=dio_vals, kappa=kappa, gamma=gamma)
+
+
+def _sweep_gather_plan(graph: ResonanceGraph, b: int
+                       ) -> Tuple[List[SiteIndex], List[Tuple[np.ndarray, np.ndarray]]]:
+    """Distinct site differences inside the graph's components, and per
+    block size the stacked (kind, shift id) of every block entry: kind 0
+    reads the diagonal symbol, 1 the uu symbol, 2 the vv symbol."""
+    verts = graph.vertices
+    coords = np.array([s.n + s.j for s, _ in verts], dtype=np.int64)
+    plus = np.array([t is CharClass.CPLUS for _, t in verts], dtype=bool)
+    by_size: Dict[int, List[List[int]]] = {}
+    for comp in graph.components:
+        by_size.setdefault(comp.size, []).append(comp.indices)
+    members = [np.array(by_size[k], dtype=np.int64) for k in sorted(by_size)]
+    diffs = [coords[m][:, :, None, :] - coords[m][:, None, :, :] for m in members]
+    if not diffs:
+        return [], []
+    flat = np.concatenate([d.reshape(-1, coords.shape[1]) for d in diffs])
+    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
+    shift_sites = [SiteIndex(tuple(r[:b]), tuple(r[b:])) for r in uniq.tolist()]
+    plan = []
+    start = 0
+    for m, d in zip(members, diffs):
+        count = d.shape[0] * d.shape[1] * d.shape[2]
+        shift_id = inverse.reshape(-1)[start:start + count].reshape(d.shape[:3])
+        start += count
+        row_plus, col_plus = plus[m][:, :, None], plus[m][:, None, :]
+        kind = np.where(row_plus == col_plus, 0, np.where(row_plus, 1, 2))
+        plan.append((kind, shift_id))
+    return shift_sites, plan

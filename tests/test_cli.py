@@ -156,6 +156,24 @@ def test_solve_command_tp1(tmp_path):
     assert abs(u[site((-1,), (2,))]) == pytest.approx(0.001 ** 0.5 * 0.7)
 
 
+def test_solve_decides_admissibility_once(tmp_path, monkeypatch):
+    # The Newton gate reuses the verdicts of the report's condition
+    # sections instead of checking again on another box.
+    from nlsqp import cli, conditions, newton
+    calls = []
+    check_ii = conditions.check_condition_ii
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("box"))
+        return check_ii(*args, **kwargs)
+
+    for mod in (cli, conditions, newton):
+        monkeypatch.setattr(mod, "check_condition_ii", counted)
+    cfg = parse_config(TP2_CFG)
+    assert run_command("solve", cfg, out_path=str(tmp_path / "out")) == EXIT_OK
+    assert calls == [cfg.condition_box()]
+
+
 def test_verify_command(tmp_path):
     cfg = parse_config(TP1_CFG + "\n[verify]\nT = 5.0\ndt = 0.001\n")
     out = str(tmp_path / "out")

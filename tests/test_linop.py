@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlsqp.characteristics import CharClass
 from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.linop import (
     ExcisionError,
@@ -154,6 +155,96 @@ def test_block_diag_consistency(tp2):
             assert np.max(np.abs(cross)) == 0.0
 
 
+def bfs_components(op):
+    """Reference: components of the resonant doubled indices found by a
+    depth-first walk over the symbol supports, ordered by smallest index."""
+    res_idx = [int(i) for i in np.nonzero(op.resonant_mask)[0]]
+    res_set = set(res_idx)
+    ns = op.n_sites
+    diag_shifts = [s for s in op.symbols.uv_p.support() if not s.is_zero()]
+
+    def neighbors(idx):
+        comp_u = idx < ns
+        s = op.site_at(idx % ns)
+        out = []
+        for shifts, off in ((diag_shifts, 0 if comp_u else ns),
+                            (op.symbols.uu.support() if comp_u
+                             else op.symbols.vv.support(), ns if comp_u else 0)):
+            for shift in shifts:
+                k = op.lin_index(s - shift)
+                if k is not None and k + off in res_set:
+                    out.append(k + off)
+        return out
+
+    seen, comps = set(), []
+    for start in res_idx:
+        if start in seen:
+            continue
+        stack, comp = [start], []
+        seen.add(start)
+        while stack:
+            cur = stack.pop()
+            comp.append(cur)
+            for nb in neighbors(cur):
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        comps.append(sorted(comp))
+    return comps
+
+
+def assert_blocks_are_slices(op, dec):
+    m = op.matrix
+    for idxs, gamma, det, smin, size in zip(dec.component_indices, dec.gammas,
+                                            dec.dets, dec.min_singulars, dec.sizes):
+        sub = m[idxs][:, idxs].toarray()
+        assert size == len(idxs)
+        assert np.array_equal(gamma, sub)
+        assert det == complex(np.linalg.det(sub))
+        assert smin == float(np.linalg.svd(sub, compute_uv=False)[-1])
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
+@pytest.mark.parametrize("drop_seed", [False, True])
+def test_block_decompose_matches_reference(name, drop_seed, request):
+    spec = request.getfixturevalue(name)
+    op = seed_operator(spec)
+    exclude = frozenset(op.q_indices()) if drop_seed else frozenset()
+    dec = block_decompose(op, exclude=exclude)
+    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(op)]
+    assert dec.component_indices == [c for c in expected if c]
+    assert_blocks_are_slices(op, dec)
+    for det, norm, size in zip(dec.dets, dec.dets_normalized, dec.sizes):
+        assert norm == abs(det) / spec.delta ** size
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
+def test_block_decompose_graph_path_matches_slices(name, request):
+    # With an explicit graph each block keeps the graph's vertex order.
+    spec = request.getfixturevalue(name)
+    op = seed_operator(spec)
+    graph = op.graph()
+    dec = block_decompose(op, graph)
+    expected = []
+    for comp in graph.components:
+        idxs = [op.doubled_index(s, "U" if t is CharClass.CPLUS else "V")
+                for s, t in (graph.vertices[i] for i in comp.indices)]
+        expected.append([i for i in idxs if i is not None])
+    assert dec.component_indices == [c for c in expected if c]
+    assert_blocks_are_slices(op, dec)
+
+
+def test_block_decompose_batches_determinants(tp3, monkeypatch):
+    # One det per distinct block size, not one per block.
+    op = seed_operator(tp3)
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    dec = block_decompose(op)
+    assert len(dec.sizes) > len(set(dec.sizes))
+    assert len(calls) == len(set(dec.sizes))
+
+
 # -- Certified inversion -----------------------------------------------------
 
 
@@ -196,6 +287,40 @@ def test_invert_excision_error_names_block(tp1):
         invert_with_certificates(op, mode="seed", eps_first=1e6)
     assert err.value.value >= 0
     assert err.value.threshold == 1e6
+
+
+def test_power_iteration_early_stop_matches_full_run(tp2):
+    # At the modulated frequency, as in the final certificate of a solve,
+    # the top singular value is well separated and sigma settles early.
+    import scipy.sparse.linalg as spla
+    u0, v0 = linear_solution(tp2)
+    op = assemble(u0, v0, q_solve(u0, tp2), tp2, Box(9, 3))
+    cert = invert_with_certificates(op, fit_decay=False,
+                                    drop_indices=op.q_indices())
+    assert 0 < cert.power_iterations < 60
+    # Reference: the same start vector, all 60 rounds, a fresh factor.
+    keep = cert.keep
+    lu = spla.splu(op.matrix[keep][:, keep].tocsc())
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
+    x /= np.linalg.norm(x)
+    for _ in range(60):
+        z = lu.solve(lu.solve(x), trans="H")
+        sigma = math.sqrt(np.linalg.norm(z))
+        x = z / np.linalg.norm(z)
+    assert abs(cert.norm_bound - sigma) <= 1e-12 * sigma
+
+
+def test_certificate_returns_its_factor(tp2):
+    op = seed_operator(tp2)
+    cert = invert_with_certificates(op, mode="seed", fit_decay=False,
+                                    drop_indices=op.q_indices(), power_iters=0)
+    solve, keep = restricted_solver(op, op.q_indices())
+    assert np.array_equal(cert.keep, keep)
+    rng = np.random.default_rng(2)
+    rhs = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
+    assert np.array_equal(cert.solve(rhs), solve(rhs))
+    assert np.array_equal(cert.apply(rhs), solve(rhs))
 
 
 def test_restricted_solver_matches_submatrix(tp2):

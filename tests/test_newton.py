@@ -7,6 +7,7 @@ from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.newton import (
     ConditionGateError,
     ConvergenceError,
+    IterationState,
     MIN_AMPLITUDE,
     analytic_q_jacobian,
     diophantine_check,
@@ -270,3 +271,66 @@ def test_excision_sweep_deterministic(tp1):
     r2 = excision_sweep(tp1, [1e-2], n_samples=300, seed=9, box=Box(4, 3))
     assert r1.fractions == r2.fractions
     assert np.array_equal(r1.min_block_values, r2.min_block_values)
+
+
+def hand_built_min_block_values(spec, samples, box):
+    """Reference: every resonance block built entry by entry from the
+    symbols, one det per block."""
+    from nlsqp.characteristics import CharClass, ConvolutionSymbols, resonance_graph
+    u_t, v_t = linear_solution(spec)
+    graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
+    p = spec.p
+    out = []
+    for a in samples:
+        spec_a = spec.with_amplitudes(a)
+        u0, v0 = linear_solution(spec_a)
+        symbols = ConvolutionSymbols.from_fields(u0, v0, p)
+        worst = math.inf
+        for comp in graph.components:
+            sites = [graph.vertices[i] for i in comp.indices]
+            block = np.zeros((len(sites), len(sites)), dtype=complex)
+            for r, (sr, tr) in enumerate(sites):
+                for c, (sc, tc) in enumerate(sites):
+                    if tr is tc:
+                        block[r, c] = (p + 1) * symbols.uv_p[sr - sc]
+                    elif tr is CharClass.CPLUS:
+                        block[r, c] = p * symbols.uu[sr - sc]
+                    else:
+                        block[r, c] = p * symbols.vv[sr - sc]
+            worst = min(worst, abs(np.linalg.det(block)))
+        out.append(worst)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2"])
+def test_excision_sweep_matches_hand_built_blocks(name, request):
+    from nlsqp.lattice import default_box
+    spec = request.getfixturevalue(name)
+    res = excision_sweep(spec, [1e-2], n_samples=100, seed=5)
+    samples = 1.0 - np.random.default_rng(5).random((100, spec.b))
+    expected = hand_built_min_block_values(spec, samples, default_box(spec))
+    assert np.array_equal(res.min_block_values, expected)
+
+
+def test_diophantine_candidates_built_once():
+    from nlsqp.newton import _dio_candidates
+    first = _dio_candidates(2, 7)
+    assert isinstance(first, tuple)
+    assert _dio_candidates(2, 7) is first
+
+
+@pytest.mark.parametrize("certify", [True, False])
+def test_newton_step_factors_once(tp2, certify, monkeypatch):
+    import scipy.sparse.linalg as spla
+    u0, v0 = linear_solution(tp2)
+    box = Box(9, 3)
+    weight = default_weight(tp2)
+    plain, weighted = residual_norms(u0, v0, tp2.omega0(), tp2, box, weight)
+    state = IterationState(u=u0, v=v0, omega=tp2.omega0(), residual_plain=plain,
+                           residual_weighted=weighted, step_index=0)
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a: calls.append(a.shape) or splu(a))
+    nxt = newton_step(state, tp2, box, weight=weight, certify=certify)
+    assert len(calls) == 1
+    assert nxt.residual_weighted < weighted
