@@ -425,6 +425,7 @@ EXIT_CONDITION = 1
 EXIT_NO_CONVERGENCE = 2
 EXIT_EXCISED = 3
 EXIT_CONFIG = 4
+EXIT_VERIFY = 5
 
 
 def _condition_sections(cfg: RunConfig
@@ -593,7 +594,8 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
     """Dispatch a command; returns the process exit code.
 
     0 success, 1 condition failure, 2 non-convergence, 3 excised amplitude,
-    4 config error.
+    4 config error, 5 verify failure (grid too coarse for the solution,
+    unstable split-step integration, or d > 2 for the integrator).
     """
     try:
         if cmd == "check":
@@ -619,6 +621,9 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
     except ConvergenceError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except verify.VerifyError as exc:
+        print(f"verify failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -280,26 +280,44 @@ def _dio_candidates(b: int, n_radius: int) -> Tuple[Tuple[int, ...], ...]:
                                               tuple(-x for x in n))))
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _dio_table(b: int, n_radius: int, gamma: float
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The candidates of `_dio_candidates` as an int64 array, and |n|^gamma
+    (sup norm) of each, taken with Python's `**` so that an int gamma stays
+    exact up to the one rounding of `float`."""
+    cands = _dio_candidates(b, n_radius)
+    weights = np.array([float(max(abs(c) for c in n) ** gamma) for n in cands])
+    table = np.array(cands, dtype=np.int64).reshape(len(cands), b)
+    table.setflags(write=False)  # shared by every scan through the cache
+    weights.setflags(write=False)
+    return table, weights
+
+
 def diophantine_check(omega: FrequencyVector, delta: float, kappa: float,
                       gamma: float, n_radius: int) -> DiophantineReport:
     """Exhaustive scan of ||n.omega||_T >= kappa*delta/|n|^gamma over the box.
 
     |n| is the sup norm; the fitted kappa (the smallest normalized margin)
-    is reported alongside the worst offender.
+    is reported alongside the worst offender.  All candidates are scanned
+    at once with the arithmetic of a per-candidate `omega.dot(n)` scan, so
+    the result is the same to the bit: n.omega summed left to right as in
+    `FrequencyVector.dot`, `np.rint` rounding half to even as `round` does,
+    and the first minimum kept.
     """
     if n_radius < 1:
         raise NewtonError("n_radius must be >= 1")
-    best = None
-    for n in _dio_candidates(len(omega), n_radius):
-        x = omega.dot(n)
-        margin = abs(x - round(x))
-        norm = max(abs(c) for c in n)
-        fitted = margin * norm ** gamma / delta
-        if best is None or fitted < best[0]:
-            best = (fitted, n, margin)
-    fitted, worst_n, worst_margin = best
-    return DiophantineReport(passed=bool(fitted >= kappa), worst_n=worst_n,
-                             worst_margin=worst_margin, fitted_kappa=fitted,
+    cands, weights = _dio_table(len(omega), n_radius, gamma)
+    x = 0
+    for k, w in enumerate(omega.omega):
+        x = x + cands[:, k] * w
+    margins = np.abs(x - np.rint(x))
+    fitted = margins * weights / delta
+    i = int(np.argmin(fitted))
+    best = float(fitted[i])
+    return DiophantineReport(passed=bool(best >= kappa),
+                             worst_n=_dio_candidates(len(omega), n_radius)[i],
+                             worst_margin=float(margins[i]), fitted_kappa=best,
                              kappa=kappa, gamma=gamma, n_radius=n_radius)
 
 

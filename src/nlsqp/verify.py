@@ -27,7 +27,7 @@ class GridTooCoarse(VerifyError):
 
 class IntegratorInstability(VerifyError):
     def __init__(self, message: str, suggested_dt: float):
-        super().__init__(message)
+        super().__init__(f"{message} (suggested dt = {suggested_dt!r})")
         self.suggested_dt = suggested_dt
 
 
@@ -153,6 +153,16 @@ class DriftReport:
     grid: int
 
 
+def _linear_propagator(m: int, dt: float) -> np.ndarray:
+    """Dense m x m free flow over dt along one periodic axis of m points:
+    P = F^{-1} diag(e^{-i k^2 dt}) F, so P @ f is ifft(fft(f) e^{-i k^2 dt}).
+    The 2-D flow factorises, e^{-i(kx^2+ky^2)dt} = e^{-i kx^2 dt} e^{-i ky^2 dt},
+    and acts as P @ psi @ P^T."""
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    spectral = np.exp(-1j * k ** 2 * dt)[:, None] * np.fft.fft(np.eye(m), axis=0)
+    return np.fft.ifft(spectral, axis=0)
+
+
 def evolve_drift(
     u: SparseSeries,
     omega: FrequencyVector,
@@ -163,7 +173,20 @@ def evolve_drift(
     n_samples: int = 200,
 ) -> DriftReport:
     """Strang split-step integration of the physical equation from psi(0, x)
-    = u(0, x), tracking the seed-mode amplitudes and phases."""
+    = u(0, x), tracking the seed-mode amplitudes and phases.
+
+    A step is a nonlinear half-step, the free flow over dt, and another
+    nonlinear half-step.  The nonlinear sub-flow
+    psi -> psi e^{-i tau (|psi|^{2p} + m)} keeps |psi| fixed at every point,
+    so the trailing half-step of one step and the leading half-step of the
+    next compose exactly into one full-step phase; the loop splits it back
+    into halves only where a sample is recorded and at the last step.  The
+    free flow is one dense product with the precomputed propagator P of
+    `_linear_propagator`: P @ psi in d = 1, P @ psi @ P^T in d = 2, which on
+    the 16-64 point grids used here costs less than an FFT pair.  The l2 mass
+    is read off the |psi|^2 array of the phase at every step; a mass that is
+    not finite or drifts by more than 1e-3 raises IntegratorInstability.
+    """
     if spec.d > 2:
         raise VerifyError("split-step validator supports d <= 2")
     terms = u.items()
@@ -182,13 +205,8 @@ def evolve_drift(
         psi[idx] += val
     psi = np.fft.ifftn(psi) * psi.size  # values on the grid
 
-    k1 = np.fft.fftfreq(m, d=1.0 / m)
-    if spec.d == 1:
-        ksq = k1 ** 2
-    else:
-        kx, ky = np.meshgrid(k1, k1, indexing="ij")
-        ksq = kx ** 2 + ky ** 2
-    lin_phase = np.exp(-1j * ksq * dt)
+    prop = _linear_propagator(m, dt)
+    prop_t = np.ascontiguousarray(prop.T)
 
     steps = int(round(T / dt))
     # Sample densely enough that no mode advances more than ~pi/2 between
@@ -198,7 +216,8 @@ def evolve_drift(
     sample_every = max(1, min(steps // max(1, n_samples), int(max_interval / dt)))
     mode_bins = [tuple(c % m for c in j) for j in spec.j_list]
 
-    mass0 = float(np.sum(np.abs(psi) ** 2))
+    mod2 = (psi * psi.conj()).real
+    mass0 = float(mod2.sum())
     times: List[float] = []
     amps: List[List[float]] = []
     phases: List[List[float]] = []
@@ -209,22 +228,30 @@ def evolve_drift(
         amps.append([abs(ft[bin]) for bin in mode_bins])
         phases.append([math.atan2(ft[bin].imag, ft[bin].real) for bin in mode_bins])
 
+    def phase(mod2: np.ndarray, tau: float) -> np.ndarray:
+        return np.exp((mod2 ** spec.p + spec.phase_m) * (-1j * tau))
+
     record(0.0)
     half = dt / 2.0
-    mfac = spec.phase_m
+    mass = mass0
+    psi = psi * phase(mod2, half)  # leading half-step of the first step
     for step in range(steps):
-        nl = np.abs(psi) ** (2 * spec.p) + mfac
-        psi = psi * np.exp(-1j * nl * half)
-        psi = np.fft.ifftn(np.fft.fftn(psi) * lin_phase)
-        nl = np.abs(psi) ** (2 * spec.p) + mfac
-        psi = psi * np.exp(-1j * nl * half)
-        if (step + 1) % sample_every == 0 or step == steps - 1:
-            record((step + 1) * dt)
-        mass = float(np.sum(np.abs(psi) ** 2))
-        if mass0 > 0 and abs(mass - mass0) / mass0 > 1e-3:
+        psi = prop @ psi if spec.d == 1 else prop @ psi @ prop_t
+        mod2 = (psi * psi.conj()).real
+        mass = float(mod2.sum())
+        if not math.isfinite(mass) or (
+                mass0 > 0 and abs(mass - mass0) / mass0 > 1e-3):
             raise IntegratorInstability(
-                f"mass drifted {abs(mass - mass0) / mass0:.2e} at t={step * dt:.3f}",
-                suggested_dt=dt / 4.0)
+                f"mass drifted {abs(mass - mass0) / mass0:.2e} "
+                f"at t={(step + 1) * dt:.3f}", suggested_dt=dt / 4.0)
+        if (step + 1) % sample_every == 0 or step == steps - 1:
+            rot = phase(mod2, half)
+            psi = psi * rot
+            record((step + 1) * dt)
+            if step < steps - 1:
+                psi = psi * rot
+        else:
+            psi = psi * phase(mod2, dt)
 
     times_a = np.array(times)
     amps_a = np.array(amps)
@@ -233,8 +260,7 @@ def evolve_drift(
     amp_drift = float(np.max(np.abs(amps_a - a0) / np.maximum(a0, 1e-300)))
     expected = -np.outer(times_a, np.array(omega.omega))
     phase_err = phases_a - phases_a[0] - expected
-    mass_end = float(np.sum(np.abs(psi) ** 2))
-    mass_drift = abs(mass_end - mass0) / mass0 if mass0 > 0 else 0.0
+    mass_drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
     return DriftReport(times=times_a, mode_amps=amps_a, mode_phases=phases_a,
                        amp_drift=amp_drift, phase_error=phase_err,
                        mass_drift=mass_drift, dt=dt, grid=m)

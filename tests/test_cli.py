@@ -10,6 +10,7 @@ from nlsqp.cli import (
     EXIT_EXCISED,
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
+    EXIT_VERIFY,
     config_hash,
     load_config,
     main,
@@ -184,6 +185,46 @@ def test_verify_command(tmp_path):
     text = (tmp_path / "v.txt").read_text()
     sup = float(re.search(r"sup = (\S+)", text).group(1))
     assert sup < 1e-12
+
+
+def solve_then_verify(tmp_path, cfg):
+    out = str(tmp_path / "out")
+    assert run_command("solve", cfg, out_path=out) == EXIT_OK
+    return run_command("verify", cfg, out_path=str(tmp_path / "v.txt"),
+                       solution=os.path.join(out, "solution.txt"))
+
+
+def test_exit_verify_grid_too_coarse(tmp_path, capsys):
+    cfg = parse_config(TP1_CFG + "\n[verify]\nx_points = 3\n")
+    assert solve_then_verify(tmp_path, cfg) == EXIT_VERIFY
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("verify failure: need at least 5 spatial points")
+    assert "\n" not in err
+
+
+def test_exit_verify_integrator_instability(tmp_path, capsys):
+    cfg = parse_config(TP1_CFG + "\n[verify]\nT = 5.0\ndt = 0.9\n")
+    assert solve_then_verify(tmp_path, cfg) == EXIT_VERIFY
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("verify failure: dt too large")
+    assert err.endswith("(suggested dt = 0.1)")
+    assert "\n" not in err
+
+
+def test_exit_verify_dimension_above_two(tmp_path, capsys):
+    # The collocation residual runs in any d; the split-step validator
+    # stops at d = 2.
+    spec = make_spec(d=3, b=1, p=1, delta=1e-3, j_list=[(1, 0, 0)],
+                     amplitudes=[0.7])
+    u0, _ = linear_solution(spec)
+    sol = write(tmp_path, "sol.txt", write_solution(
+        spec, spec.omega0(), u0.scale(spec.delta ** 0.5)))
+    cfg = parse_config(TP1_CFG + "\n[verify]\nt_points = 16\nx_points = 3\n")
+    code = run_command("verify", cfg, out_path=str(tmp_path / "v.txt"),
+                       solution=sol)
+    assert code == EXIT_VERIFY
+    err = capsys.readouterr().err.strip()
+    assert err == "verify failure: split-step validator supports d <= 2"
 
 
 def test_sweep_command_csv(tmp_path):

@@ -313,10 +313,43 @@ def test_excision_sweep_matches_hand_built_blocks(name, request):
 
 
 def test_diophantine_candidates_built_once():
-    from nlsqp.newton import _dio_candidates
+    from nlsqp.newton import _dio_candidates, _dio_table
     first = _dio_candidates(2, 7)
     assert isinstance(first, tuple)
     assert _dio_candidates(2, 7) is first
+    assert _dio_table(2, 7, 6.0) is _dio_table(2, 7, 6.0)
+
+
+def scalar_diophantine_scan(omega, delta, gamma, n_radius):
+    """Per-candidate scan, one `omega.dot(n)` each: the oracle for the
+    vectorised scan."""
+    from nlsqp.newton import _dio_candidates
+    best = None
+    for n in _dio_candidates(len(omega), n_radius):
+        x = omega.dot(n)
+        margin = abs(x - round(x))
+        fitted = margin * max(abs(c) for c in n) ** gamma / delta
+        if best is None or fitted < best[0]:
+            best = (fitted, n, margin)
+    return best
+
+
+@pytest.mark.parametrize("b, n_radius", [(1, 20), (2, 10), (3, 5)])
+def test_diophantine_scan_equals_scalar_loop(b, n_radius):
+    # Bitwise: same summation order, round-half-even and first minimum.
+    rng = np.random.default_rng(b)
+    omegas = [tuple(1.0 + 0.01 * rng.random(b)) for _ in range(60)]
+    omegas += [(0.5,) * b, (0.25,) * b, (3.0,) * b]  # ties and exact halves
+    for i, w in enumerate(omegas):
+        omega = FrequencyVector(tuple(float(x) for x in w))
+        gamma = (2 * b + 2, 6.0, 3.7)[i % 3]
+        rep = diophantine_check(omega, 1e-3, 1e-2, gamma, n_radius)
+        fitted, worst_n, margin = scalar_diophantine_scan(omega, 1e-3, gamma,
+                                                          n_radius)
+        assert type(rep.fitted_kappa) is float
+        assert (rep.fitted_kappa, rep.worst_n, rep.worst_margin) == \
+            (fitted, worst_n, margin)
+        assert rep.passed == (fitted >= 1e-2)
 
 
 @pytest.mark.parametrize("certify", [True, False])

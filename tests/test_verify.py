@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,9 @@ from nlsqp.lattice import (
 from nlsqp.newton import residual_series, solve
 from nlsqp.verify import (
     GridTooCoarse,
+    IntegratorInstability,
     WeightSpec,
+    _linear_propagator,
     default_weight,
     evolve_drift,
     pde_residual,
@@ -118,7 +121,6 @@ def test_evolve_mass_conservation(tp2):
 
 def test_evolve_dt_guard(tp1):
     rep = solve(tp1)
-    from nlsqp.verify import IntegratorInstability
     with pytest.raises(IntegratorInstability):
         evolve_drift(rep.physical_u(), rep.state.omega, tp1, T=10.0, dt=0.9)
 
@@ -156,3 +158,94 @@ def test_collocation_residual_tracks_newton_residual(tp2):
     assert sups[1] <= 1.1 * sups[0]
     assert sups[2] <= 1.1 * sups[1]
     assert sups[1] <= 0.1 * sups[0]
+
+
+# -- Split-step integrator against the FFT Strang loop -----------------------
+
+
+def fft_free_flow_phase(m, d, dt):
+    """e^{-i |k|^2 dt} on the FFT frequencies of an m^d grid."""
+    k1 = np.fft.fftfreq(m, d=1.0 / m)
+    grids = np.meshgrid(*([k1] * d), indexing="ij")
+    return np.exp(-1j * sum(k ** 2 for k in grids) * dt)
+
+
+def fft_strang_reference(u, omega, spec, T, dt, n_samples=200):
+    """The textbook Strang split-step loop: nonlinear half-step, free flow by
+    an FFT pair, nonlinear half-step, every step; same grid and sampling
+    rules as evolve_drift.  Returns times, mode amplitudes and unwrapped
+    mode phases."""
+    terms = u.items()
+    max_j = max((max(abs(c) for c in s.j) for s, _ in terms), default=1)
+    m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_j + 2)))
+    psi = np.zeros((m,) * spec.d, dtype=complex)
+    for s, val in terms:
+        psi[tuple(c % m for c in s.j)] += val
+    psi = np.fft.ifftn(psi) * psi.size
+    lin_phase = fft_free_flow_phase(m, spec.d, dt)
+    steps = int(round(T / dt))
+    max_omega = max(1.0, max(abs(w) for w in omega.omega))
+    sample_every = max(1, min(steps // max(1, n_samples),
+                              int(0.5 * math.pi / max_omega / dt)))
+    bins = [tuple(c % m for c in j) for j in spec.j_list]
+    times, amps, phases = [], [], []
+
+    def record(tnow):
+        ft = np.fft.fftn(psi) / psi.size
+        times.append(tnow)
+        amps.append([abs(ft[b]) for b in bins])
+        phases.append([math.atan2(ft[b].imag, ft[b].real) for b in bins])
+
+    record(0.0)
+    for step in range(steps):
+        psi = psi * np.exp(-1j * (np.abs(psi) ** (2 * spec.p) + spec.phase_m) * dt / 2)
+        psi = np.fft.ifftn(np.fft.fftn(psi) * lin_phase)
+        psi = psi * np.exp(-1j * (np.abs(psi) ** (2 * spec.p) + spec.phase_m) * dt / 2)
+        if (step + 1) % sample_every == 0 or step == steps - 1:
+            record((step + 1) * dt)
+    return np.array(times), np.array(amps), np.unwrap(np.array(phases), axis=0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("m", [16, 32, 64])
+def test_linear_propagator_unitary_and_matches_fft(d, m):
+    dt = 1e-2
+    prop = _linear_propagator(m, dt)
+    assert np.abs(prop.conj().T @ prop - np.eye(m)).max() <= 1e-13
+    lin_phase = fft_free_flow_phase(m, d, dt)
+    rng = np.random.default_rng(m + d)
+    for _ in range(3):
+        f = rng.standard_normal((m,) * d) + 1j * rng.standard_normal((m,) * d)
+        ref = np.fft.ifftn(np.fft.fftn(f) * lin_phase)
+        got = prop @ f if d == 1 else prop @ f @ prop.T
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(f).max()
+
+
+@functools.lru_cache(maxsize=None)
+def solved(spec):
+    return solve(spec)
+
+
+@pytest.mark.parametrize("name, T, dt", [("tp2", 20.0, 1e-2), ("tp3", 10.0, 1e-2)])
+def test_evolve_matches_fft_strang_reference(name, T, dt, request):
+    # Fusing the nonlinear half-steps and the dense propagator change only
+    # the rounding: the sampled modes follow the textbook loop.
+    spec = request.getfixturevalue(name)
+    rep = solved(spec)
+    u, omega = rep.physical_u(), rep.state.omega
+    drift = evolve_drift(u, omega, spec, T=T, dt=dt)
+    times, amps, phases = fft_strang_reference(u, omega, spec, T, dt)
+    assert np.array_equal(drift.times, times)
+    assert np.abs(drift.mode_amps - amps).max() <= 1e-12
+    assert np.abs(drift.mode_phases - phases).max() <= 1e-11
+
+
+def test_evolve_non_finite_field_raises(tp3):
+    # |psi|^4 overflows, the phase turns NaN, and the mass check must see it
+    # at the first step (NaN compares False with any threshold).
+    rep = solved(tp3)
+    with np.errstate(all="ignore"), \
+            pytest.raises(IntegratorInstability, match=r"t=0\.005") as exc:
+        evolve_drift(rep.physical_u().scale(1e80), rep.state.omega, tp3,
+                     T=1.0, dt=5e-3)
+    assert exc.value.suggested_dt == pytest.approx(5e-3 / 4)
