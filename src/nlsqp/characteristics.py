@@ -12,10 +12,11 @@ operator.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -130,7 +131,8 @@ def diff_class_member(
     dj = delta.j
     djsq = sum(a * a for a in dj)
 
-    candidates: List[Tuple[int, ...]] = []
+    # Every branch leaves the candidates unique and sorted by (l1 norm, j').
+    candidates: Sequence[Tuple[int, ...]] = ()
     exhaustive = True  # did we enumerate every possible j'?
 
     if eps1 == eps2:
@@ -175,7 +177,6 @@ def diff_class_member(
         if not candidates:
             return Membership("no", reason="no lattice point on the sphere")
 
-    candidates = sorted(set(candidates), key=lambda jp: (sum(abs(x) for x in jp), jp))
     kernel = _intlinalg.kernel_basis([list(w)])
     for jp in candidates:
         jpp = tuple(a - b for a, b in zip(jp, dj))
@@ -187,10 +188,12 @@ def diff_class_member(
     return Membership("unknown", reason="bounded j search exhausted")
 
 
-def _small_j_candidates(d: int, radius: int) -> List[Tuple[int, ...]]:
-    out = [tuple(v) for v in itertools.product(range(-radius, radius + 1), repeat=d)]
-    out.sort(key=lambda jp: (sum(abs(x) for x in jp), jp))
-    return out
+@functools.lru_cache(maxsize=16)
+def _small_j_candidates(d: int, radius: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every j' with |j'|_inf <= radius, sorted by (l1 norm, j').  Built once
+    per (d, radius) and shared by every membership search."""
+    return tuple(sorted(itertools.product(range(-radius, radius + 1), repeat=d),
+                        key=lambda jp: (sum(abs(x) for x in jp), jp)))
 
 
 def _complete_witness(jp, jpp, delta, w, eps1, eps2, kernel):

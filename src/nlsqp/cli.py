@@ -31,6 +31,7 @@ from .conditions import (
 )
 from .lattice import (
     Box,
+    BoxTooLarge,
     FrequencyVector,
     ProblemSpec,
     SiteIndex,
@@ -38,12 +39,16 @@ from .lattice import (
     SpecError,
     default_box,
 )
-from .linop import ExcisionError
-from .newton import ConditionGateError, ConvergenceError
+from .linop import ExcisionError, OffCharDiagonalError
+from .newton import ConditionGateError, ConvergenceError, NonRealFrequency, StepRejected
 
 
 class ConfigError(ValueError):
     pass
+
+
+class SolutionError(ConfigError):
+    """A solution file that cannot be read or does not describe a solution."""
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +193,7 @@ def parse_config(text: str) -> RunConfig:
     if "problem" not in sections:
         raise ConfigError("missing [problem] section")
     for key in ("d", "b", "p", "delta", "modes"):
-        if key not in sections["problem"]:
+        if sections["problem"].get(key, ("", 0))[0] == "":  # absent or empty
             raise ConfigError(f"missing required key problem.{key}")
 
     d = _get(sections, "problem", "d", int, None)
@@ -255,12 +260,13 @@ def parse_config(text: str) -> RunConfig:
     # Validate the positivity invariants the schema cannot express.
     for name, val in (("m_max", cfg.conditions.m_max),
                       ("max_iter", cfg.newton.max_iter),
-                      ("n_samples", cfg.sweep.n_samples),
                       ("tol", cfg.newton.tol),
                       ("dt", cfg.verify.dt),
                       ("T", cfg.verify.T)):
         if val <= 0:
             raise ConfigError(f"{name} must be positive")
+    if cfg.sweep.n_samples < 100:  # the sweep's own floor, refused here as input
+        raise ConfigError("n_samples must be at least 100")
     for name, val in (("n_radius", cfg.truncation.n_radius),
                       ("j_radius", cfg.truncation.j_radius),
                       ("dio_radius", cfg.newton.dio_radius),
@@ -385,6 +391,17 @@ def _coords(j) -> str:
 
 
 def read_solution(text: str) -> Tuple[ProblemSpec, FrequencyVector, SparseSeries]:
+    """Parse a solution table written by `write_solution`; any text that is
+    not one raises `SolutionError` with a one-line reason."""
+    try:
+        return _parse_solution(text)
+    except KeyError as exc:
+        raise SolutionError(f"missing header {exc}") from exc
+    except ValueError as exc:  # bad numbers, and SpecError / DimensionMismatch
+        raise SolutionError(str(exc)) from exc
+
+
+def _parse_solution(text: str) -> Tuple[ProblemSpec, FrequencyVector, SparseSeries]:
     headers: Dict[str, str] = {}
     table: List[str] = []
     in_table = False
@@ -408,9 +425,14 @@ def read_solution(text: str) -> Tuple[ProblemSpec, FrequencyVector, SparseSeries
     spec = ProblemSpec(d=d, b=b, p=p, delta=float(headers["delta"]),
                        modes=tuple(modes), phase_m=float(headers.get("phase_m", "0")))
     omega = FrequencyVector(tuple(float(x) for x in headers["omega"].split(",")))
+    if len(omega) != b:
+        raise ValueError(f"omega has {len(omega)} entries, expected b={b}")
     terms = {}
     for line in table:
         parts = line.split()
+        if len(parts) != b + d + 2:
+            raise ValueError(f"table line '{line}' has {len(parts)} fields, "
+                             f"expected {b + d + 2}")
         ns = tuple(int(x) for x in parts[:b])
         js = tuple(int(x) for x in parts[b:b + d])
         terms[SiteIndex(ns, js)] = complex(float(parts[b + d]), float(parts[b + d + 1]))
@@ -426,6 +448,10 @@ EXIT_NO_CONVERGENCE = 2
 EXIT_EXCISED = 3
 EXIT_CONFIG = 4
 EXIT_VERIFY = 5
+EXIT_BOX_TOO_LARGE = 6
+EXIT_STEP_REJECTED = 7
+EXIT_NON_REAL_FREQUENCY = 8
+EXIT_OFF_CHAR_DIAGONAL = 9
 
 
 def _condition_sections(cfg: RunConfig
@@ -540,8 +566,13 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(cfg: RunConfig, solution_path: str, out_path: Optional[str]) -> int:
-    with open(solution_path, "r", encoding="utf-8") as fh:
-        spec, omega, u = read_solution(fh.read())
+    try:
+        # Undecodable bytes become U+FFFD, which read_solution then refuses.
+        with open(solution_path, "r", encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise SolutionError(f"cannot read {solution_path}: {exc.strerror or exc}") from exc
+    spec, omega, u = read_solution(text)
     vcfg = cfg.verify
     res = verify.pde_residual(u, omega, spec, grid=(vcfg.t_points, vcfg.x_points))
     drift = verify.evolve_drift(u, omega, spec, T=vcfg.T, dt=vcfg.dt)
@@ -594,8 +625,13 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
     """Dispatch a command; returns the process exit code.
 
     0 success, 1 condition failure, 2 non-convergence, 3 excised amplitude,
-    4 config error, 5 verify failure (grid too coarse for the solution,
-    unstable split-step integration, or d > 2 for the integrator).
+    4 config or input error (a bad config, or a solution file that is
+    missing or malformed), 5 verify failure (grid too coarse for the
+    solution, unstable split-step integration, or d > 2 for the
+    integrator), 6 truncation box above the site cap, 7 Newton step
+    rejected (the weighted residual grew), 8 non-real Q frequency, 9
+    off-characteristic diagonal too close to zero.  Each failure prints
+    one line to stderr.
     """
     try:
         if cmd == "check":
@@ -609,6 +645,9 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
         if cmd == "sweep":
             return cmd_sweep(config, out_path or "sweep.csv")
         raise ConfigError(f"unknown command {cmd}")
+    except SolutionError as exc:
+        print(f"solution error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -624,6 +663,18 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
     except verify.VerifyError as exc:
         print(f"verify failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except BoxTooLarge as exc:
+        print(f"box too large: {exc}", file=sys.stderr)
+        return EXIT_BOX_TOO_LARGE
+    except StepRejected as exc:
+        print(f"step rejected: {exc}", file=sys.stderr)
+        return EXIT_STEP_REJECTED
+    except NonRealFrequency as exc:
+        print(f"non-real frequency: {exc}", file=sys.stderr)
+        return EXIT_NON_REAL_FREQUENCY
+    except OffCharDiagonalError as exc:
+        print(f"certificate failure: {exc}", file=sys.stderr)
+        return EXIT_OFF_CHAR_DIAGONAL
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

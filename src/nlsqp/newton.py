@@ -20,6 +20,7 @@ import numpy as np
 from .characteristics import CharClass, ResonanceGraph
 from .conditions import ConditionReport, check_condition_i, check_condition_ii
 from .lattice import (
+    DROP_TOL,
     Box,
     FrequencyVector,
     ProblemSpec,
@@ -294,30 +295,44 @@ def _dio_table(b: int, n_radius: int, gamma: float
     return table, weights
 
 
+def _dio_scan(omegas: np.ndarray, delta: float, gamma: float, n_radius: int
+              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scan of every candidate n for each row of an (N, b) frequency array:
+    per row the index of the first minimiser of ||n.omega||_T |n|^gamma /
+    delta in `_dio_candidates`, that fitted kappa, and ||n.omega||_T there.
+
+    The arithmetic is that of a per-candidate `omega.dot(n)` scan, so the
+    result is the same to the bit: n.omega summed left to right as in
+    `FrequencyVector.dot`, `np.rint` rounding half to even as `round` does,
+    and the first minimum kept.
+    """
+    if n_radius < 1:
+        raise NewtonError("n_radius must be >= 1")
+    cands, weights = _dio_table(omegas.shape[1], n_radius, gamma)
+    x = 0
+    for k in range(omegas.shape[1]):
+        x = x + cands[:, k] * omegas[:, k, None]
+    margins = np.abs(x - np.rint(x))
+    fitted = margins * weights / delta
+    best = np.argmin(fitted, axis=1)
+    rows = np.arange(len(best))
+    return best, fitted[rows, best], margins[rows, best]
+
+
 def diophantine_check(omega: FrequencyVector, delta: float, kappa: float,
                       gamma: float, n_radius: int) -> DiophantineReport:
     """Exhaustive scan of ||n.omega||_T >= kappa*delta/|n|^gamma over the box.
 
     |n| is the sup norm; the fitted kappa (the smallest normalized margin)
     is reported alongside the worst offender.  All candidates are scanned
-    at once with the arithmetic of a per-candidate `omega.dot(n)` scan, so
-    the result is the same to the bit: n.omega summed left to right as in
-    `FrequencyVector.dot`, `np.rint` rounding half to even as `round` does,
-    and the first minimum kept.
+    at once by `_dio_scan`, bitwise as a per-candidate scan would.
     """
-    if n_radius < 1:
-        raise NewtonError("n_radius must be >= 1")
-    cands, weights = _dio_table(len(omega), n_radius, gamma)
-    x = 0
-    for k, w in enumerate(omega.omega):
-        x = x + cands[:, k] * w
-    margins = np.abs(x - np.rint(x))
-    fitted = margins * weights / delta
-    i = int(np.argmin(fitted))
-    best = float(fitted[i])
-    return DiophantineReport(passed=bool(best >= kappa),
-                             worst_n=_dio_candidates(len(omega), n_radius)[i],
-                             worst_margin=float(margins[i]), fitted_kappa=best,
+    best, fitted, margins = _dio_scan(np.array([omega.omega], dtype=float), delta,
+                                      gamma, n_radius)
+    fitted_kappa = float(fitted[0])
+    return DiophantineReport(passed=bool(fitted_kappa >= kappa),
+                             worst_n=_dio_candidates(len(omega), n_radius)[int(best[0])],
+                             worst_margin=float(margins[0]), fitted_kappa=fitted_kappa,
                              kappa=kappa, gamma=gamma, n_radius=n_radius)
 
 
@@ -425,7 +440,6 @@ class SolveReport:
     state: IterationState
     box: Box
     weight: WeightSpec
-    solution_decay_beta: float = 0.0
 
     def physical_u(self) -> SparseSeries:
         return self.state.u.scale(self.spec.delta ** (1.0 / (2 * self.spec.p)))
@@ -492,9 +506,6 @@ def solve(
         if s not in s_set:
             cs_mass = max(cs_mass, abs(state.u[s]))
 
-    # Decay of the solution coefficients away from the seed support.
-    sol_beta = _solution_decay(state.u, spec)
-
     pw = spec.delta ** (1.0 / (2 * spec.p))
     shifts = tuple(abs(wk - s.jsq() - spec.phase_m)
                    for wk, s in zip(state.omega.omega, spec.seed_sites()))
@@ -511,27 +522,16 @@ def solve(
         decay_bound_ok=cert.decay.bound_ok if cert.decay else True,
         invert_mode=cert.mode, min_block_value=cert.min_block_value,
         condition_reports=condition_reports, state=state, box=box, weight=weight,
-        solution_decay_beta=sol_beta,
     )
-
-
-def _solution_decay(u: SparseSeries, spec: ProblemSpec) -> float:
-    seeds = spec.seed_sites()
-    pts = []
-    for s, val in u.items():
-        dist = min((s - s0).l1() for s0 in seeds)
-        if dist >= 1 and abs(val) > 0:
-            pts.append((dist, math.log(abs(val))))
-    if len(pts) < 2:
-        return 0.0
-    arr = np.array(pts, dtype=float)
-    a = np.vstack([arr[:, 0], np.ones(len(arr))]).T
-    slope = np.linalg.lstsq(a, arr[:, 1], rcond=None)[0][0]
-    return float(max(-slope / abs(math.log(spec.delta)), 0.0))
 
 
 # ---------------------------------------------------------------------------
 # Excision sweep over the amplitude cube
+
+
+# Samples per array pass of the sweep: keeps the gathered block stacks and
+# the Diophantine margin table of a pass at a few MB.
+SWEEP_CHUNK = 128
 
 
 @dataclass
@@ -564,14 +564,19 @@ def excision_sweep(
     margin of the modulated frequency.  Fractions are computed per epsilon
     from a single sample set, hence monotone by construction.
 
-    The blocks are the resonance-graph components, whose support pattern
-    does not depend on a, so the graph and a gather plan are built once:
-    every block entry reads one symbol at one shift (the difference of its
-    two sites), the diagonal symbol (p+1) (u*v)^{*p} between equal branch
-    tags, p uu from a C+ row to a C- column and p vv the other way.  Per
-    sample the three symbols are evaluated at the distinct shifts, the
-    blocks are gathered into one (count, k, k) stack per size, and det runs
-    once per size.
+    All samples go through one array pass.  The seed symbols are convolved
+    for every sample at once (`_seed_symbols_batch`), which also gives the
+    Q bracket and so the modulated frequencies of all samples.  The blocks
+    are the resonance-graph components, whose support pattern does not
+    depend on a, so the graph and a gather plan are built once: every
+    block entry reads one symbol at one shift (the difference of its two
+    sites), the diagonal symbol (p+1) (u*v)^{*p} between equal branch tags,
+    p uu from a C+ row to a C- column and p vv the other way.  The symbols
+    at the distinct shifts form one (N, 3, n_shifts) table; per chunk of
+    SWEEP_CHUNK samples the blocks are gathered into one stack per size,
+    det runs once per size, and the Diophantine scan runs once.  Every
+    value is bitwise that of building each sample's fields, symbols,
+    `q_solve` and `diophantine_check` one sample at a time.
     """
     if n_samples < 100:
         raise NewtonError("n_samples must be at least 100")
@@ -579,7 +584,7 @@ def excision_sweep(
         gamma = 2 * spec.b + 2
     if box is None:
         box = default_box(spec)
-    from .characteristics import ConvolutionSymbols, resonance_graph
+    from .characteristics import resonance_graph
 
     u_t, v_t = linear_solution(spec)
     graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
@@ -588,26 +593,37 @@ def excision_sweep(
 
     rng = np.random.default_rng(seed)
     samples = 1.0 - rng.random((n_samples, spec.b))  # uniform on (0, 1]
+    outside = ~((samples > 0.0) & (samples <= 1.0)).all(axis=1)
+    if outside.any():
+        spec.with_amplitudes(samples[np.argmax(outside)])  # raises SpecError
+
+    # q_solve's realness test and frequency formula, in its evaluation order.
+    uv_p, uu, vv, bracket = _seed_symbols_batch(spec, samples)
+    nonreal = np.abs(bracket.imag) > 1e-12 * np.maximum(1.0, np.abs(bracket.real))
+    if nonreal.any():
+        i, k = np.argwhere(nonreal)[0]
+        raise NonRealFrequency(f"Q bracket at mode {spec.modes[k][0]} has imaginary "
+                               f"part {bracket[i, k].imag:.3e}")
+    jsq_m = np.array([s.jsq() + spec.phase_m for s in spec.seed_sites()])
+    omegas = jsq_m + spec.delta * bracket.real / samples
+
+    if plan:
+        zero = np.zeros(n_samples, dtype=complex)
+        table = np.stack([np.stack([coef * sym.get(dd, zero) for dd in shift_sites],
+                                   axis=1)
+                          for coef, sym in ((p + 1, uv_p), (p, uu), (p, vv))], axis=1)
     min_vals = np.empty(n_samples)
     dio_vals = np.empty(n_samples)
-    for i in range(n_samples):
-        spec_a = spec.with_amplitudes(samples[i])
-        u0, v0 = linear_solution(spec_a)
-        symbols = ConvolutionSymbols.from_fields(u0, v0, p)
-        table = np.array([[(p + 1) * symbols.uv_p[dd] for dd in shift_sites],
-                          [p * symbols.uu[dd] for dd in shift_sites],
-                          [p * symbols.vv[dd] for dd in shift_sites]],
-                         dtype=complex)
-        worst = math.inf
+    for lo in range(0, n_samples, SWEEP_CHUNK):
+        rows = slice(lo, lo + SWEEP_CHUNK)
+        worst = np.full(len(samples[rows]), math.inf)
         for kind, shift_id in plan:
-            dets = np.linalg.det(table[kind, shift_id])
+            dets = np.linalg.det(table[rows, kind, shift_id])
             # np.hypot equals Python's abs() of a complex bit for bit;
             # numpy's vectorised complex abs can differ in the last bit.
-            worst = min(worst, float(np.min(np.hypot(dets.real, dets.imag))))
-        min_vals[i] = worst
-        omega1 = q_solve(u0, spec_a)
-        dio_vals[i] = diophantine_check(omega1, spec.delta, kappa, gamma,
-                                        dio_radius).fitted_kappa
+            worst = np.minimum(worst, np.hypot(dets.real, dets.imag).min(axis=1))
+        min_vals[rows] = worst
+        dio_vals[rows] = _dio_scan(omegas[rows], spec.delta, gamma, dio_radius)[1]
 
     eps_list = list(epsilons)
     fractions, counts = [], []
@@ -618,6 +634,58 @@ def excision_sweep(
     return SweepResult(epsilons=eps_list, fractions=fractions, counts=counts,
                        n_samples=n_samples, seed=seed, min_block_values=min_vals,
                        dio_kappas=dio_vals, kappa=kappa, gamma=gamma)
+
+
+BatchSeries = Dict[SiteIndex, np.ndarray]
+
+
+def _batch_drop(terms: BatchSeries) -> BatchSeries:
+    """`SparseSeries`'s drop rule, per sample, on sites mapped to (N,)
+    arrays: a value is kept if it is nonzero and its modulus exceeds
+    DROP_TOL times the largest modulus of its sample, else set to 0."""
+    sites = sorted(terms)
+    vals = np.array([terms[s] for s in sites])
+    mods = np.hypot(vals.real, vals.imag)  # abs() of a complex, bit for bit
+    keep = (vals != 0) & (mods > DROP_TOL * mods.max(axis=0))
+    return dict(zip(sites, np.where(keep, vals, 0)))
+
+
+def _batch_convolve(f: BatchSeries, g: BatchSeries) -> BatchSeries:
+    """`lattice.convolve` for N samples at once: the same sorted term order,
+    then the drop rule per sample.  A term dropped from a sample is 0 there,
+    so it adds only signed zeros, which change no nonzero sum."""
+    out: BatchSeries = {}
+    for s1 in sorted(f):
+        for s2 in sorted(g):
+            s = s1 + s2
+            out[s] = out.get(s, 0j) + f[s1] * g[s2]
+    return _batch_drop(out)
+
+
+def _seed_symbols_batch(spec: ProblemSpec, amps: np.ndarray
+                        ) -> Tuple[BatchSeries, BatchSeries, BatchSeries, np.ndarray]:
+    """Convolution symbols of the linear seed for N amplitude vectors
+    (rows of amps) at once.
+
+    Returns uv_p, uu and vv as maps from sites to (N,) arrays, equal sample
+    by sample to `ConvolutionSymbols.from_fields` of the seed fields of
+    `spec.with_amplitudes(a)`, with 0 where that series has no term, and
+    the Q bracket [(u*v)^{*p} * u] at the seed sites as an (N, b) array,
+    equal to the one `q_solve` reads.
+    """
+    u = {s: amps[:, k].astype(complex) for k, s in enumerate(spec.seed_sites())}
+    v = {-s: np.conj(val) for s, val in u.items()}
+    uv = _batch_convolve(u, v)
+    origin = SiteIndex((0,) * spec.b, (0,) * spec.d)
+    uv_pm1 = {origin: np.ones(len(amps), dtype=complex)}
+    for _ in range(spec.p - 1):
+        uv_pm1 = _batch_convolve(uv_pm1, uv)
+    uv_p = _batch_convolve(uv_pm1, uv)
+    uu = _batch_convolve(uv_pm1, _batch_convolve(u, u))
+    vv = {-s: np.conj(val) for s, val in uu.items()}
+    gu = _batch_convolve(uv_p, u)
+    bracket = np.stack([gu[s] for s in spec.seed_sites()], axis=1)
+    return uv_p, uu, vv, bracket
 
 
 def _sweep_gather_plan(graph: ResonanceGraph, b: int

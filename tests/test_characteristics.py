@@ -139,6 +139,46 @@ def test_diff_member_cross_class_empty_sphere():
     assert res.status == "no"
 
 
+def uncached_small_j_candidates(d, radius):
+    """A fresh, re-sorted candidate list per call: the oracle for the
+    cached tuple."""
+    out = [tuple(v) for v in itertools.product(range(-radius, radius + 1), repeat=d)]
+    out.sort(key=lambda jp: (sum(abs(x) for x in jp), jp))
+    return out
+
+
+def membership_grid():
+    """(delta, omega0, class pair) over every branch of the search, in
+    d = 1 (tp2's omega0) and d = 2 (tp3's)."""
+    pairs = list(itertools.product((CharClass.CPLUS, CharClass.CMINUS), repeat=2))
+    for omega0, d, n_r, j_r in ((OM_TP2, 1, 4, 4), (FrequencyVector((1.0, 1.0)), 2, 2, 2)):
+        for n in itertools.product(range(-n_r, n_r + 1), repeat=2):
+            for j in itertools.product(range(-j_r, j_r + 1), repeat=d):
+                for pair in pairs:
+                    yield site(n, j), omega0, pair
+
+
+def test_diff_class_member_matches_uncached_resorting_oracle(monkeypatch):
+    from nlsqp import characteristics
+    assert isinstance(characteristics._small_j_candidates(2, 8), tuple)
+    assert characteristics._small_j_candidates(2, 8) is \
+        characteristics._small_j_candidates(2, 8)
+    key = lambda jp: (sum(abs(x) for x in jp), jp)
+    for delta, omega0, pair in membership_grid():
+        # Every candidate, in the order tried: re-sorting changes nothing.
+        tried = []
+        monkeypatch.setattr(characteristics, "_complete_witness",
+                            lambda jp, *rest: tried.append(tuple(jp)))
+        diff_class_member(delta, omega0, pair, search_radius=8)
+        monkeypatch.undo()
+        assert tried == sorted(set(tried), key=key)
+        got = diff_class_member(delta, omega0, pair, search_radius=8)
+        monkeypatch.setattr(characteristics, "_small_j_candidates",
+                            uncached_small_j_candidates)
+        assert diff_class_member(delta, omega0, pair, search_radius=8) == got
+        monkeypatch.undo()
+
+
 # -- partition --------------------------------------------------------------
 
 

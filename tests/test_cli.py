@@ -2,15 +2,21 @@ import os
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsqp.cli import (
     ConfigError,
+    EXIT_BOX_TOO_LARGE,
     EXIT_CONDITION,
     EXIT_CONFIG,
     EXIT_EXCISED,
     EXIT_NO_CONVERGENCE,
+    EXIT_NON_REAL_FREQUENCY,
+    EXIT_OFF_CHAR_DIAGONAL,
     EXIT_OK,
+    EXIT_STEP_REJECTED,
     EXIT_VERIFY,
+    SolutionError,
     config_hash,
     load_config,
     main,
@@ -316,3 +322,163 @@ def test_report_embeds_config_hash(tmp_path):
     cfg = parse_config(TP2_CFG)
     run_command("check", cfg, out_path=str(tmp_path / "r.txt"))
     assert config_hash(cfg) in (tmp_path / "r.txt").read_text()
+
+
+# -- Exit codes of numerical failures ----------------------------------------
+
+
+def one_line_err(capsys) -> str:
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    return err
+
+
+def test_exit_box_too_large(tmp_path, capsys):
+    cfg = parse_config(TP2_CFG + "\n[truncation]\nn_radius = 2000\n")
+    code = run_command("solve", cfg, out_path=str(tmp_path / "out"))
+    assert code == EXIT_BOX_TOO_LARGE
+    assert one_line_err(capsys).startswith("box too large: box holds")
+
+
+def test_exit_step_rejected(tmp_path, capsys, monkeypatch):
+    # No seed config is known to grow the weighted residual in a step.
+    from nlsqp import newton
+
+    def rejected(state, *args, **kwargs):
+        raise newton.StepRejected("step 2: weighted residual grew 1.0e-12 -> 1.0e-06")
+
+    monkeypatch.setattr(newton, "newton_step", rejected)
+    code = run_command("solve", parse_config(TP2_CFG), out_path=str(tmp_path / "out"))
+    assert code == EXIT_STEP_REJECTED
+    assert one_line_err(capsys) == \
+        "step rejected: step 2: weighted residual grew 1.0e-12 -> 1.0e-06"
+
+
+def test_exit_non_real_frequency(tmp_path, capsys, monkeypatch):
+    # Real seed amplitudes give a real Q bracket, so rotate the batched
+    # bracket of the sweep off the real axis to reach its guard.
+    from nlsqp import newton
+    batch = newton._seed_symbols_batch
+
+    def rotated(spec, amps):
+        uv_p, uu, vv, bracket = batch(spec, amps)
+        return uv_p, uu, vv, bracket * (1 + 1e-3j)
+
+    monkeypatch.setattr(newton, "_seed_symbols_batch", rotated)
+    cfg = parse_config(TP1_CFG + "\n[sweep]\nn_samples = 100\n")
+    code = run_command("sweep", cfg, out_path=str(tmp_path / "s.csv"))
+    assert code == EXIT_NON_REAL_FREQUENCY
+    assert one_line_err(capsys).startswith(
+        "non-real frequency: Q bracket at mode (2,) has imaginary part")
+
+
+def test_exit_off_char_diagonal(tmp_path, capsys):
+    # A phase of 0.9 brings n.omega + |j|^2 + m within 1e-3 of zero at the
+    # off-characteristic site (-2 | -3).
+    cfg = parse_config(TP1_CFG + "phase_m = 0.9\n")
+    code = run_command("solve", cfg, out_path=str(tmp_path / "out"))
+    assert code == EXIT_OFF_CHAR_DIAGONAL
+    assert one_line_err(capsys).startswith(
+        "certificate failure: off-characteristic diagonal too close to zero at "
+        "SiteIndex(n=(-2,), j=(-3,))")
+
+
+# -- Input errors --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", ["d", "b", "p", "delta", "modes"])
+def test_config_rejects_empty_required_key(key):
+    # An empty value used to reach ProblemSpec as None (a TypeError).
+    text = re.sub(rf"^{key} = .*$", f"{key} =", TP1_CFG, flags=re.M)
+    with pytest.raises(ConfigError, match=f"missing required key problem.{key}"):
+        parse_config(text)
+
+
+def test_config_rejects_small_sweep(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="n_samples must be at least 100"):
+        parse_config(TP1_CFG + "\n[sweep]\nn_samples = 50\n")
+    bad = write(tmp_path, "s.cfg", TP1_CFG + "\n[sweep]\nn_samples = 50\n")
+    assert main(["sweep", bad, "--out", str(tmp_path / "s.csv")]) == EXIT_CONFIG
+    assert one_line_err(capsys) == "config error: n_samples must be at least 100"
+
+
+def test_exit_garbage_solution(tmp_path, capsys):
+    cfg = write(tmp_path, "a.cfg", TP1_CFG)
+    sol = write(tmp_path, "sol.txt", "this is not a solution\n")
+    assert main(["verify", cfg, "--solution", sol]) == EXIT_CONFIG
+    assert one_line_err(capsys) == "solution error: missing header 'd'"
+
+
+def test_exit_missing_solution(tmp_path, capsys):
+    cfg = write(tmp_path, "a.cfg", TP1_CFG)
+    sol = str(tmp_path / "absent.txt")
+    assert main(["verify", cfg, "--solution", sol]) == EXIT_CONFIG
+    assert one_line_err(capsys) == \
+        f"solution error: cannot read {sol}: No such file or directory"
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\xfe d = 1\n")
+    assert main(["verify", cfg, "--solution", str(binary)]) == EXIT_CONFIG
+    assert one_line_err(capsys).startswith("solution error: ")
+
+
+def test_read_solution_rejects_short_table_line(tp2):
+    u0, _ = linear_solution(tp2)
+    text = write_solution(tp2, FrequencyVector((1.25, 4.5)), u0)
+    with pytest.raises(SolutionError, match="has 3 fields, expected 5"):
+        read_solution(text.rstrip("\n") + "\n1 2 3\n")
+    with pytest.raises(SolutionError, match="omega has 1 entries, expected b=2"):
+        read_solution(text.replace("omega = 1.25, 4.5", "omega = 1.25"))
+
+
+_TP2 = make_spec(d=1, b=2, p=1, delta=1e-3, j_list=[1, 2], amplitudes=[0.6, 0.8])
+_VALID_SOLUTION = write_solution(_TP2, FrequencyVector((1.25, 4.5)),
+                                 linear_solution(_TP2)[0])
+
+
+@st.composite
+def mutated_texts(draw, valid: str):
+    """Free text, or the lines of a valid file with a few lines deleted,
+    replaced, or given a new value after their '='."""
+    if draw(st.booleans()):
+        return draw(st.text())
+    lines = valid.splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        how = draw(st.sampled_from(["delete", "replace", "value"]))
+        if how == "delete":
+            del lines[i]
+            if not lines:
+                break
+        elif how == "replace":
+            lines[i] = draw(st.text(max_size=40))
+        else:
+            key = lines[i].split("=", 1)[0]
+            lines[i] = f"{key}= {draw(st.text(max_size=20))}"
+    return "\n".join(lines)
+
+
+def read_solution_exit(text: str) -> int:
+    """The exit code `verify` takes on a solution file holding this text
+    before any numerics run: 0 if it parses, 4 if it is refused."""
+    try:
+        read_solution(text)
+    except SolutionError as exc:
+        assert "\n" not in str(exc)
+        return EXIT_CONFIG
+    return EXIT_OK
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts(_VALID_SOLUTION))
+def test_read_solution_fuzz_exits_cleanly(text):
+    assert read_solution_exit(text) in (EXIT_OK, EXIT_CONFIG)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts(serialize_config(parse_config(TP2_CFG))))
+def test_parse_config_fuzz_exits_cleanly(text):
+    # Any text parses or is refused with a one-line ConfigError (exit 4).
+    try:
+        parse_config(text)
+    except ConfigError as exc:
+        assert "\n" not in str(exc)

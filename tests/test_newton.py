@@ -302,14 +302,102 @@ def hand_built_min_block_values(spec, samples, box):
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", ["tp1", "tp2"])
-def test_excision_sweep_matches_hand_built_blocks(name, request):
+# Three modes in one dimension, cubic, on a box small enough for the
+# hand-built oracle (the default box holds 1.46 M sites).
+B3 = make_spec(d=1, b=3, p=1, delta=1e-3, j_list=[1, 2, 4], amplitudes=[0.6, 0.8, 0.5])
+B3_BOX = Box(3, 5)
+
+
+def sweep_case(name, request):
     from nlsqp.lattice import default_box
+    if name == "b3":
+        return B3, B3_BOX
     spec = request.getfixturevalue(name)
-    res = excision_sweep(spec, [1e-2], n_samples=100, seed=5)
-    samples = 1.0 - np.random.default_rng(5).random((100, spec.b))
-    expected = hand_built_min_block_values(spec, samples, default_box(spec))
+    return spec, default_box(spec)
+
+
+def sweep_samples(spec, n, seed):
+    return 1.0 - np.random.default_rng(seed).random((n, spec.b))
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
+def test_excision_sweep_matches_hand_built_blocks(name, request):
+    spec, box = sweep_case(name, request)
+    res = excision_sweep(spec, [1e-2], n_samples=100, seed=5, box=box)
+    expected = hand_built_min_block_values(spec, sweep_samples(spec, 100, 5), box)
     assert np.array_equal(res.min_block_values, expected)
+
+
+def per_sample_dio_kappas(spec, samples, kappa, gamma, n_radius):
+    """Reference: one `q_solve` and one `diophantine_check` per sample."""
+    out = []
+    for a in samples:
+        spec_a = spec.with_amplitudes(a)
+        omega = q_solve(linear_solution(spec_a)[0], spec_a)
+        out.append(diophantine_check(omega, spec.delta, kappa, gamma,
+                                     n_radius).fitted_kappa)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
+def test_excision_sweep_dio_kappas_match_per_sample_loop(name, request):
+    # 300 samples: two full chunks of the batched pass and a partial one.
+    spec, box = sweep_case(name, request)
+    res = excision_sweep(spec, [1e-2], n_samples=300, seed=8, box=box, dio_radius=10)
+    expected = per_sample_dio_kappas(spec, sweep_samples(spec, 300, 8), 1e-2,
+                                     2 * spec.b + 2, 10)
+    assert np.array_equal(res.dio_kappas, expected)
+
+
+def test_excision_sweep_is_one_batched_pass(tp2, monkeypatch):
+    # One det per block size per chunk of samples; no per-sample q_solve
+    # or diophantine_check.
+    from nlsqp import newton
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    monkeypatch.setattr(newton, "q_solve", None)
+    monkeypatch.setattr(newton, "diophantine_check", None)
+    excision_sweep(tp2, [1e-2], n_samples=300, seed=1)
+    n_sizes = len({shape[-1] for shape in calls})
+    assert n_sizes >= 2
+    assert [shape[0] for shape in calls] == [128] * 2 * n_sizes + [44] * n_sizes
+
+
+@pytest.mark.parametrize("spec", [
+    make_spec(d=1, b=2, p=1, delta=1e-3, j_list=[1, 2], amplitudes=[0.6, 0.8]),
+    make_spec(d=2, b=2, p=2, delta=1e-3, j_list=[(1, 0), (0, 1)], amplitudes=[0.9, 0.35]),
+    make_spec(d=1, b=2, p=3, delta=1e-3, j_list=[1, 3], amplitudes=[0.6, 0.8]),
+    B3,
+])
+def test_seed_symbols_batch_matches_from_fields(spec):
+    # Extreme amplitude ratios make the drop cutoff fire in some samples
+    # and not in others of the same batch.
+    from nlsqp.characteristics import ConvolutionSymbols
+    from nlsqp.lattice import conjugate_flip, conv_power, convolve
+    from nlsqp.newton import _seed_symbols_batch
+    rng = np.random.default_rng(spec.b + spec.p)
+    amps = np.vstack([
+        np.full(spec.b, 1.0), np.full(spec.b, 1e-300),
+        [1.0] + [1e-9] * (spec.b - 1), [1e-9] + [1.0] * (spec.b - 1),
+        [1.0] + [1e-5] * (spec.b - 1), [1e-4] * (spec.b - 1) + [1.0],
+        10.0 ** rng.uniform(-12, 0, (20, spec.b)),
+        1.0 - rng.random((20, spec.b)),
+    ])
+    uv_p, uu, vv, bracket = _seed_symbols_batch(spec, amps)
+    dropped = 0
+    for i, a in enumerate(amps):
+        spec_a = spec.with_amplitudes(a)
+        u0, v0 = linear_solution(spec_a)
+        ref = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+        for batch, series in ((uv_p, ref.uv_p), (uu, ref.uu), (vv, ref.vv)):
+            assert set(series.support()) <= set(batch)
+            for s, vals in batch.items():
+                assert vals[i] == series[s]
+                dropped += s not in series
+        gu = convolve(conv_power(convolve(u0, conjugate_flip(u0)), spec.p), u0)
+        assert list(bracket[i]) == [gu[s] for s in spec.seed_sites()]
+    assert dropped > 0  # the cutoff fired
 
 
 def test_diophantine_candidates_built_once():
