@@ -2,7 +2,9 @@
 """Scaling study of the first iteration over a range of couplings.
 
 Prints a table of ||du||, post-step residual, ||dw|| and the inverse norm
-per delta, with the fitted log-log slopes at the bottom.
+per delta, with the fitted log-log slopes at the bottom.  An inverse norm
+whose power iteration did not settle is marked "~": it is an estimate from
+below, not a converged value.
 """
 
 import argparse
@@ -37,13 +39,17 @@ def main():
         u0, v0 = linear_solution(spec)
         du = weighted_norm(state1.u.sub(u0), w)
         op0 = assemble(u0, v0, spec.omega0(), spec, box)
-        inv = invert_with_certificates(op0, mode="seed", fit_decay=False).norm_bound
+        cert = invert_with_certificates(op0, mode="seed", fit_decay=False)
         rows.append((dl, du, state1.residual_weighted,
-                     float(np.linalg.norm(mod.delta_omega)), inv))
+                     float(np.linalg.norm(mod.delta_omega)), cert.norm_bound,
+                     cert.power_settled))
 
-    print(f"{'delta':>10} {'||du||':>12} {'residual':>12} {'||dw||':>12} {'||inv||':>12}")
+    print(f"{'delta':>10} {'||du||':>12} {'residual':>12} {'||dw||':>12} {'||inv||':>13}")
     for r in rows:
-        print(f"{r[0]:>10.1e} {r[1]:>12.4e} {r[2]:>12.4e} {r[3]:>12.4e} {r[4]:>12.4e}")
+        mark = " " if r[5] else "~"
+        print(f"{r[0]:>10.1e} {r[1]:>12.4e} {r[2]:>12.4e} {r[3]:>12.4e} {mark}{r[4]:>12.4e}")
+    if not all(r[5] for r in rows):
+        print("~ power iteration did not settle: the inverse norm is an estimate")
     x = np.log([r[0] for r in rows])
     for name, col in (("||du||", 1), ("residual", 2), ("||dw||", 3), ("||inv||", 4)):
         slope = np.polyfit(x, np.log([r[col] for r in rows]), 1)[0]

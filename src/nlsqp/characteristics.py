@@ -16,9 +16,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from . import _intlinalg
 from .lattice import (
@@ -60,6 +62,63 @@ def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
     return CharClass.CPLUS if s.n[0] <= 0 else CharClass.CMINUS
 
 
+def enumerate_box_sites(b: int, d: int, box: Box, site_cap: int = 2_000_000
+                        ) -> np.ndarray:
+    """Every site of the box as a (count, b + d) int64 array in lexicographic
+    order, which is also the order of the box's linear index."""
+    total = box.site_count(b, d)
+    if total > site_cap:
+        raise BoxTooLarge(
+            f"box holds {total} sites, exceeding the cap of {site_cap}")
+    n_range = np.arange(-box.n_radius, box.n_radius + 1, dtype=np.int64)
+    j_range = np.arange(-box.j_radius, box.j_radius + 1, dtype=np.int64)
+    grids = np.meshgrid(*([n_range] * b + [j_range] * d), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def box_strides(b: int, d: int, box: Box) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-axis radii of the box and the strides of its linear index: the
+    site x has index (x + radii) . strides."""
+    radii = np.array([box.n_radius] * b + [box.j_radius] * d, dtype=np.int64)
+    sizes = 2 * radii + 1
+    strides = np.ones(b + d, dtype=np.int64)
+    for i in range(b + d - 2, -1, -1):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return radii, strides
+
+
+def branch_tags(coords: np.ndarray, omega0: FrequencyVector
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """The rule of `classify_site` on the rows of a (count, b + d) site array.
+
+    Returns the tags (+1 on C+, -1 on C-, 0 off the variety) and the two
+    branch equations n.w0 + |j|^2 = 0 and -n.w0 + |j|^2 = 0 themselves,
+    without the j = 0 tie-break, concatenated into one (2 count,) mask.
+    """
+    w0 = omega0.as_ints()
+    b = len(w0)
+    cols = coords.T  # column by column: rows are too short to reduce fast
+    nw = sum(w * n for w, n in zip(w0, cols[:b]))
+    jsq = sum(j * j for j in cols[b:])
+    plus_eq, minus_eq = nw + jsq == 0, -nw + jsq == 0
+    # At j = 0 both equations read n.w0 = 0; sign(n_1) picks the branch.
+    free = jsq != 0
+    tags = np.zeros(len(coords), dtype=np.int8)
+    tags[plus_eq & (free | (cols[0] <= 0))] = 1
+    tags[minus_eq & (free | (cols[0] > 0))] = -1
+    return tags, np.concatenate([plus_eq, minus_eq])
+
+
+def _variety(omega0: FrequencyVector, d: int, box: Box, site_cap: int
+             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Box linear indices, coordinates and tags of the characteristic sites,
+    in lexicographic order."""
+    coords = enumerate_box_sites(len(omega0), d, box, site_cap=site_cap)
+    tags, _ = branch_tags(coords, omega0)
+    lin = np.nonzero(tags)[0]
+    return lin, coords[lin], tags[lin]
+
+
 def characteristic_set(
     omega0: FrequencyVector,
     d: int,
@@ -67,27 +126,16 @@ def characteristic_set(
     site_cap: int = 2_000_000,
 ) -> List[Tuple[SiteIndex, CharClass]]:
     """All characteristic sites in the box, tagged, in lexicographic order."""
-    b = len(omega0)
-    total = box.site_count(b, d)
-    if total > site_cap:
-        raise BoxTooLarge(
-            f"box holds {total} sites, exceeding the cap of {site_cap}")
-    w = np.array(omega0.as_ints(), dtype=np.int64)
-    n_range = np.arange(-box.n_radius, box.n_radius + 1, dtype=np.int64)
-    j_range = np.arange(-box.j_radius, box.j_radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([n_range] * b + [j_range] * d), indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)  # lex order
-    narr, jarr = coords[:, :b], coords[:, b:]
-    nw = narr @ w
-    jsq = np.sum(jarr * jarr, axis=1)
-    jzero = np.all(jarr == 0, axis=1)
-    plus = (~jzero & (nw + jsq == 0)) | (jzero & (nw == 0) & (narr[:, 0] <= 0))
-    minus = (~jzero & (-nw + jsq == 0)) | (jzero & (nw == 0) & (narr[:, 0] > 0))
-    out: List[Tuple[SiteIndex, CharClass]] = []
-    for idx in np.nonzero(plus | minus)[0]:
-        s = SiteIndex(tuple(int(x) for x in narr[idx]), tuple(int(x) for x in jarr[idx]))
-        out.append((s, CharClass.CPLUS if plus[idx] else CharClass.CMINUS))
-    return out
+    _, coords, tags = _variety(omega0, d, box, site_cap)
+    return _tagged_sites(coords, tags, len(omega0))
+
+
+def _tagged_sites(coords: np.ndarray, tags: np.ndarray, b: int
+                  ) -> List[Tuple[SiteIndex, CharClass]]:
+    cls = {1: CharClass.CPLUS, -1: CharClass.CMINUS}
+    return [(SiteIndex(n, j), cls[t])
+            for n, j, t in zip(map(tuple, coords[:, :b].tolist()),
+                               map(tuple, coords[:, b:].tolist()), tags.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +201,9 @@ def diff_class_member(
             g = _intlinalg.vector_gcd([2 * x for x in dj])
             if c % g != 0:
                 return Membership("no", reason="linear constraint has no integer solution")
-            candidates = [jp for jp in _small_j_candidates(d, search_radius)
-                          if 2 * sum(a * b for a, b in zip(jp, dj)) == c]
+            table = _small_j_table(d, search_radius)
+            hits = table[2 * (table @ np.array(dj, dtype=np.int64)) == c]
+            candidates = [tuple(jp) for jp in hits.tolist()]
             exhaustive = False
     else:
         rhs = -djsq - 2 * eps1 * dn_w
@@ -194,6 +243,14 @@ def _small_j_candidates(d: int, radius: int) -> Tuple[Tuple[int, ...], ...]:
     per (d, radius) and shared by every membership search."""
     return tuple(sorted(itertools.product(range(-radius, radius + 1), repeat=d),
                         key=lambda jp: (sum(abs(x) for x in jp), jp)))
+
+
+@functools.lru_cache(maxsize=16)
+def _small_j_table(d: int, radius: int) -> np.ndarray:
+    """`_small_j_candidates` as a read-only (count, d) int64 array."""
+    table = np.array(_small_j_candidates(d, radius), dtype=np.int64).reshape(-1, d)
+    table.setflags(write=False)  # shared by every search through the cache
+    return table
 
 
 def _complete_witness(jp, jpp, delta, w, eps1, eps2, kernel):
@@ -269,43 +326,61 @@ def build_partition(B: float, d: int, j_radius: int) -> Partition:
     arr = np.array(pts, dtype=np.int64)
     jsq = np.sum(arr * arr, axis=1)
     m = len(pts)
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    # Pairwise proximity, vectorized one row at a time to bound memory.
-    for i in range(m):
-        dist = np.sum(np.abs(arr[i + 1:] - arr[i]), axis=1) + np.abs(jsq[i + 1:] - jsq[i])
-        for off in np.nonzero(dist <= B)[0]:
-            union(i, i + 1 + int(off))
-
-    groups: Dict[int, List[int]] = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    blocks, diameters = [], []
-    for root in sorted(groups):
-        idxs = groups[root]
-        blocks.append(sorted(pts[i] for i in idxs))
-        sub = arr[idxs]
-        diam = 0
-        for i in range(len(idxs)):
-            diam = max(diam, int(np.max(np.sum(np.abs(sub - sub[i]), axis=1))))
-        diameters.append(diam)
-    c0 = 0.0
-    if B > 1:
-        for dm in diameters:
-            if dm >= 1:
-                c0 = max(c0, math.log(dm) / math.log(B))
+    # Pairwise proximity, a block of rows at a time to bound memory.
+    pairs = []
+    for lo in range(0, m, 256):
+        dist = (np.sum(np.abs(arr[lo:lo + 256, None, :] - arr[None, :, :]), axis=2)
+                + np.abs(jsq[lo:lo + 256, None] - jsq[None, :]))
+        pairs.append(np.argwhere(dist <= B) + [lo, 0])
+    rows, cols = np.concatenate(pairs).T
+    _, order, bounds = ordered_components(m, rows, cols)
+    blocks = [[pts[i] for i in idxs] for idxs in _split_components(order, bounds)]
+    diameters = _l1_diameters(arr, order, bounds).tolist()
+    c0 = max((math.log(dm) / math.log(B) for dm in diameters if dm >= 1 and B > 1),
+             default=0.0)
     return Partition(B=B, blocks=blocks, diameters=diameters, c0_hat=c0)
+
+
+def ordered_components(n: int, rows: np.ndarray, cols: np.ndarray
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Connected components of the graph on range(n) with edges rows[k] --
+    cols[k], numbered by their smallest vertex.
+
+    Returns the component label of each vertex, the vertices sorted by
+    (label, vertex), and the bounds of each component in that order:
+    component c is order[bounds[c]:bounds[c + 1]], members ascending.
+    """
+    adjacency = sp.coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
+                              shape=(n, n))
+    _, labels = csgraph.connected_components(adjacency, connection="weak")
+    _, first = np.unique(labels, return_index=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    order = np.argsort(labels, kind="stable")  # stable: members ascending
+    return labels, order, np.concatenate([[0], np.cumsum(np.bincount(labels))])
+
+
+def _split_components(order: np.ndarray, bounds: np.ndarray) -> List[List[int]]:
+    """The members of each component of `ordered_components` as lists."""
+    flat, cuts = order.tolist(), bounds.tolist()
+    return [flat[a:z] for a, z in zip(cuts[:-1], cuts[1:])]
+
+
+def _l1_diameters(coords: np.ndarray, order: np.ndarray, bounds: np.ndarray
+                 ) -> np.ndarray:
+    """Largest l1 distance between two rows of coords in each component of
+    `ordered_components`.
+
+    |x - y|_1 is the largest s.(x - y) over sign vectors s, so a diameter is
+    the largest spread of one projection s.x over the component; sign
+    vectors up to a global flip suffice.
+    """
+    dim = coords.shape[1]
+    signs = np.array([(1,) + t for t in itertools.product((1, -1), repeat=dim - 1)],
+                     dtype=np.int64)
+    proj = (coords @ signs.T)[order]
+    starts = bounds[:-1]
+    spread = np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts)
+    return spread.max(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -375,79 +450,71 @@ def resonance_graph(
     omega0: FrequencyVector,
     box: Box,
     site_cap: int = 2_000_000,
+    symbols: Optional[ConvolutionSymbols] = None,
 ) -> ResonanceGraph:
     """Connectivity of characteristic sites under the operator symbols.
 
     An edge joins x and y when the symbol selected by their branch tags is
     supported at x - y: the diagonal symbol for equal tags, uu for x in C+
-    against y in C-, vv for the mirror pairing.
+    against y in C-, vv for the mirror pairing.  The symbols are those of
+    (u, v) unless given.
+
+    Each kind of edge is found in one array pass over all vertices and
+    shifts, through a lookup from box index to vertex number; edges come out
+    sorted, components are numbered by their smallest vertex with members
+    ascending.
     """
-    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    vertices = characteristic_set(omega0, spec.d, box, site_cap=site_cap)
-    index: Dict[SiteIndex, int] = {s: i for i, (s, _) in enumerate(vertices)}
-    tags = [t for _, t in vertices]
+    if symbols is None:
+        symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+    b, d = len(omega0), spec.d
+    lin, coords, tags = _variety(omega0, d, box, site_cap)
+    nv = len(lin)
+    radii, strides = box_strides(b, d, box)
+    vertex_of = np.full(box.site_count(b, d), -1, dtype=np.int64)
+    vertex_of[lin] = np.arange(nv)
+
+    def links(shifts: List[SiteIndex], src_tag: int, dst_tag: int):
+        src = np.nonzero(tags == src_tag)[0]
+        sv = np.array([s.n + s.j for s in shifts], dtype=np.int64).reshape(-1, b + d)
+        y = coords[src][:, None, :] - sv[None, :, :]
+        inside = np.all(np.abs(y) <= radii, axis=2)
+        k = vertex_of[(y[inside] + radii) @ strides]
+        i = np.broadcast_to(src[:, None], inside.shape)[inside]
+        ok = (k >= 0) & (tags[k] == dst_tag)  # k = -1: no vertex there
+        return np.stack([i[ok], k[ok]])
 
     diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
-    uu_shifts = symbols.uu.support()
-    vv_shifts = symbols.vv.support()
+    found = np.concatenate([links(diag_shifts, 1, 1), links(diag_shifts, -1, -1),
+                            links(symbols.uu.support(), 1, -1),
+                            links(symbols.vv.support(), -1, 1)], axis=1)
+    # Encoding (min, max) as min * nv + max sorts like the tuples.
+    code = np.unique(np.minimum(found[0], found[1]) * nv + np.maximum(found[0], found[1]))
+    lo, hi = np.divmod(code, nv)  # nv >= 1: the origin is always a vertex
+    labels, order, bounds = ordered_components(nv, lo, hi)
+    diameters = _l1_diameters(coords, order, bounds).tolist()
+    pairs = _spiral_pairs(coords[:, b:], tags, labels)
 
-    edges: Set[Tuple[int, int]] = set()
-    for i, (x, tag) in enumerate(vertices):
-        same = diag_shifts
-        cross = uu_shifts if tag is CharClass.CPLUS else vv_shifts
-        want_cross = CharClass.CMINUS if tag is CharClass.CPLUS else CharClass.CPLUS
-        for shift in same:
-            y = x - shift
-            k = index.get(y)
-            if k is not None and tags[k] is tag:
-                edges.add((min(i, k), max(i, k)))
-        for shift in cross:
-            y = x - shift
-            k = index.get(y)
-            if k is not None and tags[k] is want_cross:
-                edges.add((min(i, k), max(i, k)))
-
-    parent = list(range(len(vertices)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, k in edges:
-        ri, rk = find(i), find(k)
-        if ri != rk:
-            parent[max(ri, rk)] = min(ri, rk)
-
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(vertices)):
-        groups.setdefault(find(i), []).append(i)
-
-    comps = []
-    for root in sorted(groups):
-        idxs = sorted(groups[root])
-        diam = 0
-        for a in range(len(idxs)):
-            sa = vertices[idxs[a]][0]
-            for c in range(a + 1, len(idxs)):
-                diam = max(diam, (sa - vertices[idxs[c]][0]).l1())
-        pair = None
-        seen: Dict[Tuple[CharClass, Tuple[int, ...]], int] = {}
-        for i in idxs:
-            s, t = vertices[i]
-            key = (t, s.j)
-            if key in seen and vertices[seen[key]][0].n != s.n:
-                pair = (seen[key], i)
-                break
-            seen.setdefault(key, i)
-        comps.append(Component(indices=idxs, size=len(idxs), diameter=diam,
-                               spiral_pair=pair))
-
+    comps = [Component(indices=m, size=len(m), diameter=dm, spiral_pair=pairs.get(c))
+             for c, (m, dm) in enumerate(zip(_split_components(order, bounds), diameters))]
     return ResonanceGraph(
-        vertices=vertices,
-        edges=sorted(edges),
+        vertices=_tagged_sites(coords, tags, b),
+        edges=list(zip(lo.tolist(), hi.tolist())),
         components=comps,
         interaction_range=symbols.interaction_range(),
         symbols=symbols,
     )
+
+
+def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
+                  ) -> Dict[int, Tuple[int, int]]:
+    """Per component, the first vertex (in ascending order) that shares its
+    tag and j with an earlier one, paired with the first such earlier
+    vertex.  Distinct vertices with equal tag and j differ in n."""
+    keys = np.column_stack([labels, tags, jarr])
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    first = first[inverse.ravel()]
+    second = np.nonzero(first != np.arange(len(labels)))[0]
+    comp = labels[second]
+    _, head = np.unique(comp, return_index=True)  # the smallest repeat per component
+    return {c: (f, s) for c, f, s in zip(comp[head].tolist(), first[second[head]].tolist(),
+                                          second[head].tolist())}

@@ -28,7 +28,6 @@ from . import _intlinalg
 from .characteristics import (
     CharClass,
     ConvolutionSymbols,
-    ResonanceGraph,
     classify_site,
     diff_class_member,
     resonance_graph,
@@ -506,20 +505,15 @@ def check_condition_ii(
 
     if box is None:
         box = default_box(spec)
-    u0x, v0x = u0, v0
     if inject:
         # Graph check sees the same augmented supports via unit-mass symbols.
-        extra_uv = inject.get("uv", [])
-        extra_uu = inject.get("uu", [])
-        aug = ConvolutionSymbols(
-            uv_p=_augment(symbols.uv_p, extra_uv),
-            uu=_augment(symbols.uu, extra_uu),
+        symbols = ConvolutionSymbols(
+            uv_p=_augment(symbols.uv_p, inject.get("uv", [])),
+            uu=_augment(symbols.uu, inject.get("uu", [])),
             vv=_augment(symbols.vv, inject.get("vv", [])),
             p=spec.p,
         )
-        rg = _graph_with_symbols(aug, spec, omega0, box, site_cap)
-    else:
-        rg = resonance_graph(u0x, v0x, spec, omega0, box, site_cap=site_cap)
+    rg = resonance_graph(u0, v0, spec, omega0, box, site_cap=site_cap, symbols=symbols)
 
     graph_fail = None
     for comp in rg.components:
@@ -567,69 +561,10 @@ def check_condition_ii(
 
 
 def _augment(series: SparseSeries, extra: List[SiteIndex]) -> SparseSeries:
-    from .lattice import SparseSeries as SS
     terms = {s: series[s] for s in series.support()}
     for s in extra:
         terms.setdefault(s, 1.0 + 0j)
-    return SS(series.b, series.d, terms, drop_tol=0.0)
-
-
-def _graph_with_symbols(symbols, spec, omega0, box, site_cap) -> ResonanceGraph:
-    from .characteristics import characteristic_set, Component
-
-    vertices = characteristic_set(omega0, spec.d, box, site_cap=site_cap)
-    index = {s: i for i, (s, _) in enumerate(vertices)}
-    tags = [t for _, t in vertices]
-    diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
-    uu_shifts = symbols.uu.support()
-    vv_shifts = symbols.vv.support()
-    edges = set()
-    for i, (x, tag) in enumerate(vertices):
-        cross = uu_shifts if tag is CharClass.CPLUS else vv_shifts
-        want = CharClass.CMINUS if tag is CharClass.CPLUS else CharClass.CPLUS
-        for shift in diag_shifts:
-            k = index.get(x - shift)
-            if k is not None and tags[k] is tag:
-                edges.add((min(i, k), max(i, k)))
-        for shift in cross:
-            k = index.get(x - shift)
-            if k is not None and tags[k] is want:
-                edges.add((min(i, k), max(i, k)))
-    parent = list(range(len(vertices)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i, k in edges:
-        ri, rk = find(i), find(k)
-        if ri != rk:
-            parent[max(ri, rk)] = min(ri, rk)
-    groups: Dict[int, List[int]] = {}
-    for i in range(len(vertices)):
-        groups.setdefault(find(i), []).append(i)
-    comps = []
-    for root in sorted(groups):
-        idxs = sorted(groups[root])
-        pair = None
-        seen = {}
-        for i in idxs:
-            s, t = vertices[i]
-            key = (t, s.j)
-            if key in seen and vertices[seen[key]][0].n != s.n:
-                pair = (seen[key], i)
-                break
-            seen.setdefault(key, i)
-        diam = 0
-        for a in range(len(idxs)):
-            sa = vertices[idxs[a]][0]
-            for c in range(a + 1, len(idxs)):
-                diam = max(diam, (sa - vertices[idxs[c]][0]).l1())
-        comps.append(Component(indices=idxs, size=len(idxs), diameter=diam, spiral_pair=pair))
-    return ResonanceGraph(vertices=vertices, edges=sorted(edges), components=comps,
-                          interaction_range=symbols.interaction_range(), symbols=symbols)
+    return SparseSeries(series.b, series.d, terms, drop_tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,20 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .characteristics import CharClass, ConvolutionSymbols, ResonanceGraph, resonance_graph
+from .characteristics import (
+    CharClass,
+    ConvolutionSymbols,
+    ResonanceGraph,
+    box_strides,
+    branch_tags,
+    enumerate_box_sites,
+    ordered_components,
+    resonance_graph,
+)
 from .lattice import (
     Box,
-    BoxTooLarge,
     FrequencyVector,
     ProblemSpec,
     SiteIndex,
@@ -56,17 +63,6 @@ class OffCharDiagonalError(LinopError):
             f"off-characteristic diagonal too close to zero at {site}: {value:.3e}")
         self.site = site
         self.value = value
-
-
-def enumerate_box_sites(b: int, d: int, box: Box, site_cap: int = 2_000_000
-                        ) -> np.ndarray:
-    total = box.site_count(b, d)
-    if total > site_cap:
-        raise BoxTooLarge(f"box holds {total} sites, cap is {site_cap}")
-    n_range = np.arange(-box.n_radius, box.n_radius + 1, dtype=np.int64)
-    j_range = np.arange(-box.j_radius, box.j_radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([n_range] * b + [j_range] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
 
 
 @dataclass
@@ -103,9 +99,13 @@ class BlockOperator:
         return self.spec.omega0()
 
     def site_at(self, i: int) -> SiteIndex:
+        return self.sites_at([i])[0]
+
+    def sites_at(self, idx: Sequence[int]) -> List[SiteIndex]:
+        """The sites of box indices idx, in that order."""
         b = self.spec.b
-        row = self.coords[i]
-        return SiteIndex(tuple(int(x) for x in row[:b]), tuple(int(x) for x in row[b:]))
+        return [SiteIndex(tuple(row[:b]), tuple(row[b:]))
+                for row in self.coords[np.asarray(idx, dtype=np.int64)].tolist()]
 
     def lin_index(self, s: SiteIndex) -> Optional[int]:
         b, d = self.spec.b, self.spec.d
@@ -178,39 +178,28 @@ def assemble(
     m = spec.phase_m
     diag = np.concatenate([nw + jsq + m + theta, -nw + jsq + m - theta])
 
-    w0 = np.array(spec.omega0().as_ints(), dtype=np.int64)
-    nw0 = narr @ w0
-    jzero = np.all(jarr == 0, axis=1)
-    jsq_i = np.sum(jarr * jarr, axis=1)
-    tags = np.zeros(ns, dtype=np.int8)
-    tags[(~jzero & (nw0 + jsq_i == 0)) | (jzero & (nw0 == 0) & (narr[:, 0] <= 0))] = 1
-    tags[(~jzero & (-nw0 + jsq_i == 0)) | (jzero & (nw0 == 0) & (narr[:, 0] > 0))] = -1
-    resonant = np.concatenate([nw0 + jsq_i == 0, -nw0 + jsq_i == 0])
+    tags, resonant = branch_tags(coords, spec.omega0())
 
     symbols = ConvolutionSymbols.from_fields(u, v, p)
     delta = spec.delta
+    radii, strides = (x.tolist() for x in box_strides(b, d, box))
 
-    radii = np.array([box.n_radius] * b + [box.j_radius] * d, dtype=np.int64)
-    sizes = 2 * radii + 1
-    strides = np.ones(b + d, dtype=np.int64)
-    for i in range(b + d - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
+    # (column minus row, columns, value) of every shift.
+    terms: List[Tuple[int, np.ndarray, complex]] = []
 
     def scatter(shift: SiteIndex, amp: complex, row_off: int, col_off: int):
-        sv = np.array(list(shift.n) + list(shift.j), dtype=np.int64)
-        shifted = coords + sv
-        ok = np.all(np.abs(shifted) <= radii, axis=1)
-        if not np.any(ok):
-            return
-        lin = (shifted[ok] + radii) @ strides
-        cols_k = np.nonzero(ok)[0]
-        rows.append(lin + row_off)
-        cols.append(cols_k + col_off)
-        vals.append(np.full(len(cols_k), amp, dtype=complex))
+        # Column y and row y + shift both lie in the box exactly when each
+        # coordinate of y lies in [-r, r] and in [-r - s, r - s]: the columns
+        # are an outer sum of per-axis ranges times strides, in ascending
+        # order, and each row is its column plus shift . strides.
+        cols_k = np.zeros(1, dtype=np.int64)
+        for r, s, stride in zip(radii, shift.n + shift.j, strides):
+            lo, hi = max(-r, -r - s), min(r, r - s)
+            if lo > hi:
+                return
+            cols_k = (cols_k[:, None] + np.arange(lo + r, hi + r + 1) * stride).ravel()
+        lin = sum(s * stride for s, stride in zip(shift.n + shift.j, strides))
+        terms.append((col_off - row_off - lin, cols_k + col_off, amp))
 
     for shift, ampl in symbols.uv_p.items():
         a = delta * (p + 1) * ampl
@@ -221,10 +210,14 @@ def assemble(
     for shift, ampl in symbols.vv.items():
         scatter(shift, delta * p * ampl, ns, 0)
 
-    if rows:
-        a_mat = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(2 * ns, 2 * ns)).tocsr()
+    # In order of column minus row, each row's entries come out with their
+    # columns ascending, so the CSR conversion needs no sort.
+    terms.sort(key=lambda t: t[0])
+    if terms:
+        cols = np.concatenate([t[1] for t in terms])
+        rows = np.concatenate([t[1] - t[0] for t in terms])
+        vals = np.concatenate([np.full(len(t[1]), t[2], dtype=complex) for t in terms])
+        a_mat = sp.coo_matrix((vals, (rows, cols)), shape=(2 * ns, 2 * ns)).tocsr()
     else:
         a_mat = sp.csr_matrix((2 * ns, 2 * ns), dtype=complex)
     mat = a_mat + sp.diags(diag.astype(complex), format="csr")
@@ -335,15 +328,11 @@ def block_decompose(op: BlockOperator, graph: Optional[ResonanceGraph] = None,
     else:
         index = np.nonzero(op.resonant_mask)[0]
         sub = op.matrix[index][:, index]
-        pattern = sp.csr_matrix(
-            (np.ones(sub.nnz, dtype=bool), sub.indices, sub.indptr), shape=sub.shape)
-        _, labels = csgraph.connected_components(pattern, connection="weak")
-        # Number components by their smallest member (the order ExcisionError
-        # block indices refer to); a stable sort keeps members ascending.
-        _, first = np.unique(labels, return_index=True)
-        labels = np.argsort(np.argsort(first))[labels]
-        members = np.argsort(labels, kind="stable")
-        comps = np.split(members, np.cumsum(np.bincount(labels))[:-1])
+        # Numbered by smallest member: the order ExcisionError block indices
+        # refer to.
+        pattern = sub.tocoo()
+        _, order, bounds = ordered_components(len(index), pattern.row, pattern.col)
+        comps = np.split(order, bounds[1:-1])
     if exclude:
         dropped = np.isin(index, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
         comps = [c[~dropped[c]] for c in comps]
@@ -425,6 +414,9 @@ class CertifiedInverse:
     solve: Callable[..., np.ndarray] = field(repr=False, default=None)
     keep: np.ndarray = field(repr=False, default=None)
     power_iterations: int = 0
+    # True only when power iteration stopped because sigma settled; False
+    # when it ran out of rounds, so norm_bound is an unconverged estimate.
+    power_settled: bool = False
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.solve(vec)
@@ -503,6 +495,7 @@ def invert_with_certificates(
     x /= np.linalg.norm(x)
     sigma = 0.0
     rounds = 0
+    settled = False
     for rounds in range(1, power_iters + 1):
         y = solve(x)
         z = solve(y, trans="H")
@@ -512,6 +505,7 @@ def invert_with_certificates(
         prev, sigma = sigma, math.sqrt(nrm)
         x = z / nrm
         if abs(sigma - prev) <= _SIGMA_RTOL * sigma:
+            settled = True
             break
     norm_bound = float(sigma)
 
@@ -521,7 +515,8 @@ def invert_with_certificates(
 
     return CertifiedInverse(norm_bound=norm_bound, decay=decay, mode=mode,
                             threshold=threshold, min_block_value=min_val,
-                            solve=solve, keep=keep, power_iterations=rounds)
+                            solve=solve, keep=keep, power_iterations=rounds,
+                            power_settled=settled)
 
 
 def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], n_probes: int,

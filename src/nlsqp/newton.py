@@ -190,12 +190,10 @@ def newton_step(
 
     delta_vec = solve(rhs[keep])
 
-    du_terms: Dict[SiteIndex, complex] = {}
-    ns = op.n_sites
-    for pos, idx in enumerate(keep):
-        if idx < ns and delta_vec[pos] != 0:
-            du_terms[op.site_at(idx)] = delta_vec[pos]
-    du = SparseSeries(u.b, u.d, du_terms, drop_tol=0.0)
+    # The nonzero u-rows, in the order of `keep`.
+    upos = np.nonzero((keep < op.n_sites) & (delta_vec != 0))[0]
+    du = SparseSeries(u.b, u.d, dict(zip(op.sites_at(keep[upos]), delta_vec[upos])),
+                      drop_tol=0.0)
     u_next = u.sub(du).clean()
     v_next = conjugate_flip(u_next)
     omega_next = q_solve(u_next, spec)
@@ -499,12 +497,9 @@ def solve(
                                     **{k: v for k, v in step_kwargs.items()
                                        if k in ("eps_first", "eps_second")})
 
-    cs_mass = 0.0
     s_set = set(u0.support()) | set(v0.support())
-    for i in np.nonzero(op.tags != 0)[0]:
-        s = op.site_at(int(i))
-        if s not in s_set:
-            cs_mass = max(cs_mass, abs(state.u[s]))
+    cs_mass = max((abs(state.u[s]) for s in op.sites_at(np.nonzero(op.tags != 0)[0])
+                   if s not in s_set), default=0.0)
 
     pw = spec.delta ** (1.0 / (2 * spec.p))
     shifts = tuple(abs(wk - s.jsq() - spec.phase_m)
@@ -532,6 +527,10 @@ def solve(
 # Samples per array pass of the sweep: keeps the gathered block stacks and
 # the Diophantine margin table of a pass at a few MB.
 SWEEP_CHUNK = 128
+# Samples whose seed symbols are convolved together: the batched
+# convolution's per-site Python work is paid once per group, and the
+# group's symbol table stays at a few MB.
+SYMBOL_CHUNK = 8 * SWEEP_CHUNK
 
 
 @dataclass
@@ -564,19 +563,19 @@ def excision_sweep(
     margin of the modulated frequency.  Fractions are computed per epsilon
     from a single sample set, hence monotone by construction.
 
-    All samples go through one array pass.  The seed symbols are convolved
-    for every sample at once (`_seed_symbols_batch`), which also gives the
-    Q bracket and so the modulated frequencies of all samples.  The blocks
-    are the resonance-graph components, whose support pattern does not
-    depend on a, so the graph and a gather plan are built once: every
-    block entry reads one symbol at one shift (the difference of its two
-    sites), the diagonal symbol (p+1) (u*v)^{*p} between equal branch tags,
-    p uu from a C+ row to a C- column and p vv the other way.  The symbols
-    at the distinct shifts form one (N, 3, n_shifts) table; per chunk of
-    SWEEP_CHUNK samples the blocks are gathered into one stack per size,
-    det runs once per size, and the Diophantine scan runs once.  Every
-    value is bitwise that of building each sample's fields, symbols,
-    `q_solve` and `diophantine_check` one sample at a time.
+    The blocks are the resonance-graph components, whose support pattern
+    does not depend on a, so the graph and a gather plan are built once:
+    every block entry reads one symbol at one shift (the difference of its
+    two sites), the diagonal symbol (p+1) (u*v)^{*p} between equal branch
+    tags, p uu from a C+ row to a C- column and p vv the other way.  The
+    samples then go through the array pass in groups of SYMBOL_CHUNK, so
+    memory does not grow with n_samples: a group's seed symbols and Q
+    brackets are convolved at once (`_seed_symbols_batch`), the symbols at
+    the distinct shifts form one (group, 3, n_shifts) table, and per
+    SWEEP_CHUNK samples det runs once per block size and the Diophantine
+    scan once.  Every value is bitwise that of building each sample's
+    fields, symbols, `q_solve` and `diophantine_check` one sample at a
+    time.
     """
     if n_samples < 100:
         raise NewtonError("n_samples must be at least 100")
@@ -597,33 +596,35 @@ def excision_sweep(
     if outside.any():
         spec.with_amplitudes(samples[np.argmax(outside)])  # raises SpecError
 
-    # q_solve's realness test and frequency formula, in its evaluation order.
-    uv_p, uu, vv, bracket = _seed_symbols_batch(spec, samples)
-    nonreal = np.abs(bracket.imag) > 1e-12 * np.maximum(1.0, np.abs(bracket.real))
-    if nonreal.any():
-        i, k = np.argwhere(nonreal)[0]
-        raise NonRealFrequency(f"Q bracket at mode {spec.modes[k][0]} has imaginary "
-                               f"part {bracket[i, k].imag:.3e}")
     jsq_m = np.array([s.jsq() + spec.phase_m for s in spec.seed_sites()])
-    omegas = jsq_m + spec.delta * bracket.real / samples
-
-    if plan:
-        zero = np.zeros(n_samples, dtype=complex)
-        table = np.stack([np.stack([coef * sym.get(dd, zero) for dd in shift_sites],
-                                   axis=1)
-                          for coef, sym in ((p + 1, uv_p), (p, uu), (p, vv))], axis=1)
     min_vals = np.empty(n_samples)
     dio_vals = np.empty(n_samples)
-    for lo in range(0, n_samples, SWEEP_CHUNK):
-        rows = slice(lo, lo + SWEEP_CHUNK)
-        worst = np.full(len(samples[rows]), math.inf)
-        for kind, shift_id in plan:
-            dets = np.linalg.det(table[rows, kind, shift_id])
-            # np.hypot equals Python's abs() of a complex bit for bit;
-            # numpy's vectorised complex abs can differ in the last bit.
-            worst = np.minimum(worst, np.hypot(dets.real, dets.imag).min(axis=1))
-        min_vals[rows] = worst
-        dio_vals[rows] = _dio_scan(omegas[rows], spec.delta, gamma, dio_radius)[1]
+    for start in range(0, n_samples, SYMBOL_CHUNK):
+        group = slice(start, start + SYMBOL_CHUNK)
+        amps, group_min, group_dio = samples[group], min_vals[group], dio_vals[group]
+        # q_solve's realness test and frequency formula, in its evaluation order.
+        uv_p, uu, vv, bracket = _seed_symbols_batch(spec, amps)
+        nonreal = np.abs(bracket.imag) > 1e-12 * np.maximum(1.0, np.abs(bracket.real))
+        if nonreal.any():
+            i, k = np.argwhere(nonreal)[0]
+            raise NonRealFrequency(f"Q bracket at mode {spec.modes[k][0]} has imaginary "
+                                   f"part {bracket[i, k].imag:.3e}")
+        omegas = jsq_m + spec.delta * bracket.real / amps
+        if plan:
+            zero = np.zeros(len(amps), dtype=complex)
+            table = np.stack([np.stack([coef * sym.get(dd, zero) for dd in shift_sites],
+                                       axis=1)
+                              for coef, sym in ((p + 1, uv_p), (p, uu), (p, vv))], axis=1)
+        for lo in range(0, len(amps), SWEEP_CHUNK):
+            rows = slice(lo, lo + SWEEP_CHUNK)
+            worst = np.full(len(amps[rows]), math.inf)
+            for kind, shift_id in plan:
+                dets = np.linalg.det(table[rows, kind, shift_id])
+                # np.hypot equals Python's abs() of a complex bit for bit;
+                # numpy's vectorised complex abs can differ in the last bit.
+                worst = np.minimum(worst, np.hypot(dets.real, dets.imag).min(axis=1))
+            group_min[rows] = worst
+            group_dio[rows] = _dio_scan(omegas[rows], spec.delta, gamma, dio_radius)[1]
 
     eps_list = list(epsilons)
     fractions, counts = [], []

@@ -482,3 +482,34 @@ def test_parse_config_fuzz_exits_cleanly(text):
         parse_config(text)
     except ConfigError as exc:
         assert "\n" not in str(exc)
+
+
+# sha256 of each artifact of the tp2 config, generated_at lines removed.  A
+# refactor keeps these bytes; a change that alters an artifact on purpose
+# updates the digest and says why.
+TP2_ARTIFACT_SHA256 = {
+    "check.txt": "10266df3e9cb872e29be358de203b8eeea9a85accc0ed356efe020fdcc029660",
+    "solve/report.txt": "9d57d8eb8ed15d93250c8048744b0e36cf51b7e593bf8d3b649a1d3b4a490057",
+    "solve/solution.txt": "3165badb12f8c01a7a438b5244aebf399a0e78720408fbcca48f915fa1d62536",
+    "sweep.csv": "def176f8d04330e2eef3dc8011d974d47401cb5b138bf214f3681f64ece52705",
+}
+
+
+def test_tp2_artifacts_are_byte_identical_to_pinned_digests(tmp_path, monkeypatch):
+    import hashlib
+    monkeypatch.delenv("NLSQP_THREADS", raising=False)
+    cfg = parse_config("""
+[problem]
+d = 1
+b = 2
+p = 1
+delta = 1e-3
+modes = (1):0.6, (2):0.8
+""")
+    assert run_command("check", cfg, out_path=str(tmp_path / "check.txt")) == EXIT_OK
+    assert run_command("solve", cfg, out_path=str(tmp_path / "solve")) == EXIT_OK
+    assert run_command("sweep", cfg, out_path=str(tmp_path / "sweep.csv")) == EXIT_OK
+    for name, digest in TP2_ARTIFACT_SHA256.items():
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith("generated_at"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name

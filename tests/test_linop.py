@@ -311,6 +311,27 @@ def test_power_iteration_early_stop_matches_full_run(tp2):
     assert abs(cert.norm_bound - sigma) <= 1e-12 * sigma
 
 
+def test_power_settled_only_when_sigma_settles(tp2, monkeypatch):
+    # The tp2 seed operator's top singular values are nearly degenerate:
+    # sigma still moves after 60 rounds, so the norm is an estimate.
+    cert = invert_with_certificates(seed_operator(tp2), mode="seed", fit_decay=False)
+    assert cert.power_iterations == 60
+    assert not cert.power_settled
+    cert = invert_with_certificates(seed_operator(tp2), mode="seed", fit_decay=False,
+                                    power_iters=0)
+    assert not cert.power_settled
+    # solve's final certificate, at the modulated frequency, settles.
+    from nlsqp import newton
+    certs = []
+    real = newton.invert_with_certificates
+    monkeypatch.setattr(newton, "invert_with_certificates",
+                        lambda *a, **k: certs.append(real(*a, **k)) or certs[-1])
+    report = newton.solve(tp2)
+    assert certs[-1].norm_bound == report.inverse_norm
+    assert certs[-1].power_settled
+    assert certs[-1].power_iterations < 60
+
+
 def test_certificate_returns_its_factor(tp2):
     op = seed_operator(tp2)
     cert = invert_with_certificates(op, mode="seed", fit_decay=False,

@@ -364,6 +364,24 @@ def test_excision_sweep_is_one_batched_pass(tp2, monkeypatch):
     assert [shape[0] for shape in calls] == [128] * 2 * n_sizes + [44] * n_sizes
 
 
+def test_excision_sweep_memory_does_not_grow_with_samples(tp2):
+    # Symbol tables per group of samples: 20x the samples costs well under
+    # 2x the peak.
+    import tracemalloc
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            excision_sweep(tp2, [1e-2], n_samples=n, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1000)  # fill the caches first
+    small, large = peak(1000), peak(20000)
+    assert large < 2 * small
+
+
 @pytest.mark.parametrize("spec", [
     make_spec(d=1, b=2, p=1, delta=1e-3, j_list=[1, 2], amplitudes=[0.6, 0.8]),
     make_spec(d=2, b=2, p=2, delta=1e-3, j_list=[(1, 0), (0, 1)], amplitudes=[0.9, 0.35]),
