@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from . import _intlinalg
 from .lattice import (
@@ -350,13 +348,46 @@ def ordered_components(n: int, rows: np.ndarray, cols: np.ndarray
     (label, vertex), and the bounds of each component in that order:
     component c is order[bounds[c]:bounds[c + 1]], members ascending.
     """
-    adjacency = sp.coo_matrix((np.ones(len(rows), dtype=bool), (rows, cols)),
-                              shape=(n, n))
-    _, labels = csgraph.connected_components(adjacency, connection="weak")
-    _, first = np.unique(labels, return_index=True)
-    labels = np.argsort(np.argsort(first))[labels]
+    low, _ = _min_labels(n, rows, cols)
+    _, labels = np.unique(low, return_inverse=True)
     order = np.argsort(labels, kind="stable")  # stable: members ascending
     return labels, order, np.concatenate([[0], np.cumsum(np.bincount(labels))])
+
+
+def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, int]:
+    """The smallest vertex of each vertex's component, and the number of
+    propagation rounds it took.
+
+    Each vertex points to a vertex of its component no larger than itself,
+    at first to itself.  A round hooks the root of each edge's end to the
+    other end's root when that is smaller (np.minimum.at over the edges),
+    then jumps pointers (low = low[low]) until every vertex points to a
+    root.  Edges whose ends share a root are dropped; when none is left,
+    every vertex points to the smallest vertex of its component.
+
+    Rounds: every root is either hooked, hooked onto, or (a local minimum
+    whose neighbours all hooked elsewhere, onto smaller roots) hooked in the
+    next round, so the number of roots in a component at least halves every
+    two rounds: at most 2 * ceil(log2 n) rounds for n vertices.
+    """
+    low = np.arange(n, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    rounds = 0
+    while True:
+        r, c = low[rows], low[cols]
+        cut = r != c
+        if not cut.any():
+            return low, rounds
+        rows, cols, r, c = rows[cut], cols[cut], r[cut], c[cut]
+        rounds += 1
+        np.minimum.at(low, r, c)
+        np.minimum.at(low, c, r)
+        while True:
+            jumped = low[low]
+            if np.array_equal(jumped, low):
+                break
+            low = jumped
 
 
 def _split_components(order: np.ndarray, bounds: np.ndarray) -> List[List[int]]:

@@ -14,11 +14,9 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .characteristics import (
     CharClass,
@@ -37,6 +35,12 @@ from .lattice import (
     SiteIndex,
     SparseSeries,
 )
+
+# scipy is imported by the functions that build or factor sparse matrices,
+# so that importing nlsqp (and the commands that never reach those
+# functions) costs no scipy import.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class LinopError(RuntimeError):
@@ -167,6 +171,8 @@ def assemble(
     (p+1)(u*v)^{*p} on the diagonal blocks and p(u*v)^{*(p-1)}*u*u (u-row,
     v-column) / p(u*v)^{*(p-1)}*v*v (v-row, u-column), all scaled by delta.
     """
+    import scipy.sparse as sp
+
     b, d, p = spec.b, spec.d, spec.p
     coords = enumerate_box_sites(b, d, box, site_cap=site_cap)
     ns = coords.shape[0]
@@ -245,6 +251,9 @@ def schur_complement(op: BlockOperator, lam: float = 0.0) -> SchurReport:
 
     The correction term is reported; in the small-delta regime it is O(delta^2).
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     p_idx = op.char_indices()
     mask = np.zeros(op.dim, dtype=bool)
     mask[p_idx] = True
@@ -609,6 +618,9 @@ def restricted_solver(op: BlockOperator, exclude: Sequence[int], lam: float = 0.
     Returns (solve, kept_indices): solve(rhs, trans="N") takes and returns
     vectors indexed by kept_indices; trans="H" solves with the adjoint.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     mask = np.ones(op.dim, dtype=bool)
     mask[list(exclude)] = False
     keep = np.nonzero(mask)[0]
@@ -628,32 +640,52 @@ def restricted_solver(op: BlockOperator, exclude: Sequence[int], lam: float = 0.
 class ResolventSplit:
     gamma: sp.csr_matrix
     apply_ftilde_inv: Callable[[np.ndarray], np.ndarray]
+    keep: np.ndarray    # both act on vectors indexed by these doubled indices
 
 
-def resolvent_split(op: BlockOperator) -> ResolventSplit:
+def resolvent_split(op: BlockOperator, exclude: Sequence[int] = ()) -> ResolventSplit:
     """F~ keeps the dense resonance blocks on C and the bare diagonal off C;
-    Gamma = F' - F~ carries every remaining coupling."""
-    decomp = block_decompose(op)
-    ftilde = sp.lil_matrix((op.dim, op.dim), dtype=complex)
-    covered = np.zeros(op.dim, dtype=bool)
-    inverses: List[Tuple[List[int], np.ndarray]] = []
-    for idxs, gamma in zip(decomp.component_indices, decomp.gammas):
-        for a, ia in enumerate(idxs):
-            covered[ia] = True
-            for c, ic in enumerate(idxs):
-                ftilde[ia, ic] = gamma[a, c]
-        inverses.append((idxs, np.linalg.inv(gamma)))
+    Gamma = F' - F~ carries every remaining coupling.
+
+    `exclude` restricts the split to the complement of the given doubled
+    indices, as `drop_indices` does in `invert_with_certificates`: passing
+    the 2b seed equations leaves out the seed block's phase-symmetry kernel,
+    which a converged operator carries.
+    """
+    import scipy.sparse as sp
+
+    dropped = frozenset(int(i) for i in exclude)
+    decomp = block_decompose(op, exclude=dropped)
+    mask = np.ones(op.dim, dtype=bool)
+    mask[list(dropped)] = False
+    keep = np.nonzero(mask)[0]
+    pos = np.full(op.dim, -1, dtype=np.int64)
+    pos[keep] = np.arange(len(keep))
+
+    comps = [pos[np.asarray(idxs, dtype=np.int64)] for idxs in decomp.component_indices]
+    covered = np.zeros(len(keep), dtype=bool)
+    for c in comps:
+        covered[c] = True
     rest = np.nonzero(~covered)[0]
-    diag_rest = op.diag[rest]
+    diag_rest = op.diag[keep[rest]]
     if np.any(np.abs(diag_rest) < 1e-12):
         k = int(np.argmin(np.abs(diag_rest)))
-        raise OffCharDiagonalError(op.site_at(rest[k] % op.n_sites), float(diag_rest[k]))
-    for i in rest:
-        ftilde[i, i] = op.diag[i]
-    gamma_mat = (op.matrix - ftilde.tocsr()).tocsr()
+        raise OffCharDiagonalError(op.site_at(keep[rest[k]] % op.n_sites),
+                                   float(diag_rest[k]))
 
-    inv_diag = np.zeros(op.dim, dtype=complex)
+    # F~ in one COO construction: each block's k x k entries, then the
+    # bare diagonal on the uncovered indices.
+    rows = [np.repeat(c, len(c)) for c in comps] + [rest]
+    cols = [np.tile(c, len(c)) for c in comps] + [rest]
+    vals = [g.ravel() for g in decomp.gammas] + [diag_rest.astype(complex)]
+    ftilde = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(keep), len(keep))).tocsr()
+    gamma_mat = (op.matrix[keep][:, keep] - ftilde).tocsr()
+
+    inv_diag = np.zeros(len(keep), dtype=complex)
     inv_diag[rest] = 1.0 / diag_rest
+    inverses = [(c, np.linalg.inv(g)) for c, g in zip(comps, decomp.gammas)]
 
     def apply_inv(vec: np.ndarray) -> np.ndarray:
         out = inv_diag * vec
@@ -661,12 +693,14 @@ def resolvent_split(op: BlockOperator) -> ResolventSplit:
             out[idxs] = inv @ vec[idxs]
         return out
 
-    return ResolventSplit(gamma=gamma_mat, apply_ftilde_inv=apply_inv)
+    return ResolventSplit(gamma=gamma_mat, apply_ftilde_inv=apply_inv, keep=keep)
 
 
-def resolvent_square_norm(op: BlockOperator, iters: int = 30, seed: int = 5) -> float:
-    """Measured ||(F~^{-1} Gamma)^2||, the quantity that contracts like delta."""
-    split = resolvent_split(op)
+def resolvent_square_norm(op: BlockOperator, iters: int = 30, seed: int = 5,
+                          exclude: Sequence[int] = ()) -> float:
+    """Measured ||(F~^{-1} Gamma)^2||, the quantity that contracts like delta,
+    on the split restricted off `exclude` (see `resolvent_split`)."""
+    split = resolvent_split(op, exclude=exclude)
 
     def m_apply(x):
         return split.apply_ftilde_inv(split.gamma @ x)
@@ -674,8 +708,9 @@ def resolvent_square_norm(op: BlockOperator, iters: int = 30, seed: int = 5) -> 
     def m_adj(x):
         return split.gamma @ split.apply_ftilde_inv(x)
 
+    dim = len(split.keep)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(op.dim) + 1j * rng.standard_normal(op.dim)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)
     est = 0.0
     for _ in range(iters):
@@ -745,6 +780,9 @@ def theta_spectrum_scan(
     with |Theta| beyond 2|log delta|^{2s}+1 are flagged as outside the range
     the analysis needs.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     base = assemble(u, v, omega, spec, box, theta=0.0, site_cap=site_cap)
     delta = spec.delta
     threshold = delta ** (-(1.0 + eps))

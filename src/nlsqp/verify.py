@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -163,6 +163,29 @@ def _linear_propagator(m: int, dt: float) -> np.ndarray:
     return np.fft.ifft(spectral, axis=0)
 
 
+def _phase_rotation(shape: Tuple[int, ...], p: int, m: float
+                    ) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The nonlinear sub-flow's rotation (mod2, tau) -> e^{-i tau (mod2^p + m)}
+    on arrays of the given shape.
+
+    cos and sin of the real angle are written into the real and imaginary
+    parts of one complex buffer, reused by every call (a result is valid
+    until the next call).  On small grids that costs no more than exp of a
+    complex array, and less on 2-D grids; the bits are the same for a
+    nonzero angle (at a zero angle the imaginary part is -0.0, not +0.0).
+    """
+    rot = np.empty(shape, dtype=complex)
+    rot_re, rot_im = rot.real, rot.imag
+
+    def phase(mod2: np.ndarray, tau: float) -> np.ndarray:
+        angle = (mod2 ** p + m) * -tau
+        np.cos(angle, out=rot_re)
+        np.sin(angle, out=rot_im)
+        return rot
+
+    return phase
+
+
 def evolve_drift(
     u: SparseSeries,
     omega: FrequencyVector,
@@ -228,8 +251,7 @@ def evolve_drift(
         amps.append([abs(ft[bin]) for bin in mode_bins])
         phases.append([math.atan2(ft[bin].imag, ft[bin].real) for bin in mode_bins])
 
-    def phase(mod2: np.ndarray, tau: float) -> np.ndarray:
-        return np.exp((mod2 ** spec.p + spec.phase_m) * (-1j * tau))
+    phase = _phase_rotation(shape, spec.p, spec.phase_m)
 
     record(0.0)
     half = dt / 2.0

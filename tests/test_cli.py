@@ -513,3 +513,41 @@ modes = (1):0.6, (2):0.8
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith("generated_at"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+# Runs nlsqp.cli.main on its arguments (or only imports nlsqp.cli) and prints
+# the exit code and the scipy modules the interpreter has loaded.
+SCIPY_PROBE = """
+import sys
+import nlsqp.cli
+code = nlsqp.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def scipy_modules_after(tmp_path, *argv):
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    code, *mods = proc.stdout.split()
+    return int(code), set(mods)
+
+
+def test_only_solve_loads_scipy(tmp_path):
+    # check, verify and sweep build no sparse matrix and factor nothing, so
+    # their processes never import scipy; solve needs SuperLU.
+    cfg = write(tmp_path, "tp2.cfg", TP2_CFG)
+    none = (EXIT_OK, set())
+    assert scipy_modules_after(tmp_path) == none
+    assert scipy_modules_after(tmp_path, "check", cfg, "--out", "check.txt") == none
+    code, mods = scipy_modules_after(tmp_path, "solve", cfg, "--out", "solve")
+    assert code == EXIT_OK and "scipy.sparse.linalg" in mods
+    assert scipy_modules_after(tmp_path, "verify", cfg, "--solution", "solve/solution.txt",
+                               "--out", "verify.txt") == none
+    assert scipy_modules_after(tmp_path, "sweep", cfg, "--out", "sweep.csv") == none

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsqp import characteristics
 from nlsqp.characteristics import (
@@ -18,7 +19,9 @@ from nlsqp.characteristics import (
     ConvolutionSymbols,
     build_partition,
     characteristic_set,
+    _min_labels,
     diff_class_member,
+    ordered_components,
     resonance_graph,
 )
 from nlsqp.conditions import _augment, check_condition_ii
@@ -380,3 +383,88 @@ def test_partition_matches_union_find(B, d, radius):
     assert part.diameters == diameters
     assert part.c0_hat == c0
     assert all(type(x) is int for x in part.diameters)
+
+
+# -- connected components ----------------------------------------------------
+
+
+def bfs_components(n, rows, cols):
+    """Breadth-first search from each unlabelled vertex in ascending order:
+    components numbered by smallest vertex, members ascending."""
+    adj = [[] for _ in range(n)]
+    for a, b in zip(rows, cols):
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n
+    comps = []
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = len(comps)
+        members, queue = [start], [start]
+        while queue:
+            x = queue.pop()
+            for y in adj[x]:
+                if label[y] < 0:
+                    label[y] = len(comps)
+                    members.append(y)
+                    queue.append(y)
+        comps.append(sorted(members))
+    return label, comps
+
+
+def assert_components_match_bfs(n, rows, cols):
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    labels, order, bounds = ordered_components(n, rows, cols)
+    label, comps = bfs_components(n, rows.tolist(), cols.tolist())
+    assert labels.tolist() == label
+    assert bounds.tolist() == [0] + list(itertools.accumulate(len(c) for c in comps))
+    assert [order[a:z].tolist() for a, z in zip(bounds[:-1], bounds[1:])] == comps
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return 0, [], []
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    # Repeat some edges, and loop some vertices to themselves.
+    pairs += draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    pairs += [(x, x) for x in draw(st.lists(vertex, max_size=3))]
+    return n, [a for a, _ in pairs], [b for _, b in pairs]
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_ordered_components_matches_bfs(graph):
+    assert_components_match_bfs(*graph)
+
+
+@pytest.mark.parametrize("n, rows, cols", [
+    (0, [], []),
+    (1, [], []),
+    (1, [0], [0]),
+    (5, [], []),
+    (4, [2, 2, 3], [2, 3, 2]),
+    (6, [5, 5, 1, 0], [1, 1, 5, 0]),
+])
+def test_ordered_components_small_cases(n, rows, cols):
+    assert_components_match_bfs(n, rows, cols)
+
+
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_ordered_components_long_path_and_star(shape):
+    # Randomly numbered, so that the smallest vertex sits anywhere; the
+    # rounds stay within the 2 ceil(log2 n) of the docstring.
+    n = 20_000
+    perm = np.random.default_rng(17).permutation(n)
+    if shape == "path":
+        rows, cols = perm[:-1], perm[1:]
+    else:
+        rows, cols = np.full(n - 1, perm[n // 2]), np.delete(perm, n // 2)
+    low, rounds = _min_labels(n, rows, cols)
+    assert np.all(low == 0)
+    assert rounds <= 2 * math.ceil(math.log2(n))
+    assert_components_match_bfs(n, rows, cols)

@@ -20,6 +20,7 @@ from nlsqp.verify import (
     IntegratorInstability,
     WeightSpec,
     _linear_propagator,
+    _phase_rotation,
     default_weight,
     evolve_drift,
     pde_residual,
@@ -170,18 +171,24 @@ def fft_free_flow_phase(m, d, dt):
     return np.exp(-1j * sum(k ** 2 for k in grids) * dt)
 
 
-def fft_strang_reference(u, omega, spec, T, dt, n_samples=200):
-    """The textbook Strang split-step loop: nonlinear half-step, free flow by
-    an FFT pair, nonlinear half-step, every step; same grid and sampling
-    rules as evolve_drift.  Returns times, mode amplitudes and unwrapped
-    mode phases."""
+def initial_field(u, spec):
+    """psi(0, x) on evolve_drift's default grid."""
     terms = u.items()
     max_j = max((max(abs(c) for c in s.j) for s, _ in terms), default=1)
     m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_j + 2)))
     psi = np.zeros((m,) * spec.d, dtype=complex)
     for s, val in terms:
         psi[tuple(c % m for c in s.j)] += val
-    psi = np.fft.ifftn(psi) * psi.size
+    return np.fft.ifftn(psi) * psi.size
+
+
+def fft_strang_reference(u, omega, spec, T, dt, n_samples=200):
+    """The textbook Strang split-step loop: nonlinear half-step, free flow by
+    an FFT pair, nonlinear half-step, every step; same grid and sampling
+    rules as evolve_drift.  Returns times, mode amplitudes and unwrapped
+    mode phases."""
+    psi = initial_field(u, spec)
+    m = psi.shape[0]
     lin_phase = fft_free_flow_phase(m, spec.d, dt)
     steps = int(round(T / dt))
     max_omega = max(1.0, max(abs(w) for w in omega.omega))
@@ -249,3 +256,44 @@ def test_evolve_non_finite_field_raises(tp3):
         evolve_drift(rep.physical_u().scale(1e80), rep.state.omega, tp3,
                      T=1.0, dt=5e-3)
     assert exc.value.suggested_dt == pytest.approx(5e-3 / 4)
+
+
+def exp_phase(mod2, p, m, tau):
+    """The nonlinear rotation as exp of a complex array."""
+    return np.exp((mod2 ** p + m) * (-1j * tau))
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype == complex and a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["tp2", "tp3"])
+def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_solutions(name, request):
+    spec = request.getfixturevalue(name)
+    psi = initial_field(solved(spec).physical_u(), spec)
+    mod2 = (psi * psi.conj()).real
+    phase = _phase_rotation(mod2.shape, spec.p, spec.phase_m)
+    for tau in (5e-3, 1e-2, 2.5e-3):
+        assert_same_bits(phase(mod2, tau), exp_phase(mod2, spec.p, spec.phase_m, tau))
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("m", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("d", [1, 2])
+def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_random_fields(p, m, d):
+    rng = np.random.default_rng(100 * p + 10 * d + int(2 * m))
+    shape = (32,) * d
+    phase = _phase_rotation(shape, p, m)
+    for scale in (1e-3, 1.0, 4.0):
+        psi = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        mod2 = (psi * psi.conj()).real
+        for tau in (5e-3, 1e-2):
+            assert_same_bits(phase(mod2, tau), exp_phase(mod2, p, m, tau))
+
+
+def test_nonlinear_phase_at_zero_angle_differs_only_in_the_sign_of_zero():
+    got = _phase_rotation((3,), 1, 0.0)(np.zeros(3), 5e-3)
+    ref = exp_phase(np.zeros(3), 1, 0.0, 5e-3)
+    assert np.array_equal(got, ref) and np.all(got == 1.0)
+    assert np.all(np.signbit(got.imag)) and not np.any(np.signbit(ref.imag))
