@@ -1,7 +1,12 @@
 #!/usr/bin/env python3
 """Scan the theta-shifted operator family and report the measured bad set.
 
-Respects NLSQP_THREADS for the per-theta factorizations.
+Prints the grid size and the threshold delta^-(1+eps), then the bad
+fraction and measure; --out also writes one CSV row per grid point.  Each
+point is one SuperLU factorisation plus at most 25 power-iteration rounds,
+run one point after another.  Example:
+
+    PYTHONPATH=src python scripts/run_theta_scan.py --points 201 --out scan.csv
 """
 
 import argparse

@@ -60,14 +60,19 @@ def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
     return CharClass.CPLUS if s.n[0] <= 0 else CharClass.CMINUS
 
 
-def enumerate_box_sites(b: int, d: int, box: Box, site_cap: int = 2_000_000
-                        ) -> np.ndarray:
+# The most sites a truncation box may hold: every operator, variety and
+# graph is built from the site array of its box.
+SITE_CAP = 2_000_000
+
+
+def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
     """Every site of the box as a (count, b + d) int64 array in lexicographic
-    order, which is also the order of the box's linear index."""
+    order, which is also the order of the box's linear index.  A box of
+    more than SITE_CAP sites raises BoxTooLarge before anything is built."""
     total = box.site_count(b, d)
-    if total > site_cap:
+    if total > SITE_CAP:
         raise BoxTooLarge(
-            f"box holds {total} sites, exceeding the cap of {site_cap}")
+            f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
     n_range = np.arange(-box.n_radius, box.n_radius + 1, dtype=np.int64)
     j_range = np.arange(-box.j_radius, box.j_radius + 1, dtype=np.int64)
     grids = np.meshgrid(*([n_range] * b + [j_range] * d), indexing="ij")
@@ -107,11 +112,11 @@ def branch_tags(coords: np.ndarray, omega0: FrequencyVector
     return tags, np.concatenate([plus_eq, minus_eq])
 
 
-def _variety(omega0: FrequencyVector, d: int, box: Box, site_cap: int
+def _variety(omega0: FrequencyVector, d: int, box: Box
              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Box linear indices, coordinates and tags of the characteristic sites,
     in lexicographic order."""
-    coords = enumerate_box_sites(len(omega0), d, box, site_cap=site_cap)
+    coords = enumerate_box_sites(len(omega0), d, box)
     tags, _ = branch_tags(coords, omega0)
     lin = np.nonzero(tags)[0]
     return lin, coords[lin], tags[lin]
@@ -121,10 +126,9 @@ def characteristic_set(
     omega0: FrequencyVector,
     d: int,
     box: Box,
-    site_cap: int = 2_000_000,
 ) -> List[Tuple[SiteIndex, CharClass]]:
     """All characteristic sites in the box, tagged, in lexicographic order."""
-    _, coords, tags = _variety(omega0, d, box, site_cap)
+    _, coords, tags = _variety(omega0, d, box)
     return _tagged_sites(coords, tags, len(omega0))
 
 
@@ -480,7 +484,6 @@ def resonance_graph(
     spec: ProblemSpec,
     omega0: FrequencyVector,
     box: Box,
-    site_cap: int = 2_000_000,
     symbols: Optional[ConvolutionSymbols] = None,
 ) -> ResonanceGraph:
     """Connectivity of characteristic sites under the operator symbols.
@@ -498,7 +501,7 @@ def resonance_graph(
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
     b, d = len(omega0), spec.d
-    lin, coords, tags = _variety(omega0, d, box, site_cap)
+    lin, coords, tags = _variety(omega0, d, box)
     nv = len(lin)
     radii, strides = box_strides(b, d, box)
     vertex_of = np.full(box.site_count(b, d), -1, dtype=np.int64)

@@ -14,9 +14,9 @@ import hashlib
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,13 +53,17 @@ class SolutionError(ConfigError):
 
 # ---------------------------------------------------------------------------
 # RunConfig
+#
+# Each section after [problem] is declared once, by its dataclass: a field's
+# name is its key, its annotation picks the parser and formatter in
+# _CODECS, and its default is the value of an absent or empty key.  The
+# schema, `parse_config` and `serialize_config` are derived from these.
 
 
 @dataclass
 class TruncationCfg:
     n_radius: Optional[int] = None
     j_radius: Optional[int] = None
-    second_step_s: float = 2.0
 
 
 @dataclass
@@ -127,14 +131,26 @@ class RunConfig:
 
 _MODE_RE = re.compile(r"\(([^)]*)\)\s*:\s*([^,]+)")
 
+
+def _conv_float_list(value: str) -> Tuple[float, ...]:
+    return tuple(float(x) for x in value.split(",") if x.strip())
+
+
+# (parse, format) of a value, per field annotation; None formats as empty.
+_CODECS: Dict[str, Tuple[Callable[[str], object], Callable[[object], str]]] = {
+    "int": (int, str),
+    "Optional[int]": (int, str),
+    "float": (float, repr),
+    "Optional[float]": (float, repr),
+    "Tuple[float, ...]": (_conv_float_list, lambda v: ", ".join(repr(x) for x in v)),
+}
+
+# Section name -> its dataclass, in RunConfig order.
+_SECTIONS = {f.name: f.default_factory for f in fields(RunConfig) if f.name != "problem"}
+
 _SCHEMA = {
     "problem": {"d", "b", "p", "delta", "phase_m", "modes"},
-    "truncation": {"n_radius", "j_radius", "second_step_s"},
-    "conditions": {"m_max", "search_radius", "graph_n_radius", "graph_j_radius"},
-    "newton": {"tol", "max_iter", "eps_first", "eps_second", "kappa", "gamma",
-               "dio_radius"},
-    "verify": {"T", "dt", "t_points", "x_points"},
-    "sweep": {"epsilons", "n_samples", "seed"},
+    **{sec: {f.name for f in fields(cls)} for sec, cls in _SECTIONS.items()},
 }
 
 
@@ -174,10 +190,6 @@ def _get(sections, sec, key, conv, default):
         return conv(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"line {lineno}: bad value for {sec}.{key}: {exc}") from exc
-
-
-def _conv_float_list(value: str) -> Tuple[float, ...]:
-    return tuple(float(x) for x in value.split(",") if x.strip())
 
 
 def load_config(path: str) -> RunConfig:
@@ -222,41 +234,10 @@ def parse_config(text: str) -> RunConfig:
                           f"(seed modes must satisfy j_k != 0, pairwise distinct, "
                           f"amplitudes in (0,1])") from exc
 
-    cfg = RunConfig(
-        problem=problem,
-        truncation=TruncationCfg(
-            n_radius=_get(sections, "truncation", "n_radius", int, None),
-            j_radius=_get(sections, "truncation", "j_radius", int, None),
-            second_step_s=_get(sections, "truncation", "second_step_s", float, 2.0),
-        ),
-        conditions=ConditionsCfg(
-            m_max=_get(sections, "conditions", "m_max", int, 8),
-            search_radius=_get(sections, "conditions", "search_radius", int, 30),
-            graph_n_radius=_get(sections, "conditions", "graph_n_radius", int, None),
-            graph_j_radius=_get(sections, "conditions", "graph_j_radius", int, None),
-        ),
-        newton=NewtonCfg(
-            tol=_get(sections, "newton", "tol", float, 1e-11),
-            max_iter=_get(sections, "newton", "max_iter", int, 12),
-            eps_first=_get(sections, "newton", "eps_first", float, 1e-4),
-            eps_second=_get(sections, "newton", "eps_second", float, 0.5),
-            kappa=_get(sections, "newton", "kappa", float, 1e-2),
-            gamma=_get(sections, "newton", "gamma", float, None),
-            dio_radius=_get(sections, "newton", "dio_radius", int, None),
-        ),
-        verify=VerifyCfg(
-            T=_get(sections, "verify", "T", float, 100.0),
-            dt=_get(sections, "verify", "dt", float, 1e-2),
-            t_points=_get(sections, "verify", "t_points", int, 64),
-            x_points=_get(sections, "verify", "x_points", int, 33),
-        ),
-        sweep=SweepCfg(
-            epsilons=_get(sections, "sweep", "epsilons", _conv_float_list,
-                          (1e-1, 1e-2, 1e-3)),
-            n_samples=_get(sections, "sweep", "n_samples", int, 1000),
-            seed=_get(sections, "sweep", "seed", int, 1234),
-        ),
-    )
+    cfg = RunConfig(problem=problem, **{
+        sec: cls(**{f.name: _get(sections, sec, f.name, _CODECS[f.type][0], f.default)
+                    for f in fields(cls)})
+        for sec, cls in _SECTIONS.items()})
     # Validate the positivity invariants the schema cannot express.
     for name, val in (("m_max", cfg.conditions.m_max),
                       ("max_iter", cfg.newton.max_iter),
@@ -289,38 +270,14 @@ def serialize_config(cfg: RunConfig) -> str:
         f"phase_m = {repr(p.phase_m)}",
         f"modes = {modes}",
         "",
-        "[truncation]",
-        f"n_radius = {cfg.truncation.n_radius if cfg.truncation.n_radius is not None else ''}",
-        f"j_radius = {cfg.truncation.j_radius if cfg.truncation.j_radius is not None else ''}",
-        f"second_step_s = {repr(cfg.truncation.second_step_s)}",
-        "",
-        "[conditions]",
-        f"m_max = {cfg.conditions.m_max}",
-        f"search_radius = {cfg.conditions.search_radius}",
-        f"graph_n_radius = {cfg.conditions.graph_n_radius if cfg.conditions.graph_n_radius is not None else ''}",
-        f"graph_j_radius = {cfg.conditions.graph_j_radius if cfg.conditions.graph_j_radius is not None else ''}",
-        "",
-        "[newton]",
-        f"tol = {repr(cfg.newton.tol)}",
-        f"max_iter = {cfg.newton.max_iter}",
-        f"eps_first = {repr(cfg.newton.eps_first)}",
-        f"eps_second = {repr(cfg.newton.eps_second)}",
-        f"kappa = {repr(cfg.newton.kappa)}",
-        f"gamma = {repr(cfg.newton.gamma) if cfg.newton.gamma is not None else ''}",
-        f"dio_radius = {cfg.newton.dio_radius if cfg.newton.dio_radius is not None else ''}",
-        "",
-        "[verify]",
-        f"T = {repr(cfg.verify.T)}",
-        f"dt = {repr(cfg.verify.dt)}",
-        f"t_points = {cfg.verify.t_points}",
-        f"x_points = {cfg.verify.x_points}",
-        "",
-        "[sweep]",
-        f"epsilons = {', '.join(repr(e) for e in cfg.sweep.epsilons)}",
-        f"n_samples = {cfg.sweep.n_samples}",
-        f"seed = {cfg.sweep.seed}",
-        "",
     ]
+    for sec, cls in _SECTIONS.items():
+        section = getattr(cfg, sec)
+        lines.append(f"[{sec}]")
+        for f in fields(cls):
+            value = getattr(section, f.name)
+            lines.append(f"{f.name} = {'' if value is None else _CODECS[f.type][1](value)}")
+        lines.append("")
     return "\n".join(lines)
 
 
@@ -354,15 +311,11 @@ def write_report(sections: Dict[str, Dict[str, object]]) -> str:
     return "\n".join(out)
 
 
-def meta_section(cfg: RunConfig, seed: Optional[int] = None) -> Dict[str, object]:
-    meta = {
+def meta_section(cfg: RunConfig) -> Dict[str, object]:
+    return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "config_hash": config_hash(cfg),
-        "threads": os.environ.get("NLSQP_THREADS", "1"),
     }
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
 
 
 def write_solution(spec: ProblemSpec, omega: FrequencyVector, u: SparseSeries) -> str:

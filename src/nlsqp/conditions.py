@@ -480,7 +480,6 @@ def check_condition_ii(
     box: Optional[Box] = None,
     walk_j_radius: Optional[int] = None,
     inject: Optional[Dict[str, List[SiteIndex]]] = None,
-    site_cap: int = 2_000_000,
 ) -> ConditionReport:
     """Non-spiral condition: walk check on the quotient plus the boxed graph
     check.  Pass requires both to find nothing; the scale is reported."""
@@ -513,7 +512,7 @@ def check_condition_ii(
             vv=_augment(symbols.vv, inject.get("vv", [])),
             p=spec.p,
         )
-    rg = resonance_graph(u0, v0, spec, omega0, box, site_cap=site_cap, symbols=symbols)
+    rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols)
 
     graph_fail = None
     for comp in rg.components:

@@ -289,10 +289,6 @@ def delta_series(b: int, d: int, s: SiteIndex, amp: complex = 1.0) -> SparseSeri
     return SparseSeries(b, d, {s: complex(amp)})
 
 
-def zero_series(b: int, d: int) -> SparseSeries:
-    return SparseSeries(b, d, {})
-
-
 def convolve(f: SparseSeries, g: SparseSeries, drop_tol: float = DROP_TOL) -> SparseSeries:
     """(f*g)(s) = sum_{s'} f(s') g(s - s').
 

@@ -12,7 +12,6 @@ exponential decay rate for the inverse kernel.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
@@ -162,7 +161,6 @@ def assemble(
     spec: ProblemSpec,
     box: Box,
     theta: float = 0.0,
-    site_cap: int = 2_000_000,
 ) -> BlockOperator:
     """Build D + delta*A over the box.
 
@@ -174,7 +172,7 @@ def assemble(
     import scipy.sparse as sp
 
     b, d, p = spec.b, spec.d, spec.p
-    coords = enumerate_box_sites(b, d, box, site_cap=site_cap)
+    coords = enumerate_box_sites(b, d, box)
     ns = coords.shape[0]
     narr = coords[:, :b]
     jarr = coords[:, b:]
@@ -242,16 +240,14 @@ class SchurReport:
     h: np.ndarray
     p_indices: np.ndarray
     correction_norm: float
-    lam: float
 
 
-def schur_complement(op: BlockOperator, lam: float = 0.0) -> SchurReport:
+def schur_complement(op: BlockOperator) -> SchurReport:
     """Effective operator on the bi-characteristics:
-    H = F'_PP - lam - F'_PC (F'_CC - lam)^{-1} F'_CP.
+    H = F'_PP - F'_PC F'_CC^{-1} F'_CP.
 
     The correction term is reported; in the small-delta regime it is O(delta^2).
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     p_idx = op.char_indices()
@@ -261,28 +257,27 @@ def schur_complement(op: BlockOperator, lam: float = 0.0) -> SchurReport:
     m = op.matrix
     m_pp = m[p_idx][:, p_idx].toarray()
     if len(c_idx) == 0:
-        h = m_pp - lam * np.eye(len(p_idx))
-        return SchurReport(h=h, p_indices=p_idx, correction_norm=0.0, lam=lam)
+        return SchurReport(h=m_pp, p_indices=p_idx, correction_norm=0.0)
     diag_c = op.diag[c_idx]
-    m_cc = (m[c_idx][:, c_idx] - lam * sp.identity(len(c_idx), format="csr")).tocsc()
+    m_cc = m[c_idx][:, c_idx].tocsc()
     m_pc = m[p_idx][:, c_idx]
     m_cp = m[c_idx][:, p_idx].toarray()
     try:
         lu = spla.splu(m_cc)
         x = lu.solve(m_cp)
     except RuntimeError as exc:
-        worst = int(np.argmin(np.abs(diag_c - lam)))
+        worst = int(np.argmin(np.abs(diag_c)))
         raise OffCharDiagonalError(op.site_at(int(c_idx[worst]) % op.n_sites),
-                                   float(diag_c[worst] - lam)) from exc
+                                   float(diag_c[worst])) from exc
     rhs_scale = max(float(np.abs(m_cp).max()), 1e-300)
     if np.abs(x).max() > 1e12 * rhs_scale:
-        worst = int(np.argmin(np.abs(diag_c - lam)))
+        worst = int(np.argmin(np.abs(diag_c)))
         raise OffCharDiagonalError(op.site_at(int(c_idx[worst]) % op.n_sites),
-                                   float(diag_c[worst] - lam))
+                                   float(diag_c[worst]))
     corr = m_pc @ x
-    h = m_pp - lam * np.eye(len(p_idx)) - corr
+    h = m_pp - corr
     return SchurReport(h=h, p_indices=p_idx,
-                       correction_norm=float(np.linalg.norm(corr, 2)), lam=lam)
+                       correction_norm=float(np.linalg.norm(corr, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +295,6 @@ class BlockDecomposition:
 
 
 def block_decompose(op: BlockOperator, graph: Optional[ResonanceGraph] = None,
-                    a: Optional[Sequence[float]] = None,
                     exclude: frozenset = frozenset()) -> BlockDecomposition:
     """Dense blocks of the operator over the resonance components.
 
@@ -435,21 +429,46 @@ class CertifiedInverse:
 _SIGMA_RTOL = 1e-13
 
 
+def _power_norm(apply: Callable[[np.ndarray], np.ndarray],
+                apply_adj: Callable[[np.ndarray], np.ndarray], dim: int, seed: int,
+                max_rounds: int) -> Tuple[float, int, bool]:
+    """Largest singular value sigma of a linear map on C^dim, by power
+    iteration on apply_adj(apply(x)) from a seeded random unit vector.
+
+    Returns (sigma, rounds, settled).  It stops after max_rounds rounds, or
+    as soon as sigma changes by at most _SIGMA_RTOL of itself, the only case
+    with settled=True; a zero image also stops it, leaving sigma as it was.
+    Power iteration converges from below, so sigma is an estimate from below.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    x /= np.linalg.norm(x)
+    sigma = 0.0
+    rounds = 0
+    for rounds in range(1, max_rounds + 1):
+        z = apply_adj(apply(x))
+        nrm = np.linalg.norm(z)
+        if nrm == 0:
+            break
+        prev, sigma = sigma, math.sqrt(nrm)
+        x = z / nrm
+        if abs(sigma - prev) <= _SIGMA_RTOL * sigma:
+            return sigma, rounds, True
+    return sigma, rounds, False
+
+
 def invert_with_certificates(
     op: BlockOperator,
-    lam: float = 0.0,
     mode: Optional[str] = None,
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
-    decay_probes: int = 4,
     fit_decay: bool = True,
     drop_indices: Optional[Sequence[int]] = None,
     power_iters: int = 60,
-    seed: int = 7,
 ) -> CertifiedInverse:
-    """Factor F' - lam and certify: resonance blocks above the excision
-    threshold, off-characteristic diagonal bounded away from lam, measured
-    operator norm of the inverse, and a fitted decay exponent beta.
+    """Factor F' and certify: resonance blocks above the excision threshold,
+    off-characteristic diagonal bounded away from zero, measured operator
+    norm of the inverse, and a fitted decay exponent beta.
 
     mode "seed" thresholds the delta-normalized block determinants (the
     blocks are delta * A_k(a) with A_k independent of delta); mode
@@ -463,9 +482,9 @@ def invert_with_certificates(
 
     The matrix is factored once, by `restricted_solver`; the factor is
     returned on the certificate (`solve`, `keep`) for the caller to reuse.
-    The norm is estimated by power iteration on (F'^H F')^{-1}, at most
-    power_iters rounds, stopping early once sigma has settled to a relative
-    change of 1e-13.
+    The norm is estimated by `_power_norm` on (F'^H F')^{-1}, at most
+    power_iters rounds (a Newton step, which needs only the factor, asks
+    for none).
     """
     if mode is None:
         w = np.array(op.omega.omega)
@@ -487,53 +506,35 @@ def invert_with_certificates(
         if val <= threshold:
             raise ExcisionError(k, val, threshold, decomp.sizes[k])
 
-    # Non-resonant diagonal must stay uniformly away from lam.
+    # Non-resonant diagonal must stay uniformly away from zero.
     off_diag = op.diag[~op.resonant_mask]
     if len(off_diag):
-        k = int(np.argmin(np.abs(off_diag - lam)))
-        gap = abs(off_diag[k] - lam)
+        k = int(np.argmin(np.abs(off_diag)))
+        gap = abs(off_diag[k])
         if gap < 0.25:
             full = np.nonzero(~op.resonant_mask)[0][k]
             raise OffCharDiagonalError(op.site_at(full % op.n_sites), float(gap))
 
-    solve, keep = restricted_solver(op, sorted(dropped), lam=lam)
-    dim = len(keep)
-
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    rounds = 0
-    settled = False
-    for rounds in range(1, power_iters + 1):
-        y = solve(x)
-        z = solve(y, trans="H")
-        nrm = np.linalg.norm(z)
-        if nrm == 0:
-            break
-        prev, sigma = sigma, math.sqrt(nrm)
-        x = z / nrm
-        if abs(sigma - prev) <= _SIGMA_RTOL * sigma:
-            settled = True
-            break
-    norm_bound = float(sigma)
+    solve, keep = restricted_solver(op, sorted(dropped))
+    sigma, rounds, settled = _power_norm(solve, lambda y: solve(y, trans="H"), len(keep),
+                                         seed=7, max_rounds=power_iters)
 
     decay = None
     if fit_decay:
-        decay = _fit_decay(op, solve, decay_probes, keep)
+        decay = _fit_decay(op, solve, keep)
 
-    return CertifiedInverse(norm_bound=norm_bound, decay=decay, mode=mode,
+    return CertifiedInverse(norm_bound=float(sigma), decay=decay, mode=mode,
                             threshold=threshold, min_block_value=min_val,
                             solve=solve, keep=keep, power_iterations=rounds,
                             power_settled=settled)
 
 
-def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], n_probes: int,
-               keep: np.ndarray) -> DecayFit:
+def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], keep: np.ndarray
+               ) -> DecayFit:
     """Least-squares decay exponent of the inverse kernel.
 
-    Probes columns at the seed sites (or, when those rows are excluded, at
-    the nonlinear forcing sites next to them), pools log|entry| against the
+    Probes up to four columns at the seed sites (or, when those rows are excluded,
+    at the nonlinear forcing sites next to them), pools log|entry| against the
     l1 site distance, and fits log|entry| = c - beta * |log delta| * dist.
     `solve` is the restricted factor, indexed by the sorted `keep`.
     """
@@ -556,7 +557,7 @@ def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], n_probes: in
             idx = op.doubled_index(s, "U")
             if idx is not None and kept[idx]:
                 candidates.append(idx)
-    probe_idx = candidates[:max(2, n_probes)]
+    probe_idx = candidates[:4]
 
     dists: List[np.ndarray] = []
     logs: List[np.ndarray] = []
@@ -611,23 +612,20 @@ def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], n_probes: in
                     fit_rms=rms, bound_ok=ok, checked_beyond=checked)
 
 
-def restricted_solver(op: BlockOperator, exclude: Sequence[int], lam: float = 0.0
+def restricted_solver(op: BlockOperator, exclude: Sequence[int]
                       ) -> Tuple[Callable[..., np.ndarray], np.ndarray]:
-    """LU factorisation of F' - lam restricted off a set of doubled indices.
+    """LU factorisation of F' restricted off a set of doubled indices.
 
     Returns (solve, kept_indices): solve(rhs, trans="N") takes and returns
     vectors indexed by kept_indices; trans="H" solves with the adjoint.
     """
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
     mask = np.ones(op.dim, dtype=bool)
     mask[list(exclude)] = False
     keep = np.nonzero(mask)[0]
-    sub = op.matrix[keep][:, keep]
-    if lam != 0.0:
-        sub = sub - lam * sp.identity(len(keep), format="csr")
-    sub = sub.tocsc()  # drop the CSR copy before SuperLU's workspace peaks
+    # The CSR slice is dropped before SuperLU's workspace peaks.
+    sub = op.matrix[keep][:, keep].tocsc()
     lu = spla.splu(sub)
     return lu.solve, keep
 
@@ -696,8 +694,7 @@ def resolvent_split(op: BlockOperator, exclude: Sequence[int] = ()) -> Resolvent
     return ResolventSplit(gamma=gamma_mat, apply_ftilde_inv=apply_inv, keep=keep)
 
 
-def resolvent_square_norm(op: BlockOperator, iters: int = 30, seed: int = 5,
-                          exclude: Sequence[int] = ()) -> float:
+def resolvent_square_norm(op: BlockOperator, exclude: Sequence[int] = ()) -> float:
     """Measured ||(F~^{-1} Gamma)^2||, the quantity that contracts like delta,
     on the split restricted off `exclude` (see `resolvent_split`)."""
     split = resolvent_split(op, exclude=exclude)
@@ -708,36 +705,13 @@ def resolvent_square_norm(op: BlockOperator, iters: int = 30, seed: int = 5,
     def m_adj(x):
         return split.gamma @ split.apply_ftilde_inv(x)
 
-    dim = len(split.keep)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = m_apply(m_apply(x))
-        z = m_adj(m_adj(y))
-        nrm = np.linalg.norm(z)
-        if nrm == 0:
-            return 0.0
-        est = math.sqrt(nrm)
-        x = z / nrm
-    return float(est)
+    sigma, _, _ = _power_norm(lambda x: m_apply(m_apply(x)), lambda y: m_adj(m_adj(y)),
+                              len(split.keep), seed=5, max_rounds=30)
+    return float(sigma)
 
 
 # ---------------------------------------------------------------------------
 # Theta-shifted family
-
-
-def second_step_radius(delta: float, s: float = 2.0) -> int:
-    """Truncation scale |log delta|^s of the second-step analysis."""
-    return int(math.ceil(abs(math.log(delta)) ** s))
-
-
-def n0_scale(interaction_range: int, c0: float, d: int) -> int:
-    """Crossover scale separating determinant-thresholded blocks from
-    perturbative ones: max(100 R^{c0 d}, R^{2 c0 d})."""
-    r = max(2, interaction_range)
-    return int(max(100 * r ** (c0 * d), r ** (2 * c0 * d)))
 
 
 @dataclass
@@ -767,9 +741,6 @@ def theta_spectrum_scan(
     box: Box,
     theta_grid: Sequence[float],
     eps: float = 0.3,
-    s_exponent: float = 2.0,
-    power_iters: int = 25,
-    site_cap: int = 2_000_000,
 ) -> ThetaScanReport:
     """Inverse-norm certificates along the theta-shifted family T(theta).
 
@@ -777,61 +748,38 @@ def theta_spectrum_scan(
     A grid point is bad when ||T(theta)^{-1}|| exceeds delta^{-(1+eps)};
     the measured bad set is returned with its grid measure.  Each theta is
     also decomposed as Theta + delta*theta' with integral Theta, and points
-    with |Theta| beyond 2|log delta|^{2s}+1 are flagged as outside the range
-    the analysis needs.
+    with |Theta| beyond 2|log delta|^{2s}+1, at the second-step exponent
+    s = 2, are flagged as outside the range the analysis needs.
+
+    The grid points run one after another: each is one SuperLU factor and
+    at most 25 power-iteration rounds, and two threads were slower than
+    one on a 2-core host.
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    base = assemble(u, v, omega, spec, box, theta=0.0, site_cap=site_cap)
+    base = assemble(u, v, omega, spec, box, theta=0.0)
     delta = spec.delta
     threshold = delta ** (-(1.0 + eps))
     shift = sp.diags(np.concatenate([np.ones(base.n_sites), -np.ones(base.n_sites)]),
                      format="csr").astype(complex)
-    restrict_cut = 2.0 * abs(math.log(delta)) ** (2.0 * s_exponent) + 1.0
+    restrict_cut = 2.0 * abs(math.log(delta)) ** 4.0 + 1.0
 
-    def eval_theta(theta: float) -> ThetaPoint:
-        mat = (base.matrix + theta * shift).tocsc()
-        theta_int = math.floor(theta + 0.5)
-        frac = theta - theta_int
-        try:
-            lu = spla.splu(mat)
-        except RuntimeError:
-            return ThetaPoint(theta, theta_int, frac, float("inf"), False,
-                              abs(theta_int) > restrict_cut)
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal(base.dim) + 1j * rng.standard_normal(base.dim)
-        x /= np.linalg.norm(x)
-        sigma = 0.0
-        for _ in range(power_iters):
-            y = lu.solve(x)
-            z = lu.solve(y, trans="H")
-            nrm = np.linalg.norm(z)
-            if nrm == 0:
-                break
-            sigma = math.sqrt(nrm)
-            x = z / nrm
-        return ThetaPoint(theta, theta_int, frac, float(sigma),
-                          sigma <= threshold, abs(theta_int) > restrict_cut)
-
+    points = []
     thetas = list(theta_grid)
-    workers = _thread_cap()
-    if workers > 1 and len(thetas) > 8:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            points = list(ex.map(eval_theta, thetas))
-    else:
-        points = [eval_theta(t) for t in thetas]
+    for theta in thetas:
+        theta_int = math.floor(theta + 0.5)
+        try:
+            lu = spla.splu((base.matrix + theta * shift).tocsc())
+        except RuntimeError:  # singular at this theta
+            sigma = float("inf")
+        else:
+            sigma, _, _ = _power_norm(lu.solve, lambda y: lu.solve(y, trans="H"),
+                                      base.dim, seed=11, max_rounds=25)
+        points.append(ThetaPoint(theta, theta_int, theta - theta_int, float(sigma),
+                                 sigma <= threshold, abs(theta_int) > restrict_cut))
     bad = [pt for pt in points if not pt.ok]
     frac = len(bad) / len(points) if points else 0.0
     span = (max(thetas) - min(thetas)) if len(thetas) > 1 else 0.0
     return ThetaScanReport(points=points, bad_fraction=frac,
                            bad_measure=frac * span, threshold=threshold, eps=eps)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("NLSQP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

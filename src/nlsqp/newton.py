@@ -32,7 +32,7 @@ from .lattice import (
     default_box,
     linear_solution,
 )
-from .linop import assemble, invert_with_certificates, restricted_solver
+from .linop import assemble, invert_with_certificates
 from .verify import WeightSpec, default_weight, weighted_norm
 
 
@@ -128,10 +128,11 @@ def residual_norms(u, v, omega, spec, box, weight: WeightSpec
     return plain, weighted
 
 
-def q_solve(u: SparseSeries, spec: ProblemSpec, imag_tol: float = 1e-12
-            ) -> FrequencyVector:
+def q_solve(u: SparseSeries, spec: ProblemSpec) -> FrequencyVector:
     """Frequencies solving the 2b seed-mode equations at the given u:
-    omega_k = |j_k|^2 + m + (delta / a_k) [(u*v)^{*p} * u](-e_k, j_k)."""
+    omega_k = |j_k|^2 + m + (delta / a_k) [(u*v)^{*p} * u](-e_k, j_k).
+    A bracket whose imaginary part exceeds 1e-12 of max(1, |real part|)
+    raises NonRealFrequency."""
     v = conjugate_flip(u)
     gu = convolve(conv_power(convolve(u, v), spec.p), u)
     out = []
@@ -139,7 +140,7 @@ def q_solve(u: SparseSeries, spec: ProblemSpec, imag_tol: float = 1e-12
         if a == 0:
             raise NewtonError("zero seed amplitude in q_solve")
         bracket = gu[s]
-        if abs(bracket.imag) > imag_tol * max(1.0, abs(bracket.real)):
+        if abs(bracket.imag) > 1e-12 * max(1.0, abs(bracket.real)):
             raise NonRealFrequency(
                 f"Q bracket at mode {j} has imaginary part {bracket.imag:.3e}")
         out.append(s.jsq() + spec.phase_m + spec.delta * bracket.real / a)
@@ -153,33 +154,28 @@ def newton_step(
     weight: Optional[WeightSpec] = None,
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
-    certify: bool = True,
-    site_cap: int = 2_000_000,
-    reject_on_increase: bool = True,
 ) -> IterationState:
     """One P-then-Q update.
 
     The linear solve runs at the frequency solving the Q equations for the
     current u, restricted off the 2b seed equations, so seed amplitudes are
     anchored exactly and the post-step residual picks up the full quadratic
-    (delta-cubed) gain of the scheme.
+    (delta-cubed) gain of the scheme.  After the first step, a step that
+    grows the weighted residual more than 1.5-fold raises StepRejected.
     """
     if weight is None:
         weight = default_weight(spec)
     u, v = state.u, state.v
     omega_work = q_solve(u, spec)
-    op = assemble(u, v, omega_work, spec, box, site_cap=site_cap)
-    if certify:
-        # Certify exactly what is inverted: the operator restricted off the
-        # seed equations (the full operator carries the phase-symmetry
-        # kernel once omega solves them).  The certified factor is the one
-        # the step solves with.
-        cert = invert_with_certificates(op, mode=None, eps_first=eps_first,
-                                        eps_second=eps_second, fit_decay=False,
-                                        drop_indices=op.q_indices(), power_iters=0)
-        solve, keep = cert.solve, cert.keep
-    else:
-        solve, keep = restricted_solver(op, op.q_indices())
+    op = assemble(u, v, omega_work, spec, box)
+    # Certify exactly what is inverted: the operator restricted off the seed
+    # equations (the full operator carries the phase-symmetry kernel once
+    # omega solves them).  The certified factor is the one the step solves
+    # with.
+    cert = invert_with_certificates(op, mode=None, eps_first=eps_first,
+                                    eps_second=eps_second, fit_decay=False,
+                                    drop_indices=op.q_indices(), power_iters=0)
+    solve, keep = cert.solve, cert.keep
 
     fu, fv = residual_series(u, v, omega_work, spec)
     rhs = np.zeros(op.dim, dtype=complex)
@@ -199,8 +195,7 @@ def newton_step(
     omega_next = q_solve(u_next, spec)
     plain, weighted = residual_norms(u_next, v_next, omega_next, spec, box, weight)
 
-    if (reject_on_increase and weighted > max(1.5 * state.residual_weighted, 1e-13)
-            and state.step_index > 0):
+    if weighted > max(1.5 * state.residual_weighted, 1e-13) and state.step_index > 0:
         raise StepRejected(
             f"step {state.step_index + 1}: weighted residual grew "
             f"{state.residual_weighted:.3e} -> {weighted:.3e}")
@@ -346,7 +341,8 @@ def first_iteration(
     gamma: Optional[float] = None,
     dio_radius: Optional[int] = None,
     m_max: int = 8,
-    **step_kwargs,
+    eps_first: float = 1e-4,
+    eps_second: float = 0.5,
 ) -> Tuple[IterationState, ModulationReport]:
     """Seed -> first corrected state, with the modulation diagnostics.
 
@@ -406,7 +402,8 @@ def first_iteration(
                               jac_det=float(np.linalg.det(jac)),
                               jac_fd_rel_err=fd_err, diophantine=dio)
 
-    state1 = newton_step(state0, spec, box, weight=weight, **step_kwargs)
+    state1 = newton_step(state0, spec, box, weight=weight, eps_first=eps_first,
+                         eps_second=eps_second)
     return state1, report
 
 
@@ -454,7 +451,8 @@ def solve(
     gamma: Optional[float] = None,
     dio_radius: Optional[int] = None,
     m_max: int = 8,
-    **step_kwargs,
+    eps_first: float = 1e-4,
+    eps_second: float = 0.5,
 ) -> SolveReport:
     """Iterate Newton steps at fixed truncation until the weighted residual
     drops below tol; report frequencies, certificates and convergence data."""
@@ -465,7 +463,8 @@ def solve(
 
     state, modreport = first_iteration(
         spec, box=box, weight=weight, condition_reports=condition_reports,
-        kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max, **step_kwargs)
+        kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
+        eps_first=eps_first, eps_second=eps_second)
     if condition_reports is None:
         condition_reports = {}
 
@@ -476,7 +475,8 @@ def solve(
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
-        state = newton_step(state, spec, box, weight=weight, **step_kwargs)
+        state = newton_step(state, spec, box, weight=weight, eps_first=eps_first,
+                            eps_second=eps_second)
         history.append((state.residual_plain, state.residual_weighted))
 
     converged = state.residual_weighted <= tol
@@ -493,9 +493,8 @@ def solve(
     quad_c = max(ratios) if ratios else None
 
     op = assemble(state.u, state.v, state.omega, spec, box)
-    cert = invert_with_certificates(op, drop_indices=op.q_indices(),
-                                    **{k: v for k, v in step_kwargs.items()
-                                       if k in ("eps_first", "eps_second")})
+    cert = invert_with_certificates(op, eps_first=eps_first, eps_second=eps_second,
+                                    drop_indices=op.q_indices())
 
     s_set = set(u0.support()) | set(v0.support())
     cs_mass = max((abs(state.u[s]) for s in op.sites_at(np.nonzero(op.tags != 0)[0])

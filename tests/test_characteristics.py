@@ -85,9 +85,12 @@ def test_characteristic_set_radius_zero(tp1):
 
 
 def test_characteristic_set_site_cap(tp2):
+    # 201^3 sites, above the cap, refused before any array is built.
+    from nlsqp.characteristics import SITE_CAP
     from nlsqp.lattice import BoxTooLarge
-    with pytest.raises(BoxTooLarge):
-        characteristic_set(tp2.omega0(), 1, Box(100, 100), site_cap=1000)
+    assert Box(100, 100).site_count(2, 1) > SITE_CAP
+    with pytest.raises(BoxTooLarge, match=f"cap of {SITE_CAP}"):
+        characteristic_set(tp2.omega0(), 1, Box(100, 100))
 
 
 # -- difference classes -----------------------------------------------------

@@ -112,6 +112,66 @@ modes = (1,0):0.9, (0,1):0.35
     assert serialize_config(parse_config(serialize_config(cfg))) == serialize_config(cfg)
 
 
+# Every key of every section set off its default.  These bytes are those
+# the per-key serializer wrote before the sections were derived from the
+# config dataclasses, so config_hash is unchanged for each of these keys.
+EVERY_KEY_CFG = """[problem]
+d = 2
+b = 2
+p = 2
+delta = 0.002
+phase_m = 0.25
+modes = (1,0):0.9, (0,1):0.35
+
+[truncation]
+n_radius = 7
+j_radius = 4
+
+[conditions]
+m_max = 5
+search_radius = 11
+graph_n_radius = 3
+graph_j_radius = 2
+
+[newton]
+tol = 1e-10
+max_iter = 9
+eps_first = 0.0002
+eps_second = 0.75
+kappa = 0.03
+gamma = 5.5
+dio_radius = 7
+
+[verify]
+T = 12.5
+dt = 0.005
+t_points = 48
+x_points = 21
+
+[sweep]
+epsilons = 0.2, 0.02
+n_samples = 321
+seed = 99
+"""
+
+
+def test_serialize_config_of_every_key_is_pinned():
+    from nlsqp.cli import (ConditionsCfg, NewtonCfg, RunConfig, SweepCfg, TruncationCfg,
+                           VerifyCfg)
+    cfg = RunConfig(
+        problem=make_spec(d=2, b=2, p=2, delta=0.002, j_list=[(1, 0), (0, 1)],
+                          amplitudes=[0.9, 0.35], phase_m=0.25),
+        truncation=TruncationCfg(n_radius=7, j_radius=4),
+        conditions=ConditionsCfg(m_max=5, search_radius=11, graph_n_radius=3,
+                                 graph_j_radius=2),
+        newton=NewtonCfg(tol=1e-10, max_iter=9, eps_first=2e-4, eps_second=0.75,
+                         kappa=0.03, gamma=5.5, dio_radius=7),
+        verify=VerifyCfg(T=12.5, dt=0.005, t_points=48, x_points=21),
+        sweep=SweepCfg(epsilons=(0.2, 0.02), n_samples=321, seed=99))
+    assert serialize_config(cfg) == EVERY_KEY_CFG
+    assert parse_config(EVERY_KEY_CFG) == cfg
+
+
 def test_solution_roundtrip(tp2):
     u0, _ = linear_solution(tp2)
     omega = FrequencyVector((1.25, 4.5))
@@ -307,6 +367,15 @@ def test_main_config_error_exit(tmp_path):
     assert main(["check", bad]) == EXIT_CONFIG
 
 
+def test_main_refuses_the_removed_second_step_key(tmp_path, capsys):
+    cfg = write(tmp_path, "old.cfg", TP2_CFG + "\n[truncation]\nsecond_step_s = 7.5\n")
+    assert main(["check", cfg, "--out", str(tmp_path / "check.txt")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip()
+    assert "\n" not in err
+    assert "unknown key 'second_step_s' in [truncation]" in err
+    assert not (tmp_path / "check.txt").exists()
+
+
 def test_report_determinism(tmp_path):
     cfg = parse_config(TP2_CFG)
     p1, p2 = str(tmp_path / "r1.txt"), str(tmp_path / "r2.txt")
@@ -488,16 +557,15 @@ def test_parse_config_fuzz_exits_cleanly(text):
 # refactor keeps these bytes; a change that alters an artifact on purpose
 # updates the digest and says why.
 TP2_ARTIFACT_SHA256 = {
-    "check.txt": "10266df3e9cb872e29be358de203b8eeea9a85accc0ed356efe020fdcc029660",
-    "solve/report.txt": "9d57d8eb8ed15d93250c8048744b0e36cf51b7e593bf8d3b649a1d3b4a490057",
+    "check.txt": "1bc894dad1663973df0d4c30893be871dcb15e2b04933fa2999ba2b323859a29",
+    "solve/report.txt": "5712b11aab888116f201d9c0f2fb2a512dcacb33dea74c5d3fabfbcd6214dc4f",
     "solve/solution.txt": "3165badb12f8c01a7a438b5244aebf399a0e78720408fbcca48f915fa1d62536",
     "sweep.csv": "def176f8d04330e2eef3dc8011d974d47401cb5b138bf214f3681f64ece52705",
 }
 
 
-def test_tp2_artifacts_are_byte_identical_to_pinned_digests(tmp_path, monkeypatch):
+def test_tp2_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
     import hashlib
-    monkeypatch.delenv("NLSQP_THREADS", raising=False)
     cfg = parse_config("""
 [problem]
 d = 1
@@ -551,3 +619,15 @@ def test_only_solve_loads_scipy(tmp_path):
     assert scipy_modules_after(tmp_path, "verify", cfg, "--solution", "solve/solution.txt",
                                "--out", "verify.txt") == none
     assert scipy_modules_after(tmp_path, "sweep", cfg, "--out", "sweep.csv") == none
+
+
+def test_no_module_reads_the_environment():
+    # Artifacts depend on the config alone: no setting comes from the
+    # process environment.
+    from pathlib import Path
+    package = Path(__file__).resolve().parents[1] / "src" / "nlsqp"
+    sources = sorted(package.glob("*.py"))
+    assert sources
+    for path in sources:
+        text = path.read_text(encoding="utf-8")
+        assert "environ" not in text and "getenv" not in text, path.name

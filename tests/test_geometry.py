@@ -289,7 +289,7 @@ def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
 def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
     from nlsqp import conditions
 
-    def as_graph(u, v, spec, omega0, box, site_cap=2_000_000, symbols=None):
+    def as_graph(u, v, spec, omega0, box, symbols=None):
         vertices, edges, comps = loop_resonance_graph(u, v, spec, omega0, box, symbols)
         return characteristics.ResonanceGraph(
             vertices=vertices, edges=edges, components=comps,

@@ -7,15 +7,14 @@ from nlsqp.characteristics import CharClass
 from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.linop import (
     ExcisionError,
+    _power_norm,
     assemble,
     block_decompose,
     invert_with_certificates,
-    n0_scale,
     resolvent_split,
     resolvent_square_norm,
     restricted_solver,
     schur_complement,
-    second_step_radius,
     theta_spectrum_scan,
 )
 from nlsqp.newton import q_solve
@@ -88,10 +87,10 @@ def test_phase_m_enters_both_blocks():
 
 
 def test_schur_tiny_delta_limit(tp1):
-    # As delta -> 0 the correction dies and H -> F'_PP - lam; with lam = 0
-    # and the seed frequency the dispersion part of H vanishes entirely.
+    # As delta -> 0 the correction dies and H -> F'_PP; at the seed
+    # frequency the dispersion part of H vanishes entirely.
     spec = make_spec(d=1, b=1, p=1, delta=1e-8, j_list=[2], amplitudes=[0.7])
-    rep = schur_complement(seed_operator(spec), lam=0.0)
+    rep = schur_complement(seed_operator(spec))
     assert rep.correction_norm < 1e-14
     assert np.max(np.abs(rep.h)) < 1e-7  # everything O(delta)
 
@@ -290,6 +289,22 @@ def test_invert_excision_error_names_block(tp1):
     assert err.value.threshold == 1e6
 
 
+def test_power_norm_is_the_spectral_norm_of_a_dense_operator():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
+    sigma, rounds, settled = _power_norm(lambda x: a @ x, lambda y: a.conj().T @ y,
+                                         9, seed=3, max_rounds=500)
+    assert settled and 0 < rounds < 500
+    exact = np.linalg.norm(a, 2)
+    assert abs(sigma - exact) <= 1e-12 * exact
+
+
+def test_power_norm_with_no_rounds_is_zero_and_unsettled():
+    a = np.eye(3)
+    assert _power_norm(lambda x: a @ x, lambda y: a @ y, 3, seed=0, max_rounds=0) == \
+        (0.0, 0, False)
+
+
 def test_power_iteration_early_stop_matches_full_run(tp2):
     # At the modulated frequency, as in the final certificate of a solve,
     # the top singular value is well separated and sigma settles early.
@@ -453,24 +468,3 @@ def test_theta_decomposition_integral_part():
     # Within the norm-bound window nothing is restricted; far beyond
     # 2 |log delta|^{2s} + 1 the shift is flagged as outside the analysis.
     assert [p.restricted for p in scan.points] == [False, False, False, True]
-
-
-def test_theta_scan_threads_deterministic(tp2, monkeypatch):
-    u0, v0 = linear_solution(tp2)
-    grid = list(np.linspace(-0.3, 0.3, 24))
-    monkeypatch.delenv("NLSQP_THREADS", raising=False)
-    serial = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, Box(4, 3), grid)
-    monkeypatch.setenv("NLSQP_THREADS", "3")
-    threaded = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, Box(4, 3), grid)
-    assert [p.norm for p in serial.points] == [p.norm for p in threaded.points]
-    assert serial.bad_fraction == threaded.bad_fraction
-
-
-def test_second_step_radius_formula():
-    assert second_step_radius(1e-3, 2.0) == math.ceil(abs(math.log(1e-3)) ** 2)
-    assert second_step_radius(1e-2, 1.0) == 5
-
-
-def test_n0_scale_monotone():
-    assert n0_scale(6, 1.0, 1) == max(100 * 6, 36)
-    assert n0_scale(6, 1.0, 2) >= n0_scale(6, 1.0, 1)

@@ -458,8 +458,7 @@ def test_diophantine_scan_equals_scalar_loop(b, n_radius):
         assert rep.passed == (fitted >= 1e-2)
 
 
-@pytest.mark.parametrize("certify", [True, False])
-def test_newton_step_factors_once(tp2, certify, monkeypatch):
+def test_newton_step_factors_once(tp2, monkeypatch):
     import scipy.sparse.linalg as spla
     u0, v0 = linear_solution(tp2)
     box = Box(9, 3)
@@ -470,6 +469,6 @@ def test_newton_step_factors_once(tp2, certify, monkeypatch):
     calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda a: calls.append(a.shape) or splu(a))
-    nxt = newton_step(state, tp2, box, weight=weight, certify=certify)
+    nxt = newton_step(state, tp2, box, weight=weight)
     assert len(calls) == 1
     assert nxt.residual_weighted < weighted
