@@ -583,6 +583,35 @@ modes = (1):0.6, (2):0.8
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
+# The same for tp3 (d = 2), the seed whose walk graph scans the j box and
+# whose cross-branch steps land on spheres: check and a 100-sample sweep.
+TP3_ARTIFACT_SHA256 = {
+    "check.txt": "521528ed2b0b1f1f15a4381d1a0f117becab595da715bc3ed491623cd7af009b",
+    "sweep.csv": "681bd2aea99f89982a98a77678df6ba1652ce94939840d8dd5bb4ce967606e8a",
+}
+
+
+def test_tp3_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
+    import hashlib
+    cfg = parse_config("""
+[problem]
+d = 2
+b = 2
+p = 2
+delta = 1e-3
+modes = (1,0):0.9, (0,1):0.35
+
+[sweep]
+n_samples = 100
+""")
+    assert run_command("check", cfg, out_path=str(tmp_path / "check.txt")) == EXIT_OK
+    assert run_command("sweep", cfg, out_path=str(tmp_path / "sweep.csv")) == EXIT_OK
+    for name, digest in TP3_ARTIFACT_SHA256.items():
+        lines = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith("generated_at"))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
 # Runs nlsqp.cli.main on its arguments (or only imports nlsqp.cli) and prints
 # the exit code and the scipy modules the interpreter has loaded.
 SCIPY_PROBE = """
