@@ -122,16 +122,6 @@ def _variety(omega0: FrequencyVector, d: int, box: Box
     return lin, coords[lin], tags[lin]
 
 
-def characteristic_set(
-    omega0: FrequencyVector,
-    d: int,
-    box: Box,
-) -> List[Tuple[SiteIndex, CharClass]]:
-    """All characteristic sites in the box, tagged, in lexicographic order."""
-    _, coords, tags = _variety(omega0, d, box)
-    return _tagged_sites(coords, tags, len(omega0))
-
-
 def _tagged_sites(coords: np.ndarray, tags: np.ndarray, b: int
                   ) -> List[Tuple[SiteIndex, CharClass]]:
     cls = {1: CharClass.CPLUS, -1: CharClass.CMINUS}
@@ -203,35 +193,22 @@ def diff_class_member(
             g = _intlinalg.vector_gcd([2 * x for x in dj])
             if c % g != 0:
                 return Membership("no", reason="linear constraint has no integer solution")
-            table = _small_j_table(d, search_radius)
-            hits = table[2 * (table @ np.array(dj, dtype=np.int64)) == c]
-            candidates = [tuple(jp) for jp in hits.tolist()]
+            candidates = hyperplane_points(dj, c, search_radius)
             exhaustive = False
     else:
         rhs = -djsq - 2 * eps1 * dn_w
         if rhs < 0:
             return Membership("no", reason="sphere constraint is empty")
-        root = math.isqrt(rhs)
-        if root > 4 * search_radius:
+        if math.isqrt(rhs) > 4 * search_radius:
             return Membership("unknown", reason="sphere radius exceeds the search bound")
-        # Enumerate 2j' - dj on the sphere of squared radius rhs; coordinates
-        # must match the parity of dj.
-        cands = []
-        spans = []
-        for dj_i in dj:
-            start = -root if (root + dj_i) % 2 == 0 else -root + 1
-            spans.append(range(start, root + 1, 2))
-        for two_jp in itertools.product(*spans):
-            if sum(x * x for x in two_jp) == rhs:
-                cands.append(tuple((x + y) // 2 for x, y in zip(two_jp, dj)))
-        candidates = sorted(set(cands), key=lambda jp: (sum(abs(x) for x in jp), jp))
+        candidates = sorted(sphere_points(dj, rhs),
+                            key=lambda jp: (sum(abs(x) for x in jp), jp))
         if not candidates:
             return Membership("no", reason="no lattice point on the sphere")
 
-    kernel = _intlinalg.kernel_basis([list(w)])
     for jp in candidates:
         jpp = tuple(a - b for a, b in zip(jp, dj))
-        wit = _complete_witness(jp, jpp, delta, w, eps1, eps2, kernel)
+        wit = _complete_witness(jp, jpp, delta, w, eps1, eps2)
         if wit is not None:
             return Membership("yes", witness=wit)
     if exhaustive:
@@ -255,7 +232,46 @@ def _small_j_table(d: int, radius: int) -> np.ndarray:
     return table
 
 
-def _complete_witness(jp, jpp, delta, w, eps1, eps2, kernel):
+def hyperplane_points(normal: Sequence[int], c: int, radius: int
+                      ) -> List[Tuple[int, ...]]:
+    """Every j with |j|_inf <= radius on the hyperplane 2 j.normal = c, in
+    the order of `_small_j_candidates`."""
+    table = _small_j_table(len(normal), radius)
+    hits = table[2 * (table @ np.array(normal, dtype=np.int64)) == c]
+    return [tuple(j) for j in hits.tolist()]
+
+
+def sphere_points(center: Sequence[int], rsq: int) -> List[Tuple[int, ...]]:
+    """Every integer j with |2j - center|^2 = rsq, in ascending order.
+
+    x = 2j - center runs over the lattice points of the sphere |x|^2 = rsq
+    whose coordinates have the parity of center's.
+    """
+    if rsq < 0:
+        return []
+    root = math.isqrt(rsq)
+    spans = [range(-root + (root + ci) % 2, root + 1, 2) for ci in center]
+    return [tuple((x + ci) // 2 for x, ci in zip(two, center))
+            for two in itertools.product(*spans) if sum(x * x for x in two) == rsq]
+
+
+@functools.lru_cache(maxsize=16)
+def kernel_shifts(w: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The n-shifts along the integer kernel of w tried when a j is lifted
+    to a site: zero, then the kernel-basis combinations whose largest
+    coefficient is 1, 2 and 3 in turn."""
+    kernel = _intlinalg.kernel_basis([list(w)])
+    shifts = [tuple(0 for _ in w)]
+    for r in range(1, 4):
+        for combo in itertools.product(range(-r, r + 1), repeat=len(kernel)):
+            if max((abs(c) for c in combo), default=0) != r:
+                continue
+            shifts.append(tuple(sum(c * k[i] for c, k in zip(combo, kernel))
+                                for i in range(len(w))))
+    return tuple(shifts)
+
+
+def _complete_witness(jp, jpp, delta, w, eps1, eps2):
     """Find n' realizing s' = (n', jp) in the eps1 branch with s'' = s' - delta
     in the eps2 branch, or None."""
     target = -eps1 * sum(a * a for a in jp)
@@ -274,14 +290,7 @@ def _complete_witness(jp, jpp, delta, w, eps1, eps2, kernel):
                 return False
         return True
 
-    shifts = [tuple(0 for _ in w)]
-    for r in range(1, 4):
-        for combo in itertools.product(range(-r, r + 1), repeat=len(kernel)):
-            if max((abs(c) for c in combo), default=0) != r:
-                continue
-            shifts.append(tuple(sum(c * k[i] for c, k in zip(combo, kernel))
-                                for i in range(len(w))))
-    for sh in shifts:
+    for sh in kernel_shifts(w):
         cand = tuple(a + b for a, b in zip(base, sh))
         if ok(cand):
             s1 = SiteIndex(cand, tuple(jp))

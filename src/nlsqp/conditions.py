@@ -20,7 +20,6 @@ the node counts are part of the report.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -30,7 +29,10 @@ from .characteristics import (
     ConvolutionSymbols,
     classify_site,
     diff_class_member,
+    hyperplane_points,
+    kernel_shifts,
     resonance_graph,
+    sphere_points,
 )
 from .lattice import (
     Box,
@@ -213,40 +215,21 @@ def _same_branch_sources(element: SiteIndex, branch: int, w, d: int,
             return [(c // twice,)], False
         return [], False
     assert j_radius is not None
-    out = []
-    for j in itertools.product(range(-j_radius, j_radius + 1), repeat=d):
-        if 2 * sum(a * b for a, b in zip(j, dj)) == c:
-            out.append(j)
-    return out, False
+    return hyperplane_points(dj, c, j_radius), False
 
 
-def _cross_branch_sources(element: SiteIndex, branch: int, w, d: int,
+def _cross_branch_sources(element: SiteIndex, branch: int, w,
                           j_radius: Optional[int]) -> List[Tuple[int, ...]]:
     """Source j's admitting a branch-switching step by `element`:
-    2|j|^2 + 2 j.dj + |dj|^2 - branch * dn.w = 0."""
+    2|j|^2 + 2 j.dj + |dj|^2 - branch * dn.w = 0, the sphere
+    |2j + dj|^2 = 2 branch dn.w - |dj|^2, in ascending order."""
     dn_w = sum(a * b for a, b in zip(element.n, w))
     dj = element.j
     djsq = sum(x * x for x in dj)
-    rhs = 2 * branch * dn_w - djsq  # (2j + dj)^2
-    if rhs < 0:
-        return []
-    root = math.isqrt(rhs)
-    out = []
-    if d == 1:
-        for two_j in {root, -root} if root * root == rhs else set():
-            if (two_j - dj[0]) % 2 == 0:
-                out.append(((two_j - dj[0]) // 2,))
-    else:
-        spans = []
-        for dj_i in dj:
-            start = -root if (root + dj_i) % 2 == 0 else -root + 1
-            spans.append(range(start, root + 1, 2))
-        for two in itertools.product(*spans):
-            if sum(x * x for x in two) == rhs:
-                out.append(tuple((x - y) // 2 for x, y in zip(two, dj)))
-        if j_radius is not None:
-            out = [j for j in out if all(abs(x) <= j_radius for x in j)]
-    return sorted(set(out))
+    out = sphere_points(tuple(-x for x in dj), 2 * branch * dn_w - djsq)
+    if j_radius is not None:
+        out = [j for j in out if all(abs(x) <= j_radius for x in j)]
+    return out
 
 
 def build_walk_graph(
@@ -293,11 +276,11 @@ def build_walk_graph(
                 add_edge(WalkNode(branch, j), WalkNode(branch, dst),
                          element.n, element, "diag")
     for element in supports.get("vv", []):
-        for j in _cross_branch_sources(element, 1, w, d, j_radius):
+        for j in _cross_branch_sources(element, 1, w, j_radius):
             dst = tuple(a + b for a, b in zip(j, element.j))
             add_edge(WalkNode(1, j), WalkNode(-1, dst), element.n, element, "vv")
     for element in supports.get("uu", []):
-        for j in _cross_branch_sources(element, -1, w, d, j_radius):
+        for j in _cross_branch_sources(element, -1, w, j_radius):
             dst = tuple(a + b for a, b in zip(j, element.j))
             add_edge(WalkNode(-1, j), WalkNode(1, dst), element.n, element, "uu")
 
@@ -429,21 +412,13 @@ def _reverse_edge(e: WalkEdge, graph: WalkGraph) -> Optional[WalkEdge]:
 def _lift_walk(viol: WalkViolation, omega0: FrequencyVector) -> Optional[List[SiteIndex]]:
     """Realize the quotient walk as a site chain on the variety."""
     w = omega0.as_ints()
-    kernel = _intlinalg.kernel_basis([list(w)])
     j0 = viol.start.j
     target = -viol.start.branch * sum(x * x for x in j0)
     base = _intlinalg.solve_dot(w, target)
     if base is None:
         return None
-    shifts = [tuple(0 for _ in w)]
-    for r in range(1, 4):
-        for combo in itertools.product(range(-r, r + 1), repeat=len(kernel)):
-            if max((abs(c) for c in combo), default=0) != r:
-                continue
-            shifts.append(tuple(sum(c * k[i] for c, k in zip(combo, kernel))
-                                for i in range(len(w))))
     want = [viol.start.branch] + [e.dst.branch for e in viol.steps]
-    for sh in shifts:
+    for sh in kernel_shifts(w):
         n0 = tuple(a + c for a, c in zip(base, sh))
         sites = [SiteIndex(n0, j0)]
         for e in viol.steps:
@@ -478,7 +453,6 @@ def check_condition_ii(
     spec: ProblemSpec,
     m_max: int = 8,
     box: Optional[Box] = None,
-    walk_j_radius: Optional[int] = None,
     inject: Optional[Dict[str, List[SiteIndex]]] = None,
 ) -> ConditionReport:
     """Non-spiral condition: walk check on the quotient plus the boxed graph
@@ -495,9 +469,8 @@ def check_condition_ii(
         for key, extra in inject.items():
             supports[key] = sorted(set(supports[key]) | set(extra))
 
-    if walk_j_radius is None:
-        maxj = max(max(abs(c) for c in j) for j in spec.j_list)
-        walk_j_radius = (2 * spec.p + 1) * maxj + 1
+    maxj = max(max(abs(c) for c in j) for j in spec.j_list)
+    walk_j_radius = (2 * spec.p + 1) * maxj + 1
     graph_q = build_walk_graph(supports, omega0, spec.d,
                                j_radius=walk_j_radius if spec.d > 1 else None)
     walk_verdict, walk_witness, walk_stats = _walk_check(graph_q, omega0, m_max)
@@ -599,7 +572,7 @@ def rank_check_momenta(j_list: Sequence[Sequence[int]], d: int) -> RankCheck:
 
 
 # ---------------------------------------------------------------------------
-# One-dimensional construction and the cubic resonance sets
+# One-dimensional construction
 
 
 @dataclass
@@ -616,10 +589,11 @@ def oned_check(j_list: Sequence[int], p: int, delta: float = 1e-3,
     """Direct 1d enumeration of the connected-pair equations.
 
     Enumerates Gamma+ (the diagonal symbol support) and Gamma- (the vv
-    symbol support), solves the two connection equations over the integers,
-    records every solution pair, and fails when a pure time shift occurs or
-    when two overlapping pairs of different spatial step are not both of
-    cubic type (endpoints among +-j_k).
+    symbol support), solves the two connection equations over the integers
+    (on the C+ branch, as the walk graph's source equations), records every
+    solution pair, and fails when a pure time shift occurs or when two
+    overlapping pairs of different spatial step are not both of cubic type
+    (endpoints among +-j_k).
     """
     if any(isinstance(j, (tuple, list)) for j in j_list):
         raise ValueError("oned_check is defined for d = 1 only")
@@ -645,35 +619,16 @@ def oned_check(j_list: Sequence[int], p: int, delta: float = 1e-3,
 
     cubic_set = {j for j in js} | {-j for j in js}
     pairs: List[ConnectedPair] = []
+
+    def pair(g: SiteIndex, j: int, relation: str) -> ConnectedPair:
+        j_next = j + g.j[0]
+        return ConnectedPair(j=j, j_next=j_next, element=g, branch_relation=relation,
+                             cubic_type=(j in cubic_set and j_next in cubic_set))
+
     for g in gamma_plus:
-        if g.is_zero():
-            continue
-        dn_w = sum(a * c for a, c in zip(g.n, w))
-        dj = g.j[0]
-        if dj == 0:
-            continue  # pure time shifts handled above
-        num = -dj * dj - dn_w
-        if num % (2 * dj) == 0:
-            j = num // (2 * dj)
-            pairs.append(ConnectedPair(
-                j=j, j_next=j + dj, element=g, branch_relation="same",
-                cubic_type=(j in cubic_set and j + dj in cubic_set)))
+        pairs += [pair(g, j, "same") for (j,) in _same_branch_sources(g, 1, w, 1, None)[0]]
     for g in gamma_minus:
-        dn_w = sum(a * c for a, c in zip(g.n, w))
-        dj = g.j[0]
-        rhs = 2 * dn_w - dj * dj
-        if rhs < 0:
-            continue
-        r = math.isqrt(rhs)
-        if r * r != rhs:
-            continue
-        for two_j in sorted({r, -r}):
-            if (two_j - dj) % 2:
-                continue
-            j = (two_j - dj) // 2
-            pairs.append(ConnectedPair(
-                j=j, j_next=j + dj, element=g, branch_relation="cross",
-                cubic_type=(j in cubic_set and j + dj in cubic_set)))
+        pairs += [pair(g, j, "cross") for (j,) in _cross_branch_sources(g, 1, w, None)]
 
     # Overlapping pairs with distinct spatial steps must both be cubic.
     for i, p1 in enumerate(pairs):
@@ -699,49 +654,3 @@ def oned_check(j_list: Sequence[int], p: int, delta: float = 1e-3,
             "pairs": pairs,
         },
     )
-
-
-@dataclass(frozen=True)
-class CubicResonance:
-    j: Tuple[int, ...]
-    case: str  # "a" or "b"
-    k: int
-    kp: int
-
-
-def cubic_resonance_pairs(j_list: Sequence[Sequence[int]], d: int,
-                          search_radius: Optional[int] = None) -> List[CubicResonance]:
-    """Spatial modes resonantly coupled to the seed for the cubic nonlinearity.
-
-    Case (a): (j_k - j_k').(j + j_k) = 0 with k != k' (a hyperplane, searched
-    in a box for d >= 2, exact for d = 1).  Case (b): (j - j_k).(j - j_k') = 0,
-    the sphere with diameter segment [j_k, j_k'], enumerated exactly.
-    """
-    js = [tuple(int(c) for c in (j if isinstance(j, (tuple, list)) else (j,))) for j in j_list]
-    b = len(js)
-    if search_radius is None:
-        search_radius = max(max(abs(c) for c in j) for j in js) + 2
-    out: Set[CubicResonance] = set()
-    for k in range(b):
-        for kp in range(b):
-            dkk = tuple(a - c for a, c in zip(js[k], js[kp]))
-            if k != kp and any(dkk):
-                if d == 1:
-                    out.add(CubicResonance(j=tuple(-c for c in js[k]), case="a", k=k, kp=kp))
-                else:
-                    for j in itertools.product(range(-search_radius, search_radius + 1), repeat=d):
-                        if sum(a * (x + c) for a, (x, c) in zip(dkk, zip(j, js[k]))) == 0:
-                            out.add(CubicResonance(j=j, case="a", k=k, kp=kp))
-            # Case (b): lattice points with (j - j_k).(j - j_k') = 0.
-            center2 = tuple(a + c for a, c in zip(js[k], js[kp]))
-            rad2 = sum((a - c) ** 2 for a, c in zip(js[k], js[kp]))
-            root = math.isqrt(rad2)
-            spans = []
-            for ci in center2:
-                start = -root if (root + ci) % 2 == 0 else -root + 1
-                spans.append(range(start, root + 1, 2))
-            for two_off in itertools.product(*spans):
-                if sum(x * x for x in two_off) == rad2:
-                    j = tuple((x + ci) // 2 for x, ci in zip(two_off, center2))
-                    out.add(CubicResonance(j=j, case="b", k=k, kp=kp))
-    return sorted(out, key=lambda r: (r.j, r.case, r.k, r.kp))

@@ -224,9 +224,6 @@ class SparseSeries:
     def support(self) -> List[SiteIndex]:
         return sorted(self._terms.keys())
 
-    def support_set(self) -> frozenset:
-        return frozenset(self._terms.keys())
-
     def __getitem__(self, s: SiteIndex) -> complex:
         return self._terms.get(s, 0j)
 
@@ -273,12 +270,6 @@ class SparseSeries:
         keep = set(sites)
         return SparseSeries(self.b, self.d,
                             {s: v for s, v in self._terms.items() if s in keep},
-                            drop_tol=0.0)
-
-    def without(self, sites: Iterable[SiteIndex]) -> "SparseSeries":
-        drop = set(sites)
-        return SparseSeries(self.b, self.d,
-                            {s: v for s, v in self._terms.items() if s not in drop},
                             drop_tol=0.0)
 
     def clean(self, drop_tol: float = DROP_TOL) -> "SparseSeries":

@@ -18,14 +18,11 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characteristics import (
-    CharClass,
     ConvolutionSymbols,
-    ResonanceGraph,
     box_strides,
     branch_tags,
     enumerate_box_sites,
     ordered_components,
-    resonance_graph,
 )
 from .lattice import (
     Box,
@@ -84,7 +81,6 @@ class BlockOperator:
     # Doubled components whose seed-frequency diagonal vanishes exactly;
     # at sites with j = 0 and n.w0 = 0 both copies are resonant.
     resonant_mask: np.ndarray = None
-    _graph: Optional[ResonanceGraph] = field(default=None, repr=False)
 
     @property
     def n_sites(self) -> int:
@@ -111,35 +107,16 @@ class BlockOperator:
                 for row in self.coords[np.asarray(idx, dtype=np.int64)].tolist()]
 
     def lin_index(self, s: SiteIndex) -> Optional[int]:
-        b, d = self.spec.b, self.spec.d
-        nr, jr = self.box.n_radius, self.box.j_radius
         if not self.box.contains(s):
             return None
-        idx = 0
-        for c in s.n:
-            idx = idx * (2 * nr + 1) + (c + nr)
-        for c in s.j:
-            idx = idx * (2 * jr + 1) + (c + jr)
-        return idx
+        radii, strides = box_strides(self.spec.b, self.spec.d, self.box)
+        return int((np.array(s.n + s.j, dtype=np.int64) + radii) @ strides)
 
     def doubled_index(self, s: SiteIndex, comp: str) -> Optional[int]:
         i = self.lin_index(s)
         if i is None:
             return None
         return i if comp == "U" else self.n_sites + i
-
-    def char_indices(self) -> np.ndarray:
-        """Doubled indices carrying the characteristic projection P: the
-        u-component on C+, the v-component on C-."""
-        plus = np.nonzero(self.tags == 1)[0]
-        minus = np.nonzero(self.tags == -1)[0] + self.n_sites
-        return np.concatenate([plus, minus])
-
-    def graph(self) -> ResonanceGraph:
-        if self._graph is None:
-            self._graph = resonance_graph(self.u, self.v, self.spec,
-                                          self.omega0(), self.box)
-        return self._graph
 
     def q_indices(self) -> List[int]:
         """Doubled indices of the 2b frequency equations: the u-component on
@@ -232,55 +209,6 @@ def assemble(
 
 
 # ---------------------------------------------------------------------------
-# Schur reduction to the characteristic variety
-
-
-@dataclass
-class SchurReport:
-    h: np.ndarray
-    p_indices: np.ndarray
-    correction_norm: float
-
-
-def schur_complement(op: BlockOperator) -> SchurReport:
-    """Effective operator on the bi-characteristics:
-    H = F'_PP - F'_PC F'_CC^{-1} F'_CP.
-
-    The correction term is reported; in the small-delta regime it is O(delta^2).
-    """
-    import scipy.sparse.linalg as spla
-
-    p_idx = op.char_indices()
-    mask = np.zeros(op.dim, dtype=bool)
-    mask[p_idx] = True
-    c_idx = np.nonzero(~mask)[0]
-    m = op.matrix
-    m_pp = m[p_idx][:, p_idx].toarray()
-    if len(c_idx) == 0:
-        return SchurReport(h=m_pp, p_indices=p_idx, correction_norm=0.0)
-    diag_c = op.diag[c_idx]
-    m_cc = m[c_idx][:, c_idx].tocsc()
-    m_pc = m[p_idx][:, c_idx]
-    m_cp = m[c_idx][:, p_idx].toarray()
-    try:
-        lu = spla.splu(m_cc)
-        x = lu.solve(m_cp)
-    except RuntimeError as exc:
-        worst = int(np.argmin(np.abs(diag_c)))
-        raise OffCharDiagonalError(op.site_at(int(c_idx[worst]) % op.n_sites),
-                                   float(diag_c[worst])) from exc
-    rhs_scale = max(float(np.abs(m_cp).max()), 1e-300)
-    if np.abs(x).max() > 1e12 * rhs_scale:
-        worst = int(np.argmin(np.abs(diag_c)))
-        raise OffCharDiagonalError(op.site_at(int(c_idx[worst]) % op.n_sites),
-                                   float(diag_c[worst]))
-    corr = m_pc @ x
-    h = m_pp - corr
-    return SchurReport(h=h, p_indices=p_idx,
-                       correction_norm=float(np.linalg.norm(corr, 2)))
-
-
-# ---------------------------------------------------------------------------
 # Block decomposition along resonance-graph components
 
 
@@ -294,48 +222,33 @@ class BlockDecomposition:
     sizes: List[int]
 
 
-def block_decompose(op: BlockOperator, graph: Optional[ResonanceGraph] = None,
-                    exclude: frozenset = frozenset()) -> BlockDecomposition:
+def block_decompose(op: BlockOperator, exclude: frozenset = frozenset()
+                    ) -> BlockDecomposition:
     """Dense blocks of the operator over the resonance components.
 
     At the seed frequency the diagonal vanishes on the variety and each
     block is delta * A_k; afterwards the diag(n . delta-omega) part rides
     along automatically since blocks are cut from the assembled matrix.
 
-    By default the blocks are the connected components of the resonant
-    doubled indices under the sparsity pattern of the operator; they
-    coincide with the resonance-graph components except at j = 0 kernel
-    sites, where both copies are resonant and the extra copy joins through
-    the diagonal symbol.  With an explicit graph the blocks are its
-    components (one doubled index per vertex, in vertex order).  Blocks are
-    ordered by their smallest index.  `exclude` removes doubled indices
-    (the seed equations) from their blocks after the components are found.
+    The blocks are the connected components of the resonant doubled
+    indices under the sparsity pattern of the operator; they coincide with
+    the resonance-graph components except at j = 0 kernel sites, where both
+    copies are resonant and the extra copy joins through the diagonal
+    symbol.  Blocks are ordered by their smallest index, members ascending.
+    `exclude` removes doubled indices (the seed equations) from their
+    blocks after the components are found.
 
     The operator is sliced once, to the indices of all blocks; the entries
     of that slice are scattered into one (count, k, k) stack per block size,
     so det and svd run once per distinct size.
     """
-    if graph is not None:
-        comps = []
-        for comp in graph.components:
-            idxs = []
-            for vi in comp.indices:
-                s, tag = graph.vertices[vi]
-                di = op.doubled_index(s, "U" if tag is CharClass.CPLUS else "V")
-                if di is not None:
-                    idxs.append(di)
-            comps.append(np.array(idxs, dtype=np.int64))
-        index = np.unique(np.concatenate(comps)) if comps else np.zeros(0, np.int64)
-        sub = op.matrix[index][:, index]
-        comps = [np.searchsorted(index, c) for c in comps]
-    else:
-        index = np.nonzero(op.resonant_mask)[0]
-        sub = op.matrix[index][:, index]
-        # Numbered by smallest member: the order ExcisionError block indices
-        # refer to.
-        pattern = sub.tocoo()
-        _, order, bounds = ordered_components(len(index), pattern.row, pattern.col)
-        comps = np.split(order, bounds[1:-1])
+    index = np.nonzero(op.resonant_mask)[0]
+    sub = op.matrix[index][:, index]
+    # Numbered by smallest member: the order ExcisionError block indices
+    # refer to.
+    pattern = sub.tocoo()
+    _, order, bounds = ordered_components(len(index), pattern.row, pattern.col)
+    comps = np.split(order, bounds[1:-1])
     if exclude:
         dropped = np.isin(index, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
         comps = [c[~dropped[c]] for c in comps]
@@ -421,9 +334,6 @@ class CertifiedInverse:
     # when it ran out of rounds, so norm_bound is an unconverged estimate.
     power_settled: bool = False
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.solve(vec)
-
 
 # Power iteration stops once sigma changes by at most this fraction.
 _SIGMA_RTOL = 1e-13
@@ -439,7 +349,11 @@ def _power_norm(apply: Callable[[np.ndarray], np.ndarray],
     as soon as sigma changes by at most _SIGMA_RTOL of itself, the only case
     with settled=True; a zero image also stops it, leaving sigma as it was.
     Power iteration converges from below, so sigma is an estimate from below.
+    With no rounds to run it returns (0.0, 0, False) without drawing the
+    start vector.
     """
+    if max_rounds < 1:
+        return 0.0, 0, False
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     x /= np.linalg.norm(x)

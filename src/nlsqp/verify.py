@@ -49,9 +49,10 @@ class WeightSpec:
         return self.beta * max(0.0, s.l1() - self.x0)
 
 
-def default_weight(spec: ProblemSpec, beta: float = 0.1) -> WeightSpec:
+def default_weight(spec: ProblemSpec) -> WeightSpec:
+    """The weight flat on the seed sites, with the default exponent."""
     x0 = max(s.l1() for s in spec.seed_sites())
-    return WeightSpec(beta=beta, x0=float(x0))
+    return WeightSpec(x0=float(x0))
 
 
 def weighted_norm(f: SparseSeries, w: WeightSpec) -> float:
@@ -192,8 +193,6 @@ def evolve_drift(
     spec: ProblemSpec,
     T: float,
     dt: float,
-    grid_points: Optional[int] = None,
-    n_samples: int = 200,
 ) -> DriftReport:
     """Strang split-step integration of the physical equation from psi(0, x)
     = u(0, x), tracking the seed-mode amplitudes and phases.
@@ -214,9 +213,8 @@ def evolve_drift(
         raise VerifyError("split-step validator supports d <= 2")
     terms = u.items()
     max_j = max((max(abs(c) for c in s.j) for s, _ in terms), default=1)
-    if grid_points is None:
-        grid_points = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_j + 2)))
-    m = grid_points
+    # A power of two resolving the modes the nonlinearity reaches.
+    m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_j + 2)))
     if dt > 0.5:
         raise IntegratorInstability("dt too large for the phase rotation", 0.1)
 
@@ -232,11 +230,12 @@ def evolve_drift(
     prop_t = np.ascontiguousarray(prop.T)
 
     steps = int(round(T / dt))
-    # Sample densely enough that no mode advances more than ~pi/2 between
-    # samples, otherwise phase unwrapping aliases the rotation rate.
+    # At least 200 samples, and densely enough that no mode advances more
+    # than ~pi/2 between samples, otherwise phase unwrapping aliases the
+    # rotation rate.
     max_omega = max(1.0, max(abs(w) for w in omega.omega))
     max_interval = 0.5 * math.pi / max_omega
-    sample_every = max(1, min(steps // max(1, n_samples), int(max_interval / dt)))
+    sample_every = max(1, min(steps // 200, int(max_interval / dt)))
     mode_bins = [tuple(c % m for c in j) for j in spec.j_list]
 
     mod2 = (psi * psi.conj()).real

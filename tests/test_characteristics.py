@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,10 +9,10 @@ from nlsqp.characteristics import (
     CharClass,
     ConvolutionSymbols,
     build_partition,
-    characteristic_set,
     classify_site,
     diff_class_member,
     resonance_graph,
+    sphere_points,
     verify_diff_witness,
 )
 
@@ -61,9 +62,16 @@ def brute_characteristic_set(om, d, box):
     return out
 
 
+def characteristic_set(spec, box):
+    """The tagged characteristic sites of the box: the resonance graph's
+    vertices."""
+    u0, v0 = linear_solution(spec)
+    return resonance_graph(u0, v0, spec, spec.omega0(), box).vertices
+
+
 def test_characteristic_set_tp1(tp1):
     om = tp1.omega0()
-    got = characteristic_set(om, 1, Box(9, 3))
+    got = characteristic_set(tp1, Box(9, 3))
     plus = sorted(s for s, c in got if c is CharClass.CPLUS)
     # Exhaustive-scan oracle: for b = 1, n = -j^2/4 must be integral.
     assert plus == sorted([site((0,), (0,)), site((-1,), (2,)), site((-1,), (-2,))])
@@ -71,7 +79,7 @@ def test_characteristic_set_tp1(tp1):
 
 
 def test_characteristic_set_counts_balanced(tp2):
-    got = characteristic_set(tp2.omega0(), 1, Box(8, 3))
+    got = characteristic_set(tp2, Box(8, 3))
     plus = sum(1 for _, c in got if c is CharClass.CPLUS)
     minus = sum(1 for _, c in got if c is CharClass.CMINUS)
     # (n, j) -> (-n, -j) swaps branches for j != 0 and swaps the j = 0 tie
@@ -80,7 +88,7 @@ def test_characteristic_set_counts_balanced(tp2):
 
 
 def test_characteristic_set_radius_zero(tp1):
-    got = characteristic_set(tp1.omega0(), 1, Box(0, 0))
+    got = characteristic_set(tp1, Box(0, 0))
     assert got == [(site((0,), (0,)), CharClass.CPLUS)]
 
 
@@ -90,7 +98,20 @@ def test_characteristic_set_site_cap(tp2):
     from nlsqp.lattice import BoxTooLarge
     assert Box(100, 100).site_count(2, 1) > SITE_CAP
     with pytest.raises(BoxTooLarge, match=f"cap of {SITE_CAP}"):
-        characteristic_set(tp2.omega0(), 1, Box(100, 100))
+        characteristic_set(tp2, Box(100, 100))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-6, 6), min_size=d, max_size=d), st.integers(-3, 80))))
+def test_sphere_points_match_brute_force(args):
+    # Every j with |2j - c|^2 = r, ascending: |2 j_i - c_i| <= sqrt(r) bounds
+    # the box the brute force scans.
+    center, rsq = args
+    bound = (math.isqrt(max(rsq, 0)) + max(abs(c) for c in center)) // 2 + 1
+    want = [j for j in itertools.product(range(-bound, bound + 1), repeat=len(center))
+            if sum((2 * a - c) ** 2 for a, c in zip(j, center)) == rsq]
+    assert sphere_points(center, rsq) == want
 
 
 # -- difference classes -----------------------------------------------------

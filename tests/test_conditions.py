@@ -1,14 +1,16 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from nlsqp import conditions
 from nlsqp.lattice import Box, linear_solution, make_spec, site
-from nlsqp.characteristics import CharClass
+from nlsqp.characteristics import CharClass, ConvolutionSymbols
 from nlsqp.conditions import (
+    build_walk_graph,
     check_condition_i,
     check_condition_ii,
-    cubic_resonance_pairs,
     error_support,
     oned_check,
     rank_check_momenta,
@@ -285,22 +287,85 @@ def test_oned_rejects_non_1d():
         oned_check([(1, 0), (0, 1)], 1)  # type: ignore[arg-type]
 
 
-def test_cubic_resonance_pairs_1d():
-    got = {r.j[0] for r in cubic_resonance_pairs([(1,), (2,)], 1)}
-    assert got == {1, -1, 2, -2}
+def closed_form_oned_pairs(js, p):
+    """Oracle: the two 1d connection equations solved in closed form, as
+    (j, j_next, element, relation) in oned_check's order: the linear
+    equation over Gamma+, then the square over Gamma-, roots ascending."""
+    spec = make_spec(d=1, b=len(js), p=p, delta=1e-3, j_list=js,
+                     amplitudes=[0.5] * len(js))
+    u0, v0 = linear_solution(spec)
+    symbols = ConvolutionSymbols.from_fields(u0, v0, p)
+    w = spec.omega0().as_ints()
+    out = []
+    for g in symbols.uv_p.support():
+        dn_w = sum(a * c for a, c in zip(g.n, w))
+        dj = g.j[0]
+        if dj != 0 and (-dj * dj - dn_w) % (2 * dj) == 0:
+            j = (-dj * dj - dn_w) // (2 * dj)
+            out.append((j, j + dj, g, "same"))
+    for g in symbols.vv.support():
+        dn_w = sum(a * c for a, c in zip(g.n, w))
+        dj = g.j[0]
+        rhs = 2 * dn_w - dj * dj
+        r = math.isqrt(rhs) if rhs >= 0 else -1
+        if r < 0 or r * r != rhs:
+            continue
+        for two_j in sorted({r, -r}):
+            if (two_j - dj) % 2 == 0:
+                j = (two_j - dj) // 2
+                out.append((j, j + dj, g, "cross"))
+    return out
 
 
-def test_cubic_resonance_pairs_d2_circle():
-    got = {r.j for r in cubic_resonance_pairs([(1, 0), (0, 1)], 2)
-           if r.case == "b"}
-    assert got == {(1, 0), (0, 1), (0, 0), (1, 1)}
+def test_oned_check_pairs_match_closed_form_solver():
+    rng = random.Random(11)
+    total = 0
+    for _ in range(40):
+        b = rng.randint(1, 4)
+        js = rng.sample([j for j in range(-9, 10) if j != 0], b)
+        p = rng.choice([1, 2])
+        pairs = oned_check(js, p).details["pairs"]
+        assert [(q.j, q.j_next, q.element, q.branch_relation) for q in pairs] == \
+            closed_form_oned_pairs(js, p)
+        cubic = set(js) | {-j for j in js}
+        assert all(q.cubic_type == (q.j in cubic and q.j_next in cubic) for q in pairs)
+        total += len(pairs)
+    assert total > 200
 
 
-def test_cubic_resonance_excludes_degenerate_case_a():
-    # k = k' makes (j_k - j_k') . (j + j_k) identically zero; those pairs
-    # must not flood the report.
-    out = cubic_resonance_pairs([(2,)], 1)
-    assert all(r.case == "b" for r in out)
+def product_loop_same_branch_sources(element, branch, w, d, j_radius):
+    """Oracle: the same-branch source equation 2 j.dj = -|dj|^2 - branch dn.w
+    tested at every j of the box, in lexicographic order."""
+    dj = element.j
+    c = -sum(x * x for x in dj) - branch * sum(a * b for a, b in zip(element.n, w))
+    if not any(dj):
+        return [], c == 0
+    if d == 1:
+        return ([(c // (2 * dj[0]),)] if c % (2 * dj[0]) == 0 else []), False
+    return [j for j in itertools.product(range(-j_radius, j_radius + 1), repeat=d)
+            if 2 * sum(a * b for a, b in zip(j, dj)) == c], False
+
+
+def test_walk_graph_matches_product_loop_sources_in_2d(monkeypatch):
+    rng = random.Random(5)
+    for _ in range(8):
+        b = rng.randint(2, 3)
+        js = rng.sample([j for j in itertools.product(range(-2, 3), repeat=2) if any(j)], b)
+        p = rng.choice([1, 2])
+        spec = make_spec(d=2, b=b, p=p, delta=1e-3, j_list=js, amplitudes=[0.5] * b)
+        u0, v0 = linear_solution(spec)
+        symbols = ConvolutionSymbols.from_fields(u0, v0, p)
+        supports = {"uv": symbols.uv_p.support(), "uu": symbols.uu.support(),
+                    "vv": symbols.vv.support()}
+        radius = (2 * p + 1) * max(max(abs(c) for c in j) for j in js) + 1
+        got = build_walk_graph(supports, spec.omega0(), 2, j_radius=radius)
+        with monkeypatch.context() as m:
+            m.setattr(conditions, "_same_branch_sources", product_loop_same_branch_sources)
+            want = build_walk_graph(supports, spec.omega0(), 2, j_radius=radius)
+        assert got.nodes == want.nodes
+        assert got.edges == want.edges
+        assert got.immediate_spirals == want.immediate_spirals
+        assert sum(map(len, got.edges.values())) > 0
 
 
 # -- integer linear algebra helpers ------------------------------------------

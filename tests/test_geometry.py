@@ -18,7 +18,6 @@ from nlsqp.characteristics import (
     Component,
     ConvolutionSymbols,
     build_partition,
-    characteristic_set,
     _min_labels,
     diff_class_member,
     ordered_components,
@@ -29,7 +28,7 @@ from nlsqp.lattice import Box, SiteIndex, default_box, linear_solution, make_spe
 from nlsqp.linop import assemble
 from nlsqp.newton import solve
 
-from test_characteristics import membership_grid
+from test_characteristics import brute_characteristic_set, membership_grid
 
 
 # -- oracles ----------------------------------------------------------------
@@ -38,7 +37,7 @@ from test_characteristics import membership_grid
 def loop_resonance_graph(u, v, spec, omega0, box, symbols=None):
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    vertices = characteristic_set(omega0, spec.d, box)
+    vertices = brute_characteristic_set(omega0, spec.d, box)
     index = {s: i for i, (s, _) in enumerate(vertices)}
     tags = [t for _, t in vertices]
     diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
@@ -181,10 +180,9 @@ def loop_diff_class_member(delta, omega0, class_pair, search_radius=30):
         candidates = sorted(set(cands), key=lambda jp: (sum(abs(x) for x in jp), jp))
         if not candidates:
             return M("no", reason="no lattice point on the sphere")
-    kernel = characteristics._intlinalg.kernel_basis([list(w)])
     for jp in candidates:
         jpp = tuple(a - b for a, b in zip(jp, dj))
-        wit = characteristics._complete_witness(jp, jpp, delta, w, eps1, eps2, kernel)
+        wit = characteristics._complete_witness(jp, jpp, delta, w, eps1, eps2)
         if wit is not None:
             return M("yes", witness=wit)
     if exhaustive:

@@ -124,6 +124,18 @@ def test_first_iteration_refuses_failed_condition(tp2):
         first_iteration(tp2, condition_reports=bad)
 
 
+def test_first_iteration_checks_a_missing_condition_report():
+    # Three corners of a rectangle pump the fourth: the error term resonates
+    # off the seed support.  A passing report for condition (ii) alone does
+    # not let the seed through; condition (i) is checked for it.
+    from nlsqp.conditions import ConditionReport
+    spec = make_spec(d=2, b=3, p=1, delta=1e-3, j_list=[(-2, -2), (-2, 2), (2, 2)],
+                     amplitudes=[0.5] * 3)
+    passed = {"ii": ConditionReport(name="non_spiral", verdict="pass")}
+    with pytest.raises(ConditionGateError, match=r"condition \(i\) verdict is fail"):
+        first_iteration(spec, box=Box(2, 3), condition_reports=passed)
+
+
 def test_first_iteration_refuses_tiny_amplitude():
     spec = make_spec(d=1, b=2, p=1, delta=1e-3, j_list=[1, 2],
                      amplitudes=[0.5, MIN_AMPLITUDE / 2])
