@@ -479,6 +479,10 @@ class ResonanceGraph:
     components: List[Component]
     interaction_range: int
     symbols: ConvolutionSymbols
+    # The vertices as arrays, row for row: coords is (n_vertices, b + d)
+    # int64 with n then j, tags is (n_vertices,) int8, +1 on C+ and -1 on C-.
+    coords: np.ndarray
+    tags: np.ndarray
 
     def has_spiral_pair(self) -> bool:
         return any(c.spiral_pair is not None for c in self.components)
@@ -545,6 +549,8 @@ def resonance_graph(
         components=comps,
         interaction_range=symbols.interaction_range(),
         symbols=symbols,
+        coords=coords,
+        tags=tags,
     )
 
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import CharClass, ResonanceGraph
+from .characteristics import ResonanceGraph
 from .conditions import ConditionReport, check_condition_i, check_condition_ii
 from .lattice import (
     DROP_TOL,
@@ -86,6 +86,7 @@ class ModulationReport:
     jac_det: float
     jac_fd_rel_err: float
     diophantine: DiophantineReport
+    seed_residual: Tuple[float, float]  # (plain, weighted) residual of the seed
 
 
 def residual_series(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
@@ -388,7 +389,8 @@ def first_iteration(
     dio = diophantine_check(omega1, spec.delta, kappa, gamma, dio_radius)
     report = ModulationReport(delta_omega=delta_omega, jacobian=jac,
                               jac_det=float(np.linalg.det(jac)),
-                              jac_fd_rel_err=fd_err, diophantine=dio)
+                              jac_fd_rel_err=fd_err, diophantine=dio,
+                              seed_residual=(plain0, weighted0))
 
     state1 = newton_step(state0, spec, box, weight=weight, eps_first=eps_first,
                          eps_second=eps_second)
@@ -458,8 +460,7 @@ def solve(
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
-    plain0, weighted0 = residual_norms(u0, v0, omega0, spec, box, weight)
-    history: List[Tuple[float, float]] = [(plain0, weighted0),
+    history: List[Tuple[float, float]] = [modreport.seed_residual,
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
@@ -511,8 +512,9 @@ def solve(
 # Excision sweep over the amplitude cube
 
 
-# Samples per array pass of the sweep: keeps the gathered block stacks and
-# the Diophantine margin table of a pass at a few MB.
+# Samples per array pass of the sweep: keeps the Diophantine margin table
+# of a pass, the largest array it makes, at a few MB (the gathered block
+# stacks hold one block per class, a few per sample).
 SWEEP_CHUNK = 128
 # Samples whose seed symbols are convolved together: the batched
 # convolution's per-site Python work is paid once per group, and the
@@ -554,15 +556,19 @@ def excision_sweep(
     does not depend on a, so the graph and a gather plan are built once:
     every block entry reads one symbol at one shift (the difference of its
     two sites), the diagonal symbol (p+1) (u*v)^{*p} between equal branch
-    tags, p uu from a C+ row to a C- column and p vv the other way.  The
-    samples then go through the array pass in groups of SYMBOL_CHUNK, so
-    memory does not grow with n_samples: a group's seed symbols and Q
-    brackets are convolved at once (`_seed_symbols_batch`), the symbols at
-    the distinct shifts form one (group, 3, n_shifts) table, and per
-    SWEEP_CHUNK samples det runs once per block size and the Diophantine
-    scan once.  Every value is bitwise that of building each sample's
-    fields, symbols, `q_solve` and `diophantine_check` one sample at a
-    time.
+    tags, p uu from a C+ row to a C- column and p vv the other way.
+    Components that are lattice translates with the same kind pattern give
+    equal blocks in every sample, so the plan keeps one block per class of
+    them (`_sweep_gather_plan`): 5 blocks instead of 773 on tp3, 2 instead
+    of 50 on tp2.  The samples then go through the array pass in groups of
+    SYMBOL_CHUNK, so memory does not grow with n_samples: a group's seed
+    symbols and Q brackets are convolved at once (`_seed_symbols_batch`),
+    the symbols at the distinct shifts form one (group, 3, n_shifts) table,
+    and per SWEEP_CHUNK samples det runs once per block size over a
+    (chunk, n_classes, k, k) stack and the Diophantine scan once.  Every
+    value is bitwise that of building each sample's fields, symbols, blocks,
+    `q_solve` and `diophantine_check` one sample at a time: equal blocks
+    have equal dets.
     """
     if n_samples < 100:
         raise NewtonError("n_samples must be at least 100")
@@ -678,17 +684,34 @@ def _seed_symbols_batch(spec: ProblemSpec, amps: np.ndarray
 
 def _sweep_gather_plan(graph: ResonanceGraph, b: int
                        ) -> Tuple[List[SiteIndex], List[Tuple[np.ndarray, np.ndarray]]]:
-    """Distinct site differences inside the graph's components, and per
-    block size the stacked (kind, shift id) of every block entry: kind 0
-    reads the diagonal symbol, 1 the uu symbol, 2 the vv symbol."""
-    verts = graph.vertices
-    coords = np.array([s.n + s.j for s, _ in verts], dtype=np.int64)
-    plus = np.array([t is CharClass.CPLUS for _, t in verts], dtype=bool)
+    """One block per class of equal blocks: the distinct site differences
+    inside the class representatives, and per block size the stacked
+    (kind, shift id) of every representative's entries: kind 0 reads the
+    diagonal symbol, 1 the uu symbol, 2 the vv symbol.
+
+    Two components of one size fall in the same class when their members,
+    taken relative to the first member, sit at the same offsets and have
+    the same kind matrix.  Their blocks then read the same symbol at the
+    same shift entry by entry, so they are equal in every sample and one
+    det stands for all of them.  Members ascend lexicographically, an order
+    a lattice translation keeps, so translates line up member by member.
+    The representative of a class is its first component.
+    """
+    coords, tags = graph.coords, graph.tags
     by_size: Dict[int, List[List[int]]] = {}
     for comp in graph.components:
         by_size.setdefault(comp.size, []).append(comp.indices)
-    members = [np.array(by_size[k], dtype=np.int64) for k in sorted(by_size)]
-    diffs = [coords[m][:, :, None, :] - coords[m][:, None, :, :] for m in members]
+    reps, kinds = [], []
+    for k in sorted(by_size):
+        m = np.array(by_size[k], dtype=np.int64)
+        rel = coords[m] - coords[m[:, :1]]
+        row_tag, col_tag = tags[m][:, :, None], tags[m][:, None, :]
+        kind = np.where(row_tag == col_tag, 0, np.where(row_tag > 0, 1, 2))
+        key = np.concatenate([rel.reshape(len(m), -1), kind.reshape(len(m), -1)], axis=1)
+        first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        reps.append(m[first])
+        kinds.append(kind[first])
+    diffs = [coords[m][:, :, None, :] - coords[m][:, None, :, :] for m in reps]
     if not diffs:
         return [], []
     flat = np.concatenate([d.reshape(-1, coords.shape[1]) for d in diffs])
@@ -696,11 +719,8 @@ def _sweep_gather_plan(graph: ResonanceGraph, b: int
     shift_sites = [SiteIndex(tuple(r[:b]), tuple(r[b:])) for r in uniq.tolist()]
     plan = []
     start = 0
-    for m, d in zip(members, diffs):
+    for kind, d in zip(kinds, diffs):
         count = d.shape[0] * d.shape[1] * d.shape[2]
-        shift_id = inverse.reshape(-1)[start:start + count].reshape(d.shape[:3])
+        plan.append((kind, inverse.reshape(-1)[start:start + count].reshape(d.shape[:3])))
         start += count
-        row_plus, col_plus = plus[m][:, :, None], plus[m][:, None, :]
-        kind = np.where(row_plus == col_plus, 0, np.where(row_plus, 1, 2))
-        plan.append((kind, shift_id))
     return shift_sites, plan

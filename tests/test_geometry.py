@@ -247,9 +247,19 @@ def graph_cases(tp1, tp2, tp3):
             (tp2, Box(9, 4)), (b3_spec(), Box(4, 9))]
 
 
+def vertex_arrays(vertices):
+    """The (coords, tags) arrays of a vertex list, as `ResonanceGraph` holds them."""
+    coords = np.array([s.n + s.j for s, _ in vertices], dtype=np.int64)
+    tags = np.array([1 if t is CharClass.CPLUS else -1 for _, t in vertices], dtype=np.int8)
+    return coords, tags
+
+
 def assert_same_graph(got, want):
     vertices, edges, comps = want
     assert got.vertices == vertices
+    coords, tags = vertex_arrays(vertices)
+    assert got.coords.dtype == coords.dtype and np.array_equal(got.coords, coords)
+    assert got.tags.dtype == tags.dtype and np.array_equal(got.tags, tags)
     assert got.edges == edges
     assert got.components == comps
     assert all(type(i) is int for c in got.components for i in c.indices)
@@ -289,9 +299,11 @@ def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
 
     def as_graph(u, v, spec, omega0, box, symbols=None):
         vertices, edges, comps = loop_resonance_graph(u, v, spec, omega0, box, symbols)
+        coords, tags = vertex_arrays(vertices)
         return characteristics.ResonanceGraph(
             vertices=vertices, edges=edges, components=comps,
-            interaction_range=symbols.interaction_range(), symbols=symbols)
+            interaction_range=symbols.interaction_range(), symbols=symbols,
+            coords=coords, tags=tags)
 
     for inject in INJECTIONS + [None]:
         got = check_condition_ii(tp2, inject=inject)

@@ -231,6 +231,19 @@ def test_solve_tp3(tp3):
     assert rep.amplitudes_physical[0] == pytest.approx(1e-3 ** 0.25 * 0.9)
 
 
+def test_solve_computes_each_state_residual_once(tp2, monkeypatch):
+    # The seed's residual comes out of first_iteration, not a second call.
+    from nlsqp import newton
+    calls = []
+    real = newton.residual_norms
+    monkeypatch.setattr(newton, "residual_norms",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    rep = solve(tp2)
+    assert len(calls) == rep.steps + 1 == len(rep.residual_history)
+    u0, v0 = linear_solution(tp2)
+    assert rep.residual_history[0] == real(u0, v0, tp2.omega0(), tp2, rep.box, rep.weight)
+
+
 def test_solve_nonconvergence_reports_history(tp2):
     with pytest.raises(ConvergenceError) as err:
         solve(tp2, tol=1e-30, max_iter=3)
@@ -374,6 +387,79 @@ def test_excision_sweep_is_one_batched_pass(tp2, monkeypatch):
     n_sizes = len({shape[-1] for shape in calls})
     assert n_sizes >= 2
     assert [shape[0] for shape in calls] == [128] * 2 * n_sizes + [44] * n_sizes
+
+
+@pytest.mark.parametrize("name, components, classes", [
+    ("tp2", {1: 45, 4: 5}, {1: 1, 4: 1}),
+    ("tp3", {1: 521, 2: 235, 4: 17}, {1: 1, 2: 3, 4: 1}),
+])
+def test_excision_sweep_dets_one_block_per_class(name, components, classes, request,
+                                                 monkeypatch):
+    # Translates with the same kind pattern share one det: the block axis of
+    # each det stack is the class count of its size, not the component count.
+    from collections import Counter
+
+    from nlsqp.characteristics import resonance_graph
+    from nlsqp.lattice import default_box
+    spec = request.getfixturevalue(name)
+    u0, v0 = linear_solution(spec)
+    graph = resonance_graph(u0, v0, spec, spec.omega0(), default_box(spec))
+    assert Counter(c.size for c in graph.components) == components
+    calls = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    excision_sweep(spec, [1e-2], n_samples=100, seed=1)
+    assert calls == [(100, n, k, k) for k, n in sorted(classes.items())]
+
+
+def component_block(graph, comp):
+    """A component's block as (kind, shift) matrices, built from the vertex
+    list entry by entry: kind 0 diagonal symbol, 1 uu, 2 vv."""
+    from nlsqp.characteristics import CharClass
+    sites = [graph.vertices[i] for i in comp.indices]
+    kind = tuple(tuple(0 if tr is tc else 1 if tr is CharClass.CPLUS else 2
+                       for _, tc in sites) for _, tr in sites)
+    return kind, tuple(tuple(sr - sc for sc, _ in sites) for sr, _ in sites)
+
+
+def injected_case(tp2):
+    # On a seed's own symbols the member offsets of a component fix its kind
+    # pattern: diagonal shifts have n-sum 0, uu shifts +2 and vv shifts -2,
+    # so n-sum minus tag is constant on a component.  A uu edge at an
+    # n-sum-0 shift breaks that, and tp2's box then holds translated size-5
+    # components that differ only in their kind pattern.
+    from nlsqp.characteristics import ConvolutionSymbols
+    from nlsqp.conditions import _augment
+    from nlsqp.lattice import default_box
+    u0, v0 = linear_solution(tp2)
+    sym = ConvolutionSymbols.from_fields(u0, v0, tp2.p)
+    shift = site((-1, 0), (1,))
+    aug = ConvolutionSymbols(uv_p=sym.uv_p, uu=_augment(sym.uu, [shift]),
+                             vv=_augment(sym.vv, [-shift]), p=tp2.p)
+    return tp2, default_box(tp2), aug
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3", "tp2-injected"])
+def test_sweep_plan_covers_every_component(name, request):
+    from nlsqp.characteristics import resonance_graph
+    from nlsqp.newton import _sweep_gather_plan
+    if name == "tp2-injected":
+        spec, box, symbols = injected_case(request.getfixturevalue("tp2"))
+    else:
+        (spec, box), symbols = sweep_case(name, request), None
+    u0, v0 = linear_solution(spec)
+    graph = resonance_graph(u0, v0, spec, spec.omega0(), box, symbols=symbols)
+    shift_sites, plan = _sweep_gather_plan(graph, spec.b)
+    planned = [(tuple(map(tuple, kind)), tuple(tuple(shift_sites[i] for i in row)
+                                               for row in ids))
+               for kinds, shift_ids in plan
+               for kind, ids in zip(kinds.tolist(), shift_ids.tolist())]
+    wanted = {component_block(graph, comp) for comp in graph.components}
+    assert len(planned) == len(set(planned))  # one block per class
+    assert set(planned) == wanted
+    if name == "tp2-injected":
+        fives = [(kind, shifts) for kind, shifts in planned if len(kind) == 5]
+        assert len(fives) == 2 and fives[0][1] == fives[1][1]
 
 
 def test_excision_sweep_memory_does_not_grow_with_samples(tp2):
