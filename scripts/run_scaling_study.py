@@ -35,7 +35,7 @@ def main():
                          amplitudes=amps)
         box = default_box(spec)
         w = default_weight(spec)
-        state1, mod = first_iteration(spec, box=box, weight=w)
+        state1, mod = first_iteration(spec, box=box)
         u0, v0 = linear_solution(spec)
         du = weighted_norm(state1.u.sub(u0), w)
         op0 = assemble(u0, v0, spec.omega0(), spec, box)

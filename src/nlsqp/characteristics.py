@@ -122,14 +122,6 @@ def _variety(omega0: FrequencyVector, d: int, box: Box
     return lin, coords[lin], tags[lin]
 
 
-def _tagged_sites(coords: np.ndarray, tags: np.ndarray, b: int
-                  ) -> List[Tuple[SiteIndex, CharClass]]:
-    cls = {1: CharClass.CPLUS, -1: CharClass.CMINUS}
-    return [(SiteIndex(n, j), cls[t])
-            for n, j, t in zip(map(tuple, coords[:, :b].tolist()),
-                               map(tuple, coords[:, b:].tolist()), tags.tolist())]
-
-
 # ---------------------------------------------------------------------------
 # Difference classes
 
@@ -345,7 +337,8 @@ def build_partition(B: float, d: int, j_radius: int) -> Partition:
         pairs.append(np.argwhere(dist <= B) + [lo, 0])
     rows, cols = np.concatenate(pairs).T
     _, order, bounds = ordered_components(m, rows, cols)
-    blocks = [[pts[i] for i in idxs] for idxs in _split_components(order, bounds)]
+    flat, cuts = order.tolist(), bounds.tolist()
+    blocks = [[pts[i] for i in flat[a:z]] for a, z in zip(cuts[:-1], cuts[1:])]
     diameters = _l1_diameters(arr, order, bounds).tolist()
     c0 = max((math.log(dm) / math.log(B) for dm in diameters if dm >= 1 and B > 1),
              default=0.0)
@@ -365,6 +358,13 @@ def ordered_components(n: int, rows: np.ndarray, cols: np.ndarray
     _, labels = np.unique(low, return_inverse=True)
     order = np.argsort(labels, kind="stable")  # stable: members ascending
     return labels, order, np.concatenate([[0], np.cumsum(np.bincount(labels))])
+
+
+def members_of_size(order: np.ndarray, bounds: np.ndarray, k: int) -> np.ndarray:
+    """The members of the size-k components of `ordered_components`, as a
+    (count, k) array: one component per row, in component order."""
+    starts = bounds[:-1][np.diff(bounds) == k]
+    return order[starts[:, None] + np.arange(k)]
 
 
 def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -401,12 +401,6 @@ def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray,
             if np.array_equal(jumped, low):
                 break
             low = jumped
-
-
-def _split_components(order: np.ndarray, bounds: np.ndarray) -> List[List[int]]:
-    """The members of each component of `ordered_components` as lists."""
-    flat, cuts = order.tolist(), bounds.tolist()
-    return [flat[a:z] for a, z in zip(cuts[:-1], cuts[1:])]
 
 
 def _l1_diameters(coords: np.ndarray, order: np.ndarray, bounds: np.ndarray
@@ -463,32 +457,31 @@ class ConvolutionSymbols:
 
 
 @dataclass
-class Component:
-    indices: List[int]
-    size: int
-    diameter: int
-    # Two same-branch vertices sharing j but not n, if present: the geometric
-    # signature of a non-spiral violation inside the box.
-    spiral_pair: Optional[Tuple[int, int]] = None
-
-
-@dataclass
 class ResonanceGraph:
-    vertices: List[Tuple[SiteIndex, CharClass]]
-    edges: List[Tuple[int, int]]
-    components: List[Component]
+    """The characteristic sites of a box and their connectivity, as arrays.
+
+    vertices is (n_vertices, b + d) int64, n then j, in lexicographic order,
+    and tags is (n_vertices,) int8, +1 on C+ and -1 on C-.  edges is
+    (2, n_edges) int64, one column (lo, hi) with lo < hi per edge, sorted.
+    labels, order and bounds are those of `ordered_components`: component c
+    is order[bounds[c]:bounds[c + 1]], numbered by its smallest vertex with
+    members ascending, and diameters holds its l1 diameter.  spiral_pairs
+    is (count, 2) int64, in component order: for each component holding
+    two same-branch vertices that share j but not n (the geometric
+    signature of a non-spiral violation inside the box), the first such
+    pair, earlier vertex first.
+    """
+
+    vertices: np.ndarray
+    tags: np.ndarray
+    edges: np.ndarray
+    labels: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+    diameters: np.ndarray
+    spiral_pairs: np.ndarray
     interaction_range: int
     symbols: ConvolutionSymbols
-    # The vertices as arrays, row for row: coords is (n_vertices, b + d)
-    # int64 with n then j, tags is (n_vertices,) int8, +1 on C+ and -1 on C-.
-    coords: np.ndarray
-    tags: np.ndarray
-
-    def has_spiral_pair(self) -> bool:
-        return any(c.spiral_pair is not None for c in self.components)
-
-    def max_component_size(self) -> int:
-        return max((c.size for c in self.components), default=0)
 
 
 def resonance_graph(
@@ -538,32 +531,23 @@ def resonance_graph(
     code = np.unique(np.minimum(found[0], found[1]) * nv + np.maximum(found[0], found[1]))
     lo, hi = np.divmod(code, nv)  # nv >= 1: the origin is always a vertex
     labels, order, bounds = ordered_components(nv, lo, hi)
-    diameters = _l1_diameters(coords, order, bounds).tolist()
-    pairs = _spiral_pairs(coords[:, b:], tags, labels)
-
-    comps = [Component(indices=m, size=len(m), diameter=dm, spiral_pair=pairs.get(c))
-             for c, (m, dm) in enumerate(zip(_split_components(order, bounds), diameters))]
     return ResonanceGraph(
-        vertices=_tagged_sites(coords, tags, b),
-        edges=list(zip(lo.tolist(), hi.tolist())),
-        components=comps,
-        interaction_range=symbols.interaction_range(),
-        symbols=symbols,
-        coords=coords,
-        tags=tags,
-    )
+        vertices=coords, tags=tags, edges=np.stack([lo, hi]),
+        labels=labels, order=order, bounds=bounds,
+        diameters=_l1_diameters(coords, order, bounds),
+        spiral_pairs=_spiral_pairs(coords[:, b:], tags, labels),
+        interaction_range=symbols.interaction_range(), symbols=symbols)
 
 
 def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
-                  ) -> Dict[int, Tuple[int, int]]:
+                  ) -> np.ndarray:
     """Per component, the first vertex (in ascending order) that shares its
     tag and j with an earlier one, paired with the first such earlier
-    vertex.  Distinct vertices with equal tag and j differ in n."""
+    vertex, as a (count, 2) array in component order.  Distinct vertices
+    with equal tag and j differ in n."""
     keys = np.column_stack([labels, tags, jarr])
     _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     first = first[inverse.ravel()]
     second = np.nonzero(first != np.arange(len(labels)))[0]
-    comp = labels[second]
-    _, head = np.unique(comp, return_index=True)  # the smallest repeat per component
-    return {c: (f, s) for c, f, s in zip(comp[head].tolist(), first[second[head]].tolist(),
-                                          second[head].tolist())}
+    _, head = np.unique(labels[second], return_index=True)  # smallest repeat per component
+    return np.stack([first[second[head]], second[head]], axis=1)

@@ -215,20 +215,19 @@ def parse_config(text: str) -> RunConfig:
     phase_m = _get(sections, "problem", "phase_m", float, 0.0)
 
     modes_text, modes_line = sections["problem"]["modes"]
-    matches = list(_MODE_RE.finditer(modes_text))
-    if not matches:
-        raise ConfigError(f"line {modes_line}: modes must look like (j):a, ...")
-    modes = []
-    for mt in matches:
-        coords = tuple(int(x) for x in mt.group(1).replace(" ", "").split(",") if x != "")
-        if len(coords) != d:
-            raise ConfigError(
-                f"line {modes_line}: mode {mt.group(0)} has {len(coords)} "
-                f"coordinates, expected d={d}")
-        modes.append((coords, float(mt.group(2))))
     try:
-        problem = ProblemSpec(d=d, b=b, p=p, delta=delta, modes=tuple(modes),
-                              phase_m=phase_m)
+        modes = _parse_modes(modes_text)
+    except ValueError as exc:
+        raise ConfigError(f"line {modes_line}: bad value for problem.modes: {exc}") from exc
+    if not modes:
+        raise ConfigError(f"line {modes_line}: modes must look like (j):a, ...")
+    for text, j, _ in modes:
+        if len(j) != d:
+            raise ConfigError(
+                f"line {modes_line}: mode {text} has {len(j)} coordinates, expected d={d}")
+    try:
+        problem = ProblemSpec(d=d, b=b, p=p, delta=delta,
+                              modes=tuple((j, a) for _, j, a in modes), phase_m=phase_m)
     except SpecError as exc:
         raise ConfigError(f"line {modes_line}: {exc} "
                           f"(seed modes must satisfy j_k != 0, pairwise distinct, "
@@ -258,19 +257,23 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _parse_modes(text: str) -> List[Tuple[str, Tuple[int, ...], float]]:
+    """Each `(j):a` of a modes value: its text, j and a.  A bad number
+    raises ValueError."""
+    return [(mt.group(0), tuple(int(x) for x in mt.group(1).replace(" ", "").split(",") if x),
+             float(mt.group(2))) for mt in _MODE_RE.finditer(text)]
+
+
+def _problem_lines(spec: ProblemSpec) -> List[str]:
+    """The [problem] keys of a spec as `key = value` lines, as config files
+    and solution tables write them."""
+    modes = ", ".join(f"({','.join(str(c) for c in j)}):{a!r}" for j, a in spec.modes)
+    return [f"d = {spec.d}", f"b = {spec.b}", f"p = {spec.p}", f"delta = {spec.delta!r}",
+            f"phase_m = {spec.phase_m!r}", f"modes = {modes}"]
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    p = cfg.problem
-    modes = ", ".join(f"({','.join(str(c) for c in j)}):{repr(a)}" for j, a in p.modes)
-    lines = [
-        "[problem]",
-        f"d = {p.d}",
-        f"b = {p.b}",
-        f"p = {p.p}",
-        f"delta = {repr(p.delta)}",
-        f"phase_m = {repr(p.phase_m)}",
-        f"modes = {modes}",
-        "",
-    ]
+    lines = ["[problem]", *_problem_lines(cfg.problem), ""]
     for sec, cls in _SECTIONS.items():
         section = getattr(cfg, sec)
         lines.append(f"[{sec}]")
@@ -321,26 +324,13 @@ def meta_section(cfg: RunConfig) -> Dict[str, object]:
 def write_solution(spec: ProblemSpec, omega: FrequencyVector, u: SparseSeries) -> str:
     """Physical-scale solution table: integers and two reals per line, so any
     other implementation can cross-check without parsing acrobatics."""
-    lines = [
-        "# nlsqp solution",
-        f"d = {spec.d}",
-        f"b = {spec.b}",
-        f"p = {spec.p}",
-        f"delta = {repr(spec.delta)}",
-        f"phase_m = {repr(spec.phase_m)}",
-        f"modes = {', '.join(f'({_coords(j)}):{repr(a)}' for j, a in spec.modes)}",
-        f"omega = {', '.join(repr(w) for w in omega.omega)}",
-        "[u]",
-    ]
+    lines = ["# nlsqp solution", *_problem_lines(spec),
+             f"omega = {', '.join(repr(w) for w in omega.omega)}", "[u]"]
     for s, val in u.items():
         ints = " ".join(str(c) for c in (*s.n, *s.j))
         lines.append(f"{ints} {repr(val.real)} {repr(val.imag)}")
     lines.append("")
     return "\n".join(lines)
-
-
-def _coords(j) -> str:
-    return ",".join(str(c) for c in j)
 
 
 def read_solution(text: str) -> Tuple[ProblemSpec, FrequencyVector, SparseSeries]:
@@ -371,12 +361,9 @@ def _parse_solution(text: str) -> Tuple[ProblemSpec, FrequencyVector, SparseSeri
             key, value = (part.strip() for part in line.split("=", 1))
             headers[key] = value
     d, b, p = int(headers["d"]), int(headers["b"]), int(headers["p"])
-    modes = []
-    for mt in _MODE_RE.finditer(headers["modes"]):
-        coords = tuple(int(x) for x in mt.group(1).split(",") if x != "")
-        modes.append((coords, float(mt.group(2))))
+    modes = tuple((j, a) for _, j, a in _parse_modes(headers["modes"]))
     spec = ProblemSpec(d=d, b=b, p=p, delta=float(headers["delta"]),
-                       modes=tuple(modes), phase_m=float(headers.get("phase_m", "0")))
+                       modes=modes, phase_m=float(headers.get("phase_m", "0")))
     omega = FrequencyVector(tuple(float(x) for x in headers["omega"].split(",")))
     if len(omega) != b:
         raise ValueError(f"omega has {len(omega)} entries, expected b={b}")
@@ -448,8 +435,7 @@ def _condition_sections(cfg: RunConfig
     if rank.kernel_vector is not None:
         sections["conditions.rank_test"]["kernel"] = list(rank.kernel_vector)
     if spec.d == 1:
-        oned = oned_check([j[0] for j in spec.j_list], spec.p, delta=spec.delta,
-                          amplitudes=spec.amplitudes)
+        oned = oned_check(spec)
         sections["conditions.oned"] = {
             "verdict": oned.verdict,
             "gamma_plus_size": oned.details["gamma_plus_size"],
@@ -573,6 +559,22 @@ def _emit(text: str, path: Optional[str]):
         fh.write(text)
 
 
+# Each failure's exit code and stderr prefix; the first class that matches
+# wins, so SolutionError stays ahead of its base ConfigError.
+_FAILURES = (
+    (SolutionError, EXIT_CONFIG, "solution error"),
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (ConditionGateError, EXIT_CONDITION, "condition failure"),
+    (ExcisionError, EXIT_EXCISED, "excised amplitude"),
+    (ConvergenceError, EXIT_NO_CONVERGENCE, "non-convergence"),
+    (verify.VerifyError, EXIT_VERIFY, "verify failure"),
+    (BoxTooLarge, EXIT_BOX_TOO_LARGE, "box too large"),
+    (StepRejected, EXIT_STEP_REJECTED, "step rejected"),
+    (NonRealFrequency, EXIT_NON_REAL_FREQUENCY, "non-real frequency"),
+    (OffCharDiagonalError, EXIT_OFF_CHAR_DIAGONAL, "certificate failure"),
+)
+
+
 def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
                 solution: Optional[str] = None) -> int:
     """Dispatch a command; returns the process exit code.
@@ -598,36 +600,11 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
         if cmd == "sweep":
             return cmd_sweep(config, out_path or "sweep.csv")
         raise ConfigError(f"unknown command {cmd}")
-    except SolutionError as exc:
-        print(f"solution error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConditionGateError as exc:
-        print(f"condition failure: {exc}", file=sys.stderr)
-        return EXIT_CONDITION
-    except ExcisionError as exc:
-        print(f"excised amplitude: {exc}", file=sys.stderr)
-        return EXIT_EXCISED
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    except verify.VerifyError as exc:
-        print(f"verify failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except BoxTooLarge as exc:
-        print(f"box too large: {exc}", file=sys.stderr)
-        return EXIT_BOX_TOO_LARGE
-    except StepRejected as exc:
-        print(f"step rejected: {exc}", file=sys.stderr)
-        return EXIT_STEP_REJECTED
-    except NonRealFrequency as exc:
-        print(f"non-real frequency: {exc}", file=sys.stderr)
-        return EXIT_NON_REAL_FREQUENCY
-    except OffCharDiagonalError as exc:
-        print(f"certificate failure: {exc}", file=sys.stderr)
-        return EXIT_OFF_CHAR_DIAGONAL
+    except tuple(cls for cls, _, _ in _FAILURES) as exc:
+        code, prefix = next((code, prefix) for cls, code, prefix in _FAILURES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

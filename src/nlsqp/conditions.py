@@ -23,6 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from . import _intlinalg
 from .characteristics import (
     CharClass,
@@ -44,6 +46,7 @@ from .lattice import (
     convolve,
     default_box,
     linear_solution,
+    site,
 )
 
 
@@ -487,22 +490,20 @@ def check_condition_ii(
         )
     rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols)
 
-    graph_fail = None
-    for comp in rg.components:
-        if comp.spiral_pair is not None:
-            i, k = comp.spiral_pair
-            graph_fail = {
-                "sites": (rg.vertices[i][0], rg.vertices[k][0]),
-                "tag": rg.vertices[i][1].value,
-                "component_size": comp.size,
-            }
-            break
-
     witnesses = []
     if walk_verdict == "fail" and walk_witness is not None:
         witnesses.append({"kind": "walk", "violation": walk_witness})
-    if graph_fail is not None:
-        witnesses.append({"kind": "graph", **graph_fail})
+    sizes = np.diff(rg.bounds)
+    if len(rg.spiral_pairs):
+        i, k = rg.spiral_pairs[0].tolist()
+        first, second = rg.vertices[[i, k]].tolist()
+        witnesses.append({
+            "kind": "graph",
+            "sites": (site(first[:spec.b], first[spec.b:]),
+                      site(second[:spec.b], second[spec.b:])),
+            "tag": (CharClass.CPLUS if rg.tags[i] > 0 else CharClass.CMINUS).value,
+            "component_size": int(sizes[rg.labels[i]]),
+        })
 
     if witnesses:
         verdict = "fail"
@@ -524,8 +525,8 @@ def check_condition_ii(
             "walk": {"verdict": walk_verdict, **walk_stats},
             "graph": {
                 "vertices": len(rg.vertices),
-                "components": len(rg.components),
-                "max_component": rg.max_component_size(),
+                "components": len(sizes),
+                "max_component": int(sizes.max(initial=0)),
                 "interaction_range": rg.interaction_range,
             },
         },
@@ -584,8 +585,7 @@ class ConnectedPair:
     cubic_type: bool
 
 
-def oned_check(j_list: Sequence[int], p: int, delta: float = 1e-3,
-               amplitudes: Optional[Sequence[float]] = None) -> ConditionReport:
+def oned_check(spec: ProblemSpec) -> ConditionReport:
     """Direct 1d enumeration of the connected-pair equations.
 
     Enumerates Gamma+ (the diagonal symbol support) and Gamma- (the vv
@@ -595,18 +595,12 @@ def oned_check(j_list: Sequence[int], p: int, delta: float = 1e-3,
     overlapping pairs of different spatial step are not both of cubic type
     (endpoints among +-j_k).
     """
-    if any(isinstance(j, (tuple, list)) for j in j_list):
+    if spec.d != 1:
         raise ValueError("oned_check is defined for d = 1 only")
-    js = [int(j) for j in j_list]
-    b = len(js)
-    if amplitudes is None:
-        amplitudes = [0.5] * b
-    spec = ProblemSpec(d=1, b=b, p=p, delta=delta,
-                       modes=tuple(((j,), a) for j, a in zip(js, amplitudes)))
+    js = [j for (j,) in spec.j_list]
     u0, v0 = linear_solution(spec)
-    symbols = ConvolutionSymbols.from_fields(u0, v0, p)
-    omega0 = spec.omega0()
-    w = omega0.as_ints()
+    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+    w = spec.omega0().as_ints()
 
     gamma_plus = symbols.uv_p.support()
     gamma_minus = symbols.vv.support()
@@ -647,7 +641,7 @@ def oned_check(j_list: Sequence[int], p: int, delta: float = 1e-3,
         name="oned_check",
         verdict="fail" if witnesses else "pass",
         witnesses=witnesses,
-        parameters={"p": p, "j_list": tuple(js)},
+        parameters={"p": spec.p, "j_list": tuple(js)},
         details={
             "gamma_plus_size": len(gamma_plus),
             "gamma_minus_size": len(gamma_minus),

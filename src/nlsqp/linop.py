@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .characteristics import (
     box_strides,
     branch_tags,
     enumerate_box_sites,
+    members_of_size,
     ordered_components,
 )
 from .lattice import (
@@ -214,12 +215,22 @@ def assemble(
 
 @dataclass
 class BlockDecomposition:
-    component_indices: List[List[int]]   # doubled operator indices
-    gammas: List[np.ndarray]
-    dets: List[complex]
-    dets_normalized: List[float]         # |det(Gamma_k / delta^{size})|
-    min_singulars: List[float]
-    sizes: List[int]
+    """The resonance blocks of an operator, numbered by smallest member.
+
+    Block c covers the doubled operator indices order[bounds[c]:bounds[c +
+    1]], ascending, and sizes = np.diff(bounds).  dets, dets_normalized
+    (|det(Gamma_k / delta^size)|) and min_singulars hold one value per
+    block.  stacks maps each block size k to the (count, k, k) stack of the
+    blocks of that size, in block order: the rows of `members_of_size`.
+    """
+
+    order: np.ndarray
+    bounds: np.ndarray
+    sizes: np.ndarray
+    dets: np.ndarray
+    dets_normalized: np.ndarray
+    min_singulars: np.ndarray
+    stacks: Dict[int, np.ndarray]
 
 
 def block_decompose(op: BlockOperator, exclude: frozenset = frozenset()
@@ -236,71 +247,56 @@ def block_decompose(op: BlockOperator, exclude: frozenset = frozenset()
     copies are resonant and the extra copy joins through the diagonal
     symbol.  Blocks are ordered by their smallest index, members ascending.
     `exclude` removes doubled indices (the seed equations) from their
-    blocks after the components are found.
+    blocks after the components are found; a block left empty is dropped,
+    and the later blocks keep their order.
 
     The operator is sliced once, to the indices of all blocks; the entries
     of that slice are scattered into one (count, k, k) stack per block size,
     so det and svd run once per distinct size.
     """
     index = np.nonzero(op.resonant_mask)[0]
-    sub = op.matrix[index][:, index]
+    sub = op.matrix[index][:, index].tocoo()
     # Numbered by smallest member: the order ExcisionError block indices
     # refer to.
-    pattern = sub.tocoo()
-    _, order, bounds = ordered_components(len(index), pattern.row, pattern.col)
-    comps = np.split(order, bounds[1:-1])
+    labels, order, bounds = ordered_components(len(index), sub.row, sub.col)
     if exclude:
         dropped = np.isin(index, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
-        comps = [c[~dropped[c]] for c in comps]
-    comps = [c for c in comps if len(c)]
-    return _block_stacks(op, index, sub, comps)
+        order = order[~dropped[order]]
+        sizes = np.bincount(labels[order], minlength=len(bounds) - 1)
+        bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+    sizes = np.diff(bounds)
+    n_comp = len(sizes)
 
-
-def _block_stacks(op: BlockOperator, index: np.ndarray, sub: sp.csr_matrix,
-                  comps: List[np.ndarray]) -> BlockDecomposition:
-    """Scatter the entries of `sub` (the operator on `index`) into the dense
-    blocks over `comps` (positions into `index`) and take their
-    determinants and smallest singular values, one batched call per size."""
-    n_comp = len(comps)
-    sizes = np.array([len(c) for c in comps], dtype=np.int64)
+    # Block and row of each position into index; -1 for the excluded.
     comp_of = np.full(len(index), -1, dtype=np.int64)
+    comp_of[order] = np.repeat(np.arange(n_comp), sizes)
     pos = np.zeros(len(index), dtype=np.int64)
-    if n_comp:
-        flat = np.concatenate(comps)
-        comp_of[flat] = np.repeat(np.arange(n_comp), sizes)
-        pos[flat] = np.arange(len(flat)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    coo = sub.tocoo()
-    rows, cols, vals = coo.row, coo.col, coo.data
+    pos[order] = np.arange(len(order)) - np.repeat(bounds[:-1], sizes)
+    rows, cols, vals = sub.row, sub.col, sub.data
     owner = comp_of[rows]
     inside = (owner >= 0) & (owner == comp_of[cols])
     rows, cols, vals, owner = rows[inside], cols[inside], vals[inside], owner[inside]
 
-    gammas: List[np.ndarray] = [None] * n_comp  # type: ignore[list-item]
+    stacks: Dict[int, np.ndarray] = {}
     dets = np.empty(n_comp, dtype=complex)
+    dets_norm = np.empty(n_comp)
     min_sv = np.empty(n_comp)
     slot = np.empty(n_comp, dtype=np.int64)
-    for k in np.unique(sizes):
+    for k in np.unique(sizes).tolist():
         members = np.nonzero(sizes == k)[0]
         slot[members] = np.arange(len(members))
         sel = sizes[owner] == k
         stack = np.zeros((len(members), k, k), dtype=complex)
         np.add.at(stack, (slot[owner[sel]], pos[rows[sel]], pos[cols[sel]]), vals[sel])
-        dets[members] = np.linalg.det(stack)
+        stacks[k] = stack
+        det = np.linalg.det(stack)
+        dets[members] = det
+        # np.hypot equals Python's abs() of a complex bit for bit.
+        dets_norm[members] = np.hypot(det.real, det.imag) / op.delta ** k
         min_sv[members] = np.linalg.svd(stack, compute_uv=False)[:, -1]
-        for m, block in zip(members.tolist(), stack):
-            gammas[m] = block
-
-    delta = op.delta
-    det_list = [complex(x) for x in dets]
-    size_list = sizes.tolist()
-    return BlockDecomposition(
-        component_indices=[index[c].tolist() for c in comps],
-        gammas=gammas,
-        dets=det_list,
-        dets_normalized=[abs(x) / delta ** k for x, k in zip(det_list, size_list)],
-        min_singulars=min_sv.tolist(),
-        sizes=size_list,
-    )
+    return BlockDecomposition(order=index[order], bounds=bounds, sizes=sizes, dets=dets,
+                              dets_normalized=dets_norm, min_singulars=min_sv,
+                              stacks=stacks)
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +306,6 @@ def _block_stacks(op: BlockOperator, index: np.ndarray, sub: sp.csr_matrix,
 @dataclass
 class DecayFit:
     beta_hat: float      # certified exponent: the bound holds at this value
-    beta_ls: float       # raw least-squares slope, for reference
-    intercept: float
-    n_points: int
-    fit_rms: float
     bound_ok: bool
     checked_beyond: int  # entries at distance > 1/beta^2 that were checked
 
@@ -414,11 +406,11 @@ def invert_with_certificates(
     else:
         threshold = delta ** (1.0 + eps_second)
         values = decomp.min_singulars
-    min_val = float("inf")
-    for k, val in enumerate(values):
-        min_val = min(min_val, val)
-        if val <= threshold:
-            raise ExcisionError(k, val, threshold, decomp.sizes[k])
+    failing = np.nonzero(values <= threshold)[0]
+    if len(failing):
+        k = int(failing[0])
+        raise ExcisionError(k, float(values[k]), threshold, int(decomp.sizes[k]))
+    min_val = float(values.min(initial=math.inf))
 
     # Non-resonant diagonal must stay uniformly away from zero.
     off_diag = op.diag[~op.resonant_mask]
@@ -492,14 +484,10 @@ def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], keep: np.nda
     logs_a = np.concatenate(logs) if logs else np.zeros(0)
     levels = np.unique(dists_a)
     if len(dists_a) < 2 or len(levels) < 2:
-        return DecayFit(beta_hat=0.0, beta_ls=0.0, intercept=0.0,
-                        n_points=len(dists_a), fit_rms=0.0, bound_ok=True,
-                        checked_beyond=0)
+        return DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
     alpha = np.vstack([dists_a, np.ones_like(dists_a)]).T
-    slope, intercept = np.linalg.lstsq(alpha, logs_a, rcond=None)[0]
+    slope = np.linalg.lstsq(alpha, logs_a, rcond=None)[0][0]
     beta_ls = max(-slope / logd, 0.0)
-    resid = logs_a - (slope * dists_a + intercept)
-    rms = float(np.sqrt(np.mean(resid ** 2)))
     # Certify the largest beta <= beta_ls such that every entry at distance
     # beyond 1/beta^2 obeys |entry| <= delta^{beta * dist}.  The resonant
     # blocks carry O(1/delta) inverse entries at short distance, which is
@@ -521,9 +509,7 @@ def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], keep: np.nda
         far = dists_a > 1.0 / beta ** 2
         if np.any(far):
             ok = bool(np.all(per_entry[far] >= beta - 1e-12))
-    return DecayFit(beta_hat=float(beta), beta_ls=float(beta_ls),
-                    intercept=float(intercept), n_points=len(dists_a),
-                    fit_rms=rms, bound_ok=ok, checked_beyond=checked)
+    return DecayFit(beta_hat=float(beta), bound_ok=ok, checked_beyond=checked)
 
 
 def restricted_solver(op: BlockOperator, exclude: Sequence[int]
@@ -574,10 +560,10 @@ def resolvent_split(op: BlockOperator, exclude: Sequence[int] = ()) -> Resolvent
     pos = np.full(op.dim, -1, dtype=np.int64)
     pos[keep] = np.arange(len(keep))
 
-    comps = [pos[np.asarray(idxs, dtype=np.int64)] for idxs in decomp.component_indices]
+    blocks = [(pos[members_of_size(decomp.order, decomp.bounds, k)], stack)
+              for k, stack in decomp.stacks.items()]
     covered = np.zeros(len(keep), dtype=bool)
-    for c in comps:
-        covered[c] = True
+    covered[pos[decomp.order]] = True
     rest = np.nonzero(~covered)[0]
     diag_rest = op.diag[keep[rest]]
     if np.any(np.abs(diag_rest) < 1e-12):
@@ -585,11 +571,11 @@ def resolvent_split(op: BlockOperator, exclude: Sequence[int] = ()) -> Resolvent
         raise OffCharDiagonalError(op.site_at(keep[rest[k]] % op.n_sites),
                                    float(diag_rest[k]))
 
-    # F~ in one COO construction: each block's k x k entries, then the
-    # bare diagonal on the uncovered indices.
-    rows = [np.repeat(c, len(c)) for c in comps] + [rest]
-    cols = [np.tile(c, len(c)) for c in comps] + [rest]
-    vals = [g.ravel() for g in decomp.gammas] + [diag_rest.astype(complex)]
+    # F~ in one COO construction: the entries of each block stack, then
+    # the bare diagonal on the uncovered indices.
+    rows = [np.broadcast_to(idx[:, :, None], st.shape).ravel() for idx, st in blocks] + [rest]
+    cols = [np.broadcast_to(idx[:, None, :], st.shape).ravel() for idx, st in blocks] + [rest]
+    vals = [st.ravel() for _, st in blocks] + [diag_rest.astype(complex)]
     ftilde = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(keep), len(keep))).tocsr()
@@ -597,12 +583,12 @@ def resolvent_split(op: BlockOperator, exclude: Sequence[int] = ()) -> Resolvent
 
     inv_diag = np.zeros(len(keep), dtype=complex)
     inv_diag[rest] = 1.0 / diag_rest
-    inverses = [(c, np.linalg.inv(g)) for c, g in zip(comps, decomp.gammas)]
+    inverses = [(idx, np.linalg.inv(stack)) for idx, stack in blocks]
 
     def apply_inv(vec: np.ndarray) -> np.ndarray:
         out = inv_diag * vec
-        for idxs, inv in inverses:
-            out[idxs] = inv @ vec[idxs]
+        for idx, inv in inverses:
+            out[idx] = np.einsum("cab,cb->ca", inv, vec[idx])
         return out
 
     return ResolventSplit(gamma=gamma_mat, apply_ftilde_inv=apply_inv, keep=keep)

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import ResonanceGraph
+from .characteristics import ResonanceGraph, branch_tags, members_of_size
 from .conditions import ConditionReport, check_condition_i, check_condition_ii
 from .lattice import (
     DROP_TOL,
@@ -33,7 +33,7 @@ from .lattice import (
     linear_solution,
 )
 from .linop import assemble, invert_with_certificates
-from .verify import WeightSpec, default_weight, weighted_norm
+from .verify import default_weight, weighted_norm
 
 
 class NewtonError(RuntimeError):
@@ -117,11 +117,12 @@ def _box_restrict(f: SparseSeries, box: Box) -> SparseSeries:
     return f.restrict([s for s in f.support() if box.contains(s)])
 
 
-def residual_norms(u, v, omega, spec, box, weight: WeightSpec
-                   ) -> Tuple[float, float]:
+def residual_norms(u, v, omega, spec, box) -> Tuple[float, float]:
+    """Plain and weighted (`default_weight`) norms of the residual inside the box."""
     fu, fv = residual_series(u, v, omega, spec)
     fu_b, fv_b = _box_restrict(fu, box), _box_restrict(fv, box)
     plain = math.hypot(fu_b.norm2(), fv_b.norm2())
+    weight = default_weight(spec)
     weighted = math.hypot(weighted_norm(fu_b, weight), weighted_norm(fv_b, weight))
     return plain, weighted
 
@@ -149,7 +150,6 @@ def newton_step(
     state: IterationState,
     spec: ProblemSpec,
     box: Box,
-    weight: Optional[WeightSpec] = None,
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
 ) -> IterationState:
@@ -161,8 +161,6 @@ def newton_step(
     (delta-cubed) gain of the scheme.  After the first step, a step that
     grows the weighted residual more than 1.5-fold raises StepRejected.
     """
-    if weight is None:
-        weight = default_weight(spec)
     u, v = state.u, state.v
     omega_work = q_solve(u, spec)
     op = assemble(u, v, omega_work, spec, box)
@@ -191,7 +189,7 @@ def newton_step(
     u_next = u.sub(du).clean()
     v_next = conjugate_flip(u_next)
     omega_next = q_solve(u_next, spec)
-    plain, weighted = residual_norms(u_next, v_next, omega_next, spec, box, weight)
+    plain, weighted = residual_norms(u_next, v_next, omega_next, spec, box)
 
     if weighted > max(1.5 * state.residual_weighted, 1e-13) and state.step_index > 0:
         raise StepRejected(
@@ -333,7 +331,6 @@ MIN_AMPLITUDE = 1e-6
 def first_iteration(
     spec: ProblemSpec,
     box: Optional[Box] = None,
-    weight: Optional[WeightSpec] = None,
     condition_reports: Optional[Dict[str, ConditionReport]] = None,
     kappa: float = 1e-2,
     gamma: Optional[float] = None,
@@ -353,8 +350,6 @@ def first_iteration(
     """
     if box is None:
         box = default_box(spec)
-    if weight is None:
-        weight = default_weight(spec)
     if gamma is None:
         gamma = 2 * spec.b + 2
     if dio_radius is None:
@@ -376,7 +371,7 @@ def first_iteration(
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
 
-    plain0, weighted0 = residual_norms(u0, v0, omega0, spec, box, weight)
+    plain0, weighted0 = residual_norms(u0, v0, omega0, spec, box)
     state0 = IterationState(u=u0, v=v0, omega=omega0, residual_plain=plain0,
                             residual_weighted=weighted0, step_index=0)
 
@@ -392,8 +387,7 @@ def first_iteration(
                               jac_fd_rel_err=fd_err, diophantine=dio,
                               seed_residual=(plain0, weighted0))
 
-    state1 = newton_step(state0, spec, box, weight=weight, eps_first=eps_first,
-                         eps_second=eps_second)
+    state1 = newton_step(state0, spec, box, eps_first=eps_first, eps_second=eps_second)
     return state1, report
 
 
@@ -421,10 +415,8 @@ class SolveReport:
     decay_bound_ok: bool
     invert_mode: str
     min_block_value: float
-    condition_reports: Dict[str, ConditionReport]
     state: IterationState
     box: Box
-    weight: WeightSpec
 
     def physical_u(self) -> SparseSeries:
         return self.state.u.scale(self.spec.delta ** (1.0 / (2 * self.spec.p)))
@@ -435,7 +427,6 @@ def solve(
     box: Optional[Box] = None,
     tol: float = 1e-11,
     max_iter: int = 12,
-    weight: Optional[WeightSpec] = None,
     condition_reports: Optional[Dict[str, ConditionReport]] = None,
     kappa: float = 1e-2,
     gamma: Optional[float] = None,
@@ -448,15 +439,11 @@ def solve(
     drops below tol; report frequencies, certificates and convergence data."""
     if box is None:
         box = default_box(spec)
-    if weight is None:
-        weight = default_weight(spec)
 
     state, modreport = first_iteration(
-        spec, box=box, weight=weight, condition_reports=condition_reports,
+        spec, box=box, condition_reports=condition_reports,
         kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
         eps_first=eps_first, eps_second=eps_second)
-    if condition_reports is None:
-        condition_reports = {}
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -464,8 +451,7 @@ def solve(
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
-        state = newton_step(state, spec, box, weight=weight, eps_first=eps_first,
-                            eps_second=eps_second)
+        state = newton_step(state, spec, box, eps_first=eps_first, eps_second=eps_second)
         history.append((state.residual_plain, state.residual_weighted))
 
     converged = state.residual_weighted <= tol
@@ -485,9 +471,12 @@ def solve(
     cert = invert_with_certificates(op, eps_first=eps_first, eps_second=eps_second,
                                     drop_indices=op.q_indices())
 
+    # u vanishes off its support, so only its own sites can carry C \ S mass.
     s_set = set(u0.support()) | set(v0.support())
-    cs_mass = max((abs(state.u[s]) for s in op.sites_at(np.nonzero(op.tags != 0)[0])
-                   if s not in s_set), default=0.0)
+    sites = [s for s in state.u.support() if s not in s_set and box.contains(s)]
+    tags, _ = branch_tags(np.array([s.n + s.j for s in sites], dtype=np.int64)
+                          .reshape(-1, spec.b + spec.d), omega0)
+    cs_mass = max((abs(state.u[s]) for s, t in zip(sites, tags.tolist()) if t), default=0.0)
 
     pw = spec.delta ** (1.0 / (2 * spec.p))
     shifts = tuple(abs(wk - s.jsq() - spec.phase_m)
@@ -504,7 +493,7 @@ def solve(
         decay_beta=cert.decay.beta_hat if cert.decay else 0.0,
         decay_bound_ok=cert.decay.bound_ok if cert.decay else True,
         invert_mode=cert.mode, min_block_value=cert.min_block_value,
-        condition_reports=condition_reports, state=state, box=box, weight=weight,
+        state=state, box=box,
     )
 
 
@@ -697,13 +686,10 @@ def _sweep_gather_plan(graph: ResonanceGraph, b: int
     a lattice translation keeps, so translates line up member by member.
     The representative of a class is its first component.
     """
-    coords, tags = graph.coords, graph.tags
-    by_size: Dict[int, List[List[int]]] = {}
-    for comp in graph.components:
-        by_size.setdefault(comp.size, []).append(comp.indices)
+    coords, tags = graph.vertices, graph.tags
     reps, kinds = [], []
-    for k in sorted(by_size):
-        m = np.array(by_size[k], dtype=np.int64)
+    for k in np.unique(np.diff(graph.bounds)).tolist():
+        m = members_of_size(graph.order, graph.bounds, k)
         rel = coords[m] - coords[m[:, :1]]
         row_tag, col_tag = tags[m][:, :, None], tags[m][:, None, :]
         kind = np.where(row_tag == col_tag, 0, np.where(row_tag > 0, 1, 2))

@@ -90,7 +90,7 @@ def test_criterion_3_scaling_laws():
             spec = tp2_spec(dl)
             box = default_box(spec)
             w = default_weight(spec)
-            state1, mod = first_iteration(spec, box=box, weight=w)
+            state1, mod = first_iteration(spec, box=box)
             u0, v0 = linear_solution(spec)
             du.append(weighted_norm(state1.u.sub(u0), w))
             res.append(state1.residual_weighted)

@@ -20,6 +20,20 @@ from nlsqp.characteristics import (
 OM_TP2 = FrequencyVector((1.0, 4.0))
 
 
+def tagged_vertices(graph):
+    """A resonance graph's vertex rows as (SiteIndex, CharClass) pairs."""
+    b = graph.symbols.uv_p.b
+    cls = {1: CharClass.CPLUS, -1: CharClass.CMINUS}
+    return [(site(row[:b], row[b:]), cls[t])
+            for row, t in zip(graph.vertices.tolist(), graph.tags.tolist())]
+
+
+def component_members(graph):
+    """A resonance graph's components as ascending lists of vertex numbers."""
+    order, cuts = graph.order.tolist(), graph.bounds.tolist()
+    return [order[a:z] for a, z in zip(cuts[:-1], cuts[1:])]
+
+
 def test_classify_seed_site():
     assert classify_site(site((-1, 0), (1,)), OM_TP2) is CharClass.CPLUS
 
@@ -66,7 +80,7 @@ def characteristic_set(spec, box):
     """The tagged characteristic sites of the box: the resonance graph's
     vertices."""
     u0, v0 = linear_solution(spec)
-    return resonance_graph(u0, v0, spec, spec.omega0(), box).vertices
+    return tagged_vertices(resonance_graph(u0, v0, spec, spec.omega0(), box))
 
 
 def test_characteristic_set_tp1(tp1):
@@ -249,18 +263,18 @@ def test_partition_cross_separation(B, radius):
 def test_resonance_graph_tp1_seed_component(tp1):
     u0, v0 = linear_solution(tp1)
     g = resonance_graph(u0, v0, tp1, tp1.omega0(), Box(9, 3))
-    idx = {s: i for i, (s, _) in enumerate(g.vertices)}
+    vertices = tagged_vertices(g)
+    idx = {s: i for i, (s, _) in enumerate(vertices)}
     seed = idx[site((-1,), (2,))]
-    comp = next(c for c in g.components if seed in c.indices)
-    got = {g.vertices[i][0] for i in comp.indices}
-    assert got == {site((-1,), (2,)), site((1,), (-2,))}
-    assert comp.size == 2
+    comp = next(m for m in component_members(g) if seed in m)
+    assert {vertices[i][0] for i in comp} == {site((-1,), (2,)), site((1,), (-2,))}
+    assert len(comp) == 2
 
 
 def test_resonance_graph_no_spiral_single_mode(tp1):
     u0, v0 = linear_solution(tp1)
     g = resonance_graph(u0, v0, tp1, tp1.omega0(), Box(9, 3))
-    assert not g.has_spiral_pair()
+    assert g.spiral_pairs.shape == (0, 2)
 
 
 def test_resonance_graph_partition_blocks_never_connected(tp2):
@@ -273,10 +287,9 @@ def test_resonance_graph_partition_blocks_never_connected(tp2):
     scale = g.interaction_range * max(abs(w) for w in om.as_ints())
     part = build_partition(scale, 1, 4)
     block_of = part.block_of()
-    for i, k in g.edges:
-        ji = g.vertices[i][0].j
-        jk = g.vertices[k][0].j
-        assert block_of[ji] == block_of[jk]
+    vertices = tagged_vertices(g)
+    for i, k in g.edges.T.tolist():
+        assert block_of[vertices[i][0].j] == block_of[vertices[k][0].j]
 
 
 def test_component_size_bound(tp2):
@@ -285,7 +298,7 @@ def test_component_size_bound(tp2):
     part = build_partition(float(g.interaction_range), 1, 4)
     c0 = max(part.c0_hat, 1.0)
     bound = 2 * g.interaction_range ** (c0 * tp2.d)
-    assert g.max_component_size() <= bound
+    assert max(map(len, component_members(g))) <= bound
 
 
 def test_symbols_flip_consistency(tp2):

@@ -249,8 +249,13 @@ def test_rank_pass_implies_walk_pass():
     assert checked >= 5
 
 
+def oned_spec(js, p):
+    return make_spec(d=1, b=len(js), p=p, delta=1e-3, j_list=js,
+                     amplitudes=[0.5] * len(js))
+
+
 def test_oned_check_cubic_pairs_confined(tp2):
-    rep = oned_check([1, 2], 1)
+    rep = oned_check(tp2)
     assert rep.verdict == "pass"
     for pair in rep.details["pairs"]:
         assert {pair.j, pair.j_next} <= {-2, -1, 1, 2}
@@ -258,7 +263,7 @@ def test_oned_check_cubic_pairs_confined(tp2):
 
 
 def test_oned_check_p2_enumeration():
-    rep = oned_check([1, 2], 2)
+    rep = oned_check(oned_spec([1, 2], 2))
     assert rep.verdict in ("pass", "fail")
     assert rep.details["pairs"], "solver must list the solution pairs"
     # Brute-force oracle: re-solve each recorded pair's equation directly.
@@ -275,24 +280,23 @@ def test_oned_check_p2_enumeration():
 
 
 def test_oned_gamma_minus_p1_is_vv_support(tp2):
-    rep = oned_check([1, 2], 1)
+    rep = oned_check(tp2)
     u0, v0 = linear_solution(tp2)
     from nlsqp.lattice import convolve
     vv = convolve(v0, v0)
     assert rep.details["gamma_minus_size"] == len(vv.support())
 
 
-def test_oned_rejects_non_1d():
-    with pytest.raises(Exception):
-        oned_check([(1, 0), (0, 1)], 1)  # type: ignore[arg-type]
+def test_oned_rejects_non_1d(tp3):
+    with pytest.raises(ValueError, match="d = 1 only"):
+        oned_check(tp3)
 
 
 def closed_form_oned_pairs(js, p):
     """Oracle: the two 1d connection equations solved in closed form, as
     (j, j_next, element, relation) in oned_check's order: the linear
     equation over Gamma+, then the square over Gamma-, roots ascending."""
-    spec = make_spec(d=1, b=len(js), p=p, delta=1e-3, j_list=js,
-                     amplitudes=[0.5] * len(js))
+    spec = oned_spec(js, p)
     u0, v0 = linear_solution(spec)
     symbols = ConvolutionSymbols.from_fields(u0, v0, p)
     w = spec.omega0().as_ints()
@@ -324,7 +328,7 @@ def test_oned_check_pairs_match_closed_form_solver():
         b = rng.randint(1, 4)
         js = rng.sample([j for j in range(-9, 10) if j != 0], b)
         p = rng.choice([1, 2])
-        pairs = oned_check(js, p).details["pairs"]
+        pairs = oned_check(oned_spec(js, p)).details["pairs"]
         assert [(q.j, q.j_next, q.element, q.branch_relation) for q in pairs] == \
             closed_form_oned_pairs(js, p)
         cubic = set(js) | {-j for j in js}

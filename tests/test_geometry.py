@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from nlsqp import characteristics
 from nlsqp.characteristics import (
     CharClass,
-    Component,
     ConvolutionSymbols,
     build_partition,
     _min_labels,
@@ -28,7 +27,12 @@ from nlsqp.lattice import Box, SiteIndex, default_box, linear_solution, make_spe
 from nlsqp.linop import assemble
 from nlsqp.newton import solve
 
-from test_characteristics import brute_characteristic_set, membership_grid
+from test_characteristics import (
+    brute_characteristic_set,
+    component_members,
+    membership_grid,
+    tagged_vertices,
+)
 
 
 # -- oracles ----------------------------------------------------------------
@@ -85,8 +89,7 @@ def loop_resonance_graph(u, v, spec, omega0, box, symbols=None):
                 pair = (seen[key], i)
                 break
             seen.setdefault(key, i)
-        comps.append(Component(indices=idxs, size=len(idxs), diameter=diam,
-                               spiral_pair=pair))
+        comps.append((idxs, diam, pair))
     return vertices, sorted(edges), comps
 
 
@@ -254,15 +257,40 @@ def vertex_arrays(vertices):
     return coords, tags
 
 
+def graph_of_lists(vertices, edges, comps, symbols):
+    """The array `ResonanceGraph` of the oracle's lists."""
+    coords, tags = vertex_arrays(vertices)
+    members = [idxs for idxs, _, _ in comps]
+    labels = np.zeros(len(vertices), dtype=np.int64)
+    for c, idxs in enumerate(members):
+        labels[idxs] = c
+    return characteristics.ResonanceGraph(
+        vertices=coords, tags=tags, edges=np.array(edges, dtype=np.int64).reshape(-1, 2).T,
+        labels=labels, order=np.array(sum(members, []), dtype=np.int64),
+        bounds=np.cumsum([0] + [len(m) for m in members]),
+        diameters=np.array([diam for _, diam, _ in comps], dtype=np.int64),
+        spiral_pairs=np.array([pair for _, _, pair in comps if pair is not None],
+                              dtype=np.int64).reshape(-1, 2),
+        interaction_range=symbols.interaction_range(), symbols=symbols)
+
+
 def assert_same_graph(got, want):
     vertices, edges, comps = want
-    assert got.vertices == vertices
+    assert tagged_vertices(got) == vertices
     coords, tags = vertex_arrays(vertices)
-    assert got.coords.dtype == coords.dtype and np.array_equal(got.coords, coords)
+    assert got.vertices.dtype == coords.dtype and np.array_equal(got.vertices, coords)
     assert got.tags.dtype == tags.dtype and np.array_equal(got.tags, tags)
-    assert got.edges == edges
-    assert got.components == comps
-    assert all(type(i) is int for c in got.components for i in c.indices)
+    assert got.edges.dtype == np.int64 and got.edges.shape == (2, len(edges))
+    assert list(zip(*got.edges.tolist())) == edges
+    for arr in (got.labels, got.order, got.bounds, got.diameters, got.spiral_pairs):
+        assert arr.dtype == np.int64
+    members = component_members(got)
+    for c, idxs in enumerate(members):
+        assert np.all(got.labels[idxs] == c)
+    pair_of = {int(got.labels[i]): (i, k) for i, k in got.spiral_pairs.tolist()}
+    assert np.all(np.diff(got.labels[got.spiral_pairs[:, 0]]) > 0)  # component order
+    assert [(idxs, diam, pair_of.get(c)) for c, (idxs, diam)
+            in enumerate(zip(members, got.diameters.tolist()))] == comps
 
 
 # -- resonance graph ------------------------------------------------------------
@@ -290,7 +318,7 @@ def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
         assert_same_graph(got, loop_resonance_graph(u0, v0, tp2, tp2.omega0(), box,
                                                     symbols=aug))
         assert got.interaction_range == aug.interaction_range()
-        spirals += got.has_spiral_pair()
+        spirals += len(got.spiral_pairs) > 0
     assert spirals >= 2
 
 
@@ -298,12 +326,8 @@ def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
     from nlsqp import conditions
 
     def as_graph(u, v, spec, omega0, box, symbols=None):
-        vertices, edges, comps = loop_resonance_graph(u, v, spec, omega0, box, symbols)
-        coords, tags = vertex_arrays(vertices)
-        return characteristics.ResonanceGraph(
-            vertices=vertices, edges=edges, components=comps,
-            interaction_range=symbols.interaction_range(), symbols=symbols,
-            coords=coords, tags=tags)
+        return graph_of_lists(*loop_resonance_graph(u, v, spec, omega0, box, symbols),
+                              symbols)
 
     for inject in INJECTIONS + [None]:
         got = check_condition_ii(tp2, inject=inject)

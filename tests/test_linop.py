@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlsqp.characteristics import members_of_size
 from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.linop import (
     ExcisionError,
@@ -91,7 +92,7 @@ def test_block_decompose_tp1(tp1):
     two = [i for i, s in enumerate(dec.sizes) if s == 2]
     assert len(two) == 1
     k = two[0]
-    eigs = np.sort(np.linalg.eigvalsh(dec.gammas[k]))
+    eigs = np.sort(np.linalg.eigvalsh(block_lists(dec)[1][k]))
     assert eigs == pytest.approx([d * a * a, 3 * d * a * a])
     assert abs(dec.dets[k]) == pytest.approx(3 * a ** 4 * d * d)
 
@@ -110,13 +111,13 @@ def test_block_diag_consistency(tp2):
     op = seed_operator(tp2)
     dec = block_decompose(op)
     m = op.matrix
-    for idxs, gamma in zip(dec.component_indices, dec.gammas):
+    members, blocks = block_lists(dec)
+    for idxs, gamma in zip(members, blocks):
         sub = m[idxs][:, idxs].toarray()
         assert np.array_equal(sub, gamma)
     # and blocks never couple to each other
-    flat = [i for idxs in dec.component_indices for i in idxs]
-    for a_idx, idxs_a in enumerate(dec.component_indices):
-        for b_idx, idxs_b in enumerate(dec.component_indices):
+    for a_idx, idxs_a in enumerate(members):
+        for b_idx, idxs_b in enumerate(members):
             if a_idx == b_idx:
                 continue
             cross = m[idxs_a][:, idxs_b].toarray()
@@ -161,14 +162,33 @@ def bfs_components(op):
     return comps
 
 
+def block_lists(dec):
+    """A decomposition's members and dense blocks, one list entry per block."""
+    order, cuts = dec.order.tolist(), dec.bounds.tolist()
+    members = [order[a:z] for a, z in zip(cuts[:-1], cuts[1:])]
+    blocks = [None] * len(members)
+    for k, stack in dec.stacks.items():
+        assert stack.shape[1:] == (k, k) and stack.dtype == complex
+        assert members_of_size(dec.order, dec.bounds, k).tolist() == \
+            [m for m in members if len(m) == k]
+        for c, block in zip(np.nonzero(dec.sizes == k)[0].tolist(), stack, strict=True):
+            blocks[c] = block
+    return members, blocks
+
+
 def assert_blocks_are_slices(op, dec):
     m = op.matrix
-    for idxs, gamma, det, smin, size in zip(dec.component_indices, dec.gammas,
-                                            dec.dets, dec.min_singulars, dec.sizes):
+    members, blocks = block_lists(dec)
+    assert np.array_equal(dec.sizes, np.diff(dec.bounds))
+    assert len(dec.dets) == len(dec.dets_normalized) == len(dec.min_singulars) == len(members)
+    for idxs, gamma, det, norm, smin, size in zip(members, blocks, dec.dets,
+                                                  dec.dets_normalized, dec.min_singulars,
+                                                  dec.sizes):
         sub = m[idxs][:, idxs].toarray()
         assert size == len(idxs)
         assert np.array_equal(gamma, sub)
         assert det == complex(np.linalg.det(sub))
+        assert norm == abs(complex(det)) / op.delta ** len(idxs)
         assert smin == float(np.linalg.svd(sub, compute_uv=False)[-1])
 
 
@@ -180,10 +200,27 @@ def test_block_decompose_matches_reference(name, drop_seed, request):
     exclude = frozenset(op.q_indices()) if drop_seed else frozenset()
     dec = block_decompose(op, exclude=exclude)
     expected = [[i for i in comp if i not in exclude] for comp in bfs_components(op)]
-    assert dec.component_indices == [c for c in expected if c]
+    assert block_lists(dec)[0] == [c for c in expected if c]
     assert_blocks_are_slices(op, dec)
-    for det, norm, size in zip(dec.dets, dec.dets_normalized, dec.sizes):
-        assert norm == abs(det) / spec.delta ** size
+
+
+def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
+    # An emptied component is dropped and the later blocks keep their order
+    # by smallest original member, so ExcisionError counts without it.
+    op = seed_operator(tp1)
+    ref = bfs_components(op)
+    assert [len(c) for c in ref] == [1, 2, 1, 1, 1]
+    dec = block_decompose(op, exclude=frozenset(ref[0]))
+    assert block_lists(dec)[0] == ref[1:]
+    assert_blocks_are_slices(op, dec)
+    # The seed block, second of the full operator and first now, is the only
+    # one below 0.75: |P| = 0.7203 against 0.98 for the size-1 blocks.
+    with pytest.raises(ExcisionError) as err:
+        invert_with_certificates(op, mode="seed", eps_first=0.75, drop_indices=ref[0],
+                                 fit_decay=False, power_iters=0)
+    assert (err.value.block_index, err.value.size) == (0, 2)
+    assert err.value.value == dec.dets_normalized[0]
+    assert str(err.value).startswith("block 0 (size 2): |P_k| = 7.203e-01")
 
 
 def test_block_decompose_batches_determinants(tp3, monkeypatch):
@@ -370,7 +407,7 @@ def test_resolvent_split_is_blocks_plus_bare_diagonal(tp2, excluded):
     ftilde = sp.lil_matrix((len(keep), len(keep)), dtype=complex)
     covered = set()
     decomp = block_decompose(op, exclude=frozenset(exclude))
-    for idxs, gamma in zip(decomp.component_indices, decomp.gammas):
+    for idxs, gamma in zip(*block_lists(decomp)):
         for a, ia in enumerate(idxs):
             covered.add(ia)
             for c, ic in enumerate(idxs):

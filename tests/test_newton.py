@@ -20,7 +20,8 @@ from nlsqp.newton import (
     residual_series,
     solve,
 )
-from nlsqp.verify import default_weight
+
+from test_characteristics import component_members, tagged_vertices
 
 
 def hand_q_tp2(a1, a2, delta):
@@ -241,7 +242,7 @@ def test_solve_computes_each_state_residual_once(tp2, monkeypatch):
     rep = solve(tp2)
     assert len(calls) == rep.steps + 1 == len(rep.residual_history)
     u0, v0 = linear_solution(tp2)
-    assert rep.residual_history[0] == real(u0, v0, tp2.omega0(), tp2, rep.box, rep.weight)
+    assert rep.residual_history[0] == real(u0, v0, tp2.omega0(), tp2, rep.box)
 
 
 def test_solve_nonconvergence_reports_history(tp2):
@@ -304,6 +305,7 @@ def hand_built_min_block_values(spec, samples, box):
     from nlsqp.characteristics import CharClass, ConvolutionSymbols, resonance_graph
     u_t, v_t = linear_solution(spec)
     graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
+    vertices = tagged_vertices(graph)
     p = spec.p
     out = []
     for a in samples:
@@ -311,8 +313,8 @@ def hand_built_min_block_values(spec, samples, box):
         u0, v0 = linear_solution(spec_a)
         symbols = ConvolutionSymbols.from_fields(u0, v0, p)
         worst = math.inf
-        for comp in graph.components:
-            sites = [graph.vertices[i] for i in comp.indices]
+        for comp in component_members(graph):
+            sites = [vertices[i] for i in comp]
             block = np.zeros((len(sites), len(sites)), dtype=complex)
             for r, (sr, tr) in enumerate(sites):
                 for c, (sc, tc) in enumerate(sites):
@@ -404,7 +406,7 @@ def test_excision_sweep_dets_one_block_per_class(name, components, classes, requ
     spec = request.getfixturevalue(name)
     u0, v0 = linear_solution(spec)
     graph = resonance_graph(u0, v0, spec, spec.omega0(), default_box(spec))
-    assert Counter(c.size for c in graph.components) == components
+    assert Counter(np.diff(graph.bounds).tolist()) == components
     calls = []
     det = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
@@ -412,11 +414,11 @@ def test_excision_sweep_dets_one_block_per_class(name, components, classes, requ
     assert calls == [(100, n, k, k) for k, n in sorted(classes.items())]
 
 
-def component_block(graph, comp):
+def component_block(vertices, comp):
     """A component's block as (kind, shift) matrices, built from the vertex
     list entry by entry: kind 0 diagonal symbol, 1 uu, 2 vv."""
     from nlsqp.characteristics import CharClass
-    sites = [graph.vertices[i] for i in comp.indices]
+    sites = [vertices[i] for i in comp]
     kind = tuple(tuple(0 if tr is tc else 1 if tr is CharClass.CPLUS else 2
                        for _, tc in sites) for _, tr in sites)
     return kind, tuple(tuple(sr - sc for sc, _ in sites) for sr, _ in sites)
@@ -454,7 +456,8 @@ def test_sweep_plan_covers_every_component(name, request):
                                                for row in ids))
                for kinds, shift_ids in plan
                for kind, ids in zip(kinds.tolist(), shift_ids.tolist())]
-    wanted = {component_block(graph, comp) for comp in graph.components}
+    vertices = tagged_vertices(graph)
+    wanted = {component_block(vertices, comp) for comp in component_members(graph)}
     assert len(planned) == len(set(planned))  # one block per class
     assert set(planned) == wanted
     if name == "tp2-injected":
@@ -560,13 +563,12 @@ def test_newton_step_factors_once(tp2, monkeypatch):
     import scipy.sparse.linalg as spla
     u0, v0 = linear_solution(tp2)
     box = Box(9, 3)
-    weight = default_weight(tp2)
-    plain, weighted = residual_norms(u0, v0, tp2.omega0(), tp2, box, weight)
+    plain, weighted = residual_norms(u0, v0, tp2.omega0(), tp2, box)
     state = IterationState(u=u0, v=v0, omega=tp2.omega0(), residual_plain=plain,
                            residual_weighted=weighted, step_index=0)
     calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda a: calls.append(a.shape) or splu(a))
-    nxt = newton_step(state, tp2, box, weight=weight)
+    nxt = newton_step(state, tp2, box)
     assert len(calls) == 1
     assert nxt.residual_weighted < weighted
