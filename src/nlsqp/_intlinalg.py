@@ -1,4 +1,5 @@
-"""Exact integer linear algebra: gcd solves, kernels, determinants.
+"""Exact integer linear algebra: gcd solves, kernels, lattice bases,
+determinants.
 
 Small dense systems only (b <= ~8 columns), so fraction-free elimination
 over Python Fractions is plenty fast and avoids pulling in a CAS.
@@ -103,6 +104,33 @@ def kernel_basis(rows: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
         for ri, pc in enumerate(pivots):
             v[pc] = -m[ri][fc]
         basis.append(_clear_denominators(v))
+    return basis
+
+
+def lattice_basis(vectors: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """A Z-basis of the lattice the integer vectors span, in echelon form.
+
+    Integer row reduction: Euclid's algorithm runs down each column,
+    subtracting integer multiples of the row with the smallest nonzero entry
+    from the others (a unimodular step, which keeps the spanned lattice),
+    until one row holds the column's gcd; that row is the next basis vector.  The basis has rank-many rows, each with its
+    pivot (first nonzero entry) positive and right of the previous pivot.
+    """
+    rows = [[int(x) for x in v] for v in vectors if any(v)]
+    basis: List[Tuple[int, ...]] = []
+    for c in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[c] != 0]
+        while len(live) > 1:
+            piv = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not piv:
+                    q = r[c] // piv[c]
+                    r[:] = [x - q * y for x, y in zip(r, piv)]
+            live = [r for r in live if r[c] != 0]
+        if live:
+            piv = live[0]
+            rows = [r for r in rows if r is not piv and any(r)]
+            basis.append(tuple(piv) if piv[c] > 0 else tuple(-x for x in piv))
     return basis
 
 

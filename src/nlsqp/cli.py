@@ -529,6 +529,7 @@ def cmd_verify(cfg: RunConfig, solution_path: str, out_path: Optional[str]) -> i
             "T": vcfg.T,
             "dt": vcfg.dt,
             "grid": drift.grid,
+            "rank": drift.rank,
         },
     }
     _emit(write_report(sections), out_path)
@@ -582,11 +583,11 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
     0 success, 1 condition failure, 2 non-convergence, 3 excised amplitude,
     4 config or input error (a bad config, or a solution file that is
     missing or malformed), 5 verify failure (grid too coarse for the
-    solution, unstable split-step integration, or d > 2 for the
-    integrator), 6 truncation box above the site cap, 7 Newton step
-    rejected (the weighted residual grew), 8 non-real Q frequency, 9
-    off-characteristic diagonal too close to zero.  Each failure prints
-    one line to stderr.
+    solution, unstable split-step integration, or a support whose
+    difference lattice has rank above 2), 6 truncation box above the site
+    cap, 7 Newton step rejected (the weighted residual grew), 8 non-real Q
+    frequency, 9 off-characteristic diagonal too close to zero.  Each
+    failure prints one line to stderr.
     """
     try:
         if cmd == "check":

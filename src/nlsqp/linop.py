@@ -22,7 +22,6 @@ from .characteristics import (
     box_strides,
     branch_tags,
     enumerate_box_sites,
-    members_of_size,
     ordered_components,
 )
 from .lattice import (
@@ -528,86 +527,6 @@ def restricted_solver(op: BlockOperator, exclude: Sequence[int]
     sub = op.matrix[keep][:, keep].tocsc()
     lu = spla.splu(sub)
     return lu.solve, keep
-
-
-# ---------------------------------------------------------------------------
-# Resolvent splitting  F' = F~ + Gamma
-
-
-@dataclass
-class ResolventSplit:
-    gamma: sp.csr_matrix
-    apply_ftilde_inv: Callable[[np.ndarray], np.ndarray]
-    keep: np.ndarray    # both act on vectors indexed by these doubled indices
-
-
-def resolvent_split(op: BlockOperator, exclude: Sequence[int] = ()) -> ResolventSplit:
-    """F~ keeps the dense resonance blocks on C and the bare diagonal off C;
-    Gamma = F' - F~ carries every remaining coupling.
-
-    `exclude` restricts the split to the complement of the given doubled
-    indices, as `drop_indices` does in `invert_with_certificates`: passing
-    the 2b seed equations leaves out the seed block's phase-symmetry kernel,
-    which a converged operator carries.
-    """
-    import scipy.sparse as sp
-
-    dropped = frozenset(int(i) for i in exclude)
-    decomp = block_decompose(op, exclude=dropped)
-    mask = np.ones(op.dim, dtype=bool)
-    mask[list(dropped)] = False
-    keep = np.nonzero(mask)[0]
-    pos = np.full(op.dim, -1, dtype=np.int64)
-    pos[keep] = np.arange(len(keep))
-
-    blocks = [(pos[members_of_size(decomp.order, decomp.bounds, k)], stack)
-              for k, stack in decomp.stacks.items()]
-    covered = np.zeros(len(keep), dtype=bool)
-    covered[pos[decomp.order]] = True
-    rest = np.nonzero(~covered)[0]
-    diag_rest = op.diag[keep[rest]]
-    if np.any(np.abs(diag_rest) < 1e-12):
-        k = int(np.argmin(np.abs(diag_rest)))
-        raise OffCharDiagonalError(op.site_at(keep[rest[k]] % op.n_sites),
-                                   float(diag_rest[k]))
-
-    # F~ in one COO construction: the entries of each block stack, then
-    # the bare diagonal on the uncovered indices.
-    rows = [np.broadcast_to(idx[:, :, None], st.shape).ravel() for idx, st in blocks] + [rest]
-    cols = [np.broadcast_to(idx[:, None, :], st.shape).ravel() for idx, st in blocks] + [rest]
-    vals = [st.ravel() for _, st in blocks] + [diag_rest.astype(complex)]
-    ftilde = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(keep), len(keep))).tocsr()
-    gamma_mat = (op.matrix[keep][:, keep] - ftilde).tocsr()
-
-    inv_diag = np.zeros(len(keep), dtype=complex)
-    inv_diag[rest] = 1.0 / diag_rest
-    inverses = [(idx, np.linalg.inv(stack)) for idx, stack in blocks]
-
-    def apply_inv(vec: np.ndarray) -> np.ndarray:
-        out = inv_diag * vec
-        for idx, inv in inverses:
-            out[idx] = np.einsum("cab,cb->ca", inv, vec[idx])
-        return out
-
-    return ResolventSplit(gamma=gamma_mat, apply_ftilde_inv=apply_inv, keep=keep)
-
-
-def resolvent_square_norm(op: BlockOperator, exclude: Sequence[int] = ()) -> float:
-    """Measured ||(F~^{-1} Gamma)^2||, the quantity that contracts like delta,
-    on the split restricted off `exclude` (see `resolvent_split`)."""
-    split = resolvent_split(op, exclude=exclude)
-
-    def m_apply(x):
-        return split.apply_ftilde_inv(split.gamma @ x)
-
-    def m_adj(x):
-        return split.gamma @ split.apply_ftilde_inv(x)
-
-    sigma, _, _ = _power_norm(lambda x: m_apply(m_apply(x)), lambda y: m_adj(m_adj(y)),
-                              len(split.keep), seed=5, max_rounds=30)
-    return float(sigma)
 
 
 # ---------------------------------------------------------------------------

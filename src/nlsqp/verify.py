@@ -14,6 +14,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ._intlinalg import lattice_basis
 from .lattice import ProblemSpec, SiteIndex, SparseSeries, FrequencyVector
 
 
@@ -96,7 +97,7 @@ def pde_residual(
     The series is in physical scaling.  Time and space derivatives are
     exact on each term (in.w and -|j|^2); the nonlinearity is applied
     pointwise.  The grid must resolve the support: at least 2*max|j|+1
-    points per space dimension and 2*max|n.w|+1 in time.
+    points per space dimension and at least 2*max|n.w| in time.
     """
     terms = u.items()
     if not terms:
@@ -117,7 +118,7 @@ def pde_residual(
         raise GridTooCoarse(
             f"need at least {2 * max_j + 1} spatial points per dimension")
     if t_points < 2 * max_t:
-        raise GridTooCoarse(f"need at least {2 * max_t:.0f} time points")
+        raise GridTooCoarse(f"need at least {math.ceil(2 * max_t)} time points")
 
     tg = np.linspace(0.0, 2 * math.pi, t_points, endpoint=False)
     xg = np.linspace(0.0, 2 * math.pi, x_points, endpoint=False)
@@ -151,16 +152,16 @@ class DriftReport:
     phase_error: np.ndarray     # (samples, b) phase minus the -omega_k t law
     mass_drift: float           # relative l2 mass drift over the run
     dt: float
-    grid: int
+    grid: int                   # points per axis of the sub-torus
+    rank: int                   # rank r of the lattice the support spans
 
 
-def _linear_propagator(m: int, dt: float) -> np.ndarray:
-    """Dense m x m free flow over dt along one periodic axis of m points:
-    P = F^{-1} diag(e^{-i k^2 dt}) F, so P @ f is ifft(fft(f) e^{-i k^2 dt}).
-    The 2-D flow factorises, e^{-i(kx^2+ky^2)dt} = e^{-i kx^2 dt} e^{-i ky^2 dt},
-    and acts as P @ psi @ P^T."""
-    k = np.fft.fftfreq(m, d=1.0 / m)
-    spectral = np.exp(-1j * k ** 2 * dt)[:, None] * np.fft.fft(np.eye(m), axis=0)
+def _linear_propagator(symbol: np.ndarray, dt: float) -> np.ndarray:
+    """Dense m x m free flow over dt along one periodic axis of m points, for
+    the Fourier multiplier e^{-i symbol dt} with `symbol` given on the FFT
+    frequencies (np.fft.fftfreq order): P = F^{-1} diag(e^{-i symbol dt}) F,
+    so P @ f is ifft(fft(f) e^{-i symbol dt})."""
+    spectral = np.exp(-1j * symbol * dt)[:, None] * np.fft.fft(np.eye(len(symbol)), axis=0)
     return np.fft.ifft(spectral, axis=0)
 
 
@@ -197,37 +198,68 @@ def evolve_drift(
     """Strang split-step integration of the physical equation from psi(0, x)
     = u(0, x), tracking the seed-mode amplitudes and phases.
 
+    The flow keeps the Fourier support in the coset j0 + L of the first seed
+    j0, where L is the lattice spanned by the differences j - j0 over the
+    support and the seeds: the free flow is diagonal in j, and |psi|^{2p}psi
+    adds and subtracts support points.  With B a Z-basis of L (d x r, from
+    `lattice_basis`; one unit vector when r = 0), psi(t, x) = e^{i j0.x}
+    phi(t, B^T x), phi on the r-torus, and |psi| = |phi| pointwise.  So the
+    loop integrates phi on m^r points, m a power of two resolving the modes
+    the nonlinearity reaches in the coordinates c of j = j0 + Bc, with the
+    free-flow multiplier e^{-i |j0 + Bc|^2 dt}; psi_hat(j0 + Bc) =
+    phi_hat(c).  A support of rank r > 2 raises VerifyError.
+
     A step is a nonlinear half-step, the free flow over dt, and another
     nonlinear half-step.  The nonlinear sub-flow
-    psi -> psi e^{-i tau (|psi|^{2p} + m)} keeps |psi| fixed at every point,
+    phi -> phi e^{-i tau (|phi|^{2p} + m)} keeps |phi| fixed at every point,
     so the trailing half-step of one step and the leading half-step of the
     next compose exactly into one full-step phase; the loop splits it back
-    into halves only where a sample is recorded and at the last step.  The
-    free flow is one dense product with the precomputed propagator P of
-    `_linear_propagator`: P @ psi in d = 1, P @ psi @ P^T in d = 2, which on
-    the 16-64 point grids used here costs less than an FFT pair.  The l2 mass
-    is read off the |psi|^2 array of the phase at every step; a mass that is
-    not finite or drifts by more than 1e-3 raises IntegratorInstability.
+    into halves only where a sample is recorded and at the last step.  For
+    r <= 1 the free flow is one product with the dense m x m propagator of
+    `_linear_propagator`, which on 16-64 points costs less than an FFT pair;
+    for r = 2 it is FFT, multiply, inverse FFT, which also covers the cross
+    terms of B^T B.  The l2 mass is read off the |phi|^2 array of the phase
+    at every step; a mass that is not finite or drifts by more than 1e-3
+    raises IntegratorInstability.
     """
-    if spec.d > 2:
-        raise VerifyError("split-step validator supports d <= 2")
     terms = u.items()
-    max_j = max((max(abs(c) for c in s.j) for s, _ in terms), default=1)
+    j0 = spec.j_list[0]
+    js = [s.j for s, _ in terms] + list(spec.j_list)
+    basis = lattice_basis([tuple(a - b for a, b in zip(j, j0)) for j in js])
+    rank = len(basis)
+    if rank > 2:
+        raise VerifyError(
+            f"split-step validator needs a support of rank <= 2, got rank {rank}")
+    bmat = np.array(basis or [(1,) + (0,) * (spec.d - 1)], dtype=float).T
+    coords = np.rint(np.linalg.lstsq(bmat, (np.array(js) - j0).T, rcond=None)[0])
+    coords = coords.T.astype(int)
     # A power of two resolving the modes the nonlinearity reaches.
-    m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_j + 2)))
+    max_c = int(np.abs(coords).max())
+    m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_c + 2)))
     if dt > 0.5:
         raise IntegratorInstability("dt too large for the phase rotation", 0.1)
 
-    # psi(0, x) on the grid: collapse the n direction (t = 0).
-    shape = (m,) * spec.d
-    psi = np.zeros(shape, dtype=complex)
-    for s, val in terms:
-        idx = tuple(c % m for c in s.j)
-        psi[idx] += val
-    psi = np.fft.ifftn(psi) * psi.size  # values on the grid
+    # phi(0, y) on the grid: collapse the n direction (t = 0).
+    shape = (m,) * bmat.shape[1]
+    phi = np.zeros(shape, dtype=complex)
+    for c, (_, val) in zip(coords, terms):
+        phi[tuple(c % m)] += val
+    phi = np.fft.ifftn(phi) * phi.size  # values on the grid
 
-    prop = _linear_propagator(m, dt)
-    prop_t = np.ascontiguousarray(prop.T)
+    # |j0 + Bc|^2 on the FFT frequencies c of the grid.
+    freqs = np.meshgrid(*[np.fft.fftfreq(m, d=1.0 / m)] * len(shape), indexing="ij")
+    jc = np.array(j0, dtype=float)[:, None] + bmat @ np.stack([f.ravel() for f in freqs])
+    symbol = np.sum(jc * jc, axis=0).reshape(shape)
+    if len(shape) == 1:
+        prop = _linear_propagator(symbol, dt)
+
+        def free_flow(f: np.ndarray) -> np.ndarray:
+            return prop @ f
+    else:
+        lin_phase = np.exp(-1j * symbol * dt)
+
+        def free_flow(f: np.ndarray) -> np.ndarray:
+            return np.fft.ifftn(np.fft.fftn(f) * lin_phase)
 
     steps = int(round(T / dt))
     # At least 200 samples, and densely enough that no mode advances more
@@ -236,16 +268,16 @@ def evolve_drift(
     max_omega = max(1.0, max(abs(w) for w in omega.omega))
     max_interval = 0.5 * math.pi / max_omega
     sample_every = max(1, min(steps // 200, int(max_interval / dt)))
-    mode_bins = [tuple(c % m for c in j) for j in spec.j_list]
+    mode_bins = [tuple(c % m) for c in coords[len(terms):]]
 
-    mod2 = (psi * psi.conj()).real
+    mod2 = (phi * phi.conj()).real
     mass0 = float(mod2.sum())
     times: List[float] = []
     amps: List[List[float]] = []
     phases: List[List[float]] = []
 
     def record(tnow: float):
-        ft = np.fft.fftn(psi) / psi.size
+        ft = np.fft.fftn(phi) / phi.size
         times.append(tnow)
         amps.append([abs(ft[bin]) for bin in mode_bins])
         phases.append([math.atan2(ft[bin].imag, ft[bin].real) for bin in mode_bins])
@@ -255,10 +287,10 @@ def evolve_drift(
     record(0.0)
     half = dt / 2.0
     mass = mass0
-    psi = psi * phase(mod2, half)  # leading half-step of the first step
+    phi = phi * phase(mod2, half)  # leading half-step of the first step
     for step in range(steps):
-        psi = prop @ psi if spec.d == 1 else prop @ psi @ prop_t
-        mod2 = (psi * psi.conj()).real
+        phi = free_flow(phi)
+        mod2 = (phi * phi.conj()).real
         mass = float(mod2.sum())
         if not math.isfinite(mass) or (
                 mass0 > 0 and abs(mass - mass0) / mass0 > 1e-3):
@@ -267,12 +299,12 @@ def evolve_drift(
                 f"at t={(step + 1) * dt:.3f}", suggested_dt=dt / 4.0)
         if (step + 1) % sample_every == 0 or step == steps - 1:
             rot = phase(mod2, half)
-            psi = psi * rot
+            phi = phi * rot
             record((step + 1) * dt)
             if step < steps - 1:
-                psi = psi * rot
+                phi = phi * rot
         else:
-            psi = psi * phase(mod2, dt)
+            phi = phi * phase(mod2, dt)
 
     times_a = np.array(times)
     amps_a = np.array(amps)
@@ -284,4 +316,4 @@ def evolve_drift(
     mass_drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
     return DriftReport(times=times_a, mode_amps=amps_a, mode_phases=phases_a,
                        amp_drift=amp_drift, phase_error=phase_err,
-                       mass_drift=mass_drift, dt=dt, grid=m)
+                       mass_drift=mass_drift, dt=dt, grid=m, rank=rank)

@@ -284,11 +284,13 @@ def test_exit_verify_integrator_instability(tmp_path, capsys):
     assert "\n" not in err
 
 
-def test_exit_verify_dimension_above_two(tmp_path, capsys):
+def test_exit_verify_rank_above_two(tmp_path, capsys):
     # The collocation residual runs in any d; the split-step validator
-    # stops at d = 2.
-    spec = make_spec(d=3, b=1, p=1, delta=1e-3, j_list=[(1, 0, 0)],
-                     amplitudes=[0.7])
+    # integrates on the sub-torus of the support's difference lattice and
+    # stops at rank 2.  These four seeds in d = 3 differ by a rank-3 lattice.
+    spec = make_spec(d=3, b=4, p=1, delta=1e-3,
+                     j_list=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+                     amplitudes=[0.7, 0.6, 0.5, 0.4])
     u0, _ = linear_solution(spec)
     sol = write(tmp_path, "sol.txt", write_solution(
         spec, spec.omega0(), u0.scale(spec.delta ** 0.5)))
@@ -297,7 +299,37 @@ def test_exit_verify_dimension_above_two(tmp_path, capsys):
                        solution=sol)
     assert code == EXIT_VERIFY
     err = capsys.readouterr().err.strip()
-    assert err == "verify failure: split-step validator supports d <= 2"
+    assert err == ("verify failure: split-step validator needs a support of "
+                   "rank <= 2, got rank 3")
+
+
+def test_verify_command_d3_seed_of_rank_one(tmp_path):
+    # tp3's modes embedded in d = 3: solve and verify end to end; the
+    # support spans a rank-1 lattice, so the drift runs on 32 points.
+    cfg = parse_config("""
+[problem]
+d = 3
+b = 2
+p = 2
+delta = 1e-3
+modes = (1,0,0):0.9, (0,1,0):0.35
+
+[truncation]
+n_radius = 6
+j_radius = 3
+
+[verify]
+x_points = 9
+""")
+    assert run_command("solve", cfg, out_path=str(tmp_path / "solve")) == EXIT_OK
+    out = tmp_path / "verify.txt"
+    assert run_command("verify", cfg, out_path=str(out),
+                       solution=str(tmp_path / "solve" / "solution.txt")) == EXIT_OK
+    drift = dict(line.split(" = ") for line in
+                 out.read_text().split("[drift]\n")[1].splitlines() if line)
+    assert (drift["rank"], drift["grid"]) == ("1", "32")
+    assert float(drift["amp_drift"]) <= 1e-9
+    assert float(drift["mass_drift"]) <= 1e-10
 
 
 def test_sweep_command_csv(tmp_path):
@@ -675,7 +707,6 @@ UNCALLED_KEPT = {
     "build_partition": "the oracle of the resonance-graph tests' components",
     "verify_diff_witness": "re-checks difference-class witnesses in the tests",
     "verify_walk_witness": "re-checks lifted spiral witnesses in the tests",
-    "resolvent_square_norm": "the measured ||M^2|| the resolvent split builds on",
 }
 
 

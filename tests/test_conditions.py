@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nlsqp import conditions
 from nlsqp.lattice import Box, linear_solution, make_spec, site
@@ -17,7 +18,7 @@ from nlsqp.conditions import (
     symbol_supports,
     verify_walk_witness,
 )
-from nlsqp._intlinalg import int_det, kernel_basis, solve_dot
+from nlsqp._intlinalg import int_det, kernel_basis, lattice_basis, solve_dot
 
 
 def naive_error_support(spec):
@@ -392,3 +393,40 @@ def test_int_det_matches_numpy():
         n = rng.randint(1, 5)
         m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         assert int_det(m) == round(np.linalg.det(np.array(m, dtype=float)))
+
+
+def maximal_minor_gcd(rows, r):
+    """gcd of the r x r minors of an integer matrix."""
+    g = 0
+    for ri in itertools.combinations(range(len(rows)), r):
+        for ci in itertools.combinations(range(len(rows[0])), r):
+            g = math.gcd(g, int_det([[rows[i][c] for c in ci] for i in ri]))
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=5)))
+def test_lattice_basis_spans_exactly_the_input_lattice(vectors):
+    basis = lattice_basis(vectors)
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(b[p] > 0 for b, p in zip(basis, pivots))
+    # Every input is an integer combination of the basis: forward
+    # substitution down the echelon pivots leaves no remainder.
+    for v in vectors:
+        rest = list(v)
+        for b, p in zip(basis, pivots):
+            q, rem = divmod(rest[p], b[p])
+            assert rem == 0
+            rest = [x - q * y for x, y in zip(rest, b)]
+        assert not any(rest)
+    # So V = U B with U integer (n x r).  By Cauchy-Binet each r x r minor
+    # of V is det(U_I) det(B_J), so equal minor gcds of V and B mean U's
+    # maximal minors are coprime: U's rows span Z^r, and every basis vector
+    # is an integer combination of the inputs.
+    r = len(basis)
+    if r:
+        assert maximal_minor_gcd(vectors, r) == maximal_minor_gcd(basis, r) != 0
+    else:
+        assert not any(any(v) for v in vectors)

@@ -11,8 +11,6 @@ from nlsqp.linop import (
     assemble,
     block_decompose,
     invert_with_certificates,
-    resolvent_split,
-    resolvent_square_norm,
     restricted_solver,
     theta_spectrum_scan,
 )
@@ -360,67 +358,6 @@ def test_restricted_solver_matches_submatrix(tp2):
     x = solve(rhs)
     sub = op.matrix[keep][:, keep].toarray()
     assert np.linalg.norm(sub @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
-
-
-def test_resolvent_square_norm_scales_like_delta():
-    vals = []
-    for dl in (1e-2, 1e-3):
-        spec = make_spec(d=1, b=2, p=1, delta=dl, j_list=[1, 2],
-                         amplitudes=[0.6, 0.8])
-        vals.append(resolvent_square_norm(seed_operator(spec)))
-    assert vals[0] / vals[1] == pytest.approx(10.0, rel=0.2)
-
-
-def converged_operator(spec):
-    from nlsqp import newton
-    rep = newton.solve(spec)
-    st = rep.state
-    return assemble(st.u, st.v, st.omega, spec, rep.box)
-
-
-def test_resolvent_square_norm_off_the_seed_equations_is_order_delta():
-    # A converged operator carries the seed block's phase-symmetry kernel,
-    # so ||M^2|| is O(1) on the whole box; restricted off the 2b seed
-    # equations, as the certificate is, it contracts like delta.
-    vals = []
-    for dl in (1e-3, 1e-4):
-        spec = make_spec(d=1, b=2, p=1, delta=dl, j_list=[1, 2],
-                         amplitudes=[0.6, 0.8])
-        op = converged_operator(spec)
-        vals.append(resolvent_square_norm(op, exclude=op.q_indices()))
-        assert vals[-1] < 3 * dl
-    assert resolvent_square_norm(op) > 1.0
-    assert vals[0] / vals[1] == pytest.approx(10.0, rel=0.05)
-
-
-@pytest.mark.parametrize("excluded", [False, True])
-def test_resolvent_split_is_blocks_plus_bare_diagonal(tp2, excluded):
-    # Oracle: F~ filled entry by entry from the blocks of the restricted
-    # operator and its diagonal elsewhere; Gamma = F' - F~ on the kept indices.
-    import scipy.sparse as sp
-    op = converged_operator(tp2)
-    exclude = op.q_indices() if excluded else []
-    split = resolvent_split(op, exclude=exclude)
-    keep = np.setdiff1d(np.arange(op.dim), exclude)
-    assert np.array_equal(split.keep, keep)
-    pos = {int(k): i for i, k in enumerate(keep)}
-    ftilde = sp.lil_matrix((len(keep), len(keep)), dtype=complex)
-    covered = set()
-    decomp = block_decompose(op, exclude=frozenset(exclude))
-    for idxs, gamma in zip(*block_lists(decomp)):
-        for a, ia in enumerate(idxs):
-            covered.add(ia)
-            for c, ic in enumerate(idxs):
-                ftilde[pos[ia], pos[ic]] = gamma[a, c]
-    for i in keep.tolist():
-        if i not in covered:
-            ftilde[pos[i], pos[i]] = op.diag[i]
-    ftilde = ftilde.tocsr()
-    expected = op.matrix[keep][:, keep] - ftilde
-    assert (split.gamma != expected).nnz == 0
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
-    assert np.abs(split.apply_ftilde_inv(ftilde @ x) - x).max() <= 1e-9
 
 
 # -- Theta family ------------------------------------------------------------

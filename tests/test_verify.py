@@ -14,6 +14,7 @@ from nlsqp.lattice import (
     make_spec,
     site,
 )
+from nlsqp._intlinalg import lattice_basis
 from nlsqp.newton import residual_series, solve
 from nlsqp.verify import (
     GridTooCoarse,
@@ -172,7 +173,8 @@ def fft_free_flow_phase(m, d, dt):
 
 
 def initial_field(u, spec):
-    """psi(0, x) on evolve_drift's default grid."""
+    """psi(0, x) on the m^d x-grid, m sized from max|j| by evolve_drift's
+    power-of-two rule."""
     terms = u.items()
     max_j = max((max(abs(c) for c in s.j) for s, _ in terms), default=1)
     m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_j + 2)))
@@ -217,7 +219,8 @@ def fft_strang_reference(u, omega, spec, T, dt, n_samples=200):
 @pytest.mark.parametrize("m", [16, 32, 64])
 def test_linear_propagator_unitary_and_matches_fft(d, m):
     dt = 1e-2
-    prop = _linear_propagator(m, dt)
+    k = np.fft.fftfreq(m, d=1.0 / m)
+    prop = _linear_propagator(k ** 2, dt)
     assert np.abs(prop.conj().T @ prop - np.eye(m)).max() <= 1e-13
     lin_phase = fft_free_flow_phase(m, d, dt)
     rng = np.random.default_rng(m + d)
@@ -245,6 +248,73 @@ def test_evolve_matches_fft_strang_reference(name, T, dt, request):
     assert np.array_equal(drift.times, times)
     assert np.abs(drift.mode_amps - amps).max() <= 1e-12
     assert np.abs(drift.mode_phases - phases).max() <= 1e-11
+
+
+def assert_matches_fft_strang_reference(u, omega, spec, T, dt):
+    drift = evolve_drift(u, omega, spec, T=T, dt=dt)
+    times, amps, phases = fft_strang_reference(u, omega, spec, T, dt)
+    assert np.array_equal(drift.times, times)
+    assert np.abs(drift.mode_amps - amps).max() <= 1e-12
+    assert np.abs(drift.mode_phases - phases).max() <= 1e-11
+    return drift
+
+
+def test_evolve_d3_seed_on_its_rank_one_sub_torus_matches_the_x_grid():
+    # tp3's modes embedded in d = 3: 32 sub-torus points against the
+    # 32^3 x-grid of the textbook loop.
+    spec = make_spec(d=3, b=2, p=2, delta=1e-3, j_list=[(1, 0, 0), (0, 1, 0)],
+                     amplitudes=[0.9, 0.35])
+    rep = solve(spec, box=Box(6, 3))
+    drift = assert_matches_fft_strang_reference(
+        rep.physical_u(), rep.state.omega, spec, T=2.0, dt=1e-2)
+    assert (drift.rank, drift.grid) == (1, 32)
+
+
+def test_evolve_rank_two_support_with_cross_terms_matches_the_x_grid():
+    # Seed differences (-1, 1) and (1, 1) span an index-2 lattice whose
+    # echelon basis has b1.b2 != 0, so the free-flow symbol |j0 + Bc|^2 has a
+    # c1 c2 term and does not factor by axis.
+    spec = make_spec(d=2, b=3, p=1, delta=1e-2, j_list=[(1, 0), (0, 1), (2, 1)],
+                     amplitudes=[0.6, 0.8, 0.5])
+    b1, b2 = lattice_basis([(-1, 1), (1, 1)])
+    assert np.dot(b1, b2) != 0
+    u0, _ = linear_solution(spec)
+    drift = assert_matches_fft_strang_reference(
+        u0.scale(math.sqrt(spec.delta)), spec.omega0(), spec, T=10.0, dt=1e-2)
+    assert drift.rank == 2
+    assert drift.amp_drift > 1e-6  # the nonlinearity moves the modes
+
+
+# amp_drift and mass_drift of the x-grid integrator (T = 100, dt = 1e-2) that
+# the sub-torus loop replaced; the two differ only in rounding.
+X_GRID_DRIFT = {
+    "tp1": (6.723873026872343e-13, 1.3448532253809998e-12),
+    "tp2": (5.4623631661488286e-12, 9.77950303338599e-13),
+    "tp3": (2.1792373694540776e-11, 9.733620810237671e-13),
+}
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
+def test_evolve_drift_equals_the_x_grid_integrator(name, request):
+    spec = request.getfixturevalue(name)
+    rep = solved(spec)
+    drift = evolve_drift(rep.physical_u(), rep.state.omega, spec, T=100.0, dt=1e-2)
+    amp, mass = X_GRID_DRIFT[name]
+    assert drift.amp_drift == pytest.approx(amp, abs=1e-10)
+    assert drift.mass_drift == pytest.approx(mass, abs=1e-10)
+
+
+def test_pde_residual_time_grid_message_names_the_least_accepted_count(tp3):
+    # The rule is t_points >= 2 max|n.w|; the message rounds that up.
+    rep = solved(tp3)
+    u, omega = rep.physical_u(), rep.state.omega
+    with pytest.raises(GridTooCoarse, match=r"need at least \d+ time points") as exc:
+        pde_residual(u, omega, tp3, grid=(1, 33))
+    need = int(str(exc.value).split()[3])
+    assert need == 3
+    with pytest.raises(GridTooCoarse, match=f"need at least {need} time points"):
+        pde_residual(u, omega, tp3, grid=(need - 1, 33))
+    assert pde_residual(u, omega, tp3, grid=(need, 33)).t_points == need
 
 
 def test_evolve_non_finite_field_raises(tp3):
