@@ -69,14 +69,19 @@ def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
     """Every site of the box as a (count, b + d) int64 array in lexicographic
     order, which is also the order of the box's linear index.  A box of
     more than SITE_CAP sites raises BoxTooLarge before anything is built."""
-    total = box.site_count(b, d)
-    if total > SITE_CAP:
-        raise BoxTooLarge(
-            f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
+    _check_site_cap(b, d, box)
     n_range = np.arange(-box.n_radius, box.n_radius + 1, dtype=np.int64)
     j_range = np.arange(-box.j_radius, box.j_radius + 1, dtype=np.int64)
     grids = np.meshgrid(*([n_range] * b + [j_range] * d), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _check_site_cap(b: int, d: int, box: Box):
+    """Raise BoxTooLarge if the box holds more than SITE_CAP sites."""
+    total = box.site_count(b, d)
+    if total > SITE_CAP:
+        raise BoxTooLarge(
+            f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
 
 
 def box_strides(b: int, d: int, box: Box) -> Tuple[np.ndarray, np.ndarray]:
@@ -112,14 +117,13 @@ def branch_tags(coords: np.ndarray, omega0: FrequencyVector
     return tags, np.concatenate([plus_eq, minus_eq])
 
 
-def _variety(omega0: FrequencyVector, d: int, box: Box
-             ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Box linear indices, coordinates and tags of the characteristic sites,
-    in lexicographic order."""
+def _variety(omega0: FrequencyVector, d: int, box: Box) -> Tuple[np.ndarray, np.ndarray]:
+    """Coordinates and tags of the characteristic sites of a box, in
+    lexicographic order."""
     coords = enumerate_box_sites(len(omega0), d, box)
     tags, _ = branch_tags(coords, omega0)
-    lin = np.nonzero(tags)[0]
-    return lin, coords[lin], tags[lin]
+    on = np.nonzero(tags)[0]
+    return coords[on], tags[on]
 
 
 # ---------------------------------------------------------------------------
@@ -507,26 +511,9 @@ def resonance_graph(
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
     b, d = len(omega0), spec.d
-    lin, coords, tags = _variety(omega0, d, box)
-    nv = len(lin)
-    radii, strides = box_strides(b, d, box)
-    vertex_of = np.full(box.site_count(b, d), -1, dtype=np.int64)
-    vertex_of[lin] = np.arange(nv)
-
-    def links(shifts: List[SiteIndex], src_tag: int, dst_tag: int):
-        src = np.nonzero(tags == src_tag)[0]
-        sv = np.array([s.n + s.j for s in shifts], dtype=np.int64).reshape(-1, b + d)
-        y = coords[src][:, None, :] - sv[None, :, :]
-        inside = np.all(np.abs(y) <= radii, axis=2)
-        k = vertex_of[(y[inside] + radii) @ strides]
-        i = np.broadcast_to(src[:, None], inside.shape)[inside]
-        ok = (k >= 0) & (tags[k] == dst_tag)  # k = -1: no vertex there
-        return np.stack([i[ok], k[ok]])
-
-    diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
-    found = np.concatenate([links(diag_shifts, 1, 1), links(diag_shifts, -1, -1),
-                            links(symbols.uu.support(), 1, -1),
-                            links(symbols.vv.support(), -1, 1)], axis=1)
+    coords, tags = _variety(omega0, d, box)
+    nv = len(coords)
+    found = resonance_links(coords, tags, np.arange(nv), symbols, box)
     # Encoding (min, max) as min * nv + max sorts like the tuples.
     code = np.unique(np.minimum(found[0], found[1]) * nv + np.maximum(found[0], found[1]))
     lo, hi = np.divmod(code, nv)  # nv >= 1: the origin is always a vertex
@@ -537,6 +524,35 @@ def resonance_graph(
         diameters=_l1_diameters(coords, order, bounds),
         spiral_pairs=_spiral_pairs(coords[:, b:], tags, labels),
         interaction_range=symbols.interaction_range(), symbols=symbols)
+
+
+def resonance_links(coords: np.ndarray, tags: np.ndarray, src: np.ndarray,
+                    symbols: ConvolutionSymbols, box: Box) -> np.ndarray:
+    """The links of `resonance_graph`'s rule out of the vertices src, as a
+    (2, count) array of (src vertex, other vertex) columns.  A vertex is a
+    box site (a row of coords) and a copy (its tag: +1 u, -1 v), and a site
+    may carry both copies.  Each kind of link is found in one array pass
+    over src and the symbol's shifts, through a lookup from doubled box
+    index (box index, plus the site count for a v-copy) to vertex."""
+    b, d = symbols.uv_p.b, symbols.uv_p.d
+    radii, strides = box_strides(b, d, box)
+    ns = box.site_count(b, d)
+    vertex_of = np.full(2 * ns, -1, dtype=np.int64)
+    vertex_of[(coords + radii) @ strides + ns * (tags < 0)] = np.arange(len(coords))
+
+    def links(shifts: List[SiteIndex], src_tag: int, dst_tag: int):
+        own = src[tags[src] == src_tag]
+        sv = np.array([s.n + s.j for s in shifts], dtype=np.int64).reshape(-1, b + d)
+        y = coords[own][:, None, :] - sv[None, :, :]
+        inside = np.all(np.abs(y) <= radii, axis=2)
+        k = vertex_of[(y[inside] + radii) @ strides + (ns if dst_tag < 0 else 0)]
+        i = np.broadcast_to(own[:, None], inside.shape)[inside]
+        return np.stack([i[k >= 0], k[k >= 0]])  # k = -1: no vertex there
+
+    diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
+    return np.concatenate([links(diag_shifts, 1, 1), links(diag_shifts, -1, -1),
+                           links(symbols.uu.support(), 1, -1),
+                           links(symbols.vv.support(), -1, 1)], axis=1)
 
 
 def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
@@ -551,3 +567,58 @@ def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
     second = np.nonzero(first != np.arange(len(labels)))[0]
     _, head = np.unique(labels[second], return_index=True)  # smallest repeat per component
     return np.stack([first[second[head]], second[head]], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The conservation lattice
+
+
+def conservation_sites(spec: ProblemSpec, radius: int) -> np.ndarray:
+    """The sites of Lambda_R as a (count, b + d) int64 array, in
+    lexicographic order.
+
+    Lambda holds sum_k c_k s_k for c in Z^b with sum c = 1, s_k = (-e_k, j_k)
+    the seed sites: the sites with the seed's mass (sum n = -1) and momentum
+    (j = -sum_k n_k j_k).  u lives on Lambda at every Newton step and v on
+    -Lambda, since every convolution the iteration takes maps them there.
+    Lambda_R keeps the sites of generation at most R (`lattice_generation`);
+    Lambda_0 holds the seeds.
+    """
+    sites = _lattice(spec, -radius, radius + 1)
+    sites = sites[lattice_generation(sites, spec.b) <= radius]
+    return sites[np.lexsort(sites.T[::-1])]
+
+
+def box_lattice_radius(spec: ProblemSpec, box: Box) -> int:
+    """The smallest R whose Lambda_R holds every site of Lambda in the box.
+    A box of more than SITE_CAP sites raises BoxTooLarge."""
+    _check_site_cap(spec.b, spec.d, box)
+    sites = _lattice(spec, -box.n_radius, box.n_radius)
+    radii = np.array([box.n_radius] * spec.b + [box.j_radius] * spec.d)
+    inside = np.all(np.abs(sites) <= radii, axis=1)
+    return int(lattice_generation(sites[inside], spec.b).max(initial=0))
+
+
+def lattice_generation(sites: np.ndarray, b: int) -> np.ndarray:
+    """The generation of each row of a site array of Lambda: the sum of its
+    positive n entries, which are the negative entries of its c = -n."""
+    return np.maximum(sites[:, :b], 0).sum(axis=1)
+
+
+def on_lattice(sites: np.ndarray, copies: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Whether each row of a site array, taken as the u-copy (copies +1) or
+    the v-copy (-1), lies where the iteration moves it: a u-site on Lambda
+    (sum n = -1) or a v-site on -Lambda (sum n = 1), j = -sum_k n_k j_k."""
+    n, j = sites[:, :spec.b], sites[:, spec.b:]
+    jmat = np.array(spec.j_list, dtype=np.int64).reshape(spec.b, -1)
+    return (n.sum(axis=1) == -copies) & np.all(j == -(n @ jmat), axis=1)
+
+
+def _lattice(spec: ProblemSpec, lo: int, hi: int) -> np.ndarray:
+    """The sites sum_k c_k s_k (n = -c, j = sum_k c_k j_k) of every c with
+    sum c = 1 and c_1 .. c_{b-1} in [lo, hi]."""
+    b = spec.b
+    free = np.array(list(itertools.product(range(lo, hi + 1), repeat=b - 1)), dtype=np.int64)
+    c = np.concatenate([free, 1 - free.sum(axis=1, keepdims=True)], axis=1)
+    return np.concatenate([-c, c @ np.array(spec.j_list, dtype=np.int64).reshape(b, -1)],
+                          axis=1)

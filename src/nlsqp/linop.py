@@ -1,4 +1,5 @@
-"""The doubled linearized operator on a truncation box.
+"""The doubled linearized operator, on a truncation box and on the
+conservation lattice.
 
 F' = D + delta*A acts on pairs (u-component, v-component) of lattice
 functions.  D is the dispersion diagonal +-n.w + |j|^2 (+ phase, +- theta
@@ -6,7 +7,9 @@ for the shifted family); A couples sites through three convolution symbols.
 Inversion is certified in the style of the analysis: dense determinant /
 singular-value bounds on the resonance-graph blocks sitting on the
 characteristic variety, a uniformly bounded diagonal off it, and a measured
-exponential decay rate for the inverse kernel.
+exponential decay rate for the inverse kernel.  The box operator is sparse
+and factored by SuperLU; on Lambda_R (`characteristics.conservation_sites`),
+where the Newton iteration lives, F' is small and dense.
 """
 
 from __future__ import annotations
@@ -19,10 +22,15 @@ import numpy as np
 
 from .characteristics import (
     ConvolutionSymbols,
+    ResonanceGraph,
     box_strides,
     branch_tags,
     enumerate_box_sites,
+    members_of_size,
+    on_lattice,
     ordered_components,
+    resonance_graph,
+    resonance_links,
 )
 from .lattice import (
     Box,
@@ -30,6 +38,7 @@ from .lattice import (
     ProblemSpec,
     SiteIndex,
     SparseSeries,
+    convolve,
 )
 
 # scipy is imported by the functions that build or factor sparse matrices,
@@ -45,16 +54,25 @@ class LinopError(RuntimeError):
 
 class ExcisionError(LinopError):
     """A resonance block fails its invertibility threshold: the amplitude
-    vector lies in (or too close to) the excised set."""
+    vector lies in (or too close to) the excised set.  `site` is the block's
+    first member and `meets_lattice` says whether any member is a u-copy
+    on Lambda or a v-copy on -Lambda, the part of the box the Newton
+    iteration moves."""
 
-    def __init__(self, block_index: int, value: float, threshold: float, size: int):
+    def __init__(self, block_index: int, value: float, threshold: float, size: int,
+                 site: SiteIndex, meets_lattice: bool):
+        where = "meets" if meets_lattice else "is off"
         super().__init__(
             f"block {block_index} (size {size}): |P_k| = {value:.3e} "
-            f"below threshold {threshold:.3e}")
+            f"below threshold {threshold:.3e}; first member "
+            f"({' '.join(map(str, site.n))} | {' '.join(map(str, site.j))}), "
+            f"the block {where} the conservation lattice")
         self.block_index = block_index
         self.value = value
         self.threshold = threshold
         self.size = size
+        self.site = site
+        self.meets_lattice = meets_lattice
 
 
 class OffCharDiagonalError(LinopError):
@@ -98,19 +116,10 @@ class BlockOperator:
         return self.spec.omega0()
 
     def site_at(self, i: int) -> SiteIndex:
-        return self.sites_at([i])[0]
-
-    def sites_at(self, idx: Sequence[int]) -> List[SiteIndex]:
-        """The sites of box indices idx, in that order."""
-        b = self.spec.b
-        return [SiteIndex(tuple(row[:b]), tuple(row[b:]))
-                for row in self.coords[np.asarray(idx, dtype=np.int64)].tolist()]
+        return _site(self.coords[i], self.spec.b)
 
     def lin_index(self, s: SiteIndex) -> Optional[int]:
-        if not self.box.contains(s):
-            return None
-        radii, strides = box_strides(self.spec.b, self.spec.d, self.box)
-        return int((np.array(s.n + s.j, dtype=np.int64) + radii) @ strides)
+        return _box_index(s, self.spec, self.box)
 
     def doubled_index(self, s: SiteIndex, comp: str) -> Optional[int]:
         i = self.lin_index(s)
@@ -121,14 +130,39 @@ class BlockOperator:
     def q_indices(self) -> List[int]:
         """Doubled indices of the 2b frequency equations: the u-component on
         the seed sites and the v-component on their flips."""
-        out = []
-        for s in self.spec.seed_sites():
-            out.append(self.doubled_index(s, "U"))
-        for s in self.spec.seed_sites():
-            out.append(self.doubled_index(-s, "V"))
-        if any(i is None for i in out):
-            raise LinopError("truncation box does not contain the seed modes")
-        return out  # type: ignore[return-value]
+        return _seed_equations(self.spec, self.box)
+
+
+def _box_index(s: SiteIndex, spec: ProblemSpec, box: Box) -> Optional[int]:
+    """The box's linear index of a site, or None outside the box."""
+    if not box.contains(s):
+        return None
+    radii, strides = box_strides(spec.b, spec.d, box)
+    return int((np.array(s.n + s.j, dtype=np.int64) + radii) @ strides)
+
+
+def _seed_equations(spec: ProblemSpec, box: Box) -> List[int]:
+    """Doubled box indices of the 2b frequency equations (the u-copies of
+    the seed sites, then the v-copies of their flips); LinopError if the
+    box misses a seed."""
+    lin = [_box_index(s, spec, box) for s in spec.seed_sites()]
+    if None in lin:
+        raise LinopError("truncation box does not contain the seed modes")
+    # The flip of the site at box index i sits at box index ns - 1 - i.
+    return lin + [2 * box.site_count(spec.b, spec.d) - 1 - i for i in lin]
+
+
+def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec,
+                theta: float = 0.0) -> np.ndarray:
+    """The diagonal D of F' at the rows of a (count, b + d) site array, as a
+    (2, count) array: n.w + |j|^2 + m + theta on the u-copies, then
+    -n.w + |j|^2 + m - theta on the v-copies.  Column by column, so a row's
+    value does not depend on the other rows."""
+    cols = coords.T
+    nw = sum(w * n for w, n in zip(omega.omega, cols[:spec.b]))
+    jsq = sum(j * j for j in cols[spec.b:])
+    m = spec.phase_m
+    return np.stack([nw + jsq + m + theta, -nw + jsq + m - theta])
 
 
 def assemble(
@@ -151,13 +185,7 @@ def assemble(
     b, d, p = spec.b, spec.d, spec.p
     coords = enumerate_box_sites(b, d, box)
     ns = coords.shape[0]
-    narr = coords[:, :b]
-    jarr = coords[:, b:]
-    w = np.array(omega.omega, dtype=float)
-    nw = narr @ w
-    jsq = np.sum(jarr * jarr, axis=1).astype(float)
-    m = spec.phase_m
-    diag = np.concatenate([nw + jsq + m + theta, -nw + jsq + m - theta])
+    diag = _dispersion(coords, omega, spec, theta).ravel()
 
     tags, resonant = branch_tags(coords, spec.omega0())
 
@@ -209,7 +237,42 @@ def assemble(
 
 
 # ---------------------------------------------------------------------------
-# Block decomposition along resonance-graph components
+# Dense pieces of F': resonance blocks and the conservation lattice
+
+
+def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
+           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
+           theta: float = 0.0) -> np.ndarray:
+    """F' on groups of doubled vertices as a (count, k, k) stack, one group
+    per row of the (count, k) array members.  Vertex i is the copy
+    copies[i] (+1 u, -1 v) of the site coords[i].  An entry reads the symbol
+    the two copies select (the diagonal one between equal copies, uu from a
+    u-row to a v-column, vv the other way) at row site minus column site,
+    and the diagonal adds D: bit for bit the entries `assemble` places."""
+    delta, p = spec.delta, spec.p
+    keys, vals = [], []
+    for kind, (coef, series) in enumerate(((delta * (p + 1), symbols.uv_p),
+                                           (delta * p, symbols.uu), (delta * p, symbols.vv))):
+        keys += [(kind,) + s.n + s.j for s in series.support()]
+        vals += [coef * ampl for _, ampl in series.items()]
+    x, c = coords[members], copies[members]
+    kind = np.where(c[:, :, None] == c[:, None, :], 0, np.where(c[:, :, None] > 0, 1, 2))
+    query = np.concatenate([kind[..., None], x[:, :, None, :] - x[:, None, :, :]], axis=3)
+    # Rows are coded in the mixed radix of the keys' bounding box; a query
+    # row outside that box matches no key.
+    keys, vals = np.array(keys, dtype=np.int64), np.array(vals, dtype=complex)
+    lo, hi = keys.min(axis=0), keys.max(axis=0)
+    radix = np.cumprod(np.concatenate([[1], (hi - lo + 1)[:0:-1]]))[::-1]
+    by_code = np.argsort((keys - lo) @ radix)
+    codes = ((keys - lo) @ radix)[by_code]
+    at = (np.clip(query, lo, hi) - lo) @ radix
+    pos = np.minimum(np.searchsorted(codes, at), len(codes) - 1)
+    hit = (codes[pos] == at) & np.all((query >= lo) & (query <= hi), axis=3)
+    out = np.where(hit, vals[by_code][pos], 0)
+    diag = _dispersion(x.reshape(-1, x.shape[2]), omega, spec, theta).reshape(2, *c.shape)
+    k = members.shape[1]
+    out[:, np.arange(k), np.arange(k)] += np.where(c > 0, diag[0], diag[1])
+    return out
 
 
 @dataclass
@@ -232,70 +295,80 @@ class BlockDecomposition:
     stacks: Dict[int, np.ndarray]
 
 
-def block_decompose(op: BlockOperator, exclude: frozenset = frozenset()
-                    ) -> BlockDecomposition:
-    """Dense blocks of the operator over the resonance components.
+def resonance_blocks(graph: ResonanceGraph, symbols: ConvolutionSymbols,
+                     omega: FrequencyVector, spec: ProblemSpec, box: Box,
+                     theta: float = 0.0, exclude: frozenset = frozenset()
+                     ) -> BlockDecomposition:
+    """Dense blocks of F' over the resonance components of a box, from the
+    graph and the symbols, with the entries `assemble` would place.
 
-    At the seed frequency the diagonal vanishes on the variety and each
-    block is delta * A_k; afterwards the diag(n . delta-omega) part rides
-    along automatically since blocks are cut from the assembled matrix.
-
-    The blocks are the connected components of the resonant doubled
-    indices under the sparsity pattern of the operator; they coincide with
-    the resonance-graph components except at j = 0 kernel sites, where both
-    copies are resonant and the extra copy joins through the diagonal
-    symbol.  Blocks are ordered by their smallest index, members ascending.
-    `exclude` removes doubled indices (the seed equations) from their
-    blocks after the components are found; a block left empty is dropped,
-    and the later blocks keep their order.
-
-    The operator is sliced once, to the indices of all blocks; the entries
-    of that slice are scattered into one (count, k, k) stack per block size,
-    so det and svd run once per distinct size.
+    The blocks live on the resonant doubled indices: the u-copy of each C+
+    vertex, the v-copy of each C- vertex, and both copies of a site with
+    j = 0 (and n.w0 = 0), which the graph tags once.  Their other copy
+    joins through its own links, found from its side (`resonance_links`;
+    the symbols of (u, conj-flip u) link x to y exactly when they link y
+    to x).  Blocks are ordered by their smallest doubled index, members
+    ascending.  `exclude` removes doubled indices (the seed equations) from
+    their blocks after the components are found; a block left empty is
+    dropped, and the later blocks keep their order.  det and svd run once
+    per distinct size, on the stack of the blocks of that size.
     """
-    index = np.nonzero(op.resonant_mask)[0]
-    sub = op.matrix[index][:, index].tocoo()
-    # Numbered by smallest member: the order ExcisionError block indices
-    # refer to.
-    labels, order, bounds = ordered_components(len(index), sub.row, sub.col)
+    radii, strides = box_strides(spec.b, spec.d, box)
+    ns = box.site_count(spec.b, spec.d)
+    twin = np.nonzero(~graph.vertices[:, spec.b:].any(axis=1))[0]
+    coords = np.concatenate([graph.vertices, graph.vertices[twin]])
+    copies = np.concatenate([graph.tags, -graph.tags[twin]]).astype(np.int64)
+    edges = np.concatenate([graph.edges, resonance_links(
+        coords, copies, np.arange(len(graph.vertices), len(coords)), symbols, box)], axis=1)
+    doubled = (coords + radii) @ strides + ns * (copies < 0)
+    by_index = np.argsort(doubled)  # components run over positions in this order
+    rank = np.argsort(by_index)
+    labels, order, bounds = ordered_components(len(doubled), rank[edges[0]], rank[edges[1]])
+    index = doubled[by_index]
     if exclude:
         dropped = np.isin(index, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
         order = order[~dropped[order]]
         sizes = np.bincount(labels[order], minlength=len(bounds) - 1)
         bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
     sizes = np.diff(bounds)
-    n_comp = len(sizes)
-
-    # Block and row of each position into index; -1 for the excluded.
-    comp_of = np.full(len(index), -1, dtype=np.int64)
-    comp_of[order] = np.repeat(np.arange(n_comp), sizes)
-    pos = np.zeros(len(index), dtype=np.int64)
-    pos[order] = np.arange(len(order)) - np.repeat(bounds[:-1], sizes)
-    rows, cols, vals = sub.row, sub.col, sub.data
-    owner = comp_of[rows]
-    inside = (owner >= 0) & (owner == comp_of[cols])
-    rows, cols, vals, owner = rows[inside], cols[inside], vals[inside], owner[inside]
 
     stacks: Dict[int, np.ndarray] = {}
-    dets = np.empty(n_comp, dtype=complex)
-    dets_norm = np.empty(n_comp)
-    min_sv = np.empty(n_comp)
-    slot = np.empty(n_comp, dtype=np.int64)
+    dets = np.empty(len(sizes), dtype=complex)
+    dets_norm = np.empty(len(sizes))
+    min_sv = np.empty(len(sizes))
     for k in np.unique(sizes).tolist():
         members = np.nonzero(sizes == k)[0]
-        slot[members] = np.arange(len(members))
-        sel = sizes[owner] == k
-        stack = np.zeros((len(members), k, k), dtype=complex)
-        np.add.at(stack, (slot[owner[sel]], pos[rows[sel]], pos[cols[sel]]), vals[sel])
-        stacks[k] = stack
-        det = np.linalg.det(stack)
-        dets[members] = det
+        stacks[k] = stack = _dense(coords, copies, by_index[members_of_size(order, bounds, k)],
+                                   symbols, omega, spec, theta)
+        dets[members] = det = np.linalg.det(stack)
         # np.hypot equals Python's abs() of a complex bit for bit.
-        dets_norm[members] = np.hypot(det.real, det.imag) / op.delta ** k
+        dets_norm[members] = np.hypot(det.real, det.imag) / spec.delta ** k
         min_sv[members] = np.linalg.svd(stack, compute_uv=False)[:, -1]
     return BlockDecomposition(order=index[order], bounds=bounds, sizes=sizes, dets=dets,
                               dets_normalized=dets_norm, min_singulars=min_sv,
                               stacks=stacks)
+
+
+def block_decompose(op: BlockOperator, exclude: frozenset = frozenset()
+                    ) -> BlockDecomposition:
+    """`resonance_blocks` of an assembled operator: each block equals the
+    slice of op.matrix at its members."""
+    graph = resonance_graph(op.u, op.v, op.spec, op.omega0(), op.box, symbols=op.symbols)
+    return resonance_blocks(graph, op.symbols, op.omega, op.spec, op.box, op.theta, exclude)
+
+
+def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
+                     spec: ProblemSpec, sites: np.ndarray
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """F' on the u-copies at the rows of `sites` and then the v-copies at
+    their flips, as a dense (2k, 2k) matrix, and the mask of the rows and
+    columns off the 2b seed equations.  On sites = Lambda_R this is the
+    Newton operator: u on Lambda and v on -Lambda couple to nothing else."""
+    k = len(sites)
+    mat = _dense(np.concatenate([sites, -sites]), np.repeat([1, -1], k),
+                 np.arange(2 * k)[None, :], symbols, omega, spec)[0]
+    seeds = {s.n + s.j for s in spec.seed_sites()}
+    return mat, np.tile([tuple(r) not in seeds for r in sites.tolist()], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +386,6 @@ class DecayFit:
 class CertifiedInverse:
     norm_bound: float
     decay: Optional[DecayFit]
-    mode: str
     threshold: float
     min_block_value: float
     # The factorisation that was certified: solve(rhs, trans="N") takes and
@@ -324,6 +396,67 @@ class CertifiedInverse:
     # True only when power iteration stopped because sigma settled; False
     # when it ran out of rounds, so norm_bound is an unconverged estimate.
     power_settled: bool = False
+
+
+def _mode(omega: FrequencyVector, spec: ProblemSpec, theta: float) -> str:
+    """"seed" at the seed frequency with no theta shift, else "modulated"."""
+    seed = np.allclose(np.array(omega.omega), np.array(spec.omega0().omega))
+    return "seed" if seed and theta == 0.0 else "modulated"
+
+
+def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
+             resonant: np.ndarray, spec: ProblemSpec, mode: str, eps_first: float,
+             eps_second: float) -> Tuple[float, float]:
+    """The threshold of the mode and the smallest block value.  The first
+    block at or below the threshold raises ExcisionError; then, over the
+    box's doubled indices (diag and resonant, for the sites coords), a
+    diagonal off the variety below 0.25 raises OffCharDiagonalError at its
+    first smallest value."""
+    b = spec.b
+    if mode == "seed":
+        threshold, values = eps_first, decomp.dets_normalized
+    else:
+        threshold, values = spec.delta ** (1.0 + eps_second), decomp.min_singulars
+    failing = np.nonzero(values <= threshold)[0]
+    if len(failing):
+        k = int(failing[0])
+        doubled = decomp.order[decomp.bounds[k]:decomp.bounds[k + 1]]
+        sites = coords[doubled % len(coords)]
+        meets = on_lattice(sites, np.where(doubled < len(coords), 1, -1), spec).any()
+        raise ExcisionError(k, float(values[k]), threshold, int(decomp.sizes[k]),
+                            _site(sites[0], b), bool(meets))
+    off = np.nonzero(~resonant)[0]
+    if len(off):
+        i = off[np.argmin(np.abs(diag[off]))]
+        if abs(diag[i]) < 0.25:
+            raise OffCharDiagonalError(_site(coords[i % len(coords)], b), float(abs(diag[i])))
+    return threshold, float(values.min(initial=math.inf))
+
+
+def _site(row: np.ndarray, b: int) -> SiteIndex:
+    """The site of a row of a site array."""
+    row = row.tolist()
+    return SiteIndex(tuple(row[:b]), tuple(row[b:]))
+
+
+def admissibility_gate(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
+                       spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols,
+                       eps_first: float = 1e-4, eps_second: float = 0.5
+                       ) -> Tuple[str, float]:
+    """The block and diagonal certificate of `invert_with_certificates` over
+    the whole box at (u, v, omega), without assembling the box: the blocks
+    off the seed equations come from `resonance_graph` with the symbols of
+    (u, v) and `resonance_blocks`, the diagonal from `_dispersion` on the
+    box sites.  Returns the mode and the smallest block value."""
+    exclude = frozenset(_seed_equations(spec, box))
+    graph = resonance_graph(u, v, spec, spec.omega0(), box, symbols=symbols)
+    decomp = resonance_blocks(graph, symbols, omega, spec, box, exclude=exclude)
+    coords = enumerate_box_sites(spec.b, spec.d, box)
+    mode = _mode(omega, spec, 0.0)
+    _, min_val = _certify(decomp, coords, _dispersion(coords, omega, spec).ravel(),
+                          branch_tags(coords, spec.omega0())[1], spec, mode,
+                          eps_first, eps_second)
+    return mode, min_val
 
 
 # Power iteration stops once sigma changes by at most this fraction.
@@ -381,44 +514,22 @@ def invert_with_certificates(
     delta^{1+eps}, the certificate used once the frequency has moved.
 
     drop_indices restricts everything to the complement of the given
-    doubled indices.  The Newton iteration passes the 2b seed equations
-    here: at a frequency solving them the seed block carries the exact
-    phase-symmetry kernel, which the scheme never needs to invert.
+    doubled indices, such as the 2b seed equations: at a frequency solving
+    them the seed block carries the exact phase-symmetry kernel, which the
+    scheme never needs to invert.
 
-    The matrix is factored once, by `restricted_solver`; the factor is
-    returned on the certificate (`solve`, `keep`) for the caller to reuse.
-    The norm is estimated by `_power_norm` on (F'^H F')^{-1}, at most
-    power_iters rounds (a Newton step, which needs only the factor, asks
-    for none).
+    This is the certificate of an assembled box operator (the Newton
+    iteration certifies with `admissibility_gate` and solves on the
+    lattice instead).  The matrix is factored once, by `restricted_solver`;
+    the factor is returned on the certificate (`solve`, `keep`) for the
+    caller to reuse.  The norm is estimated by `_power_norm` on
+    (F'^H F')^{-1}, at most power_iters rounds.
     """
     if mode is None:
-        w = np.array(op.omega.omega)
-        w0 = np.array(op.omega0().omega)
-        mode = "seed" if np.allclose(w, w0) and op.theta == 0.0 else "modulated"
-
+        mode = _mode(op.omega, op.spec, op.theta)
     dropped = frozenset(int(i) for i in drop_indices) if drop_indices else frozenset()
-    decomp = block_decompose(op, exclude=dropped)
-    delta = op.delta
-    if mode == "seed":
-        threshold = eps_first
-        values = decomp.dets_normalized
-    else:
-        threshold = delta ** (1.0 + eps_second)
-        values = decomp.min_singulars
-    failing = np.nonzero(values <= threshold)[0]
-    if len(failing):
-        k = int(failing[0])
-        raise ExcisionError(k, float(values[k]), threshold, int(decomp.sizes[k]))
-    min_val = float(values.min(initial=math.inf))
-
-    # Non-resonant diagonal must stay uniformly away from zero.
-    off_diag = op.diag[~op.resonant_mask]
-    if len(off_diag):
-        k = int(np.argmin(np.abs(off_diag)))
-        gap = abs(off_diag[k])
-        if gap < 0.25:
-            full = np.nonzero(~op.resonant_mask)[0][k]
-            raise OffCharDiagonalError(op.site_at(full % op.n_sites), float(gap))
+    threshold, min_val = _certify(block_decompose(op, exclude=dropped), op.coords, op.diag,
+                                  op.resonant_mask, op.spec, mode, eps_first, eps_second)
 
     solve, keep = restricted_solver(op, sorted(dropped))
     sigma, rounds, settled = _power_norm(solve, lambda y: solve(y, trans="H"), len(keep),
@@ -426,58 +537,63 @@ def invert_with_certificates(
 
     decay = None
     if fit_decay:
-        decay = _fit_decay(op, solve, keep)
+        decay = _fit_decay(op.spec, op.symbols, op.u,
+                           np.concatenate([op.coords, op.coords])[keep],
+                           np.repeat([1, -1], op.n_sites)[keep],
+                           lambda i: solve(np.eye(1, len(keep), i, dtype=complex)[0]))
 
-    return CertifiedInverse(norm_bound=float(sigma), decay=decay, mode=mode,
-                            threshold=threshold, min_block_value=min_val,
-                            solve=solve, keep=keep, power_iterations=rounds,
-                            power_settled=settled)
+    return CertifiedInverse(norm_bound=float(sigma), decay=decay, threshold=threshold,
+                            min_block_value=min_val, solve=solve, keep=keep,
+                            power_iterations=rounds, power_settled=settled)
 
 
-def _fit_decay(op: BlockOperator, solve: Callable[..., np.ndarray], keep: np.ndarray
-               ) -> DecayFit:
-    """Least-squares decay exponent of the inverse kernel.
+def lattice_inverse(symbols: ConvolutionSymbols, u: SparseSeries, omega: FrequencyVector,
+                    spec: ProblemSpec, sites: np.ndarray) -> Tuple[float, DecayFit]:
+    """||F'^{-1}|| on the lattice sites off the seed equations
+    (`lattice_operator`), exactly 1/sigma_min by a dense SVD, and the decay
+    fit of that inverse's kernel.  With no equation left the norm is 0."""
+    mat, keep = lattice_operator(symbols, omega, spec, sites)
+    if not keep.any():
+        return 0.0, DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
+    a = mat[np.ix_(keep, keep)]
+    sv = np.linalg.svd(a, compute_uv=False)
+    return float(1.0 / sv[-1]), _fit_decay(spec, symbols, u,
+                                           np.concatenate([sites, -sites])[keep],
+                                           np.repeat([1, -1], len(sites))[keep],
+                                           lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
 
-    Probes up to four columns at the seed sites (or, when those rows are excluded,
-    at the nonlinear forcing sites next to them), pools log|entry| against the
-    l1 site distance, and fits log|entry| = c - beta * |log delta| * dist.
-    `solve` is the restricted factor, indexed by the sorted `keep`.
+
+def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols, u: SparseSeries,
+               coords: np.ndarray, copies: np.ndarray,
+               column: Callable[[int], np.ndarray]) -> DecayFit:
+    """Least-squares decay exponent of an inverse kernel.
+
+    Kept index i is the copy copies[i] (+1 u, -1 v) of the site coords[i],
+    and column(i) is the inverse's column there.  Up to four columns are
+    probed: at the seed equations (u at each seed, v at its flip) where
+    kept, else at the u-copies of the nonlinear forcing sites (uv_p * u)
+    off the seeds.  Their log|entry| are pooled against the l1 site
+    distance from the probe and fitted as log|entry| = c - beta * |log
+    delta| * dist.
     """
-    delta = op.delta
-    logd = abs(math.log(delta))
-    kept = np.zeros(op.dim, dtype=bool)
-    kept[keep] = True
-    candidates: List[int] = []
-    for s in op.spec.seed_sites():
-        for idx in (op.doubled_index(s, "U"), op.doubled_index(-s, "V")):
-            if idx is not None and kept[idx]:
-                candidates.append(idx)
-    if not candidates:
-        from .lattice import convolve as _conv
-        forcing = _conv(op.symbols.uv_p, op.u)
-        seeds = set(op.spec.seed_sites())
-        for s in forcing.support():
-            if s in seeds:
-                continue
-            idx = op.doubled_index(s, "U")
-            if idx is not None and kept[idx]:
-                candidates.append(idx)
-    probe_idx = candidates[:4]
+    def at(s: SiteIndex, copy: int) -> List[int]:
+        return np.nonzero(np.all(coords == s.n + s.j, axis=1) & (copies == copy))[0].tolist()
 
+    seeds = spec.seed_sites()
+    probes = [i for s in seeds for i in at(s, 1) + at(-s, -1)]
+    if not probes:
+        probes = [i for s in convolve(symbols.uv_p, u).support() if s not in seeds
+                  for i in at(s, 1)]
+    delta = spec.delta
+    logd = abs(math.log(delta))
     dists: List[np.ndarray] = []
     logs: List[np.ndarray] = []
-    for pi in probe_idx:
-        e = np.zeros(len(keep), dtype=complex)
-        e[np.searchsorted(keep, pi)] = 1.0
-        col = solve(e)
-        ps = op.site_at(pi % op.n_sites)
-        av = np.abs(col)
+    for pi in probes[:4]:
+        av = np.abs(column(pi))
         floor = max(av.max() * 1e-16, 1e-300)
-        src = np.array(list(ps.n) + list(ps.j), dtype=np.int64)
-        dist_all = np.sum(np.abs(op.coords - src), axis=1)
-        dist_full = np.concatenate([dist_all, dist_all]).astype(float)[keep]
-        mask = (av > floor) & (dist_full >= 1)
-        dists.append(dist_full[mask])
+        dist = np.sum(np.abs(coords - coords[pi]), axis=1).astype(float)
+        mask = (av > floor) & (dist >= 1)
+        dists.append(dist[mask])
         logs.append(np.log(av[mask]))
     dists_a = np.concatenate(dists) if dists else np.zeros(0)
     logs_a = np.concatenate(logs) if logs else np.zeros(0)

@@ -4,7 +4,10 @@ Each step solves the off-seed (P) equations by one certified Newton update
 at the frequency that currently solves the seed (Q) equations, then
 re-solves the Q equations at the new point.  The first step carries the
 whole construction: it is where the exactly resonant integer frequency
-picks up its amplitude modulation and becomes Diophantine.
+picks up its amplitude modulation and becomes Diophantine.  The update
+lives on the conservation lattice Lambda (u on Lambda, v on -Lambda),
+truncated at a radius R that grows with the residual; the admissibility
+certificate covers the whole truncation box.
 """
 
 from __future__ import annotations
@@ -17,7 +20,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .characteristics import ResonanceGraph, branch_tags, members_of_size
+from .characteristics import (
+    ConvolutionSymbols,
+    ResonanceGraph,
+    box_lattice_radius,
+    branch_tags,
+    conservation_sites,
+    lattice_generation,
+    members_of_size,
+)
 from .conditions import ConditionReport, check_condition_i, check_condition_ii
 from .lattice import (
     DROP_TOL,
@@ -32,7 +43,7 @@ from .lattice import (
     default_box,
     linear_solution,
 )
-from .linop import assemble, invert_with_certificates
+from .linop import admissibility_gate, lattice_inverse, lattice_operator
 from .verify import default_weight, weighted_norm
 
 
@@ -66,6 +77,7 @@ class IterationState:
     residual_plain: float
     residual_weighted: float
     step_index: int
+    lattice_radius: int  # R of the step's Lambda_R; for the seed, the box's
 
 
 @dataclass
@@ -113,18 +125,12 @@ def residual_series(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
     return fu, fv
 
 
-def _box_restrict(f: SparseSeries, box: Box) -> SparseSeries:
-    return f.restrict([s for s in f.support() if box.contains(s)])
-
-
-def residual_norms(u, v, omega, spec, box) -> Tuple[float, float]:
-    """Plain and weighted (`default_weight`) norms of the residual inside the box."""
+def residual_norms(u, v, omega, spec) -> Tuple[float, float]:
+    """Plain and weighted (`default_weight`) norms of the whole residual."""
     fu, fv = residual_series(u, v, omega, spec)
-    fu_b, fv_b = _box_restrict(fu, box), _box_restrict(fv, box)
-    plain = math.hypot(fu_b.norm2(), fv_b.norm2())
     weight = default_weight(spec)
-    weighted = math.hypot(weighted_norm(fu_b, weight), weighted_norm(fv_b, weight))
-    return plain, weighted
+    return (math.hypot(fu.norm2(), fv.norm2()),
+            math.hypot(weighted_norm(fu, weight), weighted_norm(fv, weight)))
 
 
 def q_solve(u: SparseSeries, spec: ProblemSpec) -> FrequencyVector:
@@ -150,46 +156,43 @@ def newton_step(
     state: IterationState,
     spec: ProblemSpec,
     box: Box,
+    tol: float = 1e-11,
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
 ) -> IterationState:
     """One P-then-Q update.
 
-    The linear solve runs at the frequency solving the Q equations for the
-    current u, restricted off the 2b seed equations, so seed amplitudes are
-    anchored exactly and the post-step residual picks up the full quadratic
-    (delta-cubed) gain of the scheme.  After the first step, a step that
-    grows the weighted residual more than 1.5-fold raises StepRejected.
+    The step first certifies the whole truncation box at the frequency
+    solving the Q equations for the current u (`admissibility_gate`).  The
+    linear solve then runs on Lambda_R, R the state's radius grown until at
+    most tol / 2 of the weighted residual lies off it (`_lattice_radius`):
+    one dense LU of F' there, off the 2b seed equations, so seed
+    amplitudes are anchored exactly and the post-step residual picks up
+    the full quadratic (delta-cubed) gain of the scheme.  After the first
+    step, a step that grows the weighted residual more than 1.5-fold
+    raises StepRejected.
     """
     u, v = state.u, state.v
     omega_work = q_solve(u, spec)
-    op = assemble(u, v, omega_work, spec, box)
-    # Certify exactly what is inverted: the operator restricted off the seed
-    # equations (the full operator carries the phase-symmetry kernel once
-    # omega solves them).  The certified factor is the one the step solves
-    # with.
-    cert = invert_with_certificates(op, mode=None, eps_first=eps_first,
-                                    eps_second=eps_second, fit_decay=False,
-                                    drop_indices=op.q_indices(), power_iters=0)
-    solve, keep = cert.solve, cert.keep
+    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+    admissibility_gate(u, v, omega_work, spec, box, symbols,
+                       eps_first=eps_first, eps_second=eps_second)
 
     fu, fv = residual_series(u, v, omega_work, spec)
-    rhs = np.zeros(op.dim, dtype=complex)
-    for s, val in _box_restrict(fu, box).items():
-        rhs[op.doubled_index(s, "U")] = val
-    for s, val in _box_restrict(fv, box).items():
-        rhs[op.doubled_index(s, "V")] = val
+    radius = _lattice_radius(state.lattice_radius, fu, fv, spec, tol)
+    sites = conservation_sites(spec, radius)
+    mat, keep = lattice_operator(symbols, omega_work, spec, sites)
+    points = [SiteIndex(tuple(r[:spec.b]), tuple(r[spec.b:])) for r in sites.tolist()]
+    rhs = np.array([fu[s] for s in points] + [fv[-s] for s in points], dtype=complex)
+    step = np.zeros(len(rhs), dtype=complex)
+    step[keep] = np.linalg.solve(mat[np.ix_(keep, keep)], rhs[keep])
 
-    delta_vec = solve(rhs[keep])
-
-    # The nonzero u-rows, in the order of `keep`.
-    upos = np.nonzero((keep < op.n_sites) & (delta_vec != 0))[0]
-    du = SparseSeries(u.b, u.d, dict(zip(op.sites_at(keep[upos]), delta_vec[upos])),
-                      drop_tol=0.0)
+    du = SparseSeries(u.b, u.d, {s: x for s, x in zip(points, step[:len(points)].tolist())
+                                 if x != 0}, drop_tol=0.0)
     u_next = u.sub(du).clean()
     v_next = conjugate_flip(u_next)
     omega_next = q_solve(u_next, spec)
-    plain, weighted = residual_norms(u_next, v_next, omega_next, spec, box)
+    plain, weighted = residual_norms(u_next, v_next, omega_next, spec)
 
     if weighted > max(1.5 * state.residual_weighted, 1e-13) and state.step_index > 0:
         raise StepRejected(
@@ -197,7 +200,27 @@ def newton_step(
             f"{state.residual_weighted:.3e} -> {weighted:.3e}")
     return IterationState(u=u_next, v=v_next, omega=omega_next,
                           residual_plain=plain, residual_weighted=weighted,
-                          step_index=state.step_index + 1)
+                          step_index=state.step_index + 1, lattice_radius=radius)
+
+
+def _lattice_radius(radius: int, fu: SparseSeries, fv: SparseSeries, spec: ProblemSpec,
+                    tol: float) -> int:
+    """The smallest R >= radius that leaves at most tol / 2 of the weighted
+    residual (fu on Lambda, fv on -Lambda) off Lambda_R.  The residual is a
+    finite series, so R is finite."""
+    weight = default_weight(spec)
+    gens = []
+    for f, sign in ((fu, 1), (fv, -1)):  # a v-site of -Lambda flips to a u-site
+        coords = np.array([s.n + s.j for s in f.support()], dtype=np.int64)
+        gens.append((f, lattice_generation(sign * coords.reshape(-1, spec.b + spec.d), spec.b)))
+
+    def off(r: int) -> float:
+        return math.hypot(*(weighted_norm(f.restrict(
+            [s for s, g in zip(f.support(), gen) if g > r]), weight) for f, gen in gens))
+
+    while off(radius) > tol / 2:
+        radius += 1
+    return radius
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +361,7 @@ def first_iteration(
     m_max: int = 8,
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
+    tol: float = 1e-11,
 ) -> Tuple[IterationState, ModulationReport]:
     """Seed -> first corrected state, with the modulation diagnostics.
 
@@ -346,7 +370,8 @@ def first_iteration(
     is checked here, so each is decided once.  Condition (i) is how the
     error term enters the first bound: it must avoid its resonant set off
     the seed support.  The returned delta-omega is the exact first-order
-    modulation, evaluated at the seed.
+    modulation, evaluated at the seed.  The lattice radius starts at the
+    smallest R whose Lambda_R holds Lambda inside the box.
     """
     if box is None:
         box = default_box(spec)
@@ -371,9 +396,10 @@ def first_iteration(
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
 
-    plain0, weighted0 = residual_norms(u0, v0, omega0, spec, box)
+    plain0, weighted0 = residual_norms(u0, v0, omega0, spec)
     state0 = IterationState(u=u0, v=v0, omega=omega0, residual_plain=plain0,
-                            residual_weighted=weighted0, step_index=0)
+                            residual_weighted=weighted0, step_index=0,
+                            lattice_radius=box_lattice_radius(spec, box))
 
     omega1 = q_solve(u0, spec)
     delta_omega = tuple(w1 - w0 for w1, w0 in zip(omega1.omega, omega0.omega))
@@ -387,7 +413,8 @@ def first_iteration(
                               jac_fd_rel_err=fd_err, diophantine=dio,
                               seed_residual=(plain0, weighted0))
 
-    state1 = newton_step(state0, spec, box, eps_first=eps_first, eps_second=eps_second)
+    state1 = newton_step(state0, spec, box, tol=tol, eps_first=eps_first,
+                         eps_second=eps_second)
     return state1, report
 
 
@@ -405,16 +432,17 @@ class SolveReport:
     delta_omega_first: Tuple[float, ...]
     omega_shifts: Tuple[float, ...]          # |omega_k - |j_k|^2 - m|
     amplitudes_physical: Tuple[float, ...]   # delta^{1/2p} a_k
-    residual_history: List[Tuple[float, float]]  # (plain, weighted) per state
+    residual_history: List[Tuple[float, float]]  # (plain, weighted) per state, in full
     quad_ratios: List[float]
     quad_constant: Optional[float]
-    cs_mass: float                           # max |u| on (C \ S) in the box
+    cs_mass: float                           # max |u| on C \ S
     modulation: ModulationReport
-    inverse_norm: float
+    inverse_norm: float                      # ||F'^{-1}|| on Lambda_R, off the seed equations
     decay_beta: float
     decay_bound_ok: bool
     invert_mode: str
     min_block_value: float
+    lattice_sites: int                       # sites of Lambda_R
     state: IterationState
     box: Box
 
@@ -435,15 +463,19 @@ def solve(
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
 ) -> SolveReport:
-    """Iterate Newton steps at fixed truncation until the weighted residual
-    drops below tol; report frequencies, certificates and convergence data."""
+    """Iterate Newton steps until the weighted residual, taken in full,
+    drops below tol; report frequencies, certificates and convergence data.
+
+    The steps run on Lambda_R with R grown from the residual (`newton_step`)
+    and certify the whole box; the final state is certified once more, and
+    its inverse norm and decay fit are those of F' on its Lambda_R."""
     if box is None:
         box = default_box(spec)
 
     state, modreport = first_iteration(
         spec, box=box, condition_reports=condition_reports,
         kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
-        eps_first=eps_first, eps_second=eps_second)
+        eps_first=eps_first, eps_second=eps_second, tol=tol)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -451,7 +483,8 @@ def solve(
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
-        state = newton_step(state, spec, box, eps_first=eps_first, eps_second=eps_second)
+        state = newton_step(state, spec, box, tol=tol, eps_first=eps_first,
+                            eps_second=eps_second)
         history.append((state.residual_plain, state.residual_weighted))
 
     converged = state.residual_weighted <= tol
@@ -467,16 +500,19 @@ def solve(
             ratios.append(w_next / w_prev ** 2)
     quad_c = max(ratios) if ratios else None
 
-    op = assemble(state.u, state.v, state.omega, spec, box)
-    cert = invert_with_certificates(op, eps_first=eps_first, eps_second=eps_second,
-                                    drop_indices=op.q_indices())
+    symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
+    mode, min_block = admissibility_gate(state.u, state.v, state.omega, spec, box, symbols,
+                                         eps_first=eps_first, eps_second=eps_second)
+    sites = conservation_sites(spec, state.lattice_radius)
+    inverse_norm, decay = lattice_inverse(symbols, state.u, state.omega, spec, sites)
 
     # u vanishes off its support, so only its own sites can carry C \ S mass.
     s_set = set(u0.support()) | set(v0.support())
-    sites = [s for s in state.u.support() if s not in s_set and box.contains(s)]
-    tags, _ = branch_tags(np.array([s.n + s.j for s in sites], dtype=np.int64)
+    off_seed = [s for s in state.u.support() if s not in s_set]
+    tags, _ = branch_tags(np.array([s.n + s.j for s in off_seed], dtype=np.int64)
                           .reshape(-1, spec.b + spec.d), omega0)
-    cs_mass = max((abs(state.u[s]) for s, t in zip(sites, tags.tolist()) if t), default=0.0)
+    cs_mass = max((abs(state.u[s]) for s, t in zip(off_seed, tags.tolist()) if t),
+                  default=0.0)
 
     pw = spec.delta ** (1.0 / (2 * spec.p))
     shifts = tuple(abs(wk - s.jsq() - spec.phase_m)
@@ -489,11 +525,9 @@ def solve(
         amplitudes_physical=tuple(pw * a for a in spec.amplitudes),
         residual_history=history, quad_ratios=ratios, quad_constant=quad_c,
         cs_mass=cs_mass, modulation=modreport,
-        inverse_norm=cert.norm_bound,
-        decay_beta=cert.decay.beta_hat if cert.decay else 0.0,
-        decay_bound_ok=cert.decay.bound_ok if cert.decay else True,
-        invert_mode=cert.mode, min_block_value=cert.min_block_value,
-        state=state, box=box,
+        inverse_norm=inverse_norm, decay_beta=decay.beta_hat,
+        decay_bound_ok=decay.bound_ok, invert_mode=mode, min_block_value=min_block,
+        lattice_sites=len(sites), state=state, box=box,
     )
 
 

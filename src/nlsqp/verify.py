@@ -180,7 +180,11 @@ def _phase_rotation(shape: Tuple[int, ...], p: int, m: float
     rot_re, rot_im = rot.real, rot.imag
 
     def phase(mod2: np.ndarray, tau: float) -> np.ndarray:
-        angle = (mod2 ** p + m) * -tau
+        # (mod2^p + m) * -tau in place, bit for bit: adding m = 0 is a no-op.
+        angle = mod2 ** p
+        if m:
+            angle += m
+        angle *= -tau
         np.cos(angle, out=rot_re)
         np.sin(angle, out=rot_im)
         return rot
@@ -304,7 +308,7 @@ def evolve_drift(
             if step < steps - 1:
                 phi = phi * rot
         else:
-            phi = phi * phase(mod2, dt)
+            phi *= phase(mod2, dt)  # phi is free_flow's new array
 
     times_a = np.array(times)
     amps_a = np.array(amps)

@@ -309,3 +309,36 @@ def test_symbols_flip_consistency(tp2):
     assert flipped.support() == sym.vv.support()
     for s in flipped.support():
         assert flipped[s] == pytest.approx(sym.vv[s])
+
+
+def test_conservation_sites_match_brute_force(tp1, tp2, tp3):
+    # Lambda_R: every c with sum c = 1 and negative entries adding up to at
+    # most R, mapped to sum_k c_k s_k, in lexicographic order.
+    from nlsqp.characteristics import conservation_sites
+    b3 = make_spec(d=1, b=3, p=1, delta=1e-3, j_list=[1, 2, 4], amplitudes=[0.6, 0.8, 0.5])
+    for spec in (tp1, tp2, tp3, b3):
+        seeds = [s.n + s.j for s in spec.seed_sites()]
+        for radius in (0, 1, 3):
+            want = sorted(
+                tuple(-x for x in c) + tuple(sum(ck * jk[i] for ck, jk in zip(c, spec.j_list))
+                                             for i in range(spec.d))
+                for c in itertools.product(range(-radius, radius + 2), repeat=spec.b)
+                if sum(c) == 1 and -sum(min(x, 0) for x in c) <= radius)
+            got = conservation_sites(spec, radius)
+            assert str(got.dtype) == "int64" and [tuple(r) for r in got.tolist()] == want
+            assert set(seeds) <= set(want) and (radius > 0 or sorted(seeds) == want)
+
+
+def test_box_lattice_radius_covers_lattice_in_the_box(tp2, tp3):
+    # tp3's default box holds Lambda_2 exactly (6 sites, j-radius 3); tp2's
+    # holds 7 sites with generation up to 4.
+    from nlsqp.characteristics import box_lattice_radius, conservation_sites
+    from nlsqp.lattice import default_box
+    for spec, radius, inside in ((tp2, 4, 7), (tp3, 2, 6)):
+        box = default_box(spec)
+        assert box_lattice_radius(spec, box) == radius
+        sites = conservation_sites(spec, radius)
+        held = [site(r[:spec.b], r[spec.b:]) for r in sites.tolist()]
+        assert sum(box.contains(s) for s in held) == inside
+        smaller = {tuple(r) for r in conservation_sites(spec, radius - 1).tolist()}
+        assert any(box.contains(s) and s.n + s.j not in smaller for s in held)

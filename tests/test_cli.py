@@ -305,7 +305,9 @@ def test_exit_verify_rank_above_two(tmp_path, capsys):
 
 def test_verify_command_d3_seed_of_rank_one(tmp_path):
     # tp3's modes embedded in d = 3: solve and verify end to end; the
-    # support spans a rank-1 lattice, so the drift runs on 32 points.
+    # support spans a rank-1 lattice, so the drift runs on 64 points.  The
+    # solution reaches |j| = 6 on Lambda_5, so the collocation grid needs
+    # 13 points per axis.
     cfg = parse_config("""
 [problem]
 d = 3
@@ -319,7 +321,7 @@ n_radius = 6
 j_radius = 3
 
 [verify]
-x_points = 9
+x_points = 13
 """)
     assert run_command("solve", cfg, out_path=str(tmp_path / "solve")) == EXIT_OK
     out = tmp_path / "verify.txt"
@@ -327,7 +329,7 @@ x_points = 9
                        solution=str(tmp_path / "solve" / "solution.txt")) == EXIT_OK
     drift = dict(line.split(" = ") for line in
                  out.read_text().split("[drift]\n")[1].splitlines() if line)
-    assert (drift["rank"], drift["grid"]) == ("1", "32")
+    assert (drift["rank"], drift["grid"]) == ("1", "64")
     assert float(drift["amp_drift"]) <= 1e-9
     assert float(drift["mass_drift"]) <= 1e-10
 
@@ -380,6 +382,44 @@ j_radius = 3
 """)
     code = run_command("solve", cfg, out_path=str(tmp_path / "out"))
     assert code == EXIT_EXCISED
+
+
+# Runs nlsqp.cli.main on its arguments and prints the exit code and the
+# peak resident memory of the process in MB.
+RSS_PROBE = """
+import resource, sys
+import nlsqp.cli
+code = nlsqp.cli.main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_exit_excised_b3_default_box(tmp_path):
+    # Three modes on the 1.46 M-site default box: the gate builds its blocks
+    # from the resonance graph, not from an assembled box operator, and
+    # fails one off the conservation lattice within a few hundred MB.
+    import subprocess
+    import sys
+    from pathlib import Path
+    cfg = write(tmp_path, "b3.cfg", """
+[problem]
+d = 1
+b = 3
+p = 1
+delta = 1e-3
+modes = (1):0.6, (2):0.8, (4):0.5
+""")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE, "solve", cfg, "--out", "out"],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    code, peak_mb = proc.stdout.split()
+    assert int(code) == EXIT_EXCISED
+    assert proc.stderr == (
+        "excised amplitude: block 1114 (size 1): |P_k| = 2.000e-05 below threshold "
+        "3.162e-05; first member (12 -20 4 | -2), the block is off the conservation "
+        "lattice\n")
+    assert float(peak_mb) < 300
 
 
 def test_exit_no_convergence(tmp_path):
@@ -594,11 +634,17 @@ def test_parse_config_fuzz_exits_cleanly(text):
 
 # sha256 of each artifact of the tp2 config, generated_at lines removed.  A
 # refactor keeps these bytes; a change that alters an artifact on purpose
-# updates the digest and says why.
+# updates the digest and says why.  report.txt and solution.txt were
+# re-pinned when Newton moved to the conservation lattice: the solution
+# gained the sites (2 -3 | 4) and (3 -4 | 5) of Lambda_4 beyond the box's
+# j-radius, so omega moved by 7e-14 and the other amplitudes in their last
+# digits; the residuals became full
+# ones, inverse_norm and decay_beta became those of F' on Lambda_4, and
+# residual_full, lattice_radius and lattice_sites are new.
 TP2_ARTIFACT_SHA256 = {
     "check.txt": "1bc894dad1663973df0d4c30893be871dcb15e2b04933fa2999ba2b323859a29",
-    "solve/report.txt": "5712b11aab888116f201d9c0f2fb2a512dcacb33dea74c5d3fabfbcd6214dc4f",
-    "solve/solution.txt": "3165badb12f8c01a7a438b5244aebf399a0e78720408fbcca48f915fa1d62536",
+    "solve/report.txt": "da38971c8d461ac312938575502802d898135fda8974b4176ac4b8d8e806ff8d",
+    "solve/solution.txt": "830c822dd610ed5857421bd470bd748b62386ba661849782e059ed4c47b735c5",
     "sweep.csv": "def176f8d04330e2eef3dc8011d974d47401cb5b138bf214f3681f64ece52705",
 }
 
@@ -677,7 +723,8 @@ def scipy_modules_after(tmp_path, *argv):
 
 def test_only_solve_loads_scipy(tmp_path):
     # check, verify and sweep build no sparse matrix and factor nothing, so
-    # their processes never import scipy; solve needs SuperLU.
+    # their processes never import scipy; solve factors nothing either but
+    # loads scipy's sparse solvers (see cmd_solve for why).
     cfg = write(tmp_path, "tp2.cfg", TP2_CFG)
     none = (EXIT_OK, set())
     assert scipy_modules_after(tmp_path) == none

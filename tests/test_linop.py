@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from nlsqp.characteristics import members_of_size
-from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
+from nlsqp.characteristics import ConvolutionSymbols, conservation_sites, members_of_size
+from nlsqp.lattice import Box, FrequencyVector, default_box, linear_solution, make_spec, site
 from nlsqp.linop import (
     ExcisionError,
     _power_norm,
     assemble,
     block_decompose,
     invert_with_certificates,
+    lattice_inverse,
+    lattice_operator,
     restricted_solver,
     theta_spectrum_scan,
 )
-from nlsqp.newton import q_solve
+from nlsqp.newton import first_iteration, q_solve, residual_series
+
+# Three modes in one dimension, cubic: Lambda carries small divisors of its
+# own.  Box(4, 9) holds 50 of its sites.
+B3 = make_spec(d=1, b=3, p=1, delta=1e-3, j_list=[1, 2, 4], amplitudes=[0.6, 0.8, 0.5])
 
 
 def seed_operator(spec, box=None, theta=0.0):
@@ -202,6 +208,30 @@ def test_block_decompose_matches_reference(name, drop_seed, request):
     assert_blocks_are_slices(op, dec)
 
 
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
+def test_block_decompose_at_the_modulated_frequency(name, request):
+    # Off omega0 the block diagonals carry n.(omega - omega0): still the
+    # slices of the assembled matrix, bit for bit.
+    spec = request.getfixturevalue(name)
+    u0, v0 = linear_solution(spec)
+    op = assemble(u0, v0, q_solve(u0, spec), spec, Box(9, 3))
+    exclude = frozenset(op.q_indices())
+    dec = block_decompose(op, exclude=exclude)
+    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(op)]
+    assert block_lists(dec)[0] == [c for c in expected if c]
+    assert_blocks_are_slices(op, dec)
+
+
+def test_excision_error_says_whether_the_block_meets_the_lattice(tp1):
+    # The seed block holds the u-copy of the seed, a site of Lambda.
+    with pytest.raises(ExcisionError) as err:
+        invert_with_certificates(seed_operator(tp1), mode="seed", eps_first=0.75)
+    assert (err.value.block_index, err.value.site, err.value.meets_lattice) == \
+        (1, site((-1,), (2,)), True)
+    assert str(err.value).endswith(
+        "first member (-1 | 2), the block meets the conservation lattice")
+
+
 def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
     # An emptied component is dropped and the later blocks keep their order
     # by smallest original member, so ExcisionError counts without it.
@@ -318,7 +348,7 @@ def test_power_iteration_early_stop_matches_full_run(tp2):
     assert abs(cert.norm_bound - sigma) <= 1e-12 * sigma
 
 
-def test_power_settled_only_when_sigma_settles(tp2, monkeypatch):
+def test_power_settled_only_when_sigma_settles(tp2):
     # The tp2 seed operator's top singular values are nearly degenerate:
     # sigma still moves after 60 rounds, so the norm is an estimate.
     cert = invert_with_certificates(seed_operator(tp2), mode="seed", fit_decay=False)
@@ -327,16 +357,12 @@ def test_power_settled_only_when_sigma_settles(tp2, monkeypatch):
     cert = invert_with_certificates(seed_operator(tp2), mode="seed", fit_decay=False,
                                     power_iters=0)
     assert not cert.power_settled
-    # solve's final certificate, at the modulated frequency, settles.
-    from nlsqp import newton
-    certs = []
-    real = newton.invert_with_certificates
-    monkeypatch.setattr(newton, "invert_with_certificates",
-                        lambda *a, **k: certs.append(real(*a, **k)) or certs[-1])
-    report = newton.solve(tp2)
-    assert certs[-1].norm_bound == report.inverse_norm
-    assert certs[-1].power_settled
-    assert certs[-1].power_iterations < 60
+    # At the modulated frequency, off the seed equations, sigma settles.
+    u0, v0 = linear_solution(tp2)
+    op = assemble(u0, v0, q_solve(u0, tp2), tp2, Box(9, 3))
+    cert = invert_with_certificates(op, fit_decay=False, drop_indices=op.q_indices())
+    assert cert.power_settled
+    assert cert.power_iterations < 60
 
 
 def test_certificate_returns_its_factor(tp2):
@@ -358,6 +384,72 @@ def test_restricted_solver_matches_submatrix(tp2):
     x = solve(rhs)
     sub = op.matrix[keep][:, keep].toarray()
     assert np.linalg.norm(sub @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
+# -- The conservation lattice ------------------------------------------------
+
+
+def lattice_case(name, request):
+    if name == "b3":
+        return B3, Box(4, 9)
+    spec = request.getfixturevalue(name)
+    return spec, default_box(spec)
+
+
+def on_lattice(coords, spec, mass):
+    """Rows of a site array with sum n = mass and j = -sum_k n_k j_k."""
+    n, j = coords[:, :spec.b], coords[:, spec.b:]
+    jmat = np.array(spec.j_list).reshape(spec.b, spec.d)
+    return (n.sum(axis=1) == mass) & np.all(j == -(n @ jmat), axis=1)
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
+def test_lattice_decouples_and_its_step_is_the_box_step(name, request):
+    # After the first step u lives on Lambda: nothing couples u on Lambda
+    # and v on -Lambda to the rest of the box, so the dense step on
+    # Lambda inside the box is the SuperLU step of the whole box.
+    spec, box = lattice_case(name, request)
+    state, _ = first_iteration(spec, box=box)
+    omega = q_solve(state.u, spec)
+    op = assemble(state.u, state.v, omega, spec, box)
+    inside = np.concatenate([on_lattice(op.coords, spec, -1), on_lattice(op.coords, spec, 1)])
+    m = op.matrix
+    assert abs(m[inside][:, ~inside]).max() == 0 and abs(m[~inside][:, inside]).max() == 0
+
+    sites = op.coords[inside[:op.n_sites]]
+    assert len(sites) == {"tp1": 1, "tp2": 7, "tp3": 6, "b3": 50}[name]
+    symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
+    mat, keep = lattice_operator(symbols, omega, spec, sites)
+    rows = [op.doubled_index(site(r[:spec.b], r[spec.b:]), "U") for r in sites.tolist()] + \
+        [op.doubled_index(site(r[:spec.b], r[spec.b:]), "V") for r in (-sites).tolist()]
+    assert np.array_equal(mat, m[rows][:, rows].toarray())
+
+    fu, fv = residual_series(state.u, state.v, omega, spec)
+    rhs = np.zeros(op.dim, dtype=complex)
+    for i in range(op.n_sites):
+        rhs[i], rhs[op.n_sites + i] = fu[op.site_at(i)], fv[op.site_at(i)]
+    solve, kept = restricted_solver(op, op.q_indices())
+    full = np.zeros(op.dim, dtype=complex)
+    full[kept] = solve(rhs[kept])
+    assert not full[~inside].any()
+    step = np.zeros(len(rows), dtype=complex)
+    if keep.any():
+        step[keep] = np.linalg.solve(mat[np.ix_(keep, keep)], rhs[rows][keep])
+    assert np.abs(step - full[rows]).max() <= 1e-12 * max(np.abs(step).max(), 1e-300)
+
+
+def test_lattice_inverse_is_the_exact_inverse_norm(tp2, tp3):
+    # 1/sigma_min of F' on Lambda_R off the seed equations, against the
+    # 2-norm of the explicit inverse.
+    for spec in (tp2, tp3):
+        state, _ = first_iteration(spec)
+        symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
+        sites = conservation_sites(spec, state.lattice_radius)
+        norm, decay = lattice_inverse(symbols, state.u, state.omega, spec, sites)
+        mat, keep = lattice_operator(symbols, state.omega, spec, sites)
+        exact = np.linalg.norm(np.linalg.inv(mat[np.ix_(keep, keep)]), 2)
+        assert norm == pytest.approx(exact, rel=1e-10)
+        assert decay.bound_ok
 
 
 # -- Theta family ------------------------------------------------------------

@@ -242,7 +242,26 @@ def test_solve_computes_each_state_residual_once(tp2, monkeypatch):
     rep = solve(tp2)
     assert len(calls) == rep.steps + 1 == len(rep.residual_history)
     u0, v0 = linear_solution(tp2)
-    assert rep.residual_history[0] == real(u0, v0, tp2.omega0(), tp2, rep.box)
+    assert rep.residual_history[0] == real(u0, v0, tp2.omega0(), tp2)
+
+
+@pytest.mark.parametrize("name, radius, sites", [
+    ("tp2", 4, 10), ("tp3", 5, 12), ("b3", 4, 75),
+])
+def test_solve_converges_in_full(name, radius, sites, request):
+    # The reported residual is the whole residual, at or below tol; the
+    # lattice grew past the box where the residual asked for it (tp3's box
+    # holds Lambda_2), and u lives on the final Lambda_R.
+    from nlsqp.characteristics import conservation_sites
+    spec, box = (B3, Box(4, 9)) if name == "b3" else (request.getfixturevalue(name), None)
+    rep = solve(spec, box=box)
+    st = rep.state
+    assert rep.converged and rep.residual_history[-1][1] <= 1e-11
+    assert rep.residual_history[-1] == residual_norms(st.u, st.v, st.omega, spec)
+    assert (st.lattice_radius, rep.lattice_sites) == (radius, sites)
+    lattice = {site(r[:spec.b], r[spec.b:])
+               for r in conservation_sites(spec, radius).tolist()}
+    assert set(st.u.support()) <= lattice
 
 
 def test_solve_nonconvergence_reports_history(tp2):
@@ -560,15 +579,22 @@ def test_diophantine_scan_equals_scalar_loop(b, n_radius):
 
 
 def test_newton_step_factors_once(tp2, monkeypatch):
-    import scipy.sparse.linalg as spla
+    # One dense LU per step, on the lattice: no box operator is assembled
+    # and nothing else is factored.
+    from nlsqp import linop
     u0, v0 = linear_solution(tp2)
     box = Box(9, 3)
-    plain, weighted = residual_norms(u0, v0, tp2.omega0(), tp2, box)
+    plain, weighted = residual_norms(u0, v0, tp2.omega0(), tp2)
     state = IterationState(u=u0, v=v0, omega=tp2.omega0(), residual_plain=plain,
-                           residual_weighted=weighted, step_index=0)
+                           residual_weighted=weighted, step_index=0, lattice_radius=4)
     calls = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda a: calls.append(a.shape) or splu(a))
+    dense_solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: calls.append(a.shape) or dense_solve(a, b))
+    monkeypatch.setattr(linop, "assemble", None)
+    monkeypatch.setattr(linop, "restricted_solver", None)
     nxt = newton_step(state, tp2, box)
-    assert len(calls) == 1
+    # Lambda_4 holds 10 sites: 20 equations, 4 of them the seed equations.
+    assert calls == [(16, 16)]
+    assert nxt.lattice_radius == 4
     assert nxt.residual_weighted < weighted

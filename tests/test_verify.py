@@ -128,13 +128,14 @@ def test_evolve_dt_guard(tp1):
 
 
 def test_pde_residual_and_drift_d2(tp3):
-    # In d = 2 the pointwise defect of the box-truncated solution is pure
-    # truncation tail; it must agree with the full-lattice residual taken
-    # in physical scale.
+    # In d = 2 the pointwise defect of the lattice-truncated solution is
+    # pure truncation tail; it must agree with the full-lattice residual
+    # taken in physical scale.  The solution reaches |j| = 6, so the grid
+    # has 13 points per axis.
     from nlsqp.lattice import Box
     rep = solve(tp3, box=Box(6, 3))
     u_phys = rep.physical_u()
-    res = pde_residual(u_phys, rep.state.omega, tp3, grid=(32, 9))
+    res = pde_residual(u_phys, rep.state.omega, tp3, grid=(32, 13))
     fu, _ = residual_series(rep.state.u, rep.state.v, rep.state.omega, tp3)
     lattice = tp3.delta ** (1.0 / (2 * tp3.p)) * fu.norm2()
     assert res.mean <= 10 * lattice
@@ -260,14 +261,14 @@ def assert_matches_fft_strang_reference(u, omega, spec, T, dt):
 
 
 def test_evolve_d3_seed_on_its_rank_one_sub_torus_matches_the_x_grid():
-    # tp3's modes embedded in d = 3: 32 sub-torus points against the
-    # 32^3 x-grid of the textbook loop.
+    # tp3's modes embedded in d = 3: 64 sub-torus points against the
+    # 64^3 x-grid of the textbook loop.
     spec = make_spec(d=3, b=2, p=2, delta=1e-3, j_list=[(1, 0, 0), (0, 1, 0)],
                      amplitudes=[0.9, 0.35])
     rep = solve(spec, box=Box(6, 3))
     drift = assert_matches_fft_strang_reference(
         rep.physical_u(), rep.state.omega, spec, T=2.0, dt=1e-2)
-    assert (drift.rank, drift.grid) == (1, 32)
+    assert (drift.rank, drift.grid) == (1, 64)
 
 
 def test_evolve_rank_two_support_with_cross_terms_matches_the_x_grid():
