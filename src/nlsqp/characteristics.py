@@ -70,10 +70,12 @@ def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
     order, which is also the order of the box's linear index.  A box of
     more than SITE_CAP sites raises BoxTooLarge before anything is built."""
     _check_site_cap(b, d, box)
-    n_range = np.arange(-box.n_radius, box.n_radius + 1, dtype=np.int64)
-    j_range = np.arange(-box.j_radius, box.j_radius + 1, dtype=np.int64)
-    grids = np.meshgrid(*([n_range] * b + [j_range] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    ranges = ([np.arange(-box.n_radius, box.n_radius + 1)] * b
+              + [np.arange(-box.j_radius, box.j_radius + 1)] * d)
+    out = np.empty([len(r) for r in ranges] + [b + d], dtype=np.int64)
+    for axis, values in enumerate(np.ix_(*ranges)):  # broadcast, not copied per axis
+        out[..., axis] = values
+    return out.reshape(-1, b + d)
 
 
 def _check_site_cap(b: int, d: int, box: Box):
@@ -117,13 +119,42 @@ def branch_tags(coords: np.ndarray, omega0: FrequencyVector
     return tags, np.concatenate([plus_eq, minus_eq])
 
 
-def _variety(omega0: FrequencyVector, d: int, box: Box) -> Tuple[np.ndarray, np.ndarray]:
-    """Coordinates and tags of the characteristic sites of a box, in
-    lexicographic order."""
-    coords = enumerate_box_sites(len(omega0), d, box)
-    tags, _ = branch_tags(coords, omega0)
+@dataclass
+class BoxVariety:
+    """What the resonance graphs and certificates of a box read that does
+    not move with the Newton iterate.  coords is the box's site array and
+    resonant the mask of its doubled indices (box index, plus the site
+    count for a v-copy) with a vanishing seed diagonal (`branch_tags`).
+    Those are the vertices: the n_tagged graph vertices (u-copies of C+
+    sites, v-copies of C- sites, lexicographic), then the other copy of
+    each with j = 0; vertices and copies (+1 u, -1 v; int8) give their site
+    and copy, and vertex_of maps a doubled index to its vertex, else -1."""
+
+    box: Box
+    coords: np.ndarray
+    resonant: np.ndarray
+    vertices: np.ndarray
+    copies: np.ndarray
+    n_tagged: int
+    vertex_of: np.ndarray
+
+
+def box_variety(omega0: FrequencyVector, d: int, box: Box) -> BoxVariety:
+    """The `BoxVariety` of a box; a box of more than SITE_CAP sites raises
+    BoxTooLarge."""
+    b = len(omega0)
+    coords = enumerate_box_sites(b, d, box)
+    tags, resonant = branch_tags(coords, omega0)
     on = np.nonzero(tags)[0]
-    return coords[on], tags[on]
+    twin = on[~coords[on, b:].any(axis=1)]
+    vertices = np.concatenate([coords[on], coords[twin]])
+    copies = np.concatenate([tags[on], -tags[twin]])
+    radii, strides = box_strides(b, d, box)
+    vertex_of = np.full(2 * len(coords), -1, dtype=np.int64)
+    vertex_of[(vertices + radii) @ strides + len(coords) * (copies < 0)] = \
+        np.arange(len(vertices))
+    return BoxVariety(box=box, coords=coords, resonant=resonant, vertices=vertices,
+                      copies=copies, n_tagged=len(on), vertex_of=vertex_of)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +541,11 @@ def resonance_graph(
     """
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    b, d = len(omega0), spec.d
-    coords, tags = _variety(omega0, d, box)
-    nv = len(coords)
-    found = resonance_links(coords, tags, np.arange(nv), symbols, box)
+    variety = box_variety(omega0, spec.d, box)
+    b, nv = len(omega0), variety.n_tagged
+    coords, tags = variety.vertices[:nv], variety.copies[:nv]
+    found = resonance_links(variety, np.arange(nv), symbols)
+    found = found[:, found[1] < nv]  # the j = 0 twins are not graph vertices
     # Encoding (min, max) as min * nv + max sorts like the tuples.
     code = np.unique(np.minimum(found[0], found[1]) * nv + np.maximum(found[0], found[1]))
     lo, hi = np.divmod(code, nv)  # nv >= 1: the origin is always a vertex
@@ -526,19 +558,16 @@ def resonance_graph(
         interaction_range=symbols.interaction_range(), symbols=symbols)
 
 
-def resonance_links(coords: np.ndarray, tags: np.ndarray, src: np.ndarray,
-                    symbols: ConvolutionSymbols, box: Box) -> np.ndarray:
-    """The links of `resonance_graph`'s rule out of the vertices src, as a
-    (2, count) array of (src vertex, other vertex) columns.  A vertex is a
-    box site (a row of coords) and a copy (its tag: +1 u, -1 v), and a site
-    may carry both copies.  Each kind of link is found in one array pass
-    over src and the symbol's shifts, through a lookup from doubled box
-    index (box index, plus the site count for a v-copy) to vertex."""
+def resonance_links(variety: BoxVariety, src: np.ndarray, symbols: ConvolutionSymbols
+                    ) -> np.ndarray:
+    """The links of `resonance_graph`'s rule from the variety's vertices
+    src to any of its vertices, as a (2, count) array of (src vertex, other
+    vertex) columns: one array pass over src and the shifts of each kind of
+    link, through the variety's lookup from doubled index to vertex."""
     b, d = symbols.uv_p.b, symbols.uv_p.d
-    radii, strides = box_strides(b, d, box)
-    ns = box.site_count(b, d)
-    vertex_of = np.full(2 * ns, -1, dtype=np.int64)
-    vertex_of[(coords + radii) @ strides + ns * (tags < 0)] = np.arange(len(coords))
+    radii, strides = box_strides(b, d, variety.box)
+    ns = len(variety.coords)
+    coords, tags, vertex_of = variety.vertices, variety.copies, variety.vertex_of
 
     def links(shifts: List[SiteIndex], src_tag: int, dst_tag: int):
         own = src[tags[src] == src_tag]

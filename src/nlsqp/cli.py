@@ -10,6 +10,7 @@ for the generated_at header field.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import os
 import re
@@ -376,8 +377,16 @@ def _parse_solution(text: str) -> Tuple[ProblemSpec, FrequencyVector, SparseSeri
                              f"expected {b + d + 2}")
         ns = tuple(int(x) for x in parts[:b])
         js = tuple(int(x) for x in parts[b:b + d])
-        terms[SiteIndex(ns, js)] = complex(float(parts[b + d]), float(parts[b + d + 1]))
-    return spec, omega, SparseSeries(b, d, terms, drop_tol=0.0)
+        amp = complex(float(parts[b + d]), float(parts[b + d + 1]))
+        if not cmath.isfinite(amp):
+            raise ValueError(f"table line '{line}' has a non-finite amplitude")
+        terms[SiteIndex(ns, js)] = amp
+    u = SparseSeries(b, d, terms, drop_tol=0.0)
+    for s in spec.seed_sites():
+        if s not in u:
+            raise ValueError(f"the [u] table has no term at the seed site "
+                             f"({' '.join(map(str, s.n))} | {' '.join(map(str, s.j))})")
+    return spec, omega, u
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +610,8 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
 
     0 success, 1 condition failure, 2 non-convergence, 3 excised amplitude,
     4 config or input error (a bad config, or a solution file that is
-    missing or malformed), 5 verify failure (grid too coarse for the
+    missing or malformed, has a non-finite amplitude or misses a seed
+    site), 5 verify failure (grid too coarse for the
     solution, unstable split-step integration, or a support whose
     difference lattice has rank above 2), 6 truncation box above the site
     cap, 7 Newton step rejected (the weighted residual grew), 8 non-real Q

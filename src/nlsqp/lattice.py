@@ -10,6 +10,7 @@ conjugate flip (n, j) -> (-n, -j) representing complex conjugation.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -208,7 +209,7 @@ class SparseSeries:
         self.d = d
         self._terms: Dict[SiteIndex, complex] = {}
         if terms:
-            cutoff = drop_tol * max(abs(v) for v in terms.values()) if terms else 0.0
+            cutoff = drop_tol * max(abs(v) for v in terms.values()) if drop_tol else 0.0
             for s, v in terms.items():
                 if len(s.n) != b or len(s.j) != d:
                     raise DimensionMismatch(f"site {s} does not match (b={b}, d={d})")
@@ -284,15 +285,21 @@ def convolve(f: SparseSeries, g: SparseSeries, drop_tol: float = DROP_TOL) -> Sp
     """(f*g)(s) = sum_{s'} f(s') g(s - s').
 
     Accumulation runs over the lexicographically sorted term lists so the
-    floating-point result is reproducible bit for bit.
+    floating-point result is reproducible bit for bit; sums are keyed by
+    flat n + j tuples, so one SiteIndex is built per output site.
     """
     f._check_compatible(g)
-    out: Dict[SiteIndex, complex] = {}
+    out: Dict[Tuple[int, ...], complex] = {}
+    g_terms = [(s.n + s.j, v) for s, v in g.items()]
+    add = operator.add
     for s1, v1 in f.items():
-        for s2, v2 in g.items():
-            s = s1 + s2
-            out[s] = out.get(s, 0j) + v1 * v2
-    return SparseSeries(f.b, f.d, out, drop_tol=drop_tol)
+        k1 = s1.n + s1.j
+        for k2, v2 in g_terms:
+            k = tuple(map(add, k1, k2))
+            out[k] = out.get(k, 0j) + v1 * v2
+    b = f.b
+    return SparseSeries(b, f.d, {SiteIndex(k[:b], k[b:]): v for k, v in out.items()},
+                        drop_tol=drop_tol)
 
 
 def conv_power(f: SparseSeries, p: int, drop_tol: float = DROP_TOL) -> SparseSeries:

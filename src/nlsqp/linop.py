@@ -15,21 +15,21 @@ where the Newton iteration lives, F' is small and dense.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .characteristics import (
+    BoxVariety,
     ConvolutionSymbols,
-    ResonanceGraph,
     box_strides,
+    box_variety,
     branch_tags,
     enumerate_box_sites,
     members_of_size,
     on_lattice,
     ordered_components,
-    resonance_graph,
     resonance_links,
 )
 from .lattice import (
@@ -39,6 +39,7 @@ from .lattice import (
     SiteIndex,
     SparseSeries,
     convolve,
+    site,
 )
 
 # scipy is imported by the functions that build or factor sparse matrices,
@@ -116,16 +117,10 @@ class BlockOperator:
         return self.spec.omega0()
 
     def site_at(self, i: int) -> SiteIndex:
-        return _site(self.coords[i], self.spec.b)
+        return site(self.coords[i, :self.spec.b], self.coords[i, self.spec.b:])
 
     def lin_index(self, s: SiteIndex) -> Optional[int]:
         return _box_index(s, self.spec, self.box)
-
-    def doubled_index(self, s: SiteIndex, comp: str) -> Optional[int]:
-        i = self.lin_index(s)
-        if i is None:
-            return None
-        return i if comp == "U" else self.n_sites + i
 
     def q_indices(self) -> List[int]:
         """Doubled indices of the 2b frequency equations: the u-component on
@@ -295,36 +290,30 @@ class BlockDecomposition:
     stacks: Dict[int, np.ndarray]
 
 
-def resonance_blocks(graph: ResonanceGraph, symbols: ConvolutionSymbols,
-                     omega: FrequencyVector, spec: ProblemSpec, box: Box,
-                     theta: float = 0.0, exclude: frozenset = frozenset()
-                     ) -> BlockDecomposition:
-    """Dense blocks of F' over the resonance components of a box, from the
-    graph and the symbols, with the entries `assemble` would place.
+def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
+                     spec: ProblemSpec, variety: BoxVariety, theta: float = 0.0,
+                     exclude: frozenset = frozenset()) -> BlockDecomposition:
+    """Dense blocks of F' over the resonance components of a box, from its
+    variety and the symbols, with the entries `assemble` would place.
 
-    The blocks live on the resonant doubled indices: the u-copy of each C+
-    vertex, the v-copy of each C- vertex, and both copies of a site with
-    j = 0 (and n.w0 = 0), which the graph tags once.  Their other copy
-    joins through its own links, found from its side (`resonance_links`;
-    the symbols of (u, conj-flip u) link x to y exactly when they link y
-    to x).  Blocks are ordered by their smallest doubled index, members
-    ascending.  `exclude` removes doubled indices (the seed equations) from
-    their blocks after the components are found; a block left empty is
-    dropped, and the later blocks keep their order.  det and svd run once
-    per distinct size, on the stack of the blocks of that size.
+    The blocks live on the variety's vertices, the resonant doubled
+    indices: the u-copy of each C+ site, the v-copy of each C- site, and
+    both copies of a site with j = 0 (and n.w0 = 0).  The components are
+    those of the links from every vertex (`resonance_links`): the resonance
+    graph's edges and the links of the j = 0 twins.  Blocks are ordered by
+    their smallest doubled index, members ascending.  `exclude` removes
+    doubled indices (the seed equations) from their blocks after the
+    components are found; a block left empty is dropped, and the later
+    blocks keep their order.  det and svd run once per distinct size, on
+    the stack of the blocks of that size.
     """
-    radii, strides = box_strides(spec.b, spec.d, box)
-    ns = box.site_count(spec.b, spec.d)
-    twin = np.nonzero(~graph.vertices[:, spec.b:].any(axis=1))[0]
-    coords = np.concatenate([graph.vertices, graph.vertices[twin]])
-    copies = np.concatenate([graph.tags, -graph.tags[twin]]).astype(np.int64)
-    edges = np.concatenate([graph.edges, resonance_links(
-        coords, copies, np.arange(len(graph.vertices), len(coords)), symbols, box)], axis=1)
-    doubled = (coords + radii) @ strides + ns * (copies < 0)
-    by_index = np.argsort(doubled)  # components run over positions in this order
+    coords, copies = variety.vertices, variety.copies
+    edges = resonance_links(variety, np.arange(len(coords)), symbols)
+    # Components run over the vertices in the order of their doubled index.
+    index = np.flatnonzero(variety.vertex_of >= 0)
+    by_index = variety.vertex_of[index]
     rank = np.argsort(by_index)
-    labels, order, bounds = ordered_components(len(doubled), rank[edges[0]], rank[edges[1]])
-    index = doubled[by_index]
+    labels, order, bounds = ordered_components(len(index), rank[edges[0]], rank[edges[1]])
     if exclude:
         dropped = np.isin(index, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
         order = order[~dropped[order]]
@@ -353,8 +342,8 @@ def block_decompose(op: BlockOperator, exclude: frozenset = frozenset()
                     ) -> BlockDecomposition:
     """`resonance_blocks` of an assembled operator: each block equals the
     slice of op.matrix at its members."""
-    graph = resonance_graph(op.u, op.v, op.spec, op.omega0(), op.box, symbols=op.symbols)
-    return resonance_blocks(graph, op.symbols, op.omega, op.spec, op.box, op.theta, exclude)
+    return resonance_blocks(op.symbols, op.omega, op.spec,
+                            box_variety(op.omega0(), op.spec.d, op.box), op.theta, exclude)
 
 
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
@@ -388,10 +377,6 @@ class CertifiedInverse:
     decay: Optional[DecayFit]
     threshold: float
     min_block_value: float
-    # The factorisation that was certified: solve(rhs, trans="N") takes and
-    # returns vectors indexed by `keep`, the doubled indices not dropped.
-    solve: Callable[..., np.ndarray] = field(repr=False, default=None)
-    keep: np.ndarray = field(repr=False, default=None)
     power_iterations: int = 0
     # True only when power iteration stopped because sigma settled; False
     # when it ran out of rounds, so norm_bound is an unconverged estimate.
@@ -424,38 +409,30 @@ def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
         sites = coords[doubled % len(coords)]
         meets = on_lattice(sites, np.where(doubled < len(coords), 1, -1), spec).any()
         raise ExcisionError(k, float(values[k]), threshold, int(decomp.sizes[k]),
-                            _site(sites[0], b), bool(meets))
+                            site(sites[0, :b], sites[0, b:]), bool(meets))
     off = np.nonzero(~resonant)[0]
     if len(off):
         i = off[np.argmin(np.abs(diag[off]))]
         if abs(diag[i]) < 0.25:
-            raise OffCharDiagonalError(_site(coords[i % len(coords)], b), float(abs(diag[i])))
+            x = coords[i % len(coords)]
+            raise OffCharDiagonalError(site(x[:b], x[b:]), float(abs(diag[i])))
     return threshold, float(values.min(initial=math.inf))
 
 
-def _site(row: np.ndarray, b: int) -> SiteIndex:
-    """The site of a row of a site array."""
-    row = row.tolist()
-    return SiteIndex(tuple(row[:b]), tuple(row[b:]))
-
-
-def admissibility_gate(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
-                       spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols,
-                       eps_first: float = 1e-4, eps_second: float = 0.5
-                       ) -> Tuple[str, float]:
+def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, variety: BoxVariety,
+                       symbols: ConvolutionSymbols, eps_first: float = 1e-4,
+                       eps_second: float = 0.5) -> Tuple[str, float]:
     """The block and diagonal certificate of `invert_with_certificates` over
-    the whole box at (u, v, omega), without assembling the box: the blocks
-    off the seed equations come from `resonance_graph` with the symbols of
-    (u, v) and `resonance_blocks`, the diagonal from `_dispersion` on the
-    box sites.  Returns the mode and the smallest block value."""
-    exclude = frozenset(_seed_equations(spec, box))
-    graph = resonance_graph(u, v, spec, spec.omega0(), box, symbols=symbols)
-    decomp = resonance_blocks(graph, symbols, omega, spec, box, exclude=exclude)
-    coords = enumerate_box_sites(spec.b, spec.d, box)
+    the whole box of a variety (`box_variety`) at omega and the symbols of
+    the iterate, without assembling the box: the blocks off the seed
+    equations from `resonance_blocks`, the diagonal from `_dispersion` on
+    the box sites.  Returns the mode and the smallest block value."""
+    exclude = frozenset(_seed_equations(spec, variety.box))
+    decomp = resonance_blocks(symbols, omega, spec, variety, exclude=exclude)
     mode = _mode(omega, spec, 0.0)
-    _, min_val = _certify(decomp, coords, _dispersion(coords, omega, spec).ravel(),
-                          branch_tags(coords, spec.omega0())[1], spec, mode,
-                          eps_first, eps_second)
+    _, min_val = _certify(decomp, variety.coords,
+                          _dispersion(variety.coords, omega, spec).ravel(),
+                          variety.resonant, spec, mode, eps_first, eps_second)
     return mode, min_val
 
 
@@ -520,10 +497,9 @@ def invert_with_certificates(
 
     This is the certificate of an assembled box operator (the Newton
     iteration certifies with `admissibility_gate` and solves on the
-    lattice instead).  The matrix is factored once, by `restricted_solver`;
-    the factor is returned on the certificate (`solve`, `keep`) for the
-    caller to reuse.  The norm is estimated by `_power_norm` on
-    (F'^H F')^{-1}, at most power_iters rounds.
+    lattice instead).  The matrix is factored once, by `restricted_solver`.
+    The norm is estimated by `_power_norm` on (F'^H F')^{-1}, at most
+    power_iters rounds.
     """
     if mode is None:
         mode = _mode(op.omega, op.spec, op.theta)
@@ -543,8 +519,8 @@ def invert_with_certificates(
                            lambda i: solve(np.eye(1, len(keep), i, dtype=complex)[0]))
 
     return CertifiedInverse(norm_bound=float(sigma), decay=decay, threshold=threshold,
-                            min_block_value=min_val, solve=solve, keep=keep,
-                            power_iterations=rounds, power_settled=settled)
+                            min_block_value=min_val, power_iterations=rounds,
+                            power_settled=settled)
 
 
 def lattice_inverse(symbols: ConvolutionSymbols, u: SparseSeries, omega: FrequencyVector,

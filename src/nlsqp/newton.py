@@ -21,9 +21,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characteristics import (
+    BoxVariety,
     ConvolutionSymbols,
     ResonanceGraph,
     box_lattice_radius,
+    box_variety,
     branch_tags,
     conservation_sites,
     lattice_generation,
@@ -155,14 +157,14 @@ def q_solve(u: SparseSeries, spec: ProblemSpec) -> FrequencyVector:
 def newton_step(
     state: IterationState,
     spec: ProblemSpec,
-    box: Box,
+    variety: BoxVariety,
     tol: float = 1e-11,
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
 ) -> IterationState:
     """One P-then-Q update.
 
-    The step first certifies the whole truncation box at the frequency
+    The step first certifies the whole box of the variety at the frequency
     solving the Q equations for the current u (`admissibility_gate`).  The
     linear solve then runs on Lambda_R, R the state's radius grown until at
     most tol / 2 of the weighted residual lies off it (`_lattice_radius`):
@@ -175,7 +177,7 @@ def newton_step(
     u, v = state.u, state.v
     omega_work = q_solve(u, spec)
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    admissibility_gate(u, v, omega_work, spec, box, symbols,
+    admissibility_gate(omega_work, spec, variety, symbols,
                        eps_first=eps_first, eps_second=eps_second)
 
     fu, fv = residual_series(u, v, omega_work, spec)
@@ -362,6 +364,7 @@ def first_iteration(
     eps_first: float = 1e-4,
     eps_second: float = 0.5,
     tol: float = 1e-11,
+    variety: Optional[BoxVariety] = None,
 ) -> Tuple[IterationState, ModulationReport]:
     """Seed -> first corrected state, with the modulation diagnostics.
 
@@ -371,7 +374,8 @@ def first_iteration(
     error term enters the first bound: it must avoid its resonant set off
     the seed support.  The returned delta-omega is the exact first-order
     modulation, evaluated at the seed.  The lattice radius starts at the
-    smallest R whose Lambda_R holds Lambda inside the box.
+    smallest R whose Lambda_R holds Lambda inside the box.  The step reads
+    the box's `box_variety`, built here unless given.
     """
     if box is None:
         box = default_box(spec)
@@ -379,19 +383,7 @@ def first_iteration(
         gamma = 2 * spec.b + 2
     if dio_radius is None:
         dio_radius = default_dio_radius(spec.b)
-    if min(spec.amplitudes) < MIN_AMPLITUDE:
-        raise ConditionGateError(
-            "an amplitude below 1e-6 leaves effectively fewer frequencies; refusing")
-
-    reports = dict(condition_reports or {})
-    if "i" not in reports:
-        reports["i"] = check_condition_i(spec)
-    if "ii" not in reports:
-        reports["ii"] = check_condition_ii(spec, m_max=m_max, box=box)
-    for key, rep in reports.items():
-        if not rep.passed:
-            raise ConditionGateError(
-                f"condition ({key}) verdict is {rep.verdict}; refusing to iterate")
+    _admissible(spec, box, condition_reports, m_max)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -413,9 +405,32 @@ def first_iteration(
                               jac_fd_rel_err=fd_err, diophantine=dio,
                               seed_residual=(plain0, weighted0))
 
-    state1 = newton_step(state0, spec, box, tol=tol, eps_first=eps_first,
+    if variety is None:
+        variety = box_variety(omega0, spec.d, box)
+    state1 = newton_step(state0, spec, variety, tol=tol, eps_first=eps_first,
                          eps_second=eps_second)
     return state1, report
+
+
+def _admissible(spec: ProblemSpec, box: Box,
+                condition_reports: Optional[Dict[str, ConditionReport]], m_max: int
+                ) -> Dict[str, ConditionReport]:
+    """The verdicts of conditions (i) and (ii), each checked here (on the
+    box) unless passed in; ConditionGateError unless both pass and every
+    amplitude is at least MIN_AMPLITUDE."""
+    if min(spec.amplitudes) < MIN_AMPLITUDE:
+        raise ConditionGateError(
+            "an amplitude below 1e-6 leaves effectively fewer frequencies; refusing")
+    reports = dict(condition_reports or {})
+    if "i" not in reports:
+        reports["i"] = check_condition_i(spec)
+    if "ii" not in reports:
+        reports["ii"] = check_condition_ii(spec, m_max=m_max, box=box)
+    for key, rep in reports.items():
+        if not rep.passed:
+            raise ConditionGateError(
+                f"condition ({key}) verdict is {rep.verdict}; refusing to iterate")
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +483,17 @@ def solve(
 
     The steps run on Lambda_R with R grown from the residual (`newton_step`)
     and certify the whole box; the final state is certified once more, and
-    its inverse norm and decay fit are those of F' on its Lambda_R."""
+    its inverse norm and decay fit are those of F' on its Lambda_R.  All
+    certificates read one `box_variety`."""
     if box is None:
         box = default_box(spec)
+    condition_reports = _admissible(spec, box, condition_reports, m_max)
+    variety = box_variety(spec.omega0(), spec.d, box)
 
     state, modreport = first_iteration(
         spec, box=box, condition_reports=condition_reports,
         kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
-        eps_first=eps_first, eps_second=eps_second, tol=tol)
+        eps_first=eps_first, eps_second=eps_second, tol=tol, variety=variety)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -483,7 +501,7 @@ def solve(
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
-        state = newton_step(state, spec, box, tol=tol, eps_first=eps_first,
+        state = newton_step(state, spec, variety, tol=tol, eps_first=eps_first,
                             eps_second=eps_second)
         history.append((state.residual_plain, state.residual_weighted))
 
@@ -501,7 +519,7 @@ def solve(
     quad_c = max(ratios) if ratios else None
 
     symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
-    mode, min_block = admissibility_gate(state.u, state.v, state.omega, spec, box, symbols,
+    mode, min_block = admissibility_gate(state.omega, spec, variety, symbols,
                                          eps_first=eps_first, eps_second=eps_second)
     sites = conservation_sites(spec, state.lattice_radius)
     inverse_norm, decay = lattice_inverse(symbols, state.u, state.omega, spec, sites)

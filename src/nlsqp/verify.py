@@ -78,6 +78,20 @@ def weighted_norm(f: SparseSeries, w: WeightSpec) -> float:
 # Collocation residual
 
 
+def _sub_torus(js: List[Tuple[int, ...]], spec: ProblemSpec
+               ) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The rank r of the lattice L spanned by j - j0 over the modes js and
+    the seeds (j0 the first seed), a Z-basis B of L as a float (d, r) array
+    (one unit vector when r = 0), and the coordinates c (j = j0 + Bc) of js
+    and then the seeds, one row each: psi(x) = e^{i j0.x} phi(B^T x)."""
+    j0 = spec.j_list[0]
+    js = list(js) + list(spec.j_list)
+    basis = lattice_basis([tuple(a - b for a, b in zip(j, j0)) for j in js])
+    bmat = np.array(basis or [(1,) + (0,) * (spec.d - 1)], dtype=float).T
+    coords = np.rint(np.linalg.lstsq(bmat, (np.array(js) - j0).T, rcond=None)[0])
+    return len(basis), bmat, coords.T.astype(int)
+
+
 @dataclass
 class ResidualReport:
     sup: float
@@ -98,6 +112,10 @@ def pde_residual(
     exact on each term (in.w and -|j|^2); the nonlinearity is applied
     pointwise.  The grid must resolve the support: at least 2*max|j|+1
     points per space dimension and at least 2*max|n.w| in time.
+
+    As u = e^{i j0.x} phi(B^T x) (`_sub_torus`) and |u| = |phi|, the residual
+    is evaluated for phi on x_points points per axis of the r-torus; B^T
+    maps the x-grid into that grid.
     """
     terms = u.items()
     if not terms:
@@ -105,6 +123,7 @@ def pde_residual(
     narr = np.array([s.n for s, _ in terms], dtype=float)
     jarr = np.array([s.j for s, _ in terms], dtype=float)
     amps = np.array([v for _, v in terms], dtype=complex)
+    coords = _sub_torus([s.j for s, _ in terms], spec)[2][:len(terms)]
     w = np.array(omega.omega, dtype=float)
     tfreq = narr @ w
     jsq = np.sum(jarr * jarr, axis=1)
@@ -121,13 +140,13 @@ def pde_residual(
         raise GridTooCoarse(f"need at least {math.ceil(2 * max_t)} time points")
 
     tg = np.linspace(0.0, 2 * math.pi, t_points, endpoint=False)
-    xg = np.linspace(0.0, 2 * math.pi, x_points, endpoint=False)
+    yg = np.linspace(0.0, 2 * math.pi, x_points, endpoint=False)
     # e^{i n.w t} factor: (terms, T)
     et = np.exp(1j * np.outer(tfreq, tg))
-    # e^{i j.x} factor per dimension, collapsed to (terms, X^d)
+    # e^{i c.y} factor per axis of the sub-torus, collapsed to (terms, Y^r)
     ex = np.ones((len(terms), 1), dtype=complex)
-    for dim in range(spec.d):
-        phase = np.exp(1j * np.outer(jarr[:, dim], xg))
+    for c in coords.T:
+        phase = np.exp(1j * np.outer(c, yg))
         ex = (ex[:, :, None] * phase[:, None, :]).reshape(len(terms), -1)
 
     u_field = np.einsum("kt,kx,k->tx", et, ex, amps)
@@ -228,15 +247,10 @@ def evolve_drift(
     """
     terms = u.items()
     j0 = spec.j_list[0]
-    js = [s.j for s, _ in terms] + list(spec.j_list)
-    basis = lattice_basis([tuple(a - b for a, b in zip(j, j0)) for j in js])
-    rank = len(basis)
+    rank, bmat, coords = _sub_torus([s.j for s, _ in terms], spec)
     if rank > 2:
         raise VerifyError(
             f"split-step validator needs a support of rank <= 2, got rank {rank}")
-    bmat = np.array(basis or [(1,) + (0,) * (spec.d - 1)], dtype=float).T
-    coords = np.rint(np.linalg.lstsq(bmat, (np.array(js) - j0).T, rcond=None)[0])
-    coords = coords.T.astype(int)
     # A power of two resolving the modes the nonlinearity reaches.
     max_c = int(np.abs(coords).max())
     m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_c + 2)))

@@ -583,6 +583,24 @@ _VALID_SOLUTION = write_solution(_TP2, FrequencyVector((1.25, 4.5)),
                                  linear_solution(_TP2)[0])
 
 
+@pytest.mark.parametrize("table, message", [
+    (lambda rows: ["-1 0 1 inf 0.0"] + rows[1:], "has a non-finite amplitude"),
+    (lambda rows: ["-1 0 1 0.6 nan"] + rows[1:], "has a non-finite amplitude"),
+    (lambda rows: [], r"has no term at the seed site \(-1 0 \| 1\)"),
+    (lambda rows: rows[:1], r"has no term at the seed site \(0 -1 \| 2\)"),
+])
+def test_verify_refuses_a_non_finite_or_seedless_table(tmp_path, capsys, table, message):
+    # An inf amplitude made the series' drop cutoff 0 * inf = NaN, which
+    # emptied it, and an empty table did the same: verify then exited 0 with
+    # sup = 0.0.  A nan amplitude dropped its term.
+    head, rows = _VALID_SOLUTION.split("[u]\n")
+    assert rows.splitlines() == ["-1 0 1 0.6 0.0", "0 -1 2 0.8 0.0"]
+    sol = write(tmp_path, "sol.txt", head + "[u]\n" + "\n".join(table(rows.splitlines())) + "\n")
+    assert main(["verify", write(tmp_path, "a.cfg", TP2_CFG), "--solution", sol]) == EXIT_CONFIG
+    err = one_line_err(capsys)
+    assert err.startswith("solution error: ") and re.search(message, err), err
+
+
 @st.composite
 def mutated_texts(draw, valid: str):
     """Free text, or the lines of a valid file with a few lines deleted,
@@ -669,32 +687,87 @@ modes = (1):0.6, (2):0.8
 
 
 # The same for tp3 (d = 2), the seed whose walk graph scans the j box and
-# whose cross-branch steps land on spheres: check and a 100-sample sweep.
+# whose cross-branch steps land on spheres: check, solve and a 100-sample
+# sweep.
 TP3_ARTIFACT_SHA256 = {
     "check.txt": "521528ed2b0b1f1f15a4381d1a0f117becab595da715bc3ed491623cd7af009b",
+    "solve/report.txt": "635e56f233a48623ad2d55a0703e822fdebe8600758c88dcc57ef6894ca726f3",
+    "solve/solution.txt": "bbd4592bd2dc076283f37066ca542d0ea3defc42a90479e27906b5651f4e9368",
     "sweep.csv": "681bd2aea99f89982a98a77678df6ba1652ce94939840d8dd5bb4ce967606e8a",
 }
 
 
-def test_tp3_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
-    import hashlib
-    cfg = parse_config("""
+TP3_CFG = """
 [problem]
 d = 2
 b = 2
 p = 2
 delta = 1e-3
 modes = (1,0):0.9, (0,1):0.35
+"""
 
-[sweep]
-n_samples = 100
-""")
+
+def test_tp3_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
+    import hashlib
+    cfg = parse_config(TP3_CFG + "\n[sweep]\nn_samples = 100\n")
     assert run_command("check", cfg, out_path=str(tmp_path / "check.txt")) == EXIT_OK
+    assert run_command("solve", cfg, out_path=str(tmp_path / "solve")) == EXIT_OK
     assert run_command("sweep", cfg, out_path=str(tmp_path / "sweep.csv")) == EXIT_OK
     for name, digest in TP3_ARTIFACT_SHA256.items():
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith("generated_at"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):
+    # The characteristic variety of a box does not move with the Newton
+    # iterate: a solve builds its box's once, for every certificate, and the
+    # graph check of condition (ii) builds the condition box's once.
+    from collections import Counter
+    from nlsqp import characteristics
+    from nlsqp.lattice import Box
+    counts = Counter()
+    enumerate_box_sites = characteristics.enumerate_box_sites
+
+    def counted(b, d, box):
+        counts[box] += 1
+        return enumerate_box_sites(b, d, box)
+
+    monkeypatch.setattr(characteristics, "enumerate_box_sites", counted)
+    monkeypatch.setattr("nlsqp.linop.enumerate_box_sites", counted)
+    smaller = parse_config(TP3_CFG + "\n[conditions]\ngraph_n_radius = 5\n")
+    assert run_command("solve", smaller, out_path=str(tmp_path / "a")) == EXIT_OK
+    assert counts == {Box(5, 3): 1, Box(9, 3): 1}
+    counts.clear()
+    assert run_command("solve", parse_config(TP3_CFG), out_path=str(tmp_path / "b")) == EXIT_OK
+    assert counts == {Box(9, 3): 2}  # the condition box is the solve box
+
+
+def test_the_names_the_benchmark_reads_exist():
+    # bench/tracer.py and bench/run.py reach into the package by name, from
+    # outside it; a rename here would break a benchmark run silently.
+    import dataclasses
+    import importlib
+    import inspect
+    from nlsqp.characteristics import ResonanceGraph
+    from nlsqp.newton import diophantine_check
+    from nlsqp.verify import evolve_drift
+    assert "vertices" in {f.name for f in dataclasses.fields(ResonanceGraph)}
+    assert {"T", "dt"} <= set(inspect.getfullargspec(evolve_drift).args)
+    assert {"n_radius", "omega"} <= set(inspect.getfullargspec(diophantine_check).args)
+    for name in ("newton.residual_series", "lattice.conjugate_flip", "verify.default_weight",
+                 "verify.weighted_norm", "cli.read_solution", "cli.load_config",
+                 "cli.run_command",
+                 # the traced layers of the benchmark's per-layer metrics
+                 "linop.block_decompose", "linop.assemble", "linop.invert_with_certificates",
+                 "linop.restricted_solver", "newton.excision_sweep", "newton.newton_step",
+                 "newton.q_solve", "newton.first_iteration", "lattice.convolve",
+                 "characteristics.resonance_graph", "conditions.check_condition_ii",
+                 "conditions.check_condition_i", "conditions.symbol_supports",
+                 "conditions.oned_check", "verify.pde_residual", "cli.parse_config",
+                 "cli.write_report"):
+        module, attr = name.split(".")
+        assert inspect.isfunction(getattr(importlib.import_module(f"nlsqp.{module}"), attr)), name
 
 
 # Runs nlsqp.cli.main on its arguments (or only imports nlsqp.cli) and prints

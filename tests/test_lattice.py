@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsqp.lattice import (
+    DROP_TOL,
     DimensionMismatch,
     ProblemSpec,
     SiteIndex,
@@ -186,3 +187,64 @@ def test_flip_is_convolution_homomorphism(f, g):
     scale = max(left.max_abs(), 1.0)
     for s in set(left.support()) | set(right.support()):
         assert abs(left[s] - right[s]) <= 1e-12 * scale
+
+
+def pairwise_convolve(f, g, drop_tol):
+    """The SiteIndex-keyed double loop over the sorted terms that
+    `convolve` must reproduce bit for bit."""
+    out = {}
+    for s1, v1 in f.items():
+        for s2, v2 in g.items():
+            s = s1 + s2
+            out[s] = out.get(s, 0j) + v1 * v2
+    return SparseSeries(f.b, f.d, out, drop_tol=drop_tol)
+
+
+@st.composite
+def series_pairs(draw):
+    # Coordinates in {-1, 0, 1} make many pairs of terms land on one site,
+    # and amplitudes of +-1, +-1/2 i and 1e-15 make exact cancellations and
+    # entries below the drop threshold common.
+    b, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    coord = st.integers(-1, 1)
+    sites = st.tuples(st.tuples(*[coord] * b), st.tuples(*[coord] * d))
+    amp = st.one_of(st.sampled_from([1.0, -1.0, 0.5j, -0.5j, 1e-15, 3.0 - 2.0j]), amps)
+
+    def series():
+        return draw(st.dictionaries(sites, amp, min_size=1, max_size=6).map(
+            lambda t: SparseSeries(b, d, {SiteIndex(n, j): complex(v) for (n, j), v in t.items()},
+                                   drop_tol=0.0)))
+
+    return series(), series()
+
+
+def bits(f):
+    return [(s, v.real.hex(), v.imag.hex()) for s, v in f.items()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(series_pairs())
+def test_convolve_is_bitwise_the_pairwise_siteindex_loop(pair):
+    f, g = pair
+    for drop_tol in (0.0, DROP_TOL):
+        assert bits(convolve(f, g, drop_tol=drop_tol)) == \
+            bits(pairwise_convolve(f, g, drop_tol))
+
+
+@pytest.mark.parametrize("b, d", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3)])
+def test_convolve_keeps_the_summation_order_of_the_pairwise_loop(b, d):
+    # Random amplitudes on a small cube: many sites collect three or more
+    # products, whose rounded sum depends on the order of the terms (the
+    # reversed loop gives other bits), and convolve matches the loop's.
+    import numpy as np
+    rng = np.random.default_rng(b * 10 + d)
+    sites = [SiteIndex(tuple(x[:b]), tuple(x[b:]))
+             for x in rng.integers(-1, 2, size=(12, b + d)).tolist()]
+    f, g = (SparseSeries(b, d, {s: complex(*rng.standard_normal(2)) for s in sites})
+            for _ in range(2))
+    assert bits(convolve(f, g)) == bits(pairwise_convolve(f, g, DROP_TOL))
+    out = {}
+    for s1, v1 in reversed(f.items()):
+        for s2, v2 in g.items():
+            out[s1 + s2] = out.get(s1 + s2, 0j) + v1 * v2
+    assert bits(SparseSeries(b, d, out)) != bits(convolve(f, g))

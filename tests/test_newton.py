@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nlsqp.characteristics import box_variety
 from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.newton import (
     ConditionGateError,
@@ -135,6 +136,19 @@ def test_first_iteration_checks_a_missing_condition_report():
     passed = {"ii": ConditionReport(name="non_spiral", verdict="pass")}
     with pytest.raises(ConditionGateError, match=r"condition \(i\) verdict is fail"):
         first_iteration(spec, box=Box(2, 3), condition_reports=passed)
+
+
+def test_solve_refuses_an_inadmissible_seed_before_a_box_too_large(tp2):
+    # solve builds the box's variety only once the seed is admissible, so a
+    # failed verdict wins over a box above the site cap, as in first_iteration.
+    from nlsqp.conditions import ConditionReport
+    from nlsqp.lattice import BoxTooLarge
+    unknown = {"i": ConditionReport(name="non_intersection", verdict="pass"),
+               "ii": ConditionReport(name="non_spiral", verdict="unknown_at_depth")}
+    with pytest.raises(ConditionGateError, match=r"condition \(ii\) verdict is unknown"):
+        solve(tp2, box=Box(2000, 3), condition_reports=unknown)
+    with pytest.raises(BoxTooLarge):
+        solve(tp2, box=Box(2000, 3), condition_reports={**unknown, "ii": unknown["i"]})
 
 
 def test_first_iteration_refuses_tiny_amplitude():
@@ -593,7 +607,7 @@ def test_newton_step_factors_once(tp2, monkeypatch):
                         lambda a, b: calls.append(a.shape) or dense_solve(a, b))
     monkeypatch.setattr(linop, "assemble", None)
     monkeypatch.setattr(linop, "restricted_solver", None)
-    nxt = newton_step(state, tp2, box)
+    nxt = newton_step(state, tp2, box_variety(tp2.omega0(), tp2.d, box))
     # Lambda_4 holds 10 sites: 20 equations, 4 of them the seed equations.
     assert calls == [(16, 16)]
     assert nxt.lattice_radius == 4

@@ -148,6 +148,7 @@ def test_pde_residual_and_drift_d2(tp3):
 def test_collocation_residual_tracks_newton_residual(tp2):
     # The pointwise defect drops hugely across the first Newton step and
     # keeps shrinking (within slack) while the lattice residual shrinks.
+    from nlsqp.characteristics import box_variety
     from nlsqp.newton import first_iteration, newton_step
     from nlsqp.lattice import default_box
     scale = math.sqrt(tp2.delta)
@@ -156,7 +157,7 @@ def test_collocation_residual_tracks_newton_residual(tp2):
     sups = [pde_residual(u0.scale(scale), q_solve(u0, tp2), tp2).sup]
     state, _ = first_iteration(tp2)
     sups.append(pde_residual(state.u.scale(scale), state.omega, tp2).sup)
-    state = newton_step(state, tp2, default_box(tp2))
+    state = newton_step(state, tp2, box_variety(tp2.omega0(), tp2.d, default_box(tp2)))
     sups.append(pde_residual(state.u.scale(scale), state.omega, tp2).sup)
     assert sups[1] <= 1.1 * sups[0]
     assert sups[2] <= 1.1 * sups[1]
@@ -303,6 +304,55 @@ def test_evolve_drift_equals_the_x_grid_integrator(name, request):
     amp, mass = X_GRID_DRIFT[name]
     assert drift.amp_drift == pytest.approx(amp, abs=1e-10)
     assert drift.mass_drift == pytest.approx(mass, abs=1e-10)
+
+
+def x_grid_residual(u, omega, spec, grid):
+    """sup and mean of |i u_t + Lap(u) - |u|^{2p} u - m u| on the full
+    t x x^d collocation grid, as `pde_residual` evaluated it before it moved
+    to the sub-torus."""
+    terms = u.items()
+    narr = np.array([s.n for s, _ in terms], dtype=float)
+    jarr = np.array([s.j for s, _ in terms], dtype=float)
+    amps = np.array([v for _, v in terms], dtype=complex)
+    tfreq = narr @ np.array(omega.omega)
+    jsq = np.sum(jarr * jarr, axis=1)
+    t_points, x_points = grid
+    tg = np.linspace(0.0, 2 * math.pi, t_points, endpoint=False)
+    xg = np.linspace(0.0, 2 * math.pi, x_points, endpoint=False)
+    et = np.exp(1j * np.outer(tfreq, tg))
+    ex = np.ones((len(terms), 1), dtype=complex)
+    for dim in range(spec.d):
+        phase = np.exp(1j * np.outer(jarr[:, dim], xg))
+        ex = (ex[:, :, None] * phase[:, None, :]).reshape(len(terms), -1)
+    field = np.einsum("kt,kx,k->tx", et, ex, amps)
+    lin = np.einsum("kt,kx,k->tx", et, ex, -(tfreq + jsq) * amps)
+    resid = np.abs(lin - np.abs(field) ** (2 * spec.p) * field - spec.phase_m * field)
+    return float(resid.max()), float(resid.mean())
+
+
+TP3_IN_D3 = make_spec(d=3, b=2, p=2, delta=1e-3, j_list=[(1, 0, 0), (0, 1, 0)],
+                      amplitudes=[0.9, 0.35])
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "tp3_in_d3"])
+def test_pde_residual_on_the_sub_torus_matches_the_x_grid(name, request):
+    # B^T maps the x-grid onto the sub-torus grid, so sup and mean agree up
+    # to rounding: on the solution (residual ~1e-14) and on the solution
+    # doubled, which is no solution (residual up to ~1e-2).
+    if name == "tp3_in_d3":
+        spec, rep = TP3_IN_D3, solve(TP3_IN_D3, box=Box(6, 3))
+    else:
+        spec = request.getfixturevalue(name)
+        rep = solved(spec)
+    for scale in (1.0, 2.0):
+        u = rep.physical_u().scale(scale)
+        res = pde_residual(u, rep.state.omega, spec, grid=(64, 33))
+        sup, mean = x_grid_residual(u, rep.state.omega, spec, (64, 33))
+        assert (res.t_points, res.x_points) == (64, 33)
+        assert res.sup == pytest.approx(sup, rel=1e-12, abs=1e-12)
+        assert res.mean == pytest.approx(mean, rel=1e-12, abs=1e-12)
+        if scale == 2.0:
+            assert sup > 1e-5
 
 
 def test_pde_residual_time_grid_message_names_the_least_accepted_count(tp3):
