@@ -2,9 +2,11 @@
 """Scan the theta-shifted operator family and report the measured bad set.
 
 Prints the grid size and the threshold delta^-(1+eps), then the bad
-fraction and measure; --out also writes one CSV row per grid point.  Each
-point is one SuperLU factorisation plus at most 25 power-iteration rounds,
-run one point after another.  Example:
+fraction and measure; --out also writes one CSV row per grid point.  The
+operator splits into dense blocks, one per coset of the difference lattice;
+they are built once, and each grid point shifts their diagonals by theta
+and takes one batched SVD per block size, so every norm is exact up to
+rounding.  Example:
 
     PYTHONPATH=src python scripts/run_theta_scan.py --points 201 --out scan.csv
 """

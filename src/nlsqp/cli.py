@@ -297,10 +297,10 @@ def config_hash(cfg: RunConfig) -> str:
 def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, SiteIndex):  # a NamedTuple, so before the tuples
+        return str(value)
     if isinstance(value, (list, tuple)):
         return ", ".join(_fmt(v) for v in value)
-    if isinstance(value, SiteIndex):
-        return f"({' '.join(str(c) for c in value.n)} | {' '.join(str(c) for c in value.j)})"
     if isinstance(value, np.floating):
         return repr(float(value))
     return str(value)
@@ -384,8 +384,7 @@ def _parse_solution(text: str) -> Tuple[ProblemSpec, FrequencyVector, SparseSeri
     u = SparseSeries(b, d, terms, drop_tol=0.0)
     for s in spec.seed_sites():
         if s not in u:
-            raise ValueError(f"the [u] table has no term at the seed site "
-                             f"({' '.join(map(str, s.n))} | {' '.join(map(str, s.j))})")
+            raise ValueError(f"the [u] table has no term at the seed site {s}")
     return spec, omega, u
 
 

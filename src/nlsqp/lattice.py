@@ -80,6 +80,10 @@ class SiteIndex(NamedTuple):
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.n) and all(a == 0 for a in self.j)
 
+    def __str__(self) -> str:
+        """The (n | j) form reports and messages print, e.g. (-1 0 | 2)."""
+        return f"({' '.join(map(str, self.n))} | {' '.join(map(str, self.j))})"
+
 
 def site(n: Sequence[int], j: Sequence[int]) -> SiteIndex:
     return SiteIndex(tuple(int(a) for a in n), tuple(int(a) for a in j))

@@ -4,19 +4,21 @@ conservation lattice.
 F' = D + delta*A acts on pairs (u-component, v-component) of lattice
 functions.  D is the dispersion diagonal +-n.w + |j|^2 (+ phase, +- theta
 for the shifted family); A couples sites through three convolution symbols.
-Inversion is certified in the style of the analysis: dense determinant /
+Admissibility is certified in the style of the analysis: dense determinant /
 singular-value bounds on the resonance-graph blocks sitting on the
-characteristic variety, a uniformly bounded diagonal off it, and a measured
-exponential decay rate for the inverse kernel.  The box operator is sparse
-and factored by SuperLU; on Lambda_R (`characteristics.conservation_sites`),
-where the Newton iteration lives, F' is small and dense.
+characteristic variety, and a uniformly bounded diagonal off it.  Every
+inverse is dense: on Lambda_R (`characteristics.conservation_sites`), where
+the Newton iteration lives, and on a whole box, which F' splits into the
+blocks of the cosets of the difference lattice.  Each inverse norm is
+1/sigma_min by SVD, with a measured exponential decay rate for the inverse
+kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +26,6 @@ from .characteristics import (
     BoxVariety,
     ConvolutionSymbols,
     box_strides,
-    box_variety,
-    branch_tags,
     enumerate_box_sites,
     members_of_size,
     on_lattice,
@@ -41,12 +41,6 @@ from .lattice import (
     convolve,
     site,
 )
-
-# scipy is imported by the functions that build or factor sparse matrices,
-# so that importing nlsqp (and the commands that never reach those
-# functions) costs no scipy import.
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class LinopError(RuntimeError):
@@ -65,8 +59,7 @@ class ExcisionError(LinopError):
         where = "meets" if meets_lattice else "is off"
         super().__init__(
             f"block {block_index} (size {size}): |P_k| = {value:.3e} "
-            f"below threshold {threshold:.3e}; first member "
-            f"({' '.join(map(str, site.n))} | {' '.join(map(str, site.j))}), "
+            f"below threshold {threshold:.3e}; first member {site}, "
             f"the block {where} the conservation lattice")
         self.block_index = block_index
         self.value = value
@@ -84,65 +77,15 @@ class OffCharDiagonalError(LinopError):
         self.value = value
 
 
-@dataclass
-class BlockOperator:
-    spec: ProblemSpec
-    u: SparseSeries
-    v: SparseSeries
-    omega: FrequencyVector
-    box: Box
-    theta: float
-    coords: np.ndarray          # (Ns, b+d) lexicographic site list
-    diag: np.ndarray            # (2 Ns,) real dispersion diagonal
-    matrix: sp.csr_matrix      # D + delta*A, complex, 2Ns x 2Ns
-    symbols: ConvolutionSymbols
-    tags: np.ndarray            # per-site: +1 on C+, -1 on C-, 0 off (w.r.t. omega0)
-    # Doubled components whose seed-frequency diagonal vanishes exactly;
-    # at sites with j = 0 and n.w0 = 0 both copies are resonant.
-    resonant_mask: np.ndarray = None
-
-    @property
-    def n_sites(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n_sites
-
-    @property
-    def delta(self) -> float:
-        return self.spec.delta
-
-    def omega0(self) -> FrequencyVector:
-        return self.spec.omega0()
-
-    def site_at(self, i: int) -> SiteIndex:
-        return site(self.coords[i, :self.spec.b], self.coords[i, self.spec.b:])
-
-    def lin_index(self, s: SiteIndex) -> Optional[int]:
-        return _box_index(s, self.spec, self.box)
-
-    def q_indices(self) -> List[int]:
-        """Doubled indices of the 2b frequency equations: the u-component on
-        the seed sites and the v-component on their flips."""
-        return _seed_equations(self.spec, self.box)
-
-
-def _box_index(s: SiteIndex, spec: ProblemSpec, box: Box) -> Optional[int]:
-    """The box's linear index of a site, or None outside the box."""
-    if not box.contains(s):
-        return None
-    radii, strides = box_strides(spec.b, spec.d, box)
-    return int((np.array(s.n + s.j, dtype=np.int64) + radii) @ strides)
-
-
 def _seed_equations(spec: ProblemSpec, box: Box) -> List[int]:
     """Doubled box indices of the 2b frequency equations (the u-copies of
     the seed sites, then the v-copies of their flips); LinopError if the
     box misses a seed."""
-    lin = [_box_index(s, spec, box) for s in spec.seed_sites()]
-    if None in lin:
+    seeds = np.array([s.n + s.j for s in spec.seed_sites()], dtype=np.int64)
+    radii, strides = box_strides(spec.b, spec.d, box)
+    if np.any(np.abs(seeds) > radii):
         raise LinopError("truncation box does not contain the seed modes")
+    lin = ((seeds + radii) @ strides).tolist()
     # The flip of the site at box index i sits at box index ns - 1 - i.
     return lin + [2 * box.site_count(spec.b, spec.d) - 1 - i for i in lin]
 
@@ -160,79 +103,8 @@ def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec,
     return np.stack([nw + jsq + m + theta, -nw + jsq + m - theta])
 
 
-def assemble(
-    u: SparseSeries,
-    v: SparseSeries,
-    omega: FrequencyVector,
-    spec: ProblemSpec,
-    box: Box,
-    theta: float = 0.0,
-) -> BlockOperator:
-    """Build D + delta*A over the box.
-
-    Diagonal: n.w + |j|^2 + m + theta on the u block, -n.w + |j|^2 + m - theta
-    on the v block.  Off-diagonal entries at column y, row x = y + shift are
-    (p+1)(u*v)^{*p} on the diagonal blocks and p(u*v)^{*(p-1)}*u*u (u-row,
-    v-column) / p(u*v)^{*(p-1)}*v*v (v-row, u-column), all scaled by delta.
-    """
-    import scipy.sparse as sp
-
-    b, d, p = spec.b, spec.d, spec.p
-    coords = enumerate_box_sites(b, d, box)
-    ns = coords.shape[0]
-    diag = _dispersion(coords, omega, spec, theta).ravel()
-
-    tags, resonant = branch_tags(coords, spec.omega0())
-
-    symbols = ConvolutionSymbols.from_fields(u, v, p)
-    delta = spec.delta
-    radii, strides = (x.tolist() for x in box_strides(b, d, box))
-
-    # (column minus row, columns, value) of every shift.
-    terms: List[Tuple[int, np.ndarray, complex]] = []
-
-    def scatter(shift: SiteIndex, amp: complex, row_off: int, col_off: int):
-        # Column y and row y + shift both lie in the box exactly when each
-        # coordinate of y lies in [-r, r] and in [-r - s, r - s]: the columns
-        # are an outer sum of per-axis ranges times strides, in ascending
-        # order, and each row is its column plus shift . strides.
-        cols_k = np.zeros(1, dtype=np.int64)
-        for r, s, stride in zip(radii, shift.n + shift.j, strides):
-            lo, hi = max(-r, -r - s), min(r, r - s)
-            if lo > hi:
-                return
-            cols_k = (cols_k[:, None] + np.arange(lo + r, hi + r + 1) * stride).ravel()
-        lin = sum(s * stride for s, stride in zip(shift.n + shift.j, strides))
-        terms.append((col_off - row_off - lin, cols_k + col_off, amp))
-
-    for shift, ampl in symbols.uv_p.items():
-        a = delta * (p + 1) * ampl
-        scatter(shift, a, 0, 0)
-        scatter(shift, a, ns, ns)
-    for shift, ampl in symbols.uu.items():
-        scatter(shift, delta * p * ampl, 0, ns)
-    for shift, ampl in symbols.vv.items():
-        scatter(shift, delta * p * ampl, ns, 0)
-
-    # In order of column minus row, each row's entries come out with their
-    # columns ascending, so the CSR conversion needs no sort.
-    terms.sort(key=lambda t: t[0])
-    if terms:
-        cols = np.concatenate([t[1] for t in terms])
-        rows = np.concatenate([t[1] - t[0] for t in terms])
-        vals = np.concatenate([np.full(len(t[1]), t[2], dtype=complex) for t in terms])
-        a_mat = sp.coo_matrix((vals, (rows, cols)), shape=(2 * ns, 2 * ns)).tocsr()
-    else:
-        a_mat = sp.csr_matrix((2 * ns, 2 * ns), dtype=complex)
-    mat = a_mat + sp.diags(diag.astype(complex), format="csr")
-
-    return BlockOperator(spec=spec, u=u, v=v, omega=omega, box=box, theta=theta,
-                         coords=coords, diag=diag, matrix=mat, symbols=symbols,
-                         tags=tags, resonant_mask=resonant)
-
-
 # ---------------------------------------------------------------------------
-# Dense pieces of F': resonance blocks and the conservation lattice
+# Dense pieces of F': resonance blocks, the conservation lattice, cosets
 
 
 def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
@@ -241,9 +113,9 @@ def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
     """F' on groups of doubled vertices as a (count, k, k) stack, one group
     per row of the (count, k) array members.  Vertex i is the copy
     copies[i] (+1 u, -1 v) of the site coords[i].  An entry reads the symbol
-    the two copies select (the diagonal one between equal copies, uu from a
-    u-row to a v-column, vv the other way) at row site minus column site,
-    and the diagonal adds D: bit for bit the entries `assemble` places."""
+    the two copies select at row site minus column site, times delta: (p +
+    1) uv_p between equal copies, p uu from a u-row to a v-column and p vv
+    the other way; the diagonal adds D (`_dispersion`)."""
     delta, p = spec.delta, spec.p
     keys, vals = [], []
     for kind, (coef, series) in enumerate(((delta * (p + 1), symbols.uv_p),
@@ -270,6 +142,17 @@ def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
     return out
 
 
+def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
+            symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
+            theta: float = 0.0) -> Dict[int, np.ndarray]:
+    """`_dense` on the groups order[bounds[c]:bounds[c + 1]] of the vertices
+    (coords, copies), one stack per group size k, sizes ascending: the
+    (count, k, k) stack of the size-k groups, rows as in `members_of_size`."""
+    return {k: _dense(coords, copies, members_of_size(order, bounds, k), symbols, omega,
+                      spec, theta)
+            for k in np.unique(np.diff(bounds)).tolist()}
+
+
 @dataclass
 class BlockDecomposition:
     """The resonance blocks of an operator, numbered by smallest member.
@@ -291,10 +174,10 @@ class BlockDecomposition:
 
 
 def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
-                     spec: ProblemSpec, variety: BoxVariety, theta: float = 0.0,
+                     spec: ProblemSpec, variety: BoxVariety,
                      exclude: frozenset = frozenset()) -> BlockDecomposition:
     """Dense blocks of F' over the resonance components of a box, from its
-    variety and the symbols, with the entries `assemble` would place.
+    variety and the symbols.
 
     The blocks live on the variety's vertices, the resonant doubled
     indices: the u-copy of each C+ site, the v-copy of each C- site, and
@@ -321,14 +204,12 @@ def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
         bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
     sizes = np.diff(bounds)
 
-    stacks: Dict[int, np.ndarray] = {}
+    stacks = _stacks(coords, copies, by_index[order], bounds, symbols, omega, spec)
     dets = np.empty(len(sizes), dtype=complex)
     dets_norm = np.empty(len(sizes))
     min_sv = np.empty(len(sizes))
-    for k in np.unique(sizes).tolist():
+    for k, stack in stacks.items():
         members = np.nonzero(sizes == k)[0]
-        stacks[k] = stack = _dense(coords, copies, by_index[members_of_size(order, bounds, k)],
-                                   symbols, omega, spec, theta)
         dets[members] = det = np.linalg.det(stack)
         # np.hypot equals Python's abs() of a complex bit for bit.
         dets_norm[members] = np.hypot(det.real, det.imag) / spec.delta ** k
@@ -336,14 +217,6 @@ def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
     return BlockDecomposition(order=index[order], bounds=bounds, sizes=sizes, dets=dets,
                               dets_normalized=dets_norm, min_singulars=min_sv,
                               stacks=stacks)
-
-
-def block_decompose(op: BlockOperator, exclude: frozenset = frozenset()
-                    ) -> BlockDecomposition:
-    """`resonance_blocks` of an assembled operator: each block equals the
-    slice of op.matrix at its members."""
-    return resonance_blocks(op.symbols, op.omega, op.spec,
-                            box_variety(op.omega0(), op.spec.d, op.box), op.theta, exclude)
 
 
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
@@ -361,38 +234,19 @@ def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
 
 
 # ---------------------------------------------------------------------------
-# Certified inversion
+# Admissibility
 
 
-@dataclass
-class DecayFit:
-    beta_hat: float      # certified exponent: the bound holds at this value
-    bound_ok: bool
-    checked_beyond: int  # entries at distance > 1/beta^2 that were checked
-
-
-@dataclass
-class CertifiedInverse:
-    norm_bound: float
-    decay: Optional[DecayFit]
-    threshold: float
-    min_block_value: float
-    power_iterations: int = 0
-    # True only when power iteration stopped because sigma settled; False
-    # when it ran out of rounds, so norm_bound is an unconverged estimate.
-    power_settled: bool = False
-
-
-def _mode(omega: FrequencyVector, spec: ProblemSpec, theta: float) -> str:
-    """"seed" at the seed frequency with no theta shift, else "modulated"."""
+def _mode(omega: FrequencyVector, spec: ProblemSpec) -> str:
+    """"seed" at the seed frequency, else "modulated"."""
     seed = np.allclose(np.array(omega.omega), np.array(spec.omega0().omega))
-    return "seed" if seed and theta == 0.0 else "modulated"
+    return "seed" if seed else "modulated"
 
 
 def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
              resonant: np.ndarray, spec: ProblemSpec, mode: str, eps_first: float,
-             eps_second: float) -> Tuple[float, float]:
-    """The threshold of the mode and the smallest block value.  The first
+             eps_second: float) -> float:
+    """The smallest block value under the threshold of the mode.  The first
     block at or below the threshold raises ExcisionError; then, over the
     box's doubled indices (diag and resonant, for the sites coords), a
     diagonal off the variety below 0.25 raises OffCharDiagonalError at its
@@ -416,127 +270,122 @@ def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
         if abs(diag[i]) < 0.25:
             x = coords[i % len(coords)]
             raise OffCharDiagonalError(site(x[:b], x[b:]), float(abs(diag[i])))
-    return threshold, float(values.min(initial=math.inf))
+    return float(values.min(initial=math.inf))
 
 
 def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, variety: BoxVariety,
                        symbols: ConvolutionSymbols, eps_first: float = 1e-4,
                        eps_second: float = 0.5) -> Tuple[str, float]:
-    """The block and diagonal certificate of `invert_with_certificates` over
-    the whole box of a variety (`box_variety`) at omega and the symbols of
-    the iterate, without assembling the box: the blocks off the seed
-    equations from `resonance_blocks`, the diagonal from `_dispersion` on
-    the box sites.  Returns the mode and the smallest block value."""
+    """The admissibility certificate over the whole box of a variety
+    (`box_variety`) at omega and the symbols of the iterate: the blocks off
+    the seed equations from `resonance_blocks`, the diagonal from
+    `_dispersion` on the box sites.  mode "seed" thresholds the
+    delta-normalized block determinants (the blocks are delta * A_k(a) with
+    A_k independent of delta) against eps_first; mode "modulated", once the
+    frequency has moved, thresholds block minimum singular values against
+    delta^(1 + eps_second).  Returns the mode and the smallest block value."""
     exclude = frozenset(_seed_equations(spec, variety.box))
     decomp = resonance_blocks(symbols, omega, spec, variety, exclude=exclude)
-    mode = _mode(omega, spec, 0.0)
-    _, min_val = _certify(decomp, variety.coords,
-                          _dispersion(variety.coords, omega, spec).ravel(),
-                          variety.resonant, spec, mode, eps_first, eps_second)
+    mode = _mode(omega, spec)
+    min_val = _certify(decomp, variety.coords, _dispersion(variety.coords, omega, spec).ravel(),
+                       variety.resonant, spec, mode, eps_first, eps_second)
     return mode, min_val
 
 
-# Power iteration stops once sigma changes by at most this fraction.
-_SIGMA_RTOL = 1e-13
+# ---------------------------------------------------------------------------
+# Inverse norms and decay
 
 
-def _power_norm(apply: Callable[[np.ndarray], np.ndarray],
-                apply_adj: Callable[[np.ndarray], np.ndarray], dim: int, seed: int,
-                max_rounds: int) -> Tuple[float, int, bool]:
-    """Largest singular value sigma of a linear map on C^dim, by power
-    iteration on apply_adj(apply(x)) from a seeded random unit vector.
+@dataclass
+class DecayFit:
+    beta_hat: float      # certified exponent: the bound holds at this value
+    bound_ok: bool
+    checked_beyond: int  # entries at distance > 1/beta^2 that were checked
 
-    Returns (sigma, rounds, settled).  It stops after max_rounds rounds, or
-    as soon as sigma changes by at most _SIGMA_RTOL of itself, the only case
-    with settled=True; a zero image also stops it, leaving sigma as it was.
-    Power iteration converges from below, so sigma is an estimate from below.
-    With no rounds to run it returns (0.0, 0, False) without drawing the
-    start vector.
+
+def _inverse_norm(blocks: Iterable[np.ndarray]) -> float:
+    """The 2-norm of the inverse of the direct sum of stacks of square
+    blocks, max 1/sigma_min by one batched SVD per stack; inf when a block
+    is singular."""
+    smin = min((np.linalg.svd(s, compute_uv=False)[:, -1].min() for s in blocks),
+               default=math.inf)
+    return float(1.0 / smin) if smin > 0 else math.inf
+
+
+def _coset_blocks(u: SparseSeries, v: SparseSeries, spec: ProblemSpec, box: Box
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The doubled indices of a box grouped by the coset of the difference
+    lattice L = {sum_k c_k s_k : sum_k c_k = 0} that F' keeps them in.
+
+    The coset key of a site is phi(n, j) = (sum n, j + sum_k n_k j_k).  With
+    u on Lambda (key (-1, 0)) and v on -Lambda the symbols of F' lie on L
+    (uv_p), 2 s_1 + L (uu) and its negative (vv), so a u-copy at x couples
+    only to u-copies of its key and to v-copies at y with phi(y) = phi(x) +
+    (2, 0).  A v-copy is keyed phi(y) - (2, 0); F' has no entry between
+    doubled indices of different keys, and key (-1, 0) is Lambda's block.
+    Any other u or v raises LinopError.
+
+    Returns (sites, copies, keys, order, bounds): doubled index i is the copy
+    copies[i] (+1 u, -1 v) of sites[i] with key keys[i], the box sites for
+    the u-copies, then again for the v-copies; the block c of key rank c
+    covers order[bounds[c]:bounds[c + 1]], ascending.
     """
-    if max_rounds < 1:
-        return 0.0, 0, False
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        z = apply_adj(apply(x))
-        nrm = np.linalg.norm(z)
-        if nrm == 0:
-            break
-        prev, sigma = sigma, math.sqrt(nrm)
-        x = z / nrm
-        if abs(sigma - prev) <= _SIGMA_RTOL * sigma:
-            return sigma, rounds, True
-    return sigma, rounds, False
+    b = spec.b
+    for series, copy in ((u, 1), (v, -1)):
+        sup = np.array([s.n + s.j for s in series.support()], dtype=np.int64)
+        if not on_lattice(sup.reshape(-1, b + spec.d), copy, spec).all():
+            raise LinopError("the box inverse splits F' by cosets, which needs u on "
+                             "the conservation lattice and v on its negative")
+    coords = enumerate_box_sites(b, spec.d, box)
+    n = coords[:, :b]
+    jmat = np.array(spec.j_list, dtype=np.int64).reshape(b, spec.d)
+    phi = np.concatenate([n.sum(axis=1, keepdims=True), coords[:, b:] + n @ jmat], axis=1)
+    keys = np.concatenate([phi, phi - np.eye(1, 1 + spec.d, dtype=np.int64) * 2])
+    label = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(label))])
+    return (np.concatenate([coords, coords]), np.repeat([1, -1], len(coords)), keys,
+            np.argsort(label, kind="stable"), bounds)
 
 
-def invert_with_certificates(
-    op: BlockOperator,
-    mode: Optional[str] = None,
-    eps_first: float = 1e-4,
-    eps_second: float = 0.5,
-    fit_decay: bool = True,
-    drop_indices: Optional[Sequence[int]] = None,
-    power_iters: int = 60,
-) -> CertifiedInverse:
-    """Factor F' and certify: resonance blocks above the excision threshold,
-    off-characteristic diagonal bounded away from zero, measured operator
-    norm of the inverse, and a fitted decay exponent beta.
+def box_inverse(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
+                spec: ProblemSpec, box: Box, theta: float = 0.0, fit_decay: bool = True
+                ) -> Tuple[float, Optional[DecayFit]]:
+    """||F'^{-1}|| over a whole box, exactly, and the decay fit of the
+    inverse's kernel on Lambda's block.
 
-    mode "seed" thresholds the delta-normalized block determinants (the
-    blocks are delta * A_k(a) with A_k independent of delta); mode
-    "modulated" thresholds block minimum singular values against
-    delta^{1+eps}, the certificate used once the frequency has moved.
-
-    drop_indices restricts everything to the complement of the given
-    doubled indices, such as the 2b seed equations: at a frequency solving
-    them the seed block carries the exact phase-symmetry kernel, which the
-    scheme never needs to invert.
-
-    This is the certificate of an assembled box operator (the Newton
-    iteration certifies with `admissibility_gate` and solves on the
-    lattice instead).  The matrix is factored once, by `restricted_solver`.
-    The norm is estimated by `_power_norm` on (F'^H F')^{-1}, at most
-    power_iters rounds.
+    F' (theta-shifted: +theta on the u diagonal, -theta on the v diagonal)
+    is block diagonal over the cosets of `_coset_blocks`, so the norm is max
+    1/sigma_min over the coset blocks.  With fit_decay the kernel is probed
+    at the seed equations of Lambda's block (`_fit_decay`), every row kept;
+    otherwise the fit is None.  This reports a norm and certifies nothing:
+    admissibility is `admissibility_gate`'s.
     """
-    if mode is None:
-        mode = _mode(op.omega, op.spec, op.theta)
-    dropped = frozenset(int(i) for i in drop_indices) if drop_indices else frozenset()
-    threshold, min_val = _certify(block_decompose(op, exclude=dropped), op.coords, op.diag,
-                                  op.resonant_mask, op.spec, mode, eps_first, eps_second)
-
-    solve, keep = restricted_solver(op, sorted(dropped))
-    sigma, rounds, settled = _power_norm(solve, lambda y: solve(y, trans="H"), len(keep),
-                                         seed=7, max_rounds=power_iters)
-
-    decay = None
-    if fit_decay:
-        decay = _fit_decay(op.spec, op.symbols, op.u,
-                           np.concatenate([op.coords, op.coords])[keep],
-                           np.repeat([1, -1], op.n_sites)[keep],
-                           lambda i: solve(np.eye(1, len(keep), i, dtype=complex)[0]))
-
-    return CertifiedInverse(norm_bound=float(sigma), decay=decay, threshold=threshold,
-                            min_block_value=min_val, power_iterations=rounds,
-                            power_settled=settled)
+    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+    sites, copies, keys, order, bounds = _coset_blocks(u, v, spec, box)
+    norm = _inverse_norm(_stacks(sites, copies, order, bounds, symbols, omega, spec,
+                                 theta).values())
+    if not fit_decay:
+        return norm, None
+    lam = np.flatnonzero((keys[:, 0] == -1) & ~keys[:, 1:].any(axis=1))
+    a = _dense(sites, copies, lam[None, :], symbols, omega, spec, theta)[0]
+    return norm, _fit_decay(spec, symbols, u, sites[lam], copies[lam],
+                            lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
 
 
 def lattice_inverse(symbols: ConvolutionSymbols, u: SparseSeries, omega: FrequencyVector,
                     spec: ProblemSpec, sites: np.ndarray) -> Tuple[float, DecayFit]:
     """||F'^{-1}|| on the lattice sites off the seed equations
-    (`lattice_operator`), exactly 1/sigma_min by a dense SVD, and the decay
-    fit of that inverse's kernel.  With no equation left the norm is 0."""
+    (`lattice_operator`), exactly 1/sigma_min (`_inverse_norm`), and the
+    decay fit of that inverse's kernel.  With no equation left the norm is
+    0."""
     mat, keep = lattice_operator(symbols, omega, spec, sites)
     if not keep.any():
         return 0.0, DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
     a = mat[np.ix_(keep, keep)]
-    sv = np.linalg.svd(a, compute_uv=False)
-    return float(1.0 / sv[-1]), _fit_decay(spec, symbols, u,
-                                           np.concatenate([sites, -sites])[keep],
-                                           np.repeat([1, -1], len(sites))[keep],
-                                           lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
+    return _inverse_norm([a[None]]), _fit_decay(spec, symbols, u,
+                                                np.concatenate([sites, -sites])[keep],
+                                                np.repeat([1, -1], len(sites))[keep],
+                                                lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
 
 
 def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols, u: SparseSeries,
@@ -603,24 +452,6 @@ def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols, u: SparseSeries,
     return DecayFit(beta_hat=float(beta), bound_ok=ok, checked_beyond=checked)
 
 
-def restricted_solver(op: BlockOperator, exclude: Sequence[int]
-                      ) -> Tuple[Callable[..., np.ndarray], np.ndarray]:
-    """LU factorisation of F' restricted off a set of doubled indices.
-
-    Returns (solve, kept_indices): solve(rhs, trans="N") takes and returns
-    vectors indexed by kept_indices; trans="H" solves with the adjoint.
-    """
-    import scipy.sparse.linalg as spla
-
-    mask = np.ones(op.dim, dtype=bool)
-    mask[list(exclude)] = False
-    keep = np.nonzero(mask)[0]
-    # The CSR slice is dropped before SuperLU's workspace peaks.
-    sub = op.matrix[keep][:, keep].tocsc()
-    lu = spla.splu(sub)
-    return lu.solve, keep
-
-
 # ---------------------------------------------------------------------------
 # Theta-shifted family
 
@@ -653,7 +484,7 @@ def theta_spectrum_scan(
     theta_grid: Sequence[float],
     eps: float = 0.3,
 ) -> ThetaScanReport:
-    """Inverse-norm certificates along the theta-shifted family T(theta).
+    """Inverse norms along the theta-shifted family T(theta) on a box.
 
     theta enters as +theta on the u diagonal and -theta on the v diagonal.
     A grid point is bad when ||T(theta)^{-1}|| exceeds delta^{-(1+eps)};
@@ -662,33 +493,26 @@ def theta_spectrum_scan(
     with |Theta| beyond 2|log delta|^{2s}+1, at the second-step exponent
     s = 2, are flagged as outside the range the analysis needs.
 
-    The grid points run one after another: each is one SuperLU factor and
-    at most 25 power-iteration rounds, and two threads were slower than
-    one on a 2-core host.
+    The coset blocks of `box_inverse` are built once; each grid point adds
+    theta times the copy sign to their diagonals and takes one batched SVD
+    per block size.
     """
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-
-    base = assemble(u, v, omega, spec, box, theta=0.0)
+    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+    sites, copies, _, order, bounds = _coset_blocks(u, v, spec, box)
+    stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
+    signs = {k: np.eye(k) * copies[members_of_size(order, bounds, k)][:, None, :]
+             for k in stacks}
     delta = spec.delta
     threshold = delta ** (-(1.0 + eps))
-    shift = sp.diags(np.concatenate([np.ones(base.n_sites), -np.ones(base.n_sites)]),
-                     format="csr").astype(complex)
     restrict_cut = 2.0 * abs(math.log(delta)) ** 4.0 + 1.0
 
     points = []
     thetas = list(theta_grid)
     for theta in thetas:
         theta_int = math.floor(theta + 0.5)
-        try:
-            lu = spla.splu((base.matrix + theta * shift).tocsc())
-        except RuntimeError:  # singular at this theta
-            sigma = float("inf")
-        else:
-            sigma, _, _ = _power_norm(lu.solve, lambda y: lu.solve(y, trans="H"),
-                                      base.dim, seed=11, max_rounds=25)
-        points.append(ThetaPoint(theta, theta_int, theta - theta_int, float(sigma),
-                                 sigma <= threshold, abs(theta_int) > restrict_cut))
+        norm = _inverse_norm(stack + theta * signs[k] for k, stack in stacks.items())
+        points.append(ThetaPoint(theta, theta_int, theta - theta_int, norm,
+                                 norm <= threshold, abs(theta_int) > restrict_cut))
     bad = [pt for pt in points if not pt.ok]
     frac = len(bad) / len(points) if points else 0.0
     span = (max(thetas) - min(thetas)) if len(thetas) > 1 else 0.0

@@ -19,7 +19,7 @@ from nlsqp.conditions import (
     rank_check_momenta,
     verify_walk_witness,
 )
-from nlsqp.linop import assemble, invert_with_certificates
+from nlsqp.linop import box_inverse
 from nlsqp.newton import (
     diophantine_check,
     excision_sweep,
@@ -95,9 +95,7 @@ def test_criterion_3_scaling_laws():
             du.append(weighted_norm(state1.u.sub(u0), w))
             res.append(state1.residual_weighted)
             dw.append(np.linalg.norm(mod.delta_omega))
-            op0 = assemble(u0, v0, spec.omega0(), spec, box)
-            inv.append(invert_with_certificates(op0, mode="seed",
-                                                fit_decay=False).norm_bound)
+            inv.append(box_inverse(u0, v0, spec.omega0(), spec, box, fit_decay=False)[0])
         x = np.log(deltas)
         s_du = np.polyfit(x, np.log(du), 1)[0]
         s_res = np.polyfit(x, np.log(res), 1)[0]
@@ -113,12 +111,11 @@ def test_criterion_4_decay_certificate():
     with timed(60.0):
         spec = tp2_spec()
         u0, v0 = linear_solution(spec)
-        op = assemble(u0, v0, spec.omega0(), spec, default_box(spec))
-        cert = invert_with_certificates(op, mode="seed")
-        ok = cert.decay.beta_hat >= 0.05 and cert.decay.bound_ok
-    _report(4, ok, f"beta_hat={cert.decay.beta_hat:.3f} (>=0.05), "
-                   f"bound holds beyond 1/beta^2: {cert.decay.bound_ok} "
-                   f"({cert.decay.checked_beyond} entries checked)")
+        _, decay = box_inverse(u0, v0, spec.omega0(), spec, default_box(spec))
+        ok = decay.beta_hat >= 0.05 and decay.bound_ok
+    _report(4, ok, f"beta_hat={decay.beta_hat:.3f} (>=0.05), "
+                   f"bound holds beyond 1/beta^2: {decay.bound_ok} "
+                   f"({decay.checked_beyond} entries checked)")
 
 
 def test_criterion_5_condition_checkers():

@@ -200,6 +200,23 @@ def test_check_command_tp2(tmp_path, capsys):
     assert "[conditions.rank_test]" in text
 
 
+def test_check_prints_the_condition_i_witness_as_a_site(tmp_path):
+    # Three modes on one circle |j|^2 = 8 fail condition (i); the witness is
+    # a site, printed in the (n | j) form rather than as bare integers.
+    cfg = parse_config("""
+[problem]
+d = 2
+b = 3
+p = 1
+delta = 0.001
+modes = (-2,-2):0.5, (-2,2):0.5, (2,2):0.5
+""")
+    code = run_command("check", cfg, out_path=str(tmp_path / "rep.txt"))
+    assert code == EXIT_CONDITION
+    text = (tmp_path / "rep.txt").read_text()
+    assert "verdict = fail\nwitness_count = 2\nfirst_witness = (-1 1 -1 | 2 -2)\n" in text
+
+
 def test_check_reports_kernel_for_b4(tmp_path):
     cfg = parse_config("""
 [problem]
@@ -396,8 +413,8 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 def test_exit_excised_b3_default_box(tmp_path):
     # Three modes on the 1.46 M-site default box: the gate builds its blocks
-    # from the resonance graph, not from an assembled box operator, and
-    # fails one off the conservation lattice within a few hundred MB.
+    # from the resonance links, with no matrix of the whole box, and fails
+    # one off the conservation lattice within a few hundred MB.
     import subprocess
     import sys
     from pathlib import Path
@@ -528,7 +545,7 @@ def test_exit_off_char_diagonal(tmp_path, capsys):
     assert code == EXIT_OFF_CHAR_DIAGONAL
     assert one_line_err(capsys).startswith(
         "certificate failure: off-characteristic diagonal too close to zero at "
-        "SiteIndex(n=(-2,), j=(-3,))")
+        "(-2 | -3)")
 
 
 # -- Input errors --------------------------------------------------------------
@@ -759,8 +776,7 @@ def test_the_names_the_benchmark_reads_exist():
                  "verify.weighted_norm", "cli.read_solution", "cli.load_config",
                  "cli.run_command",
                  # the traced layers of the benchmark's per-layer metrics
-                 "linop.block_decompose", "linop.assemble", "linop.invert_with_certificates",
-                 "linop.restricted_solver", "newton.excision_sweep", "newton.newton_step",
+                 "newton.excision_sweep", "newton.newton_step",
                  "newton.q_solve", "newton.first_iteration", "lattice.convolve",
                  "characteristics.resonance_graph", "conditions.check_condition_ii",
                  "conditions.check_condition_i", "conditions.symbol_supports",
@@ -807,6 +823,33 @@ def test_only_solve_loads_scipy(tmp_path):
     assert scipy_modules_after(tmp_path, "verify", cfg, "--solution", "solve/solution.txt",
                                "--out", "verify.txt") == none
     assert scipy_modules_after(tmp_path, "sweep", cfg, "--out", "sweep.csv") == none
+
+
+def test_only_cmd_solve_imports_scipy():
+    # The package is numpy only.  cmd_solve's import serves the benchmark's
+    # speed probe (see there), and goes once bench/ imports the module
+    # itself.
+    import ast
+    from pathlib import Path
+    found = []
+
+    def visit(node, path, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            found.extend((path.name, fn, m) for m in names if m.split(".")[0] == "scipy")
+            visit(child, path, fn)
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "nlsqp").glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+    assert found == [("cli.py", "cmd_solve", "scipy.sparse.linalg")]
 
 
 def test_no_module_reads_the_environment():

@@ -1,7 +1,8 @@
 """Array lattice geometry against the per-site loops it replaced.
 
-The loop versions of the resonance graph, of `assemble`'s scatter, of the
-difference-class candidate filter and of the partition's union-find are
+The loop versions of the resonance graph, of the box operator's scatter
+(against the coset blocks of `linop`), of the difference-class candidate
+filter and of the partition's union-find are
 kept here as oracles; the array versions must reproduce them exactly.
 """
 
@@ -24,7 +25,7 @@ from nlsqp.characteristics import (
 )
 from nlsqp.conditions import _augment, check_condition_ii
 from nlsqp.lattice import Box, SiteIndex, default_box, linear_solution, make_spec, site
-from nlsqp.linop import assemble
+from nlsqp.linop import _coset_blocks, _stacks
 from nlsqp.newton import solve
 
 from test_characteristics import (
@@ -93,13 +94,16 @@ def loop_resonance_graph(u, v, spec, omega0, box, symbols=None):
     return vertices, sorted(edges), comps
 
 
-def loop_scatter_matrix(op):
-    """The off-diagonal part of D + delta*A as the per-shift coordinate test
-    built it, plus the diagonal, in the same sparse pipeline."""
+def loop_scatter_matrix(u, v, omega, spec, box, theta=0.0):
+    """D + delta*A over a box as a sparse matrix, built by a per-shift
+    coordinate test.  Doubled index i < ns is the u-copy of the i-th box site
+    in lexicographic order, ns + i its v-copy."""
     import scipy.sparse as sp
-    spec, box, coords = op.spec, op.box, op.coords
-    b, d, p, ns = spec.b, spec.d, spec.p, op.n_sites
+    b, d, p = spec.b, spec.d, spec.p
     radii = np.array([box.n_radius] * b + [box.j_radius] * d, dtype=np.int64)
+    coords = np.array(list(itertools.product(*[range(-r, r + 1) for r in radii])),
+                      dtype=np.int64)
+    ns = len(coords)
     sizes = 2 * radii + 1
     strides = np.ones(b + d, dtype=np.int64)
     for i in range(b + d - 2, -1, -1):
@@ -118,7 +122,7 @@ def loop_scatter_matrix(op):
         cols.append(cols_k + col_off)
         vals.append(np.full(len(cols_k), amp, dtype=complex))
 
-    symbols = ConvolutionSymbols.from_fields(op.u, op.v, p)
+    symbols = ConvolutionSymbols.from_fields(u, v, p)
     for shift, ampl in symbols.uv_p.items():
         a = spec.delta * (p + 1) * ampl
         scatter(shift, a, 0, 0)
@@ -130,7 +134,27 @@ def loop_scatter_matrix(op):
     a_mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(2 * ns, 2 * ns)).tocsr()
-    return a_mat + sp.diags(op.diag.astype(complex), format="csr")
+    # The dispersion n.w + |j|^2 + m +- theta, summed in this order.
+    nw = sum(w * n for w, n in zip(omega.omega, coords.T[:b]))
+    jsq = sum(j * j for j in coords.T[b:])
+    m = spec.phase_m
+    diag = np.concatenate([nw + jsq + m + theta, -nw + jsq + m - theta])
+    return a_mat + sp.diags(diag.astype(complex), format="csr")
+
+
+def coset_keys(spec, box):
+    """The coset key of each doubled index of a box: phi(n, j) = (sum n, j +
+    sum_k n_k j_k) for a u-copy, phi - (2, 0) for a v-copy, one site at a
+    time."""
+    keys = []
+    for copy in (1, -1):
+        for x in itertools.product(*[range(-box.n_radius, box.n_radius + 1)] * spec.b,
+                                   *[range(-box.j_radius, box.j_radius + 1)] * spec.d):
+            n, j = x[:spec.b], x[spec.b:]
+            shifted = [ji + sum(nk * jk[i] for nk, jk in zip(n, spec.j_list))
+                       for i, ji in enumerate(j)]
+            keys.append([sum(n) - (2 if copy < 0 else 0)] + shifted)
+    return np.array(keys, dtype=np.int64)
 
 
 def loop_diff_class_member(delta, omega0, class_pair, search_radius=30):
@@ -345,45 +369,71 @@ def test_resonance_graph_single_site_box(tp1):
     assert_same_graph(g, want)
 
 
-# -- assemble ---------------------------------------------------------------------
+# -- the box operator's coset blocks ------------------------------------------------
 
 
-def assert_same_csr(got, want):
-    assert got.shape == want.shape
-    assert got.indptr.tobytes() == want.indptr.tobytes()
-    assert got.indices.tobytes() == want.indices.tobytes()
-    assert got.data.tobytes() == want.data.tobytes()
+def assert_coset_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
+    """No entry of the loop-built box operator joins two coset keys, and each
+    coset block is the operator's slice at its members, bit for bit."""
+    m = loop_scatter_matrix(u, v, omega, spec, box, theta)
+    keys = coset_keys(spec, box)
+    coo = m.tocoo()
+    assert np.array_equal(keys[coo.row], keys[coo.col])
+
+    sites, copies, got_keys, order, bounds = _coset_blocks(u, v, spec, box)
+    ns = len(keys) // 2
+    assert np.array_equal(got_keys, keys)
+    assert np.array_equal(copies, np.repeat([1, -1], ns))
+    assert np.array_equal(sites[:ns], sites[ns:])
+    assert sorted(order.tolist()) == list(range(2 * ns))
+    # One key per block, a different one for each block, members ascending.
+    first = keys[order[bounds[:-1]]]
+    assert np.array_equal(keys[order], np.repeat(first, np.diff(bounds), axis=0))
+    assert len(np.unique(first, axis=0)) == len(first)
+    assert all(np.all(np.diff(order[x:y]) > 0) for x, y in zip(bounds[:-1], bounds[1:]))
+
+    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+    stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec, theta)
+    assert sorted(stacks) == sorted(set(np.diff(bounds).tolist()))
+    for k, stack in stacks.items():
+        members = characteristics.members_of_size(order, bounds, k)
+        rows = np.repeat(members, k, axis=1).ravel()
+        cols = np.tile(members, k).ravel()
+        want = np.asarray(m[rows, cols]).reshape(stack.shape)
+        assert stack.dtype == complex
+        assert np.array_equal(stack, want)
 
 
 @pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
 def test_assemble_matches_loop_scatter(name, request):
+    # The coset blocks of F' over the default box, at the seed and at the
+    # solution, are the loop-built operator's blocks.
     spec = request.getfixturevalue(name)
     box = default_box(spec)
     u0, v0 = linear_solution(spec)
     rep = solve(spec, box=box)
     for u, v, omega in ((u0, v0, spec.omega0()),
                         (rep.state.u, rep.state.v, rep.state.omega)):
-        op = assemble(u, v, omega, spec, box)
-        assert_same_csr(op.matrix, loop_scatter_matrix(op))
+        assert_coset_blocks_are_slices(u, v, omega, spec, box)
 
 
 def test_assemble_matches_loop_scatter_small_boxes(tp2, tp3):
     # Boxes narrower than the symbols' reach, where some shifts fall out.
     for spec, box in ((tp2, Box(1, 1)), (tp2, Box(0, 3)), (tp3, Box(2, 1)),
-                      (b3_spec(), Box(1, 2))):
+                      (b3_spec(), Box(1, 2)), (b3_spec(), Box(4, 5))):
         u0, v0 = linear_solution(spec)
-        op = assemble(u0, v0, spec.omega0(), spec, box, theta=0.25)
-        assert_same_csr(op.matrix, loop_scatter_matrix(op))
+        assert_coset_blocks_are_slices(u0, v0, spec.omega0(), spec, box, theta=0.25)
 
 
 def test_assemble_tags_match_classify_site(tp2, tp3):
     for spec in (tp2, tp3):
-        u0, v0 = linear_solution(spec)
-        op = assemble(u0, v0, spec.omega0(), spec, Box(4, 3))
+        coords = characteristics.enumerate_box_sites(spec.b, spec.d, Box(4, 3))
+        tags, _ = characteristics.branch_tags(coords, spec.omega0())
         code = {CharClass.CPLUS: 1, CharClass.CMINUS: -1, CharClass.OFF: 0}
-        want = [code[characteristics.classify_site(op.site_at(i), spec.omega0())]
-                for i in range(op.n_sites)]
-        assert op.tags.tolist() == want
+        want = [code[characteristics.classify_site(site(x[:spec.b], x[spec.b:]),
+                                                   spec.omega0())]
+                for x in coords.tolist()]
+        assert tags.tolist() == want
 
 
 # -- difference classes ------------------------------------------------------------

@@ -1,109 +1,171 @@
-import math
-
 import numpy as np
 import pytest
+from types import SimpleNamespace
 
 from nlsqp.characteristics import (
     ConvolutionSymbols,
     box_strides,
+    box_variety,
     conservation_sites,
     members_of_size,
 )
-from nlsqp.lattice import Box, FrequencyVector, default_box, linear_solution, make_spec, site
+from nlsqp.lattice import (
+    Box,
+    SparseSeries,
+    default_box,
+    linear_solution,
+    make_spec,
+    site,
+)
 from nlsqp.linop import (
     ExcisionError,
-    _power_norm,
-    assemble,
-    block_decompose,
-    invert_with_certificates,
+    LinopError,
+    _certify,
+    _coset_blocks,
+    _dispersion,
+    _seed_equations,
+    _stacks,
+    box_inverse,
     lattice_inverse,
     lattice_operator,
-    restricted_solver,
+    resonance_blocks,
     theta_spectrum_scan,
 )
 from nlsqp.newton import first_iteration, q_solve, residual_series
+
+from test_geometry import loop_scatter_matrix
 
 # Three modes in one dimension, cubic: Lambda carries small divisors of its
 # own.  Box(4, 9) holds 50 of its sites.
 B3 = make_spec(d=1, b=3, p=1, delta=1e-3, j_list=[1, 2, 4], amplitudes=[0.6, 0.8, 0.5])
 
 
-def seed_operator(spec, box=None, theta=0.0):
+def box_case(spec, box=None, omega=None, fields=None):
+    """F' over a box (Box(9, 3) unless given) at the seed fields unless
+    given: the loop-built sparse matrix of the whole box (`matrix`), with
+    the box's variety and the symbols that `resonance_blocks` reads."""
+    u, v = fields or linear_solution(spec)
+    box = box or Box(9, 3)
+    omega = omega or spec.omega0()
+    return SimpleNamespace(spec=spec, box=box, u=u, v=v, omega=omega,
+                           symbols=ConvolutionSymbols.from_fields(u, v, spec.p),
+                           variety=box_variety(spec.omega0(), spec.d, box),
+                           matrix=loop_scatter_matrix(u, v, omega, spec, box))
+
+
+def blocks(case, exclude=frozenset()):
+    return resonance_blocks(case.symbols, case.omega, case.spec, case.variety,
+                            exclude=exclude)
+
+
+def certify(case, eps_first, exclude=frozenset()):
+    """The seed-mode block and diagonal certificate of the whole box."""
+    coords = case.variety.coords
+    return _certify(blocks(case, exclude), coords,
+                    _dispersion(coords, case.omega, case.spec).ravel(),
+                    case.variety.resonant, case.spec, "seed", eps_first, 0.5)
+
+
+def coset_stacks(spec, box=None, theta=0.0):
+    """The coset blocks of the seed operator over a box, as `box_inverse`
+    builds them, and the dispersion diagonal of each block, by size."""
     u0, v0 = linear_solution(spec)
-    return assemble(u0, v0, spec.omega0(), spec, box or Box(9, 3), theta=theta)
+    box = box or Box(9, 3)
+    sites, copies, _, order, bounds = _coset_blocks(u0, v0, spec, box)
+    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+    stacks = _stacks(sites, copies, order, bounds, symbols, spec.omega0(), spec, theta)
+    diag = _dispersion(sites[:len(sites) // 2], spec.omega0(), spec, theta).ravel()
+    return stacks, {k: diag[members_of_size(order, bounds, k)] for k in stacks}
 
 
-def doubled_indices(op, rows, copy):
-    """The operator's doubled indices of the rows of a site array, u-copies
+def lambda_block(spec, box=None):
+    """The coset block of Lambda in the seed operator over a box, and its
+    members' sites and copies."""
+    u0, v0 = linear_solution(spec)
+    sites, copies, keys, _, _ = _coset_blocks(u0, v0, spec, box or Box(9, 3))
+    lam = np.flatnonzero((keys[:, 0] == -1) & ~keys[:, 1:].any(axis=1))
+    stacks = _stacks(sites, copies, lam, np.array([0, len(lam)]),
+                     ConvolutionSymbols.from_fields(u0, v0, spec.p), spec.omega0(), spec)
+    return stacks[len(lam)][0], sites[lam], copies[lam]
+
+
+def doubled_indices(spec, box, rows, copy):
+    """The box's doubled indices of the rows of a site array, u-copies
     (copy "U") or v-copies ("V")."""
-    radii, strides = box_strides(op.spec.b, op.spec.d, op.box)
-    return ((np.asarray(rows) + radii) @ strides + (op.n_sites if copy == "V" else 0)).tolist()
+    radii, strides = box_strides(spec.b, spec.d, box)
+    return ((np.asarray(rows) + radii) @ strides
+            + (box.site_count(spec.b, spec.d) if copy == "V" else 0)).tolist()
 
 
 def test_assemble_tp1_seed_block_entries(tp1):
-    op = seed_operator(tp1)
+    # Lambda holds one site for b = 1: its block is the seed's u-copy and
+    # its flip's v-copy.
+    block, sites, copies = lambda_block(tp1)
+    assert sites.tolist() == [[-1, 2], [1, -2]] and copies.tolist() == [1, -1]
     a = 0.7
-    (iu,) = doubled_indices(op, [[-1, 2]], "U")
-    (iv,) = doubled_indices(op, [[1, -2]], "V")
-    m = op.matrix
     d = tp1.delta
-    assert m[iu, iu] == pytest.approx(d * 2 * a * a)   # diag vanishes on C
-    assert m[iu, iv] == pytest.approx(d * a * a)
-    assert m[iv, iu] == pytest.approx(d * a * a)
-    assert m[iv, iv] == pytest.approx(d * 2 * a * a)
+    assert block[0, 0] == pytest.approx(d * 2 * a * a)   # diag vanishes on C
+    assert block[0, 1] == pytest.approx(d * a * a)
+    assert block[1, 0] == pytest.approx(d * a * a)
+    assert block[1, 1] == pytest.approx(d * 2 * a * a)
 
 
 def test_assemble_delta_scaling_leaves_pure_diagonal(tp1):
     # With the coupling scaled out, F' - D has every entry proportional to
     # delta: halving delta halves the off-diagonal part exactly.
-    import scipy.sparse as sp
     spec2 = make_spec(d=1, b=1, p=1, delta=5e-4, j_list=[2], amplitudes=[0.7])
-    op1, op2 = seed_operator(tp1), seed_operator(spec2)
-    a1 = op1.matrix - sp.diags(op1.diag.astype(complex))
-    a2 = op2.matrix - sp.diags(op2.diag.astype(complex))
-    # Recovering A by subtracting the diagonal costs ~|diag| * eps.
-    diff = (a1 - 2 * a2).toarray()
-    assert np.max(np.abs(diff)) < 1e-13
+    (s1, d1), (s2, d2) = coset_stacks(tp1), coset_stacks(spec2)
+    assert sorted(s1) == sorted(s2)
+    for k in s1:
+        a1 = s1[k] - d1[k][:, :, None] * np.eye(k)
+        a2 = s2[k] - d2[k][:, :, None] * np.eye(k)
+        # Recovering A by subtracting the diagonal costs ~|diag| * eps.
+        assert np.max(np.abs(a1 - 2 * a2)) < 1e-13
 
 
 def test_assemble_symbol_conjugate_symmetry(tp2):
-    op = seed_operator(tp2)
     from nlsqp.lattice import conjugate_flip
-    flipped = conjugate_flip(op.symbols.uu)
-    assert flipped.support() == op.symbols.vv.support()
+    u0, v0 = linear_solution(tp2)
+    symbols = ConvolutionSymbols.from_fields(u0, v0, tp2.p)
+    assert conjugate_flip(symbols.uu).support() == symbols.vv.support()
 
 
 def test_assemble_self_adjoint(tp2):
-    op = seed_operator(tp2)
-    diff = (op.matrix - op.matrix.getH()).toarray()
-    assert np.max(np.abs(diff)) == 0.0
+    # Every coset block is Hermitian, so F' over the box is.
+    stacks, _ = coset_stacks(tp2)
+    for stack in stacks.values():
+        assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
 
 
 def test_assemble_theta_enters_antisymmetrically(tp2):
-    op0 = seed_operator(tp2)
-    opt = seed_operator(tp2, theta=0.25)
-    ns = op0.n_sites
-    assert np.allclose(opt.diag[:ns] - op0.diag[:ns], 0.25)
-    assert np.allclose(opt.diag[ns:] - op0.diag[ns:], -0.25)
+    (s0, d0), (st, dt) = coset_stacks(tp2), coset_stacks(tp2, theta=0.25)
+    u0, v0 = linear_solution(tp2)
+    _, copies, _, order, bounds = _coset_blocks(u0, v0, tp2, Box(9, 3))
+    for k in s0:
+        signs = copies[members_of_size(order, bounds, k)]
+        assert np.allclose(dt[k] - d0[k], 0.25 * signs)
+        off = ~np.eye(k, dtype=bool)
+        assert np.array_equal(st[k][:, off], s0[k][:, off])
+        assert np.allclose(np.diagonal(st[k], axis1=1, axis2=2)
+                           - np.diagonal(s0[k], axis1=1, axis2=2), 0.25 * signs)
 
 
 def test_phase_m_enters_both_blocks():
     spec = make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[2], amplitudes=[0.7],
                      phase_m=0.5)
-    op = seed_operator(spec)
-    ns = op.n_sites
-    op0 = seed_operator(make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[2],
-                                  amplitudes=[0.7]))
-    assert np.allclose(op.diag[:ns] - op0.diag[:ns], 0.5)
-    assert np.allclose(op.diag[ns:] - op0.diag[ns:], 0.5)
+    (s, d), (s0, d0) = coset_stacks(spec), coset_stacks(
+        make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[2], amplitudes=[0.7]))
+    for k in s:
+        assert np.allclose(d[k] - d0[k], 0.5)
+        assert np.allclose(np.diagonal(s[k], axis1=1, axis2=2)
+                           - np.diagonal(s0[k], axis1=1, axis2=2), 0.5)
 
 
 # -- Block decomposition -----------------------------------------------------
 
 
 def test_block_decompose_tp1(tp1):
-    op = seed_operator(tp1)
-    dec = block_decompose(op)
+    dec = blocks(box_case(tp1))
     d, a = tp1.delta, 0.7
     two = [i for i, s in enumerate(dec.sizes) if s == 2]
     assert len(two) == 1
@@ -117,18 +179,18 @@ def test_block_dets_delta_invariant_normalized(tp1):
     vals = []
     for dl in (1e-3, 1e-4):
         spec = make_spec(d=1, b=1, p=1, delta=dl, j_list=[2], amplitudes=[0.7])
-        dec = block_decompose(seed_operator(spec))
+        dec = blocks(box_case(spec))
         vals.append(sorted(dec.dets_normalized))
     assert np.allclose(vals[0], vals[1], rtol=1e-12)
 
 
 def test_block_diag_consistency(tp2):
     # The embedded blocks reproduce P F' P entrywise.
-    op = seed_operator(tp2)
-    dec = block_decompose(op)
-    m = op.matrix
-    members, blocks = block_lists(dec)
-    for idxs, gamma in zip(members, blocks):
+    case = box_case(tp2)
+    dec = blocks(case)
+    m = case.matrix
+    members, stack = block_lists(dec)
+    for idxs, gamma in zip(members, stack):
         sub = m[idxs][:, idxs].toarray()
         assert np.array_equal(sub, gamma)
     # and blocks never couple to each other
@@ -140,25 +202,30 @@ def test_block_diag_consistency(tp2):
             assert np.max(np.abs(cross)) == 0.0
 
 
-def bfs_components(op):
+def bfs_components(case):
     """Reference: components of the resonant doubled indices found by a
     depth-first walk over the symbol supports, ordered by smallest index."""
-    res_idx = [int(i) for i in np.nonzero(op.resonant_mask)[0]]
+    spec, box, coords = case.spec, case.box, case.variety.coords
+    res_idx = [int(i) for i in np.nonzero(case.variety.resonant)[0]]
     res_set = set(res_idx)
-    ns = op.n_sites
-    diag_shifts = [s for s in op.symbols.uv_p.support() if not s.is_zero()]
+    ns = len(coords)
+    symbols = case.symbols
+    diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
 
     def neighbors(idx):
         comp_u = idx < ns
-        s = op.site_at(idx % ns)
+        x = coords[idx % ns]
+        s = site(x[:spec.b], x[spec.b:])
         out = []
         for shifts, off in ((diag_shifts, 0 if comp_u else ns),
-                            (op.symbols.uu.support() if comp_u
-                             else op.symbols.vv.support(), ns if comp_u else 0)):
+                            (symbols.uu.support() if comp_u
+                             else symbols.vv.support(), ns if comp_u else 0)):
             for shift in shifts:
-                k = op.lin_index(s - shift)
-                if k is not None and k + off in res_set:
-                    out.append(k + off)
+                t = s - shift
+                if box.contains(t):
+                    k = doubled_indices(spec, box, [t.n + t.j], "U")[0]
+                    if k + off in res_set:
+                        out.append(k + off)
         return out
 
     seen, comps = set(), []
@@ -182,29 +249,29 @@ def block_lists(dec):
     """A decomposition's members and dense blocks, one list entry per block."""
     order, cuts = dec.order.tolist(), dec.bounds.tolist()
     members = [order[a:z] for a, z in zip(cuts[:-1], cuts[1:])]
-    blocks = [None] * len(members)
+    dense = [None] * len(members)
     for k, stack in dec.stacks.items():
         assert stack.shape[1:] == (k, k) and stack.dtype == complex
         assert members_of_size(dec.order, dec.bounds, k).tolist() == \
             [m for m in members if len(m) == k]
         for c, block in zip(np.nonzero(dec.sizes == k)[0].tolist(), stack, strict=True):
-            blocks[c] = block
-    return members, blocks
+            dense[c] = block
+    return members, dense
 
 
-def assert_blocks_are_slices(op, dec):
-    m = op.matrix
-    members, blocks = block_lists(dec)
+def assert_blocks_are_slices(case, dec):
+    m = case.matrix
+    members, dense = block_lists(dec)
     assert np.array_equal(dec.sizes, np.diff(dec.bounds))
     assert len(dec.dets) == len(dec.dets_normalized) == len(dec.min_singulars) == len(members)
-    for idxs, gamma, det, norm, smin, size in zip(members, blocks, dec.dets,
+    for idxs, gamma, det, norm, smin, size in zip(members, dense, dec.dets,
                                                   dec.dets_normalized, dec.min_singulars,
                                                   dec.sizes):
         sub = m[idxs][:, idxs].toarray()
         assert size == len(idxs)
         assert np.array_equal(gamma, sub)
         assert det == complex(np.linalg.det(sub))
-        assert norm == abs(complex(det)) / op.delta ** len(idxs)
+        assert norm == abs(complex(det)) / case.spec.delta ** len(idxs)
         assert smin == float(np.linalg.svd(sub, compute_uv=False)[-1])
 
 
@@ -212,32 +279,32 @@ def assert_blocks_are_slices(op, dec):
 @pytest.mark.parametrize("drop_seed", [False, True])
 def test_block_decompose_matches_reference(name, drop_seed, request):
     spec = request.getfixturevalue(name)
-    op = seed_operator(spec)
-    exclude = frozenset(op.q_indices()) if drop_seed else frozenset()
-    dec = block_decompose(op, exclude=exclude)
-    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(op)]
+    case = box_case(spec)
+    exclude = frozenset(_seed_equations(spec, case.box)) if drop_seed else frozenset()
+    dec = blocks(case, exclude=exclude)
+    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(case)]
     assert block_lists(dec)[0] == [c for c in expected if c]
-    assert_blocks_are_slices(op, dec)
+    assert_blocks_are_slices(case, dec)
 
 
 @pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
 def test_block_decompose_at_the_modulated_frequency(name, request):
     # Off omega0 the block diagonals carry n.(omega - omega0): still the
-    # slices of the assembled matrix, bit for bit.
+    # slices of the box operator, bit for bit.
     spec = request.getfixturevalue(name)
-    u0, v0 = linear_solution(spec)
-    op = assemble(u0, v0, q_solve(u0, spec), spec, Box(9, 3))
-    exclude = frozenset(op.q_indices())
-    dec = block_decompose(op, exclude=exclude)
-    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(op)]
+    u0, _ = linear_solution(spec)
+    case = box_case(spec, omega=q_solve(u0, spec))
+    exclude = frozenset(_seed_equations(spec, case.box))
+    dec = blocks(case, exclude=exclude)
+    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(case)]
     assert block_lists(dec)[0] == [c for c in expected if c]
-    assert_blocks_are_slices(op, dec)
+    assert_blocks_are_slices(case, dec)
 
 
 def test_excision_error_says_whether_the_block_meets_the_lattice(tp1):
     # The seed block holds the u-copy of the seed, a site of Lambda.
     with pytest.raises(ExcisionError) as err:
-        invert_with_certificates(seed_operator(tp1), mode="seed", eps_first=0.75)
+        certify(box_case(tp1), eps_first=0.75)
     assert (err.value.block_index, err.value.site, err.value.meets_lattice) == \
         (1, site((-1,), (2,)), True)
     assert str(err.value).endswith(
@@ -247,17 +314,16 @@ def test_excision_error_says_whether_the_block_meets_the_lattice(tp1):
 def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
     # An emptied component is dropped and the later blocks keep their order
     # by smallest original member, so ExcisionError counts without it.
-    op = seed_operator(tp1)
-    ref = bfs_components(op)
+    case = box_case(tp1)
+    ref = bfs_components(case)
     assert [len(c) for c in ref] == [1, 2, 1, 1, 1]
-    dec = block_decompose(op, exclude=frozenset(ref[0]))
+    dec = blocks(case, exclude=frozenset(ref[0]))
     assert block_lists(dec)[0] == ref[1:]
-    assert_blocks_are_slices(op, dec)
+    assert_blocks_are_slices(case, dec)
     # The seed block, second of the full operator and first now, is the only
     # one below 0.75: |P| = 0.7203 against 0.98 for the size-1 blocks.
     with pytest.raises(ExcisionError) as err:
-        invert_with_certificates(op, mode="seed", eps_first=0.75, drop_indices=ref[0],
-                                 fit_decay=False, power_iters=0)
+        certify(case, eps_first=0.75, exclude=frozenset(ref[0]))
     assert (err.value.block_index, err.value.size) == (0, 2)
     assert err.value.value == dec.dets_normalized[0]
     assert str(err.value).startswith("block 0 (size 2): |P_k| = 7.203e-01")
@@ -265,21 +331,22 @@ def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
 
 def test_block_decompose_batches_determinants(tp3, monkeypatch):
     # One det per distinct block size, not one per block.
-    op = seed_operator(tp3)
+    case = box_case(tp3)
     calls = []
     det = np.linalg.det
     monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
-    dec = block_decompose(op)
+    dec = blocks(case)
     assert len(dec.sizes) > len(set(dec.sizes))
     assert len(calls) == len(set(dec.sizes))
 
 
-# -- Certified inversion -----------------------------------------------------
+# -- Inverse norms over the box ----------------------------------------------
 
 
 def test_invert_tp1_norm(tp1):
-    cert = invert_with_certificates(seed_operator(tp1), mode="seed")
-    assert cert.norm_bound == pytest.approx(1.0 / (tp1.delta * 0.49), rel=1e-6)
+    u0, v0 = linear_solution(tp1)
+    norm, _ = box_inverse(u0, v0, tp1.omega0(), tp1, Box(9, 3))
+    assert norm == pytest.approx(1.0 / (tp1.delta * 0.49), rel=1e-6)
 
 
 def test_invert_norm_delta_scaling(tp2):
@@ -287,94 +354,54 @@ def test_invert_norm_delta_scaling(tp2):
     for dl in deltas:
         spec = make_spec(d=1, b=2, p=1, delta=dl, j_list=[1, 2],
                          amplitudes=[0.6, 0.8])
-        cert = invert_with_certificates(seed_operator(spec), mode="seed",
-                                        fit_decay=False)
-        norms.append(cert.norm_bound)
+        u0, v0 = linear_solution(spec)
+        norms.append(box_inverse(u0, v0, spec.omega0(), spec, Box(9, 3),
+                                 fit_decay=False)[0])
     slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.15)
 
 
 def test_invert_decay_certificate(tp2):
-    cert = invert_with_certificates(seed_operator(tp2), mode="seed")
-    assert cert.decay.beta_hat >= 0.05
-    assert cert.decay.bound_ok
+    u0, v0 = linear_solution(tp2)
+    _, decay = box_inverse(u0, v0, tp2.omega0(), tp2, Box(9, 3))
+    assert decay.beta_hat >= 0.05
+    assert decay.bound_ok
 
 
 def test_invert_excision_error_names_block(tp1):
-    op = seed_operator(tp1)
+    # Every block fails a threshold of 1e6; the first is a C+ site off
+    # Lambda.
     with pytest.raises(ExcisionError) as err:
-        invert_with_certificates(op, mode="seed", eps_first=1e6)
+        certify(box_case(tp1), eps_first=1e6)
+    assert err.value.block_index == 0
     assert err.value.value >= 0
     assert err.value.threshold == 1e6
+    assert not err.value.meets_lattice
+    assert str(err.value).endswith("the block is off the conservation lattice")
 
 
-def test_power_norm_is_the_spectral_norm_of_a_dense_operator():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
-    sigma, rounds, settled = _power_norm(lambda x: a @ x, lambda y: a.conj().T @ y,
-                                         9, seed=3, max_rounds=500)
-    assert settled and 0 < rounds < 500
-    exact = np.linalg.norm(a, 2)
-    assert abs(sigma - exact) <= 1e-12 * exact
-
-
-def test_power_norm_with_no_rounds_is_zero_and_unsettled(monkeypatch):
-    # A Newton step asks for no rounds: no start vector is drawn.
-    def no_rng(seed):
-        raise AssertionError("start vector drawn for zero rounds")
-    monkeypatch.setattr(np.random, "default_rng", no_rng)
-    a = np.eye(3)
-    assert _power_norm(lambda x: a @ x, lambda y: a @ y, 3, seed=0, max_rounds=0) == \
-        (0.0, 0, False)
-
-
-def test_power_iteration_early_stop_matches_full_run(tp2):
-    # At the modulated frequency, as in the final certificate of a solve,
-    # the top singular value is well separated and sigma settles early.
-    import scipy.sparse.linalg as spla
+def test_box_inverse_is_the_exact_inverse_norm(tp2):
+    # max 1/sigma_min over the coset blocks, against the 2-norm of the
+    # explicit inverse of the whole box operator.
+    box = Box(4, 3)
     u0, v0 = linear_solution(tp2)
-    op = assemble(u0, v0, q_solve(u0, tp2), tp2, Box(9, 3))
-    cert = invert_with_certificates(op, fit_decay=False,
-                                    drop_indices=op.q_indices())
-    assert 0 < cert.power_iterations < 60
-    # Reference: the same start vector, all 60 rounds, a fresh factor.
-    keep = np.setdiff1d(np.arange(op.dim), op.q_indices())
-    lu = spla.splu(op.matrix[keep][:, keep].tocsc())
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(len(keep)) + 1j * rng.standard_normal(len(keep))
-    x /= np.linalg.norm(x)
-    for _ in range(60):
-        z = lu.solve(lu.solve(x), trans="H")
-        sigma = math.sqrt(np.linalg.norm(z))
-        x = z / np.linalg.norm(z)
-    assert abs(cert.norm_bound - sigma) <= 1e-12 * sigma
+    norm, decay = box_inverse(u0, v0, tp2.omega0(), tp2, box, fit_decay=False)
+    exact = np.linalg.norm(np.linalg.inv(loop_scatter_matrix(u0, v0, tp2.omega0(), tp2,
+                                                             box).toarray()), 2)
+    assert norm == pytest.approx(exact, rel=1e-10)
+    assert decay is None
 
 
-def test_power_settled_only_when_sigma_settles(tp2):
-    # The tp2 seed operator's top singular values are nearly degenerate:
-    # sigma still moves after 60 rounds, so the norm is an estimate.
-    cert = invert_with_certificates(seed_operator(tp2), mode="seed", fit_decay=False)
-    assert cert.power_iterations == 60
-    assert not cert.power_settled
-    cert = invert_with_certificates(seed_operator(tp2), mode="seed", fit_decay=False,
-                                    power_iters=0)
-    assert not cert.power_settled
-    # At the modulated frequency, off the seed equations, sigma settles.
+def test_box_inverse_refuses_fields_off_the_lattice(tp2):
+    # Off Lambda the cosets couple: no norm rather than a wrong one.
     u0, v0 = linear_solution(tp2)
-    op = assemble(u0, v0, q_solve(u0, tp2), tp2, Box(9, 3))
-    cert = invert_with_certificates(op, fit_decay=False, drop_indices=op.q_indices())
-    assert cert.power_settled
-    assert cert.power_iterations < 60
-
-
-def test_restricted_solver_matches_submatrix(tp2):
-    op = seed_operator(tp2)
-    solve, keep = restricted_solver(op, op.q_indices())
-    rng = np.random.default_rng(1)
-    rhs = rng.standard_normal(len(keep))
-    x = solve(rhs)
-    sub = op.matrix[keep][:, keep].toarray()
-    assert np.linalg.norm(sub @ x - rhs) <= 1e-9 * np.linalg.norm(rhs)
+    terms = dict(u0.items())
+    terms[site((0, 0), (1,))] = 1e-3
+    u_off = SparseSeries(2, 1, terms, drop_tol=0.0)
+    with pytest.raises(LinopError, match="conservation lattice"):
+        box_inverse(u_off, v0, tp2.omega0(), tp2, Box(4, 3))
+    with pytest.raises(LinopError, match="conservation lattice"):
+        theta_spectrum_scan(u0, u0, tp2.omega0(), tp2, Box(4, 3), [0.0])
 
 
 # -- The conservation lattice ------------------------------------------------
@@ -398,29 +425,32 @@ def on_lattice(coords, spec, mass):
 def test_lattice_decouples_and_its_step_is_the_box_step(name, request):
     # After the first step u lives on Lambda: nothing couples u on Lambda
     # and v on -Lambda to the rest of the box, so the dense step on
-    # Lambda inside the box is the SuperLU step of the whole box.
+    # Lambda inside the box is the sparse LU step of the whole box.
+    import scipy.sparse.linalg as spla
     spec, box = lattice_case(name, request)
     state, _ = first_iteration(spec, box=box)
     omega = q_solve(state.u, spec)
-    op = assemble(state.u, state.v, omega, spec, box)
-    inside = np.concatenate([on_lattice(op.coords, spec, -1), on_lattice(op.coords, spec, 1)])
-    m = op.matrix
+    case = box_case(spec, box=box, omega=omega, fields=(state.u, state.v))
+    coords, m = case.variety.coords, case.matrix
+    ns = len(coords)
+    inside = np.concatenate([on_lattice(coords, spec, -1), on_lattice(coords, spec, 1)])
     assert abs(m[inside][:, ~inside]).max() == 0 and abs(m[~inside][:, inside]).max() == 0
 
-    sites = op.coords[inside[:op.n_sites]]
+    sites = coords[inside[:ns]]
     assert len(sites) == {"tp1": 1, "tp2": 7, "tp3": 6, "b3": 50}[name]
-    symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
-    mat, keep = lattice_operator(symbols, omega, spec, sites)
-    rows = doubled_indices(op, sites, "U") + doubled_indices(op, -sites, "V")
+    mat, keep = lattice_operator(case.symbols, omega, spec, sites)
+    rows = doubled_indices(spec, box, sites, "U") + doubled_indices(spec, box, -sites, "V")
     assert np.array_equal(mat, m[rows][:, rows].toarray())
 
+    # Reference: SuperLU on the whole box off the seed equations.
     fu, fv = residual_series(state.u, state.v, omega, spec)
-    rhs = np.zeros(op.dim, dtype=complex)
-    for i in range(op.n_sites):
-        rhs[i], rhs[op.n_sites + i] = fu[op.site_at(i)], fv[op.site_at(i)]
-    solve, kept = restricted_solver(op, op.q_indices())
-    full = np.zeros(op.dim, dtype=complex)
-    full[kept] = solve(rhs[kept])
+    rhs = np.zeros(2 * ns, dtype=complex)
+    for i, x in enumerate(coords.tolist()):
+        s = site(x[:spec.b], x[spec.b:])
+        rhs[i], rhs[ns + i] = fu[s], fv[s]
+    kept = np.setdiff1d(np.arange(2 * ns), _seed_equations(spec, box))
+    full = np.zeros(2 * ns, dtype=complex)
+    full[kept] = spla.splu(m[kept][:, kept].tocsc()).solve(rhs[kept])
     assert not full[~inside].any()
     step = np.zeros(len(rows), dtype=complex)
     if keep.any():
@@ -448,10 +478,11 @@ def test_lattice_inverse_is_the_exact_inverse_norm(tp2, tp3):
 def test_theta_zero_reproduces_certificate(tp2):
     u0, v0 = linear_solution(tp2)
     box = Box(6, 3)
-    scan = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, box, [0.0], eps=0.3)
-    op = assemble(u0, v0, tp2.omega0(), tp2, box)
-    cert = invert_with_certificates(op, mode="seed", fit_decay=False)
-    assert scan.points[0].norm == pytest.approx(cert.norm_bound, rel=1e-6)
+    scan = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, box, [0.0, 0.25], eps=0.3)
+    for point in scan.points:
+        norm, _ = box_inverse(u0, v0, tp2.omega0(), tp2, box, theta=point.theta,
+                              fit_decay=False)
+        assert point.norm == pytest.approx(norm, rel=1e-12)
 
 
 def test_theta_scan_bad_set_shrinks_with_delta():

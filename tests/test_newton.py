@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlsqp.characteristics import box_variety
+from nlsqp.characteristics import ConvolutionSymbols, box_variety
 from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.newton import (
     ConditionGateError,
@@ -186,11 +186,14 @@ def test_q_solve_rejects_non_real_bracket(tp2):
 
 
 def test_assemble_box_must_hold_seed(tp2):
-    from nlsqp.linop import LinopError, assemble
+    # The seed mode j = 2 lies outside Box(1, 1): the gate has no seed
+    # equations to set aside.
+    from nlsqp.linop import LinopError, admissibility_gate
     u0, v0 = linear_solution(tp2)
-    op = assemble(u0, v0, tp2.omega0(), tp2, Box(1, 1))
+    box = Box(1, 1)
     with pytest.raises(LinopError, match="seed"):
-        op.q_indices()
+        admissibility_gate(tp2.omega0(), tp2, box_variety(tp2.omega0(), tp2.d, box),
+                           ConvolutionSymbols.from_fields(u0, v0, tp2.p))
 
 
 # -- Diophantine -------------------------------------------------------------
@@ -593,9 +596,7 @@ def test_diophantine_scan_equals_scalar_loop(b, n_radius):
 
 
 def test_newton_step_factors_once(tp2, monkeypatch):
-    # One dense LU per step, on the lattice: no box operator is assembled
-    # and nothing else is factored.
-    from nlsqp import linop
+    # One dense LU per step, on the lattice: nothing else is factored.
     u0, v0 = linear_solution(tp2)
     box = Box(9, 3)
     plain, weighted = residual_norms(u0, v0, tp2.omega0(), tp2)
@@ -605,8 +606,6 @@ def test_newton_step_factors_once(tp2, monkeypatch):
     dense_solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: calls.append(a.shape) or dense_solve(a, b))
-    monkeypatch.setattr(linop, "assemble", None)
-    monkeypatch.setattr(linop, "restricted_solver", None)
     nxt = newton_step(state, tp2, box_variety(tp2.omega0(), tp2.d, box))
     # Lambda_4 holds 10 sites: 20 equations, 4 of them the seed equations.
     assert calls == [(16, 16)]

@@ -1,7 +1,7 @@
 """Smoke tests of the scripts under scripts/: each runs in its own
-interpreter with small arguments, exits 0 and prints its header line.  They
-are the only callers of `theta_spectrum_scan` and of the seed-mode
-certificate outside the tests."""
+interpreter with small arguments, exits 0, prints its header line and
+loads no scipy module.  They are the only callers of `theta_spectrum_scan`
+and of `box_inverse` outside the tests."""
 
 import os
 import subprocess
@@ -12,6 +12,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
+
+# Runs the script named by its first argument as __main__ with the rest,
+# then prints the scipy modules the interpreter has loaded to stderr.
+PROBE = """
+import runpy, sys
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+print("scipy:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), file=sys.stderr)
+"""
 
 # Script -> (small arguments, start of its first output line).
 SCRIPTS = {
@@ -27,8 +36,9 @@ def test_script_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
                                if p]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                          env=env, cwd=tmp_path, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(ROOT / "scripts" / script),
+                           *args], env=env, cwd=tmp_path, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0].strip().startswith(header)
+    assert proc.stderr.splitlines()[-1] == "scipy:"
