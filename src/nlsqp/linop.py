@@ -2,8 +2,8 @@
 conservation lattice.
 
 F' = D + delta*A acts on pairs (u-component, v-component) of lattice
-functions.  D is the dispersion diagonal +-n.w + |j|^2 (+ phase, +- theta
-for the shifted family); A couples sites through three convolution symbols.
+functions.  D is the dispersion diagonal +-n.w + |j|^2 (+ phase); A
+couples sites through three convolution symbols.
 Admissibility is certified in the style of the analysis: dense determinant /
 singular-value bounds on the resonance-graph blocks sitting on the
 characteristic variety, and a uniformly bounded diagonal off it.  Every
@@ -90,17 +90,17 @@ def _seed_equations(spec: ProblemSpec, box: Box) -> List[int]:
     return lin + [2 * box.site_count(spec.b, spec.d) - 1 - i for i in lin]
 
 
-def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec,
-                theta: float = 0.0) -> np.ndarray:
+def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec
+                ) -> np.ndarray:
     """The diagonal D of F' at the rows of a (count, b + d) site array, as a
-    (2, count) array: n.w + |j|^2 + m + theta on the u-copies, then
-    -n.w + |j|^2 + m - theta on the v-copies.  Column by column, so a row's
+    (2, count) array: n.w + |j|^2 + m on the u-copies, then -n.w + |j|^2 + m
+    on the v-copies.  Column by column, so a row's
     value does not depend on the other rows."""
     cols = coords.T
     nw = sum(w * n for w, n in zip(omega.omega, cols[:spec.b]))
     jsq = sum(j * j for j in cols[spec.b:])
     m = spec.phase_m
-    return np.stack([nw + jsq + m + theta, -nw + jsq + m - theta])
+    return np.stack([nw + jsq + m, -nw + jsq + m])
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +108,8 @@ def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec,
 
 
 def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
-           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
-           theta: float = 0.0) -> np.ndarray:
+           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec
+           ) -> np.ndarray:
     """F' on groups of doubled vertices as a (count, k, k) stack, one group
     per row of the (count, k) array members.  Vertex i is the copy
     copies[i] (+1 u, -1 v) of the site coords[i].  An entry reads the symbol
@@ -136,20 +136,19 @@ def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
     pos = np.minimum(np.searchsorted(codes, at), len(codes) - 1)
     hit = (codes[pos] == at) & np.all((query >= lo) & (query <= hi), axis=3)
     out = np.where(hit, vals[by_code][pos], 0)
-    diag = _dispersion(x.reshape(-1, x.shape[2]), omega, spec, theta).reshape(2, *c.shape)
+    diag = _dispersion(x.reshape(-1, x.shape[2]), omega, spec).reshape(2, *c.shape)
     k = members.shape[1]
     out[:, np.arange(k), np.arange(k)] += np.where(c > 0, diag[0], diag[1])
     return out
 
 
 def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
-            symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
-            theta: float = 0.0) -> Dict[int, np.ndarray]:
+            symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec
+            ) -> Dict[int, np.ndarray]:
     """`_dense` on the groups order[bounds[c]:bounds[c + 1]] of the vertices
     (coords, copies), one stack per group size k, sizes ascending: the
     (count, k, k) stack of the size-k groups, rows as in `members_of_size`."""
-    return {k: _dense(coords, copies, members_of_size(order, bounds, k), symbols, omega,
-                      spec, theta)
+    return {k: _dense(coords, copies, members_of_size(order, bounds, k), symbols, omega, spec)
             for k in np.unique(np.diff(bounds)).tolist()}
 
 
@@ -348,26 +347,24 @@ def _coset_blocks(u: SparseSeries, v: SparseSeries, spec: ProblemSpec, box: Box
 
 
 def box_inverse(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
-                spec: ProblemSpec, box: Box, theta: float = 0.0, fit_decay: bool = True
+                spec: ProblemSpec, box: Box, fit_decay: bool = True
                 ) -> Tuple[float, Optional[DecayFit]]:
     """||F'^{-1}|| over a whole box, exactly, and the decay fit of the
     inverse's kernel on Lambda's block.
 
-    F' (theta-shifted: +theta on the u diagonal, -theta on the v diagonal)
-    is block diagonal over the cosets of `_coset_blocks`, so the norm is max
-    1/sigma_min over the coset blocks.  With fit_decay the kernel is probed
+    F' is block diagonal over the cosets of `_coset_blocks`, so the norm is
+    max 1/sigma_min over the coset blocks.  With fit_decay the kernel is probed
     at the seed equations of Lambda's block (`_fit_decay`), every row kept;
     otherwise the fit is None.  This reports a norm and certifies nothing:
     admissibility is `admissibility_gate`'s.
     """
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
     sites, copies, keys, order, bounds = _coset_blocks(u, v, spec, box)
-    norm = _inverse_norm(_stacks(sites, copies, order, bounds, symbols, omega, spec,
-                                 theta).values())
+    norm = _inverse_norm(_stacks(sites, copies, order, bounds, symbols, omega, spec).values())
     if not fit_decay:
         return norm, None
     lam = np.flatnonzero((keys[:, 0] == -1) & ~keys[:, 1:].any(axis=1))
-    a = _dense(sites, copies, lam[None, :], symbols, omega, spec, theta)[0]
+    a = _dense(sites, copies, lam[None, :], symbols, omega, spec)[0]
     return norm, _fit_decay(spec, symbols, u, sites[lam], copies[lam],
                             lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
 
@@ -475,6 +472,13 @@ class ThetaScanReport:
     eps: float
 
 
+def _copy_signs(copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
+                sizes: Iterable[int]) -> Dict[int, np.ndarray]:
+    """The copy signs (+1 u, -1 v) of the groups of `_stacks`, per size k as
+    a diagonal (count, k, k) stack: theta times it is the theta shift."""
+    return {k: np.eye(k) * copies[members_of_size(order, bounds, k)][:, None, :] for k in sizes}
+
+
 def theta_spectrum_scan(
     u: SparseSeries,
     v: SparseSeries,
@@ -500,8 +504,7 @@ def theta_spectrum_scan(
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
     sites, copies, _, order, bounds = _coset_blocks(u, v, spec, box)
     stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
-    signs = {k: np.eye(k) * copies[members_of_size(order, bounds, k)][:, None, :]
-             for k in stacks}
+    signs = _copy_signs(copies, order, bounds, stacks)
     delta = spec.delta
     threshold = delta ** (-(1.0 + eps))
     restrict_cut = 2.0 * abs(math.log(delta)) ** 4.0 + 1.0

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 
 from nlsqp.lattice import Box, default_box, linear_solution, make_spec, site
-from nlsqp.characteristics import CharClass
+from nlsqp.characteristics import CharClass, ConvolutionSymbols, box_variety
 from nlsqp.conditions import (
     check_condition_i,
     check_condition_ii,
     rank_check_momenta,
     verify_walk_witness,
 )
-from nlsqp.linop import box_inverse
+from nlsqp.linop import admissibility_gate, box_inverse
 from nlsqp.newton import (
     diophantine_check,
     excision_sweep,
@@ -111,11 +111,17 @@ def test_criterion_4_decay_certificate():
     with timed(60.0):
         spec = tp2_spec()
         u0, v0 = linear_solution(spec)
-        _, decay = box_inverse(u0, v0, spec.omega0(), spec, default_box(spec))
-        ok = decay.beta_hat >= 0.05 and decay.bound_ok
+        box = default_box(spec)
+        _, decay = box_inverse(u0, v0, spec.omega0(), spec, box)
+        # The decay is read on an admissible box: the seed-mode certificate
+        # of the whole box at omega0 (it raises if a block fails).
+        mode, _ = admissibility_gate(spec.omega0(), spec,
+                                     box_variety(spec.omega0(), spec.d, box),
+                                     ConvolutionSymbols.from_fields(u0, v0, spec.p))
+        ok = decay.beta_hat >= 0.05 and decay.bound_ok and mode == "seed"
     _report(4, ok, f"beta_hat={decay.beta_hat:.3f} (>=0.05), "
                    f"bound holds beyond 1/beta^2: {decay.bound_ok} "
-                   f"({decay.checked_beyond} entries checked)")
+                   f"({decay.checked_beyond} entries checked), certificate: {mode}")
 
 
 def test_criterion_5_condition_checkers():

@@ -25,7 +25,7 @@ from nlsqp.characteristics import (
 )
 from nlsqp.conditions import _augment, check_condition_ii
 from nlsqp.lattice import Box, SiteIndex, default_box, linear_solution, make_spec, site
-from nlsqp.linop import _coset_blocks, _stacks
+from nlsqp.linop import _copy_signs, _coset_blocks, _stacks
 from nlsqp.newton import solve
 
 from test_characteristics import (
@@ -95,8 +95,8 @@ def loop_resonance_graph(u, v, spec, omega0, box, symbols=None):
 
 
 def loop_scatter_matrix(u, v, omega, spec, box, theta=0.0):
-    """D + delta*A over a box as a sparse matrix, built by a per-shift
-    coordinate test.  Doubled index i < ns is the u-copy of the i-th box site
+    """D + delta*A (+ the theta shift) over a box as a sparse matrix, built
+    by a per-shift coordinate test.  Doubled index i < ns is the u-copy of the i-th box site
     in lexicographic order, ns + i its v-copy."""
     import scipy.sparse as sp
     b, d, p = spec.b, spec.d, spec.p
@@ -134,12 +134,14 @@ def loop_scatter_matrix(u, v, omega, spec, box, theta=0.0):
     a_mat = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(2 * ns, 2 * ns)).tocsr()
-    # The dispersion n.w + |j|^2 + m +- theta, summed in this order.
+    # The dispersion n.w + |j|^2 + m, summed in this order.
     nw = sum(w * n for w, n in zip(omega.omega, coords.T[:b]))
     jsq = sum(j * j for j in coords.T[b:])
     m = spec.phase_m
-    diag = np.concatenate([nw + jsq + m + theta, -nw + jsq + m - theta])
-    return a_mat + sp.diags(diag.astype(complex), format="csr")
+    diag = np.concatenate([nw + jsq + m, -nw + jsq + m])
+    f = a_mat + sp.diags(diag.astype(complex), format="csr")
+    # The shifted family F' + theta * (+1 on the u-copies, -1 on the v-copies).
+    return f + sp.diags(np.repeat([theta, -theta], ns).astype(complex), format="csr")
 
 
 def coset_keys(spec, box):
@@ -374,7 +376,8 @@ def test_resonance_graph_single_site_box(tp1):
 
 def assert_coset_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
     """No entry of the loop-built box operator joins two coset keys, and each
-    coset block is the operator's slice at its members, bit for bit."""
+    coset block, theta-shifted as `theta_spectrum_scan` shifts it, is the
+    operator's slice at its members, bit for bit."""
     m = loop_scatter_matrix(u, v, omega, spec, box, theta)
     keys = coset_keys(spec, box)
     coo = m.tocoo()
@@ -393,9 +396,11 @@ def assert_coset_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
     assert all(np.all(np.diff(order[x:y]) > 0) for x, y in zip(bounds[:-1], bounds[1:]))
 
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec, theta)
+    stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
     assert sorted(stacks) == sorted(set(np.diff(bounds).tolist()))
+    signs = _copy_signs(copies, order, bounds, stacks)
     for k, stack in stacks.items():
+        stack = stack + theta * signs[k]
         members = characteristics.members_of_size(order, bounds, k)
         rows = np.repeat(members, k, axis=1).ravel()
         cols = np.tile(members, k).ravel()

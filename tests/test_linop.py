@@ -21,6 +21,7 @@ from nlsqp.linop import (
     ExcisionError,
     LinopError,
     _certify,
+    _copy_signs,
     _coset_blocks,
     _dispersion,
     _seed_equations,
@@ -66,15 +67,15 @@ def certify(case, eps_first, exclude=frozenset()):
                     case.variety.resonant, case.spec, "seed", eps_first, 0.5)
 
 
-def coset_stacks(spec, box=None, theta=0.0):
+def coset_stacks(spec, box=None):
     """The coset blocks of the seed operator over a box, as `box_inverse`
     builds them, and the dispersion diagonal of each block, by size."""
     u0, v0 = linear_solution(spec)
     box = box or Box(9, 3)
     sites, copies, _, order, bounds = _coset_blocks(u0, v0, spec, box)
     symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
-    stacks = _stacks(sites, copies, order, bounds, symbols, spec.omega0(), spec, theta)
-    diag = _dispersion(sites[:len(sites) // 2], spec.omega0(), spec, theta).ravel()
+    stacks = _stacks(sites, copies, order, bounds, symbols, spec.omega0(), spec)
+    diag = _dispersion(sites[:len(sites) // 2], spec.omega0(), spec).ravel()
     return stacks, {k: diag[members_of_size(order, bounds, k)] for k in stacks}
 
 
@@ -138,16 +139,25 @@ def test_assemble_self_adjoint(tp2):
 
 
 def test_assemble_theta_enters_antisymmetrically(tp2):
-    (s0, d0), (st, dt) = coset_stacks(tp2), coset_stacks(tp2, theta=0.25)
+    # The scan's shift is +theta on the u-copies' diagonal, -theta on the
+    # v-copies', and nothing off the diagonal.
+    s0, _ = coset_stacks(tp2)
     u0, v0 = linear_solution(tp2)
     _, copies, _, order, bounds = _coset_blocks(u0, v0, tp2, Box(9, 3))
+    shift = _copy_signs(copies, order, bounds, s0)
+    assert sorted(shift) == sorted(s0)
     for k in s0:
         signs = copies[members_of_size(order, bounds, k)]
-        assert np.allclose(dt[k] - d0[k], 0.25 * signs)
+        st = s0[k] + 0.25 * shift[k]
         off = ~np.eye(k, dtype=bool)
-        assert np.array_equal(st[k][:, off], s0[k][:, off])
-        assert np.allclose(np.diagonal(st[k], axis1=1, axis2=2)
+        assert np.array_equal(st[:, off], s0[k][:, off])
+        assert np.array_equal(np.diagonal(shift[k], axis1=1, axis2=2), signs)
+        assert np.allclose(np.diagonal(st, axis1=1, axis2=2)
                            - np.diagonal(s0[k], axis1=1, axis2=2), 0.25 * signs)
+    # The u and v copies of F' are conjugate flips of each other, so under
+    # the antisymmetric shift ||T(theta)^{-1}|| = ||T(-theta)^{-1}||.
+    scan = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, Box(4, 3), [-0.25, 0.25])
+    assert scan.points[0].norm == pytest.approx(scan.points[1].norm, rel=1e-10)
 
 
 def test_phase_m_enters_both_blocks():
@@ -476,13 +486,16 @@ def test_lattice_inverse_is_the_exact_inverse_norm(tp2, tp3):
 
 
 def test_theta_zero_reproduces_certificate(tp2):
+    # theta = 0 is the box inverse; theta = 0.25 is the 2-norm of the
+    # explicit inverse of the loop-built shifted box operator.
     u0, v0 = linear_solution(tp2)
-    box = Box(6, 3)
+    box = Box(4, 3)
     scan = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, box, [0.0, 0.25], eps=0.3)
-    for point in scan.points:
-        norm, _ = box_inverse(u0, v0, tp2.omega0(), tp2, box, theta=point.theta,
-                              fit_decay=False)
-        assert point.norm == pytest.approx(norm, rel=1e-12)
+    norm, _ = box_inverse(u0, v0, tp2.omega0(), tp2, box, fit_decay=False)
+    assert scan.points[0].norm == pytest.approx(norm, rel=1e-12)
+    exact = np.linalg.norm(np.linalg.inv(loop_scatter_matrix(
+        u0, v0, tp2.omega0(), tp2, box, theta=0.25).toarray()), 2)
+    assert scan.points[1].norm == pytest.approx(exact, rel=1e-10)
 
 
 def test_theta_scan_bad_set_shrinks_with_delta():
