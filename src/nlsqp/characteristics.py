@@ -40,26 +40,6 @@ class CharClass(enum.Enum):
     OFF = "off"
 
 
-def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
-    """Branch membership of a site, with the j = 0 tie broken on sign(n_1).
-
-    C+ : n.w0 + |j|^2 = 0 with j != 0, or j = 0, n.w0 = 0, n_1 <= 0.
-    C- : -n.w0 + |j|^2 = 0 with j != 0, or j = 0, n.w0 = 0, n_1 > 0.
-    """
-    w = omega0.as_ints()
-    nw = sum(ni * wi for ni, wi in zip(s.n, w))
-    jsq = s.jsq()
-    if any(c != 0 for c in s.j):
-        if nw + jsq == 0:
-            return CharClass.CPLUS
-        if -nw + jsq == 0:
-            return CharClass.CMINUS
-        return CharClass.OFF
-    if nw != 0:
-        return CharClass.OFF
-    return CharClass.CPLUS if s.n[0] <= 0 else CharClass.CMINUS
-
-
 # The most sites a truncation box may hold: every operator, variety and
 # graph is built from the site array of its box.
 SITE_CAP = 2_000_000
@@ -99,12 +79,11 @@ def box_strides(b: int, d: int, box: Box) -> Tuple[np.ndarray, np.ndarray]:
 
 def branch_tags(coords: np.ndarray, omega0: FrequencyVector
                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The rule of `classify_site` on the rows of a (count, b + d) site array.
-
-    Returns the tags (+1 on C+, -1 on C-, 0 off the variety) and the two
-    branch equations n.w0 + |j|^2 = 0 and -n.w0 + |j|^2 = 0 themselves,
-    without the j = 0 tie-break, concatenated into one (2 count,) mask.
-    """
+    """Branch membership of the rows of a (count, b + d) site array: the
+    tags, +1 on C+ (n.w0 + |j|^2 = 0), -1 on C- (-n.w0 + |j|^2 = 0) and 0
+    off the variety, with C+ at j = 0 for n_1 <= 0 and C- for n_1 > 0; and
+    the two branch equations themselves, without that tie-break,
+    concatenated into one (2 count,) mask."""
     w0 = omega0.as_ints()
     b = len(w0)
     cols = coords.T  # column by column: rows are too short to reduce fast
@@ -117,6 +96,16 @@ def branch_tags(coords: np.ndarray, omega0: FrequencyVector
     tags[plus_eq & (free | (cols[0] <= 0))] = 1
     tags[minus_eq & (free | (cols[0] > 0))] = -1
     return tags, np.concatenate([plus_eq, minus_eq])
+
+
+# The class of each tag of `branch_tags`.
+TAG_CLASS = {1: CharClass.CPLUS, -1: CharClass.CMINUS, 0: CharClass.OFF}
+
+
+def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
+    """`branch_tags` on one site."""
+    tags, _ = branch_tags(np.array([s.n + s.j], dtype=np.int64), omega0)
+    return TAG_CLASS[int(tags[0])]
 
 
 @dataclass
@@ -483,40 +472,27 @@ class ConvolutionSymbols:
         uu = convolve(uv_pm1, convolve(u, u))
         return cls(uv_p=convolve(uv_pm1, uv), uu=uu, vv=conjugate_flip(uu), p=p)
 
-    def interaction_range(self) -> int:
-        r = 0
-        for series in (self.uv_p, self.uu, self.vv):
-            for s in series.support():
-                r = max(r, s.l1())
-        return r
-
 
 @dataclass
 class ResonanceGraph:
     """The characteristic sites of a box and their connectivity, as arrays.
 
     vertices is (n_vertices, b + d) int64, n then j, in lexicographic order,
-    and tags is (n_vertices,) int8, +1 on C+ and -1 on C-.  edges is
-    (2, n_edges) int64, one column (lo, hi) with lo < hi per edge, sorted.
-    labels, order and bounds are those of `ordered_components`: component c
-    is order[bounds[c]:bounds[c + 1]], numbered by its smallest vertex with
-    members ascending, and diameters holds its l1 diameter.  spiral_pairs
-    is (count, 2) int64, in component order: for each component holding
-    two same-branch vertices that share j but not n (the geometric
-    signature of a non-spiral violation inside the box), the first such
-    pair, earlier vertex first.
+    and tags is (n_vertices,) int8, +1 on C+ and -1 on C-.  labels, order
+    and bounds are those of `ordered_components`: component c is
+    order[bounds[c]:bounds[c + 1]], numbered by its smallest vertex with
+    members ascending.  spiral_pairs is (count, 2) int64, in component
+    order: for each component holding two same-branch vertices that share
+    j but not n (the geometric signature of a non-spiral violation inside
+    the box), the first such pair, earlier vertex first.
     """
 
     vertices: np.ndarray
     tags: np.ndarray
-    edges: np.ndarray
     labels: np.ndarray
     order: np.ndarray
     bounds: np.ndarray
-    diameters: np.ndarray
     spiral_pairs: np.ndarray
-    interaction_range: int
-    symbols: ConvolutionSymbols
 
 
 def resonance_graph(
@@ -535,9 +511,10 @@ def resonance_graph(
     (u, v) unless given.
 
     Each kind of edge is found in one array pass over all vertices and
-    shifts, through a lookup from box index to vertex number; edges come out
-    sorted, components are numbered by their smallest vertex with members
-    ascending.
+    shifts, through a lookup from box index to vertex number
+    (`resonance_links`).  Components are numbered by their smallest vertex
+    with members ascending, so the order of the links and their repeats
+    change nothing.
     """
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
@@ -546,16 +523,9 @@ def resonance_graph(
     coords, tags = variety.vertices[:nv], variety.copies[:nv]
     found = resonance_links(variety, np.arange(nv), symbols)
     found = found[:, found[1] < nv]  # the j = 0 twins are not graph vertices
-    # Encoding (min, max) as min * nv + max sorts like the tuples.
-    code = np.unique(np.minimum(found[0], found[1]) * nv + np.maximum(found[0], found[1]))
-    lo, hi = np.divmod(code, nv)  # nv >= 1: the origin is always a vertex
-    labels, order, bounds = ordered_components(nv, lo, hi)
-    return ResonanceGraph(
-        vertices=coords, tags=tags, edges=np.stack([lo, hi]),
-        labels=labels, order=order, bounds=bounds,
-        diameters=_l1_diameters(coords, order, bounds),
-        spiral_pairs=_spiral_pairs(coords[:, b:], tags, labels),
-        interaction_range=symbols.interaction_range(), symbols=symbols)
+    labels, order, bounds = ordered_components(nv, found[0], found[1])
+    return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,
+                          bounds=bounds, spiral_pairs=_spiral_pairs(coords[:, b:], tags, labels))
 
 
 def resonance_links(variety: BoxVariety, src: np.ndarray, symbols: ConvolutionSymbols

@@ -27,8 +27,10 @@ import numpy as np
 
 from . import _intlinalg
 from .characteristics import (
+    TAG_CLASS,
     CharClass,
     ConvolutionSymbols,
+    branch_tags,
     classify_site,
     diff_class_member,
     hyperplane_points,
@@ -76,10 +78,6 @@ def error_support(u0: SparseSeries, v0: SparseSeries, p: int
     return fu.support(), fv.support()
 
 
-def _u_resonant(x: SiteIndex, w) -> bool:
-    return sum(a * b for a, b in zip(x.n, w)) + x.jsq() == 0
-
-
 def check_condition_i(spec: ProblemSpec) -> ConditionReport:
     """Pass iff the error term puts no mass on the resonant set off S.
 
@@ -87,21 +85,20 @@ def check_condition_i(spec: ProblemSpec) -> ConditionReport:
     divisor where n.w0 + |j|^2 = 0, the v-component error where the sign is
     flipped; an error site on the opposite branch faces an O(1) divisor and
     is harmless.  Supports are finite and exact, so the verdict is exact.
+    Both equations and a witness's class come from `branch_tags`.
     """
     u0, v0 = linear_solution(spec)
-    omega0 = spec.omega0()
-    w = omega0.as_ints()
     s_set = set(u0.support()) | set(v0.support())
     fu, fv = error_support(u0, v0, spec.p)
     witnesses = []
-    for x in fu:
-        if x not in s_set and _u_resonant(x, w):
-            witnesses.append({"site": x, "component": "u",
-                              "class": classify_site(x, omega0).value})
-    for x in fv:
-        if x not in s_set and _u_resonant(-x, w):
-            witnesses.append({"site": x, "component": "v",
-                              "class": classify_site(x, omega0).value})
+    for component, sites, branch in (("u", fu, 0), ("v", fv, 1)):
+        coords = np.array([x.n + x.j for x in sites], dtype=np.int64)
+        tags, on_branch = branch_tags(coords.reshape(-1, spec.b + spec.d), spec.omega0())
+        for x, tag, hit in zip(sites, tags.tolist(),
+                               on_branch.reshape(2, -1)[branch].tolist()):
+            if hit and x not in s_set:
+                witnesses.append({"site": x, "component": component,
+                                  "class": TAG_CLASS[tag].value})
     return ConditionReport(
         name="non_intersection",
         verdict="fail" if witnesses else "pass",
@@ -501,7 +498,7 @@ def check_condition_ii(
             "kind": "graph",
             "sites": (site(first[:spec.b], first[spec.b:]),
                       site(second[:spec.b], second[spec.b:])),
-            "tag": (CharClass.CPLUS if rg.tags[i] > 0 else CharClass.CMINUS).value,
+            "tag": TAG_CLASS[int(rg.tags[i])].value,
             "component_size": int(sizes[rg.labels[i]]),
         })
 
@@ -525,9 +522,7 @@ def check_condition_ii(
             "walk": {"verdict": walk_verdict, **walk_stats},
             "graph": {
                 "vertices": len(rg.vertices),
-                "components": len(sizes),
                 "max_component": int(sizes.max(initial=0)),
-                "interaction_range": rg.interaction_range,
             },
         },
     )

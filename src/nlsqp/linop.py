@@ -157,18 +157,13 @@ class BlockDecomposition:
     """The resonance blocks of an operator, numbered by smallest member.
 
     Block c covers the doubled operator indices order[bounds[c]:bounds[c +
-    1]], ascending, and sizes = np.diff(bounds).  dets, dets_normalized
-    (|det(Gamma_k / delta^size)|) and min_singulars hold one value per
-    block.  stacks maps each block size k to the (count, k, k) stack of the
-    blocks of that size, in block order: the rows of `members_of_size`.
+    1]], ascending.  stacks maps each block size k to the (count, k, k)
+    stack of the blocks of that size, in block order: the rows of
+    `members_of_size`.
     """
 
     order: np.ndarray
     bounds: np.ndarray
-    sizes: np.ndarray
-    dets: np.ndarray
-    dets_normalized: np.ndarray
-    min_singulars: np.ndarray
     stacks: Dict[int, np.ndarray]
 
 
@@ -186,8 +181,7 @@ def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
     their smallest doubled index, members ascending.  `exclude` removes
     doubled indices (the seed equations) from their blocks after the
     components are found; a block left empty is dropped, and the later
-    blocks keep their order.  det and svd run once per distinct size, on
-    the stack of the blocks of that size.
+    blocks keep their order.
     """
     coords, copies = variety.vertices, variety.copies
     edges = resonance_links(variety, np.arange(len(coords)), symbols)
@@ -201,21 +195,9 @@ def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
         order = order[~dropped[order]]
         sizes = np.bincount(labels[order], minlength=len(bounds) - 1)
         bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
-    sizes = np.diff(bounds)
-
-    stacks = _stacks(coords, copies, by_index[order], bounds, symbols, omega, spec)
-    dets = np.empty(len(sizes), dtype=complex)
-    dets_norm = np.empty(len(sizes))
-    min_sv = np.empty(len(sizes))
-    for k, stack in stacks.items():
-        members = np.nonzero(sizes == k)[0]
-        dets[members] = det = np.linalg.det(stack)
-        # np.hypot equals Python's abs() of a complex bit for bit.
-        dets_norm[members] = np.hypot(det.real, det.imag) / spec.delta ** k
-        min_sv[members] = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    return BlockDecomposition(order=index[order], bounds=bounds, sizes=sizes, dets=dets,
-                              dets_normalized=dets_norm, min_singulars=min_sv,
-                              stacks=stacks)
+    return BlockDecomposition(order=index[order], bounds=bounds,
+                              stacks=_stacks(coords, copies, by_index[order], bounds,
+                                             symbols, omega, spec))
 
 
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
@@ -245,23 +227,31 @@ def _mode(omega: FrequencyVector, spec: ProblemSpec) -> str:
 def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
              resonant: np.ndarray, spec: ProblemSpec, mode: str, eps_first: float,
              eps_second: float) -> float:
-    """The smallest block value under the threshold of the mode.  The first
-    block at or below the threshold raises ExcisionError; then, over the
-    box's doubled indices (diag and resonant, for the sites coords), a
+    """The smallest block value under the threshold of the mode: in mode
+    "seed" the delta-normalized |det(Gamma_k / delta^size)|, otherwise the
+    smallest singular value, by one batched det or SVD per block size.  The
+    first block at or below the threshold raises ExcisionError; then, over
+    the box's doubled indices (diag and resonant, for the sites coords), a
     diagonal off the variety below 0.25 raises OffCharDiagonalError at its
     first smallest value."""
     b = spec.b
-    if mode == "seed":
-        threshold, values = eps_first, decomp.dets_normalized
-    else:
-        threshold, values = spec.delta ** (1.0 + eps_second), decomp.min_singulars
+    sizes = np.diff(decomp.bounds)
+    values = np.empty(len(sizes))
+    for k, stack in decomp.stacks.items():
+        if mode == "seed":
+            det = np.linalg.det(stack)
+            # np.hypot equals Python's abs() of a complex bit for bit.
+            values[sizes == k] = np.hypot(det.real, det.imag) / spec.delta ** k
+        else:
+            values[sizes == k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    threshold = eps_first if mode == "seed" else spec.delta ** (1.0 + eps_second)
     failing = np.nonzero(values <= threshold)[0]
     if len(failing):
         k = int(failing[0])
         doubled = decomp.order[decomp.bounds[k]:decomp.bounds[k + 1]]
         sites = coords[doubled % len(coords)]
         meets = on_lattice(sites, np.where(doubled < len(coords), 1, -1), spec).any()
-        raise ExcisionError(k, float(values[k]), threshold, int(decomp.sizes[k]),
+        raise ExcisionError(k, float(values[k]), threshold, int(sizes[k]),
                             site(sites[0, :b], sites[0, b:]), bool(meets))
     off = np.nonzero(~resonant)[0]
     if len(off):
@@ -510,7 +500,7 @@ def theta_spectrum_scan(
     restrict_cut = 2.0 * abs(math.log(delta)) ** 4.0 + 1.0
 
     points = []
-    thetas = list(theta_grid)
+    thetas = [float(theta) for theta in theta_grid]
     for theta in thetas:
         theta_int = math.floor(theta + 0.5)
         norm = _inverse_norm(stack + theta * signs[k] for k, stack in stacks.items())

@@ -20,9 +20,9 @@ from nlsqp.characteristics import (
 OM_TP2 = FrequencyVector((1.0, 4.0))
 
 
-def tagged_vertices(graph):
-    """A resonance graph's vertex rows as (SiteIndex, CharClass) pairs."""
-    b = graph.symbols.uv_p.b
+def tagged_vertices(graph, b):
+    """A resonance graph's vertex rows, b frequencies each, as (SiteIndex,
+    CharClass) pairs."""
     cls = {1: CharClass.CPLUS, -1: CharClass.CMINUS}
     return [(site(row[:b], row[b:]), cls[t])
             for row, t in zip(graph.vertices.tolist(), graph.tags.tolist())]
@@ -63,6 +63,21 @@ def test_classify_branch_symmetry(tp2):
                 assert c2 is CharClass.CPLUS
 
 
+def written_class(s, om):
+    """The branch rule written out: C+ where n.w0 + |j|^2 = 0, C- where
+    -n.w0 + |j|^2 = 0, and at j = 0 (both equations read n.w0 = 0) C+ for
+    n_1 <= 0, C- for n_1 > 0."""
+    nw = sum(n * w for n, w in zip(s.n, om.as_ints()))
+    jsq = sum(j * j for j in s.j)
+    if jsq == 0 and nw == 0:
+        return CharClass.CPLUS if s.n[0] <= 0 else CharClass.CMINUS
+    if nw + jsq == 0:
+        return CharClass.CPLUS
+    if -nw + jsq == 0:
+        return CharClass.CMINUS
+    return CharClass.OFF
+
+
 def brute_characteristic_set(om, d, box):
     out = []
     for n in itertools.product(range(-box.n_radius, box.n_radius + 1),
@@ -70,7 +85,7 @@ def brute_characteristic_set(om, d, box):
         for j in itertools.product(range(-box.j_radius, box.j_radius + 1),
                                    repeat=d):
             s = site(n, j)
-            c = classify_site(s, om)
+            c = written_class(s, om)
             if c is not CharClass.OFF:
                 out.append((s, c))
     return out
@@ -80,7 +95,7 @@ def characteristic_set(spec, box):
     """The tagged characteristic sites of the box: the resonance graph's
     vertices."""
     u0, v0 = linear_solution(spec)
-    return tagged_vertices(resonance_graph(u0, v0, spec, spec.omega0(), box))
+    return tagged_vertices(resonance_graph(u0, v0, spec, spec.omega0(), box), spec.b)
 
 
 def test_characteristic_set_tp1(tp1):
@@ -263,7 +278,7 @@ def test_partition_cross_separation(B, radius):
 def test_resonance_graph_tp1_seed_component(tp1):
     u0, v0 = linear_solution(tp1)
     g = resonance_graph(u0, v0, tp1, tp1.omega0(), Box(9, 3))
-    vertices = tagged_vertices(g)
+    vertices = tagged_vertices(g, tp1.b)
     idx = {s: i for i, (s, _) in enumerate(vertices)}
     seed = idx[site((-1,), (2,))]
     comp = next(m for m in component_members(g) if seed in m)
@@ -283,21 +298,30 @@ def test_resonance_graph_partition_blocks_never_connected(tp2):
     g = resonance_graph(u0, v0, tp2, om, Box(9, 4))
     # Partition at the interaction range, inflated by ||w0||_inf: on the
     # variety, |j^2 - j'^2| <= ||w||_inf |n - n'|_1, so cross-block pairs
-    # are farther than the convolution can reach.
-    scale = g.interaction_range * max(abs(w) for w in om.as_ints())
-    part = build_partition(scale, 1, 4)
-    block_of = part.block_of()
-    vertices = tagged_vertices(g)
-    for i, k in g.edges.T.tolist():
-        assert block_of[vertices[i][0].j] == block_of[vertices[k][0].j]
+    # are farther than the convolution can reach, and no component (the
+    # closure of the graph's edges) spans two blocks.
+    scale = interaction_range(tp2) * max(abs(w) for w in om.as_ints())
+    block_of = build_partition(scale, 1, 4).block_of()
+    vertices = tagged_vertices(g, tp2.b)
+    for comp in component_members(g):
+        assert len({block_of[vertices[i][0].j] for i in comp}) == 1
+
+
+def interaction_range(spec):
+    """The largest l1 norm of a site in the support of a seed symbol."""
+    u0, v0 = linear_solution(spec)
+    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+    return max(s.l1() for series in (symbols.uv_p, symbols.uu, symbols.vv)
+               for s in series.support())
 
 
 def test_component_size_bound(tp2):
     u0, v0 = linear_solution(tp2)
     g = resonance_graph(u0, v0, tp2, tp2.omega0(), Box(9, 4))
-    part = build_partition(float(g.interaction_range), 1, 4)
+    reach = interaction_range(tp2)
+    part = build_partition(float(reach), 1, 4)
     c0 = max(part.c0_hat, 1.0)
-    bound = 2 * g.interaction_range ** (c0 * tp2.d)
+    bound = 2 * reach ** (c0 * tp2.d)
     assert max(map(len, component_members(g))) <= bound
 
 

@@ -1,5 +1,6 @@
 import os
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -870,6 +871,7 @@ UNCALLED_KEPT = {
     "build_partition": "the oracle of the resonance-graph tests' components",
     "verify_diff_witness": "re-checks difference-class witnesses in the tests",
     "verify_walk_witness": "re-checks lifted spiral witnesses in the tests",
+    "fd_q_jacobian": "finite-difference oracle of `analytic_q_jacobian`",
 }
 
 
@@ -908,31 +910,58 @@ UNREAD_KEPT = {
 }
 
 
-def test_every_dataclass_field_has_a_reader():
-    # A field of a dataclass in the package is read as an attribute
-    # somewhere in src/, scripts/, bench/ or tests/.  The *Cfg config
-    # sections are read through dataclasses.fields and are exempt.
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def dataclass_fields():
+    """(class, field) of every dataclass in the package but the *Cfg config
+    sections, which are read through dataclasses.fields."""
     import ast
-    from pathlib import Path
-    root = Path(__file__).resolve().parents[1]
 
     def is_dataclass(node):
         return any(isinstance(d, ast.Name) and d.id == "dataclass"
                    or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
                    for d in node.decorator_list)
 
-    declared, read = set(), set()
-    for path in sorted((root / "src" / "nlsqp").glob("*.py")):
+    declared = set()
+    for path in sorted((ROOT / "src" / "nlsqp").glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if (isinstance(node, ast.ClassDef) and is_dataclass(node)
                     and not node.name.endswith("Cfg")):
                 declared |= {(node.name, stmt.target.id) for stmt in node.body
                              if isinstance(stmt, ast.AnnAssign)
                              and isinstance(stmt.target, ast.Name)}
-    for folder in ("src", "scripts", "bench", "tests"):
-        for path in sorted((root / folder).rglob("*.py")):
-            read |= {node.attr for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return declared
+
+
+def attributes_read(*folders):
+    """Every attribute name read (loaded) in the Python files under the
+    folders of the repository."""
+    import ast
+    return {node.attr for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_has_a_reader():
+    # A field of a dataclass in the package is read as an attribute
+    # somewhere in src/, scripts/, bench/ or tests/.
+    declared = dataclass_fields()
+    read = attributes_read("src", "scripts", "bench", "tests")
     assert ("SolveReport", "state") in declared and "ResonanceGraph" in {c for c, _ in declared}
     assert sorted(f"{cls}.{name}" for cls, name in declared if name not in read) == \
         sorted(UNREAD_KEPT)
+
+
+def test_graph_block_and_modulation_fields_are_read_outside_the_tests():
+    # The resonance graph, the gate's blocks and the first step's report
+    # hold only what a command, script or the benchmark reads.
+    declared = dataclass_fields()
+    read = attributes_read("src", "scripts", "bench")
+    kept = {"ResonanceGraph": {"vertices", "tags", "labels", "order", "bounds",
+                               "spiral_pairs"},
+            "BlockDecomposition": {"order", "bounds", "stacks"},
+            "ModulationReport": {"delta_omega", "jac_det", "diophantine", "seed_residual"}}
+    for cls, fields in kept.items():
+        assert {name for c, name in declared if c == cls} == fields
+        assert fields <= read, cls

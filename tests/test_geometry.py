@@ -33,6 +33,7 @@ from test_characteristics import (
     component_members,
     membership_grid,
     tagged_vertices,
+    written_class,
 )
 
 
@@ -76,11 +77,6 @@ def loop_resonance_graph(u, v, spec, omega0, box, symbols=None):
     comps = []
     for root in sorted(groups):
         idxs = sorted(groups[root])
-        diam = 0
-        for a in range(len(idxs)):
-            sa = vertices[idxs[a]][0]
-            for c in range(a + 1, len(idxs)):
-                diam = max(diam, (sa - vertices[idxs[c]][0]).l1())
         pair = None
         seen = {}
         for i in idxs:
@@ -90,7 +86,7 @@ def loop_resonance_graph(u, v, spec, omega0, box, symbols=None):
                 pair = (seen[key], i)
                 break
             seen.setdefault(key, i)
-        comps.append((idxs, diam, pair))
+        comps.append((idxs, pair))
     return vertices, sorted(edges), comps
 
 
@@ -283,40 +279,45 @@ def vertex_arrays(vertices):
     return coords, tags
 
 
-def graph_of_lists(vertices, edges, comps, symbols):
+def graph_of_lists(vertices, edges, comps):
     """The array `ResonanceGraph` of the oracle's lists."""
     coords, tags = vertex_arrays(vertices)
-    members = [idxs for idxs, _, _ in comps]
+    members = [idxs for idxs, _ in comps]
     labels = np.zeros(len(vertices), dtype=np.int64)
     for c, idxs in enumerate(members):
         labels[idxs] = c
     return characteristics.ResonanceGraph(
-        vertices=coords, tags=tags, edges=np.array(edges, dtype=np.int64).reshape(-1, 2).T,
-        labels=labels, order=np.array(sum(members, []), dtype=np.int64),
+        vertices=coords, tags=tags, labels=labels,
+        order=np.array(sum(members, []), dtype=np.int64),
         bounds=np.cumsum([0] + [len(m) for m in members]),
-        diameters=np.array([diam for _, diam, _ in comps], dtype=np.int64),
-        spiral_pairs=np.array([pair for _, _, pair in comps if pair is not None],
-                              dtype=np.int64).reshape(-1, 2),
-        interaction_range=symbols.interaction_range(), symbols=symbols)
+        spiral_pairs=np.array([pair for _, pair in comps if pair is not None],
+                              dtype=np.int64).reshape(-1, 2))
 
 
-def assert_same_graph(got, want):
+def link_edges(spec, omega0, box, symbols):
+    """The links of `resonance_links` between tagged vertices of the box, as
+    sorted, deduplicated (lo, hi) pairs."""
+    variety = characteristics.box_variety(omega0, spec.d, box)
+    nv = variety.n_tagged
+    found = characteristics.resonance_links(variety, np.arange(nv), symbols)
+    assert found.dtype == np.int64
+    return sorted({(min(i, k), max(i, k)) for i, k in found.T.tolist() if k < nv})
+
+
+def assert_same_graph(got, want, spec):
     vertices, edges, comps = want
-    assert tagged_vertices(got) == vertices
+    assert tagged_vertices(got, spec.b) == vertices
     coords, tags = vertex_arrays(vertices)
     assert got.vertices.dtype == coords.dtype and np.array_equal(got.vertices, coords)
     assert got.tags.dtype == tags.dtype and np.array_equal(got.tags, tags)
-    assert got.edges.dtype == np.int64 and got.edges.shape == (2, len(edges))
-    assert list(zip(*got.edges.tolist())) == edges
-    for arr in (got.labels, got.order, got.bounds, got.diameters, got.spiral_pairs):
+    for arr in (got.labels, got.order, got.bounds, got.spiral_pairs):
         assert arr.dtype == np.int64
     members = component_members(got)
     for c, idxs in enumerate(members):
         assert np.all(got.labels[idxs] == c)
     pair_of = {int(got.labels[i]): (i, k) for i, k in got.spiral_pairs.tolist()}
     assert np.all(np.diff(got.labels[got.spiral_pairs[:, 0]]) > 0)  # component order
-    assert [(idxs, diam, pair_of.get(c)) for c, (idxs, diam)
-            in enumerate(zip(members, got.diameters.tolist()))] == comps
+    assert [(idxs, pair_of.get(c)) for c, idxs in enumerate(members)] == comps
 
 
 # -- resonance graph ------------------------------------------------------------
@@ -326,8 +327,10 @@ def test_resonance_graph_matches_loop(tp1, tp2, tp3):
     for spec, box in graph_cases(tp1, tp2, tp3):
         u0, v0 = linear_solution(spec)
         om = spec.omega0()
-        assert_same_graph(resonance_graph(u0, v0, spec, om, box),
-                          loop_resonance_graph(u0, v0, spec, om, box))
+        want = loop_resonance_graph(u0, v0, spec, om, box)
+        assert_same_graph(resonance_graph(u0, v0, spec, om, box), want, spec)
+        symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+        assert link_edges(spec, om, box, symbols) == want[1]
 
 
 def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
@@ -341,9 +344,9 @@ def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
             vv=_augment(sym.vv, inject.get("vv", [])), p=tp2.p)
         box = default_box(tp2)
         got = resonance_graph(u0, v0, tp2, tp2.omega0(), box, symbols=aug)
-        assert_same_graph(got, loop_resonance_graph(u0, v0, tp2, tp2.omega0(), box,
-                                                    symbols=aug))
-        assert got.interaction_range == aug.interaction_range()
+        want = loop_resonance_graph(u0, v0, tp2, tp2.omega0(), box, symbols=aug)
+        assert_same_graph(got, want, tp2)
+        assert link_edges(tp2, tp2.omega0(), box, aug) == want[1]
         spirals += len(got.spiral_pairs) > 0
     assert spirals >= 2
 
@@ -352,8 +355,7 @@ def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
     from nlsqp import conditions
 
     def as_graph(u, v, spec, omega0, box, symbols=None):
-        return graph_of_lists(*loop_resonance_graph(u, v, spec, omega0, box, symbols),
-                              symbols)
+        return graph_of_lists(*loop_resonance_graph(u, v, spec, omega0, box, symbols))
 
     for inject in INJECTIONS + [None]:
         got = check_condition_ii(tp2, inject=inject)
@@ -368,7 +370,8 @@ def test_resonance_graph_single_site_box(tp1):
     u0, v0 = linear_solution(tp1)
     g = resonance_graph(u0, v0, tp1, tp1.omega0(), Box(0, 0))
     want = loop_resonance_graph(u0, v0, tp1, tp1.omega0(), Box(0, 0))
-    assert_same_graph(g, want)
+    assert_same_graph(g, want, tp1)
+    assert want[1] == []
 
 
 # -- the box operator's coset blocks ------------------------------------------------
@@ -431,14 +434,22 @@ def test_assemble_matches_loop_scatter_small_boxes(tp2, tp3):
 
 
 def test_assemble_tags_match_classify_site(tp2, tp3):
+    # branch_tags against the two branch equations and the sign(n_1)
+    # tie-break at j = 0, written out one site at a time; classify_site is
+    # branch_tags on one site.
     for spec in (tp2, tp3):
+        om = spec.omega0()
         coords = characteristics.enumerate_box_sites(spec.b, spec.d, Box(4, 3))
-        tags, _ = characteristics.branch_tags(coords, spec.omega0())
+        tags, equations = characteristics.branch_tags(coords, om)
         code = {CharClass.CPLUS: 1, CharClass.CMINUS: -1, CharClass.OFF: 0}
-        want = [code[characteristics.classify_site(site(x[:spec.b], x[spec.b:]),
-                                                   spec.omega0())]
-                for x in coords.tolist()]
-        assert tags.tolist() == want
+        sites = [site(x[:spec.b], x[spec.b:]) for x in coords.tolist()]
+        assert tags.tolist() == [code[written_class(s, om)] for s in sites]
+        assert [characteristics.classify_site(s, om) for s in sites] == \
+            [written_class(s, om) for s in sites]
+        nw = [sum(n * w for n, w in zip(s.n, om.as_ints())) for s in sites]
+        assert equations.tolist() == ([a + s.jsq() == 0 for a, s in zip(nw, sites)]
+                                      + [-a + s.jsq() == 0 for a, s in zip(nw, sites)])
+        assert set(tags.tolist()) == {-1, 0, 1}
 
 
 # -- difference classes ------------------------------------------------------------

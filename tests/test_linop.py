@@ -59,12 +59,12 @@ def blocks(case, exclude=frozenset()):
                             exclude=exclude)
 
 
-def certify(case, eps_first, exclude=frozenset()):
-    """The seed-mode block and diagonal certificate of the whole box."""
+def certify(case, dec, mode="seed", eps_first=0.0, eps_second=50.0):
+    """The block and diagonal certificate of the whole box in a mode, on
+    the blocks dec."""
     coords = case.variety.coords
-    return _certify(blocks(case, exclude), coords,
-                    _dispersion(coords, case.omega, case.spec).ravel(),
-                    case.variety.resonant, case.spec, "seed", eps_first, 0.5)
+    return _certify(dec, coords, _dispersion(coords, case.omega, case.spec).ravel(),
+                    case.variety.resonant, case.spec, mode, eps_first, eps_second)
 
 
 def coset_stacks(spec, box=None):
@@ -177,20 +177,20 @@ def test_phase_m_enters_both_blocks():
 def test_block_decompose_tp1(tp1):
     dec = blocks(box_case(tp1))
     d, a = tp1.delta, 0.7
-    two = [i for i, s in enumerate(dec.sizes) if s == 2]
+    two = [i for i, s in enumerate(np.diff(dec.bounds)) if s == 2]
     assert len(two) == 1
     k = two[0]
-    eigs = np.sort(np.linalg.eigvalsh(block_lists(dec)[1][k]))
+    block = block_lists(dec)[1][k]
+    eigs = np.sort(np.linalg.eigvalsh(block))
     assert eigs == pytest.approx([d * a * a, 3 * d * a * a])
-    assert abs(dec.dets[k]) == pytest.approx(3 * a ** 4 * d * d)
+    assert abs(np.linalg.det(block)) == pytest.approx(3 * a ** 4 * d * d)
 
 
 def test_block_dets_delta_invariant_normalized(tp1):
     vals = []
     for dl in (1e-3, 1e-4):
         spec = make_spec(d=1, b=1, p=1, delta=dl, j_list=[2], amplitudes=[0.7])
-        dec = blocks(box_case(spec))
-        vals.append(sorted(dec.dets_normalized))
+        vals.append(sorted(block_values(blocks(box_case(spec)), dl)[0]))
     assert np.allclose(vals[0], vals[1], rtol=1e-12)
 
 
@@ -264,25 +264,30 @@ def block_lists(dec):
         assert stack.shape[1:] == (k, k) and stack.dtype == complex
         assert members_of_size(dec.order, dec.bounds, k).tolist() == \
             [m for m in members if len(m) == k]
-        for c, block in zip(np.nonzero(dec.sizes == k)[0].tolist(), stack, strict=True):
+        for c, block in zip(np.nonzero(np.diff(dec.bounds) == k)[0].tolist(), stack,
+                            strict=True):
             dense[c] = block
     return members, dense
 
 
+def block_values(dec, delta):
+    """Per block, one block at a time: the delta-normalized |det(Gamma_k /
+    delta^size)| and the smallest singular value."""
+    dense = block_lists(dec)[1]
+    return ([abs(complex(np.linalg.det(g))) / delta ** len(g) for g in dense],
+            [float(np.linalg.svd(g, compute_uv=False)[-1]) for g in dense])
+
+
 def assert_blocks_are_slices(case, dec):
+    """The blocks are the box operator's slices at their members, bit for
+    bit, and the certificate's smallest value in either mode is that of the
+    per-block values."""
     m = case.matrix
     members, dense = block_lists(dec)
-    assert np.array_equal(dec.sizes, np.diff(dec.bounds))
-    assert len(dec.dets) == len(dec.dets_normalized) == len(dec.min_singulars) == len(members)
-    for idxs, gamma, det, norm, smin, size in zip(members, dense, dec.dets,
-                                                  dec.dets_normalized, dec.min_singulars,
-                                                  dec.sizes):
-        sub = m[idxs][:, idxs].toarray()
-        assert size == len(idxs)
-        assert np.array_equal(gamma, sub)
-        assert det == complex(np.linalg.det(sub))
-        assert norm == abs(complex(det)) / case.spec.delta ** len(idxs)
-        assert smin == float(np.linalg.svd(sub, compute_uv=False)[-1])
+    for idxs, gamma in zip(members, dense):
+        assert np.array_equal(gamma, m[idxs][:, idxs].toarray())
+    for mode, values in zip(("seed", "modulated"), block_values(dec, case.spec.delta)):
+        assert certify(case, dec, mode) == min(values)
 
 
 @pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
@@ -313,8 +318,9 @@ def test_block_decompose_at_the_modulated_frequency(name, request):
 
 def test_excision_error_says_whether_the_block_meets_the_lattice(tp1):
     # The seed block holds the u-copy of the seed, a site of Lambda.
+    case = box_case(tp1)
     with pytest.raises(ExcisionError) as err:
-        certify(box_case(tp1), eps_first=0.75)
+        certify(case, blocks(case), eps_first=0.75)
     assert (err.value.block_index, err.value.site, err.value.meets_lattice) == \
         (1, site((-1,), (2,)), True)
     assert str(err.value).endswith(
@@ -333,21 +339,35 @@ def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
     # The seed block, second of the full operator and first now, is the only
     # one below 0.75: |P| = 0.7203 against 0.98 for the size-1 blocks.
     with pytest.raises(ExcisionError) as err:
-        certify(case, eps_first=0.75, exclude=frozenset(ref[0]))
+        certify(case, dec, eps_first=0.75)
     assert (err.value.block_index, err.value.size) == (0, 2)
-    assert err.value.value == dec.dets_normalized[0]
+    assert err.value.value == block_values(dec, tp1.delta)[0][0]
     assert str(err.value).startswith("block 0 (size 2): |P_k| = 7.203e-01")
 
 
-def test_block_decompose_batches_determinants(tp3, monkeypatch):
-    # One det per distinct block size, not one per block.
-    case = box_case(tp3)
+def count_calls(monkeypatch, *names):
+    """Record the calls of the named np.linalg functions by name."""
     calls = []
-    det = np.linalg.det
-    monkeypatch.setattr(np.linalg, "det", lambda a: calls.append(a.shape) or det(a))
+    for name in names:
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _fn=fn, _name=name, **k:
+                            calls.append(_name) or _fn(*a, **k))
+    return calls
+
+
+def test_block_decompose_batches_determinants(tp3, monkeypatch):
+    # Building the blocks takes no det and no SVD; the certificate takes
+    # one batched det per distinct block size in mode "seed" and one SVD
+    # per size in mode "modulated", never the other.
+    case = box_case(tp3)
+    calls = count_calls(monkeypatch, "det", "svd")
     dec = blocks(case)
-    assert len(dec.sizes) > len(set(dec.sizes))
-    assert len(calls) == len(set(dec.sizes))
+    sizes = np.diff(dec.bounds).tolist()
+    assert len(sizes) > len(set(sizes)) and calls == []
+    for mode, name in (("seed", "det"), ("modulated", "svd")):
+        certify(case, dec, mode)
+        assert calls == [name] * len(set(sizes))
+        calls.clear()
 
 
 # -- Inverse norms over the box ----------------------------------------------
@@ -381,8 +401,9 @@ def test_invert_decay_certificate(tp2):
 def test_invert_excision_error_names_block(tp1):
     # Every block fails a threshold of 1e6; the first is a C+ site off
     # Lambda.
+    case = box_case(tp1)
     with pytest.raises(ExcisionError) as err:
-        certify(box_case(tp1), eps_first=1e6)
+        certify(case, blocks(case), eps_first=1e6)
     assert err.value.block_index == 0
     assert err.value.value >= 0
     assert err.value.threshold == 1e6

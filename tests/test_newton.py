@@ -23,6 +23,7 @@ from nlsqp.newton import (
 )
 
 from test_characteristics import component_members, tagged_vertices
+from test_linop import count_calls
 
 
 def hand_q_tp2(a1, a2, delta):
@@ -101,9 +102,49 @@ def test_first_iteration_jacobian_tp2(tp2):
     _, mod = first_iteration(tp2)
     d = tp2.delta
     expected = d * np.array([[2 * 0.6, 4 * 0.8], [4 * 0.6, 2 * 0.8]])
-    assert np.allclose(mod.jacobian, expected, rtol=1e-12)
+    jac = analytic_q_jacobian(tp2)
+    assert np.allclose(jac, expected, rtol=1e-12)
+    assert mod.jac_det == float(np.linalg.det(jac))
     assert mod.jac_det == pytest.approx(-12 * d * d * 0.6 * 0.8, rel=1e-8)
-    assert mod.jac_fd_rel_err <= 1e-6
+    assert np.max(np.abs(jac - fd_q_jacobian(tp2))) <= 1e-6 * np.max(np.abs(jac))
+
+
+def test_first_iteration_takes_no_finite_differences(tp2, monkeypatch):
+    # The finite-difference Jacobian is a test oracle: the first step
+    # reports the analytic one's determinant only.
+    from nlsqp import newton
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("first_iteration called fd_q_jacobian")
+
+    monkeypatch.setattr(newton, "fd_q_jacobian", refuse)
+    first_iteration(tp2)
+
+
+def test_no_gate_takes_both_det_and_svd(tp2, tp3, monkeypatch):
+    # Each admissibility gate thresholds one block statistic: determinants
+    # at the seed frequency, singular values once it moved (every gate of a
+    # solve).
+    from nlsqp import newton
+    from nlsqp.lattice import default_box
+    gate = newton.admissibility_gate
+    calls, per_gate = count_calls(monkeypatch, "det", "svd"), []
+
+    def counted(*args, **kwargs):
+        calls.clear()
+        mode, value = gate(*args, **kwargs)
+        per_gate.append((mode, set(calls)))
+        return mode, value
+
+    monkeypatch.setattr(newton, "admissibility_gate", counted)
+    for spec in (tp2, tp3):
+        solve(spec)
+    u0, v0 = linear_solution(tp2)
+    counted(tp2.omega0(), tp2, box_variety(tp2.omega0(), tp2.d, default_box(tp2)),
+            ConvolutionSymbols.from_fields(u0, v0, tp2.p))
+    assert [mode for mode, _ in per_gate].count("seed") == 1 and len(per_gate) >= 7
+    for mode, used in per_gate:
+        assert used == {"det" if mode == "seed" else "svd"}
 
 
 def test_jacobian_fd_matches_analytic(tp1, tp2):
@@ -292,6 +333,36 @@ def test_solve_omega_shift_matches_qsolve(tp1):
     assert rep.omega_shifts[0] == pytest.approx(1e-3 * 0.49, rel=1e-10)
 
 
+def loop_residual_series(u, v, omega, spec):
+    """The residual summed term by term: delta (u*v)^{*p} * u first, then
+    the diagonal term of each site of u; the same for v."""
+    from nlsqp.lattice import SparseSeries, conv_power, convolve
+    uv_p = conv_power(convolve(u, v), spec.p)
+    out = []
+    for f, sign in ((u, 1), (v, -1)):
+        terms = {s: spec.delta * val for s, val in convolve(uv_p, f).items()}
+        for s, val in f.items():
+            dv = sign * omega.dot(s.n) + s.jsq() + spec.phase_m
+            terms[s] = terms.get(s, 0j) + dv * val
+        out.append(SparseSeries(u.b, u.d, terms, drop_tol=0.0))
+    return out
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
+def test_residual_series_matches_termwise_sum(name, request):
+    # Bit for bit, at the seed (where the seed diagonals vanish) and at the
+    # solution.
+    spec = request.getfixturevalue(name)
+    u0, v0 = linear_solution(spec)
+    rep = solve(spec)
+    for u, v, omega in ((u0, v0, spec.omega0()), (rep.state.u, rep.state.v, rep.state.omega)):
+        for got, want in zip(residual_series(u, v, omega, spec),
+                             loop_residual_series(u, v, omega, spec)):
+            assert got.support() == want.support()
+            bits = [np.array([val for _, val in f.items()]).view(np.int64) for f in (got, want)]
+            assert np.array_equal(*bits)
+
+
 def test_residual_series_flip_symmetry(tp2):
     u0, v0 = linear_solution(tp2)
     fu, fv = residual_series(u0, v0, tp2.omega0(), tp2)
@@ -341,7 +412,7 @@ def hand_built_min_block_values(spec, samples, box):
     from nlsqp.characteristics import CharClass, ConvolutionSymbols, resonance_graph
     u_t, v_t = linear_solution(spec)
     graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
-    vertices = tagged_vertices(graph)
+    vertices = tagged_vertices(graph, spec.b)
     p = spec.p
     out = []
     for a in samples:
@@ -492,7 +563,7 @@ def test_sweep_plan_covers_every_component(name, request):
                                                for row in ids))
                for kinds, shift_ids in plan
                for kind, ids in zip(kinds.tolist(), shift_ids.tolist())]
-    vertices = tagged_vertices(graph)
+    vertices = tagged_vertices(graph, spec.b)
     wanted = {component_block(vertices, comp) for comp in component_members(graph)}
     assert len(planned) == len(set(planned))  # one block per class
     assert set(planned) == wanted
