@@ -90,7 +90,7 @@ class NewtonCfg:
 @dataclass
 class VerifyCfg:
     T: float = 100.0
-    dt: float = 1e-2
+    dt: float = 0.1
     t_points: int = 64
     x_points: int = 33
 
@@ -553,6 +553,7 @@ def cmd_verify(cfg: RunConfig, solution_path: str, out_path: Optional[str]) -> i
         "drift": {
             "amp_drift": drift.amp_drift,
             "mass_drift": drift.mass_drift,
+            "trajectory_error": drift.trajectory_error,
             "T": vcfg.T,
             "dt": vcfg.dt,
             "grid": drift.grid,

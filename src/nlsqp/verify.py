@@ -170,9 +170,19 @@ class DriftReport:
     amp_drift: float            # max relative drift of the seed amplitudes
     phase_error: np.ndarray     # (samples, b) phase minus the -omega_k t law
     mass_drift: float           # relative l2 mass drift over the run
+    trajectory_error: float     # max relative l2 gap of psi_hat to the series' field
     dt: float
     grid: int                   # points per axis of the sub-torus
     rank: int                   # rank r of the lattice the support spans
+
+
+# Blanes & Moan's S6 (J. Comput. Appl. Math. 142, 2002): the symmetric
+# 6-stage order-4 splitting B1 A1 B2 A2 ... A6 B7, B the phase flow, A the
+# free flow, each over its coefficient times dt.
+_B1, _B2, _B3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+_A1, _A2 = 0.209515106613362, -0.143851773179818
+S6_PHASE = (_B1, _B2, _B3, 1 - 2 * (_B1 + _B2 + _B3), _B3, _B2, _B1)
+S6_FREE = (_A1, _A2, 0.5 - _A1 - _A2, 0.5 - _A1 - _A2, _A2, _A1)
 
 
 def _linear_propagator(symbol: np.ndarray, dt: float) -> np.ndarray:
@@ -218,8 +228,8 @@ def evolve_drift(
     T: float,
     dt: float,
 ) -> DriftReport:
-    """Strang split-step integration of the physical equation from psi(0, x)
-    = u(0, x), tracking the seed-mode amplitudes and phases.
+    """Split-step integration of the physical equation from psi(0, x) =
+    u(0, x), tracking the seed-mode amplitudes and phases.
 
     The flow keeps the Fourier support in the coset j0 + L of the first seed
     j0, where L is the lattice spanned by the differences j - j0 over the
@@ -232,18 +242,20 @@ def evolve_drift(
     free-flow multiplier e^{-i |j0 + Bc|^2 dt}; psi_hat(j0 + Bc) =
     phi_hat(c).  A support of rank r > 2 raises VerifyError.
 
-    A step is a nonlinear half-step, the free flow over dt, and another
-    nonlinear half-step.  The nonlinear sub-flow
+    A step is the S6 composition: phase flows over S6_PHASE * dt between
+    free flows over S6_FREE * dt.  The nonlinear sub-flow
     phi -> phi e^{-i tau (|phi|^{2p} + m)} keeps |phi| fixed at every point,
-    so the trailing half-step of one step and the leading half-step of the
-    next compose exactly into one full-step phase; the loop splits it back
-    into halves only where a sample is recorded and at the last step.  For
-    r <= 1 the free flow is one product with the dense m x m propagator of
-    `_linear_propagator`, which on 16-64 points costs less than an FFT pair;
-    for r = 2 it is FFT, multiply, inverse FFT, which also covers the cross
-    terms of B^T B.  The l2 mass is read off the |phi|^2 array of the phase
-    at every step; a mass that is not finite or drifts by more than 1e-3
-    raises IntegratorInstability.
+    so the last phase flow of one step and the first of the next compose
+    exactly into one phase over 2 b1 dt; the loop splits it back only where
+    a sample is recorded and at the last step.  For r <= 1 a free flow is
+    one product with a dense m x m propagator of `_linear_propagator` (one
+    per distinct coefficient), which on 16-64 points costs less than an FFT
+    pair; for r = 2 it is FFT, multiply, inverse FFT, which also covers the
+    cross terms of B^T B.  The l2 mass is read off the |phi|^2 array after
+    the last stage of every step; a mass that is not finite or drifts by
+    more than 1e-3 raises IntegratorInstability.  At each sample,
+    trajectory_error takes the relative l2 gap between phi_hat and the
+    series' own field sum_n u_{n,j} e^{i (n.omega) t} on the c bins.
     """
     terms = u.items()
     j0 = spec.j_list[0]
@@ -269,45 +281,52 @@ def evolve_drift(
     jc = np.array(j0, dtype=float)[:, None] + bmat @ np.stack([f.ravel() for f in freqs])
     symbol = np.sum(jc * jc, axis=0).reshape(shape)
     if len(shape) == 1:
-        prop = _linear_propagator(symbol, dt)
-
-        def free_flow(f: np.ndarray) -> np.ndarray:
-            return prop @ f
+        props = {a: _linear_propagator(symbol, a * dt) for a in set(S6_FREE)}
+        flows = [lambda f, prop=props[a]: prop @ f for a in S6_FREE]
     else:
-        lin_phase = np.exp(-1j * symbol * dt)
-
-        def free_flow(f: np.ndarray) -> np.ndarray:
-            return np.fft.ifftn(np.fft.fftn(f) * lin_phase)
+        lin_phases = {a: np.exp(-1j * symbol * (a * dt)) for a in set(S6_FREE)}
+        flows = [lambda f, lin=lin_phases[a]: np.fft.ifftn(np.fft.fftn(f) * lin)
+                 for a in S6_FREE]
+    stages = list(zip(flows[:-1], [b * dt for b in S6_PHASE[1:-1]]))
 
     steps = int(round(T / dt))
     # At least 200 samples, and densely enough that no mode advances more
-    # than ~pi/2 between samples, otherwise phase unwrapping aliases the
-    # rotation rate.
+    # than ~pi/2 between samples, but at most one per step.
     max_omega = max(1.0, max(abs(w) for w in omega.omega))
     max_interval = 0.5 * math.pi / max_omega
     sample_every = max(1, min(steps // 200, int(max_interval / dt)))
     mode_bins = [tuple(c % m) for c in coords[len(terms):]]
+    term_bins = np.ravel_multi_index(tuple((coords[:len(terms)] % m).T), shape)
+    term_freqs = np.array([s.n for s, _ in terms], dtype=float) @ np.array(omega.omega)
+    term_vals = np.array([v for _, v in terms], dtype=complex)
 
     mod2 = (phi * phi.conj()).real
     mass0 = float(mod2.sum())
     times: List[float] = []
     amps: List[List[float]] = []
     phases: List[List[float]] = []
+    gaps: List[float] = []
 
     def record(tnow: float):
         ft = np.fft.fftn(phi) / phi.size
         times.append(tnow)
         amps.append([abs(ft[bin]) for bin in mode_bins])
         phases.append([math.atan2(ft[bin].imag, ft[bin].real) for bin in mode_bins])
+        field = np.zeros(phi.size, dtype=complex)
+        np.add.at(field, term_bins, term_vals * np.exp(1j * term_freqs * tnow))
+        gaps.append(float(np.linalg.norm(ft.ravel() - field) / np.linalg.norm(field)))
 
     phase = _phase_rotation(shape, spec.p, spec.phase_m)
 
     record(0.0)
-    half = dt / 2.0
+    tau1 = S6_PHASE[0] * dt
     mass = mass0
-    phi = phi * phase(mod2, half)  # leading half-step of the first step
+    phi = phi * phase(mod2, tau1)  # first phase flow of the first step
     for step in range(steps):
-        phi = free_flow(phi)
+        for flow, tau in stages:
+            phi = flow(phi)
+            phi *= phase((phi * phi.conj()).real, tau)  # phi is flow's new array
+        phi = flows[-1](phi)
         mod2 = (phi * phi.conj()).real
         mass = float(mod2.sum())
         if not math.isfinite(mass) or (
@@ -316,22 +335,26 @@ def evolve_drift(
                 f"mass drifted {abs(mass - mass0) / mass0:.2e} "
                 f"at t={(step + 1) * dt:.3f}", suggested_dt=dt / 4.0)
         if (step + 1) % sample_every == 0 or step == steps - 1:
-            rot = phase(mod2, half)
+            rot = phase(mod2, tau1)
             phi = phi * rot
             record((step + 1) * dt)
             if step < steps - 1:
                 phi = phi * rot
         else:
-            phi *= phase(mod2, dt)  # phi is free_flow's new array
+            phi *= phase(mod2, 2.0 * tau1)
 
     times_a = np.array(times)
     amps_a = np.array(amps)
-    phases_a = np.unwrap(np.array(phases), axis=0)
     a0 = amps_a[0]
     amp_drift = float(np.max(np.abs(amps_a - a0) / np.maximum(a0, 1e-300)))
     expected = -np.outer(times_a, np.array(omega.omega))
-    phase_err = phases_a - phases_a[0] - expected
+    # Unwrap the slow gap to the -omega_k t law, not the phase itself, which
+    # turns by more than pi between samples once |omega_k| dt > pi.
+    raw = np.array(phases)
+    phase_err = np.unwrap(raw - expected, axis=0) - (raw[0] - expected[0])
+    phases_a = raw[0] + expected + phase_err
     mass_drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
     return DriftReport(times=times_a, mode_amps=amps_a, mode_phases=phases_a,
                        amp_drift=amp_drift, phase_error=phase_err,
-                       mass_drift=mass_drift, dt=dt, grid=m, rank=rank)
+                       mass_drift=mass_drift, trajectory_error=max(gaps),
+                       dt=dt, grid=m, rank=rank)

@@ -15,6 +15,7 @@ from nlsqp.lattice import (
     site,
 )
 from nlsqp._intlinalg import lattice_basis
+from nlsqp.cli import VerifyCfg
 from nlsqp.newton import residual_series, solve
 from nlsqp.verify import (
     GridTooCoarse,
@@ -115,6 +116,18 @@ def test_evolve_tp1_plane_wave_exact(tp1):
     assert float(np.abs(drift.phase_error).max()) <= 1e-8
 
 
+def test_phase_error_does_not_alias_a_seed_faster_than_pi_over_dt():
+    # omega = 36 turns the phase by 3.6 > pi per step at dt = 0.1, so an
+    # unwrap of the phase itself read 100 turns of error over T = 10.
+    spec = make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[6], amplitudes=[0.7])
+    rep = solve(spec)
+    drift = evolve_drift(rep.physical_u(), rep.state.omega, spec, T=10.0, dt=0.1)
+    omega = rep.state.omega.omega[0]
+    assert omega * 0.1 > math.pi
+    assert float(np.abs(drift.phase_error).max()) <= 1e-8
+    assert np.abs(np.diff(drift.mode_phases[:, 0]) + omega * np.diff(drift.times)).max() <= 1e-8
+
+
 def test_evolve_mass_conservation(tp2):
     rep = solve(tp2)
     drift = evolve_drift(rep.physical_u(), rep.state.omega, tp2, T=50.0, dt=1e-2)
@@ -164,7 +177,15 @@ def test_collocation_residual_tracks_newton_residual(tp2):
     assert sups[1] <= 0.1 * sups[0]
 
 
-# -- Split-step integrator against the FFT Strang loop -----------------------
+# -- Split-step integrator against the textbook S6 loop ----------------------
+
+# Blanes & Moan's S6 splitting (J. Comput. Appl. Math. 142, 2002), written out
+# here apart from the module's table: seven phase-flow coefficients b and six
+# free-flow coefficients a, each pair of tables symmetric.
+B1, B2, B3 = 0.0792036964311957, 0.353172906049774, -0.0420650803577195
+A1, A2 = 0.209515106613362, -0.143851773179818
+S6_B = (B1, B2, B3, 1 - 2 * (B1 + B2 + B3), B3, B2, B1)
+S6_A = (A1, A2, 0.5 - A1 - A2, 0.5 - A1 - A2, A2, A1)
 
 
 def fft_free_flow_phase(m, d, dt):
@@ -186,35 +207,48 @@ def initial_field(u, spec):
     return np.fft.ifftn(psi) * psi.size
 
 
-def fft_strang_reference(u, omega, spec, T, dt, n_samples=200):
-    """The textbook Strang split-step loop: nonlinear half-step, free flow by
-    an FFT pair, nonlinear half-step, every step; same grid and sampling
-    rules as evolve_drift.  Returns times, mode amplitudes and unwrapped
-    mode phases."""
+def fft_s6_reference(u, omega, spec, T, dt, n_samples=200):
+    """The textbook S6 split-step loop on the x-grid, every stage on its own:
+    each phase flow is exp of a complex array and each free flow an FFT pair;
+    same grid and sampling rules as evolve_drift.  Returns times, mode
+    amplitudes, unwrapped mode phases, the relative l2 mass drift and the
+    largest relative l2 gap of psi_hat to sum_n u_{n,j} e^{i (n.omega) t}."""
     psi = initial_field(u, spec)
     m = psi.shape[0]
-    lin_phase = fft_free_flow_phase(m, spec.d, dt)
+    lin_phases = [fft_free_flow_phase(m, spec.d, a * dt) for a in S6_A]
     steps = int(round(T / dt))
     max_omega = max(1.0, max(abs(w) for w in omega.omega))
     sample_every = max(1, min(steps // max(1, n_samples),
                               int(0.5 * math.pi / max_omega / dt)))
     bins = [tuple(c % m for c in j) for j in spec.j_list]
-    times, amps, phases = [], [], []
+    times, amps, phases, gaps = [], [], [], []
 
     def record(tnow):
         ft = np.fft.fftn(psi) / psi.size
         times.append(tnow)
         amps.append([abs(ft[b]) for b in bins])
         phases.append([math.atan2(ft[b].imag, ft[b].real) for b in bins])
+        field = np.zeros_like(ft)
+        for s, val in u.items():
+            field[tuple(c % m for c in s.j)] += val * np.exp(
+                1j * np.dot(s.n, omega.omega) * tnow)
+        gaps.append(np.linalg.norm(ft - field) / np.linalg.norm(field))
 
+    def phase_flow(psi, tau):
+        return psi * np.exp(-1j * (np.abs(psi) ** (2 * spec.p) + spec.phase_m) * tau)
+
+    mass0 = np.sum(np.abs(psi) ** 2)
     record(0.0)
     for step in range(steps):
-        psi = psi * np.exp(-1j * (np.abs(psi) ** (2 * spec.p) + spec.phase_m) * dt / 2)
-        psi = np.fft.ifftn(np.fft.fftn(psi) * lin_phase)
-        psi = psi * np.exp(-1j * (np.abs(psi) ** (2 * spec.p) + spec.phase_m) * dt / 2)
+        for b, lin_phase in zip(S6_B, lin_phases):
+            psi = phase_flow(psi, b * dt)
+            psi = np.fft.ifftn(np.fft.fftn(psi) * lin_phase)
+        psi = phase_flow(psi, S6_B[-1] * dt)
         if (step + 1) % sample_every == 0 or step == steps - 1:
             record((step + 1) * dt)
-    return np.array(times), np.array(amps), np.unwrap(np.array(phases), axis=0)
+    mass_drift = abs(np.sum(np.abs(psi) ** 2) - mass0) / mass0
+    return (np.array(times), np.array(amps), np.unwrap(np.array(phases), axis=0),
+            float(mass_drift), max(gaps))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -238,38 +272,41 @@ def solved(spec):
     return solve(spec)
 
 
-@pytest.mark.parametrize("name, T, dt", [("tp2", 20.0, 1e-2), ("tp3", 10.0, 1e-2)])
-def test_evolve_matches_fft_strang_reference(name, T, dt, request):
-    # Fusing the nonlinear half-steps and the dense propagator change only
-    # the rounding: the sampled modes follow the textbook loop.
+@pytest.mark.parametrize("name, T, dt", [("tp2", 20.0, 1e-2), ("tp3", 10.0, 1e-2),
+                                         ("tp2", 20.0, 0.1), ("tp3", 10.0, 0.1)])
+def test_evolve_matches_fft_s6_reference(name, T, dt, request):
+    # Fusing adjacent phase flows, the dense propagators and the sub-torus
+    # change only the rounding: the sampled modes follow the textbook loop,
+    # and so does the trajectory error where it is well above rounding.
     spec = request.getfixturevalue(name)
     rep = solved(spec)
-    u, omega = rep.physical_u(), rep.state.omega
+    drift, gap = assert_matches_fft_s6_reference(rep.physical_u(), rep.state.omega,
+                                                 spec, T, dt)
+    if dt == 0.1:
+        assert drift.trajectory_error > 1e-11
+        assert drift.trajectory_error == pytest.approx(gap, rel=1e-2)
+
+
+def assert_matches_fft_s6_reference(u, omega, spec, T, dt):
     drift = evolve_drift(u, omega, spec, T=T, dt=dt)
-    times, amps, phases = fft_strang_reference(u, omega, spec, T, dt)
+    times, amps, phases, _, gap = fft_s6_reference(u, omega, spec, T, dt)
     assert np.array_equal(drift.times, times)
     assert np.abs(drift.mode_amps - amps).max() <= 1e-12
     assert np.abs(drift.mode_phases - phases).max() <= 1e-11
-
-
-def assert_matches_fft_strang_reference(u, omega, spec, T, dt):
-    drift = evolve_drift(u, omega, spec, T=T, dt=dt)
-    times, amps, phases = fft_strang_reference(u, omega, spec, T, dt)
-    assert np.array_equal(drift.times, times)
-    assert np.abs(drift.mode_amps - amps).max() <= 1e-12
-    assert np.abs(drift.mode_phases - phases).max() <= 1e-11
-    return drift
+    return drift, gap
 
 
 def test_evolve_d3_seed_on_its_rank_one_sub_torus_matches_the_x_grid():
     # tp3's modes embedded in d = 3: 64 sub-torus points against the
-    # 64^3 x-grid of the textbook loop.
+    # 64^3 x-grid of the textbook loop, at the default dt.
     spec = make_spec(d=3, b=2, p=2, delta=1e-3, j_list=[(1, 0, 0), (0, 1, 0)],
                      amplitudes=[0.9, 0.35])
     rep = solve(spec, box=Box(6, 3))
-    drift = assert_matches_fft_strang_reference(
-        rep.physical_u(), rep.state.omega, spec, T=2.0, dt=1e-2)
+    drift, gap = assert_matches_fft_s6_reference(
+        rep.physical_u(), rep.state.omega, spec, T=2.0, dt=0.1)
     assert (drift.rank, drift.grid) == (1, 64)
+    # The truncated solution's own defect (~1e-9) dominates this gap.
+    assert drift.trajectory_error == pytest.approx(gap, rel=1e-2)
 
 
 def test_evolve_rank_two_support_with_cross_terms_matches_the_x_grid():
@@ -281,18 +318,19 @@ def test_evolve_rank_two_support_with_cross_terms_matches_the_x_grid():
     b1, b2 = lattice_basis([(-1, 1), (1, 1)])
     assert np.dot(b1, b2) != 0
     u0, _ = linear_solution(spec)
-    drift = assert_matches_fft_strang_reference(
+    drift, _ = assert_matches_fft_s6_reference(
         u0.scale(math.sqrt(spec.delta)), spec.omega0(), spec, T=10.0, dt=1e-2)
     assert drift.rank == 2
     assert drift.amp_drift > 1e-6  # the nonlinearity moves the modes
 
 
-# amp_drift and mass_drift of the x-grid integrator (T = 100, dt = 1e-2) that
-# the sub-torus loop replaced; the two differ only in rounding.
+# amp_drift and mass_drift of the textbook x-grid loop `fft_s6_reference` at
+# the default verify run (T = 100, dt = 0.1); the fused sub-torus loop
+# differs from it only in rounding.
 X_GRID_DRIFT = {
-    "tp1": (6.723873026872343e-13, 1.3448532253809998e-12),
-    "tp2": (5.4623631661488286e-12, 9.77950303338599e-13),
-    "tp3": (2.1792373694540776e-11, 9.733620810237671e-13),
+    "tp1": (2.825907474930265e-13, 5.646701926904098e-13),
+    "tp2": (1.4134761829217655e-13, 1.235990405549874e-13),
+    "tp3": (5.416013189070454e-13, 9.845393320448303e-13),
 }
 
 
@@ -300,10 +338,77 @@ X_GRID_DRIFT = {
 def test_evolve_drift_equals_the_x_grid_integrator(name, request):
     spec = request.getfixturevalue(name)
     rep = solved(spec)
-    drift = evolve_drift(rep.physical_u(), rep.state.omega, spec, T=100.0, dt=1e-2)
+    drift = evolve_drift(rep.physical_u(), rep.state.omega, spec, T=100.0, dt=0.1)
     amp, mass = X_GRID_DRIFT[name]
     assert drift.amp_drift == pytest.approx(amp, abs=1e-10)
     assert drift.mass_drift == pytest.approx(mass, abs=1e-10)
+
+
+def captured_final_field(monkeypatch, u, omega, spec, T, dt):
+    """phi on the sub-torus grid at t = T, as evolve_drift's last sample
+    transforms it: on a rank-1 support the loop calls fftn only to record."""
+    seen = []
+    fftn = np.fft.fftn
+    with monkeypatch.context() as patch:
+        patch.setattr(np.fft, "fftn", lambda a, *args, **kw: (
+            seen.append(a.copy()), fftn(a, *args, **kw))[1])
+        drift = evolve_drift(u, omega, spec, T=T, dt=dt)
+    assert drift.rank == 1 and len(seen) == len(drift.times) and drift.times[-1] == T
+    return seen[-1]
+
+
+def test_evolve_drift_is_fourth_order(tp2, monkeypatch):
+    # S6 is of order 4: each halving of dt divides the error at t = T by
+    # about 16.  The error is the relative l2 gap of the field to a run of
+    # the same loop at dt / 16.  A wrong coefficient breaks the order
+    # conditions and shows as a ratio near 4 or 2.
+    rep = solved(tp2)
+    u, omega = rep.physical_u(), rep.state.omega
+    errs = []
+    for dt in (0.25, 0.125, 0.0625):
+        phi = captured_final_field(monkeypatch, u, omega, tp2, 10.0, dt)
+        ref = captured_final_field(monkeypatch, u, omega, tp2, 10.0, dt / 16)
+        errs.append(np.linalg.norm(phi - ref) / np.linalg.norm(ref))
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
+def test_one_dense_propagator_per_distinct_free_flow_coefficient(tp2, monkeypatch):
+    # S6's six free flows take three distinct coefficients.
+    from nlsqp import verify
+    coeffs = []
+    real = verify._linear_propagator
+    monkeypatch.setattr(verify, "_linear_propagator",
+                        lambda symbol, tau: (coeffs.append(tau), real(symbol, tau))[1])
+    rep = solved(tp2)
+    evolve_drift(rep.physical_u(), rep.state.omega, tp2, T=1.0, dt=0.1)
+    assert sorted(coeffs) == sorted(a * 0.1 for a in set(S6_A))
+
+
+@pytest.mark.parametrize("name, bound", [("tp2", 1.6e-9), ("tp3", 4.9e-9)])
+def test_trajectory_error_at_the_default_dt(name, bound, request):
+    # At least 10x below the 1.6e-8 (tp2) and 4.9e-8 (tp3) of a second-order
+    # Strang step at dt = 0.01.
+    spec = request.getfixturevalue(name)
+    rep = solved(spec)
+    cfg = VerifyCfg()
+    drift = evolve_drift(rep.physical_u(), rep.state.omega, spec, T=cfg.T, dt=cfg.dt)
+    assert drift.trajectory_error <= bound
+
+
+def test_trajectory_error_sees_through_the_b3_beating():
+    # Each seed of this b = 3 solution carries three temporal frequencies,
+    # so its seed amplitudes beat by ~1.8e-7 whatever the step; the
+    # trajectory error compares with the whole predicted field instead.
+    # (pde_residual needs t_points = 128 here, so evolve_drift is called
+    # directly.)
+    spec = make_spec(d=1, b=3, p=1, delta=1e-3, j_list=[1, 2, 4],
+                     amplitudes=[0.6, 0.8, 0.5])
+    rep = solve(spec, box=Box(4, 9))
+    cfg = VerifyCfg()
+    drift = evolve_drift(rep.physical_u(), rep.state.omega, spec, T=cfg.T, dt=cfg.dt)
+    assert drift.amp_drift > 1e-7
+    assert drift.trajectory_error < 1e-8
 
 
 def x_grid_residual(u, omega, spec, grid):
