@@ -4,9 +4,8 @@ The characteristic variety C = {(n, j) : +-n.w0 + |j|^2 = 0} splits into a
 C+ branch (carrying the u-component of the doubled system) and a C- branch
 (the v-component); sites with j = 0 and n.w0 = 0 satisfy both equations and
 are assigned by the sign of n_1.  On top of the variety live the difference
-classes C^{++}, C^{+-}, C^{-+}, C^{--}, the convexity partition of Z^d, and
-the connectivity graph induced by the convolution symbols of the linearized
-operator.
+classes C^{++}, C^{+-}, C^{-+}, C^{--} and the connectivity graph induced
+by the convolution symbols of the linearized operator.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -314,61 +313,6 @@ def _complete_witness(jp, jpp, delta, w, eps1, eps2):
     return None
 
 
-def verify_diff_witness(
-    delta: SiteIndex,
-    omega0: FrequencyVector,
-    class_pair: Tuple[CharClass, CharClass],
-    witness: Tuple[SiteIndex, SiteIndex],
-) -> bool:
-    s1, s2 = witness
-    return (classify_site(s1, omega0) is class_pair[0]
-            and classify_site(s2, omega0) is class_pair[1]
-            and (s1 - s2) == delta)
-
-
-# ---------------------------------------------------------------------------
-# Convexity partition of the spatial lattice
-
-
-@dataclass
-class Partition:
-    B: float
-    blocks: List[List[Tuple[int, ...]]]
-    diameters: List[int]
-    c0_hat: float
-
-    def block_of(self) -> Dict[Tuple[int, ...], int]:
-        return {j: i for i, blk in enumerate(self.blocks) for j in blk}
-
-
-def build_partition(B: float, d: int, j_radius: int) -> Partition:
-    """Connected components of |j - j'|_1 + ||j|^2 - |j'|^2| <= B on the box.
-
-    Cross-block separation > B then holds by construction; block diameters
-    are measured and reported (never assumed).
-    """
-    if B <= 0:
-        raise ValueError("partition scale B must be positive")
-    pts = [tuple(v) for v in itertools.product(range(-j_radius, j_radius + 1), repeat=d)]
-    arr = np.array(pts, dtype=np.int64)
-    jsq = np.sum(arr * arr, axis=1)
-    m = len(pts)
-    # Pairwise proximity, a block of rows at a time to bound memory.
-    pairs = []
-    for lo in range(0, m, 256):
-        dist = (np.sum(np.abs(arr[lo:lo + 256, None, :] - arr[None, :, :]), axis=2)
-                + np.abs(jsq[lo:lo + 256, None] - jsq[None, :]))
-        pairs.append(np.argwhere(dist <= B) + [lo, 0])
-    rows, cols = np.concatenate(pairs).T
-    _, order, bounds = ordered_components(m, rows, cols)
-    flat, cuts = order.tolist(), bounds.tolist()
-    blocks = [[pts[i] for i in flat[a:z]] for a, z in zip(cuts[:-1], cuts[1:])]
-    diameters = _l1_diameters(arr, order, bounds).tolist()
-    c0 = max((math.log(dm) / math.log(B) for dm in diameters if dm >= 1 and B > 1),
-             default=0.0)
-    return Partition(B=B, blocks=blocks, diameters=diameters, c0_hat=c0)
-
-
 def ordered_components(n: int, rows: np.ndarray, cols: np.ndarray
                        ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Connected components of the graph on range(n) with edges rows[k] --
@@ -425,24 +369,6 @@ def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray,
             if np.array_equal(jumped, low):
                 break
             low = jumped
-
-
-def _l1_diameters(coords: np.ndarray, order: np.ndarray, bounds: np.ndarray
-                 ) -> np.ndarray:
-    """Largest l1 distance between two rows of coords in each component of
-    `ordered_components`.
-
-    |x - y|_1 is the largest s.(x - y) over sign vectors s, so a diameter is
-    the largest spread of one projection s.x over the component; sign
-    vectors up to a global flip suffice.
-    """
-    dim = coords.shape[1]
-    signs = np.array([(1,) + t for t in itertools.product((1, -1), repeat=dim - 1)],
-                     dtype=np.int64)
-    proj = (coords @ signs.T)[order]
-    starts = bounds[:-1]
-    spread = np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts)
-    return spread.max(axis=1)
 
 
 # ---------------------------------------------------------------------------

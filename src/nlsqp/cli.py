@@ -80,7 +80,6 @@ class ConditionsCfg:
 class NewtonCfg:
     tol: float = 1e-11
     max_iter: int = 12
-    eps_first: float = 1e-4
     eps_second: float = 0.5
     kappa: float = 1e-2
     gamma: Optional[float] = None
@@ -482,8 +481,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         spec, box=box, tol=ncfg.tol, max_iter=ncfg.max_iter,
         condition_reports=reports,
         kappa=ncfg.kappa, gamma=ncfg.gamma, dio_radius=ncfg.dio_radius,
-        m_max=cfg.conditions.m_max,
-        eps_first=ncfg.eps_first, eps_second=ncfg.eps_second,
+        m_max=cfg.conditions.m_max, eps_second=ncfg.eps_second,
     )
     # solve factors no sparse matrix, yet a converged solve loads scipy's
     # sparse solvers as it did when it used SuperLU.  The speed probe of
@@ -511,7 +509,6 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         "decay_beta": report.decay_beta,
         "decay_bound_ok": report.decay_bound_ok,
         "min_block_value": report.min_block_value,
-        "invert_mode": report.invert_mode,
         "jac_det": report.modulation.jac_det,
         "diophantine_pass": report.modulation.diophantine.passed,
         "diophantine_fitted_kappa": report.modulation.diophantine.fitted_kappa,

@@ -430,25 +430,6 @@ def _lift_walk(viol: WalkViolation, omega0: FrequencyVector) -> Optional[List[Si
     return None
 
 
-def verify_walk_witness(viol: WalkViolation, omega0: FrequencyVector) -> bool:
-    """Re-verify a lifted spiral witness from scratch."""
-    if viol.lifted_sites is None:
-        return False
-    sites = viol.lifted_sites
-    if len(sites) != len(viol.steps) + 1:
-        return False
-    for i, e in enumerate(viol.steps):
-        d = sites[i + 1] - sites[i]
-        if d.n != e.dn or d.j != e.element.j:
-            return False
-        if classify_site(sites[i], omega0) is CharClass.OFF:
-            return False
-    first, last = sites[0], sites[-1]
-    if first.j != last.j or first.n == last.n:
-        return False
-    return classify_site(first, omega0) is classify_site(last, omega0)
-
-
 def check_condition_ii(
     spec: ProblemSpec,
     m_max: int = 8,

@@ -4,7 +4,7 @@ conservation lattice.
 F' = D + delta*A acts on pairs (u-component, v-component) of lattice
 functions.  D is the dispersion diagonal +-n.w + |j|^2 (+ phase); A
 couples sites through three convolution symbols.
-Admissibility is certified in the style of the analysis: dense determinant /
+Admissibility is certified in the style of the analysis: dense
 singular-value bounds on the resonance-graph blocks sitting on the
 characteristic variety, and a uniformly bounded diagonal off it.  Every
 inverse is dense: on Lambda_R (`characteristics.conservation_sites`), where
@@ -152,6 +152,17 @@ def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: n
             for k in np.unique(np.diff(bounds)).tolist()}
 
 
+def _exclude(order: np.ndarray, bounds: np.ndarray, dropped: np.ndarray
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """The groups order[bounds[c]:bounds[c + 1]] without the members i
+    where dropped[i]; a group left empty is dropped, and the later groups
+    keep their order."""
+    keep = ~dropped[order]
+    sizes = np.bincount(np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))[keep],
+                        minlength=len(bounds) - 1)
+    return order[keep], np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+
+
 @dataclass
 class BlockDecomposition:
     """The resonance blocks of an operator, numbered by smallest member.
@@ -189,12 +200,8 @@ def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
     index = np.flatnonzero(variety.vertex_of >= 0)
     by_index = variety.vertex_of[index]
     rank = np.argsort(by_index)
-    labels, order, bounds = ordered_components(len(index), rank[edges[0]], rank[edges[1]])
-    if exclude:
-        dropped = np.isin(index, np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
-        order = order[~dropped[order]]
-        sizes = np.bincount(labels[order], minlength=len(bounds) - 1)
-        bounds = np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
+    _, order, bounds = ordered_components(len(index), rank[edges[0]], rank[edges[1]])
+    order, bounds = _exclude(order, bounds, np.isin(index, list(exclude)))
     return BlockDecomposition(order=index[order], bounds=bounds,
                               stacks=_stacks(coords, copies, by_index[order], bounds,
                                              symbols, omega, spec))
@@ -218,33 +225,19 @@ def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
 # Admissibility
 
 
-def _mode(omega: FrequencyVector, spec: ProblemSpec) -> str:
-    """"seed" at the seed frequency, else "modulated"."""
-    seed = np.allclose(np.array(omega.omega), np.array(spec.omega0().omega))
-    return "seed" if seed else "modulated"
-
-
 def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
-             resonant: np.ndarray, spec: ProblemSpec, mode: str, eps_first: float,
-             eps_second: float) -> float:
-    """The smallest block value under the threshold of the mode: in mode
-    "seed" the delta-normalized |det(Gamma_k / delta^size)|, otherwise the
-    smallest singular value, by one batched det or SVD per block size.  The
-    first block at or below the threshold raises ExcisionError; then, over
-    the box's doubled indices (diag and resonant, for the sites coords), a
-    diagonal off the variety below 0.25 raises OffCharDiagonalError at its
-    first smallest value."""
+             resonant: np.ndarray, spec: ProblemSpec, eps_second: float) -> float:
+    """The smallest singular value of the blocks, by one batched SVD per
+    block size.  The first block at or below delta^(1 + eps_second) raises
+    ExcisionError; then, over the box's doubled indices (diag and resonant,
+    for the sites coords), a diagonal off the variety below 0.25 raises
+    OffCharDiagonalError at its first smallest value."""
     b = spec.b
     sizes = np.diff(decomp.bounds)
     values = np.empty(len(sizes))
     for k, stack in decomp.stacks.items():
-        if mode == "seed":
-            det = np.linalg.det(stack)
-            # np.hypot equals Python's abs() of a complex bit for bit.
-            values[sizes == k] = np.hypot(det.real, det.imag) / spec.delta ** k
-        else:
-            values[sizes == k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    threshold = eps_first if mode == "seed" else spec.delta ** (1.0 + eps_second)
+        values[sizes == k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    threshold = spec.delta ** (1.0 + eps_second)
     failing = np.nonzero(values <= threshold)[0]
     if len(failing):
         k = int(failing[0])
@@ -263,22 +256,17 @@ def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
 
 
 def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, variety: BoxVariety,
-                       symbols: ConvolutionSymbols, eps_first: float = 1e-4,
-                       eps_second: float = 0.5) -> Tuple[str, float]:
+                       symbols: ConvolutionSymbols, eps_second: float = 0.5) -> float:
     """The admissibility certificate over the whole box of a variety
     (`box_variety`) at omega and the symbols of the iterate: the blocks off
     the seed equations from `resonance_blocks`, the diagonal from
-    `_dispersion` on the box sites.  mode "seed" thresholds the
-    delta-normalized block determinants (the blocks are delta * A_k(a) with
-    A_k independent of delta) against eps_first; mode "modulated", once the
-    frequency has moved, thresholds block minimum singular values against
-    delta^(1 + eps_second).  Returns the mode and the smallest block value."""
+    `_dispersion` on the box sites.  Every gate of a solve follows a Q
+    solve, so it thresholds the blocks' smallest singular values against
+    delta^(1 + eps_second), and returns the smallest."""
     exclude = frozenset(_seed_equations(spec, variety.box))
     decomp = resonance_blocks(symbols, omega, spec, variety, exclude=exclude)
-    mode = _mode(omega, spec)
-    min_val = _certify(decomp, variety.coords, _dispersion(variety.coords, omega, spec).ravel(),
-                       variety.resonant, spec, mode, eps_first, eps_second)
-    return mode, min_val
+    return _certify(decomp, variety.coords, _dispersion(variety.coords, omega, spec).ravel(),
+                    variety.resonant, spec, eps_second)
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +475,15 @@ def theta_spectrum_scan(
     with |Theta| beyond 2|log delta|^{2s}+1, at the second-step exponent
     s = 2, are flagged as outside the range the analysis needs.
 
-    The coset blocks of `box_inverse` are built once; each grid point adds
+    The coset blocks of `box_inverse`, off the 2b seed equations as in
+    `lattice_inverse` and the gate, are built once; each grid point adds
     theta times the copy sign to their diagonals and takes one batched SVD
     per block size.
     """
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
     sites, copies, _, order, bounds = _coset_blocks(u, v, spec, box)
+    order, bounds = _exclude(order, bounds,
+                             np.isin(np.arange(len(sites)), _seed_equations(spec, box)))
     stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
     signs = _copy_signs(copies, order, bounds, stacks)
     delta = spec.delta

@@ -149,7 +149,6 @@ def newton_step(
     spec: ProblemSpec,
     variety: BoxVariety,
     tol: float = 1e-11,
-    eps_first: float = 1e-4,
     eps_second: float = 0.5,
 ) -> IterationState:
     """One P-then-Q update.
@@ -167,8 +166,7 @@ def newton_step(
     u, v = state.u, state.v
     omega_work = q_solve(u, spec)
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    admissibility_gate(omega_work, spec, variety, symbols,
-                       eps_first=eps_first, eps_second=eps_second)
+    admissibility_gate(omega_work, spec, variety, symbols, eps_second=eps_second)
 
     fu, fv = residual_series(u, v, omega_work, spec)
     radius = _lattice_radius(state.lattice_radius, fu, fv, spec, tol)
@@ -240,20 +238,6 @@ def analytic_q_jacobian(spec: ProblemSpec) -> np.ndarray:
             dgk = dg[seeds[k]].real
             jac[k, mcol] = spec.delta * (dgk * amps[k] - gk * (1.0 if k == mcol else 0.0)) \
                 / amps[k] ** 2
-    return jac
-
-
-def fd_q_jacobian(spec: ProblemSpec, h: float = 1e-7) -> np.ndarray:
-    """d(omega)/d(a) at the seed by central differences of `q_solve`."""
-    jac = np.zeros((spec.b, spec.b))
-    a0 = np.array(spec.amplitudes)
-    for mcol in range(spec.b):
-        ap = a0.copy(); ap[mcol] += h
-        am = a0.copy(); am[mcol] -= h
-        spec_p, spec_m = spec.with_amplitudes(ap), spec.with_amplitudes(am)
-        wp = np.array(q_solve(linear_solution(spec_p)[0], spec_p).omega)
-        wm = np.array(q_solve(linear_solution(spec_m)[0], spec_m).omega)
-        jac[:, mcol] = (wp - wm) / (2 * h)
     return jac
 
 
@@ -352,7 +336,6 @@ def first_iteration(
     gamma: Optional[float] = None,
     dio_radius: Optional[int] = None,
     m_max: int = 8,
-    eps_first: float = 1e-4,
     eps_second: float = 0.5,
     tol: float = 1e-11,
     variety: Optional[BoxVariety] = None,
@@ -393,8 +376,7 @@ def first_iteration(
 
     if variety is None:
         variety = box_variety(omega0, spec.d, box)
-    state1 = newton_step(state0, spec, variety, tol=tol, eps_first=eps_first,
-                         eps_second=eps_second)
+    state1 = newton_step(state0, spec, variety, tol=tol, eps_second=eps_second)
     return state1, report
 
 
@@ -441,7 +423,6 @@ class SolveReport:
     inverse_norm: float                      # ||F'^{-1}|| on Lambda_R, off the seed equations
     decay_beta: float
     decay_bound_ok: bool
-    invert_mode: str
     min_block_value: float
     lattice_sites: int                       # sites of Lambda_R
     state: IterationState
@@ -461,7 +442,6 @@ def solve(
     gamma: Optional[float] = None,
     dio_radius: Optional[int] = None,
     m_max: int = 8,
-    eps_first: float = 1e-4,
     eps_second: float = 0.5,
 ) -> SolveReport:
     """Iterate Newton steps until the weighted residual, taken in full,
@@ -479,7 +459,7 @@ def solve(
     state, modreport = first_iteration(
         spec, box=box, condition_reports=condition_reports,
         kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
-        eps_first=eps_first, eps_second=eps_second, tol=tol, variety=variety)
+        eps_second=eps_second, tol=tol, variety=variety)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -487,8 +467,7 @@ def solve(
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
-        state = newton_step(state, spec, variety, tol=tol, eps_first=eps_first,
-                            eps_second=eps_second)
+        state = newton_step(state, spec, variety, tol=tol, eps_second=eps_second)
         history.append((state.residual_plain, state.residual_weighted))
 
     converged = state.residual_weighted <= tol
@@ -505,8 +484,7 @@ def solve(
     quad_c = max(ratios) if ratios else None
 
     symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
-    mode, min_block = admissibility_gate(state.omega, spec, variety, symbols,
-                                         eps_first=eps_first, eps_second=eps_second)
+    min_block = admissibility_gate(state.omega, spec, variety, symbols, eps_second=eps_second)
     sites = conservation_sites(spec, state.lattice_radius)
     inverse_norm, decay = lattice_inverse(symbols, state.u, state.omega, spec, sites)
 
@@ -530,7 +508,7 @@ def solve(
         residual_history=history, quad_ratios=ratios, quad_constant=quad_c,
         cs_mass=cs_mass, modulation=modreport,
         inverse_norm=inverse_norm, decay_beta=decay.beta_hat,
-        decay_bound_ok=decay.bound_ok, invert_mode=mode, min_block_value=min_block,
+        decay_bound_ok=decay.bound_ok, min_block_value=min_block,
         lattice_sites=len(sites), state=state, box=box,
     )
 

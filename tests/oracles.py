@@ -1,0 +1,124 @@
+"""Independent oracles of the tests: a finite-difference Q Jacobian, the
+convexity partition of the spatial lattice and re-checks of the witnesses
+that the admissibility conditions report.  The pipeline runs none of
+them."""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
+
+import numpy as np
+
+from nlsqp.characteristics import CharClass, classify_site, ordered_components
+from nlsqp.conditions import WalkViolation
+from nlsqp.lattice import FrequencyVector, ProblemSpec, SiteIndex, linear_solution
+from nlsqp.newton import q_solve
+
+
+def fd_q_jacobian(spec: ProblemSpec, h: float = 1e-7) -> np.ndarray:
+    """d(omega)/d(a) at the seed by central differences of `q_solve`."""
+    jac = np.zeros((spec.b, spec.b))
+    a0 = np.array(spec.amplitudes)
+    for mcol in range(spec.b):
+        ap = a0.copy(); ap[mcol] += h
+        am = a0.copy(); am[mcol] -= h
+        spec_p, spec_m = spec.with_amplitudes(ap), spec.with_amplitudes(am)
+        wp = np.array(q_solve(linear_solution(spec_p)[0], spec_p).omega)
+        wm = np.array(q_solve(linear_solution(spec_m)[0], spec_m).omega)
+        jac[:, mcol] = (wp - wm) / (2 * h)
+    return jac
+
+
+def verify_diff_witness(
+    delta: SiteIndex,
+    omega0: FrequencyVector,
+    class_pair: Tuple[CharClass, CharClass],
+    witness: Tuple[SiteIndex, SiteIndex],
+) -> bool:
+    s1, s2 = witness
+    return (classify_site(s1, omega0) is class_pair[0]
+            and classify_site(s2, omega0) is class_pair[1]
+            and (s1 - s2) == delta)
+
+
+def verify_walk_witness(viol: WalkViolation, omega0: FrequencyVector) -> bool:
+    """Re-verify a lifted spiral witness from scratch."""
+    if viol.lifted_sites is None:
+        return False
+    sites = viol.lifted_sites
+    if len(sites) != len(viol.steps) + 1:
+        return False
+    for i, e in enumerate(viol.steps):
+        d = sites[i + 1] - sites[i]
+        if d.n != e.dn or d.j != e.element.j:
+            return False
+        if classify_site(sites[i], omega0) is CharClass.OFF:
+            return False
+    first, last = sites[0], sites[-1]
+    if first.j != last.j or first.n == last.n:
+        return False
+    return classify_site(first, omega0) is classify_site(last, omega0)
+
+
+# ---------------------------------------------------------------------------
+# Convexity partition of the spatial lattice
+
+
+@dataclass
+class Partition:
+    B: float
+    blocks: List[List[Tuple[int, ...]]]
+    diameters: List[int]
+    c0_hat: float
+
+    def block_of(self) -> Dict[Tuple[int, ...], int]:
+        return {j: i for i, blk in enumerate(self.blocks) for j in blk}
+
+
+def build_partition(B: float, d: int, j_radius: int) -> Partition:
+    """Connected components of |j - j'|_1 + ||j|^2 - |j'|^2| <= B on the box.
+
+    Cross-block separation > B then holds by construction; block diameters
+    are measured and reported (never assumed).
+    """
+    if B <= 0:
+        raise ValueError("partition scale B must be positive")
+    pts = [tuple(v) for v in itertools.product(range(-j_radius, j_radius + 1), repeat=d)]
+    arr = np.array(pts, dtype=np.int64)
+    jsq = np.sum(arr * arr, axis=1)
+    m = len(pts)
+    # Pairwise proximity, a block of rows at a time to bound memory.
+    pairs = []
+    for lo in range(0, m, 256):
+        dist = (np.sum(np.abs(arr[lo:lo + 256, None, :] - arr[None, :, :]), axis=2)
+                + np.abs(jsq[lo:lo + 256, None] - jsq[None, :]))
+        pairs.append(np.argwhere(dist <= B) + [lo, 0])
+    rows, cols = np.concatenate(pairs).T
+    _, order, bounds = ordered_components(m, rows, cols)
+    flat, cuts = order.tolist(), bounds.tolist()
+    blocks = [[pts[i] for i in flat[a:z]] for a, z in zip(cuts[:-1], cuts[1:])]
+    diameters = _l1_diameters(arr, order, bounds).tolist()
+    c0 = max((math.log(dm) / math.log(B) for dm in diameters if dm >= 1 and B > 1),
+             default=0.0)
+    return Partition(B=B, blocks=blocks, diameters=diameters, c0_hat=c0)
+
+
+def _l1_diameters(coords: np.ndarray, order: np.ndarray, bounds: np.ndarray
+                 ) -> np.ndarray:
+    """Largest l1 distance between two rows of coords in each component of
+    `ordered_components`.
+
+    |x - y|_1 is the largest s.(x - y) over sign vectors s, so a diameter is
+    the largest spread of one projection s.x over the component; sign
+    vectors up to a global flip suffice.
+    """
+    dim = coords.shape[1]
+    signs = np.array([(1,) + t for t in itertools.product((1, -1), repeat=dim - 1)],
+                     dtype=np.int64)
+    proj = (coords @ signs.T)[order]
+    starts = bounds[:-1]
+    spread = np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts)
+    return spread.max(axis=1)

@@ -123,6 +123,8 @@ modes = (1,0):0.9, (0,1):0.35
 # Every key of every section set off its default.  These bytes are those
 # the per-key serializer wrote before the sections were derived from the
 # config dataclasses, so config_hash is unchanged for each of these keys.
+# The [newton] key eps_first, the threshold of a determinant gate at the
+# seed frequency, has since been removed with that gate, and its line here.
 EVERY_KEY_CFG = """[problem]
 d = 2
 b = 2
@@ -144,7 +146,6 @@ graph_j_radius = 2
 [newton]
 tol = 1e-10
 max_iter = 9
-eps_first = 0.0002
 eps_second = 0.75
 kappa = 0.03
 gamma = 5.5
@@ -172,7 +173,7 @@ def test_serialize_config_of_every_key_is_pinned():
         truncation=TruncationCfg(n_radius=7, j_radius=4),
         conditions=ConditionsCfg(m_max=5, search_radius=11, graph_n_radius=3,
                                  graph_j_radius=2),
-        newton=NewtonCfg(tol=1e-10, max_iter=9, eps_first=2e-4, eps_second=0.75,
+        newton=NewtonCfg(tol=1e-10, max_iter=9, eps_second=0.75,
                          kappa=0.03, gamma=5.5, dio_radius=7),
         verify=VerifyCfg(T=12.5, dt=0.005, t_points=48, x_points=21),
         sweep=SweepCfg(epsilons=(0.2, 0.02), n_samples=321, seed=99))
@@ -465,13 +466,26 @@ def test_main_config_error_exit(tmp_path):
     assert main(["check", bad]) == EXIT_CONFIG
 
 
-def test_main_refuses_the_removed_second_step_key(tmp_path, capsys):
-    cfg = write(tmp_path, "old.cfg", TP2_CFG + "\n[truncation]\nsecond_step_s = 7.5\n")
+def refuses_removed_key(tmp_path, capsys, text, message):
+    """`check` on TP2_CFG with text appended exits 4 with one line of
+    stderr holding message, and writes nothing."""
+    cfg = write(tmp_path, "old.cfg", TP2_CFG + text)
     assert main(["check", cfg, "--out", str(tmp_path / "check.txt")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip()
     assert "\n" not in err
-    assert "unknown key 'second_step_s' in [truncation]" in err
+    assert message in err
     assert not (tmp_path / "check.txt").exists()
+
+
+def test_main_refuses_the_removed_second_step_key(tmp_path, capsys):
+    refuses_removed_key(tmp_path, capsys, "\n[truncation]\nsecond_step_s = 7.5\n",
+                        "unknown key 'second_step_s' in [truncation]")
+
+
+def test_main_refuses_the_removed_eps_first_key(tmp_path, capsys):
+    # The gate has one threshold, delta^(1 + eps_second).
+    refuses_removed_key(tmp_path, capsys, "eps_first = 1e-4\n",
+                        "unknown key 'eps_first' in [newton]")
 
 
 def test_report_determinism(tmp_path):
@@ -680,10 +694,13 @@ def test_parse_config_fuzz_exits_cleanly(text):
 # residual_full, lattice_radius and lattice_sites are new.
 # check.txt and report.txt of both seeds were re-pinned again when the
 # default [verify] dt went from 1e-2 to 0.1: their header's config_hash
-# covers the whole config, and it is the only line that changed.
+# covers the whole config, and it is the only line that changed.  They
+# were re-pinned once more when the gate kept one statistic: the config
+# lost [newton] eps_first, which moves config_hash, and report.txt lost
+# its invert_mode line; no other line changed.
 TP2_ARTIFACT_SHA256 = {
-    "check.txt": "63faa5f1eb2072b18017806d75381e2e951f20aaca409ec7a22cce47482d682f",
-    "solve/report.txt": "b5d849c952b58ebe04457c9a6309b245d834c5d1f9d23e0fe88188a8f6efde90",
+    "check.txt": "228c35587e4e94fcb5ff8cf50a8b715ce0ec0ce697742fb467012051dd63fbf6",
+    "solve/report.txt": "dcd142ca8f75ccb00cb2a010bf66bda9f3919ba5ae8a7b02a01d478d31871735",
     "solve/solution.txt": "830c822dd610ed5857421bd470bd748b62386ba661849782e059ed4c47b735c5",
     "sweep.csv": "def176f8d04330e2eef3dc8011d974d47401cb5b138bf214f3681f64ece52705",
 }
@@ -712,8 +729,8 @@ modes = (1):0.6, (2):0.8
 # whose cross-branch steps land on spheres: check, solve and a 100-sample
 # sweep.
 TP3_ARTIFACT_SHA256 = {
-    "check.txt": "79461e20df5f144aa9f08bd476d55e52f6841b74a1f0097a04106d07797493ad",
-    "solve/report.txt": "53246d3c2a1c49d4988a4d1f8c955463f6487c3251469eee34658406f6554962",
+    "check.txt": "17a59b53b4f7d6c91a1884b621f3aea37c36685c0fe8cd94c3e8c20f538be2ef",
+    "solve/report.txt": "e562514d5836d0e54d31846efe021bc59ebb4de4173c94ab6600bc3144ff1157",
     "solve/solution.txt": "bbd4592bd2dc076283f37066ca542d0ea3defc42a90479e27906b5651f4e9368",
     "sweep.csv": "681bd2aea99f89982a98a77678df6ba1652ce94939840d8dd5bb4ce967606e8a",
 }
@@ -869,19 +886,10 @@ def test_no_module_reads_the_environment():
         assert "environ" not in text and "getenv" not in text, path.name
 
 
-# Public functions of the package that nothing in src/ or scripts/ names,
-# each kept for a reason outside the pipeline.
-UNCALLED_KEPT = {
-    "build_partition": "the oracle of the resonance-graph tests' components",
-    "verify_diff_witness": "re-checks difference-class witnesses in the tests",
-    "verify_walk_witness": "re-checks lifted spiral witnesses in the tests",
-    "fd_q_jacobian": "finite-difference oracle of `analytic_q_jacobian`",
-}
-
-
 def test_every_public_function_has_a_caller():
     # A public module-level function is named (called, imported or passed)
-    # somewhere in src/ or scripts/ besides its own def.
+    # somewhere in src/ or scripts/ besides its own def.  The oracles that
+    # only the tests call live in tests/oracles.py.
     import ast
     from pathlib import Path
     root = Path(__file__).resolve().parents[1]
@@ -900,7 +908,7 @@ def test_every_public_function_has_a_caller():
             elif isinstance(node, ast.alias):
                 named.add(node.name)
     assert "solve" in defined and "excision_sweep" in named
-    assert sorted(defined - named) == sorted(UNCALLED_KEPT)
+    assert defined - named == set()
 
 
 # Dataclass fields of the package that nothing reads as an attribute, each
@@ -908,7 +916,6 @@ def test_every_public_function_has_a_caller():
 UNREAD_KEPT = {
     "ConditionReport.parameters": "the scale a verdict holds at (box, depth bound)",
     "Membership.reason": "why a membership search answered no or unknown",
-    "Partition.B": "the scale the partition's blocks were built at",
     "RankCheck.rows": "the integer matrix whose kernel the rank test reports",
     "WalkEdge.kind": "the symbol (diag, uu or vv) of a step of a spiral witness",
 }

@@ -16,9 +16,10 @@ from nlsqp.conditions import (
     oned_check,
     rank_check_momenta,
     symbol_supports,
-    verify_walk_witness,
 )
 from nlsqp._intlinalg import int_det, kernel_basis, lattice_basis, solve_dot
+
+from oracles import verify_walk_witness
 
 
 def naive_error_support(spec):

@@ -17,7 +17,6 @@ from nlsqp import characteristics
 from nlsqp.characteristics import (
     CharClass,
     ConvolutionSymbols,
-    build_partition,
     _min_labels,
     diff_class_member,
     ordered_components,
@@ -28,6 +27,7 @@ from nlsqp.lattice import Box, SiteIndex, default_box, linear_solution, make_spe
 from nlsqp.linop import _copy_signs, _coset_blocks, _stacks
 from nlsqp.newton import solve
 
+from oracles import build_partition
 from test_characteristics import (
     brute_characteristic_set,
     component_members,

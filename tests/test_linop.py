@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from types import SimpleNamespace
@@ -7,6 +9,7 @@ from nlsqp.characteristics import (
     box_strides,
     box_variety,
     conservation_sites,
+    enumerate_box_sites,
     members_of_size,
 )
 from nlsqp.lattice import (
@@ -59,12 +62,15 @@ def blocks(case, exclude=frozenset()):
                             exclude=exclude)
 
 
-def certify(case, dec, mode="seed", eps_first=0.0, eps_second=50.0):
-    """The block and diagonal certificate of the whole box in a mode, on
-    the blocks dec."""
+def certify(case, dec, threshold=0.0):
+    """The block and diagonal certificate of the whole box on the blocks
+    dec, with eps_second set for the block threshold delta^(1 +
+    eps_second) to be threshold (0 takes the threshold 1e-153)."""
+    delta = case.spec.delta
+    eps_second = math.log(threshold, delta) - 1 if threshold else 50.0
     coords = case.variety.coords
     return _certify(dec, coords, _dispersion(coords, case.omega, case.spec).ravel(),
-                    case.variety.resonant, case.spec, mode, eps_first, eps_second)
+                    case.variety.resonant, case.spec, eps_second)
 
 
 def coset_stacks(spec, box=None):
@@ -280,14 +286,13 @@ def block_values(dec, delta):
 
 def assert_blocks_are_slices(case, dec):
     """The blocks are the box operator's slices at their members, bit for
-    bit, and the certificate's smallest value in either mode is that of the
-    per-block values."""
+    bit, and the certificate's smallest value is the smallest of the
+    per-block singular values."""
     m = case.matrix
     members, dense = block_lists(dec)
     for idxs, gamma in zip(members, dense):
         assert np.array_equal(gamma, m[idxs][:, idxs].toarray())
-    for mode, values in zip(("seed", "modulated"), block_values(dec, case.spec.delta)):
-        assert certify(case, dec, mode) == min(values)
+    assert certify(case, dec) == min(block_values(dec, case.spec.delta)[1])
 
 
 @pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
@@ -320,7 +325,7 @@ def test_excision_error_says_whether_the_block_meets_the_lattice(tp1):
     # The seed block holds the u-copy of the seed, a site of Lambda.
     case = box_case(tp1)
     with pytest.raises(ExcisionError) as err:
-        certify(case, blocks(case), eps_first=0.75)
+        certify(case, blocks(case), threshold=7.5e-4)
     assert (err.value.block_index, err.value.site, err.value.meets_lattice) == \
         (1, site((-1,), (2,)), True)
     assert str(err.value).endswith(
@@ -337,12 +342,13 @@ def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
     assert block_lists(dec)[0] == ref[1:]
     assert_blocks_are_slices(case, dec)
     # The seed block, second of the full operator and first now, is the only
-    # one below 0.75: |P| = 0.7203 against 0.98 for the size-1 blocks.
+    # one below 7.5e-4: sigma_min = delta a^2 = 4.9e-4 against 2 delta a^2 =
+    # 9.8e-4 for the size-1 blocks.
     with pytest.raises(ExcisionError) as err:
-        certify(case, dec, eps_first=0.75)
+        certify(case, dec, threshold=7.5e-4)
     assert (err.value.block_index, err.value.size) == (0, 2)
-    assert err.value.value == block_values(dec, tp1.delta)[0][0]
-    assert str(err.value).startswith("block 0 (size 2): |P_k| = 7.203e-01")
+    assert err.value.value == block_values(dec, tp1.delta)[1][0]
+    assert str(err.value).startswith("block 0 (size 2): |P_k| = 4.900e-04")
 
 
 def count_calls(monkeypatch, *names):
@@ -355,19 +361,16 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_block_decompose_batches_determinants(tp3, monkeypatch):
+def test_block_decompose_batches_singular_values(tp3, monkeypatch):
     # Building the blocks takes no det and no SVD; the certificate takes
-    # one batched det per distinct block size in mode "seed" and one SVD
-    # per size in mode "modulated", never the other.
+    # one batched SVD per distinct block size and no det.
     case = box_case(tp3)
     calls = count_calls(monkeypatch, "det", "svd")
     dec = blocks(case)
     sizes = np.diff(dec.bounds).tolist()
     assert len(sizes) > len(set(sizes)) and calls == []
-    for mode, name in (("seed", "det"), ("modulated", "svd")):
-        certify(case, dec, mode)
-        assert calls == [name] * len(set(sizes))
-        calls.clear()
+    certify(case, dec)
+    assert calls == ["svd"] * len(set(sizes))
 
 
 # -- Inverse norms over the box ----------------------------------------------
@@ -403,10 +406,10 @@ def test_invert_excision_error_names_block(tp1):
     # Lambda.
     case = box_case(tp1)
     with pytest.raises(ExcisionError) as err:
-        certify(case, blocks(case), eps_first=1e6)
+        certify(case, blocks(case), threshold=1e6)
     assert err.value.block_index == 0
     assert err.value.value >= 0
-    assert err.value.threshold == 1e6
+    assert err.value.threshold == pytest.approx(1e6, rel=1e-12)
     assert not err.value.meets_lattice
     assert str(err.value).endswith("the block is off the conservation lattice")
 
@@ -506,17 +509,38 @@ def test_lattice_inverse_is_the_exact_inverse_norm(tp2, tp3):
 # -- Theta family ------------------------------------------------------------
 
 
-def test_theta_zero_reproduces_certificate(tp2):
-    # theta = 0 is the box inverse; theta = 0.25 is the 2-norm of the
-    # explicit inverse of the loop-built shifted box operator.
-    u0, v0 = linear_solution(tp2)
+def off_seed_inverse_norm(u, v, omega, spec, box, theta):
+    """1/sigma_min of the loop-built shifted box operator with the rows and
+    columns of the seed equations removed: the u-copy of each seed site and
+    the v-copy of its flip, found by their coordinates."""
+    m = loop_scatter_matrix(u, v, omega, spec, box, theta=theta).toarray()
+    coords = [tuple(x) for x in enumerate_box_sites(spec.b, spec.d, box).tolist()]
+    seeds = [s.n + s.j for s in spec.seed_sites()]
+    drop = ([coords.index(x) for x in seeds]
+            + [len(coords) + coords.index(tuple(-c for c in x)) for x in seeds])
+    keep = np.setdiff1d(np.arange(len(m)), drop)
+    return 1.0 / np.linalg.svd(m[np.ix_(keep, keep)], compute_uv=False)[-1]
+
+
+def test_theta_zero_reproduces_certificate():
+    # The scan runs off the seed equations, as the Newton step and the gate
+    # do: at theta = 0.25, at omega0 and at the modulated omega1, its norm
+    # is that of a dense SVD of the loop-built box operator without the
+    # seed rows and columns.
     box = Box(4, 3)
-    scan = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, box, [0.0, 0.25], eps=0.3)
-    norm, _ = box_inverse(u0, v0, tp2.omega0(), tp2, box, fit_decay=False)
-    assert scan.points[0].norm == pytest.approx(norm, rel=1e-12)
-    exact = np.linalg.norm(np.linalg.inv(loop_scatter_matrix(
-        u0, v0, tp2.omega0(), tp2, box, theta=0.25).toarray()), 2)
-    assert scan.points[1].norm == pytest.approx(exact, rel=1e-10)
+    for delta in (1e-2, 1e-3):
+        spec = make_spec(d=1, b=2, p=1, delta=delta, j_list=[1, 2], amplitudes=[0.6, 0.8])
+        u0, v0 = linear_solution(spec)
+        for omega in (spec.omega0(), q_solve(u0, spec)):
+            scan = theta_spectrum_scan(u0, v0, omega, spec, box, [0.0, 0.25], eps=0.3)
+            assert scan.points[1].norm == pytest.approx(
+                off_seed_inverse_norm(u0, v0, omega, spec, box, 0.25), rel=1e-10)
+    # On tp2 at omega1, theta = 0 no longer reads the phase-symmetry kernel
+    # of the seed equations (9.0e6 with every row kept).
+    assert scan.points[0].norm == pytest.approx(
+        off_seed_inverse_norm(u0, v0, omega, spec, box, 0.0), rel=1e-10)
+    assert scan.points[0].norm == pytest.approx(2777.31, rel=1e-6)
+    assert scan.points[0].ok
 
 
 def test_theta_scan_bad_set_shrinks_with_delta():

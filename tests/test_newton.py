@@ -13,7 +13,6 @@ from nlsqp.newton import (
     analytic_q_jacobian,
     diophantine_check,
     excision_sweep,
-    fd_q_jacobian,
     first_iteration,
     newton_step,
     q_solve,
@@ -22,6 +21,7 @@ from nlsqp.newton import (
     solve,
 )
 
+from oracles import fd_q_jacobian
 from test_characteristics import component_members, tagged_vertices
 from test_linop import count_calls
 
@@ -111,20 +111,21 @@ def test_first_iteration_jacobian_tp2(tp2):
 
 def test_first_iteration_takes_no_finite_differences(tp2, monkeypatch):
     # The finite-difference Jacobian is a test oracle: the first step
-    # reports the analytic one's determinant only.
-    from nlsqp import newton
+    # reports the analytic one's determinant only, and never re-solves Q
+    # at perturbed amplitudes.
+    from nlsqp.lattice import ProblemSpec
 
     def refuse(*args, **kwargs):
-        raise AssertionError("first_iteration called fd_q_jacobian")
+        raise AssertionError("first_iteration perturbed the amplitudes")
 
-    monkeypatch.setattr(newton, "fd_q_jacobian", refuse)
+    monkeypatch.setattr(ProblemSpec, "with_amplitudes", refuse)
     first_iteration(tp2)
 
 
 def test_no_gate_takes_both_det_and_svd(tp2, tp3, monkeypatch):
-    # Each admissibility gate thresholds one block statistic: determinants
-    # at the seed frequency, singular values once it moved (every gate of a
-    # solve).
+    # Each admissibility gate thresholds one block statistic, the smallest
+    # singular value: no gate of a solve takes a det, and neither does one
+    # at the seed frequency.
     from nlsqp import newton
     from nlsqp.lattice import default_box
     gate = newton.admissibility_gate
@@ -132,19 +133,28 @@ def test_no_gate_takes_both_det_and_svd(tp2, tp3, monkeypatch):
 
     def counted(*args, **kwargs):
         calls.clear()
-        mode, value = gate(*args, **kwargs)
-        per_gate.append((mode, set(calls)))
-        return mode, value
+        value = gate(*args, **kwargs)
+        per_gate.append(set(calls))
+        return value
 
     monkeypatch.setattr(newton, "admissibility_gate", counted)
     for spec in (tp2, tp3):
         solve(spec)
     u0, v0 = linear_solution(tp2)
-    counted(tp2.omega0(), tp2, box_variety(tp2.omega0(), tp2.d, default_box(tp2)),
-            ConvolutionSymbols.from_fields(u0, v0, tp2.p))
-    assert [mode for mode, _ in per_gate].count("seed") == 1 and len(per_gate) >= 7
-    for mode, used in per_gate:
-        assert used == {"det" if mode == "seed" else "svd"}
+    assert isinstance(counted(tp2.omega0(), tp2,
+                              box_variety(tp2.omega0(), tp2.d, default_box(tp2)),
+                              ConvolutionSymbols.from_fields(u0, v0, tp2.p)), float)
+    assert len(per_gate) >= 7 and per_gate == [{"svd"}] * len(per_gate)
+
+
+@pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8])
+def test_gate_value_means_one_thing_at_every_delta(delta):
+    # The gate reads sigma_min at every delta, however close the modulated
+    # frequency lies to omega0: tp2's smallest block value scales as delta.
+    spec = make_spec(d=1, b=2, p=1, delta=delta, j_list=[1, 2], amplitudes=[0.6, 0.8])
+    report = solve(spec)
+    assert report.converged
+    assert 0.359 <= report.min_block_value / delta <= 0.361
 
 
 def test_jacobian_fd_matches_analytic(tp1, tp2):
