@@ -48,21 +48,15 @@ def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
     """Every site of the box as a (count, b + d) int64 array in lexicographic
     order, which is also the order of the box's linear index.  A box of
     more than SITE_CAP sites raises BoxTooLarge before anything is built."""
-    _check_site_cap(b, d, box)
+    total = box.site_count(b, d)
+    if total > SITE_CAP:
+        raise BoxTooLarge(f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
     ranges = ([np.arange(-box.n_radius, box.n_radius + 1)] * b
               + [np.arange(-box.j_radius, box.j_radius + 1)] * d)
     out = np.empty([len(r) for r in ranges] + [b + d], dtype=np.int64)
     for axis, values in enumerate(np.ix_(*ranges)):  # broadcast, not copied per axis
         out[..., axis] = values
     return out.reshape(-1, b + d)
-
-
-def _check_site_cap(b: int, d: int, box: Box):
-    """Raise BoxTooLarge if the box holds more than SITE_CAP sites."""
-    total = box.site_count(b, d)
-    if total > SITE_CAP:
-        raise BoxTooLarge(
-            f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
 
 
 def box_strides(b: int, d: int, box: Box) -> Tuple[np.ndarray, np.ndarray]:
@@ -428,13 +422,14 @@ def resonance_graph(
     omega0: FrequencyVector,
     box: Box,
     symbols: Optional[ConvolutionSymbols] = None,
+    variety: Optional[BoxVariety] = None,
 ) -> ResonanceGraph:
     """Connectivity of characteristic sites under the operator symbols.
 
     An edge joins x and y when the symbol selected by their branch tags is
     supported at x - y: the diagonal symbol for equal tags, uu for x in C+
-    against y in C-, vv for the mirror pairing.  The symbols are those of
-    (u, v) unless given.
+    against y in C-, vv for the mirror pairing.  The symbols (of u and v)
+    and the box's `box_variety` are built here unless given.
 
     Each kind of edge is found in one array pass over all vertices and
     shifts, through a lookup from box index to vertex number
@@ -444,7 +439,8 @@ def resonance_graph(
     """
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    variety = box_variety(omega0, spec.d, box)
+    if variety is None:
+        variety = box_variety(omega0, spec.d, box)
     b, nv = len(omega0), variety.n_tagged
     coords, tags = variety.vertices[:nv], variety.copies[:nv]
     found = resonance_links(variety, np.arange(nv), symbols)
@@ -512,16 +508,6 @@ def conservation_sites(spec: ProblemSpec, radius: int) -> np.ndarray:
     sites = _lattice(spec, -radius, radius + 1)
     sites = sites[lattice_generation(sites, spec.b) <= radius]
     return sites[np.lexsort(sites.T[::-1])]
-
-
-def box_lattice_radius(spec: ProblemSpec, box: Box) -> int:
-    """The smallest R whose Lambda_R holds every site of Lambda in the box.
-    A box of more than SITE_CAP sites raises BoxTooLarge."""
-    _check_site_cap(spec.b, spec.d, box)
-    sites = _lattice(spec, -box.n_radius, box.n_radius)
-    radii = np.array([box.n_radius] * spec.b + [box.j_radius] * spec.d)
-    inside = np.all(np.abs(sites) <= radii, axis=1)
-    return int(lattice_generation(sites[inside], spec.b).max(initial=0))
 
 
 def lattice_generation(sites: np.ndarray, b: int) -> np.ndarray:

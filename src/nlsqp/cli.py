@@ -22,6 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import newton, verify
+from .characteristics import BoxVariety, box_variety
 from .conditions import (
     ConditionReport,
     check_condition_i,
@@ -402,14 +403,15 @@ EXIT_NON_REAL_FREQUENCY = 8
 EXIT_OFF_CHAR_DIAGONAL = 9
 
 
-def _condition_sections(cfg: RunConfig
+def _condition_sections(cfg: RunConfig, variety: Optional[BoxVariety] = None
                         ) -> Tuple[Dict[str, Dict[str, object]], Dict[str, ConditionReport]]:
     """Report sections of the admissibility checks, and the verdicts of
-    conditions (i) and (ii) on the condition box, keyed "i" and "ii"."""
+    conditions (i) and (ii) on the condition box (its variety if given),
+    keyed "i" and "ii"."""
     spec = cfg.problem
     box = cfg.condition_box()
     rep_i = check_condition_i(spec)
-    rep_ii = check_condition_ii(spec, m_max=cfg.conditions.m_max, box=box)
+    rep_ii = check_condition_ii(spec, m_max=cfg.conditions.m_max, box=box, variety=variety)
     rank = rank_check_momenta(spec.j_list, spec.d)
     sections: Dict[str, Dict[str, object]] = {}
     sections["conditions.non_intersection"] = {
@@ -470,7 +472,9 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     box = cfg.box()
     ncfg = cfg.newton
     sections = {"meta": meta_section(cfg)}
-    cond, reports = _condition_sections(cfg)
+    # One variety serves the graph check and the solve when their boxes match.
+    variety = box_variety(spec.omega0(), spec.d, box) if cfg.condition_box() == box else None
+    cond, reports = _condition_sections(cfg, variety)
     sections.update(cond)
     if _failed(reports):
         _emit(write_report(sections), os.path.join(out_dir, "report.txt"))
@@ -481,7 +485,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         spec, box=box, tol=ncfg.tol, max_iter=ncfg.max_iter,
         condition_reports=reports,
         kappa=ncfg.kappa, gamma=ncfg.gamma, dio_radius=ncfg.dio_radius,
-        m_max=cfg.conditions.m_max, eps_second=ncfg.eps_second,
+        m_max=cfg.conditions.m_max, eps_second=ncfg.eps_second, variety=variety,
     )
     # solve factors no sparse matrix, yet a converged solve loads scipy's
     # sparse solvers as it did when it used SuperLU.  The speed probe of

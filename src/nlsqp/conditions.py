@@ -28,6 +28,7 @@ import numpy as np
 from . import _intlinalg
 from .characteristics import (
     TAG_CLASS,
+    BoxVariety,
     CharClass,
     ConvolutionSymbols,
     branch_tags,
@@ -435,9 +436,11 @@ def check_condition_ii(
     m_max: int = 8,
     box: Optional[Box] = None,
     inject: Optional[Dict[str, List[SiteIndex]]] = None,
+    variety: Optional[BoxVariety] = None,
 ) -> ConditionReport:
     """Non-spiral condition: walk check on the quotient plus the boxed graph
-    check.  Pass requires both to find nothing; the scale is reported."""
+    check.  Pass requires both to find nothing; the scale is reported.  The
+    graph reads the box's `box_variety`, built here unless given."""
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
     symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
@@ -466,7 +469,7 @@ def check_condition_ii(
             vv=_augment(symbols.vv, inject.get("vv", [])),
             p=spec.p,
         )
-    rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols)
+    rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols, variety=variety)
 
     witnesses = []
     if walk_verdict == "fail" and walk_witness is not None:

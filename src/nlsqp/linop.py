@@ -58,7 +58,7 @@ class ExcisionError(LinopError):
                  site: SiteIndex, meets_lattice: bool):
         where = "meets" if meets_lattice else "is off"
         super().__init__(
-            f"block {block_index} (size {size}): |P_k| = {value:.3e} "
+            f"block {block_index} (size {size}): sigma_min = {value:.3e} "
             f"below threshold {threshold:.3e}; first member {site}, "
             f"the block {where} the conservation lattice")
         self.block_index = block_index

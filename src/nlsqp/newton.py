@@ -24,7 +24,6 @@ from .characteristics import (
     BoxVariety,
     ConvolutionSymbols,
     ResonanceGraph,
-    box_lattice_radius,
     box_variety,
     branch_tags,
     conservation_sites,
@@ -79,7 +78,7 @@ class IterationState:
     residual_plain: float
     residual_weighted: float
     step_index: int
-    lattice_radius: int  # R of the step's Lambda_R; for the seed, the box's
+    lattice_radius: int  # R of the step's Lambda_R; for the seed, 2p
 
 
 @dataclass
@@ -155,11 +154,12 @@ def newton_step(
 
     The step first certifies the whole box of the variety at the frequency
     solving the Q equations for the current u (`admissibility_gate`).  The
-    linear solve then runs on Lambda_R, R the state's radius grown until at
-    most tol / 2 of the weighted residual lies off it (`_lattice_radius`):
-    one dense LU of F' there, off the 2b seed equations, so seed
-    amplitudes are anchored exactly and the post-step residual picks up
-    the full quadratic (delta-cubed) gain of the scheme.  After the first
+    linear solve then runs on Lambda_R, R the state's radius (2p for the
+    seed) grown until at most tol / 2 of the weighted residual lies off it
+    (`_lattice_radius`): one dense LU of F' there, off the 2b seed
+    equations, so seed amplitudes are anchored exactly and the post-step
+    residual picks up the full quadratic (delta-cubed) gain of the scheme,
+    the first step's included.  The box sizes nothing here.  After the first
     step, a step that grows the weighted residual more than 1.5-fold
     raises StepRejected.
     """
@@ -347,9 +347,12 @@ def first_iteration(
     is checked here, so each is decided once.  Condition (i) is how the
     error term enters the first bound: it must avoid its resonant set off
     the seed support.  The returned delta-omega is the exact first-order
-    modulation, evaluated at the seed.  The lattice radius starts at the
-    smallest R whose Lambda_R holds Lambda inside the box.  The step reads
-    the box's `box_variety`, built here unless given.
+    modulation, evaluated at the seed.  The step reads the box's
+    `box_variety`, built here unless given.  Lambda_R starts at R = 2p, set
+    by the nonlinearity, not the box: the seed residual delta (u v)^{*p} u
+    reaches generation p and the step's coupling delta A p generations
+    further, so du is O(delta^2) beyond generation p and the part of
+    delta A du that leaves Lambda_{2p} is O(delta^3).
     """
     if box is None:
         box = default_box(spec)
@@ -365,7 +368,7 @@ def first_iteration(
     plain0, weighted0 = residual_norms(u0, v0, omega0, spec)
     state0 = IterationState(u=u0, v=v0, omega=omega0, residual_plain=plain0,
                             residual_weighted=weighted0, step_index=0,
-                            lattice_radius=box_lattice_radius(spec, box))
+                            lattice_radius=2 * spec.p)
 
     omega1 = q_solve(u0, spec)
     delta_omega = tuple(w1 - w0 for w1, w0 in zip(omega1.omega, omega0.omega))
@@ -426,7 +429,6 @@ class SolveReport:
     min_block_value: float
     lattice_sites: int                       # sites of Lambda_R
     state: IterationState
-    box: Box
 
     def physical_u(self) -> SparseSeries:
         return self.state.u.scale(self.spec.delta ** (1.0 / (2 * self.spec.p)))
@@ -443,6 +445,7 @@ def solve(
     dio_radius: Optional[int] = None,
     m_max: int = 8,
     eps_second: float = 0.5,
+    variety: Optional[BoxVariety] = None,
 ) -> SolveReport:
     """Iterate Newton steps until the weighted residual, taken in full,
     drops below tol; report frequencies, certificates and convergence data.
@@ -450,11 +453,12 @@ def solve(
     The steps run on Lambda_R with R grown from the residual (`newton_step`)
     and certify the whole box; the final state is certified once more, and
     its inverse norm and decay fit are those of F' on its Lambda_R.  All
-    certificates read one `box_variety`."""
+    certificates read one `box_variety`, built here unless given."""
     if box is None:
         box = default_box(spec)
     condition_reports = _admissible(spec, box, condition_reports, m_max)
-    variety = box_variety(spec.omega0(), spec.d, box)
+    if variety is None:
+        variety = box_variety(spec.omega0(), spec.d, box)
 
     state, modreport = first_iteration(
         spec, box=box, condition_reports=condition_reports,
@@ -509,7 +513,7 @@ def solve(
         cs_mass=cs_mass, modulation=modreport,
         inverse_norm=inverse_norm, decay_beta=decay.beta_hat,
         decay_bound_ok=decay.bound_ok, min_block_value=min_block,
-        lattice_sites=len(sites), state=state, box=box,
+        lattice_sites=len(sites), state=state,
     )
 
 

@@ -351,18 +351,3 @@ def test_conservation_sites_match_brute_force(tp1, tp2, tp3):
             got = conservation_sites(spec, radius)
             assert str(got.dtype) == "int64" and [tuple(r) for r in got.tolist()] == want
             assert set(seeds) <= set(want) and (radius > 0 or sorted(seeds) == want)
-
-
-def test_box_lattice_radius_covers_lattice_in_the_box(tp2, tp3):
-    # tp3's default box holds Lambda_2 exactly (6 sites, j-radius 3); tp2's
-    # holds 7 sites with generation up to 4.
-    from nlsqp.characteristics import box_lattice_radius, conservation_sites
-    from nlsqp.lattice import default_box
-    for spec, radius, inside in ((tp2, 4, 7), (tp3, 2, 6)):
-        box = default_box(spec)
-        assert box_lattice_radius(spec, box) == radius
-        sites = conservation_sites(spec, radius)
-        held = [site(r[:spec.b], r[spec.b:]) for r in sites.tolist()]
-        assert sum(box.contains(s) for s in held) == inside
-        smaller = {tuple(r) for r in conservation_sites(spec, radius - 1).tolist()}
-        assert any(box.contains(s) and s.n + s.j not in smaller for s in held)

@@ -354,7 +354,7 @@ def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
 def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
     from nlsqp import conditions
 
-    def as_graph(u, v, spec, omega0, box, symbols=None):
+    def as_graph(u, v, spec, omega0, box, symbols=None, variety=None):
         return graph_of_lists(*loop_resonance_graph(u, v, spec, omega0, box, symbols))
 
     for inject in INJECTIONS + [None]:

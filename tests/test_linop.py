@@ -348,7 +348,7 @@ def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
         certify(case, dec, threshold=7.5e-4)
     assert (err.value.block_index, err.value.size) == (0, 2)
     assert err.value.value == block_values(dec, tp1.delta)[1][0]
-    assert str(err.value).startswith("block 0 (size 2): |P_k| = 4.900e-04")
+    assert str(err.value).startswith("block 0 (size 2): sigma_min = 4.900e-04")
 
 
 def count_calls(monkeypatch, *names):

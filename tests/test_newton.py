@@ -314,12 +314,12 @@ def test_solve_computes_each_state_residual_once(tp2, monkeypatch):
 
 
 @pytest.mark.parametrize("name, radius, sites", [
-    ("tp2", 4, 10), ("tp3", 5, 12), ("b3", 4, 75),
+    ("tp2", 3, 8), ("tp3", 5, 12), ("b3", 3, 48),
 ])
 def test_solve_converges_in_full(name, radius, sites, request):
     # The reported residual is the whole residual, at or below tol; the
-    # lattice grew past the box where the residual asked for it (tp3's box
-    # holds Lambda_2), and u lives on the final Lambda_R.
+    # lattice starts at 2p and grows past it where the residual asks (tp3
+    # ends on Lambda_5), and u lives on the final Lambda_R.
     from nlsqp.characteristics import conservation_sites
     spec, box = (B3, Box(4, 9)) if name == "b3" else (request.getfixturevalue(name), None)
     rep = solve(spec, box=box)
@@ -330,6 +330,27 @@ def test_solve_converges_in_full(name, radius, sites, request):
     lattice = {site(r[:spec.b], r[spec.b:])
                for r in conservation_sites(spec, radius).tolist()}
     assert set(st.u.support()) <= lattice
+
+
+def test_first_step_gains_delta_cubed_on_tp3(tp3):
+    # The seed residual reaches generation p and the step's coupling p more,
+    # so Lambda_{2p} keeps the first step's delta^3 gain; tp3's default box
+    # holds only Lambda_2 (p = 2), which gave slope 2.  Criterion 3's bound.
+    import dataclasses
+    deltas = [1e-2, 1e-3, 1e-4]
+    res = [first_iteration(dataclasses.replace(tp3, delta=dl))[0].residual_weighted
+           for dl in deltas]
+    assert np.polyfit(np.log(deltas), np.log(res), 1)[0] >= 2.8
+
+
+def test_b3_newton_system_does_not_depend_on_the_box():
+    # The box sets what the gate certifies, not the size of Lambda_R: a wide
+    # and a tall box give the same system and the same solution.
+    small, wide = solve(B3, box=Box(4, 9)), solve(B3, box=Box(14, 5))
+    for rep in (small, wide):
+        assert (rep.state.lattice_radius, rep.lattice_sites) == (3, 48)
+    assert small.omega == wide.omega
+    assert wide.inverse_norm == pytest.approx(small.inverse_norm, rel=1e-12)
 
 
 def test_solve_nonconvergence_reports_history(tp2):
