@@ -284,7 +284,8 @@ def _dio_table(b: int, n_radius: int, gamma: float
     return table, weights
 
 
-def _dio_scan(omegas: np.ndarray, delta: float, gamma: float, n_radius: int
+def _dio_scan(omegas: np.ndarray, delta: float, gamma: float, n_radius: int,
+              work: Optional[np.ndarray] = None
               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scan of every candidate n for each row of an (N, b) frequency array:
     per row the index of the first minimiser of ||n.omega||_T |n|^gamma /
@@ -293,16 +294,21 @@ def _dio_scan(omegas: np.ndarray, delta: float, gamma: float, n_radius: int
     The arithmetic is that of a per-candidate `omega.dot(n)` scan, so the
     result is the same to the bit: n.omega summed left to right as in
     `FrequencyVector.dot`, `np.rint` rounding half to even as `round` does,
-    and the first minimum kept.
+    and the first minimum kept.  It works in the first N rows of `work`, a
+    (2, >= N, candidates) float array, which a sweep reuses over its chunks.
     """
     if n_radius < 1:
         raise NewtonError("n_radius must be >= 1")
     cands, weights = _dio_table(omegas.shape[1], n_radius, gamma)
-    x = 0
-    for k in range(omegas.shape[1]):
-        x = x + cands[:, k] * omegas[:, k, None]
-    margins = np.abs(x - np.rint(x))
-    fitted = margins * weights / delta
+    x, margins = (np.empty((2, len(omegas), len(cands))) if work is None
+                  else work)[:, :len(omegas)]
+    np.multiply(cands[:, 0], omegas[:, 0, None], out=x)
+    for k in range(1, omegas.shape[1]):
+        x += np.multiply(cands[:, k], omegas[:, k, None], out=margins)
+    np.subtract(x, np.rint(x, out=margins), out=margins)
+    np.abs(margins, out=margins)
+    fitted = np.multiply(margins, weights, out=x)
+    fitted /= delta
     best = np.argmin(fitted, axis=1)
     rows = np.arange(len(best))
     return best, fitted[rows, best], margins[rows, best]
@@ -419,8 +425,8 @@ class SolveReport:
     omega_shifts: Tuple[float, ...]          # |omega_k - |j_k|^2 - m|
     amplitudes_physical: Tuple[float, ...]   # delta^{1/2p} a_k
     residual_history: List[Tuple[float, float]]  # (plain, weighted) per state, in full
-    quad_ratios: List[float]
-    quad_constant: Optional[float]
+    quad_ratios: List[float]                 # w_next / w_prev^2 per Newton step
+    quad_constant: Optional[float]           # their max over steps above the floor
     cs_mass: float                           # max |u| on C \ S
     modulation: ModulationReport
     inverse_norm: float                      # ||F'^{-1}|| on Lambda_R, off the seed equations
@@ -480,12 +486,13 @@ def solve(
             f"no convergence after {state.step_index} steps "
             f"(weighted residual {state.residual_weighted:.3e})", history)
 
+    # w_next / w_prev^2 per Newton step; a step landing within 1e2 of the
+    # roundoff floor divides roundoff by a small square and is left out of quad_c.
     floor = 1e-13
-    ratios = []
-    for (p_prev, w_prev), (p_next, w_next) in zip(history[1:], history[2:]):
-        if w_prev > floor and w_next > 0:
-            ratios.append(w_next / w_prev ** 2)
-    quad_c = max(ratios) if ratios else None
+    gains = [(w_next / w_prev ** 2, w_next) for (_, w_prev), (_, w_next)
+             in zip(history[1:], history[2:]) if w_prev > floor and w_next > 0]
+    ratios = [r for r, _ in gains]
+    quad_c = max((r for r, w_next in gains if w_next > 1e2 * floor), default=None)
 
     symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
     min_block = admissibility_gate(state.omega, spec, variety, symbols, eps_second=eps_second)
@@ -601,6 +608,7 @@ def excision_sweep(
     jsq_m = np.array([s.jsq() + spec.phase_m for s in spec.seed_sites()])
     min_vals = np.empty(n_samples)
     dio_vals = np.empty(n_samples)
+    dio_work = np.empty((2, SWEEP_CHUNK, len(_dio_candidates(spec.b, dio_radius))))
     for start in range(0, n_samples, SYMBOL_CHUNK):
         group = slice(start, start + SYMBOL_CHUNK)
         amps, group_min, group_dio = samples[group], min_vals[group], dio_vals[group]
@@ -614,9 +622,11 @@ def excision_sweep(
         omegas = jsq_m + spec.delta * bracket.real / amps
         if plan:
             zero = np.zeros(len(amps), dtype=complex)
-            table = np.stack([np.stack([coef * sym.get(dd, zero) for dd in shift_sites],
-                                       axis=1)
-                              for coef, sym in ((p + 1, uv_p), (p, uu), (p, vv))], axis=1)
+            # (group, 3, n_shifts), each column written in place as one contiguous row.
+            table = np.empty((3, len(shift_sites), len(amps)), dtype=complex).transpose(2, 0, 1)
+            for kind, (coef, sym) in enumerate(((p + 1, uv_p), (p, uu), (p, vv))):
+                for i, dd in enumerate(shift_sites):
+                    np.multiply(coef, sym.get(dd, zero), out=table[:, kind, i])
         for lo in range(0, len(amps), SWEEP_CHUNK):
             rows = slice(lo, lo + SWEEP_CHUNK)
             worst = np.full(len(amps[rows]), math.inf)
@@ -626,7 +636,7 @@ def excision_sweep(
                 # numpy's vectorised complex abs can differ in the last bit.
                 worst = np.minimum(worst, np.hypot(dets.real, dets.imag).min(axis=1))
             group_min[rows] = worst
-            group_dio[rows] = _dio_scan(omegas[rows], spec.delta, gamma, dio_radius)[1]
+            group_dio[rows] = _dio_scan(omegas[rows], spec.delta, gamma, dio_radius, dio_work)[1]
 
     eps_list = list(epsilons)
     fractions, counts = [], []

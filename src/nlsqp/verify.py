@@ -199,21 +199,24 @@ def _phase_rotation(shape: Tuple[int, ...], p: int, m: float
     """The nonlinear sub-flow's rotation (mod2, tau) -> e^{-i tau (mod2^p + m)}
     on arrays of the given shape.
 
-    cos and sin of the real angle are written into the real and imaginary
-    parts of one complex buffer, reused by every call (a result is valid
-    until the next call).  On small grids that costs no more than exp of a
-    complex array, and less on 2-D grids; the bits are the same for a
+    The angle goes into a real buffer, its cos and sin into the real and
+    imaginary parts of a complex one, both reused by every call (a result is
+    valid until the next call).  On small grids that costs no more than exp
+    of a complex array, and less on 2-D grids; the bits are the same for a
     nonzero angle (at a zero angle the imaginary part is -0.0, not +0.0).
     """
     rot = np.empty(shape, dtype=complex)
     rot_re, rot_im = rot.real, rot.imag
+    angle = np.empty(shape)
 
     def phase(mod2: np.ndarray, tau: float) -> np.ndarray:
-        # (mod2^p + m) * -tau in place, bit for bit: adding m = 0 is a no-op.
-        angle = mod2 ** p
+        # (mod2^p + m) * -tau, bit for bit: numpy's mod2 ** 2 is mod2 * mod2,
+        # mod2 ** 1 is mod2, and adding m = 0 is a no-op.
+        base = mod2 if p == 1 else (np.multiply(mod2, mod2, out=angle) if p == 2
+                                    else np.power(mod2, p, out=angle))
         if m:
-            angle += m
-        angle *= -tau
+            base = np.add(base, m, out=angle)
+        np.multiply(base, -tau, out=angle)
         np.cos(angle, out=rot_re)
         np.sin(angle, out=rot_im)
         return rot
@@ -247,15 +250,19 @@ def evolve_drift(
     phi -> phi e^{-i tau (|phi|^{2p} + m)} keeps |phi| fixed at every point,
     so the last phase flow of one step and the first of the next compose
     exactly into one phase over 2 b1 dt; the loop splits it back only where
-    a sample is recorded and at the last step.  For r <= 1 a free flow is
-    one product with a dense m x m propagator of `_linear_propagator` (one
-    per distinct coefficient), which on 16-64 points costs less than an FFT
-    pair; for r = 2 it is FFT, multiply, inverse FFT, which also covers the
-    cross terms of B^T B.  The l2 mass is read off the |phi|^2 array after
-    the last stage of every step; a mass that is not finite or drifts by
-    more than 1e-3 raises IntegratorInstability.  At each sample,
-    trajectory_error takes the relative l2 gap between phi_hat and the
-    series' own field sum_n u_{n,j} e^{i (n.omega) t} on the c bins.
+    a sample is recorded.  For r <= 1 a free flow is one product with a
+    dense m x m propagator of `_linear_propagator` (one per distinct
+    coefficient), which on 16-64 points costs less than an FFT pair; for
+    r = 2 it is FFT, multiply, inverse FFT, which also covers the cross
+    terms of B^T B.  On r <= 1 a stage allocates nothing: every ufunc
+    writes into a reused buffer.  The l2 mass is read off |phi|^2 after the
+    last stage of every step; a mass that is not finite or drifts by more
+    than 1e-3 raises IntegratorInstability.  Each sampled phi is copied
+    into a preallocated (samples, m^r) array (samples x m^r x 16 bytes:
+    206 KB on tp3); after the loop one fftn over its grid axes and one exp
+    of the (samples, terms) phases give trajectory_error, the largest
+    relative l2 gap between phi_hat and the series' own field
+    sum_n u_{n,j} e^{i (n.omega) t} on the c bins.
     """
     terms = u.items()
     j0 = spec.j_list[0]
@@ -269,25 +276,16 @@ def evolve_drift(
     if dt > 0.5:
         raise IntegratorInstability("dt too large for the phase rotation", 0.1)
 
-    # phi(0, y) on the grid: collapse the n direction (t = 0).
     shape = (m,) * bmat.shape[1]
-    phi = np.zeros(shape, dtype=complex)
-    for c, (_, val) in zip(coords, terms):
-        phi[tuple(c % m)] += val
-    phi = np.fft.ifftn(phi) * phi.size  # values on the grid
-
     # |j0 + Bc|^2 on the FFT frequencies c of the grid.
     freqs = np.meshgrid(*[np.fft.fftfreq(m, d=1.0 / m)] * len(shape), indexing="ij")
     jc = np.array(j0, dtype=float)[:, None] + bmat @ np.stack([f.ravel() for f in freqs])
     symbol = np.sum(jc * jc, axis=0).reshape(shape)
-    if len(shape) == 1:
-        props = {a: _linear_propagator(symbol, a * dt) for a in set(S6_FREE)}
-        flows = [lambda f, prop=props[a]: prop @ f for a in S6_FREE]
-    else:
-        lin_phases = {a: np.exp(-1j * symbol * (a * dt)) for a in set(S6_FREE)}
-        flows = [lambda f, lin=lin_phases[a]: np.fft.ifftn(np.fft.fftn(f) * lin)
-                 for a in S6_FREE]
-    stages = list(zip(flows[:-1], [b * dt for b in S6_PHASE[1:-1]]))
+    ops = {a: _linear_propagator(symbol, a * dt) if len(shape) == 1
+           else np.exp(-1j * symbol * (a * dt)) for a in set(S6_FREE)}
+    # Each free flow and the phase flow after it; the sixth free flow's
+    # phase (tau 0) is the step-boundary one, taken after the mass check.
+    stages = [(ops[a], b * dt) for a, b in zip(S6_FREE, S6_PHASE[1:-1] + (0.0,))]
 
     steps = int(round(T / dt))
     # At least 200 samples, and densely enough that no mode advances more
@@ -295,66 +293,68 @@ def evolve_drift(
     max_omega = max(1.0, max(abs(w) for w in omega.omega))
     max_interval = 0.5 * math.pi / max_omega
     sample_every = max(1, min(steps // 200, int(max_interval / dt)))
-    mode_bins = [tuple(c % m) for c in coords[len(terms):]]
-    term_bins = np.ravel_multi_index(tuple((coords[:len(terms)] % m).T), shape)
+    times = np.array([0.0] + [s * dt for s in range(1, steps + 1)
+                              if s % sample_every == 0 or s == steps])
+    bins = np.ravel_multi_index(tuple((coords % m).T), shape)
+    term_bins, mode_bins = bins[:len(terms)], bins[len(terms):]
     term_freqs = np.array([s.n for s, _ in terms], dtype=float) @ np.array(omega.omega)
     term_vals = np.array([v for _, v in terms], dtype=complex)
 
-    mod2 = (phi * phi.conj()).real
+    # phi(0, y) on the grid: collapse the n direction (t = 0).
+    phi = np.zeros(shape, dtype=complex)
+    np.add.at(phi.reshape(-1), term_bins, term_vals)
+    phi = np.fft.ifftn(phi) * phi.size  # values on the grid
+    snaps = np.empty((len(times),) + shape, dtype=complex)
+    snaps[0] = phi
+    spare, sq = np.empty((2,) + shape, dtype=complex)
+    mod2 = sq.real  # phi conj(phi) is written into sq: mod2 is |phi|^2
+    np.multiply(phi, np.conjugate(phi, out=sq), out=sq)
     mass0 = float(mod2.sum())
-    times: List[float] = []
-    amps: List[List[float]] = []
-    phases: List[List[float]] = []
-    gaps: List[float] = []
-
-    def record(tnow: float):
-        ft = np.fft.fftn(phi) / phi.size
-        times.append(tnow)
-        amps.append([abs(ft[bin]) for bin in mode_bins])
-        phases.append([math.atan2(ft[bin].imag, ft[bin].real) for bin in mode_bins])
-        field = np.zeros(phi.size, dtype=complex)
-        np.add.at(field, term_bins, term_vals * np.exp(1j * term_freqs * tnow))
-        gaps.append(float(np.linalg.norm(ft.ravel() - field) / np.linalg.norm(field)))
-
     phase = _phase_rotation(shape, spec.p, spec.phase_m)
-
-    record(0.0)
     tau1 = S6_PHASE[0] * dt
-    mass = mass0
-    phi = phi * phase(mod2, tau1)  # first phase flow of the first step
-    for step in range(steps):
-        for flow, tau in stages:
-            phi = flow(phi)
-            phi *= phase((phi * phi.conj()).real, tau)  # phi is flow's new array
-        phi = flows[-1](phi)
-        mod2 = (phi * phi.conj()).real
+    phi *= phase(mod2, tau1)  # first phase flow of the first step
+    mass, sample = mass0, 1
+    for step in range(1, steps + 1):
+        for op, tau in stages:
+            if len(shape) == 1:
+                phi, spare = np.dot(op, phi, out=spare), phi
+            else:
+                phi = np.fft.ifftn(np.fft.fftn(phi) * op)
+            np.multiply(phi, np.conjugate(phi, out=sq), out=sq)
+            if tau:
+                phi *= phase(mod2, tau)
         mass = float(mod2.sum())
         if not math.isfinite(mass) or (
                 mass0 > 0 and abs(mass - mass0) / mass0 > 1e-3):
             raise IntegratorInstability(
                 f"mass drifted {abs(mass - mass0) / mass0:.2e} "
-                f"at t={(step + 1) * dt:.3f}", suggested_dt=dt / 4.0)
-        if (step + 1) % sample_every == 0 or step == steps - 1:
+                f"at t={step * dt:.3f}", suggested_dt=dt / 4.0)
+        if step % sample_every == 0 or step == steps:
             rot = phase(mod2, tau1)
-            phi = phi * rot
-            record((step + 1) * dt)
-            if step < steps - 1:
-                phi = phi * rot
+            np.multiply(phi, rot, out=snaps[sample])
+            np.multiply(snaps[sample], rot, out=phi)
+            sample += 1
         else:
             phi *= phase(mod2, 2.0 * tau1)
 
-    times_a = np.array(times)
-    amps_a = np.array(amps)
+    ft = np.fft.fftn(snaps, axes=range(1, snaps.ndim)).reshape(len(times), -1) / phi.size
+    modes = ft[:, mode_bins]
+    field = np.zeros_like(ft)
+    np.add.at(field, (slice(None), term_bins),
+              term_vals * np.exp(1j * np.outer(times, term_freqs)))
+    gaps = np.linalg.norm(ft - field, axis=1) / np.linalg.norm(field, axis=1)
+
+    amps_a = np.hypot(modes.real, modes.imag)  # abs() of a complex, bit for bit
     a0 = amps_a[0]
     amp_drift = float(np.max(np.abs(amps_a - a0) / np.maximum(a0, 1e-300)))
-    expected = -np.outer(times_a, np.array(omega.omega))
+    expected = -np.outer(times, np.array(omega.omega))
     # Unwrap the slow gap to the -omega_k t law, not the phase itself, which
     # turns by more than pi between samples once |omega_k| dt > pi.
-    raw = np.array(phases)
+    raw = np.arctan2(modes.imag, modes.real)
     phase_err = np.unwrap(raw - expected, axis=0) - (raw[0] - expected[0])
     phases_a = raw[0] + expected + phase_err
     mass_drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
-    return DriftReport(times=times_a, mode_amps=amps_a, mode_phases=phases_a,
+    return DriftReport(times=times, mode_amps=amps_a, mode_phases=phases_a,
                        amp_drift=amp_drift, phase_error=phase_err,
-                       mass_drift=mass_drift, trajectory_error=max(gaps),
+                       mass_drift=mass_drift, trajectory_error=float(gaps.max()),
                        dt=dt, grid=m, rank=rank)

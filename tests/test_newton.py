@@ -291,6 +291,22 @@ def test_solve_tp2(tp2):
         tuple(math.sqrt(1e-3) * a for a in (0.6, 0.8)))
 
 
+def test_quad_constant_leaves_out_steps_that_land_at_the_roundoff_floor():
+    # tp2 at delta = 3e-2 takes two Newton steps: 1.5e-5 -> 5.9e-10 (ratio
+    # 2.66) and 5.9e-10 -> 5.4e-13, a residual at the floor over a small
+    # square (ratio 1.5e6).  Both are recorded; only the first counts.
+    spec = make_spec(d=1, b=2, p=1, delta=3e-2, j_list=[1, 2], amplitudes=[0.6, 0.8])
+    rep = solve(spec)
+    w = [wk for _, wk in rep.residual_history]
+    assert len(w) == 4 and w[3] < 1e-11 < w[2]
+    assert rep.quad_ratios == [w[2] / w[1] ** 2, w[3] / w[2] ** 2]
+    assert rep.quad_constant == rep.quad_ratios[0]
+    assert rep.quad_ratios[1] > 1e5 * rep.quad_constant
+    # tp2 at delta = 1e-3 takes one step, which lands at the floor.
+    rep = solve(make_spec(d=1, b=2, p=1, delta=1e-3, j_list=[1, 2], amplitudes=[0.6, 0.8]))
+    assert len(rep.quad_ratios) == 1 and rep.quad_constant is None
+
+
 def test_solve_tp3(tp3):
     rep = solve(tp3, box=Box(6, 3))
     assert rep.converged and rep.steps <= 6

@@ -16,7 +16,7 @@ from nlsqp.lattice import (
 )
 from nlsqp._intlinalg import lattice_basis
 from nlsqp.cli import VerifyCfg
-from nlsqp.newton import residual_series, solve
+from nlsqp.newton import q_solve, residual_series, solve
 from nlsqp.verify import (
     GridTooCoarse,
     IntegratorInstability,
@@ -272,16 +272,41 @@ def solved(spec):
     return solve(spec)
 
 
+# Seeds that no fixture covers: tp3 with a mass term, a p = 3 seed (the
+# nonlinearity |u|^6 u) and a support of rank 2.  solve refuses tp3 with
+# phase_m = 0.25 (an off-characteristic diagonal) and stops just short of
+# tol on the p = 3 seed, so these evolve the linear seed at its modulated
+# frequency.
+LINEAR_SEEDS = {
+    "tp3_phase_m": make_spec(d=2, b=2, p=2, delta=1e-3, j_list=[(1, 0), (0, 1)],
+                             amplitudes=[0.9, 0.35], phase_m=0.25),
+    "p3": make_spec(d=1, b=2, p=3, delta=1e-3, j_list=[1, 3], amplitudes=[0.6, 0.8]),
+    "rank_two": make_spec(d=2, b=3, p=1, delta=1e-2, j_list=[(1, 0), (0, 1), (2, 1)],
+                          amplitudes=[0.6, 0.8, 0.5]),
+}
+
+
+def evolve_input(name, request):
+    """u in physical scaling, omega and spec of a named case."""
+    if name in LINEAR_SEEDS:
+        spec = LINEAR_SEEDS[name]
+        u0, _ = linear_solution(spec)
+        return u0.scale(spec.delta ** (1.0 / (2 * spec.p))), q_solve(u0, spec), spec
+    spec = request.getfixturevalue(name)
+    rep = solved(spec)
+    return rep.physical_u(), rep.state.omega, spec
+
+
 @pytest.mark.parametrize("name, T, dt", [("tp2", 20.0, 1e-2), ("tp3", 10.0, 1e-2),
-                                         ("tp2", 20.0, 0.1), ("tp3", 10.0, 0.1)])
+                                         ("tp2", 20.0, 0.1), ("tp3", 10.0, 0.1),
+                                         ("tp3_phase_m", 10.0, 0.1), ("p3", 20.0, 1e-2),
+                                         ("p3", 20.0, 0.1)])
 def test_evolve_matches_fft_s6_reference(name, T, dt, request):
     # Fusing adjacent phase flows, the dense propagators and the sub-torus
     # change only the rounding: the sampled modes follow the textbook loop,
     # and so does the trajectory error where it is well above rounding.
-    spec = request.getfixturevalue(name)
-    rep = solved(spec)
-    drift, gap = assert_matches_fft_s6_reference(rep.physical_u(), rep.state.omega,
-                                                 spec, T, dt)
+    u, omega, spec = evolve_input(name, request)
+    drift, gap = assert_matches_fft_s6_reference(u, omega, spec, T, dt)
     if dt == 0.1:
         assert drift.trajectory_error > 1e-11
         assert drift.trajectory_error == pytest.approx(gap, rel=1e-2)
@@ -344,17 +369,42 @@ def test_evolve_drift_equals_the_x_grid_integrator(name, request):
     assert drift.mass_drift == pytest.approx(mass, abs=1e-10)
 
 
-def captured_final_field(monkeypatch, u, omega, spec, T, dt):
-    """phi on the sub-torus grid at t = T, as evolve_drift's last sample
-    transforms it: on a rank-1 support the loop calls fftn only to record."""
-    seen = []
+def batched_transform(monkeypatch, u, omega, spec, T, dt):
+    """The drift report, the sampled phi that evolve_drift transforms in one
+    batched fftn over the grid axes, and that transform."""
+    calls = []
     fftn = np.fft.fftn
+
+    def spy(a, *args, **kw):
+        out = fftn(a, *args, **kw)
+        if "axes" in kw:
+            calls.append((a.copy(), out.copy()))
+        return out
+
     with monkeypatch.context() as patch:
-        patch.setattr(np.fft, "fftn", lambda a, *args, **kw: (
-            seen.append(a.copy()), fftn(a, *args, **kw))[1])
+        patch.setattr(np.fft, "fftn", spy)
         drift = evolve_drift(u, omega, spec, T=T, dt=dt)
-    assert drift.rank == 1 and len(seen) == len(drift.times) and drift.times[-1] == T
-    return seen[-1]
+    assert len(calls) == 1 and len(calls[0][0]) == len(drift.times)
+    return drift, calls[0][0], calls[0][1]
+
+
+def captured_final_field(monkeypatch, u, omega, spec, T, dt):
+    """phi on the sub-torus grid at t = T: the last sample evolve_drift
+    transforms."""
+    drift, snaps, _ = batched_transform(monkeypatch, u, omega, spec, T, dt)
+    assert drift.rank == 1 and drift.times[-1] == T
+    return snaps[-1]
+
+
+@pytest.mark.parametrize("name", ["tp3", "rank_two"])
+def test_batched_sample_transform_equals_one_fftn_per_sample(name, request, monkeypatch):
+    # One fftn over the (samples, m^r) stack gives each row the bits of a
+    # transform of that sample alone, on a rank-1 and a rank-2 grid.
+    u, omega, spec = evolve_input(name, request)
+    drift, snaps, batched = batched_transform(monkeypatch, u, omega, spec, T=2.0, dt=0.1)
+    assert snaps.ndim == drift.rank + 1
+    for snap, row in zip(snaps, batched):
+        assert_same_bits(row, np.fft.fftn(snap))
 
 
 def test_evolve_drift_is_fourth_order(tp2, monkeypatch):
