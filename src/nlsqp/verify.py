@@ -188,40 +188,33 @@ S6_FREE = (_A1, _A2, 0.5 - _A1 - _A2, 0.5 - _A1 - _A2, _A2, _A1)
 def _linear_propagator(symbol: np.ndarray, dt: float) -> np.ndarray:
     """Dense m x m free flow over dt along one periodic axis of m points, for
     the Fourier multiplier e^{-i symbol dt} with `symbol` given on the FFT
-    frequencies (np.fft.fftfreq order): P = F^{-1} diag(e^{-i symbol dt}) F,
-    so P @ f is ifft(fft(f) e^{-i symbol dt})."""
-    spectral = np.exp(-1j * symbol * dt)[:, None] * np.fft.fft(np.eye(len(symbol)), axis=0)
-    return np.fft.ifft(spectral, axis=0)
+    frequencies (np.fft.fftfreq order): P @ f is ifft(fft(f) e^{-i symbol dt}).
+    P is circulant, P[x, y] = c[(x - y) mod m] for c = ifft(e^{-i symbol dt}),
+    one length-m transform taken in long double and rounded to complex128
+    once, so P is unitary to about the last bit.  Where long double is
+    float64 that accuracy is lost, but P is still correct to rounding."""
+    c = np.fft.ifft(np.exp(-1j * symbol.astype(np.longdouble) * np.longdouble(dt)))
+    shift = np.arange(len(symbol))
+    return c.astype(complex)[(shift[:, None] - shift) % len(symbol)]
 
 
-def _phase_rotation(shape: Tuple[int, ...], p: int, m: float
-                    ) -> Callable[[np.ndarray, float], np.ndarray]:
-    """The nonlinear sub-flow's rotation (mod2, tau) -> e^{-i tau (mod2^p + m)}
-    on arrays of the given shape.
+def _phase_base(mod2: np.ndarray, p: int, m: float) -> Tuple[np.ndarray, Optional[Callable]]:
+    """(base, refresh) of the nonlinear sub-flow's rotation e^{-i tau base}:
+    after refresh(), base holds mod2 ** p + m of what mod2 holds, bit for
+    bit (numpy's mod2 ** 2 is mod2 * mod2; m = 0 is not added).  For p = 1,
+    m = 0 base is mod2 and refresh is None.  base times the scalar -i tau
+    has real part +0.0, so its exp is the rotation."""
+    if p == 1 and not m:
+        return mod2, None
+    base = np.empty(mod2.shape)
 
-    The angle goes into a real buffer, its cos and sin into the real and
-    imaginary parts of a complex one, both reused by every call (a result is
-    valid until the next call).  On small grids that costs no more than exp
-    of a complex array, and less on 2-D grids; the bits are the same for a
-    nonzero angle (at a zero angle the imaginary part is -0.0, not +0.0).
-    """
-    rot = np.empty(shape, dtype=complex)
-    rot_re, rot_im = rot.real, rot.imag
-    angle = np.empty(shape)
-
-    def phase(mod2: np.ndarray, tau: float) -> np.ndarray:
-        # (mod2^p + m) * -tau, bit for bit: numpy's mod2 ** 2 is mod2 * mod2,
-        # mod2 ** 1 is mod2, and adding m = 0 is a no-op.
-        base = mod2 if p == 1 else (np.multiply(mod2, mod2, out=angle) if p == 2
-                                    else np.power(mod2, p, out=angle))
+    def refresh():
+        b = mod2 if p == 1 else (np.multiply(mod2, mod2, base) if p == 2
+                                 else np.power(mod2, p, base))
         if m:
-            base = np.add(base, m, out=angle)
-        np.multiply(base, -tau, out=angle)
-        np.cos(angle, out=rot_re)
-        np.sin(angle, out=rot_im)
-        return rot
+            np.add(b, m, base)
 
-    return phase
+    return base, refresh
 
 
 def evolve_drift(
@@ -254,8 +247,11 @@ def evolve_drift(
     dense m x m propagator of `_linear_propagator` (one per distinct
     coefficient), which on 16-64 points costs less than an FFT pair; for
     r = 2 it is FFT, multiply, inverse FFT, which also covers the cross
-    terms of B^T B.  On r <= 1 a stage allocates nothing: every ufunc
-    writes into a reused buffer.  The l2 mass is read off |phi|^2 after the
+    terms of B^T B.  A phase flow is one multiply of the real base
+    |phi|^{2p} + m (`_phase_base`) by -i tau into a complex buffer and one
+    exp in place.  So on r <= 1 a stage is six numpy calls (dot, conjugate,
+    multiply, multiply, exp, multiply; one more each for p > 1 and m != 0)
+    into reused buffers.  The l2 mass is read off |phi|^2 after the
     last stage of every step; a mass that is not finite or drifts by more
     than 1e-3 raises IntegratorInstability.  Each sampled phi is copied
     into a preallocated (samples, m^r) array (samples x m^r x 16 bytes:
@@ -281,11 +277,16 @@ def evolve_drift(
     freqs = np.meshgrid(*[np.fft.fftfreq(m, d=1.0 / m)] * len(shape), indexing="ij")
     jc = np.array(j0, dtype=float)[:, None] + bmat @ np.stack([f.ravel() for f in freqs])
     symbol = np.sum(jc * jc, axis=0).reshape(shape)
-    ops = {a: _linear_propagator(symbol, a * dt) if len(shape) == 1
-           else np.exp(-1j * symbol * (a * dt)) for a in set(S6_FREE)}
-    # Each free flow and the phase flow after it; the sixth free flow's
-    # phase (tau 0) is the step-boundary one, taken after the mass check.
-    stages = [(ops[a], b * dt) for a, b in zip(S6_FREE, S6_PHASE[1:-1] + (0.0,))]
+    # Each free flow (phi, out) -> P phi (a bound dot on r <= 1; FFT,
+    # multiply, inverse FFT on r = 2) and the -i tau of the phase flow after
+    # it.  The sixth phase flow fuses the step's last with the next step's
+    # first, or is only its first half where a sample is taken.
+    flows = {a: _linear_propagator(symbol, a * dt).dot if len(shape) == 1
+             else (lambda f, out, e=np.exp(-1j * symbol * (a * dt)):
+                   np.fft.ifftn(np.fft.fftn(f) * e)) for a in set(S6_FREE)}
+    tau1 = S6_PHASE[0] * dt
+    inner = [(flows[a], -1j * (b * dt)) for a, b in zip(S6_FREE, S6_PHASE[1:-1])]
+    fused, split = (inner + [(flows[S6_FREE[-1]], -1j * t)] for t in (2.0 * tau1, tau1))
 
     steps = int(round(T / dt))
     # At least 200 samples, and densely enough that no mode advances more
@@ -306,36 +307,35 @@ def evolve_drift(
     phi = np.fft.ifftn(phi) * phi.size  # values on the grid
     snaps = np.empty((len(times),) + shape, dtype=complex)
     snaps[0] = phi
-    spare, sq = np.empty((2,) + shape, dtype=complex)
+    spare, sq, rot = np.empty((3,) + shape, dtype=complex)
     mod2 = sq.real  # phi conj(phi) is written into sq: mod2 is |phi|^2
-    np.multiply(phi, np.conjugate(phi, out=sq), out=sq)
-    mass0 = float(mod2.sum())
-    phase = _phase_rotation(shape, spec.p, spec.phase_m)
-    tau1 = S6_PHASE[0] * dt
-    phi *= phase(mod2, tau1)  # first phase flow of the first step
+    mul, conj, exp, add = np.multiply, np.conjugate, np.exp, np.add  # looked up once
+    mul(phi, conj(phi, sq), sq)
+    mass0 = float(add.reduce(mod2, None))
+    base, refresh = _phase_base(mod2, spec.p, spec.phase_m)
+    if refresh:
+        refresh()
+    mul(phi, exp(mul(base, -1j * tau1, rot), rot), phi)  # the first phase flow
     mass, sample = mass0, 1
     for step in range(1, steps + 1):
-        for op, tau in stages:
-            if len(shape) == 1:
-                phi, spare = np.dot(op, phi, out=spare), phi
-            else:
-                phi = np.fft.ifftn(np.fft.fftn(phi) * op)
-            np.multiply(phi, np.conjugate(phi, out=sq), out=sq)
-            if tau:
-                phi *= phase(mod2, tau)
-        mass = float(mod2.sum())
+        sampled = step % sample_every == 0 or step == steps
+        for flow, ntau in split if sampled else fused:
+            phi, spare = flow(phi, spare), phi
+            mul(phi, conj(phi, sq), sq)
+            if refresh:
+                refresh()
+            mul(phi, exp(mul(base, ntau, rot), rot), phi)
+        # A phase flow leaves |phi|^2 as it is: mod2 still holds it.
+        mass = float(add.reduce(mod2, None))
         if not math.isfinite(mass) or (
                 mass0 > 0 and abs(mass - mass0) / mass0 > 1e-3):
             raise IntegratorInstability(
                 f"mass drifted {abs(mass - mass0) / mass0:.2e} "
                 f"at t={step * dt:.3f}", suggested_dt=dt / 4.0)
-        if step % sample_every == 0 or step == steps:
-            rot = phase(mod2, tau1)
-            np.multiply(phi, rot, out=snaps[sample])
-            np.multiply(snaps[sample], rot, out=phi)
+        if sampled:  # the boundary's second half, as rot still holds it
+            snaps[sample] = phi
+            mul(phi, rot, phi)
             sample += 1
-        else:
-            phi *= phase(mod2, 2.0 * tau1)
 
     ft = np.fft.fftn(snaps, axes=range(1, snaps.ndim)).reshape(len(times), -1) / phi.size
     modes = ft[:, mode_bins]

@@ -22,7 +22,7 @@ from nlsqp.verify import (
     IntegratorInstability,
     WeightSpec,
     _linear_propagator,
-    _phase_rotation,
+    _phase_base,
     default_weight,
     evolve_drift,
     pde_residual,
@@ -350,8 +350,8 @@ def test_evolve_rank_two_support_with_cross_terms_matches_the_x_grid():
 
 
 # amp_drift and mass_drift of the textbook x-grid loop `fft_s6_reference` at
-# the default verify run (T = 100, dt = 0.1); the fused sub-torus loop
-# differs from it only in rounding.
+# the default verify run (T = 100, dt = 0.1).  Both are rounding: the fused
+# sub-torus loop may differ from them, but not grow past a small multiple.
 X_GRID_DRIFT = {
     "tp1": (2.825907474930265e-13, 5.646701926904098e-13),
     "tp2": (1.4134761829217655e-13, 1.235990405549874e-13),
@@ -365,8 +365,8 @@ def test_evolve_drift_equals_the_x_grid_integrator(name, request):
     rep = solved(spec)
     drift = evolve_drift(rep.physical_u(), rep.state.omega, spec, T=100.0, dt=0.1)
     amp, mass = X_GRID_DRIFT[name]
-    assert drift.amp_drift == pytest.approx(amp, abs=1e-10)
-    assert drift.mass_drift == pytest.approx(mass, abs=1e-10)
+    assert drift.amp_drift <= 3 * amp
+    assert drift.mass_drift <= 3 * mass
 
 
 def batched_transform(monkeypatch, u, omega, spec, T, dt):
@@ -420,7 +420,7 @@ def test_evolve_drift_is_fourth_order(tp2, monkeypatch):
         ref = captured_final_field(monkeypatch, u, omega, tp2, 10.0, dt / 16)
         errs.append(np.linalg.norm(phi - ref) / np.linalg.norm(ref))
     for coarse, fine in zip(errs, errs[1:]):
-        assert 12.0 <= coarse / fine <= 20.0
+        assert 14.0 <= coarse / fine <= 18.0
 
 
 def test_one_dense_propagator_per_distinct_free_flow_coefficient(tp2, monkeypatch):
@@ -539,9 +539,23 @@ def exp_phase(mod2, p, m, tau):
     return np.exp((mod2 ** p + m) * (-1j * tau))
 
 
+def loop_rotation(mod2, p, m, tau):
+    """The rotation as evolve_drift's phase flow takes it: `_phase_base`'s
+    base times the scalar -i tau into a complex buffer, then exp in place."""
+    base, refresh = _phase_base(mod2, p, m)
+    if refresh:
+        refresh()
+    rot = np.empty(mod2.shape, dtype=complex)
+    return np.exp(np.multiply(base, -1j * tau, rot), rot)
+
+
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype == complex and a.shape == b.shape
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Phase-flow times of S6 at dt = 0.1 and 0.01, the negative b3 among them.
+PHASE_TAUS = (S6_B[0] * 0.1, 2 * S6_B[0] * 0.1, S6_B[2] * 0.1, S6_B[3] * 0.01)
 
 
 @pytest.mark.parametrize("name", ["tp2", "tp3"])
@@ -549,9 +563,9 @@ def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_solutions(name, request
     spec = request.getfixturevalue(name)
     psi = initial_field(solved(spec).physical_u(), spec)
     mod2 = (psi * psi.conj()).real
-    phase = _phase_rotation(mod2.shape, spec.p, spec.phase_m)
-    for tau in (5e-3, 1e-2, 2.5e-3):
-        assert_same_bits(phase(mod2, tau), exp_phase(mod2, spec.p, spec.phase_m, tau))
+    for tau in PHASE_TAUS:
+        assert_same_bits(loop_rotation(mod2, spec.p, spec.phase_m, tau),
+                         exp_phase(mod2, spec.p, spec.phase_m, tau))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -560,16 +574,16 @@ def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_solutions(name, request
 def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_random_fields(p, m, d):
     rng = np.random.default_rng(100 * p + 10 * d + int(2 * m))
     shape = (32,) * d
-    phase = _phase_rotation(shape, p, m)
     for scale in (1e-3, 1.0, 4.0):
         psi = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         mod2 = (psi * psi.conj()).real
-        for tau in (5e-3, 1e-2):
-            assert_same_bits(phase(mod2, tau), exp_phase(mod2, p, m, tau))
+        for tau in PHASE_TAUS:
+            assert_same_bits(loop_rotation(mod2, p, m, tau), exp_phase(mod2, p, m, tau))
 
 
-def test_nonlinear_phase_at_zero_angle_differs_only_in_the_sign_of_zero():
-    got = _phase_rotation((3,), 1, 0.0)(np.zeros(3), 5e-3)
-    ref = exp_phase(np.zeros(3), 1, 0.0, 5e-3)
-    assert np.array_equal(got, ref) and np.all(got == 1.0)
-    assert np.all(np.signbit(got.imag)) and not np.any(np.signbit(ref.imag))
+def test_nonlinear_phase_at_zero_angle_is_bitwise_the_complex_exp():
+    # The real part of base * -i tau is +0.0 and so is its imaginary part at
+    # a zero base, so exp gives exactly 1 + 0j, as exp_phase does.
+    got = loop_rotation(np.zeros(3), 1, 0.0, 5e-3)
+    assert_same_bits(got, exp_phase(np.zeros(3), 1, 0.0, 5e-3))
+    assert np.all(got == 1.0) and not np.any(np.signbit(got.imag))
