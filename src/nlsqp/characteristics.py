@@ -14,8 +14,8 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,7 +110,9 @@ class BoxVariety:
     Those are the vertices: the n_tagged graph vertices (u-copies of C+
     sites, v-copies of C- sites, lexicographic), then the other copy of
     each with j = 0; vertices and copies (+1 u, -1 v; int8) give their site
-    and copy, and vertex_of maps a doubled index to its vertex, else -1."""
+    and copy, and vertex_of maps a doubled index to its vertex, else -1.
+    held keeps what the graphs and blocks of given symbol supports read
+    (`links`, `resonance_blocks`) for as long as the variety lives."""
 
     box: Box
     coords: np.ndarray
@@ -119,6 +121,14 @@ class BoxVariety:
     copies: np.ndarray
     n_tagged: int
     vertex_of: np.ndarray
+    held: Dict[tuple, object] = field(default_factory=dict)
+
+    def links(self, symbols: "ConvolutionSymbols") -> np.ndarray:
+        """`resonance_links` from every vertex, built once per supports."""
+        key = ("links",) + symbols.supports()
+        if key not in self.held:
+            self.held[key] = resonance_links(self, np.arange(len(self.vertices)), symbols)
+        return self.held[key]
 
 
 def box_variety(omega0: FrequencyVector, d: int, box: Box) -> BoxVariety:
@@ -377,20 +387,31 @@ class ConvolutionSymbols:
     uu   : p (u*v)^{*(p-1)} * u * u   (u-row to v-column)
     vv   : p (u*v)^{*(p-1)} * v * v   (v-row to u-column)
 
-    Stored without the (p+1) / p prefactors; amplitudes carry them.
+    Stored without the (p+1) / p prefactors; amplitudes carry them.  Those
+    of fields (`from_fields`) keep the fields' other products, each
+    convolved once: uv_pm1 = (u*v)^{*(p-1)}, gu = uv_p * u, gv = uv_p * v.
     """
 
     uv_p: SparseSeries
     uu: SparseSeries
     vv: SparseSeries
     p: int
+    uv_pm1: Optional[SparseSeries] = None
+    gu: Optional[SparseSeries] = None
+    gv: Optional[SparseSeries] = None
 
     @classmethod
     def from_fields(cls, u: SparseSeries, v: SparseSeries, p: int) -> "ConvolutionSymbols":
         uv = convolve(u, v)
         uv_pm1 = conv_power(uv, p - 1)
         uu = convolve(uv_pm1, convolve(u, u))
-        return cls(uv_p=convolve(uv_pm1, uv), uu=uu, vv=conjugate_flip(uu), p=p)
+        uv_p = convolve(uv_pm1, uv)
+        return cls(uv_p=uv_p, uu=uu, vv=conjugate_flip(uu), p=p, uv_pm1=uv_pm1,
+                   gu=convolve(uv_p, u), gv=convolve(uv_p, v))
+
+    def supports(self) -> Tuple[Tuple[SiteIndex, ...], ...]:
+        """The supports of uv_p, uu and vv, all a graph's links read."""
+        return tuple(tuple(series.support()) for series in (self.uv_p, self.uu, self.vv))
 
 
 @dataclass
@@ -432,10 +453,10 @@ def resonance_graph(
     and the box's `box_variety` are built here unless given.
 
     Each kind of edge is found in one array pass over all vertices and
-    shifts, through a lookup from box index to vertex number
-    (`resonance_links`).  Components are numbered by their smallest vertex
-    with members ascending, so the order of the links and their repeats
-    change nothing.
+    shifts, through a lookup from box index to vertex number: the
+    variety's `links`, without the j = 0 twins.  Components are numbered by
+    their smallest vertex with members ascending, so the order of the
+    links and their repeats change nothing.
     """
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
@@ -443,8 +464,8 @@ def resonance_graph(
         variety = box_variety(omega0, spec.d, box)
     b, nv = len(omega0), variety.n_tagged
     coords, tags = variety.vertices[:nv], variety.copies[:nv]
-    found = resonance_links(variety, np.arange(nv), symbols)
-    found = found[:, found[1] < nv]  # the j = 0 twins are not graph vertices
+    found = variety.links(symbols)
+    found = found[:, (found[0] < nv) & (found[1] < nv)]  # the j = 0 twins are not graph vertices
     labels, order, bounds = ordered_components(nv, found[0], found[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,
                           bounds=bounds, spiral_pairs=_spiral_pairs(coords[:, b:], tags, labels))

@@ -22,13 +22,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import newton, verify
-from .characteristics import BoxVariety, box_variety
+from .characteristics import BoxVariety, ConvolutionSymbols, box_variety
 from .conditions import (
     ConditionReport,
     check_condition_i,
     check_condition_ii,
     oned_check,
     rank_check_momenta,
+    seed_symbols,
     symbol_supports,
 )
 from .lattice import (
@@ -403,24 +404,23 @@ EXIT_NON_REAL_FREQUENCY = 8
 EXIT_OFF_CHAR_DIAGONAL = 9
 
 
-def _condition_sections(cfg: RunConfig, variety: Optional[BoxVariety] = None
+def _condition_sections(cfg: RunConfig, symbols: ConvolutionSymbols,
+                        variety: Optional[BoxVariety] = None
                         ) -> Tuple[Dict[str, Dict[str, object]], Dict[str, ConditionReport]]:
-    """Report sections of the admissibility checks, and the verdicts of
-    conditions (i) and (ii) on the condition box (its variety if given),
-    keyed "i" and "ii"."""
+    """Report sections of the admissibility checks (of `seed_symbols`), and
+    the verdicts of conditions (i) and (ii) on the condition box (its
+    variety if given), keyed "i" and "ii"."""
     spec = cfg.problem
     box = cfg.condition_box()
-    rep_i = check_condition_i(spec)
-    rep_ii = check_condition_ii(spec, m_max=cfg.conditions.m_max, box=box, variety=variety)
+    rep_i = check_condition_i(spec, symbols=symbols)
+    rep_ii = check_condition_ii(spec, m_max=cfg.conditions.m_max, box=box, variety=variety,
+                                symbols=symbols)
     rank = rank_check_momenta(spec.j_list, spec.d)
     sections: Dict[str, Dict[str, object]] = {}
-    sections["conditions.non_intersection"] = {
-        "verdict": rep_i.verdict,
-        "witness_count": len(rep_i.witnesses),
-    }
+    sections["conditions.non_intersection"] = {"verdict": rep_i.verdict,
+                                               "witness_count": len(rep_i.witnesses)}
     if rep_i.witnesses:
-        sections["conditions.non_intersection"]["first_witness"] = \
-            rep_i.witnesses[0]["site"]
+        sections["conditions.non_intersection"]["first_witness"] = rep_i.witnesses[0]["site"]
     sections["conditions.non_spiral"] = {
         "verdict": rep_ii.verdict,
         "graph_vertices": rep_ii.details["graph"]["vertices"],
@@ -429,17 +429,11 @@ def _condition_sections(cfg: RunConfig, variety: Optional[BoxVariety] = None
         "m_max": cfg.conditions.m_max,
         "box": f"{box.n_radius} {box.j_radius}",
     }
-    sup = symbol_supports(spec, search_radius=cfg.conditions.search_radius)
+    sup = symbol_supports(spec, search_radius=cfg.conditions.search_radius, symbols=symbols)
     sections["conditions.restricted_symbols"] = {
-        "gpp_size": len(sup.gpp),
-        "gpm_size": len(sup.gpm),
-        "gmm_size": len(sup.gmm),
-        "gmp_size": len(sup.gmp),
-        "undecided_memberships": len(sup.unknown),
-    }
-    sections["conditions.rank_test"] = {
-        "verdict": "pass" if rank.passed else "inconclusive",
-    }
+        "gpp_size": len(sup.gpp), "gpm_size": len(sup.gpm), "gmm_size": len(sup.gmm),
+        "gmp_size": len(sup.gmp), "undecided_memberships": len(sup.unknown)}
+    sections["conditions.rank_test"] = {"verdict": "pass" if rank.passed else "inconclusive"}
     if rank.determinant is not None:
         sections["conditions.rank_test"]["determinant"] = rank.determinant
     if rank.kernel_vector is not None:
@@ -461,7 +455,7 @@ def _failed(reports: Dict[str, ConditionReport]) -> bool:
 
 def cmd_check(cfg: RunConfig, out_path: Optional[str]) -> int:
     sections = {"meta": meta_section(cfg)}
-    cond, reports = _condition_sections(cfg)
+    cond, reports = _condition_sections(cfg, seed_symbols(cfg.problem))
     sections.update(cond)
     _emit(write_report(sections), out_path)
     return EXIT_CONDITION if _failed(reports) else EXIT_OK
@@ -472,9 +466,11 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     box = cfg.box()
     ncfg = cfg.newton
     sections = {"meta": meta_section(cfg)}
-    # One variety serves the graph check and the solve when their boxes match.
+    # One variety serves the graph check and the solve when their boxes
+    # match; the seed's symbols serve the checks and the first step.
     variety = box_variety(spec.omega0(), spec.d, box) if cfg.condition_box() == box else None
-    cond, reports = _condition_sections(cfg, variety)
+    symbols = seed_symbols(spec)
+    cond, reports = _condition_sections(cfg, symbols, variety)
     sections.update(cond)
     if _failed(reports):
         _emit(write_report(sections), os.path.join(out_dir, "report.txt"))
@@ -486,7 +482,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         condition_reports=reports,
         kappa=ncfg.kappa, gamma=ncfg.gamma, dio_radius=ncfg.dio_radius,
         m_max=cfg.conditions.m_max, eps_second=ncfg.eps_second, variety=variety,
-    )
+        symbols=symbols)
     # solve factors no sparse matrix, yet a converged solve loads scipy's
     # sparse solvers as it did when it used SuperLU.  The speed probe of
     # bench/run.py imports them on its first run, inside a SIGALRM handler;

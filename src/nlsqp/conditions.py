@@ -45,8 +45,6 @@ from .lattice import (
     ProblemSpec,
     SiteIndex,
     SparseSeries,
-    conv_power,
-    convolve,
     default_box,
     linear_solution,
     site,
@@ -70,27 +68,26 @@ class ConditionReport:
 # Condition (i): non-intersection
 
 
-def error_support(u0: SparseSeries, v0: SparseSeries, p: int
-                  ) -> Tuple[List[SiteIndex], List[SiteIndex]]:
-    """Exact supports of (u0*v0)^{*p} * u0 and (u0*v0)^{*p} * v0."""
-    uv_p = conv_power(convolve(u0, v0), p)
-    fu = convolve(uv_p, u0)
-    fv = convolve(uv_p, v0)
-    return fu.support(), fv.support()
+def seed_symbols(spec: ProblemSpec) -> ConvolutionSymbols:
+    """The symbols of the linear seed, which every check reads."""
+    return ConvolutionSymbols.from_fields(*linear_solution(spec), spec.p)
 
 
-def check_condition_i(spec: ProblemSpec) -> ConditionReport:
+def check_condition_i(spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] = None
+                      ) -> ConditionReport:
     """Pass iff the error term puts no mass on the resonant set off S.
 
     Resonance is branch-matched: the u-component error meets a vanishing
     divisor where n.w0 + |j|^2 = 0, the v-component error where the sign is
     flipped; an error site on the opposite branch faces an O(1) divisor and
-    is harmless.  Supports are finite and exact, so the verdict is exact.
-    Both equations and a witness's class come from `branch_tags`.
+    is harmless.  Supports (of gu and gv of `seed_symbols`, built here
+    unless given) are finite and exact, so the verdict is exact.  Both
+    equations and a witness's class come from `branch_tags`.
     """
     u0, v0 = linear_solution(spec)
     s_set = set(u0.support()) | set(v0.support())
-    fu, fv = error_support(u0, v0, spec.p)
+    symbols = symbols or seed_symbols(spec)
+    fu, fv = symbols.gu.support(), symbols.gv.support()
     witnesses = []
     for component, sites, branch in (("u", fu, 0), ("v", fv, 1)):
         coords = np.array([x.n + x.j for x in sites], dtype=np.int64)
@@ -132,9 +129,9 @@ class SymbolSupports:
     witnesses: Dict[Tuple[str, SiteIndex], Tuple[SiteIndex, SiteIndex]] = field(default_factory=dict)
 
 
-def symbol_supports(spec: ProblemSpec, search_radius: int = 30) -> SymbolSupports:
-    u0, v0 = linear_solution(spec)
-    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+def symbol_supports(spec: ProblemSpec, search_radius: int = 30,
+                    symbols: Optional[ConvolutionSymbols] = None) -> SymbolSupports:
+    symbols = symbols or seed_symbols(spec)
     omega0 = spec.omega0()
     P, M = CharClass.CPLUS, CharClass.CMINUS
     out = SymbolSupports(gpp=[], gpm=[], gmm=[], gmp=[])
@@ -394,12 +391,7 @@ def _unwind(parent, node) -> List[WalkEdge]:
 
 
 def _sum_dn(steps: List[WalkEdge]) -> Tuple[int, ...]:
-    b = len(steps[0].dn)
-    tot = [0] * b
-    for e in steps:
-        for i, x in enumerate(e.dn):
-            tot[i] += x
-    return tuple(tot)
+    return tuple(map(sum, zip(*(e.dn for e in steps))))
 
 
 def _reverse_edge(e: WalkEdge, graph: WalkGraph) -> Optional[WalkEdge]:
@@ -437,18 +429,16 @@ def check_condition_ii(
     box: Optional[Box] = None,
     inject: Optional[Dict[str, List[SiteIndex]]] = None,
     variety: Optional[BoxVariety] = None,
+    symbols: Optional[ConvolutionSymbols] = None,
 ) -> ConditionReport:
     """Non-spiral condition: walk check on the quotient plus the boxed graph
     check.  Pass requires both to find nothing; the scale is reported.  The
-    graph reads the box's `box_variety`, built here unless given."""
+    graph reads the box's `box_variety` and `seed_symbols`, each built
+    here unless given."""
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
-    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
-    supports = {
-        "uv": symbols.uv_p.support(),
-        "uu": symbols.uu.support(),
-        "vv": symbols.vv.support(),
-    }
+    symbols = symbols or seed_symbols(spec)
+    supports = dict(zip(("uv", "uu", "vv"), symbols.supports()))
     if inject:
         for key, extra in inject.items():
             supports[key] = sorted(set(supports[key]) | set(extra))
@@ -463,12 +453,9 @@ def check_condition_ii(
         box = default_box(spec)
     if inject:
         # Graph check sees the same augmented supports via unit-mass symbols.
-        symbols = ConvolutionSymbols(
-            uv_p=_augment(symbols.uv_p, inject.get("uv", [])),
-            uu=_augment(symbols.uu, inject.get("uu", [])),
-            vv=_augment(symbols.vv, inject.get("vv", [])),
-            p=spec.p,
-        )
+        symbols = ConvolutionSymbols(*(_augment(series, inject.get(key, [])) for key, series
+                                       in zip(supports, (symbols.uv_p, symbols.uu, symbols.vv))),
+                                     p=spec.p)
     rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols, variety=variety)
 
     witnesses = []
@@ -577,8 +564,7 @@ def oned_check(spec: ProblemSpec) -> ConditionReport:
     if spec.d != 1:
         raise ValueError("oned_check is defined for d = 1 only")
     js = [j for (j,) in spec.j_list]
-    u0, v0 = linear_solution(spec)
-    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+    symbols = seed_symbols(spec)
     w = spec.omega0().as_ints()
 
     gamma_plus = symbols.uv_p.support()

@@ -277,9 +277,6 @@ class SparseSeries:
                             {s: v for s, v in self._terms.items() if s in keep},
                             drop_tol=0.0)
 
-    def clean(self, drop_tol: float = DROP_TOL) -> "SparseSeries":
-        return SparseSeries(self.b, self.d, dict(self._terms), drop_tol=drop_tol)
-
 
 def delta_series(b: int, d: int, s: SiteIndex, amp: complex = 1.0) -> SparseSeries:
     return SparseSeries(b, d, {s: complex(amp)})

@@ -30,7 +30,6 @@ from .characteristics import (
     members_of_size,
     on_lattice,
     ordered_components,
-    resonance_links,
 )
 from .lattice import (
     Box,
@@ -38,7 +37,6 @@ from .lattice import (
     ProblemSpec,
     SiteIndex,
     SparseSeries,
-    convolve,
     site,
 )
 
@@ -108,38 +106,47 @@ def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec
 
 
 def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
-           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec
-           ) -> np.ndarray:
+           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
+           at: Optional[np.ndarray] = None) -> np.ndarray:
     """F' on groups of doubled vertices as a (count, k, k) stack, one group
     per row of the (count, k) array members.  Vertex i is the copy
     copies[i] (+1 u, -1 v) of the site coords[i].  An entry reads the symbol
     the two copies select at row site minus column site, times delta: (p +
     1) uv_p between equal copies, p uu from a u-row to a v-column and p vv
-    the other way; the diagonal adds D (`_dispersion`)."""
+    the other way; the diagonal adds D (`_dispersion`).  at is where each
+    entry reads (`_gather`), found here unless given."""
+    at = _gather(coords, copies, members, symbols.supports()) if at is None else at
     delta, p = spec.delta, spec.p
-    keys, vals = [], []
-    for kind, (coef, series) in enumerate(((delta * (p + 1), symbols.uv_p),
-                                           (delta * p, symbols.uu), (delta * p, symbols.vv))):
-        keys += [(kind,) + s.n + s.j for s in series.support()]
-        vals += [coef * ampl for _, ampl in series.items()]
+    vals = [coef * ampl for coef, series in ((delta * (p + 1), symbols.uv_p),
+                                             (delta * p, symbols.uu), (delta * p, symbols.vv))
+            for _, ampl in series.items()]
+    out = np.array(vals + [0], dtype=complex)[at]
+    x, c = coords[members], copies[members]
+    diag = _dispersion(x.reshape(-1, x.shape[2]), omega, spec).reshape(2, *c.shape)
+    k = members.shape[1]
+    out[:, np.arange(k), np.arange(k)] += np.where(c > 0, diag[0], diag[1])
+    return out
+
+
+def _gather(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
+            supports: Sequence[Sequence[SiteIndex]]) -> np.ndarray:
+    """Where each entry of `_dense`'s stack reads: its term's position in
+    the terms of uv_p, uu and vv (supports) in turn, or -1 for none."""
+    keys = np.array([(kind,) + s.n + s.j for kind, sup in enumerate(supports) for s in sup],
+                    dtype=np.int64).reshape(-1, 1 + coords.shape[1])
     x, c = coords[members], copies[members]
     kind = np.where(c[:, :, None] == c[:, None, :], 0, np.where(c[:, :, None] > 0, 1, 2))
     query = np.concatenate([kind[..., None], x[:, :, None, :] - x[:, None, :, :]], axis=3)
     # Rows are coded in the mixed radix of the keys' bounding box; a query
     # row outside that box matches no key.
-    keys, vals = np.array(keys, dtype=np.int64), np.array(vals, dtype=complex)
     lo, hi = keys.min(axis=0), keys.max(axis=0)
     radix = np.cumprod(np.concatenate([[1], (hi - lo + 1)[:0:-1]]))[::-1]
     by_code = np.argsort((keys - lo) @ radix)
     codes = ((keys - lo) @ radix)[by_code]
-    at = (np.clip(query, lo, hi) - lo) @ radix
-    pos = np.minimum(np.searchsorted(codes, at), len(codes) - 1)
-    hit = (codes[pos] == at) & np.all((query >= lo) & (query <= hi), axis=3)
-    out = np.where(hit, vals[by_code][pos], 0)
-    diag = _dispersion(x.reshape(-1, x.shape[2]), omega, spec).reshape(2, *c.shape)
-    k = members.shape[1]
-    out[:, np.arange(k), np.arange(k)] += np.where(c > 0, diag[0], diag[1])
-    return out
+    code = (np.clip(query, lo, hi) - lo) @ radix
+    pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+    hit = (codes[pos] == code) & np.all((query >= lo) & (query <= hi), axis=3)
+    return np.where(hit, by_code[pos], -1)
 
 
 def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
@@ -192,19 +199,29 @@ def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
     their smallest doubled index, members ascending.  `exclude` removes
     doubled indices (the seed equations) from their blocks after the
     components are found; a block left empty is dropped, and the later
-    blocks keep their order.
+    blocks keep their order.  All but the values read only the supports of
+    the symbols, so the variety holds the blocks' members and where their
+    entries read (`_gather`) for a later call on equal supports.
     """
     coords, copies = variety.vertices, variety.copies
-    edges = resonance_links(variety, np.arange(len(coords)), symbols)
-    # Components run over the vertices in the order of their doubled index.
-    index = np.flatnonzero(variety.vertex_of >= 0)
-    by_index = variety.vertex_of[index]
-    rank = np.argsort(by_index)
-    _, order, bounds = ordered_components(len(index), rank[edges[0]], rank[edges[1]])
-    order, bounds = _exclude(order, bounds, np.isin(index, list(exclude)))
-    return BlockDecomposition(order=index[order], bounds=bounds,
-                              stacks=_stacks(coords, copies, by_index[order], bounds,
-                                             symbols, omega, spec))
+    supports = symbols.supports()
+    key = ("blocks", exclude) + supports
+    if key not in variety.held:
+        edges = variety.links(symbols)
+        # Components run over the vertices in the order of their doubled index.
+        index = np.flatnonzero(variety.vertex_of >= 0)
+        by_index = variety.vertex_of[index]
+        rank = np.argsort(by_index)
+        _, order, bounds = ordered_components(len(index), rank[edges[0]], rank[edges[1]])
+        order, bounds = _exclude(order, bounds, np.isin(index, list(exclude)))
+        groups = [members_of_size(by_index[order], bounds, k)
+                  for k in np.unique(np.diff(bounds)).tolist()]
+        variety.held[key] = index[order], bounds, [(m, _gather(coords, copies, m, supports))
+                                                   for m in groups]
+    order, bounds, groups = variety.held[key]
+    return BlockDecomposition(order=order, bounds=bounds,
+                              stacks={m.shape[1]: _dense(coords, copies, m, symbols, omega,
+                                                         spec, at) for m, at in groups})
 
 
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
@@ -343,12 +360,12 @@ def box_inverse(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
         return norm, None
     lam = np.flatnonzero((keys[:, 0] == -1) & ~keys[:, 1:].any(axis=1))
     a = _dense(sites, copies, lam[None, :], symbols, omega, spec)[0]
-    return norm, _fit_decay(spec, symbols, u, sites[lam], copies[lam],
+    return norm, _fit_decay(spec, symbols, sites[lam], copies[lam],
                             lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
 
 
-def lattice_inverse(symbols: ConvolutionSymbols, u: SparseSeries, omega: FrequencyVector,
-                    spec: ProblemSpec, sites: np.ndarray) -> Tuple[float, DecayFit]:
+def lattice_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
+                    sites: np.ndarray) -> Tuple[float, DecayFit]:
     """||F'^{-1}|| on the lattice sites off the seed equations
     (`lattice_operator`), exactly 1/sigma_min (`_inverse_norm`), and the
     decay fit of that inverse's kernel.  With no equation left the norm is
@@ -357,13 +374,13 @@ def lattice_inverse(symbols: ConvolutionSymbols, u: SparseSeries, omega: Frequen
     if not keep.any():
         return 0.0, DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
     a = mat[np.ix_(keep, keep)]
-    return _inverse_norm([a[None]]), _fit_decay(spec, symbols, u,
+    return _inverse_norm([a[None]]), _fit_decay(spec, symbols,
                                                 np.concatenate([sites, -sites])[keep],
                                                 np.repeat([1, -1], len(sites))[keep],
                                                 lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
 
 
-def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols, u: SparseSeries,
+def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols,
                coords: np.ndarray, copies: np.ndarray,
                column: Callable[[int], np.ndarray]) -> DecayFit:
     """Least-squares decay exponent of an inverse kernel.
@@ -371,8 +388,8 @@ def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols, u: SparseSeries,
     Kept index i is the copy copies[i] (+1 u, -1 v) of the site coords[i],
     and column(i) is the inverse's column there.  Up to four columns are
     probed: at the seed equations (u at each seed, v at its flip) where
-    kept, else at the u-copies of the nonlinear forcing sites (uv_p * u)
-    off the seeds.  Their log|entry| are pooled against the l1 site
+    kept, else at the u-copies of the nonlinear forcing sites (gu = uv_p *
+    u) off the seeds.  Their log|entry| are pooled against the l1 site
     distance from the probe and fitted as log|entry| = c - beta * |log
     delta| * dist.
     """
@@ -382,7 +399,7 @@ def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols, u: SparseSeries,
     seeds = spec.seed_sites()
     probes = [i for s in seeds for i in at(s, 1) + at(-s, -1)]
     if not probes:
-        probes = [i for s in convolve(symbols.uv_p, u).support() if s not in seeds
+        probes = [i for s in symbols.gu.support() if s not in seeds
                   for i in at(s, 1)]
     delta = spec.delta
     logd = abs(math.log(delta))

@@ -30,7 +30,7 @@ from .characteristics import (
     lattice_generation,
     members_of_size,
 )
-from .conditions import ConditionReport, check_condition_i, check_condition_ii
+from .conditions import ConditionReport, check_condition_i, check_condition_ii, seed_symbols
 from .lattice import (
     DROP_TOL,
     Box,
@@ -39,7 +39,6 @@ from .lattice import (
     SiteIndex,
     SparseSeries,
     conjugate_flip,
-    conv_power,
     convolve,
     default_box,
     linear_solution,
@@ -79,6 +78,7 @@ class IterationState:
     residual_weighted: float
     step_index: int
     lattice_radius: int  # R of the step's Lambda_R; for the seed, 2p
+    symbols: Optional[ConvolutionSymbols] = None  # from_fields(u, v, p): its products
 
 
 @dataclass
@@ -101,36 +101,38 @@ class ModulationReport:
 
 
 def residual_series(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
-                    spec: ProblemSpec) -> Tuple[SparseSeries, SparseSeries]:
+                    spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] = None
+                    ) -> Tuple[SparseSeries, SparseSeries]:
     """Full sparse residual of the doubled system at (u, v, omega):
     delta (u*v)^{*p} * u + (n.omega + |j|^2 + m) u, and the same for v with
-    -n.omega."""
+    -n.omega, the convolutions read from the symbols of (u, v), built here
+    unless given: only the diagonal moves with omega."""
+    symbols = symbols or ConvolutionSymbols.from_fields(u, v, spec.p)
     m = spec.phase_m
-    uv_p = conv_power(convolve(u, v), spec.p)
 
-    def part(f: SparseSeries, sign: int) -> SparseSeries:
+    def part(f: SparseSeries, g: SparseSeries, sign: int) -> SparseSeries:
         diagonal = SparseSeries(f.b, f.d, {s: (sign * omega.dot(s.n) + s.jsq() + m) * val
                                            for s, val in f.items()}, drop_tol=0.0)
-        return convolve(uv_p, f).scale(spec.delta).add(diagonal)
+        return g.scale(spec.delta).add(diagonal)
 
-    return part(u, 1), part(v, -1)
+    return part(u, symbols.gu, 1), part(v, symbols.gv, -1)
 
 
-def residual_norms(u, v, omega, spec) -> Tuple[float, float]:
+def residual_norms(u, v, omega, spec, symbols=None) -> Tuple[float, float]:
     """Plain and weighted (`default_weight`) norms of the whole residual."""
-    fu, fv = residual_series(u, v, omega, spec)
+    fu, fv = residual_series(u, v, omega, spec, symbols)
     weight = default_weight(spec)
     return (math.hypot(fu.norm2(), fv.norm2()),
             math.hypot(weighted_norm(fu, weight), weighted_norm(fv, weight)))
 
 
-def q_solve(u: SparseSeries, spec: ProblemSpec) -> FrequencyVector:
+def q_solve(u: SparseSeries, spec: ProblemSpec,
+            symbols: Optional[ConvolutionSymbols] = None) -> FrequencyVector:
     """Frequencies solving the 2b seed-mode equations at the given u:
-    omega_k = |j_k|^2 + m + (delta / a_k) [(u*v)^{*p} * u](-e_k, j_k).
-    A bracket whose imaginary part exceeds 1e-12 of max(1, |real part|)
-    raises NonRealFrequency."""
-    v = conjugate_flip(u)
-    gu = convolve(conv_power(convolve(u, v), spec.p), u)
+    omega_k = |j_k|^2 + m + (delta / a_k) gu(-e_k, j_k), gu = (u*v)^{*p} * u
+    of its symbols (built here unless given).  A bracket whose imaginary
+    part exceeds 1e-12 of max(1, |real part|) raises NonRealFrequency."""
+    gu = (symbols or ConvolutionSymbols.from_fields(u, conjugate_flip(u), spec.p)).gu
     out = []
     for s, (j, a) in zip(spec.seed_sites(), spec.modes):
         if a == 0:
@@ -161,14 +163,17 @@ def newton_step(
     residual picks up the full quadratic (delta-cubed) gain of the scheme,
     the first step's included.  The box sizes nothing here.  After the first
     step, a step that grows the weighted residual more than 1.5-fold
-    raises StepRejected.
+    raises StepRejected.  Each iterate is convolved once: the state
+    carries its symbols (built here if it does not) and the new state those
+    of u - du, kept whole however small its entries.  A gate on symbol
+    supports the variety has seen reuses their block pattern.
     """
     u, v = state.u, state.v
-    omega_work = q_solve(u, spec)
-    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+    symbols = state.symbols or ConvolutionSymbols.from_fields(u, v, spec.p)
+    omega_work = q_solve(u, spec, symbols)
     admissibility_gate(omega_work, spec, variety, symbols, eps_second=eps_second)
 
-    fu, fv = residual_series(u, v, omega_work, spec)
+    fu, fv = residual_series(u, v, omega_work, spec, symbols)
     radius = _lattice_radius(state.lattice_radius, fu, fv, spec, tol)
     sites = conservation_sites(spec, radius)
     mat, keep = lattice_operator(symbols, omega_work, spec, sites)
@@ -179,10 +184,11 @@ def newton_step(
 
     du = SparseSeries(u.b, u.d, {s: x for s, x in zip(points, step[:len(points)].tolist())
                                  if x != 0}, drop_tol=0.0)
-    u_next = u.sub(du).clean()
+    u_next = u.sub(du)
     v_next = conjugate_flip(u_next)
-    omega_next = q_solve(u_next, spec)
-    plain, weighted = residual_norms(u_next, v_next, omega_next, spec)
+    symbols_next = ConvolutionSymbols.from_fields(u_next, v_next, spec.p)
+    omega_next = q_solve(u_next, spec, symbols_next)
+    plain, weighted = residual_norms(u_next, v_next, omega_next, spec, symbols_next)
 
     if weighted > max(1.5 * state.residual_weighted, 1e-13) and state.step_index > 0:
         raise StepRejected(
@@ -190,7 +196,8 @@ def newton_step(
             f"{state.residual_weighted:.3e} -> {weighted:.3e}")
     return IterationState(u=u_next, v=v_next, omega=omega_next,
                           residual_plain=plain, residual_weighted=weighted,
-                          step_index=state.step_index + 1, lattice_radius=radius)
+                          step_index=state.step_index + 1, lattice_radius=radius,
+                          symbols=symbols_next)
 
 
 def _lattice_radius(radius: int, fu: SparseSeries, fv: SparseSeries, spec: ProblemSpec,
@@ -217,14 +224,14 @@ def _lattice_radius(radius: int, fu: SparseSeries, fv: SparseSeries, spec: Probl
 # First iteration and its modulation diagnostics
 
 
-def analytic_q_jacobian(spec: ProblemSpec) -> np.ndarray:
-    """Exact d(omega)/d(a) at the seed, by differentiating the convolution."""
+def analytic_q_jacobian(spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] = None
+                        ) -> np.ndarray:
+    """Exact d(omega)/d(a) at the seed, by differentiating the convolution,
+    from the seed's symbols (`seed_symbols`), built here unless given."""
     u0, v0 = linear_solution(spec)
     p = spec.p
-    uv = convolve(u0, v0)
-    uv_pm1 = conv_power(uv, p - 1)
-    uv_p = convolve(uv_pm1, uv)
-    gu = convolve(uv_p, u0)
+    symbols = symbols or seed_symbols(spec)
+    uv_pm1, uv_p, gu = symbols.uv_pm1, symbols.uv_p, symbols.gu
     seeds = spec.seed_sites()
     amps = spec.amplitudes
     jac = np.zeros((spec.b, spec.b))
@@ -233,11 +240,9 @@ def analytic_q_jacobian(spec: ProblemSpec) -> np.ndarray:
         dv = conjugate_flip(du)
         duv = convolve(du, v0).add(convolve(u0, dv))
         dg = convolve(convolve(uv_pm1, duv), u0).scale(p).add(convolve(uv_p, du))
-        for k in range(spec.b):
-            gk = gu[seeds[k]].real
-            dgk = dg[seeds[k]].real
-            jac[k, mcol] = spec.delta * (dgk * amps[k] - gk * (1.0 if k == mcol else 0.0)) \
-                / amps[k] ** 2
+        for k, s in enumerate(seeds):
+            jac[k, mcol] = spec.delta * (dg[s].real * amps[k] - gu[s].real
+                                         * (1.0 if k == mcol else 0.0)) / amps[k] ** 2
     return jac
 
 
@@ -345,6 +350,7 @@ def first_iteration(
     eps_second: float = 0.5,
     tol: float = 1e-11,
     variety: Optional[BoxVariety] = None,
+    symbols: Optional[ConvolutionSymbols] = None,
 ) -> Tuple[IterationState, ModulationReport]:
     """Seed -> first corrected state, with the modulation diagnostics.
 
@@ -354,11 +360,12 @@ def first_iteration(
     error term enters the first bound: it must avoid its resonant set off
     the seed support.  The returned delta-omega is the exact first-order
     modulation, evaluated at the seed.  The step reads the box's
-    `box_variety`, built here unless given.  Lambda_R starts at R = 2p, set
-    by the nonlinearity, not the box: the seed residual delta (u v)^{*p} u
-    reaches generation p and the step's coupling delta A p generations
-    further, so du is O(delta^2) beyond generation p and the part of
-    delta A du that leaves Lambda_{2p} is O(delta^3).
+    `box_variety` and the seed's `seed_symbols`, each built here unless
+    given.  Lambda_R starts at R = 2p, set by the nonlinearity, not the
+    box: the seed residual delta (u v)^{*p} u reaches generation p and the
+    step's coupling delta A p generations further, so du is O(delta^2)
+    beyond generation p and the part of delta A du that leaves Lambda_{2p}
+    is O(delta^3).
     """
     if box is None:
         box = default_box(spec)
@@ -367,20 +374,21 @@ def first_iteration(
     if dio_radius is None:
         dio_radius = default_dio_radius(spec.b)
     _admissible(spec, box, condition_reports, m_max)
+    symbols = symbols or seed_symbols(spec)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
 
-    plain0, weighted0 = residual_norms(u0, v0, omega0, spec)
+    plain0, weighted0 = residual_norms(u0, v0, omega0, spec, symbols)
     state0 = IterationState(u=u0, v=v0, omega=omega0, residual_plain=plain0,
                             residual_weighted=weighted0, step_index=0,
-                            lattice_radius=2 * spec.p)
+                            lattice_radius=2 * spec.p, symbols=symbols)
 
-    omega1 = q_solve(u0, spec)
+    omega1 = q_solve(u0, spec, symbols)
     delta_omega = tuple(w1 - w0 for w1, w0 in zip(omega1.omega, omega0.omega))
     dio = diophantine_check(omega1, spec.delta, kappa, gamma, dio_radius)
     report = ModulationReport(delta_omega=delta_omega,
-                              jac_det=float(np.linalg.det(analytic_q_jacobian(spec))),
+                              jac_det=float(np.linalg.det(analytic_q_jacobian(spec, symbols))),
                               diophantine=dio, seed_residual=(plain0, weighted0))
 
     if variety is None:
@@ -452,14 +460,18 @@ def solve(
     m_max: int = 8,
     eps_second: float = 0.5,
     variety: Optional[BoxVariety] = None,
+    symbols: Optional[ConvolutionSymbols] = None,
 ) -> SolveReport:
     """Iterate Newton steps until the weighted residual, taken in full,
     drops below tol; report frequencies, certificates and convergence data.
 
     The steps run on Lambda_R with R grown from the residual (`newton_step`)
     and certify the whole box; the final state is certified once more, and
-    its inverse norm and decay fit are those of F' on its Lambda_R.  All
-    certificates read one `box_variety`, built here unless given."""
+    its inverse norm and decay fit are those of F' on its Lambda_R.  Each
+    state carries its iterate's symbols (the seed's given or built by
+    `first_iteration`).  All certificates read one `box_variety`, built
+    here unless given, which holds the block pattern of each symbol
+    support for a later gate on equal supports (`resonance_blocks`)."""
     if box is None:
         box = default_box(spec)
     condition_reports = _admissible(spec, box, condition_reports, m_max)
@@ -469,7 +481,7 @@ def solve(
     state, modreport = first_iteration(
         spec, box=box, condition_reports=condition_reports,
         kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
-        eps_second=eps_second, tol=tol, variety=variety)
+        eps_second=eps_second, tol=tol, variety=variety, symbols=symbols)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -494,10 +506,9 @@ def solve(
     ratios = [r for r, _ in gains]
     quad_c = max((r for r, w_next in gains if w_next > 1e2 * floor), default=None)
 
-    symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
-    min_block = admissibility_gate(state.omega, spec, variety, symbols, eps_second=eps_second)
+    min_block = admissibility_gate(state.omega, spec, variety, state.symbols, eps_second)
     sites = conservation_sites(spec, state.lattice_radius)
-    inverse_norm, decay = lattice_inverse(symbols, state.u, state.omega, spec, sites)
+    inverse_norm, decay = lattice_inverse(state.symbols, state.omega, spec, sites)
 
     # u vanishes off its support, so only its own sites can carry C \ S mass.
     s_set = set(u0.support()) | set(v0.support())

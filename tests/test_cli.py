@@ -795,6 +795,44 @@ def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):
     assert counts == {Box(9, 3): 1}  # the condition box is the solve box
 
 
+def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_path,
+                                                                         monkeypatch):
+    # One set of products per iterate (the seed's shared by the checks and
+    # the first step) and one set of links per symbol supports: the
+    # condition (ii) graph and the first gate read the seed's, the second
+    # and the final gate the last step's.  Nothing is held across commands,
+    # so a second identical solve in the same process does the same work.
+    import sys
+    from nlsqp import characteristics, lattice
+    calls = {"convolve": 0, "links": []}
+    convolve, resonance_links = lattice.convolve, characteristics.resonance_links
+
+    def counted_convolve(*args, **kwargs):
+        calls["convolve"] += 1
+        return convolve(*args, **kwargs)
+
+    def counted_links(variety, src, symbols):
+        calls["links"].append(symbols.supports())
+        return resonance_links(variety, src, symbols)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nlsqp"):
+            for attr, value in list(vars(module).items()):
+                if value is convolve:
+                    monkeypatch.setattr(module, attr, counted_convolve)
+                elif value is resonance_links:
+                    monkeypatch.setattr(module, attr, counted_links)
+    cfg = parse_config(TP3_CFG)
+    counts = []
+    for run in ("a", "b"):
+        assert run_command("solve", cfg, out_path=str(tmp_path / run)) == EXIT_OK
+        counts.append((calls["convolve"], len(calls["links"])))
+        assert len(set(calls["links"])) == len(calls["links"]) == 2
+        calls.update(convolve=0, links=[])
+    assert counts[0] == counts[1]
+    assert counts[0][0] <= 40
+
+
 def test_the_names_the_benchmark_reads_exist():
     # bench/tracer.py and bench/run.py reach into the package by name, from
     # outside it; a rename here would break a benchmark run silently.

@@ -12,7 +12,6 @@ from nlsqp.conditions import (
     build_walk_graph,
     check_condition_i,
     check_condition_ii,
-    error_support,
     oned_check,
     rank_check_momenta,
     symbol_supports,
@@ -47,6 +46,13 @@ def naive_error_support(spec):
 
 def _unit(k, b):
     return tuple(1 if i == k else 0 for i in range(b))
+
+
+def error_support(u0, v0, p):
+    """The supports of the error terms gu = (u0*v0)^{*p} * u0 and gv that
+    condition (i) reads, from the symbols of the fields."""
+    symbols = ConvolutionSymbols.from_fields(u0, v0, p)
+    return symbols.gu.support(), symbols.gv.support()
 
 
 def test_error_support_tp1(tp1):

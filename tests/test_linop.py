@@ -373,6 +373,67 @@ def test_block_decompose_batches_singular_values(tp3, monkeypatch):
     assert calls == ["svd"] * len(set(sizes))
 
 
+def assert_same_arrays(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("name", ["tp2", "tp3", "b3"])
+def test_resonance_graph_from_held_links_is_a_fresh_build(name, request):
+    # The graph reads the links the variety holds for the symbol supports,
+    # from every vertex (held here by the blocks built first), without the
+    # links of the j = 0 twins: the arrays of a build from the tagged
+    # vertices alone, on a variety that holds nothing.
+    from nlsqp.characteristics import (
+        _spiral_pairs, ordered_components, resonance_graph, resonance_links)
+    spec, box = (B3, Box(4, 9)) if name == "b3" else (request.getfixturevalue(name), None)
+    box, omega0 = box or default_box(spec), spec.omega0()
+    u0, v0 = linear_solution(spec)
+    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+    variety = box_variety(omega0, spec.d, box)
+    resonance_blocks(symbols, omega0, spec, variety)
+    assert ("links",) + symbols.supports() in variety.held
+    got = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols, variety=variety)
+
+    fresh, nv = box_variety(omega0, spec.d, box), variety.n_tagged
+    found = resonance_links(fresh, np.arange(nv), symbols)
+    found = found[:, found[1] < nv]
+    labels, order, bounds = ordered_components(nv, found[0], found[1])
+    pairs = _spiral_pairs(fresh.vertices[:nv, spec.b:], fresh.copies[:nv], labels)
+    assert not fresh.held
+    assert_same_arrays((got.labels, got.order, got.bounds, got.spiral_pairs),
+                       (labels, order, bounds, pairs))
+
+
+@pytest.mark.parametrize("name", ["tp2", "tp3"])
+def test_a_gate_on_held_blocks_is_a_fresh_gate(name, request):
+    # A solve's three gates read two symbol supports (the seed's, then the
+    # second step's and the final state's, which are equal), so the final
+    # gate gathers its values into the blocks held from the second step's.
+    # Its value and its blocks are bitwise those of a gate on a fresh
+    # variety.
+    from nlsqp.linop import admissibility_gate
+    from nlsqp.newton import solve
+    spec = request.getfixturevalue(name)
+    box = default_box(spec)
+    variety = box_variety(spec.omega0(), spec.d, box)
+    rep = solve(spec, variety=variety)
+    st = rep.state
+    assert len(variety.held) == 4  # links and blocks, per supports
+    reused = admissibility_gate(st.omega, spec, variety, st.symbols)
+    assert len(variety.held) == 4
+    fresh = box_variety(spec.omega0(), spec.d, box)
+    assert_same_arrays([np.array([reused, rep.min_block_value])],
+                       [np.full(2, admissibility_gate(st.omega, spec, fresh, st.symbols))])
+    exclude = frozenset(_seed_equations(spec, box))
+    held, built = (resonance_blocks(st.symbols, st.omega, spec, v, exclude=exclude)
+                   for v in (variety, fresh))
+    assert list(held.stacks) == list(built.stacks)
+    assert_same_arrays([held.order, held.bounds, *held.stacks.values()],
+                       [built.order, built.bounds, *built.stacks.values()])
+
+
 # -- Inverse norms over the box ----------------------------------------------
 
 
@@ -499,7 +560,7 @@ def test_lattice_inverse_is_the_exact_inverse_norm(tp2, tp3):
         state, _ = first_iteration(spec)
         symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
         sites = conservation_sites(spec, state.lattice_radius)
-        norm, decay = lattice_inverse(symbols, state.u, state.omega, spec, sites)
+        norm, decay = lattice_inverse(symbols, state.omega, spec, sites)
         mat, keep = lattice_operator(symbols, state.omega, spec, sites)
         exact = np.linalg.norm(np.linalg.inv(mat[np.ix_(keep, keep)]), 2)
         assert norm == pytest.approx(exact, rel=1e-10)

@@ -410,6 +410,76 @@ def test_residual_series_matches_termwise_sum(name, request):
             assert np.array_equal(*bits)
 
 
+def assert_same_bits(got, want):
+    assert got.support() == want.support()
+    bits = [np.array([val for _, val in f.items()], dtype=complex).view(np.int64)
+            for f in (got, want)]
+    assert np.array_equal(*bits)
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3", "p3"])
+def test_iterate_products_match_standalone_convolutions(name, request):
+    # Bit for bit, at the seed (its products as the checks and the first
+    # step read them) and at the solution (those its state carries): the
+    # symbols, the Q brackets and the residual at two frequencies equal
+    # what separate calls convolve from scratch.
+    from nlsqp.conditions import seed_symbols
+    from nlsqp.lattice import SparseSeries, conjugate_flip, conv_power, convolve
+    spec, box = {"b3": (B3, Box(4, 9)), "p3": (P3, None)}.get(name) or \
+        (request.getfixturevalue(name), None)
+    rep = solve(spec, box=box)
+    u0, v0 = linear_solution(spec)
+    p, m = spec.p, spec.phase_m
+    for u, v, symbols in ((u0, v0, seed_symbols(spec)),
+                          (rep.state.u, rep.state.v, rep.state.symbols)):
+        uv = convolve(u, v)
+        uv_pm1 = conv_power(uv, p - 1)
+        uu = convolve(uv_pm1, convolve(u, u))
+        assert_same_bits(symbols.uv_p, convolve(uv_pm1, uv))
+        assert_same_bits(symbols.uu, uu)
+        assert_same_bits(symbols.vv, conjugate_flip(uu))
+
+        gu = convolve(conv_power(convolve(u, conjugate_flip(u)), p), u)
+        want = [s.jsq() + m + spec.delta * gu[s].real / a
+                for s, a in zip(spec.seed_sites(), spec.amplitudes)]
+        assert np.array_equal(np.array(q_solve(u, spec, symbols).omega).view(np.int64),
+                              np.array(want).view(np.int64))
+
+        uv_p = conv_power(convolve(u, v), p)
+        for omega in (spec.omega0(), rep.state.omega):
+            for f, sign, got in zip((u, v), (1, -1),
+                                    residual_series(u, v, omega, spec, symbols)):
+                diagonal = SparseSeries(f.b, f.d, {s: (sign * omega.dot(s.n) + s.jsq() + m) * x
+                                                   for s, x in f.items()}, drop_tol=0.0)
+                assert_same_bits(got, convolve(uv_p, f).scale(spec.delta).add(diagonal))
+
+
+# A p = 3 seed (the nonlinearity |u|^6 u).
+P3 = make_spec(d=1, b=2, p=3, delta=1e-3, j_list=[1, 3], amplitudes=[0.6, 0.8])
+
+
+def test_p3_seed_converges_at_the_default_tol():
+    # Dropping the entries of u - du below 1e-14 max|u| left this seed a
+    # residual floor of 2.07e-11, above tol, after 12 steps.
+    rep = solve(P3)
+    assert rep.converged and rep.steps == 2
+    assert rep.residual_history[-1][1] <= 1e-12
+    assert (rep.state.lattice_radius, rep.lattice_sites) == (8, 18)
+
+
+def test_newton_step_keeps_entries_below_the_drop_tolerance():
+    # u - du is kept whole: it holds every site of Lambda_R, two of them
+    # below DROP_TOL max|u| after the p = 3 seed's second step.
+    from nlsqp.characteristics import conservation_sites
+    from nlsqp.lattice import DROP_TOL, default_box
+    state, _ = first_iteration(P3)
+    nxt = newton_step(state, P3, box_variety(P3.omega0(), P3.d, default_box(P3)))
+    u, b = nxt.u, P3.b
+    assert set(u.support()) == {site(r[:b], r[b:]) for r in
+                                conservation_sites(P3, nxt.lattice_radius).tolist()}
+    assert sum(abs(x) < DROP_TOL * u.max_abs() for _, x in u.items()) == 2
+
+
 def test_residual_series_flip_symmetry(tp2):
     u0, v0 = linear_solution(tp2)
     fu, fv = residual_series(u0, v0, tp2.omega0(), tp2)

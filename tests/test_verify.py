@@ -274,9 +274,8 @@ def solved(spec):
 
 # Seeds that no fixture covers: tp3 with a mass term, a p = 3 seed (the
 # nonlinearity |u|^6 u) and a support of rank 2.  solve refuses tp3 with
-# phase_m = 0.25 (an off-characteristic diagonal) and stops just short of
-# tol on the p = 3 seed, so these evolve the linear seed at its modulated
-# frequency.
+# phase_m = 0.25 (an off-characteristic diagonal); these evolve the linear
+# seed at its modulated frequency.
 LINEAR_SEEDS = {
     "tp3_phase_m": make_spec(d=2, b=2, p=2, delta=1e-3, j_list=[(1, 0), (0, 1)],
                              amplitudes=[0.9, 0.35], phase_m=0.25),
