@@ -39,18 +39,24 @@ class CharClass(enum.Enum):
     OFF = "off"
 
 
-# The most sites a truncation box may hold: every operator, variety and
-# graph is built from the site array of its box.
+# The most sites a truncation box may hold: the graph, the box inverse and
+# the sweep are built from the site array of their box, and a solve refuses
+# the boxes they refuse.
 SITE_CAP = 2_000_000
+
+
+def check_site_cap(b: int, d: int, box: Box) -> None:
+    """BoxTooLarge if the box holds more than SITE_CAP sites."""
+    total = box.site_count(b, d)
+    if total > SITE_CAP:
+        raise BoxTooLarge(f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
 
 
 def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
     """Every site of the box as a (count, b + d) int64 array in lexicographic
     order, which is also the order of the box's linear index.  A box of
     more than SITE_CAP sites raises BoxTooLarge before anything is built."""
-    total = box.site_count(b, d)
-    if total > SITE_CAP:
-        raise BoxTooLarge(f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
+    check_site_cap(b, d, box)
     ranges = ([np.arange(-box.n_radius, box.n_radius + 1)] * b
               + [np.arange(-box.j_radius, box.j_radius + 1)] * d)
     out = np.empty([len(r) for r in ranges] + [b + d], dtype=np.int64)
@@ -103,50 +109,34 @@ def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
 
 @dataclass
 class BoxVariety:
-    """What the resonance graphs and certificates of a box read that does
-    not move with the Newton iterate.  coords is the box's site array and
-    resonant the mask of its doubled indices (box index, plus the site
-    count for a v-copy) with a vanishing seed diagonal (`branch_tags`).
-    Those are the vertices: the n_tagged graph vertices (u-copies of C+
-    sites, v-copies of C- sites, lexicographic), then the other copy of
-    each with j = 0; vertices and copies (+1 u, -1 v; int8) give their site
-    and copy, and vertex_of maps a doubled index to its vertex, else -1.
-    held keeps what the graphs and blocks of given symbol supports read
-    (`links`, `resonance_blocks`) for as long as the variety lives."""
+    """What the resonance graphs of a box read that does not move with the
+    Newton iterate: its graph vertices, the u-copies of its C+ sites and the
+    v-copies of its C- sites (`branch_tags`), lexicographic; vertices and
+    copies (+1 u, -1 v; int8) give their site and copy.  held keeps the
+    links of given symbol supports (`links`) for as long as the variety
+    lives."""
 
     box: Box
-    coords: np.ndarray
-    resonant: np.ndarray
     vertices: np.ndarray
     copies: np.ndarray
-    n_tagged: int
-    vertex_of: np.ndarray
     held: Dict[tuple, object] = field(default_factory=dict)
 
     def links(self, symbols: "ConvolutionSymbols") -> np.ndarray:
         """`resonance_links` from every vertex, built once per supports."""
         key = ("links",) + symbols.supports()
         if key not in self.held:
-            self.held[key] = resonance_links(self, np.arange(len(self.vertices)), symbols)
+            self.held[key] = resonance_links(self.box, self.vertices, self.copies,
+                                             np.arange(len(self.vertices)), symbols)
         return self.held[key]
 
 
 def box_variety(omega0: FrequencyVector, d: int, box: Box) -> BoxVariety:
     """The `BoxVariety` of a box; a box of more than SITE_CAP sites raises
     BoxTooLarge."""
-    b = len(omega0)
-    coords = enumerate_box_sites(b, d, box)
-    tags, resonant = branch_tags(coords, omega0)
+    coords = enumerate_box_sites(len(omega0), d, box)
+    tags, _ = branch_tags(coords, omega0)
     on = np.nonzero(tags)[0]
-    twin = on[~coords[on, b:].any(axis=1)]
-    vertices = np.concatenate([coords[on], coords[twin]])
-    copies = np.concatenate([tags[on], -tags[twin]])
-    radii, strides = box_strides(b, d, box)
-    vertex_of = np.full(2 * len(coords), -1, dtype=np.int64)
-    vertex_of[(vertices + radii) @ strides + len(coords) * (copies < 0)] = \
-        np.arange(len(vertices))
-    return BoxVariety(box=box, coords=coords, resonant=resonant, vertices=vertices,
-                      copies=copies, n_tagged=len(on), vertex_of=vertex_of)
+    return BoxVariety(box=box, vertices=coords[on], copies=tags[on])
 
 
 # ---------------------------------------------------------------------------
@@ -453,43 +443,50 @@ def resonance_graph(
     and the box's `box_variety` are built here unless given.
 
     Each kind of edge is found in one array pass over all vertices and
-    shifts, through a lookup from box index to vertex number: the
-    variety's `links`, without the j = 0 twins.  Components are numbered by
-    their smallest vertex with members ascending, so the order of the
-    links and their repeats change nothing.
+    shifts: the variety's `links`.  Components are numbered by their
+    smallest vertex with members ascending, so the order of the links and
+    their repeats change nothing.
     """
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
     if variety is None:
         variety = box_variety(omega0, spec.d, box)
-    b, nv = len(omega0), variety.n_tagged
-    coords, tags = variety.vertices[:nv], variety.copies[:nv]
+    coords, tags = variety.vertices, variety.copies
     found = variety.links(symbols)
-    found = found[:, (found[0] < nv) & (found[1] < nv)]  # the j = 0 twins are not graph vertices
-    labels, order, bounds = ordered_components(nv, found[0], found[1])
+    labels, order, bounds = ordered_components(len(coords), found[0], found[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,
-                          bounds=bounds, spiral_pairs=_spiral_pairs(coords[:, b:], tags, labels))
+                          bounds=bounds,
+                          spiral_pairs=_spiral_pairs(coords[:, len(omega0):], tags, labels))
 
 
-def resonance_links(variety: BoxVariety, src: np.ndarray, symbols: ConvolutionSymbols
-                    ) -> np.ndarray:
-    """The links of `resonance_graph`'s rule from the variety's vertices
-    src to any of its vertices, as a (2, count) array of (src vertex, other
+def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray, src: np.ndarray,
+                    symbols: ConvolutionSymbols) -> np.ndarray:
+    """The links of `resonance_graph`'s rule from the vertices src to any
+    vertex, among the copies copies[i] (+1 u, -1 v) of the rows vertices[i]
+    of a site array in the box, as a (2, count) array of (src vertex, other
     vertex) columns: one array pass over src and the shifts of each kind of
-    link, through the variety's lookup from doubled index to vertex."""
+    link.  A vertex is looked up by its doubled box index (box index, plus
+    the site count for a v-copy) among the sorted ones."""
     b, d = symbols.uv_p.b, symbols.uv_p.d
-    radii, strides = box_strides(b, d, variety.box)
-    ns = len(variety.coords)
-    coords, tags, vertex_of = variety.vertices, variety.copies, variety.vertex_of
+    radii, strides = box_strides(b, d, box)
+    ns = box.site_count(b, d)
+    index = (vertices + radii) @ strides  # box index; x - s has index(x) - s . strides
+    keys = index + ns * (copies < 0)
+    rank = np.argsort(keys)
+    keys = np.append(keys[rank], np.iinfo(np.int64).max)  # no query reaches the sentinel
 
     def links(shifts: List[SiteIndex], src_tag: int, dst_tag: int):
-        own = src[tags[src] == src_tag]
+        own = src[copies[src] == src_tag]
         sv = np.array([s.n + s.j for s in shifts], dtype=np.int64).reshape(-1, b + d)
-        y = coords[own][:, None, :] - sv[None, :, :]
-        inside = np.all(np.abs(y) <= radii, axis=2)
-        k = vertex_of[(y[inside] + radii) @ strides + (ns if dst_tag < 0 else 0)]
-        i = np.broadcast_to(own[:, None], inside.shape)[inside]
-        return np.stack([i[k >= 0], k[k >= 0]])  # k = -1: no vertex there
+        # Shift-major, so each shift's queries ascend with the vertices'
+        # index: searchsorted takes sorted queries about twice as fast.
+        inside = np.all(np.abs(vertices[own][None, :, :] - sv[:, None, :]) <= radii, axis=2)
+        query = (index[own][None, :] - (sv @ strides)[:, None])[inside]
+        query += ns if dst_tag < 0 else 0
+        pos = np.searchsorted(keys, query)
+        hit = keys[pos] == query
+        i = np.broadcast_to(own[None, :], inside.shape)[inside]
+        return np.stack([i[hit], rank[pos[hit]]])
 
     diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
     return np.concatenate([links(diag_shifts, 1, 1), links(diag_shifts, -1, -1),
@@ -528,6 +525,16 @@ def conservation_sites(spec: ProblemSpec, radius: int) -> np.ndarray:
     """
     sites = _lattice(spec, -radius, radius + 1)
     sites = sites[lattice_generation(sites, spec.b) <= radius]
+    return sites[np.lexsort(sites.T[::-1])]
+
+
+def lattice_in_box(spec: ProblemSpec, box: Box) -> np.ndarray:
+    """The sites of Lambda in a box as a (count, b + d) int64 array, in
+    lexicographic order: every c with sum c = 1 and |c_k| <= n_radius
+    (n = -c), kept where |j|_inf <= j_radius."""
+    sites = _lattice(spec, -box.n_radius, box.n_radius)
+    radii, _ = box_strides(spec.b, spec.d, box)
+    sites = sites[np.all(np.abs(sites) <= radii, axis=1)]
     return sites[np.lexsort(sites.T[::-1])]
 
 

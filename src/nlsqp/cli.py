@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import hashlib
+import math
 import os
 import re
 import sys
@@ -22,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import newton, verify
-from .characteristics import BoxVariety, ConvolutionSymbols, box_variety
+from .characteristics import ConvolutionSymbols
 from .conditions import (
     ConditionReport,
     check_condition_i,
@@ -404,17 +405,15 @@ EXIT_NON_REAL_FREQUENCY = 8
 EXIT_OFF_CHAR_DIAGONAL = 9
 
 
-def _condition_sections(cfg: RunConfig, symbols: ConvolutionSymbols,
-                        variety: Optional[BoxVariety] = None
+def _condition_sections(cfg: RunConfig, symbols: ConvolutionSymbols
                         ) -> Tuple[Dict[str, Dict[str, object]], Dict[str, ConditionReport]]:
     """Report sections of the admissibility checks (of `seed_symbols`), and
-    the verdicts of conditions (i) and (ii) on the condition box (its
-    variety if given), keyed "i" and "ii"."""
+    the verdicts of conditions (i) and (ii) on the condition box, keyed "i"
+    and "ii"."""
     spec = cfg.problem
     box = cfg.condition_box()
     rep_i = check_condition_i(spec, symbols=symbols)
-    rep_ii = check_condition_ii(spec, m_max=cfg.conditions.m_max, box=box, variety=variety,
-                                symbols=symbols)
+    rep_ii = check_condition_ii(spec, m_max=cfg.conditions.m_max, box=box, symbols=symbols)
     rank = rank_check_momenta(spec.j_list, spec.d)
     sections: Dict[str, Dict[str, object]] = {}
     sections["conditions.non_intersection"] = {"verdict": rep_i.verdict,
@@ -466,11 +465,9 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
     box = cfg.box()
     ncfg = cfg.newton
     sections = {"meta": meta_section(cfg)}
-    # One variety serves the graph check and the solve when their boxes
-    # match; the seed's symbols serve the checks and the first step.
-    variety = box_variety(spec.omega0(), spec.d, box) if cfg.condition_box() == box else None
+    # The seed's symbols serve the checks and the first step.
     symbols = seed_symbols(spec)
-    cond, reports = _condition_sections(cfg, symbols, variety)
+    cond, reports = _condition_sections(cfg, symbols)
     sections.update(cond)
     if _failed(reports):
         _emit(write_report(sections), os.path.join(out_dir, "report.txt"))
@@ -481,8 +478,7 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         spec, box=box, tol=ncfg.tol, max_iter=ncfg.max_iter,
         condition_reports=reports,
         kappa=ncfg.kappa, gamma=ncfg.gamma, dio_radius=ncfg.dio_radius,
-        m_max=cfg.conditions.m_max, eps_second=ncfg.eps_second, variety=variety,
-        symbols=symbols)
+        m_max=cfg.conditions.m_max, eps_second=ncfg.eps_second, symbols=symbols)
     # solve factors no sparse matrix, yet a converged solve loads scipy's
     # sparse solvers as it did when it used SuperLU.  The speed probe of
     # bench/run.py imports them on its first run, inside a SIGALRM handler;
@@ -508,7 +504,8 @@ def cmd_solve(cfg: RunConfig, out_dir: str) -> int:
         "inverse_norm": report.inverse_norm,
         "decay_beta": report.decay_beta,
         "decay_bound_ok": report.decay_bound_ok,
-        "min_block_value": report.min_block_value,
+        "min_block_value": (report.min_block_value if math.isfinite(report.min_block_value)
+                            else "n/a (no resonance block of Lambda (+) -Lambda in the box)"),
         "jac_det": report.modulation.jac_det,
         "diophantine_pass": report.modulation.diophantine.passed,
         "diophantine_fitted_kappa": report.modulation.diophantine.fitted_kappa,

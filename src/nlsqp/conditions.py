@@ -28,7 +28,6 @@ import numpy as np
 from . import _intlinalg
 from .characteristics import (
     TAG_CLASS,
-    BoxVariety,
     CharClass,
     ConvolutionSymbols,
     branch_tags,
@@ -428,13 +427,11 @@ def check_condition_ii(
     m_max: int = 8,
     box: Optional[Box] = None,
     inject: Optional[Dict[str, List[SiteIndex]]] = None,
-    variety: Optional[BoxVariety] = None,
     symbols: Optional[ConvolutionSymbols] = None,
 ) -> ConditionReport:
     """Non-spiral condition: walk check on the quotient plus the boxed graph
     check.  Pass requires both to find nothing; the scale is reported.  The
-    graph reads the box's `box_variety` and `seed_symbols`, each built
-    here unless given."""
+    graph reads `seed_symbols`, built here unless given."""
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
     symbols = symbols or seed_symbols(spec)
@@ -456,7 +453,7 @@ def check_condition_ii(
         symbols = ConvolutionSymbols(*(_augment(series, inject.get(key, [])) for key, series
                                        in zip(supports, (symbols.uv_p, symbols.uu, symbols.vv))),
                                      p=spec.p)
-    rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols, variety=variety)
+    rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols)
 
     witnesses = []
     if walk_verdict == "fail" and walk_witness is not None:

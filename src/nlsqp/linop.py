@@ -3,13 +3,15 @@ conservation lattice.
 
 F' = D + delta*A acts on pairs (u-component, v-component) of lattice
 functions.  D is the dispersion diagonal +-n.w + |j|^2 (+ phase); A
-couples sites through three convolution symbols.
-Admissibility is certified in the style of the analysis: dense
-singular-value bounds on the resonance-graph blocks sitting on the
-characteristic variety, and a uniformly bounded diagonal off it.  Every
-inverse is dense: on Lambda_R (`characteristics.conservation_sites`), where
-the Newton iteration lives, and on a whole box, which F' splits into the
-blocks of the cosets of the difference lattice.  Each inverse norm is
+couples sites through three convolution symbols.  With u on the
+conservation lattice Lambda (`characteristics.conservation_sites`) and v
+on -Lambda, F' maps Lambda (+) -Lambda to itself, and the Newton iteration
+never leaves it.  Admissibility is certified there, in the style of the
+analysis: dense singular-value bounds on the resonance blocks of Lambda
+(+) -Lambda inside the truncation box, and a uniformly bounded diagonal
+off the characteristic variety.  Every inverse is dense: on Lambda_R,
+where the Newton iteration lives, and on a whole box, which F' splits into
+the blocks of the cosets of the difference lattice.  Each inverse norm is
 1/sigma_min by SVD, with a measured exponential decay rate for the inverse
 kernel.
 """
@@ -23,13 +25,17 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characteristics import (
-    BoxVariety,
     ConvolutionSymbols,
     box_strides,
+    branch_tags,
+    check_site_cap,
     enumerate_box_sites,
+    lattice_generation,
+    lattice_in_box,
     members_of_size,
     on_lattice,
     ordered_components,
+    resonance_links,
 )
 from .lattice import (
     Box,
@@ -46,25 +52,20 @@ class LinopError(RuntimeError):
 
 
 class ExcisionError(LinopError):
-    """A resonance block fails its invertibility threshold: the amplitude
-    vector lies in (or too close to) the excised set.  `site` is the block's
-    first member and `meets_lattice` says whether any member is a u-copy
-    on Lambda or a v-copy on -Lambda, the part of the box the Newton
-    iteration moves."""
+    """A resonance block of Lambda (+) -Lambda fails its invertibility
+    threshold: the amplitude vector lies in (or too close to) the excised
+    set.  `site` is the block's first member."""
 
     def __init__(self, block_index: int, value: float, threshold: float, size: int,
-                 site: SiteIndex, meets_lattice: bool):
-        where = "meets" if meets_lattice else "is off"
+                 site: SiteIndex):
         super().__init__(
             f"block {block_index} (size {size}): sigma_min = {value:.3e} "
-            f"below threshold {threshold:.3e}; first member {site}, "
-            f"the block {where} the conservation lattice")
+            f"below threshold {threshold:.3e}; first member {site}")
         self.block_index = block_index
         self.value = value
         self.threshold = threshold
         self.size = size
         self.site = site
-        self.meets_lattice = meets_lattice
 
 
 class OffCharDiagonalError(LinopError):
@@ -106,16 +107,15 @@ def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec
 
 
 def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
-           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
-           at: Optional[np.ndarray] = None) -> np.ndarray:
+           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec
+           ) -> np.ndarray:
     """F' on groups of doubled vertices as a (count, k, k) stack, one group
     per row of the (count, k) array members.  Vertex i is the copy
     copies[i] (+1 u, -1 v) of the site coords[i].  An entry reads the symbol
     the two copies select at row site minus column site, times delta: (p +
     1) uv_p between equal copies, p uu from a u-row to a v-column and p vv
-    the other way; the diagonal adds D (`_dispersion`).  at is where each
-    entry reads (`_gather`), found here unless given."""
-    at = _gather(coords, copies, members, symbols.supports()) if at is None else at
+    the other way; the diagonal adds D (`_dispersion`)."""
+    at = _gather(coords, copies, members, symbols.supports())
     delta, p = spec.delta, spec.p
     vals = [coef * ampl for coef, series in ((delta * (p + 1), symbols.uv_p),
                                              (delta * p, symbols.uu), (delta * p, symbols.vv))
@@ -170,58 +170,42 @@ def _exclude(order: np.ndarray, bounds: np.ndarray, dropped: np.ndarray
     return order[keep], np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
 
 
-@dataclass
-class BlockDecomposition:
-    """The resonance blocks of an operator, numbered by smallest member.
+def _lattice_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The resonance components of Lambda (+) -Lambda inside a box.
 
-    Block c covers the doubled operator indices order[bounds[c]:bounds[c +
-    1]], ascending.  stacks maps each block size k to the (count, k, k)
-    stack of the blocks of that size, in block order: the rows of
-    `members_of_size`.
+    The vertices are the u-copies of the sites of Lambda in the box
+    (`lattice_in_box`, lexicographic) with a vanishing seed diagonal n.w0 +
+    |j|^2 (`branch_tags`), then the v-copies at their flips, whose seed
+    diagonal is the same, in the same order: their doubled box indices
+    ascend.  Links are those of `resonance_links` under the symbols; a
+    component holding a seed equation keeps it (`_drop_seed_equations`).
+
+    Returns (sites, copies, order, bounds, off): vertex i is the copy
+    copies[i] (+1 u, -1 v) of sites[i]; component c is order[bounds[c]:
+    bounds[c + 1]], numbered by its smallest vertex, members ascending; off
+    holds the other sites of Lambda in the box, off the variety.
     """
+    lam = lattice_in_box(spec, box)
+    on = branch_tags(lam, spec.omega0())[1][:len(lam)]
+    res = lam[on]
+    sites = np.concatenate([res, -res[::-1]])
+    copies = np.repeat(np.array([1, -1], dtype=np.int8), len(res))
+    links = resonance_links(box, sites, copies, np.arange(len(sites)), symbols)
+    _, order, bounds = ordered_components(len(sites), links[0], links[1])
+    return sites, copies, order, bounds, lam[~on]
 
-    order: np.ndarray
-    bounds: np.ndarray
-    stacks: Dict[int, np.ndarray]
 
-
-def resonance_blocks(symbols: ConvolutionSymbols, omega: FrequencyVector,
-                     spec: ProblemSpec, variety: BoxVariety,
-                     exclude: frozenset = frozenset()) -> BlockDecomposition:
-    """Dense blocks of F' over the resonance components of a box, from its
-    variety and the symbols.
-
-    The blocks live on the variety's vertices, the resonant doubled
-    indices: the u-copy of each C+ site, the v-copy of each C- site, and
-    both copies of a site with j = 0 (and n.w0 = 0).  The components are
-    those of the links from every vertex (`resonance_links`): the resonance
-    graph's edges and the links of the j = 0 twins.  Blocks are ordered by
-    their smallest doubled index, members ascending.  `exclude` removes
-    doubled indices (the seed equations) from their blocks after the
-    components are found; a block left empty is dropped, and the later
-    blocks keep their order.  All but the values read only the supports of
-    the symbols, so the variety holds the blocks' members and where their
-    entries read (`_gather`) for a later call on equal supports.
-    """
-    coords, copies = variety.vertices, variety.copies
-    supports = symbols.supports()
-    key = ("blocks", exclude) + supports
-    if key not in variety.held:
-        edges = variety.links(symbols)
-        # Components run over the vertices in the order of their doubled index.
-        index = np.flatnonzero(variety.vertex_of >= 0)
-        by_index = variety.vertex_of[index]
-        rank = np.argsort(by_index)
-        _, order, bounds = ordered_components(len(index), rank[edges[0]], rank[edges[1]])
-        order, bounds = _exclude(order, bounds, np.isin(index, list(exclude)))
-        groups = [members_of_size(by_index[order], bounds, k)
-                  for k in np.unique(np.diff(bounds)).tolist()]
-        variety.held[key] = index[order], bounds, [(m, _gather(coords, copies, m, supports))
-                                                   for m in groups]
-    order, bounds, groups = variety.held[key]
-    return BlockDecomposition(order=order, bounds=bounds,
-                              stacks={m.shape[1]: _dense(coords, copies, m, symbols, omega,
-                                                         spec, at) for m, at in groups})
+def _drop_seed_equations(spec: ProblemSpec, sites: np.ndarray, copies: np.ndarray,
+                         order: np.ndarray, bounds: np.ndarray
+                         ) -> Tuple[np.ndarray, np.ndarray]:
+    """The components of `_lattice_blocks` without the 2b seed equations
+    (`_exclude`): the u-copies of generation 0 on Lambda, the seeds, and
+    the v-copies at their flips.  LinopError if the box misses a seed."""
+    seeds = lattice_generation(sites * copies[:, None], spec.b) == 0
+    if np.count_nonzero(seeds) < 2 * spec.b:
+        raise LinopError("truncation box does not contain the seed modes")
+    return _exclude(order, bounds, seeds)
 
 
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
@@ -242,48 +226,43 @@ def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
 # Admissibility
 
 
-def _certify(decomp: BlockDecomposition, coords: np.ndarray, diag: np.ndarray,
-             resonant: np.ndarray, spec: ProblemSpec, eps_second: float) -> float:
-    """The smallest singular value of the blocks, by one batched SVD per
-    block size.  The first block at or below delta^(1 + eps_second) raises
-    ExcisionError; then, over the box's doubled indices (diag and resonant,
-    for the sites coords), a diagonal off the variety below 0.25 raises
-    OffCharDiagonalError at its first smallest value."""
-    b = spec.b
-    sizes = np.diff(decomp.bounds)
+def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, box: Box,
+                       symbols: ConvolutionSymbols, eps_second: float = 0.5) -> float:
+    """The admissibility certificate of the iterate with the given symbols
+    at omega, on Lambda (+) -Lambda inside the box, the only part of the box
+    the iteration moves.
+
+    The resonance blocks are those of `_lattice_blocks` off the seed
+    equations.  Every gate of a solve follows a Q solve, so their smallest
+    singular values, by one batched SVD per block size, are thresholded
+    against delta^(1 + eps_second): the first block at or below it raises
+    ExcisionError.  Then a diagonal of Lambda (+) -Lambda off the variety
+    below 0.25 raises OffCharDiagonalError at its first smallest value; a
+    v-copy at -x has the diagonal of the u-copy at x, so the u-copies are
+    read.  Returns the smallest block value, inf with no block.  A box of
+    more than SITE_CAP sites raises BoxTooLarge, as every box-wide build
+    does.
+    """
+    check_site_cap(spec.b, spec.d, box)
+    sites, copies, order, bounds, off = _lattice_blocks(spec, box, symbols)
+    order, bounds = _drop_seed_equations(spec, sites, copies, order, bounds)
+    sizes = np.diff(bounds)
     values = np.empty(len(sizes))
-    for k, stack in decomp.stacks.items():
+    for k, stack in _stacks(sites, copies, order, bounds, symbols, omega, spec).items():
         values[sizes == k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
     threshold = spec.delta ** (1.0 + eps_second)
     failing = np.nonzero(values <= threshold)[0]
+    b = spec.b
     if len(failing):
         k = int(failing[0])
-        doubled = decomp.order[decomp.bounds[k]:decomp.bounds[k + 1]]
-        sites = coords[doubled % len(coords)]
-        meets = on_lattice(sites, np.where(doubled < len(coords), 1, -1), spec).any()
-        raise ExcisionError(k, float(values[k]), threshold, int(sizes[k]),
-                            site(sites[0, :b], sites[0, b:]), bool(meets))
-    off = np.nonzero(~resonant)[0]
+        x = sites[order[bounds[k]]]
+        raise ExcisionError(k, float(values[k]), threshold, int(sizes[k]), site(x[:b], x[b:]))
     if len(off):
-        i = off[np.argmin(np.abs(diag[off]))]
-        if abs(diag[i]) < 0.25:
-            x = coords[i % len(coords)]
-            raise OffCharDiagonalError(site(x[:b], x[b:]), float(abs(diag[i])))
+        diag = np.abs(_dispersion(off, omega, spec)[0])
+        i = int(np.argmin(diag))
+        if diag[i] < 0.25:
+            raise OffCharDiagonalError(site(off[i, :b], off[i, b:]), float(diag[i]))
     return float(values.min(initial=math.inf))
-
-
-def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, variety: BoxVariety,
-                       symbols: ConvolutionSymbols, eps_second: float = 0.5) -> float:
-    """The admissibility certificate over the whole box of a variety
-    (`box_variety`) at omega and the symbols of the iterate: the blocks off
-    the seed equations from `resonance_blocks`, the diagonal from
-    `_dispersion` on the box sites.  Every gate of a solve follows a Q
-    solve, so it thresholds the blocks' smallest singular values against
-    delta^(1 + eps_second), and returns the smallest."""
-    exclude = frozenset(_seed_equations(spec, variety.box))
-    decomp = resonance_blocks(symbols, omega, spec, variety, exclude=exclude)
-    return _certify(decomp, variety.coords, _dispersion(variety.coords, omega, spec).ravel(),
-                    variety.resonant, spec, eps_second)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ whole construction: it is where the exactly resonant integer frequency
 picks up its amplitude modulation and becomes Diophantine.  The update
 lives on the conservation lattice Lambda (u on Lambda, v on -Lambda),
 truncated at a radius R that grows with the residual; the admissibility
-certificate covers the whole truncation box.
+certificate covers Lambda (+) -Lambda inside the truncation box.
 """
 
 from __future__ import annotations
@@ -21,10 +21,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characteristics import (
-    BoxVariety,
     ConvolutionSymbols,
     ResonanceGraph,
-    box_variety,
     branch_tags,
     conservation_sites,
     lattice_generation,
@@ -148,30 +146,29 @@ def q_solve(u: SparseSeries, spec: ProblemSpec,
 def newton_step(
     state: IterationState,
     spec: ProblemSpec,
-    variety: BoxVariety,
+    box: Box,
     tol: float = 1e-11,
     eps_second: float = 0.5,
 ) -> IterationState:
     """One P-then-Q update.
 
-    The step first certifies the whole box of the variety at the frequency
-    solving the Q equations for the current u (`admissibility_gate`).  The
-    linear solve then runs on Lambda_R, R the state's radius (2p for the
-    seed) grown until at most tol / 2 of the weighted residual lies off it
-    (`_lattice_radius`): one dense LU of F' there, off the 2b seed
-    equations, so seed amplitudes are anchored exactly and the post-step
-    residual picks up the full quadratic (delta-cubed) gain of the scheme,
-    the first step's included.  The box sizes nothing here.  After the first
-    step, a step that grows the weighted residual more than 1.5-fold
+    The step first certifies Lambda (+) -Lambda inside the box at the
+    frequency solving the Q equations for the current u
+    (`admissibility_gate`).  The linear solve then runs on Lambda_R, R the
+    state's radius (2p for the seed) grown until at most tol / 2 of the
+    weighted residual lies off it (`_lattice_radius`): one dense LU of F'
+    there, off the 2b seed equations, so seed amplitudes are anchored
+    exactly and the post-step residual picks up the full quadratic
+    (delta-cubed) gain of the scheme, the first step's included.  The box bounds only the gate.  After the
+    first step, a step that grows the weighted residual more than 1.5-fold
     raises StepRejected.  Each iterate is convolved once: the state
     carries its symbols (built here if it does not) and the new state those
-    of u - du, kept whole however small its entries.  A gate on symbol
-    supports the variety has seen reuses their block pattern.
+    of u - du, kept whole however small its entries.
     """
     u, v = state.u, state.v
     symbols = state.symbols or ConvolutionSymbols.from_fields(u, v, spec.p)
     omega_work = q_solve(u, spec, symbols)
-    admissibility_gate(omega_work, spec, variety, symbols, eps_second=eps_second)
+    admissibility_gate(omega_work, spec, box, symbols, eps_second=eps_second)
 
     fu, fv = residual_series(u, v, omega_work, spec, symbols)
     radius = _lattice_radius(state.lattice_radius, fu, fv, spec, tol)
@@ -349,7 +346,6 @@ def first_iteration(
     m_max: int = 8,
     eps_second: float = 0.5,
     tol: float = 1e-11,
-    variety: Optional[BoxVariety] = None,
     symbols: Optional[ConvolutionSymbols] = None,
 ) -> Tuple[IterationState, ModulationReport]:
     """Seed -> first corrected state, with the modulation diagnostics.
@@ -359,13 +355,12 @@ def first_iteration(
     is checked here, so each is decided once.  Condition (i) is how the
     error term enters the first bound: it must avoid its resonant set off
     the seed support.  The returned delta-omega is the exact first-order
-    modulation, evaluated at the seed.  The step reads the box's
-    `box_variety` and the seed's `seed_symbols`, each built here unless
-    given.  Lambda_R starts at R = 2p, set by the nonlinearity, not the
-    box: the seed residual delta (u v)^{*p} u reaches generation p and the
-    step's coupling delta A p generations further, so du is O(delta^2)
-    beyond generation p and the part of delta A du that leaves Lambda_{2p}
-    is O(delta^3).
+    modulation, evaluated at the seed.  The step reads the seed's
+    `seed_symbols`, built here unless given.  Lambda_R starts at R = 2p,
+    set by the nonlinearity, not the box: the seed residual delta (u
+    v)^{*p} u reaches generation p and the step's coupling delta A p
+    generations further, so du is O(delta^2) beyond generation p and the
+    part of delta A du that leaves Lambda_{2p} is O(delta^3).
     """
     if box is None:
         box = default_box(spec)
@@ -391,9 +386,7 @@ def first_iteration(
                               jac_det=float(np.linalg.det(analytic_q_jacobian(spec, symbols))),
                               diophantine=dio, seed_residual=(plain0, weighted0))
 
-    if variety is None:
-        variety = box_variety(omega0, spec.d, box)
-    state1 = newton_step(state0, spec, variety, tol=tol, eps_second=eps_second)
+    state1 = newton_step(state0, spec, box, tol=tol, eps_second=eps_second)
     return state1, report
 
 
@@ -459,29 +452,26 @@ def solve(
     dio_radius: Optional[int] = None,
     m_max: int = 8,
     eps_second: float = 0.5,
-    variety: Optional[BoxVariety] = None,
     symbols: Optional[ConvolutionSymbols] = None,
 ) -> SolveReport:
     """Iterate Newton steps until the weighted residual, taken in full,
     drops below tol; report frequencies, certificates and convergence data.
 
     The steps run on Lambda_R with R grown from the residual (`newton_step`)
-    and certify the whole box; the final state is certified once more, and
-    its inverse norm and decay fit are those of F' on its Lambda_R.  Each
-    state carries its iterate's symbols (the seed's given or built by
-    `first_iteration`).  All certificates read one `box_variety`, built
-    here unless given, which holds the block pattern of each symbol
-    support for a later gate on equal supports (`resonance_blocks`)."""
+    and certify Lambda (+) -Lambda inside the box; the final state is
+    certified once more, and its inverse norm and decay fit are those of F'
+    on its Lambda_R.  min_block_value is the final gate's, inf when no
+    resonance block of Lambda (+) -Lambda lies in the box.  Each state
+    carries its iterate's symbols (the seed's given or built by
+    `first_iteration`)."""
     if box is None:
         box = default_box(spec)
     condition_reports = _admissible(spec, box, condition_reports, m_max)
-    if variety is None:
-        variety = box_variety(spec.omega0(), spec.d, box)
 
     state, modreport = first_iteration(
         spec, box=box, condition_reports=condition_reports,
         kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
-        eps_second=eps_second, tol=tol, variety=variety, symbols=symbols)
+        eps_second=eps_second, tol=tol, symbols=symbols)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -489,7 +479,7 @@ def solve(
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
-        state = newton_step(state, spec, variety, tol=tol, eps_second=eps_second)
+        state = newton_step(state, spec, box, tol=tol, eps_second=eps_second)
         history.append((state.residual_plain, state.residual_weighted))
 
     converged = state.residual_weighted <= tol
@@ -506,7 +496,7 @@ def solve(
     ratios = [r for r, _ in gains]
     quad_c = max((r for r, w_next in gains if w_next > 1e2 * floor), default=None)
 
-    min_block = admissibility_gate(state.omega, spec, variety, state.symbols, eps_second)
+    min_block = admissibility_gate(state.omega, spec, box, state.symbols, eps_second)
     sites = conservation_sites(spec, state.lattice_radius)
     inverse_norm, decay = lattice_inverse(state.symbols, state.omega, spec, sites)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nlsqp.lattice import Box, default_box, linear_solution, make_spec, site
-from nlsqp.characteristics import CharClass, ConvolutionSymbols, box_variety
+from nlsqp.characteristics import CharClass, ConvolutionSymbols
 from nlsqp.conditions import (
     check_condition_i,
     check_condition_ii,
@@ -114,10 +114,9 @@ def test_criterion_4_decay_certificate():
         u0, v0 = linear_solution(spec)
         box = default_box(spec)
         _, decay = box_inverse(u0, v0, spec.omega0(), spec, box)
-        # The decay is read on an admissible box: the certificate of the
-        # whole box at omega0 (it raises if a block fails).
-        smin = admissibility_gate(spec.omega0(), spec,
-                                  box_variety(spec.omega0(), spec.d, box),
+        # The decay is read on an admissible box: the certificate of
+        # Lambda (+) -Lambda in the box at omega0 (it raises if a block fails).
+        smin = admissibility_gate(spec.omega0(), spec, box,
                                   ConvolutionSymbols.from_fields(u0, v0, spec.p))
         ok = decay.beta_hat >= 0.05 and decay.bound_ok
     _report(4, ok, f"beta_hat={decay.beta_hat:.3f} (>=0.05), "

@@ -386,22 +386,27 @@ modes = (-2,-2):0.5, (-2,2):0.5, (2,2):0.5
     assert "verdict = fail" in (tmp_path / "r.txt").read_text()
 
 
-def test_exit_excised(tmp_path):
-    # Amplitudes parked on a small divisor of the second-step operator.
+def test_exit_excised(tmp_path, capsys):
+    # Amplitudes parked on a small divisor of the first-step operator: a
+    # block of Lambda (+) -Lambda, the u-copy of (-1 2 -2 | 5), reads
+    # sigma_min = 1e-5 against the threshold delta^1.5.
     cfg = parse_config("""
 [problem]
-d = 2
-b = 2
-p = 2
-delta = 0.001
-modes = (1,0):0.5, (0,1):0.6
+d = 1
+b = 3
+p = 1
+delta = 1e-3
+modes = (1):0.7, (2):0.7, (4):0.5
 
 [truncation]
-n_radius = 6
-j_radius = 3
+n_radius = 4
+j_radius = 9
 """)
     code = run_command("solve", cfg, out_path=str(tmp_path / "out"))
     assert code == EXIT_EXCISED
+    assert one_line_err(capsys) == (
+        "excised amplitude: block 0 (size 1): sigma_min = 1.000e-05 below threshold "
+        "3.162e-05; first member (-1 2 -2 | 5)")
 
 
 # Runs nlsqp.cli.main on its arguments and prints the exit code and the
@@ -415,9 +420,10 @@ print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
 
 
 def test_exit_excised_b3_default_box(tmp_path):
-    # Three modes on the 1.46 M-site default box: the gate builds its blocks
-    # from the resonance links, with no matrix of the whole box, and fails
-    # one off the conservation lattice within a few hundred MB.
+    # Three modes on the 1.46 M-site default box: the gate reads only the
+    # 187 sites of Lambda in it, whose 8 blocks off the seed equations all
+    # pass (the smallest sigma_min is 4.2e-4), so the solve converges within
+    # a few hundred MB.
     import subprocess
     import sys
     from pathlib import Path
@@ -434,11 +440,9 @@ modes = (1):0.6, (2):0.8, (4):0.5
                           env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     code, peak_mb = proc.stdout.split()
-    assert int(code) == EXIT_EXCISED
-    assert proc.stderr == (
-        "excised amplitude: block 1114 (size 1): sigma_min = 2.000e-05 below threshold "
-        "3.162e-05; first member (12 -20 4 | -2), the block is off the conservation "
-        "lattice\n")
+    assert int(code) == EXIT_OK, proc.stderr
+    report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    assert "min_block_value = 0.00042002" in report
     assert float(peak_mb) < 300
 
 
@@ -554,14 +558,26 @@ def test_exit_non_real_frequency(tmp_path, capsys, monkeypatch):
 
 
 def test_exit_off_char_diagonal(tmp_path, capsys):
-    # A phase of 0.9 brings n.omega + |j|^2 + m within 1e-3 of zero at the
-    # off-characteristic site (-2 | -3).
-    cfg = parse_config(TP1_CFG + "phase_m = 0.9\n")
+    # On Lambda a diagonal off the variety is a nonzero integer n.w0 +
+    # |j|^2 plus n.(omega - omega0).  At delta = 0.3 the modulation brings
+    # the one at (-5 13 -9 | 2), 2 at omega0, within 0.031 of zero.
+    cfg = parse_config("""
+[problem]
+d = 1
+b = 3
+p = 1
+delta = 0.3
+modes = (-3):0.6, (-2):0.8, (-1):0.5
+
+[truncation]
+n_radius = 13
+j_radius = 3
+""")
     code = run_command("solve", cfg, out_path=str(tmp_path / "out"))
     assert code == EXIT_OFF_CHAR_DIAGONAL
-    assert one_line_err(capsys).startswith(
+    assert one_line_err(capsys) == (
         "certificate failure: off-characteristic diagonal too close to zero at "
-        "(-2 | -3)")
+        "(-5 13 -9 | 2): 3.100e-02")
 
 
 # -- Input errors --------------------------------------------------------------
@@ -709,10 +725,14 @@ def test_parse_config_fuzz_exits_cleanly(text):
 # within 1e2 of the 1e-13 roundoff floor: the one step of tp2 and of tp3
 # lands there (2.8e-13, 1.7e-12), so both now read quad_constant = n/a
 # (were 8.55e5 and 2.18e6, roundoff over a small square); no other line
-# changed.
+# changed.  report.txt of both seeds was re-pinned when the gate came to
+# certify only Lambda (+) -Lambda inside the box: no resonance block of it
+# is left off the seed equations on tp2 or tp3, so min_block_value reads
+# "n/a (no resonance block of Lambda (+) -Lambda in the box)" (was 3.6e-4
+# and 2.5e-4, from blocks off Lambda); no other line changed.
 TP2_ARTIFACT_SHA256 = {
     "check.txt": "228c35587e4e94fcb5ff8cf50a8b715ce0ec0ce697742fb467012051dd63fbf6",
-    "solve/report.txt": "9f0a02ccfa101bca0736a9434aa586b56e8b7253e7a380092c674825bfb66fe1",
+    "solve/report.txt": "39167165a1016431a4bf1f0185da6139fff251c9a022b4adf1f0564b1fecc95e",
     "solve/solution.txt": "30712c6aed0ca254d3cecc883e01d9bbd763934afbb791bb8de098673516dea6",
     "sweep.csv": "def176f8d04330e2eef3dc8011d974d47401cb5b138bf214f3681f64ece52705",
 }
@@ -742,7 +762,7 @@ modes = (1):0.6, (2):0.8
 # sweep.
 TP3_ARTIFACT_SHA256 = {
     "check.txt": "17a59b53b4f7d6c91a1884b621f3aea37c36685c0fe8cd94c3e8c20f538be2ef",
-    "solve/report.txt": "997c0d63bb66bab0d70a940c582637d4067c7e19652d7163778b234e361cf588",
+    "solve/report.txt": "2fd5653c8f8831c3091bd2084b2b88dbe12dcbbf72786c0f5dc196d71a1383c5",
     "solve/solution.txt": "9622b2f782cf6c5b1783b6530e0077321feacd8b1d0415eafad4ae8e0c2ebfce",
     "sweep.csv": "681bd2aea99f89982a98a77678df6ba1652ce94939840d8dd5bb4ce967606e8a",
 }
@@ -771,10 +791,8 @@ def test_tp3_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
 
 
 def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):
-    # The characteristic variety of a box does not move with the Newton
-    # iterate: a solve builds its box's once, for every certificate, and the
-    # graph check of condition (ii) builds the condition box's once, or
-    # reads the solve box's when the two boxes are equal.
+    # The graph check of condition (ii) enumerates the condition box once;
+    # the gates of a solve enumerate none, whatever its box.
     from collections import Counter
     from nlsqp import characteristics
     from nlsqp.lattice import Box
@@ -789,7 +807,7 @@ def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):
     monkeypatch.setattr("nlsqp.linop.enumerate_box_sites", counted)
     smaller = parse_config(TP3_CFG + "\n[conditions]\ngraph_n_radius = 5\n")
     assert run_command("solve", smaller, out_path=str(tmp_path / "a")) == EXIT_OK
-    assert counts == {Box(5, 3): 1, Box(9, 3): 1}
+    assert counts == {Box(5, 3): 1}  # the gates read Lambda in the box, not its sites
     counts.clear()
     assert run_command("solve", parse_config(TP3_CFG), out_path=str(tmp_path / "b")) == EXIT_OK
     assert counts == {Box(9, 3): 1}  # the condition box is the solve box
@@ -798,10 +816,12 @@ def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):
 def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_path,
                                                                          monkeypatch):
     # One set of products per iterate (the seed's shared by the checks and
-    # the first step) and one set of links per symbol supports: the
-    # condition (ii) graph and the first gate read the seed's, the second
-    # and the final gate the last step's.  Nothing is held across commands,
-    # so a second identical solve in the same process does the same work.
+    # the first step) and one set of box links per symbol supports: the
+    # condition (ii) graph links the box's variety under the seed's; each of
+    # the three gates links only the vertices of Lambda (+) -Lambda, under
+    # the seed's supports, then twice under the last step's.  Nothing is
+    # held across commands, so a second identical solve in the same process
+    # does the same work.
     import sys
     from nlsqp import characteristics, lattice
     calls = {"convolve": 0, "links": []}
@@ -811,9 +831,9 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
         calls["convolve"] += 1
         return convolve(*args, **kwargs)
 
-    def counted_links(variety, src, symbols):
-        calls["links"].append(symbols.supports())
-        return resonance_links(variety, src, symbols)
+    def counted_links(box, vertices, copies, src, symbols):
+        calls["links"].append((len(vertices), symbols.supports()))
+        return resonance_links(box, vertices, copies, src, symbols)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("nlsqp"):
@@ -827,7 +847,9 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
     for run in ("a", "b"):
         assert run_command("solve", cfg, out_path=str(tmp_path / run)) == EXIT_OK
         counts.append((calls["convolve"], len(calls["links"])))
-        assert len(set(calls["links"])) == len(calls["links"]) == 2
+        graph, *gates = calls["links"]
+        assert len(gates) == 3 and len({n for n, _ in gates}) == 1 and graph[0] > gates[0][0]
+        assert [sup for _, sup in gates] == [graph[1], gates[1][1], gates[1][1]] != [graph[1]] * 3
         calls.update(convolve=0, links=[])
     assert counts[0] == counts[1]
     assert counts[0][0] <= 40
@@ -1016,13 +1038,12 @@ def test_every_dataclass_field_has_a_reader():
 
 
 def test_graph_block_and_modulation_fields_are_read_outside_the_tests():
-    # The resonance graph, the gate's blocks and the first step's report
-    # hold only what a command, script or the benchmark reads.
+    # The resonance graph and the first step's report hold only what a
+    # command, script or the benchmark reads.
     declared = dataclass_fields()
     read = attributes_read("src", "scripts", "bench")
     kept = {"ResonanceGraph": {"vertices", "tags", "labels", "order", "bounds",
                                "spiral_pairs"},
-            "BlockDecomposition": {"order", "bounds", "stacks"},
             "ModulationReport": {"delta_omega", "jac_det", "diophantine", "seed_residual"}}
     for cls, fields in kept.items():
         assert {name for c, name in declared if c == cls} == fields

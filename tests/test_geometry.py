@@ -298,10 +298,10 @@ def link_edges(spec, omega0, box, symbols):
     """The links of `resonance_links` between tagged vertices of the box, as
     sorted, deduplicated (lo, hi) pairs."""
     variety = characteristics.box_variety(omega0, spec.d, box)
-    nv = variety.n_tagged
-    found = characteristics.resonance_links(variety, np.arange(nv), symbols)
+    found = characteristics.resonance_links(box, variety.vertices, variety.copies,
+                                             np.arange(len(variety.vertices)), symbols)
     assert found.dtype == np.int64
-    return sorted({(min(i, k), max(i, k)) for i, k in found.T.tolist() if k < nv})
+    return sorted({(min(i, k), max(i, k)) for i, k in found.T.tolist()})
 
 
 def assert_same_graph(got, want, spec):
@@ -354,7 +354,7 @@ def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
 def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
     from nlsqp import conditions
 
-    def as_graph(u, v, spec, omega0, box, symbols=None, variety=None):
+    def as_graph(u, v, spec, omega0, box, symbols=None):
         return graph_of_lists(*loop_resonance_graph(u, v, spec, omega0, box, symbols))
 
     for inject in INJECTIONS + [None]:

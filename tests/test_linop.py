@@ -8,6 +8,7 @@ from nlsqp.characteristics import (
     ConvolutionSymbols,
     box_strides,
     box_variety,
+    branch_tags,
     conservation_sites,
     enumerate_box_sites,
     members_of_size,
@@ -23,16 +24,17 @@ from nlsqp.lattice import (
 from nlsqp.linop import (
     ExcisionError,
     LinopError,
-    _certify,
     _copy_signs,
     _coset_blocks,
     _dispersion,
+    _drop_seed_equations,
+    _lattice_blocks,
     _seed_equations,
     _stacks,
+    admissibility_gate,
     box_inverse,
     lattice_inverse,
     lattice_operator,
-    resonance_blocks,
     theta_spectrum_scan,
 )
 from nlsqp.newton import first_iteration, q_solve, residual_series
@@ -47,30 +49,40 @@ B3 = make_spec(d=1, b=3, p=1, delta=1e-3, j_list=[1, 2, 4], amplitudes=[0.6, 0.8
 def box_case(spec, box=None, omega=None, fields=None):
     """F' over a box (Box(9, 3) unless given) at the seed fields unless
     given: the loop-built sparse matrix of the whole box (`matrix`), with
-    the box's variety and the symbols that `resonance_blocks` reads."""
+    the box's sites, the mask of its doubled indices with a vanishing seed
+    diagonal (`resonant`) and the symbols that the gate reads."""
     u, v = fields or linear_solution(spec)
     box = box or Box(9, 3)
     omega = omega or spec.omega0()
-    return SimpleNamespace(spec=spec, box=box, u=u, v=v, omega=omega,
+    coords = enumerate_box_sites(spec.b, spec.d, box)
+    return SimpleNamespace(spec=spec, box=box, u=u, v=v, omega=omega, coords=coords,
+                           resonant=branch_tags(coords, spec.omega0())[1],
                            symbols=ConvolutionSymbols.from_fields(u, v, spec.p),
-                           variety=box_variety(spec.omega0(), spec.d, box),
                            matrix=loop_scatter_matrix(u, v, omega, spec, box))
 
 
-def blocks(case, exclude=frozenset()):
-    return resonance_blocks(case.symbols, case.omega, case.spec, case.variety,
-                            exclude=exclude)
+def blocks(case, drop_seed=True):
+    """The resonance blocks of Lambda (+) -Lambda in the case's box as the
+    gate builds them, off the seed equations unless drop_seed is False:
+    the doubled box index of each vertex (`index`), the components (`order`,
+    `bounds`) and the dense stacks by size."""
+    spec, box, symbols = case.spec, case.box, case.symbols
+    sites, copies, order, bounds, _ = _lattice_blocks(spec, box, symbols)
+    if drop_seed:
+        order, bounds = _drop_seed_equations(spec, sites, copies, order, bounds)
+    radii, strides = box_strides(spec.b, spec.d, box)
+    index = (sites + radii) @ strides + box.site_count(spec.b, spec.d) * (copies < 0)
+    stacks = _stacks(sites, copies, order, bounds, symbols, case.omega, spec)
+    return SimpleNamespace(index=index, order=order, bounds=bounds, stacks=stacks)
 
 
-def certify(case, dec, threshold=0.0):
-    """The block and diagonal certificate of the whole box on the blocks
-    dec, with eps_second set for the block threshold delta^(1 +
-    eps_second) to be threshold (0 takes the threshold 1e-153)."""
+def certify(case, threshold=0.0):
+    """The gate of the case, with eps_second set for the block threshold
+    delta^(1 + eps_second) to be threshold (0 takes the threshold
+    1e-153)."""
     delta = case.spec.delta
     eps_second = math.log(threshold, delta) - 1 if threshold else 50.0
-    coords = case.variety.coords
-    return _certify(dec, coords, _dispersion(coords, case.omega, case.spec).ravel(),
-                    case.variety.resonant, case.spec, eps_second)
+    return admissibility_gate(case.omega, case.spec, case.box, case.symbols, eps_second)
 
 
 def coset_stacks(spec, box=None):
@@ -181,7 +193,11 @@ def test_phase_m_enters_both_blocks():
 
 
 def test_block_decompose_tp1(tp1):
-    dec = blocks(box_case(tp1))
+    # Lambda (+) -Lambda holds one block, the seed's u-copy and its flip's
+    # v-copy: both are seed equations, so the gate has no block left.
+    case = box_case(tp1)
+    assert len(blocks(case).bounds) == 1 and certify(case) == math.inf
+    dec = blocks(case, drop_seed=False)
     d, a = tp1.delta, 0.7
     two = [i for i, s in enumerate(np.diff(dec.bounds)) if s == 2]
     assert len(two) == 1
@@ -196,14 +212,14 @@ def test_block_dets_delta_invariant_normalized(tp1):
     vals = []
     for dl in (1e-3, 1e-4):
         spec = make_spec(d=1, b=1, p=1, delta=dl, j_list=[2], amplitudes=[0.7])
-        vals.append(sorted(block_values(blocks(box_case(spec)), dl)[0]))
+        vals.append(sorted(block_values(blocks(box_case(spec), drop_seed=False), dl)[0]))
     assert np.allclose(vals[0], vals[1], rtol=1e-12)
 
 
 def test_block_diag_consistency(tp2):
     # The embedded blocks reproduce P F' P entrywise.
     case = box_case(tp2)
-    dec = blocks(case)
+    dec = blocks(case, drop_seed=False)
     m = case.matrix
     members, stack = block_lists(dec)
     for idxs, gamma in zip(members, stack):
@@ -219,10 +235,11 @@ def test_block_diag_consistency(tp2):
 
 
 def bfs_components(case):
-    """Reference: components of the resonant doubled indices found by a
-    depth-first walk over the symbol supports, ordered by smallest index."""
-    spec, box, coords = case.spec, case.box, case.variety.coords
-    res_idx = [int(i) for i in np.nonzero(case.variety.resonant)[0]]
+    """Reference: components of the resonant doubled indices of the whole
+    box found by a depth-first walk over the symbol supports, ordered by
+    smallest index."""
+    spec, box, coords = case.spec, case.box, case.coords
+    res_idx = [int(i) for i in np.nonzero(case.resonant)[0]]
     res_set = set(res_idx)
     ns = len(coords)
     symbols = case.symbols
@@ -261,14 +278,32 @@ def bfs_components(case):
     return comps
 
 
+def meets_lattice(case, comp):
+    """Whether a component of `bfs_components` holds a u-copy on Lambda
+    (sum n = -1) or a v-copy on -Lambda (sum n = 1)."""
+    ns = len(case.coords)
+    return any(on_lattice(case.coords[[i % ns]], case.spec, -1 if i < ns else 1)[0]
+               for i in comp)
+
+
+def lattice_reference(case, drop_seed):
+    """The components of `bfs_components` that meet Lambda, without the
+    seed equations if drop_seed; a component left empty is dropped."""
+    seeds = set(_seed_equations(case.spec, case.box)) if drop_seed else set()
+    comps = [[i for i in c if i not in seeds] for c in bfs_components(case)
+             if meets_lattice(case, c)]
+    return [c for c in comps if c]
+
+
 def block_lists(dec):
-    """A decomposition's members and dense blocks, one list entry per block."""
-    order, cuts = dec.order.tolist(), dec.bounds.tolist()
+    """Blocks' members (doubled box indices) and dense blocks, one list
+    entry per block."""
+    order, cuts = dec.index[dec.order].tolist(), dec.bounds.tolist()
     members = [order[a:z] for a, z in zip(cuts[:-1], cuts[1:])]
     dense = [None] * len(members)
     for k, stack in dec.stacks.items():
         assert stack.shape[1:] == (k, k) and stack.dtype == complex
-        assert members_of_size(dec.order, dec.bounds, k).tolist() == \
+        assert dec.index[members_of_size(dec.order, dec.bounds, k)].tolist() == \
             [m for m in members if len(m) == k]
         for c, block in zip(np.nonzero(np.diff(dec.bounds) == k)[0].tolist(), stack,
                             strict=True):
@@ -286,69 +321,69 @@ def block_values(dec, delta):
 
 def assert_blocks_are_slices(case, dec):
     """The blocks are the box operator's slices at their members, bit for
-    bit, and the certificate's smallest value is the smallest of the
-    per-block singular values."""
+    bit."""
     m = case.matrix
     members, dense = block_lists(dec)
     for idxs, gamma in zip(members, dense):
         assert np.array_equal(gamma, m[idxs][:, idxs].toarray())
-    assert certify(case, dec) == min(block_values(dec, case.spec.delta)[1])
 
 
-@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
+def assert_gate_value(case, dec):
+    """The gate's value is the smallest of the per-block singular values,
+    inf with no block."""
+    assert certify(case) == min(block_values(dec, case.spec.delta)[1], default=math.inf)
+
+
+def case_of(name, request, **kwargs):
+    if name == "b3":
+        return box_case(B3, box=Box(4, 9), **kwargs)
+    return box_case(request.getfixturevalue(name), **kwargs)
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
 @pytest.mark.parametrize("drop_seed", [False, True])
 def test_block_decompose_matches_reference(name, drop_seed, request):
-    spec = request.getfixturevalue(name)
-    case = box_case(spec)
-    exclude = frozenset(_seed_equations(spec, case.box)) if drop_seed else frozenset()
-    dec = blocks(case, exclude=exclude)
-    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(case)]
-    assert block_lists(dec)[0] == [c for c in expected if c]
+    # The gate's blocks are the components of the whole box's resonant
+    # doubled indices that meet Lambda, without the seed equations.
+    case = case_of(name, request)
+    dec = blocks(case, drop_seed=drop_seed)
+    assert block_lists(dec)[0] == lattice_reference(case, drop_seed)
     assert_blocks_are_slices(case, dec)
+    if drop_seed:
+        assert_gate_value(case, dec)
 
 
-@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
 def test_block_decompose_at_the_modulated_frequency(name, request):
     # Off omega0 the block diagonals carry n.(omega - omega0): still the
     # slices of the box operator, bit for bit.
-    spec = request.getfixturevalue(name)
+    spec = B3 if name == "b3" else request.getfixturevalue(name)
     u0, _ = linear_solution(spec)
-    case = box_case(spec, omega=q_solve(u0, spec))
-    exclude = frozenset(_seed_equations(spec, case.box))
-    dec = blocks(case, exclude=exclude)
-    expected = [[i for i in comp if i not in exclude] for comp in bfs_components(case)]
-    assert block_lists(dec)[0] == [c for c in expected if c]
+    case = case_of(name, request, omega=q_solve(u0, spec))
+    dec = blocks(case)
+    assert block_lists(dec)[0] == lattice_reference(case, True)
     assert_blocks_are_slices(case, dec)
+    assert_gate_value(case, dec)
 
 
-def test_excision_error_says_whether_the_block_meets_the_lattice(tp1):
-    # The seed block holds the u-copy of the seed, a site of Lambda.
-    case = box_case(tp1)
-    with pytest.raises(ExcisionError) as err:
-        certify(case, blocks(case), threshold=7.5e-4)
-    assert (err.value.block_index, err.value.site, err.value.meets_lattice) == \
-        (1, site((-1,), (2,)), True)
-    assert str(err.value).endswith(
-        "first member (-1 | 2), the block meets the conservation lattice")
-
-
-def test_exclude_emptying_a_component_renumbers_later_blocks(tp1):
-    # An emptied component is dropped and the later blocks keep their order
-    # by smallest original member, so ExcisionError counts without it.
-    case = box_case(tp1)
-    ref = bfs_components(case)
-    assert [len(c) for c in ref] == [1, 2, 1, 1, 1]
-    dec = blocks(case, exclude=frozenset(ref[0]))
+def test_exclude_emptying_a_component_renumbers_later_blocks():
+    # On b = 3's Box(4, 9) the first component of Lambda (+) -Lambda holds
+    # the six seed equations alone.  The gate drops it, and the later
+    # blocks keep their order by smallest original member, so
+    # ExcisionError counts without it.
+    case = box_case(B3, box=Box(4, 9))
+    ref = lattice_reference(case, False)
+    assert [len(c) for c in ref] == [6, 1, 1]
+    assert set(ref[0]) == set(_seed_equations(B3, case.box))
+    dec = blocks(case)
     assert block_lists(dec)[0] == ref[1:]
     assert_blocks_are_slices(case, dec)
-    # The seed block, second of the full operator and first now, is the only
-    # one below 7.5e-4: sigma_min = delta a^2 = 4.9e-4 against 2 delta a^2 =
-    # 9.8e-4 for the size-1 blocks.
+    # Both blocks read sigma_min = 2.5e-3 at the seed; the first fails 3e-3.
     with pytest.raises(ExcisionError) as err:
-        certify(case, dec, threshold=7.5e-4)
-    assert (err.value.block_index, err.value.size) == (0, 2)
-    assert err.value.value == block_values(dec, tp1.delta)[1][0]
-    assert str(err.value).startswith("block 0 (size 2): sigma_min = 4.900e-04")
+        certify(case, threshold=3e-3)
+    assert (err.value.block_index, err.value.size) == (0, 1)
+    assert err.value.value == block_values(dec, B3.delta)[1][0]
+    assert str(err.value).startswith("block 0 (size 1): sigma_min = 2.500e-03")
 
 
 def count_calls(monkeypatch, *names):
@@ -361,15 +396,15 @@ def count_calls(monkeypatch, *names):
     return calls
 
 
-def test_block_decompose_batches_singular_values(tp3, monkeypatch):
-    # Building the blocks takes no det and no SVD; the certificate takes
-    # one batched SVD per distinct block size and no det.
-    case = box_case(tp3)
+def test_block_decompose_batches_singular_values(monkeypatch):
+    # Building the blocks takes no det and no SVD; the gate takes one
+    # batched SVD per distinct block size and no det.
+    case = box_case(B3, box=Box(4, 9))
     calls = count_calls(monkeypatch, "det", "svd")
     dec = blocks(case)
     sizes = np.diff(dec.bounds).tolist()
     assert len(sizes) > len(set(sizes)) and calls == []
-    certify(case, dec)
+    certify(case)
     assert calls == ["svd"] * len(set(sizes))
 
 
@@ -382,9 +417,8 @@ def assert_same_arrays(got, want):
 @pytest.mark.parametrize("name", ["tp2", "tp3", "b3"])
 def test_resonance_graph_from_held_links_is_a_fresh_build(name, request):
     # The graph reads the links the variety holds for the symbol supports,
-    # from every vertex (held here by the blocks built first), without the
-    # links of the j = 0 twins: the arrays of a build from the tagged
-    # vertices alone, on a variety that holds nothing.
+    # from every vertex (held here by a call before the graph's): the
+    # arrays of a build on a variety that holds nothing.
     from nlsqp.characteristics import (
         _spiral_pairs, ordered_components, resonance_graph, resonance_links)
     spec, box = (B3, Box(4, 9)) if name == "b3" else (request.getfixturevalue(name), None)
@@ -392,46 +426,18 @@ def test_resonance_graph_from_held_links_is_a_fresh_build(name, request):
     u0, v0 = linear_solution(spec)
     symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
     variety = box_variety(omega0, spec.d, box)
-    resonance_blocks(symbols, omega0, spec, variety)
+    variety.links(symbols)
     assert ("links",) + symbols.supports() in variety.held
     got = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols, variety=variety)
 
-    fresh, nv = box_variety(omega0, spec.d, box), variety.n_tagged
-    found = resonance_links(fresh, np.arange(nv), symbols)
-    found = found[:, found[1] < nv]
+    fresh = box_variety(omega0, spec.d, box)
+    nv = len(fresh.vertices)
+    found = resonance_links(box, fresh.vertices, fresh.copies, np.arange(nv), symbols)
     labels, order, bounds = ordered_components(nv, found[0], found[1])
-    pairs = _spiral_pairs(fresh.vertices[:nv, spec.b:], fresh.copies[:nv], labels)
+    pairs = _spiral_pairs(fresh.vertices[:, spec.b:], fresh.copies, labels)
     assert not fresh.held
     assert_same_arrays((got.labels, got.order, got.bounds, got.spiral_pairs),
                        (labels, order, bounds, pairs))
-
-
-@pytest.mark.parametrize("name", ["tp2", "tp3"])
-def test_a_gate_on_held_blocks_is_a_fresh_gate(name, request):
-    # A solve's three gates read two symbol supports (the seed's, then the
-    # second step's and the final state's, which are equal), so the final
-    # gate gathers its values into the blocks held from the second step's.
-    # Its value and its blocks are bitwise those of a gate on a fresh
-    # variety.
-    from nlsqp.linop import admissibility_gate
-    from nlsqp.newton import solve
-    spec = request.getfixturevalue(name)
-    box = default_box(spec)
-    variety = box_variety(spec.omega0(), spec.d, box)
-    rep = solve(spec, variety=variety)
-    st = rep.state
-    assert len(variety.held) == 4  # links and blocks, per supports
-    reused = admissibility_gate(st.omega, spec, variety, st.symbols)
-    assert len(variety.held) == 4
-    fresh = box_variety(spec.omega0(), spec.d, box)
-    assert_same_arrays([np.array([reused, rep.min_block_value])],
-                       [np.full(2, admissibility_gate(st.omega, spec, fresh, st.symbols))])
-    exclude = frozenset(_seed_equations(spec, box))
-    held, built = (resonance_blocks(st.symbols, st.omega, spec, v, exclude=exclude)
-                   for v in (variety, fresh))
-    assert list(held.stacks) == list(built.stacks)
-    assert_same_arrays([held.order, held.bounds, *held.stacks.values()],
-                       [built.order, built.bounds, *built.stacks.values()])
 
 
 # -- Inverse norms over the box ----------------------------------------------
@@ -462,17 +468,19 @@ def test_invert_decay_certificate(tp2):
     assert decay.bound_ok
 
 
-def test_invert_excision_error_names_block(tp1):
-    # Every block fails a threshold of 1e6; the first is a C+ site off
-    # Lambda.
-    case = box_case(tp1)
+def test_invert_excision_error_names_block():
+    # Every block fails a threshold of 1e6; the error names the first and
+    # its first member, a u-copy on Lambda.
+    case = box_case(B3, box=Box(4, 9))
     with pytest.raises(ExcisionError) as err:
-        certify(case, blocks(case), threshold=1e6)
+        certify(case, threshold=1e6)
     assert err.value.block_index == 0
     assert err.value.value >= 0
     assert err.value.threshold == pytest.approx(1e6, rel=1e-12)
-    assert not err.value.meets_lattice
-    assert str(err.value).endswith("the block is off the conservation lattice")
+    first = case.coords[block_lists(blocks(case))[0][0][0]]
+    assert err.value.site == site(first[:B3.b], first[B3.b:])
+    assert on_lattice(first[None], B3, -1).all()
+    assert str(err.value).endswith(f"first member {err.value.site}")
 
 
 def test_box_inverse_is_the_exact_inverse_norm(tp2):
@@ -526,7 +534,7 @@ def test_lattice_decouples_and_its_step_is_the_box_step(name, request):
     state, _ = first_iteration(spec, box=box)
     omega = q_solve(state.u, spec)
     case = box_case(spec, box=box, omega=omega, fields=(state.u, state.v))
-    coords, m = case.variety.coords, case.matrix
+    coords, m = case.coords, case.matrix
     ns = len(coords)
     inside = np.concatenate([on_lattice(coords, spec, -1), on_lattice(coords, spec, 1)])
     assert abs(m[inside][:, ~inside]).max() == 0 and abs(m[~inside][:, inside]).max() == 0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nlsqp.characteristics import ConvolutionSymbols, box_variety
+from nlsqp.characteristics import ConvolutionSymbols
 from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.newton import (
     ConditionGateError,
@@ -124,8 +124,9 @@ def test_first_iteration_takes_no_finite_differences(tp2, monkeypatch):
 
 def test_no_gate_takes_both_det_and_svd(tp2, tp3, monkeypatch):
     # Each admissibility gate thresholds one block statistic, the smallest
-    # singular value: no gate of a solve takes a det, and neither does one
-    # at the seed frequency.
+    # singular value: a gate with blocks takes SVDs and no det, one with no
+    # block (tp2 and tp3 have none on Lambda (+) -Lambda) takes neither, and
+    # so does one at the seed frequency.
     from nlsqp import newton
     from nlsqp.lattice import default_box
     gate = newton.admissibility_gate
@@ -134,27 +135,45 @@ def test_no_gate_takes_both_det_and_svd(tp2, tp3, monkeypatch):
     def counted(*args, **kwargs):
         calls.clear()
         value = gate(*args, **kwargs)
-        per_gate.append(set(calls))
+        per_gate.append((value, set(calls)))
         return value
 
     monkeypatch.setattr(newton, "admissibility_gate", counted)
-    for spec in (tp2, tp3):
-        solve(spec)
+    for spec, box in ((tp2, None), (tp3, None), (B3, Box(4, 9))):
+        solve(spec, box=box)
     u0, v0 = linear_solution(tp2)
-    assert isinstance(counted(tp2.omega0(), tp2,
-                              box_variety(tp2.omega0(), tp2.d, default_box(tp2)),
-                              ConvolutionSymbols.from_fields(u0, v0, tp2.p)), float)
-    assert len(per_gate) >= 7 and per_gate == [{"svd"}] * len(per_gate)
+    assert counted(tp2.omega0(), tp2, default_box(tp2),
+                   ConvolutionSymbols.from_fields(u0, v0, tp2.p)) == math.inf
+    assert len(per_gate) >= 10
+    assert [calls for _, calls in per_gate] == \
+        [{"svd"} if math.isfinite(value) else set() for value, _ in per_gate]
+    assert sum(math.isfinite(value) for value, _ in per_gate) >= 3
 
 
 @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8])
 def test_gate_value_means_one_thing_at_every_delta(delta):
     # The gate reads sigma_min at every delta, however close the modulated
-    # frequency lies to omega0: tp2's smallest block value scales as delta.
-    spec = make_spec(d=1, b=2, p=1, delta=delta, j_list=[1, 2], amplitudes=[0.6, 0.8])
-    report = solve(spec)
+    # frequency lies to omega0: the smallest block value of b = 3 on
+    # Box(4, 9), whose Lambda (+) -Lambda holds two blocks off the seed
+    # equations, scales as delta.
+    spec = make_spec(d=1, b=3, p=1, delta=delta, j_list=[1, 2, 4], amplitudes=[0.6, 0.8, 0.5])
+    report = solve(spec, box=Box(4, 9))
     assert report.converged
-    assert 0.359 <= report.min_block_value / delta <= 0.361
+    assert 0.419 <= report.min_block_value / delta <= 0.421
+
+
+@pytest.mark.parametrize("name", ["tp2", "tp3"])
+@pytest.mark.parametrize("m", [0.25, 0.5])
+def test_a_phase_shifts_the_frequencies_and_nothing_else(name, m, request):
+    # On Lambda a diagonal's mass term m (sum n + 1) vanishes, so a phase m
+    # moves each frequency by m and leaves the gate and the step as they
+    # are: the solve converges and omega - m is the m = 0 omega.
+    spec = request.getfixturevalue(name)
+    shifted = make_spec(d=spec.d, b=spec.b, p=spec.p, delta=spec.delta,
+                        j_list=list(spec.j_list), amplitudes=list(spec.amplitudes), phase_m=m)
+    plain, report = solve(spec), solve(shifted)
+    assert report.converged and report.steps == plain.steps
+    assert np.max(np.abs(np.array(report.omega) - m - np.array(plain.omega))) <= 1e-15
 
 
 def test_jacobian_fd_matches_analytic(tp1, tp2):
@@ -190,8 +209,8 @@ def test_first_iteration_checks_a_missing_condition_report():
 
 
 def test_solve_refuses_an_inadmissible_seed_before_a_box_too_large(tp2):
-    # solve builds the box's variety only once the seed is admissible, so a
-    # failed verdict wins over a box above the site cap, as in first_iteration.
+    # solve's first gate refuses a box above the site cap only once the seed
+    # is admissible, so a failed verdict wins over it, as in first_iteration.
     from nlsqp.conditions import ConditionReport
     from nlsqp.lattice import BoxTooLarge
     unknown = {"i": ConditionReport(name="non_intersection", verdict="pass"),
@@ -243,8 +262,7 @@ def test_assemble_box_must_hold_seed(tp2):
     u0, v0 = linear_solution(tp2)
     box = Box(1, 1)
     with pytest.raises(LinopError, match="seed"):
-        admissibility_gate(tp2.omega0(), tp2, box_variety(tp2.omega0(), tp2.d, box),
-                           ConvolutionSymbols.from_fields(u0, v0, tp2.p))
+        admissibility_gate(tp2.omega0(), tp2, box, ConvolutionSymbols.from_fields(u0, v0, tp2.p))
 
 
 # -- Diophantine -------------------------------------------------------------
@@ -473,7 +491,7 @@ def test_newton_step_keeps_entries_below_the_drop_tolerance():
     from nlsqp.characteristics import conservation_sites
     from nlsqp.lattice import DROP_TOL, default_box
     state, _ = first_iteration(P3)
-    nxt = newton_step(state, P3, box_variety(P3.omega0(), P3.d, default_box(P3)))
+    nxt = newton_step(state, P3, default_box(P3))
     u, b = nxt.u, P3.b
     assert set(u.support()) == {site(r[:b], r[b:]) for r in
                                 conservation_sites(P3, nxt.lattice_radius).tolist()}
@@ -794,7 +812,7 @@ def test_newton_step_factors_once(tp2, monkeypatch):
     dense_solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: calls.append(a.shape) or dense_solve(a, b))
-    nxt = newton_step(state, tp2, box_variety(tp2.omega0(), tp2.d, box))
+    nxt = newton_step(state, tp2, box)
     # Lambda_4 holds 10 sites: 20 equations, 4 of them the seed equations.
     assert calls == [(16, 16)]
     assert nxt.lattice_radius == 4

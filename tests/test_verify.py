@@ -161,7 +161,6 @@ def test_pde_residual_and_drift_d2(tp3):
 def test_collocation_residual_tracks_newton_residual(tp2):
     # The pointwise defect drops hugely across the first Newton step and
     # keeps shrinking (within slack) while the lattice residual shrinks.
-    from nlsqp.characteristics import box_variety
     from nlsqp.newton import first_iteration, newton_step
     from nlsqp.lattice import default_box
     scale = math.sqrt(tp2.delta)
@@ -170,7 +169,7 @@ def test_collocation_residual_tracks_newton_residual(tp2):
     sups = [pde_residual(u0.scale(scale), q_solve(u0, tp2), tp2).sup]
     state, _ = first_iteration(tp2)
     sups.append(pde_residual(state.u.scale(scale), state.omega, tp2).sup)
-    state = newton_step(state, tp2, box_variety(tp2.omega0(), tp2.d, default_box(tp2)))
+    state = newton_step(state, tp2, default_box(tp2))
     sups.append(pde_residual(state.u.scale(scale), state.omega, tp2).sup)
     assert sups[1] <= 1.1 * sups[0]
     assert sups[2] <= 1.1 * sups[1]
