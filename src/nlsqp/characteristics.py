@@ -14,8 +14,8 @@ import enum
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,6 +76,24 @@ def box_strides(b: int, d: int, box: Box) -> Tuple[np.ndarray, np.ndarray]:
     return radii, strides
 
 
+def row_keys(rows: np.ndarray) -> np.ndarray:
+    """An int64 id per row of a nonempty (count, width) integer array:
+    equal rows get equal ids, and ids order as the rows do lexicographically.
+
+    The id is the row's number in the mixed radix of its columns' spans,
+    exact while the spans' product fits in int64.  For keys from a box under
+    SITE_CAP (2e6 sites) it does: (label, tag, j) rows span at most 2e6 x 3
+    x 2e6, and site differences span 4r + 1 <= (2r + 1)^2 per axis, at most
+    (2e6)^2 in all.  Past int64 the ids are the rows' dense ranks."""
+    lo = rows.min(axis=0)
+    spans = (rows.max(axis=0) - lo + 1).tolist()
+    if math.prod(spans) > np.iinfo(np.int64).max:
+        order = np.lexsort(rows.T[::-1])
+        ranks = np.cumsum(np.any(np.diff(rows[order], axis=0) != 0, axis=1))
+        return np.concatenate([[0], ranks])[np.argsort(order)]
+    return (rows - lo) @ np.cumprod([1] + spans[:0:-1])[::-1]
+
+
 def branch_tags(coords: np.ndarray, omega0: FrequencyVector
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Branch membership of the rows of a (count, b + d) site array: the
@@ -105,38 +123,6 @@ def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
     """`branch_tags` on one site."""
     tags, _ = branch_tags(np.array([s.n + s.j], dtype=np.int64), omega0)
     return TAG_CLASS[int(tags[0])]
-
-
-@dataclass
-class BoxVariety:
-    """What the resonance graphs of a box read that does not move with the
-    Newton iterate: its graph vertices, the u-copies of its C+ sites and the
-    v-copies of its C- sites (`branch_tags`), lexicographic; vertices and
-    copies (+1 u, -1 v; int8) give their site and copy.  held keeps the
-    links of given symbol supports (`links`) for as long as the variety
-    lives."""
-
-    box: Box
-    vertices: np.ndarray
-    copies: np.ndarray
-    held: Dict[tuple, object] = field(default_factory=dict)
-
-    def links(self, symbols: "ConvolutionSymbols") -> np.ndarray:
-        """`resonance_links` from every vertex, built once per supports."""
-        key = ("links",) + symbols.supports()
-        if key not in self.held:
-            self.held[key] = resonance_links(self.box, self.vertices, self.copies,
-                                             np.arange(len(self.vertices)), symbols)
-        return self.held[key]
-
-
-def box_variety(omega0: FrequencyVector, d: int, box: Box) -> BoxVariety:
-    """The `BoxVariety` of a box; a box of more than SITE_CAP sites raises
-    BoxTooLarge."""
-    coords = enumerate_box_sites(len(omega0), d, box)
-    tags, _ = branch_tags(coords, omega0)
-    on = np.nonzero(tags)[0]
-    return BoxVariety(box=box, vertices=coords[on], copies=tags[on])
 
 
 # ---------------------------------------------------------------------------
@@ -433,65 +419,73 @@ def resonance_graph(
     omega0: FrequencyVector,
     box: Box,
     symbols: Optional[ConvolutionSymbols] = None,
-    variety: Optional[BoxVariety] = None,
 ) -> ResonanceGraph:
     """Connectivity of characteristic sites under the operator symbols.
 
-    An edge joins x and y when the symbol selected by their branch tags is
-    supported at x - y: the diagonal symbol for equal tags, uu for x in C+
-    against y in C-, vv for the mirror pairing.  The symbols (of u and v)
-    and the box's `box_variety` are built here unless given.
-
-    Each kind of edge is found in one array pass over all vertices and
-    shifts: the variety's `links`.  Components are numbered by their
-    smallest vertex with members ascending, so the order of the links and
-    their repeats change nothing.
+    The vertices are the u-copies of the box's C+ sites and the v-copies of
+    its C- sites (`branch_tags`).  An edge joins x and y when the symbol
+    selected by their branch tags is supported at x - y: the diagonal symbol
+    for equal tags, uu for x in C+ against y in C-, vv for the mirror
+    pairing (`resonance_links`).  The symbols (of u and v) are built here
+    unless given.  Components are numbered by their smallest vertex with
+    members ascending, so the order of the links and their repeats change
+    nothing.
     """
     if symbols is None:
         symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    if variety is None:
-        variety = box_variety(omega0, spec.d, box)
-    coords, tags = variety.vertices, variety.copies
-    found = variety.links(symbols)
+    coords = enumerate_box_sites(len(omega0), spec.d, box)
+    tags, _ = branch_tags(coords, omega0)
+    on = np.nonzero(tags)[0]
+    coords, tags = coords[on], tags[on]
+    found = resonance_links(box, coords, tags, symbols)
     labels, order, bounds = ordered_components(len(coords), found[0], found[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,
                           bounds=bounds,
                           spiral_pairs=_spiral_pairs(coords[:, len(omega0):], tags, labels))
 
 
-def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray, src: np.ndarray,
+def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
                     symbols: ConvolutionSymbols) -> np.ndarray:
-    """The links of `resonance_graph`'s rule from the vertices src to any
-    vertex, among the copies copies[i] (+1 u, -1 v) of the rows vertices[i]
-    of a site array in the box, as a (2, count) array of (src vertex, other
-    vertex) columns: one array pass over src and the shifts of each kind of
-    link.  A vertex is looked up by its doubled box index (box index, plus
-    the site count for a v-copy) among the sorted ones."""
+    """The links of `resonance_graph`'s rule between the vertices, the
+    copies copies[i] (+1 u, -1 v) of the rows vertices[i] of a site array in
+    the box, as a (2, count) array of (vertex, other vertex) columns: one
+    array pass over the u-copies and their shifts (uv_p to u, uu to v), one
+    over the v-copies (uv_p, vv).
+
+    Each vertex is looked up by its doubled index among the sorted ones:
+    its index in the box of thrice the radii, plus that box's site count
+    for a v-copy.  Shifts past twice the radii link no two box sites and are
+    dropped, so x - s stays in the tripled box, where its index is no other
+    site's: no test of the box faces, and O(vertices x shifts) memory.
+    6r + 1 <= (2r + 1)^2, so under SITE_CAP indices stay below 8e12."""
     b, d = symbols.uv_p.b, symbols.uv_p.d
-    radii, strides = box_strides(b, d, box)
-    ns = box.site_count(b, d)
-    index = (vertices + radii) @ strides  # box index; x - s has index(x) - s . strides
+    radii, _ = box_strides(b, d, box)
+    wide = Box(3 * box.n_radius, 3 * box.j_radius)
+    wide_radii, strides = box_strides(b, d, wide)
+    ns = wide.site_count(b, d)
+    index = (vertices + wide_radii) @ strides  # x - s has index(x) - s . strides
     keys = index + ns * (copies < 0)
     rank = np.argsort(keys)
     keys = np.append(keys[rank], np.iinfo(np.int64).max)  # no query reaches the sentinel
 
-    def links(shifts: List[SiteIndex], src_tag: int, dst_tag: int):
-        own = src[copies[src] == src_tag]
+    def offsets(shifts: List[SiteIndex], dst_tag: int) -> np.ndarray:
+        """s . strides of the kept shifts, less the v-copies' key offset."""
         sv = np.array([s.n + s.j for s in shifts], dtype=np.int64).reshape(-1, b + d)
-        # Shift-major, so each shift's queries ascend with the vertices'
-        # index: searchsorted takes sorted queries about twice as fast.
-        inside = np.all(np.abs(vertices[own][None, :, :] - sv[:, None, :]) <= radii, axis=2)
-        query = (index[own][None, :] - (sv @ strides)[:, None])[inside]
-        query += ns if dst_tag < 0 else 0
-        pos = np.searchsorted(keys, query)
-        hit = keys[pos] == query
-        i = np.broadcast_to(own[None, :], inside.shape)[inside]
-        return np.stack([i[hit], rank[pos[hit]]])
+        sv = sv[np.all(np.abs(sv) <= 2 * radii, axis=1)]
+        return sv @ strides - (ns if dst_tag < 0 else 0)
 
     diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
-    return np.concatenate([links(diag_shifts, 1, 1), links(diag_shifts, -1, -1),
-                           links(symbols.uu.support(), 1, -1),
-                           links(symbols.vv.support(), -1, 1)], axis=1)
+    found = []
+    for tag, cross in ((1, symbols.uu), (-1, symbols.vv)):
+        own = np.nonzero(copies == tag)[0]
+        shift = np.concatenate([offsets(diag_shifts, tag), offsets(cross.support(), -tag)])
+        # Shift-major, so each shift's queries ascend with the vertices'
+        # index: searchsorted takes sorted queries about twice as fast.
+        query = index[own][None, :] - shift[:, None]
+        pos = np.searchsorted(keys, query)
+        hit = keys[pos] == query
+        found.append(np.stack([np.broadcast_to(own, query.shape)[hit], rank[pos[hit]]]))
+    return np.concatenate(found, axis=1)
 
 
 def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
@@ -499,10 +493,11 @@ def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
     """Per component, the first vertex (in ascending order) that shares its
     tag and j with an earlier one, paired with the first such earlier
     vertex, as a (count, 2) array in component order.  Distinct vertices
-    with equal tag and j differ in n."""
-    keys = np.column_stack([labels, tags, jarr])
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    first = first[inverse.ravel()]
+    with equal tag and j differ in n.  The (label, tag, j) rows are compared
+    by their `row_keys`."""
+    keys = row_keys(np.column_stack([labels, tags, jarr]))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = first[inverse]
     second = np.nonzero(first != np.arange(len(labels)))[0]
     _, head = np.unique(labels[second], return_index=True)  # smallest repeat per component
     return np.stack([first[second[head]], second[head]], axis=1)

@@ -44,7 +44,7 @@ from .lattice import (
     conjugate_flip,
     default_box,
 )
-from .linop import ExcisionError, OffCharDiagonalError
+from .linop import ExcisionError, LinopError, OffCharDiagonalError
 from .newton import ConditionGateError, ConvergenceError, NonRealFrequency, StepRejected
 
 
@@ -583,7 +583,7 @@ def _emit(text: str, path: Optional[str]):
 
 
 # Each failure's exit code and stderr prefix; the first class that matches
-# wins, so SolutionError stays ahead of its base ConfigError.
+# wins, so each class stays ahead of its base (ConfigError, LinopError).
 _FAILURES = (
     (SolutionError, EXIT_CONFIG, "solution error"),
     (ConfigError, EXIT_CONFIG, "config error"),
@@ -595,6 +595,7 @@ _FAILURES = (
     (StepRejected, EXIT_STEP_REJECTED, "step rejected"),
     (NonRealFrequency, EXIT_NON_REAL_FREQUENCY, "non-real frequency"),
     (OffCharDiagonalError, EXIT_OFF_CHAR_DIAGONAL, "certificate failure"),
+    (LinopError, EXIT_CONFIG, "input error"),
 )
 
 
@@ -603,14 +604,14 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
     """Dispatch a command; returns the process exit code.
 
     0 success, 1 condition failure, 2 non-convergence, 3 excised amplitude,
-    4 config or input error (a bad config, or a solution file that is
-    missing or malformed, has a non-finite amplitude or misses a seed
-    site), 5 verify failure (grid too coarse for the
-    solution, unstable split-step integration, or a support whose
-    difference lattice has rank above 2), 6 truncation box above the site
-    cap, 7 Newton step rejected (the weighted residual grew), 8 non-real Q
-    frequency, 9 off-characteristic diagonal too close to zero.  Each
-    failure prints one line to stderr.
+    4 config or input error (a bad config, a truncation box that misses a
+    seed site, or a solution file that is missing or malformed, has a
+    non-finite amplitude or misses a seed site), 5 verify failure (grid too
+    coarse for the solution, unstable split-step integration, or a support
+    whose difference lattice has rank above 2), 6 truncation box above the
+    site cap, 7 Newton step rejected (the weighted residual grew), 8
+    non-real Q frequency, 9 off-characteristic diagonal too close to zero.
+    Each failure prints one line to stderr.
     """
     try:
         if cmd == "check":

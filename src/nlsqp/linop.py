@@ -36,6 +36,7 @@ from .characteristics import (
     on_lattice,
     ordered_components,
     resonance_links,
+    row_keys,
 )
 from .lattice import (
     Box,
@@ -137,16 +138,12 @@ def _gather(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
     x, c = coords[members], copies[members]
     kind = np.where(c[:, :, None] == c[:, None, :], 0, np.where(c[:, :, None] > 0, 1, 2))
     query = np.concatenate([kind[..., None], x[:, :, None, :] - x[:, None, :, :]], axis=3)
-    # Rows are coded in the mixed radix of the keys' bounding box; a query
-    # row outside that box matches no key.
-    lo, hi = keys.min(axis=0), keys.max(axis=0)
-    radix = np.cumprod(np.concatenate([[1], (hi - lo + 1)[:0:-1]]))[::-1]
-    by_code = np.argsort((keys - lo) @ radix)
-    codes = ((keys - lo) @ radix)[by_code]
-    code = (np.clip(query, lo, hi) - lo) @ radix
+    # Keys and queries numbered together: a query matches the key of its id.
+    ids = row_keys(np.concatenate([keys, query.reshape(-1, keys.shape[1])]))
+    by_id = np.argsort(ids[:len(keys)])
+    codes, code = ids[:len(keys)][by_id], ids[len(keys):].reshape(query.shape[:3])
     pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-    hit = (codes[pos] == code) & np.all((query >= lo) & (query <= hi), axis=3)
-    return np.where(hit, by_code[pos], -1)
+    return np.where(codes[pos] == code, by_id[pos], -1)
 
 
 def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
@@ -191,7 +188,7 @@ def _lattice_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
     res = lam[on]
     sites = np.concatenate([res, -res[::-1]])
     copies = np.repeat(np.array([1, -1], dtype=np.int8), len(res))
-    links = resonance_links(box, sites, copies, np.arange(len(sites)), symbols)
+    links = resonance_links(box, sites, copies, symbols)
     _, order, bounds = ordered_components(len(sites), links[0], links[1])
     return sites, copies, order, bounds, lam[~on]
 
@@ -314,7 +311,7 @@ def _coset_blocks(u: SparseSeries, v: SparseSeries, spec: ProblemSpec, box: Box
     jmat = np.array(spec.j_list, dtype=np.int64).reshape(b, spec.d)
     phi = np.concatenate([n.sum(axis=1, keepdims=True), coords[:, b:] + n @ jmat], axis=1)
     keys = np.concatenate([phi, phi - np.eye(1, 1 + spec.d, dtype=np.int64) * 2])
-    label = np.unique(keys, axis=0, return_inverse=True)[1].ravel()
+    label = np.unique(row_keys(keys), return_inverse=True)[1]
     bounds = np.concatenate([[0], np.cumsum(np.bincount(label))])
     return (np.concatenate([coords, coords]), np.repeat([1, -1], len(coords)), keys,
             np.argsort(label, kind="stable"), bounds)

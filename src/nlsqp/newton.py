@@ -27,6 +27,7 @@ from .characteristics import (
     conservation_sites,
     lattice_generation,
     members_of_size,
+    row_keys,
 )
 from .conditions import ConditionReport, check_condition_i, check_condition_ii, seed_symbols
 from .lattice import (
@@ -715,7 +716,10 @@ def _sweep_gather_plan(graph: ResonanceGraph, b: int
     same shift entry by entry, so they are equal in every sample and one
     det stands for all of them.  Members ascend lexicographically, an order
     a lattice translation keeps, so translates line up member by member.
-    The representative of a class is its first component.
+    The representative of a class is its first component.  Only the set of
+    first components matters, so the class keys (k^2 + k(b + d) columns,
+    too wide for `row_keys`) compare as raw row bytes; the differences are
+    numbered by `row_keys`, in lexicographic order.
     """
     coords, tags = graph.vertices, graph.tags
     reps, kinds = [], []
@@ -725,19 +729,20 @@ def _sweep_gather_plan(graph: ResonanceGraph, b: int
         row_tag, col_tag = tags[m][:, :, None], tags[m][:, None, :]
         kind = np.where(row_tag == col_tag, 0, np.where(row_tag > 0, 1, 2))
         key = np.concatenate([rel.reshape(len(m), -1), kind.reshape(len(m), -1)], axis=1)
-        first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
+        first = np.sort(np.unique(rows, return_index=True)[1])
         reps.append(m[first])
         kinds.append(kind[first])
     diffs = [coords[m][:, :, None, :] - coords[m][:, None, :, :] for m in reps]
     if not diffs:
         return [], []
     flat = np.concatenate([d.reshape(-1, coords.shape[1]) for d in diffs])
-    uniq, inverse = np.unique(flat, axis=0, return_inverse=True)
-    shift_sites = [SiteIndex(tuple(r[:b]), tuple(r[b:])) for r in uniq.tolist()]
+    _, first, inverse = np.unique(row_keys(flat), return_index=True, return_inverse=True)
+    shift_sites = [SiteIndex(tuple(r[:b]), tuple(r[b:])) for r in flat[first].tolist()]
     plan = []
     start = 0
     for kind, d in zip(kinds, diffs):
         count = d.shape[0] * d.shape[1] * d.shape[2]
-        plan.append((kind, inverse.reshape(-1)[start:start + count].reshape(d.shape[:3])))
+        plan.append((kind, inverse[start:start + count].reshape(d.shape[:3])))
         start += count
     return shift_sites, plan

@@ -557,6 +557,27 @@ def test_exit_non_real_frequency(tmp_path, capsys, monkeypatch):
         "non-real frequency: Q bracket at mode (2,) has imaginary part")
 
 
+def test_exit_box_missing_a_seed(tmp_path, capsys):
+    # j = -3 lies outside j_radius 2: the gate finds no seed equation to
+    # drop there, an input error with a one-line message, not a traceback.
+    cfg = parse_config("""
+[problem]
+d = 1
+b = 3
+p = 1
+delta = 1e-3
+modes = (-3):0.6, (-2):0.8, (-1):0.5
+
+[truncation]
+n_radius = 13
+j_radius = 2
+""")
+    code = run_command("solve", cfg, out_path=str(tmp_path / "out"))
+    assert code == EXIT_CONFIG
+    assert one_line_err(capsys) == "input error: truncation box does not contain the seed modes"
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_off_char_diagonal(tmp_path, capsys):
     # On Lambda a diagonal off the variety is a nonzero integer n.w0 +
     # |j|^2 plus n.(omega - omega0).  At delta = 0.3 the modulation brings
@@ -831,9 +852,9 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
         calls["convolve"] += 1
         return convolve(*args, **kwargs)
 
-    def counted_links(box, vertices, copies, src, symbols):
+    def counted_links(box, vertices, copies, symbols):
         calls["links"].append((len(vertices), symbols.supports()))
-        return resonance_links(box, vertices, copies, src, symbols)
+        return resonance_links(box, vertices, copies, symbols)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("nlsqp"):

@@ -23,7 +23,8 @@ from nlsqp.characteristics import (
     resonance_graph,
 )
 from nlsqp.conditions import _augment, check_condition_ii
-from nlsqp.lattice import Box, SiteIndex, default_box, linear_solution, make_spec, site
+from nlsqp.lattice import (
+    Box, SiteIndex, SparseSeries, default_box, linear_solution, make_spec, site)
 from nlsqp.linop import _copy_signs, _coset_blocks, _stacks
 from nlsqp.newton import solve
 
@@ -297,9 +298,10 @@ def graph_of_lists(vertices, edges, comps):
 def link_edges(spec, omega0, box, symbols):
     """The links of `resonance_links` between tagged vertices of the box, as
     sorted, deduplicated (lo, hi) pairs."""
-    variety = characteristics.box_variety(omega0, spec.d, box)
-    found = characteristics.resonance_links(box, variety.vertices, variety.copies,
-                                             np.arange(len(variety.vertices)), symbols)
+    coords = characteristics.enumerate_box_sites(spec.b, spec.d, box)
+    tags, _ = characteristics.branch_tags(coords, omega0)
+    on = np.nonzero(tags)[0]
+    found = characteristics.resonance_links(box, coords[on], tags[on], symbols)
     assert found.dtype == np.int64
     return sorted({(min(i, k), max(i, k)) for i, k in found.T.tolist()})
 
@@ -372,6 +374,89 @@ def test_resonance_graph_single_site_box(tp1):
     want = loop_resonance_graph(u0, v0, tp1, tp1.omega0(), Box(0, 0))
     assert_same_graph(g, want, tp1)
     assert want[1] == []
+
+
+@pytest.mark.parametrize("box", [Box(0, 0), Box(1, 0), Box(0, 2), Box(2, 1)])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_resonance_links_match_a_dict_oracle_past_the_box_faces(box, data):
+    # Any distinct (site, copy) vertices of a small box, and shifts up to
+    # three radii past its faces, so x - s often leaves the box, where its
+    # index in the box itself would alias another site's.  Every link is a
+    # vertex pair at a shift its copies select, once per shift, as a dict
+    # lookup of x - s finds it.
+    b, d = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    sites = characteristics.enumerate_box_sites(b, d, box)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, len(sites) - 1),
+                                         st.sampled_from([1, -1])), unique=True, max_size=40))
+    vertices = sites[[i for i, _ in pairs]].reshape(-1, b + d)
+    copies = np.array([c for _, c in pairs], dtype=np.int8)
+    reach = [3 * box.n_radius + 1] * b + [3 * box.j_radius + 1] * d
+    shift = st.tuples(*[st.integers(-r, r) for r in reach]).map(lambda t: site(t[:b], t[b:]))
+
+    def series():
+        return SparseSeries(b, d, {s: 1.0 for s in data.draw(st.lists(shift, max_size=6))})
+
+    symbols = ConvolutionSymbols(uv_p=series(), uu=series(), vv=series(), p=1)
+    got = characteristics.resonance_links(box, vertices, copies, symbols)
+
+    rows = [(tuple(x), c) for x, c in zip(vertices.tolist(), copies.tolist())]
+    where = {row: i for i, row in enumerate(rows)}
+    want = []
+    for i, (x, c) in enumerate(rows):
+        for src, dst, sym in ((1, 1, symbols.uv_p), (-1, -1, symbols.uv_p),
+                              (1, -1, symbols.uu), (-1, 1, symbols.vv)):
+            for s in sym.support() if c == src else []:
+                k = where.get((tuple(a - t for a, t in zip(x, s.n + s.j)), dst))
+                if k is not None and not (src == dst and s.is_zero()):
+                    want.append((i, k))
+    assert got.dtype == np.int64
+    assert sorted(map(tuple, got.T.tolist())) == sorted(want)
+
+
+# -- row keys ------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda w: st.lists(
+           st.lists(st.integers(-3, 3), min_size=w, max_size=w), min_size=1, max_size=30)),
+       st.sampled_from([1, 7, 2 ** 40]))
+def test_row_keys_equate_and_order_rows_as_np_unique(rows, scale):
+    # A scale of 2**40 over two or more columns spans past int64, where the
+    # ids are the rows' dense ranks; otherwise they are mixed-radix numbers.
+    rows = np.array(rows, dtype=np.int64) * scale
+    ids = characteristics.row_keys(rows)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+    _, got_first, got_inverse = np.unique(ids, return_index=True, return_inverse=True)
+    assert ids.dtype == np.int64 and ids.shape == (len(rows),)
+    assert np.array_equal(got_first, first)
+    assert np.array_equal(got_inverse, inverse.ravel())
+
+
+@pytest.mark.parametrize("b, d, n_radius, j_radius", [
+    (1, 1, 700, 700),    # two wide axes
+    (2, 1, 62, 62),      # 125^3 sites
+    (12, 1, 1, 1),       # 3^13 sites: the most axes of width 3
+    (1, 1, 0, 999_999),  # one axis of 1 999 999 sites
+])
+def test_row_keys_stay_mixed_radix_at_the_site_cap(b, d, n_radius, j_radius):
+    # The keys the package builds from a box under SITE_CAP, at their
+    # widest: the graph's (label, tag, j) rows and the differences of two
+    # sites, each given by two rows at the ends of every column's span.  The
+    # largest id is the product of the spans less one, so no id wraps, and
+    # the tripled box of `resonance_links` keeps its doubled indices in int64.
+    box = Box(n_radius, j_radius)
+    sites = box.site_count(b, d)
+    assert sites <= characteristics.SITE_CAP
+    radii = np.array([n_radius] * b + [j_radius] * d, dtype=np.int64)
+    graph_keys = np.array([[0, -1] + [-j_radius] * d,
+                           [characteristics.SITE_CAP - 1, 1] + [j_radius] * d], dtype=np.int64)
+    diffs = np.stack([-2 * radii, 2 * radii])
+    for keys in (graph_keys, diffs):
+        spans = (keys[1] - keys[0] + 1).tolist()
+        assert characteristics.row_keys(keys).tolist() == [0, math.prod(spans) - 1]
+    assert math.prod((4 * radii + 1).tolist()) <= sites ** 2 <= 4 * 10 ** 12
+    assert 2 * Box(3 * n_radius, 3 * j_radius).site_count(b, d) < np.iinfo(np.int64).max
 
 
 # -- the box operator's coset blocks ------------------------------------------------

@@ -7,7 +7,6 @@ from types import SimpleNamespace
 from nlsqp.characteristics import (
     ConvolutionSymbols,
     box_strides,
-    box_variety,
     branch_tags,
     conservation_sites,
     enumerate_box_sites,
@@ -406,38 +405,6 @@ def test_block_decompose_batches_singular_values(monkeypatch):
     assert len(sizes) > len(set(sizes)) and calls == []
     certify(case)
     assert calls == ["svd"] * len(set(sizes))
-
-
-def assert_same_arrays(got, want):
-    for a, b in zip(got, want):
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-@pytest.mark.parametrize("name", ["tp2", "tp3", "b3"])
-def test_resonance_graph_from_held_links_is_a_fresh_build(name, request):
-    # The graph reads the links the variety holds for the symbol supports,
-    # from every vertex (held here by a call before the graph's): the
-    # arrays of a build on a variety that holds nothing.
-    from nlsqp.characteristics import (
-        _spiral_pairs, ordered_components, resonance_graph, resonance_links)
-    spec, box = (B3, Box(4, 9)) if name == "b3" else (request.getfixturevalue(name), None)
-    box, omega0 = box or default_box(spec), spec.omega0()
-    u0, v0 = linear_solution(spec)
-    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
-    variety = box_variety(omega0, spec.d, box)
-    variety.links(symbols)
-    assert ("links",) + symbols.supports() in variety.held
-    got = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols, variety=variety)
-
-    fresh = box_variety(omega0, spec.d, box)
-    nv = len(fresh.vertices)
-    found = resonance_links(box, fresh.vertices, fresh.copies, np.arange(nv), symbols)
-    labels, order, bounds = ordered_components(nv, found[0], found[1])
-    pairs = _spiral_pairs(fresh.vertices[:, spec.b:], fresh.copies, labels)
-    assert not fresh.held
-    assert_same_arrays((got.labels, got.order, got.bounds, got.spiral_pairs),
-                       (labels, order, bounds, pairs))
 
 
 # -- Inverse norms over the box ----------------------------------------------
