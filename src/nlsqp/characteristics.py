@@ -85,13 +85,14 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     SITE_CAP (2e6 sites) it does: (label, tag, j) rows span at most 2e6 x 3
     x 2e6, and site differences span 4r + 1 <= (2r + 1)^2 per axis, at most
     (2e6)^2 in all.  Past int64 the ids are the rows' dense ranks."""
-    lo = rows.min(axis=0)
-    spans = (rows.max(axis=0) - lo + 1).tolist()
+    cols = np.ascontiguousarray(rows.T)  # whole-column passes run several times faster
+    lo = cols.min(axis=1)
+    spans = (cols.max(axis=1) - lo + 1).tolist()
     if math.prod(spans) > np.iinfo(np.int64).max:
-        order = np.lexsort(rows.T[::-1])
+        order = np.lexsort(cols[::-1])
         ranks = np.cumsum(np.any(np.diff(rows[order], axis=0) != 0, axis=1))
         return np.concatenate([[0], ranks])[np.argsort(order)]
-    return (rows - lo) @ np.cumprod([1] + spans[:0:-1])[::-1]
+    return np.cumprod([1] + spans[:0:-1])[::-1] @ (cols - lo[:, None])
 
 
 def branch_tags(coords: np.ndarray, omega0: FrequencyVector

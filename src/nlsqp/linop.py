@@ -26,7 +26,6 @@ import numpy as np
 
 from .characteristics import (
     ConvolutionSymbols,
-    box_strides,
     branch_tags,
     check_site_cap,
     enumerate_box_sites,
@@ -77,17 +76,16 @@ class OffCharDiagonalError(LinopError):
         self.value = value
 
 
-def _seed_equations(spec: ProblemSpec, box: Box) -> List[int]:
-    """Doubled box indices of the 2b frequency equations (the u-copies of
-    the seed sites, then the v-copies of their flips); LinopError if the
-    box misses a seed."""
-    seeds = np.array([s.n + s.j for s in spec.seed_sites()], dtype=np.int64)
-    radii, strides = box_strides(spec.b, spec.d, box)
-    if np.any(np.abs(seeds) > radii):
+def _seed_mask(spec: ProblemSpec, sites: np.ndarray, copies: np.ndarray) -> np.ndarray:
+    """The 2b frequency equations among doubled vertices, the copies
+    copies[i] (+1 u, -1 v) of sites[i]: the u-copies of the seeds, the sites
+    of generation 0 on Lambda, and the v-copies at their flips.  LinopError
+    if fewer than 2b vertices match: the box misses a seed."""
+    seeds = on_lattice(sites, copies, spec) & (
+        lattice_generation(sites * copies[:, None], spec.b) == 0)
+    if np.count_nonzero(seeds) < 2 * spec.b:
         raise LinopError("truncation box does not contain the seed modes")
-    lin = ((seeds + radii) @ strides).tolist()
-    # The flip of the site at box index i sits at box index ns - 1 - i.
-    return lin + [2 * box.site_count(spec.b, spec.d) - 1 - i for i in lin]
+    return seeds
 
 
 def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec
@@ -112,11 +110,10 @@ def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
            ) -> np.ndarray:
     """F' on groups of doubled vertices as a (count, k, k) stack, one group
     per row of the (count, k) array members.  Vertex i is the copy
-    copies[i] (+1 u, -1 v) of the site coords[i].  An entry reads the symbol
-    the two copies select at row site minus column site, times delta: (p +
-    1) uv_p between equal copies, p uu from a u-row to a v-column and p vv
-    the other way; the diagonal adds D (`_dispersion`)."""
-    at = _gather(coords, copies, members, symbols.supports())
+    copies[i] (+1 u, -1 v) of the site coords[i].  An entry is the term
+    that `_gather` selects, times delta (p + 1) from uv_p and delta p from
+    uu or vv; the diagonal adds D (`_dispersion`)."""
+    at = _gather(coords, copies, members[:, :, None], members[:, None, :], symbols.supports())
     delta, p = spec.delta, spec.p
     vals = [coef * ampl for coef, series in ((delta * (p + 1), symbols.uv_p),
                                              (delta * p, symbols.uu), (delta * p, symbols.vv))
@@ -129,19 +126,24 @@ def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
     return out
 
 
-def _gather(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
+def _gather(coords: np.ndarray, copies: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             supports: Sequence[Sequence[SiteIndex]]) -> np.ndarray:
-    """Where each entry of `_dense`'s stack reads: its term's position in
-    the terms of uv_p, uu and vv (supports) in turn, or -1 for none."""
+    """Where the entries of F' at the row vertices rows and the column
+    vertices cols (index arrays that broadcast together) read: the position
+    of their term in the terms of uv_p, uu and vv (supports) in turn, or -1
+    for none.  An entry reads the symbol its two copies select at row site
+    minus column site: uv_p between equal copies, uu from a u-row to a
+    v-column and vv the other way."""
     keys = np.array([(kind,) + s.n + s.j for kind, sup in enumerate(supports) for s in sup],
                     dtype=np.int64).reshape(-1, 1 + coords.shape[1])
-    x, c = coords[members], copies[members]
-    kind = np.where(c[:, :, None] == c[:, None, :], 0, np.where(c[:, :, None] > 0, 1, 2))
-    query = np.concatenate([kind[..., None], x[:, :, None, :] - x[:, None, :, :]], axis=3)
+    r, c = copies[rows], copies[cols]
+    kind = np.where(r == c, 0, np.where(r > 0, 1, 2))
+    diff = np.take(coords, rows, axis=0) - np.take(coords, cols, axis=0)  # faster than [rows]
+    query = np.concatenate([kind[..., None], diff], axis=-1)
     # Keys and queries numbered together: a query matches the key of its id.
     ids = row_keys(np.concatenate([keys, query.reshape(-1, keys.shape[1])]))
     by_id = np.argsort(ids[:len(keys)])
-    codes, code = ids[:len(keys)][by_id], ids[len(keys):].reshape(query.shape[:3])
+    codes, code = ids[:len(keys)][by_id], ids[len(keys):].reshape(query.shape[:-1])
     pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
     return np.where(codes[pos] == code, by_id[pos], -1)
 
@@ -153,7 +155,7 @@ def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: n
     (coords, copies), one stack per group size k, sizes ascending: the
     (count, k, k) stack of the size-k groups, rows as in `members_of_size`."""
     return {k: _dense(coords, copies, members_of_size(order, bounds, k), symbols, omega, spec)
-            for k in np.unique(np.diff(bounds)).tolist()}
+            for k in np.flatnonzero(np.bincount(np.diff(bounds))).tolist()}
 
 
 def _exclude(order: np.ndarray, bounds: np.ndarray, dropped: np.ndarray
@@ -176,7 +178,7 @@ def _lattice_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
     |j|^2 (`branch_tags`), then the v-copies at their flips, whose seed
     diagonal is the same, in the same order: their doubled box indices
     ascend.  Links are those of `resonance_links` under the symbols; a
-    component holding a seed equation keeps it (`_drop_seed_equations`).
+    component holding a seed equation keeps it (`_seed_mask`).
 
     Returns (sites, copies, order, bounds, off): vertex i is the copy
     copies[i] (+1 u, -1 v) of sites[i]; component c is order[bounds[c]:
@@ -193,18 +195,6 @@ def _lattice_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
     return sites, copies, order, bounds, lam[~on]
 
 
-def _drop_seed_equations(spec: ProblemSpec, sites: np.ndarray, copies: np.ndarray,
-                         order: np.ndarray, bounds: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-    """The components of `_lattice_blocks` without the 2b seed equations
-    (`_exclude`): the u-copies of generation 0 on Lambda, the seeds, and
-    the v-copies at their flips.  LinopError if the box misses a seed."""
-    seeds = lattice_generation(sites * copies[:, None], spec.b) == 0
-    if np.count_nonzero(seeds) < 2 * spec.b:
-        raise LinopError("truncation box does not contain the seed modes")
-    return _exclude(order, bounds, seeds)
-
-
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
                      spec: ProblemSpec, sites: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -212,11 +202,9 @@ def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
     their flips, as a dense (2k, 2k) matrix, and the mask of the rows and
     columns off the 2b seed equations.  On sites = Lambda_R this is the
     Newton operator: u on Lambda and v on -Lambda couple to nothing else."""
-    k = len(sites)
-    mat = _dense(np.concatenate([sites, -sites]), np.repeat([1, -1], k),
-                 np.arange(2 * k)[None, :], symbols, omega, spec)[0]
-    seeds = {s.n + s.j for s in spec.seed_sites()}
-    return mat, np.tile([tuple(r) not in seeds for r in sites.tolist()], 2)
+    coords, copies = np.concatenate([sites, -sites]), np.repeat([1, -1], len(sites))
+    mat = _dense(coords, copies, np.arange(len(coords))[None, :], symbols, omega, spec)[0]
+    return mat, ~_seed_mask(spec, coords, copies)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,7 @@ def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, box: Box,
     """
     check_site_cap(spec.b, spec.d, box)
     sites, copies, order, bounds, off = _lattice_blocks(spec, box, symbols)
-    order, bounds = _drop_seed_equations(spec, sites, copies, order, bounds)
+    order, bounds = _exclude(order, bounds, _seed_mask(spec, sites, copies))
     sizes = np.diff(bounds)
     values = np.empty(len(sizes))
     for k, stack in _stacks(sites, copies, order, bounds, symbols, omega, spec).items():
@@ -475,8 +463,7 @@ def theta_spectrum_scan(
     """
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
     sites, copies, _, order, bounds = _coset_blocks(u, v, spec, box)
-    order, bounds = _exclude(order, bounds,
-                             np.isin(np.arange(len(sites)), _seed_equations(spec, box)))
+    order, bounds = _exclude(order, bounds, _seed_mask(spec, sites, copies))
     stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
     signs = _copy_signs(copies, order, bounds, stacks)
     delta = spec.delta

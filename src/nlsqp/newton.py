@@ -27,6 +27,7 @@ from .characteristics import (
     conservation_sites,
     lattice_generation,
     members_of_size,
+    resonance_graph,
     row_keys,
 )
 from .conditions import ConditionReport, check_condition_i, check_condition_ii, seed_symbols
@@ -42,7 +43,7 @@ from .lattice import (
     default_box,
     linear_solution,
 )
-from .linop import admissibility_gate, lattice_inverse, lattice_operator
+from .linop import _gather, admissibility_gate, lattice_inverse, lattice_operator
 from .verify import default_weight, weighted_norm
 
 
@@ -571,22 +572,19 @@ def excision_sweep(
     from a single sample set, hence monotone by construction.
 
     The blocks are the resonance-graph components, whose support pattern
-    does not depend on a, so the graph and a gather plan are built once:
-    every block entry reads one symbol at one shift (the difference of its
-    two sites), the diagonal symbol (p+1) (u*v)^{*p} between equal branch
-    tags, p uu from a C+ row to a C- column and p vv the other way.
-    Components that are lattice translates with the same kind pattern give
-    equal blocks in every sample, so the plan keeps one block per class of
-    them (`_sweep_gather_plan`): 5 blocks instead of 773 on tp3, 2 instead
-    of 50 on tp2.  The samples then go through the array pass in groups of
+    does not depend on a, so the graph is built once.  Every block entry
+    reads one term of the seed symbols, times p + 1 for uv_p and p for uu
+    or vv (`linop._gather`).  Components whose term matrices are equal give
+    equal blocks in every sample, so one block per class of them is kept
+    (`_sweep_classes`): 5 blocks instead of 773 on tp3, 2 instead of 50 on
+    tp2.  The samples then go through the array pass in groups of
     SYMBOL_CHUNK, so memory does not grow with n_samples: a group's seed
     symbols and Q brackets are convolved at once (`_seed_symbols_batch`),
-    the symbols at the distinct shifts form one (group, 3, n_shifts) table,
-    and per SWEEP_CHUNK samples det runs once per block size over a
-    (chunk, n_classes, k, k) stack and the Diophantine scan once.  Every
-    value is bitwise that of building each sample's fields, symbols, blocks,
-    `q_solve` and `diophantine_check` one sample at a time: equal blocks
-    have equal dets.
+    its scaled terms form one table (`_term_table`), and per SWEEP_CHUNK
+    samples det runs once per block size over a (chunk, n_classes, k, k)
+    stack and the Diophantine scan once.  Every value is bitwise that of building each
+    sample's fields, symbols, blocks, `q_solve` and `diophantine_check` one
+    sample at a time: equal blocks have equal dets.
     """
     if n_samples < 100:
         raise NewtonError("n_samples must be at least 100")
@@ -594,11 +592,9 @@ def excision_sweep(
         gamma = 2 * spec.b + 2
     if box is None:
         box = default_box(spec)
-    from .characteristics import resonance_graph
 
     u_t, v_t = linear_solution(spec)
     graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
-    shift_sites, plan = _sweep_gather_plan(graph, spec.b)
     p = spec.p
 
     rng = np.random.default_rng(seed)
@@ -611,6 +607,7 @@ def excision_sweep(
     min_vals = np.empty(n_samples)
     dio_vals = np.empty(n_samples)
     dio_work = np.empty((2, SWEEP_CHUNK, len(_dio_candidates(spec.b, dio_radius))))
+    classes = None
     for start in range(0, n_samples, SYMBOL_CHUNK):
         group = slice(start, start + SYMBOL_CHUNK)
         amps, group_min, group_dio = samples[group], min_vals[group], dio_vals[group]
@@ -622,23 +619,22 @@ def excision_sweep(
             raise NonRealFrequency(f"Q bracket at mode {spec.modes[k][0]} has imaginary "
                                    f"part {bracket[i, k].imag:.3e}")
         omegas = jsq_m + spec.delta * bracket.real / amps
-        if plan:
-            zero = np.zeros(len(amps), dtype=complex)
-            # (group, 3, n_shifts), each column written in place as one contiguous row.
-            table = np.empty((3, len(shift_sites), len(amps)), dtype=complex).transpose(2, 0, 1)
-            for kind, (coef, sym) in enumerate(((p + 1, uv_p), (p, uu), (p, vv))):
-                for i, dd in enumerate(shift_sites):
-                    np.multiply(coef, sym.get(dd, zero), out=table[:, kind, i])
+        terms = ((p + 1, uv_p), (p, uu), (p, vv))
+        if classes is None:  # every group's symbols have the same sites
+            supports = [sorted(sym) for _, sym in terms]
+            classes = _sweep_classes(graph, supports)
+        table = _term_table(terms, supports, len(amps))
         for lo in range(0, len(amps), SWEEP_CHUNK):
             rows = slice(lo, lo + SWEEP_CHUNK)
             worst = np.full(len(amps[rows]), math.inf)
-            for kind, shift_id in plan:
-                dets = np.linalg.det(table[rows, kind, shift_id])
+            for _, at in classes:
+                dets = np.linalg.det(table[rows, at])
                 # np.hypot equals Python's abs() of a complex bit for bit;
                 # numpy's vectorised complex abs can differ in the last bit.
                 worst = np.minimum(worst, np.hypot(dets.real, dets.imag).min(axis=1))
             group_min[rows] = worst
             group_dio[rows] = _dio_scan(omegas[rows], spec.delta, gamma, dio_radius, dio_work)[1]
+        del uv_p, uu, vv, bracket, terms, table  # freed before the next group is built
 
     eps_list = list(epsilons)
     fractions, counts = [], []
@@ -703,46 +699,44 @@ def _seed_symbols_batch(spec: ProblemSpec, amps: np.ndarray
     return uv_p, uu, vv, bracket
 
 
-def _sweep_gather_plan(graph: ResonanceGraph, b: int
-                       ) -> Tuple[List[SiteIndex], List[Tuple[np.ndarray, np.ndarray]]]:
-    """One block per class of equal blocks: the distinct site differences
-    inside the class representatives, and per block size the stacked
-    (kind, shift id) of every representative's entries: kind 0 reads the
-    diagonal symbol, 1 the uu symbol, 2 the vv symbol.
+def _term_table(terms: Sequence[Tuple[int, BatchSeries]],
+                supports: Sequence[Sequence[SiteIndex]], n: int) -> np.ndarray:
+    """The sweep's (n, n_terms + 1) table of n samples: coef times each
+    symbol of the (coef, symbol) pairs of terms at the sites of supports in
+    turn, then a column of zeros, read where no term is."""
+    cols = [coef * sym[s] for (coef, sym), sup in zip(terms, supports) for s in sup]
+    return np.array(cols + [np.zeros(n)], dtype=complex).T
 
-    Two components of one size fall in the same class when their members,
-    taken relative to the first member, sit at the same offsets and have
-    the same kind matrix.  Their blocks then read the same symbol at the
-    same shift entry by entry, so they are equal in every sample and one
-    det stands for all of them.  Members ascend lexicographically, an order
-    a lattice translation keeps, so translates line up member by member.
-    The representative of a class is its first component.  Only the set of
-    first components matters, so the class keys (k^2 + k(b + d) columns,
-    too wide for `row_keys`) compare as raw row bytes; the differences are
-    numbered by `row_keys`, in lexicographic order.
+
+def _sweep_classes(graph: ResonanceGraph, supports: Sequence[Sequence[SiteIndex]]
+                   ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """One block per class of equal blocks: per block size, ascending, the
+    (n_classes, k) members of the first component of each class and their
+    (n_classes, k, k) term matrices, `linop._gather` under supports with
+    the vertices' tags as copies.
+
+    Two components of one size fall in the same class when their term
+    matrices are equal: their blocks then read the same term entry by
+    entry, so they are equal in every sample and one det stands for all of
+    them.  Classes keep the order of their first components.
     """
-    coords, tags = graph.vertices, graph.tags
-    reps, kinds = [], []
-    for k in np.unique(np.diff(graph.bounds)).tolist():
-        m = members_of_size(graph.order, graph.bounds, k)
-        rel = coords[m] - coords[m[:, :1]]
-        row_tag, col_tag = tags[m][:, :, None], tags[m][:, None, :]
-        kind = np.where(row_tag == col_tag, 0, np.where(row_tag > 0, 1, 2))
-        key = np.concatenate([rel.reshape(len(m), -1), kind.reshape(len(m), -1)], axis=1)
-        rows = key.view(np.dtype((np.void, key.itemsize * key.shape[1]))).ravel()
-        first = np.sort(np.unique(rows, return_index=True)[1])
-        reps.append(m[first])
-        kinds.append(kind[first])
-    diffs = [coords[m][:, :, None, :] - coords[m][:, None, :, :] for m in reps]
-    if not diffs:
-        return [], []
-    flat = np.concatenate([d.reshape(-1, coords.shape[1]) for d in diffs])
-    _, first, inverse = np.unique(row_keys(flat), return_index=True, return_inverse=True)
-    shift_sites = [SiteIndex(tuple(r[:b]), tuple(r[b:])) for r in flat[first].tolist()]
-    plan = []
+    sizes = np.flatnonzero(np.bincount(np.diff(graph.bounds))).tolist()  # ascending
+    members = [members_of_size(graph.order, graph.bounds, k) for k in sizes]
+    if not members:
+        return []
+    # Entry (r, s) of a size-k block is entry r * k + s of its term row.
+    entries = [np.arange(k * k) for k in sizes]
+    at = _gather(graph.vertices, graph.tags,
+                 np.concatenate([m[:, e // k].ravel() for k, m, e in zip(sizes, members, entries)]),
+                 np.concatenate([m[:, e % k].ravel() for k, m, e in zip(sizes, members, entries)]),
+                 supports)
+    out = []
     start = 0
-    for kind, d in zip(kinds, diffs):
-        count = d.shape[0] * d.shape[1] * d.shape[2]
-        plan.append((kind, inverse[start:start + count].reshape(d.shape[:3])))
-        start += count
-    return shift_sites, plan
+    for k, m in zip(sizes, members):
+        terms = at[start:start + m.size * k].reshape(len(m), k * k)
+        start += m.size * k
+        ids = row_keys(terms)
+        by_id = np.argsort(ids, kind="stable")
+        first = np.sort(by_id[np.diff(ids[by_id], prepend=-1) != 0])
+        out.append((m[first], terms[first].reshape(-1, k, k)))
+    return out

@@ -1,7 +1,7 @@
 """Independent oracles of the tests: a finite-difference Q Jacobian, the
-convexity partition of the spatial lattice and re-checks of the witnesses
-that the admissibility conditions report.  The pipeline runs none of
-them."""
+seed equations of a box by index arithmetic, the convexity partition of
+the spatial lattice and re-checks of the witnesses that the admissibility
+conditions report.  The pipeline runs none of them."""
 
 from __future__ import annotations
 
@@ -12,9 +12,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from nlsqp.characteristics import CharClass, classify_site, ordered_components
+from nlsqp.characteristics import CharClass, box_strides, classify_site, ordered_components
 from nlsqp.conditions import WalkViolation
-from nlsqp.lattice import FrequencyVector, ProblemSpec, SiteIndex, linear_solution
+from nlsqp.lattice import Box, FrequencyVector, ProblemSpec, SiteIndex, linear_solution
 from nlsqp.newton import q_solve
 
 
@@ -30,6 +30,19 @@ def fd_q_jacobian(spec: ProblemSpec, h: float = 1e-7) -> np.ndarray:
         wm = np.array(q_solve(linear_solution(spec_m)[0], spec_m).omega)
         jac[:, mcol] = (wp - wm) / (2 * h)
     return jac
+
+
+def seed_equations(spec: ProblemSpec, box: Box) -> List[int]:
+    """Doubled box indices of the 2b frequency equations (the u-copies of
+    the seed sites, then the v-copies of their flips), by the box's linear
+    index; ValueError if the box misses a seed."""
+    seeds = np.array([s.n + s.j for s in spec.seed_sites()], dtype=np.int64)
+    radii, strides = box_strides(spec.b, spec.d, box)
+    if np.any(np.abs(seeds) > radii):
+        raise ValueError("truncation box does not contain the seed modes")
+    lin = ((seeds + radii) @ strides).tolist()
+    # The flip of the site at box index i sits at box index ns - 1 - i.
+    return lin + [2 * box.site_count(spec.b, spec.d) - 1 - i for i in lin]
 
 
 def verify_diff_witness(

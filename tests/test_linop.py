@@ -26,9 +26,9 @@ from nlsqp.linop import (
     _copy_signs,
     _coset_blocks,
     _dispersion,
-    _drop_seed_equations,
+    _exclude,
     _lattice_blocks,
-    _seed_equations,
+    _seed_mask,
     _stacks,
     admissibility_gate,
     box_inverse,
@@ -38,6 +38,7 @@ from nlsqp.linop import (
 )
 from nlsqp.newton import first_iteration, q_solve, residual_series
 
+from oracles import seed_equations
 from test_geometry import loop_scatter_matrix
 
 # Three modes in one dimension, cubic: Lambda carries small divisors of its
@@ -68,7 +69,7 @@ def blocks(case, drop_seed=True):
     spec, box, symbols = case.spec, case.box, case.symbols
     sites, copies, order, bounds, _ = _lattice_blocks(spec, box, symbols)
     if drop_seed:
-        order, bounds = _drop_seed_equations(spec, sites, copies, order, bounds)
+        order, bounds = _exclude(order, bounds, _seed_mask(spec, sites, copies))
     radii, strides = box_strides(spec.b, spec.d, box)
     index = (sites + radii) @ strides + box.site_count(spec.b, spec.d) * (copies < 0)
     stacks = _stacks(sites, copies, order, bounds, symbols, case.omega, spec)
@@ -288,7 +289,7 @@ def meets_lattice(case, comp):
 def lattice_reference(case, drop_seed):
     """The components of `bfs_components` that meet Lambda, without the
     seed equations if drop_seed; a component left empty is dropped."""
-    seeds = set(_seed_equations(case.spec, case.box)) if drop_seed else set()
+    seeds = set(seed_equations(case.spec, case.box)) if drop_seed else set()
     comps = [[i for i in c if i not in seeds] for c in bfs_components(case)
              if meets_lattice(case, c)]
     return [c for c in comps if c]
@@ -373,7 +374,7 @@ def test_exclude_emptying_a_component_renumbers_later_blocks():
     case = box_case(B3, box=Box(4, 9))
     ref = lattice_reference(case, False)
     assert [len(c) for c in ref] == [6, 1, 1]
-    assert set(ref[0]) == set(_seed_equations(B3, case.box))
+    assert set(ref[0]) == set(seed_equations(B3, case.box))
     dec = blocks(case)
     assert block_lists(dec)[0] == ref[1:]
     assert_blocks_are_slices(case, dec)
@@ -383,6 +384,28 @@ def test_exclude_emptying_a_component_renumbers_later_blocks():
     assert (err.value.block_index, err.value.size) == (0, 1)
     assert err.value.value == block_values(dec, B3.delta)[1][0]
     assert str(err.value).startswith("block 0 (size 1): sigma_min = 2.500e-03")
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
+def test_seed_mask_is_the_box_index_rule(name, request):
+    # One rule marks the seed equations among doubled vertices: on a whole
+    # box it marks the oracle's doubled box indices, on Lambda_R the rows
+    # and columns `lattice_operator` drops, and a box that misses a seed
+    # raises LinopError.
+    spec = B3 if name == "b3" else request.getfixturevalue(name)
+    box = Box(4, 9) if name == "b3" else Box(9, 3)
+    u0, v0 = linear_solution(spec)
+    sites, copies, *_ = _coset_blocks(u0, v0, spec, box)
+    assert np.flatnonzero(_seed_mask(spec, sites, copies)).tolist() == \
+        sorted(seed_equations(spec, box))
+    lam = conservation_sites(spec, 2)
+    _, keep = lattice_operator(ConvolutionSymbols.from_fields(u0, v0, spec.p),
+                               spec.omega0(), spec, lam)
+    seeds = [s.n + s.j for s in spec.seed_sites()]
+    assert np.array_equal(~keep, np.tile([tuple(x) in seeds for x in lam.tolist()], 2))
+    sites, copies, *_ = _coset_blocks(u0, v0, spec, Box(0, 3))
+    with pytest.raises(LinopError, match="does not contain the seed modes"):
+        _seed_mask(spec, sites, copies)
 
 
 def count_calls(monkeypatch, *names):
@@ -518,7 +541,7 @@ def test_lattice_decouples_and_its_step_is_the_box_step(name, request):
     for i, x in enumerate(coords.tolist()):
         s = site(x[:spec.b], x[spec.b:])
         rhs[i], rhs[ns + i] = fu[s], fv[s]
-    kept = np.setdiff1d(np.arange(2 * ns), _seed_equations(spec, box))
+    kept = np.setdiff1d(np.arange(2 * ns), seed_equations(spec, box))
     full = np.zeros(2 * ns, dtype=complex)
     full[kept] = spla.splu(m[kept][:, kept].tocsc()).solve(rhs[kept])
     assert not full[~inside].any()

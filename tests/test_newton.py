@@ -683,28 +683,73 @@ def injected_case(tp2):
     return tp2, default_box(tp2), aug
 
 
+def sweep_terms(spec):
+    """The sweep's (coef, symbol) pairs of uv_p, uu and vv at the spec's own
+    amplitudes, and the sorted sites of each symbol, its supports."""
+    from nlsqp.newton import _seed_symbols_batch
+    uv_p, uu, vv, _ = _seed_symbols_batch(spec, np.array([spec.amplitudes]))
+    terms = ((spec.p + 1, uv_p), (spec.p, uu), (spec.p, vv))
+    return terms, [sorted(sym) for _, sym in terms]
+
+
 @pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3", "tp2-injected"])
 def test_sweep_plan_covers_every_component(name, request):
+    # The loop-built (kind, shift) matrix of every component, mapped to the
+    # position of its term among the supports (-1 for none), is the term
+    # matrix of exactly one class.
     from nlsqp.characteristics import resonance_graph
-    from nlsqp.newton import _sweep_gather_plan
+    from nlsqp.newton import _sweep_classes
     if name == "tp2-injected":
         spec, box, symbols = injected_case(request.getfixturevalue("tp2"))
+        supports = symbols.supports()
     else:
         (spec, box), symbols = sweep_case(name, request), None
+        supports = sweep_terms(spec)[1]
     u0, v0 = linear_solution(spec)
     graph = resonance_graph(u0, v0, spec, spec.omega0(), box, symbols=symbols)
-    shift_sites, plan = _sweep_gather_plan(graph, spec.b)
-    planned = [(tuple(map(tuple, kind)), tuple(tuple(shift_sites[i] for i in row)
-                                               for row in ids))
-               for kinds, shift_ids in plan
-               for kind, ids in zip(kinds.tolist(), shift_ids.tolist())]
+    classes = _sweep_classes(graph, supports)
+    planned = [tuple(map(tuple, terms)) for _, at in classes for terms in at.tolist()]
+    entries = [(kind, s) for kind, sup in enumerate(supports) for s in sup]
+    position = {entry: i for i, entry in enumerate(entries)}
     vertices = tagged_vertices(graph, spec.b)
-    wanted = {component_block(vertices, comp) for comp in component_members(graph)}
+    wanted = set()
+    for comp in component_members(graph):
+        kinds, shifts = component_block(vertices, comp)
+        wanted.add(tuple(tuple(position.get(entry, -1) for entry in zip(kr, sr))
+                         for kr, sr in zip(kinds, shifts)))
     assert len(planned) == len(set(planned))  # one block per class
     assert set(planned) == wanted
     if name == "tp2-injected":
-        fives = [(kind, shifts) for kind, shifts in planned if len(kind) == 5]
-        assert len(fives) == 2 and fives[0][1] == fives[1][1]
+        # Two classes of size 5, translates that differ only in their kinds.
+        fives = [reps for reps, at in classes if at.shape[1] == 5][0].tolist()
+        assert len(fives) == 2
+        assert component_block(vertices, fives[0])[1] == component_block(vertices, fives[1])[1]
+
+
+@pytest.mark.parametrize("name", ["tp2", "tp3"])
+def test_sweep_class_blocks_are_dense_blocks_over_delta(name, request):
+    # At the spec's own amplitudes each class block of the sweep is F' on
+    # the class's first component over delta: the gate's `_dense` of the
+    # vertices with their tags as copies.  At omega0 with phase_m = 0 the
+    # dispersion diagonal vanishes on the variety, so the two differ only
+    # by the rounding of delta.
+    from nlsqp.characteristics import resonance_graph
+    from nlsqp.lattice import default_box
+    from nlsqp.linop import _dense
+    from nlsqp.newton import _sweep_classes, _term_table
+    spec = request.getfixturevalue(name)
+    assert spec.phase_m == 0
+    u0, v0 = linear_solution(spec)
+    graph = resonance_graph(u0, v0, spec, spec.omega0(), default_box(spec))
+    terms, supports = sweep_terms(spec)
+    table = _term_table(terms, supports, 1)[0]
+    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+    classes = _sweep_classes(graph, supports)
+    assert sum(len(reps) for reps, _ in classes) == {"tp2": 2, "tp3": 5}[name]
+    for reps, at in classes:
+        dense = _dense(graph.vertices, graph.tags, reps, symbols, spec.omega0(), spec)
+        dense /= spec.delta
+        assert np.abs(table[at] - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_excision_sweep_memory_does_not_grow_with_samples(tp2):
