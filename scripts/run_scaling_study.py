@@ -11,6 +11,7 @@ import argparse
 
 import numpy as np
 
+from nlsqp.characteristics import seed_symbols
 from nlsqp.lattice import default_box, linear_solution, make_spec
 from nlsqp.linop import box_inverse
 from nlsqp.newton import first_iteration
@@ -36,9 +37,9 @@ def main():
         box = default_box(spec)
         w = default_weight(spec)
         state1, mod = first_iteration(spec, box=box)
-        u0, v0 = linear_solution(spec)
+        u0, _ = linear_solution(spec)
         du = weighted_norm(state1.u.sub(u0), w)
-        inv, _ = box_inverse(u0, v0, spec.omega0(), spec, box, fit_decay=False)
+        inv, _ = box_inverse(seed_symbols(spec), spec.omega0(), spec, box, fit_decay=False)
         rows.append((dl, du, state1.residual_weighted,
                      float(np.linalg.norm(mod.delta_omega)), inv))
 

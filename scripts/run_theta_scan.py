@@ -3,10 +3,10 @@
 
 Prints the grid size and the threshold delta^-(1+eps), then the bad
 fraction and measure; --out also writes one CSV row per grid point.  The
-operator splits into dense blocks, one per coset of the difference lattice;
-they are built once, and each grid point shifts their diagonals by theta
-and takes one batched SVD per block size, so every norm is exact up to
-rounding.  Example:
+operator splits into dense blocks, one per component of the sites its
+symbols link; they are built once, and each grid point shifts their
+diagonals by theta and takes one batched SVD per block size, so every norm
+is exact up to rounding.  Example:
 
     PYTHONPATH=src python scripts/run_theta_scan.py --points 201 --out scan.csv
 """
@@ -15,6 +15,7 @@ import argparse
 
 import numpy as np
 
+from nlsqp.characteristics import seed_symbols
 from nlsqp.lattice import Box, linear_solution, make_spec
 from nlsqp.linop import theta_spectrum_scan
 from nlsqp.newton import q_solve
@@ -37,12 +38,10 @@ def main():
     amps = [float(x) for x in args.a.split(",")]
     spec = make_spec(d=1, b=len(js), p=args.p, delta=args.delta, j_list=js,
                      amplitudes=amps)
-    u0, v0 = linear_solution(spec)
-    omega1 = q_solve(u0, spec)
+    omega1 = q_solve(linear_solution(spec)[0], spec)
     grid = np.linspace(-0.5, 0.5, args.points)
-    scan = theta_spectrum_scan(u0, v0, omega1, spec,
-                               Box(args.n_radius, args.j_radius), grid,
-                               eps=args.eps)
+    scan = theta_spectrum_scan(seed_symbols(spec), omega1, spec,
+                               Box(args.n_radius, args.j_radius), grid, eps=args.eps)
     print(f"grid points: {len(scan.points)}, threshold delta^-(1+eps) = "
           f"{scan.threshold:.3e}")
     print(f"bad fraction: {scan.bad_fraction:.4f}, bad measure: "

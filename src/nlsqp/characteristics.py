@@ -30,6 +30,7 @@ from .lattice import (
     conjugate_flip,
     conv_power,
     convolve,
+    linear_solution,
 )
 
 
@@ -391,6 +392,11 @@ class ConvolutionSymbols:
         return tuple(tuple(series.support()) for series in (self.uv_p, self.uu, self.vv))
 
 
+def seed_symbols(spec: ProblemSpec) -> ConvolutionSymbols:
+    """The symbols of the linear seed, which every check reads."""
+    return ConvolutionSymbols.from_fields(*linear_solution(spec), spec.p)
+
+
 @dataclass
 class ResonanceGraph:
     """The characteristic sites of a box and their connectivity, as arrays.
@@ -413,36 +419,29 @@ class ResonanceGraph:
     spiral_pairs: np.ndarray
 
 
-def resonance_graph(
-    u: SparseSeries,
-    v: SparseSeries,
-    spec: ProblemSpec,
-    omega0: FrequencyVector,
-    box: Box,
-    symbols: Optional[ConvolutionSymbols] = None,
-) -> ResonanceGraph:
+def resonance_graph(spec: ProblemSpec, box: Box,
+                    symbols: Optional[ConvolutionSymbols] = None) -> ResonanceGraph:
     """Connectivity of characteristic sites under the operator symbols.
 
     The vertices are the u-copies of the box's C+ sites and the v-copies of
-    its C- sites (`branch_tags`).  An edge joins x and y when the symbol
-    selected by their branch tags is supported at x - y: the diagonal symbol
-    for equal tags, uu for x in C+ against y in C-, vv for the mirror
-    pairing (`resonance_links`).  The symbols (of u and v) are built here
-    unless given.  Components are numbered by their smallest vertex with
-    members ascending, so the order of the links and their repeats change
-    nothing.
+    its C- sites (`branch_tags` at the seed frequencies).  An edge joins x
+    and y when the symbol selected by their branch tags is supported at
+    x - y: the diagonal symbol for equal tags, uu for x in C+ against y in
+    C-, vv for the mirror pairing (`resonance_links`).  The symbols are the
+    linear seed's unless given.  Components are numbered by their smallest
+    vertex with members ascending, so the order of the links and their
+    repeats change nothing.
     """
-    if symbols is None:
-        symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    coords = enumerate_box_sites(len(omega0), spec.d, box)
-    tags, _ = branch_tags(coords, omega0)
+    symbols = symbols or seed_symbols(spec)
+    coords = enumerate_box_sites(spec.b, spec.d, box)
+    tags, _ = branch_tags(coords, spec.omega0())
     on = np.nonzero(tags)[0]
     coords, tags = coords[on], tags[on]
     found = resonance_links(box, coords, tags, symbols)
     labels, order, bounds = ordered_components(len(coords), found[0], found[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,
                           bounds=bounds,
-                          spiral_pairs=_spiral_pairs(coords[:, len(omega0):], tags, labels))
+                          spiral_pairs=_spiral_pairs(coords[:, spec.b:], tags, labels))
 
 
 def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,

@@ -23,14 +23,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import newton, verify
-from .characteristics import ConvolutionSymbols
+from .characteristics import ConvolutionSymbols, seed_symbols
 from .conditions import (
     ConditionReport,
     check_condition_i,
     check_condition_ii,
     oned_check,
     rank_check_momenta,
-    seed_symbols,
     symbol_supports,
 )
 from .lattice import (

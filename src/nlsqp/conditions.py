@@ -36,6 +36,7 @@ from .characteristics import (
     hyperplane_points,
     kernel_shifts,
     resonance_graph,
+    seed_symbols,
     sphere_points,
 )
 from .lattice import (
@@ -43,7 +44,6 @@ from .lattice import (
     FrequencyVector,
     ProblemSpec,
     SiteIndex,
-    SparseSeries,
     default_box,
     linear_solution,
     site,
@@ -65,11 +65,6 @@ class ConditionReport:
 
 # ---------------------------------------------------------------------------
 # Condition (i): non-intersection
-
-
-def seed_symbols(spec: ProblemSpec) -> ConvolutionSymbols:
-    """The symbols of the linear seed, which every check reads."""
-    return ConvolutionSymbols.from_fields(*linear_solution(spec), spec.p)
 
 
 def check_condition_i(spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] = None
@@ -426,19 +421,14 @@ def check_condition_ii(
     spec: ProblemSpec,
     m_max: int = 8,
     box: Optional[Box] = None,
-    inject: Optional[Dict[str, List[SiteIndex]]] = None,
     symbols: Optional[ConvolutionSymbols] = None,
 ) -> ConditionReport:
     """Non-spiral condition: walk check on the quotient plus the boxed graph
-    check.  Pass requires both to find nothing; the scale is reported.  The
-    graph reads `seed_symbols`, built here unless given."""
-    u0, v0 = linear_solution(spec)
+    check.  Pass requires both to find nothing; the scale is reported.  Both
+    read the supports of `seed_symbols`, built here unless given."""
     omega0 = spec.omega0()
     symbols = symbols or seed_symbols(spec)
     supports = dict(zip(("uv", "uu", "vv"), symbols.supports()))
-    if inject:
-        for key, extra in inject.items():
-            supports[key] = sorted(set(supports[key]) | set(extra))
 
     maxj = max(max(abs(c) for c in j) for j in spec.j_list)
     walk_j_radius = (2 * spec.p + 1) * maxj + 1
@@ -448,12 +438,7 @@ def check_condition_ii(
 
     if box is None:
         box = default_box(spec)
-    if inject:
-        # Graph check sees the same augmented supports via unit-mass symbols.
-        symbols = ConvolutionSymbols(*(_augment(series, inject.get(key, [])) for key, series
-                                       in zip(supports, (symbols.uv_p, symbols.uu, symbols.vv))),
-                                     p=spec.p)
-    rg = resonance_graph(u0, v0, spec, omega0, box, symbols=symbols)
+    rg = resonance_graph(spec, box, symbols=symbols)
 
     witnesses = []
     if walk_verdict == "fail" and walk_witness is not None:
@@ -494,13 +479,6 @@ def check_condition_ii(
             },
         },
     )
-
-
-def _augment(series: SparseSeries, extra: List[SiteIndex]) -> SparseSeries:
-    terms = {s: series[s] for s in series.support()}
-    for s in extra:
-        terms.setdefault(s, 1.0 + 0j)
-    return SparseSeries(series.b, series.d, terms, drop_tol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -244,9 +244,6 @@ class SparseSeries:
     def __repr__(self) -> str:
         return f"SparseSeries(b={self.b}, d={self.d}, nterms={len(self)})"
 
-    def max_abs(self) -> float:
-        return max((abs(v) for v in self._terms.values()), default=0.0)
-
     def norm2(self) -> float:
         return sum(abs(v) ** 2 for _, v in self.items()) ** 0.5
 
@@ -342,10 +339,6 @@ class Box:
     def __post_init__(self):
         if self.n_radius < 0 or self.j_radius < 0:
             raise LatticeError("box radii must be nonnegative")
-
-    def contains(self, s: SiteIndex) -> bool:
-        return (all(abs(a) <= self.n_radius for a in s.n)
-                and all(abs(a) <= self.j_radius for a in s.j))
 
     def site_count(self, b: int, d: int) -> int:
         return (2 * self.n_radius + 1) ** b * (2 * self.j_radius + 1) ** d

@@ -11,16 +11,16 @@ analysis: dense singular-value bounds on the resonance blocks of Lambda
 (+) -Lambda inside the truncation box, and a uniformly bounded diagonal
 off the characteristic variety.  Every inverse is dense: on Lambda_R,
 where the Newton iteration lives, and on a whole box, which F' splits into
-the blocks of the cosets of the difference lattice.  Each inverse norm is
-1/sigma_min by SVD, with a measured exponential decay rate for the inverse
-kernel.
+the blocks of the components of its links, for any fields.  Each inverse
+norm is 1/sigma_min by SVD, with a measured exponential decay rate for the
+inverse kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .lattice import (
     FrequencyVector,
     ProblemSpec,
     SiteIndex,
-    SparseSeries,
     site,
 )
 
@@ -102,7 +101,7 @@ def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec
 
 
 # ---------------------------------------------------------------------------
-# Dense pieces of F': resonance blocks, the conservation lattice, cosets
+# Dense pieces of F': resonance blocks, the conservation lattice, the box
 
 
 def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
@@ -270,62 +269,44 @@ def _inverse_norm(blocks: Iterable[np.ndarray]) -> float:
     return float(1.0 / smin) if smin > 0 else math.inf
 
 
-def _coset_blocks(u: SparseSeries, v: SparseSeries, spec: ProblemSpec, box: Box
-                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The doubled indices of a box grouped by the coset of the difference
-    lattice L = {sum_k c_k s_k : sum_k c_k = 0} that F' keeps them in.
+def _box_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The doubled vertices of a whole box, split by F' under the symbols.
 
-    The coset key of a site is phi(n, j) = (sum n, j + sum_k n_k j_k).  With
-    u on Lambda (key (-1, 0)) and v on -Lambda the symbols of F' lie on L
-    (uv_p), 2 s_1 + L (uu) and its negative (vv), so a u-copy at x couples
-    only to u-copies of its key and to v-copies at y with phi(y) = phi(x) +
-    (2, 0).  A v-copy is keyed phi(y) - (2, 0); F' has no entry between
-    doubled indices of different keys, and key (-1, 0) is Lambda's block.
-    Any other u or v raises LinopError.
+    The vertices are the u-copies of the box's sites (`enumerate_box_sites`,
+    lexicographic), then the v-copies in the same order, so vertex i is the
+    doubled box index i.  Links are those of `resonance_links`, so no entry
+    of F' joins two components, whatever fields gave the symbols.
 
-    Returns (sites, copies, keys, order, bounds): doubled index i is the copy
-    copies[i] (+1 u, -1 v) of sites[i] with key keys[i], the box sites for
-    the u-copies, then again for the v-copies; the block c of key rank c
-    covers order[bounds[c]:bounds[c + 1]], ascending.
+    Returns (sites, copies, order, bounds) as `_lattice_blocks` does.
     """
-    b = spec.b
-    for series, copy in ((u, 1), (v, -1)):
-        sup = np.array([s.n + s.j for s in series.support()], dtype=np.int64)
-        if not on_lattice(sup.reshape(-1, b + spec.d), copy, spec).all():
-            raise LinopError("the box inverse splits F' by cosets, which needs u on "
-                             "the conservation lattice and v on its negative")
-    coords = enumerate_box_sites(b, spec.d, box)
-    n = coords[:, :b]
-    jmat = np.array(spec.j_list, dtype=np.int64).reshape(b, spec.d)
-    phi = np.concatenate([n.sum(axis=1, keepdims=True), coords[:, b:] + n @ jmat], axis=1)
-    keys = np.concatenate([phi, phi - np.eye(1, 1 + spec.d, dtype=np.int64) * 2])
-    label = np.unique(row_keys(keys), return_inverse=True)[1]
-    bounds = np.concatenate([[0], np.cumsum(np.bincount(label))])
-    return (np.concatenate([coords, coords]), np.repeat([1, -1], len(coords)), keys,
-            np.argsort(label, kind="stable"), bounds)
+    coords = enumerate_box_sites(spec.b, spec.d, box)
+    sites = np.concatenate([coords, coords])
+    copies = np.repeat(np.array([1, -1], dtype=np.int8), len(coords))
+    links = resonance_links(box, sites, copies, symbols)
+    _, order, bounds = ordered_components(len(sites), links[0], links[1])
+    return sites, copies, order, bounds
 
 
-def box_inverse(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
-                spec: ProblemSpec, box: Box, fit_decay: bool = True
-                ) -> Tuple[float, Optional[DecayFit]]:
+def box_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
+                box: Box, fit_decay: bool = True) -> Tuple[float, Optional[DecayFit]]:
     """||F'^{-1}|| over a whole box, exactly, and the decay fit of the
     inverse's kernel on Lambda's block.
 
-    F' is block diagonal over the cosets of `_coset_blocks`, so the norm is
-    max 1/sigma_min over the coset blocks.  With fit_decay the kernel is probed
-    at the seed equations of Lambda's block (`_fit_decay`), every row kept;
-    otherwise the fit is None.  This reports a norm and certifies nothing:
-    admissibility is `admissibility_gate`'s.
+    F' is block diagonal over the components of `_box_blocks`, so the norm
+    is max 1/sigma_min over their blocks.  With fit_decay the kernel is
+    probed at the seed equations of the block of Lambda (+) -Lambda
+    (`on_lattice`, `_fit_decay`), every row kept; otherwise the fit is None.
+    This reports a norm and certifies nothing: admissibility is
+    `admissibility_gate`'s.
     """
-    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    sites, copies, keys, order, bounds = _coset_blocks(u, v, spec, box)
+    sites, copies, order, bounds = _box_blocks(spec, box, symbols)
     norm = _inverse_norm(_stacks(sites, copies, order, bounds, symbols, omega, spec).values())
     if not fit_decay:
         return norm, None
-    lam = np.flatnonzero((keys[:, 0] == -1) & ~keys[:, 1:].any(axis=1))
+    lam = np.flatnonzero(on_lattice(sites, copies, spec))
     a = _dense(sites, copies, lam[None, :], symbols, omega, spec)[0]
-    return norm, _fit_decay(spec, symbols, sites[lam], copies[lam],
-                            lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
+    return norm, _fit_decay(spec, symbols, sites[lam], copies[lam], a)
 
 
 def lattice_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
@@ -340,22 +321,21 @@ def lattice_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: P
     a = mat[np.ix_(keep, keep)]
     return _inverse_norm([a[None]]), _fit_decay(spec, symbols,
                                                 np.concatenate([sites, -sites])[keep],
-                                                np.repeat([1, -1], len(sites))[keep],
-                                                lambda i: np.linalg.solve(a, np.eye(len(a))[i]))
+                                                np.repeat([1, -1], len(sites))[keep], a)
 
 
 def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols,
-               coords: np.ndarray, copies: np.ndarray,
-               column: Callable[[int], np.ndarray]) -> DecayFit:
-    """Least-squares decay exponent of an inverse kernel.
+               coords: np.ndarray, copies: np.ndarray, a: np.ndarray) -> DecayFit:
+    """Least-squares decay exponent of the kernel of a dense operator's
+    inverse.
 
-    Kept index i is the copy copies[i] (+1 u, -1 v) of the site coords[i],
-    and column(i) is the inverse's column there.  Up to four columns are
-    probed: at the seed equations (u at each seed, v at its flip) where
-    kept, else at the u-copies of the nonlinear forcing sites (gu = uv_p *
-    u) off the seeds.  Their log|entry| are pooled against the l1 site
-    distance from the probe and fitted as log|entry| = c - beta * |log
-    delta| * dist.
+    Index i of the operator a is the copy copies[i] (+1 u, -1 v) of the site
+    coords[i].  Up to four columns of the inverse are probed, one solve
+    each: at the seed equations (u at each seed, v at its flip) where kept,
+    else at the u-copies of the nonlinear forcing sites (gu = uv_p * u) off
+    the seeds.  Their log|entry| are pooled against the l1 site distance
+    from the probe and fitted as log|entry| = c - beta * |log delta| *
+    dist.
     """
     def at(s: SiteIndex, copy: int) -> List[int]:
         return np.nonzero(np.all(coords == s.n + s.j, axis=1) & (copies == copy))[0].tolist()
@@ -370,7 +350,7 @@ def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols,
     dists: List[np.ndarray] = []
     logs: List[np.ndarray] = []
     for pi in probes[:4]:
-        av = np.abs(column(pi))
+        av = np.abs(np.linalg.solve(a, np.eye(len(a))[pi]))
         floor = max(av.max() * 1e-16, 1e-300)
         dist = np.sum(np.abs(coords - coords[pi]), axis=1).astype(float)
         mask = (av > floor) & (dist >= 1)
@@ -439,8 +419,7 @@ def _copy_signs(copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
 
 
 def theta_spectrum_scan(
-    u: SparseSeries,
-    v: SparseSeries,
+    symbols: ConvolutionSymbols,
     omega: FrequencyVector,
     spec: ProblemSpec,
     box: Box,
@@ -456,13 +435,12 @@ def theta_spectrum_scan(
     with |Theta| beyond 2|log delta|^{2s}+1, at the second-step exponent
     s = 2, are flagged as outside the range the analysis needs.
 
-    The coset blocks of `box_inverse`, off the 2b seed equations as in
+    The blocks of `box_inverse`, off the 2b seed equations as in
     `lattice_inverse` and the gate, are built once; each grid point adds
     theta times the copy sign to their diagonals and takes one batched SVD
     per block size.
     """
-    symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    sites, copies, _, order, bounds = _coset_blocks(u, v, spec, box)
+    sites, copies, order, bounds = _box_blocks(spec, box, symbols)
     order, bounds = _exclude(order, bounds, _seed_mask(spec, sites, copies))
     stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
     signs = _copy_signs(copies, order, bounds, stacks)

@@ -29,8 +29,9 @@ from .characteristics import (
     members_of_size,
     resonance_graph,
     row_keys,
+    seed_symbols,
 )
-from .conditions import ConditionReport, check_condition_i, check_condition_ii, seed_symbols
+from .conditions import ConditionReport, check_condition_i, check_condition_ii
 from .lattice import (
     DROP_TOL,
     Box,
@@ -593,8 +594,7 @@ def excision_sweep(
     if box is None:
         box = default_box(spec)
 
-    u_t, v_t = linear_solution(spec)
-    graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
+    graph = resonance_graph(spec, box)
     p = spec.p
 
     rng = np.random.default_rng(seed)

@@ -1,20 +1,23 @@
 """Independent oracles of the tests: a finite-difference Q Jacobian, the
 seed equations of a box by index arithmetic, the convexity partition of
-the spatial lattice and re-checks of the witnesses that the admissibility
-conditions report.  The pipeline runs none of them."""
+the spatial lattice, re-checks of the witnesses that the admissibility
+conditions report, and seed symbols with injected support elements.  The
+pipeline runs none of them."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from nlsqp.characteristics import CharClass, box_strides, classify_site, ordered_components
+from nlsqp.characteristics import (
+    CharClass, ConvolutionSymbols, box_strides, classify_site, ordered_components, seed_symbols)
 from nlsqp.conditions import WalkViolation
-from nlsqp.lattice import Box, FrequencyVector, ProblemSpec, SiteIndex, linear_solution
+from nlsqp.lattice import (
+    Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, linear_solution)
 from nlsqp.newton import q_solve
 
 
@@ -43,6 +46,27 @@ def seed_equations(spec: ProblemSpec, box: Box) -> List[int]:
     lin = ((seeds + radii) @ strides).tolist()
     # The flip of the site at box index i sits at box index ns - 1 - i.
     return lin + [2 * box.site_count(spec.b, spec.d) - 1 - i for i in lin]
+
+
+def _augment(series: SparseSeries, extra: List[SiteIndex]) -> SparseSeries:
+    """The series with a unit term at each site of extra it lacks."""
+    terms = {s: series[s] for s in series.support()}
+    for s in extra:
+        terms.setdefault(s, 1.0 + 0j)
+    return SparseSeries(series.b, series.d, terms, drop_tol=0.0)
+
+
+def injected_symbols(spec: ProblemSpec, inject: Optional[Dict[str, List[SiteIndex]]]
+                     ) -> Optional[ConvolutionSymbols]:
+    """The seed symbols with the sites of inject["uv"], inject["uu"] and
+    inject["vv"] added to uv_p, uu and vv (`_augment`), for the walk and the
+    graph check to see a spiral; None for no injection."""
+    if not inject:
+        return None
+    sym = seed_symbols(spec)
+    return ConvolutionSymbols(*(_augment(series, inject.get(key, [])) for key, series
+                                in zip(("uv", "uu", "vv"), (sym.uv_p, sym.uu, sym.vv))),
+                              p=spec.p)
 
 
 def verify_diff_witness(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from nlsqp.lattice import Box, default_box, linear_solution, make_spec, site
-from nlsqp.characteristics import CharClass, ConvolutionSymbols
+from nlsqp.characteristics import CharClass, seed_symbols
 from nlsqp.conditions import (
     check_condition_i,
     check_condition_ii,
@@ -28,7 +28,7 @@ from nlsqp.newton import (
 )
 from nlsqp.verify import default_weight, evolve_drift, pde_residual, weighted_norm
 
-from oracles import verify_walk_witness
+from oracles import injected_symbols, verify_walk_witness
 
 
 def _report(num: int, ok: bool, detail: str):
@@ -92,11 +92,12 @@ def test_criterion_3_scaling_laws():
             box = default_box(spec)
             w = default_weight(spec)
             state1, mod = first_iteration(spec, box=box)
-            u0, v0 = linear_solution(spec)
+            u0, _ = linear_solution(spec)
             du.append(weighted_norm(state1.u.sub(u0), w))
             res.append(state1.residual_weighted)
             dw.append(np.linalg.norm(mod.delta_omega))
-            inv.append(box_inverse(u0, v0, spec.omega0(), spec, box, fit_decay=False)[0])
+            inv.append(box_inverse(seed_symbols(spec), spec.omega0(), spec, box,
+                                   fit_decay=False)[0])
         x = np.log(deltas)
         s_du = np.polyfit(x, np.log(du), 1)[0]
         s_res = np.polyfit(x, np.log(res), 1)[0]
@@ -111,13 +112,12 @@ def test_criterion_3_scaling_laws():
 def test_criterion_4_decay_certificate():
     with timed(60.0):
         spec = tp2_spec()
-        u0, v0 = linear_solution(spec)
+        symbols = seed_symbols(spec)
         box = default_box(spec)
-        _, decay = box_inverse(u0, v0, spec.omega0(), spec, box)
+        _, decay = box_inverse(symbols, spec.omega0(), spec, box)
         # The decay is read on an admissible box: the certificate of
         # Lambda (+) -Lambda in the box at omega0 (it raises if a block fails).
-        smin = admissibility_gate(spec.omega0(), spec, box,
-                                  ConvolutionSymbols.from_fields(u0, v0, spec.p))
+        smin = admissibility_gate(spec.omega0(), spec, box, symbols)
         ok = decay.beta_hat >= 0.05 and decay.bound_ok
     _report(4, ok, f"beta_hat={decay.beta_hat:.3f} (>=0.05), "
                    f"bound holds beyond 1/beta^2: {decay.bound_ok} "
@@ -149,8 +149,8 @@ def test_criterion_5_condition_checkers():
         kernel_ok = (not r3.passed) and r3.kernel_vector == (-1, 3, -3, 1)
         # (d) synthetic violation with a verifiable walk witness.
         tp2 = tp2_spec()
-        rep = check_condition_ii(tp2, inject={"uv": [site((1, -1), (1,)),
-                                                     site((3, 0), (-1,))]})
+        rep = check_condition_ii(tp2, symbols=injected_symbols(
+            tp2, {"uv": [site((1, -1), (1,)), site((3, 0), (-1,))]}))
         walk = [w for w in rep.witnesses if w["kind"] == "walk"]
         fixture_ok = rep.verdict == "fail" and walk and \
             verify_walk_witness(walk[0]["violation"], tp2.omega0())

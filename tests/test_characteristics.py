@@ -94,8 +94,7 @@ def brute_characteristic_set(om, d, box):
 def characteristic_set(spec, box):
     """The tagged characteristic sites of the box: the resonance graph's
     vertices."""
-    u0, v0 = linear_solution(spec)
-    return tagged_vertices(resonance_graph(u0, v0, spec, spec.omega0(), box), spec.b)
+    return tagged_vertices(resonance_graph(spec, box), spec.b)
 
 
 def test_characteristic_set_tp1(tp1):
@@ -276,8 +275,7 @@ def test_partition_cross_separation(B, radius):
 
 
 def test_resonance_graph_tp1_seed_component(tp1):
-    u0, v0 = linear_solution(tp1)
-    g = resonance_graph(u0, v0, tp1, tp1.omega0(), Box(9, 3))
+    g = resonance_graph(tp1, Box(9, 3))
     vertices = tagged_vertices(g, tp1.b)
     idx = {s: i for i, (s, _) in enumerate(vertices)}
     seed = idx[site((-1,), (2,))]
@@ -287,15 +285,13 @@ def test_resonance_graph_tp1_seed_component(tp1):
 
 
 def test_resonance_graph_no_spiral_single_mode(tp1):
-    u0, v0 = linear_solution(tp1)
-    g = resonance_graph(u0, v0, tp1, tp1.omega0(), Box(9, 3))
+    g = resonance_graph(tp1, Box(9, 3))
     assert g.spiral_pairs.shape == (0, 2)
 
 
 def test_resonance_graph_partition_blocks_never_connected(tp2):
-    u0, v0 = linear_solution(tp2)
     om = tp2.omega0()
-    g = resonance_graph(u0, v0, tp2, om, Box(9, 4))
+    g = resonance_graph(tp2, Box(9, 4))
     # Partition at the interaction range, inflated by ||w0||_inf: on the
     # variety, |j^2 - j'^2| <= ||w||_inf |n - n'|_1, so cross-block pairs
     # are farther than the convolution can reach, and no component (the
@@ -316,8 +312,7 @@ def interaction_range(spec):
 
 
 def test_component_size_bound(tp2):
-    u0, v0 = linear_solution(tp2)
-    g = resonance_graph(u0, v0, tp2, tp2.omega0(), Box(9, 4))
+    g = resonance_graph(tp2, Box(9, 4))
     reach = interaction_range(tp2)
     part = build_partition(float(reach), 1, 4)
     c0 = max(part.c0_hat, 1.0)

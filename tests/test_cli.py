@@ -1005,6 +1005,37 @@ def test_every_public_function_has_a_caller():
     assert defined - named == set()
 
 
+def test_every_public_method_has_a_caller():
+    # A public method of a package class is named somewhere in src/,
+    # scripts/ or bench/ outside its own def: a method only the tests call
+    # leaves the package.
+    import ast
+    from collections import Counter
+    root = Path(__file__).resolve().parents[1]
+    package = sorted((root / "src" / "nlsqp").glob("*.py"))
+    sources = package + sorted((root / "scripts").glob("*.py")) + sorted(
+        (root / "bench").glob("*.py"))
+
+    def names(tree):
+        return Counter(node.id if isinstance(node, ast.Name) else
+                       node.attr if isinstance(node, ast.Attribute) else node.name
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+    named, methods = Counter(), []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named += names(tree)
+        if path in package:
+            methods += [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                        and not fn.name.startswith("_")]
+    assert ("SparseSeries", "support") in {(c, fn.name) for c, fn in methods}
+    uncalled = sorted(f"{c}.{fn.name}" for c, fn in methods
+                      if named[fn.name] <= names(fn)[fn.name])
+    assert uncalled == []
+
+
 # Dataclass fields of the package that nothing reads as an attribute, each
 # kept for a reason outside the pipeline.
 UNREAD_KEPT = {

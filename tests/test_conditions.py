@@ -18,7 +18,7 @@ from nlsqp.conditions import (
 )
 from nlsqp._intlinalg import int_det, kernel_basis, lattice_basis, solve_dot
 
-from oracles import verify_walk_witness
+from oracles import injected_symbols, verify_walk_witness
 
 
 def naive_error_support(spec):
@@ -191,7 +191,7 @@ def test_condition_ii_synthetic_violation(tp2):
     # time displacement (4, -1) does not cancel: a spiral.
     g1 = site((1, -1), (1,))
     g2 = site((3, 0), (-1,))
-    rep = check_condition_ii(tp2, inject={"uv": [g1, g2]})
+    rep = check_condition_ii(tp2, symbols=injected_symbols(tp2, {"uv": [g1, g2]}))
     assert rep.verdict == "fail"
     walk = next(w for w in rep.witnesses if w["kind"] == "walk")
     viol = walk["violation"]
@@ -212,7 +212,7 @@ def test_condition_ii_unknown_at_depth(tp2):
 def test_condition_ii_pure_time_shift_injection(tp2):
     # An element (n, 0) with n.w0 = 0 is admissible at every node: an
     # immediate self-loop spiral.
-    rep = check_condition_ii(tp2, inject={"uv": [site((4, -1), (0,))]})
+    rep = check_condition_ii(tp2, symbols=injected_symbols(tp2, {"uv": [site((4, -1), (0,))]}))
     assert rep.verdict == "fail"
 
 

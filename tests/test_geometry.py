@@ -1,7 +1,7 @@
 """Array lattice geometry against the per-site loops it replaced.
 
 The loop versions of the resonance graph, of the box operator's scatter
-(against the coset blocks of `linop`), of the difference-class candidate
+(against the box blocks of `linop`), of the difference-class candidate
 filter and of the partition's union-find are
 kept here as oracles; the array versions must reproduce them exactly.
 """
@@ -22,13 +22,13 @@ from nlsqp.characteristics import (
     ordered_components,
     resonance_graph,
 )
-from nlsqp.conditions import _augment, check_condition_ii
+from nlsqp.conditions import check_condition_ii
 from nlsqp.lattice import (
     Box, SiteIndex, SparseSeries, default_box, linear_solution, make_spec, site)
-from nlsqp.linop import _copy_signs, _coset_blocks, _stacks
+from nlsqp.linop import _box_blocks, _copy_signs, _stacks
 from nlsqp.newton import solve
 
-from oracles import build_partition
+from oracles import build_partition, injected_symbols
 from test_characteristics import (
     brute_characteristic_set,
     component_members,
@@ -330,22 +330,18 @@ def test_resonance_graph_matches_loop(tp1, tp2, tp3):
         u0, v0 = linear_solution(spec)
         om = spec.omega0()
         want = loop_resonance_graph(u0, v0, spec, om, box)
-        assert_same_graph(resonance_graph(u0, v0, spec, om, box), want, spec)
+        assert_same_graph(resonance_graph(spec, box), want, spec)
         symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
         assert link_edges(spec, om, box, symbols) == want[1]
 
 
 def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
     u0, v0 = linear_solution(tp2)
-    sym = ConvolutionSymbols.from_fields(u0, v0, tp2.p)
     spirals = 0
     for inject in INJECTIONS:
-        aug = ConvolutionSymbols(
-            uv_p=_augment(sym.uv_p, inject.get("uv", [])),
-            uu=_augment(sym.uu, inject.get("uu", [])),
-            vv=_augment(sym.vv, inject.get("vv", [])), p=tp2.p)
+        aug = injected_symbols(tp2, inject)
         box = default_box(tp2)
-        got = resonance_graph(u0, v0, tp2, tp2.omega0(), box, symbols=aug)
+        got = resonance_graph(tp2, box, symbols=aug)
         want = loop_resonance_graph(u0, v0, tp2, tp2.omega0(), box, symbols=aug)
         assert_same_graph(got, want, tp2)
         assert link_edges(tp2, tp2.omega0(), box, aug) == want[1]
@@ -356,13 +352,14 @@ def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
 def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
     from nlsqp import conditions
 
-    def as_graph(u, v, spec, omega0, box, symbols=None):
-        return graph_of_lists(*loop_resonance_graph(u, v, spec, omega0, box, symbols))
+    def as_graph(spec, box, symbols=None):
+        u, v = linear_solution(spec)
+        return graph_of_lists(*loop_resonance_graph(u, v, spec, spec.omega0(), box, symbols))
 
     for inject in INJECTIONS + [None]:
-        got = check_condition_ii(tp2, inject=inject)
+        got = check_condition_ii(tp2, symbols=injected_symbols(tp2, inject))
         monkeypatch.setattr(conditions, "resonance_graph", as_graph)
-        want = check_condition_ii(tp2, inject=inject)
+        want = check_condition_ii(tp2, symbols=injected_symbols(tp2, inject))
         monkeypatch.undo()
         assert got == want
 
@@ -370,7 +367,7 @@ def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
 def test_resonance_graph_single_site_box(tp1):
     # Box(0, 0) holds only the origin, which is always characteristic.
     u0, v0 = linear_solution(tp1)
-    g = resonance_graph(u0, v0, tp1, tp1.omega0(), Box(0, 0))
+    g = resonance_graph(tp1, Box(0, 0))
     want = loop_resonance_graph(u0, v0, tp1, tp1.omega0(), Box(0, 0))
     assert_same_graph(g, want, tp1)
     assert want[1] == []
@@ -459,31 +456,38 @@ def test_row_keys_stay_mixed_radix_at_the_site_cap(b, d, n_radius, j_radius):
     assert 2 * Box(3 * n_radius, 3 * j_radius).site_count(b, d) < np.iinfo(np.int64).max
 
 
-# -- the box operator's coset blocks ------------------------------------------------
+# -- the box operator's blocks ------------------------------------------------------
 
 
-def assert_coset_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
-    """No entry of the loop-built box operator joins two coset keys, and each
-    coset block, theta-shifted as `theta_spectrum_scan` shifts it, is the
-    operator's slice at its members, bit for bit."""
+def assert_box_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
+    """The blocks of `_box_blocks` partition the doubled box indices, each
+    numbered by its smallest member with members ascending; no nonzero
+    entry of the loop-built box operator joins two blocks, and each block,
+    theta-shifted as `theta_spectrum_scan` shifts it, is the operator's
+    slice at its members, bit for bit.  With u on Lambda and v on -Lambda
+    the blocks are the cosets of the difference lattice (`coset_keys`)."""
     m = loop_scatter_matrix(u, v, omega, spec, box, theta)
-    keys = coset_keys(spec, box)
-    coo = m.tocoo()
-    assert np.array_equal(keys[coo.row], keys[coo.col])
-
-    sites, copies, got_keys, order, bounds = _coset_blocks(u, v, spec, box)
-    ns = len(keys) // 2
-    assert np.array_equal(got_keys, keys)
-    assert np.array_equal(copies, np.repeat([1, -1], ns))
-    assert np.array_equal(sites[:ns], sites[ns:])
-    assert sorted(order.tolist()) == list(range(2 * ns))
-    # One key per block, a different one for each block, members ascending.
-    first = keys[order[bounds[:-1]]]
-    assert np.array_equal(keys[order], np.repeat(first, np.diff(bounds), axis=0))
-    assert len(np.unique(first, axis=0)) == len(first)
-    assert all(np.all(np.diff(order[x:y]) > 0) for x, y in zip(bounds[:-1], bounds[1:]))
-
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+    sites, copies, order, bounds = _box_blocks(spec, box, symbols)
+    ns = m.shape[0] // 2
+    coords = characteristics.enumerate_box_sites(spec.b, spec.d, box)
+    assert np.array_equal(copies, np.repeat([1, -1], ns))
+    assert np.array_equal(sites, np.concatenate([coords, coords]))
+    assert sorted(order.tolist()) == list(range(2 * ns))
+    assert np.all(np.diff(order[bounds[:-1]]) > 0)
+    assert all(np.all(np.diff(order[x:y]) > 0) for x, y in zip(bounds[:-1], bounds[1:]))
+    labels = np.empty(2 * ns, dtype=np.int64)
+    labels[order] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    coo = m.tocoo()
+    nonzero = coo.data != 0
+    assert np.array_equal(labels[coo.row[nonzero]], labels[coo.col[nonzero]])
+    if all(characteristics.on_lattice(np.array([s.n + s.j for s in series.support()]),
+                                      copy, spec).all() for series, copy in ((u, 1), (v, -1))):
+        keys = coset_keys(spec, box)
+        first = keys[order[bounds[:-1]]]
+        assert np.array_equal(keys[order], np.repeat(first, np.diff(bounds), axis=0))
+        assert len(np.unique(first, axis=0)) == len(first)
+
     stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
     assert sorted(stacks) == sorted(set(np.diff(bounds).tolist()))
     signs = _copy_signs(copies, order, bounds, stacks)
@@ -499,7 +503,7 @@ def assert_coset_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
 
 @pytest.mark.parametrize("name", ["tp1", "tp2", "tp3"])
 def test_assemble_matches_loop_scatter(name, request):
-    # The coset blocks of F' over the default box, at the seed and at the
+    # The blocks of F' over the default box, at the seed and at the
     # solution, are the loop-built operator's blocks.
     spec = request.getfixturevalue(name)
     box = default_box(spec)
@@ -507,7 +511,7 @@ def test_assemble_matches_loop_scatter(name, request):
     rep = solve(spec, box=box)
     for u, v, omega in ((u0, v0, spec.omega0()),
                         (rep.state.u, rep.state.v, rep.state.omega)):
-        assert_coset_blocks_are_slices(u, v, omega, spec, box)
+        assert_box_blocks_are_slices(u, v, omega, spec, box)
 
 
 def test_assemble_matches_loop_scatter_small_boxes(tp2, tp3):
@@ -515,7 +519,10 @@ def test_assemble_matches_loop_scatter_small_boxes(tp2, tp3):
     for spec, box in ((tp2, Box(1, 1)), (tp2, Box(0, 3)), (tp3, Box(2, 1)),
                       (b3_spec(), Box(1, 2)), (b3_spec(), Box(4, 5))):
         u0, v0 = linear_solution(spec)
-        assert_coset_blocks_are_slices(u0, v0, spec.omega0(), spec, box, theta=0.25)
+        assert_box_blocks_are_slices(u0, v0, spec.omega0(), spec, box, theta=0.25)
+    # Off Lambda: with u = v the u-copies on Lambda link to v-copies there.
+    u0, _ = linear_solution(tp2)
+    assert_box_blocks_are_slices(u0, u0, tp2.omega0(), tp2, Box(2, 2), theta=0.25)
 
 
 def test_assemble_tags_match_classify_site(tp2, tp3):

@@ -11,6 +11,7 @@ from nlsqp.characteristics import (
     conservation_sites,
     enumerate_box_sites,
     members_of_size,
+    seed_symbols,
 )
 from nlsqp.lattice import (
     Box,
@@ -23,8 +24,8 @@ from nlsqp.lattice import (
 from nlsqp.linop import (
     ExcisionError,
     LinopError,
+    _box_blocks,
     _copy_signs,
-    _coset_blocks,
     _dispersion,
     _exclude,
     _lattice_blocks,
@@ -85,26 +86,24 @@ def certify(case, threshold=0.0):
     return admissibility_gate(case.omega, case.spec, case.box, case.symbols, eps_second)
 
 
-def coset_stacks(spec, box=None):
-    """The coset blocks of the seed operator over a box, as `box_inverse`
-    builds them, and the dispersion diagonal of each block, by size."""
-    u0, v0 = linear_solution(spec)
-    box = box or Box(9, 3)
-    sites, copies, _, order, bounds = _coset_blocks(u0, v0, spec, box)
-    symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
+def box_stacks(spec, box=None):
+    """The blocks of the seed operator over a box, as `box_inverse` builds
+    them, and the dispersion diagonal of each block, by size."""
+    symbols = seed_symbols(spec)
+    sites, copies, order, bounds = _box_blocks(spec, box or Box(9, 3), symbols)
     stacks = _stacks(sites, copies, order, bounds, symbols, spec.omega0(), spec)
     diag = _dispersion(sites[:len(sites) // 2], spec.omega0(), spec).ravel()
     return stacks, {k: diag[members_of_size(order, bounds, k)] for k in stacks}
 
 
 def lambda_block(spec, box=None):
-    """The coset block of Lambda in the seed operator over a box, and its
-    members' sites and copies."""
-    u0, v0 = linear_solution(spec)
-    sites, copies, keys, _, _ = _coset_blocks(u0, v0, spec, box or Box(9, 3))
-    lam = np.flatnonzero((keys[:, 0] == -1) & ~keys[:, 1:].any(axis=1))
-    stacks = _stacks(sites, copies, lam, np.array([0, len(lam)]),
-                     ConvolutionSymbols.from_fields(u0, v0, spec.p), spec.omega0(), spec)
+    """The block of Lambda (+) -Lambda in the seed operator over a box, as
+    `box_inverse` reads it, and its members' sites and copies."""
+    symbols = seed_symbols(spec)
+    sites, copies, _, _ = _box_blocks(spec, box or Box(9, 3), symbols)
+    lam = np.flatnonzero(on_lattice(sites, spec, -copies))
+    stacks = _stacks(sites, copies, lam, np.array([0, len(lam)]), symbols, spec.omega0(),
+                     spec)
     return stacks[len(lam)][0], sites[lam], copies[lam]
 
 
@@ -133,7 +132,7 @@ def test_assemble_delta_scaling_leaves_pure_diagonal(tp1):
     # With the coupling scaled out, F' - D has every entry proportional to
     # delta: halving delta halves the off-diagonal part exactly.
     spec2 = make_spec(d=1, b=1, p=1, delta=5e-4, j_list=[2], amplitudes=[0.7])
-    (s1, d1), (s2, d2) = coset_stacks(tp1), coset_stacks(spec2)
+    (s1, d1), (s2, d2) = box_stacks(tp1), box_stacks(spec2)
     assert sorted(s1) == sorted(s2)
     for k in s1:
         a1 = s1[k] - d1[k][:, :, None] * np.eye(k)
@@ -150,8 +149,8 @@ def test_assemble_symbol_conjugate_symmetry(tp2):
 
 
 def test_assemble_self_adjoint(tp2):
-    # Every coset block is Hermitian, so F' over the box is.
-    stacks, _ = coset_stacks(tp2)
+    # Every block is Hermitian, so F' over the box is.
+    stacks, _ = box_stacks(tp2)
     for stack in stacks.values():
         assert np.array_equal(stack, stack.conj().transpose(0, 2, 1))
 
@@ -159,9 +158,8 @@ def test_assemble_self_adjoint(tp2):
 def test_assemble_theta_enters_antisymmetrically(tp2):
     # The scan's shift is +theta on the u-copies' diagonal, -theta on the
     # v-copies', and nothing off the diagonal.
-    s0, _ = coset_stacks(tp2)
-    u0, v0 = linear_solution(tp2)
-    _, copies, _, order, bounds = _coset_blocks(u0, v0, tp2, Box(9, 3))
+    s0, _ = box_stacks(tp2)
+    _, copies, order, bounds = _box_blocks(tp2, Box(9, 3), seed_symbols(tp2))
     shift = _copy_signs(copies, order, bounds, s0)
     assert sorted(shift) == sorted(s0)
     for k in s0:
@@ -174,14 +172,14 @@ def test_assemble_theta_enters_antisymmetrically(tp2):
                            - np.diagonal(s0[k], axis1=1, axis2=2), 0.25 * signs)
     # The u and v copies of F' are conjugate flips of each other, so under
     # the antisymmetric shift ||T(theta)^{-1}|| = ||T(-theta)^{-1}||.
-    scan = theta_spectrum_scan(u0, v0, tp2.omega0(), tp2, Box(4, 3), [-0.25, 0.25])
+    scan = theta_spectrum_scan(seed_symbols(tp2), tp2.omega0(), tp2, Box(4, 3), [-0.25, 0.25])
     assert scan.points[0].norm == pytest.approx(scan.points[1].norm, rel=1e-10)
 
 
 def test_phase_m_enters_both_blocks():
     spec = make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[2], amplitudes=[0.7],
                      phase_m=0.5)
-    (s, d), (s0, d0) = coset_stacks(spec), coset_stacks(
+    (s, d), (s0, d0) = box_stacks(spec), box_stacks(
         make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[2], amplitudes=[0.7]))
     for k in s:
         assert np.allclose(d[k] - d0[k], 0.5)
@@ -234,6 +232,11 @@ def test_block_diag_consistency(tp2):
             assert np.max(np.abs(cross)) == 0.0
 
 
+def in_box(box, s):
+    """Whether the site s lies in the box."""
+    return max(map(abs, s.n)) <= box.n_radius and max(map(abs, s.j), default=0) <= box.j_radius
+
+
 def bfs_components(case):
     """Reference: components of the resonant doubled indices of the whole
     box found by a depth-first walk over the symbol supports, ordered by
@@ -255,7 +258,7 @@ def bfs_components(case):
                              else symbols.vv.support(), ns if comp_u else 0)):
             for shift in shifts:
                 t = s - shift
-                if box.contains(t):
+                if in_box(box, t):
                     k = doubled_indices(spec, box, [t.n + t.j], "U")[0]
                     if k + off in res_set:
                         out.append(k + off)
@@ -395,7 +398,7 @@ def test_seed_mask_is_the_box_index_rule(name, request):
     spec = B3 if name == "b3" else request.getfixturevalue(name)
     box = Box(4, 9) if name == "b3" else Box(9, 3)
     u0, v0 = linear_solution(spec)
-    sites, copies, *_ = _coset_blocks(u0, v0, spec, box)
+    sites, copies, *_ = _box_blocks(spec, box, seed_symbols(spec))
     assert np.flatnonzero(_seed_mask(spec, sites, copies)).tolist() == \
         sorted(seed_equations(spec, box))
     lam = conservation_sites(spec, 2)
@@ -403,7 +406,7 @@ def test_seed_mask_is_the_box_index_rule(name, request):
                                spec.omega0(), spec, lam)
     seeds = [s.n + s.j for s in spec.seed_sites()]
     assert np.array_equal(~keep, np.tile([tuple(x) in seeds for x in lam.tolist()], 2))
-    sites, copies, *_ = _coset_blocks(u0, v0, spec, Box(0, 3))
+    sites, copies, *_ = _box_blocks(spec, Box(0, 3), seed_symbols(spec))
     with pytest.raises(LinopError, match="does not contain the seed modes"):
         _seed_mask(spec, sites, copies)
 
@@ -434,8 +437,7 @@ def test_block_decompose_batches_singular_values(monkeypatch):
 
 
 def test_invert_tp1_norm(tp1):
-    u0, v0 = linear_solution(tp1)
-    norm, _ = box_inverse(u0, v0, tp1.omega0(), tp1, Box(9, 3))
+    norm, _ = box_inverse(seed_symbols(tp1), tp1.omega0(), tp1, Box(9, 3))
     assert norm == pytest.approx(1.0 / (tp1.delta * 0.49), rel=1e-6)
 
 
@@ -444,16 +446,14 @@ def test_invert_norm_delta_scaling(tp2):
     for dl in deltas:
         spec = make_spec(d=1, b=2, p=1, delta=dl, j_list=[1, 2],
                          amplitudes=[0.6, 0.8])
-        u0, v0 = linear_solution(spec)
-        norms.append(box_inverse(u0, v0, spec.omega0(), spec, Box(9, 3),
+        norms.append(box_inverse(seed_symbols(spec), spec.omega0(), spec, Box(9, 3),
                                  fit_decay=False)[0])
     slope = np.polyfit(np.log(deltas), np.log(norms), 1)[0]
     assert slope == pytest.approx(-1.0, abs=0.15)
 
 
 def test_invert_decay_certificate(tp2):
-    u0, v0 = linear_solution(tp2)
-    _, decay = box_inverse(u0, v0, tp2.omega0(), tp2, Box(9, 3))
+    _, decay = box_inverse(seed_symbols(tp2), tp2.omega0(), tp2, Box(9, 3))
     assert decay.beta_hat >= 0.05
     assert decay.bound_ok
 
@@ -474,27 +474,39 @@ def test_invert_excision_error_names_block():
 
 
 def test_box_inverse_is_the_exact_inverse_norm(tp2):
-    # max 1/sigma_min over the coset blocks, against the 2-norm of the
-    # explicit inverse of the whole box operator.
+    # max 1/sigma_min over the blocks, against the 2-norm of the explicit
+    # inverse of the whole box operator.
     box = Box(4, 3)
     u0, v0 = linear_solution(tp2)
-    norm, decay = box_inverse(u0, v0, tp2.omega0(), tp2, box, fit_decay=False)
+    norm, decay = box_inverse(seed_symbols(tp2), tp2.omega0(), tp2, box, fit_decay=False)
     exact = np.linalg.norm(np.linalg.inv(loop_scatter_matrix(u0, v0, tp2.omega0(), tp2,
                                                              box).toarray()), 2)
     assert norm == pytest.approx(exact, rel=1e-10)
     assert decay is None
 
 
-def test_box_inverse_refuses_fields_off_the_lattice(tp2):
-    # Off Lambda the cosets couple: no norm rather than a wrong one.
+def test_box_inverse_and_theta_scan_take_fields_off_the_lattice(tp2):
+    # A term of u off Lambda couples Lambda (+) -Lambda to the rest of the
+    # box.  The blocks are the components of F''s links all the same, so
+    # the norms are those of the explicit inverses of the loop-built box
+    # operator, with the seed equations removed for the scan.
+    box = Box(4, 3)
     u0, v0 = linear_solution(tp2)
     terms = dict(u0.items())
     terms[site((0, 0), (1,))] = 1e-3
     u_off = SparseSeries(2, 1, terms, drop_tol=0.0)
-    with pytest.raises(LinopError, match="conservation lattice"):
-        box_inverse(u_off, v0, tp2.omega0(), tp2, Box(4, 3))
-    with pytest.raises(LinopError, match="conservation lattice"):
-        theta_spectrum_scan(u0, u0, tp2.omega0(), tp2, Box(4, 3), [0.0])
+    m = loop_scatter_matrix(u_off, v0, tp2.omega0(), tp2, box)
+    coords = enumerate_box_sites(tp2.b, tp2.d, box)
+    lam = np.concatenate([on_lattice(coords, tp2, -1), on_lattice(coords, tp2, 1)])
+    assert abs(m[lam][:, ~lam]).max() > 0
+    symbols = ConvolutionSymbols.from_fields(u_off, v0, tp2.p)
+    norm, decay = box_inverse(symbols, tp2.omega0(), tp2, box)
+    assert norm == pytest.approx(np.linalg.norm(np.linalg.inv(m.toarray()), 2), rel=1e-10)
+    assert decay is not None
+    scan = theta_spectrum_scan(symbols, tp2.omega0(), tp2, box, [0.0, 0.25])
+    for point in scan.points:
+        assert point.norm == pytest.approx(
+            off_seed_inverse_norm(u_off, v0, tp2.omega0(), tp2, box, point.theta), rel=1e-10)
 
 
 # -- The conservation lattice ------------------------------------------------
@@ -591,7 +603,8 @@ def test_theta_zero_reproduces_certificate():
         spec = make_spec(d=1, b=2, p=1, delta=delta, j_list=[1, 2], amplitudes=[0.6, 0.8])
         u0, v0 = linear_solution(spec)
         for omega in (spec.omega0(), q_solve(u0, spec)):
-            scan = theta_spectrum_scan(u0, v0, omega, spec, box, [0.0, 0.25], eps=0.3)
+            scan = theta_spectrum_scan(seed_symbols(spec), omega, spec, box, [0.0, 0.25],
+                                       eps=0.3)
             assert scan.points[1].norm == pytest.approx(
                 off_seed_inverse_norm(u0, v0, omega, spec, box, 0.25), rel=1e-10)
     # On tp2 at omega1, theta = 0 no longer reads the phase-symmetry kernel
@@ -608,8 +621,7 @@ def test_theta_scan_bad_set_shrinks_with_delta():
     for dl in (1e-2, 1e-3):
         spec = make_spec(d=1, b=2, p=1, delta=dl, j_list=[1, 2],
                          amplitudes=[0.6, 0.8])
-        u0, v0 = linear_solution(spec)
-        scan = theta_spectrum_scan(u0, v0, spec.omega0(), spec, Box(4, 3),
+        scan = theta_spectrum_scan(seed_symbols(spec), spec.omega0(), spec, Box(4, 3),
                                    grid, eps=0.3)
         fracs.append(scan.bad_fraction)
     assert fracs[1] <= fracs[0]
@@ -618,8 +630,7 @@ def test_theta_scan_bad_set_shrinks_with_delta():
 
 def test_theta_decomposition_integral_part():
     spec = make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[2], amplitudes=[0.7])
-    u0, v0 = linear_solution(spec)
-    scan = theta_spectrum_scan(u0, v0, spec.omega0(), spec, Box(3, 2),
+    scan = theta_spectrum_scan(seed_symbols(spec), spec.omega0(), spec, Box(3, 2),
                                [0.4, 1.3, -2.6, 5000.0], eps=0.3)
     assert [p.theta_int for p in scan.points] == [0, 1, -3, 5000]
     for p in scan.points:

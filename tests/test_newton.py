@@ -21,7 +21,7 @@ from nlsqp.newton import (
     solve,
 )
 
-from oracles import fd_q_jacobian
+from oracles import fd_q_jacobian, injected_symbols
 from test_characteristics import component_members, tagged_vertices
 from test_linop import count_calls
 
@@ -441,7 +441,7 @@ def test_iterate_products_match_standalone_convolutions(name, request):
     # step read them) and at the solution (those its state carries): the
     # symbols, the Q brackets and the residual at two frequencies equal
     # what separate calls convolve from scratch.
-    from nlsqp.conditions import seed_symbols
+    from nlsqp.characteristics import seed_symbols
     from nlsqp.lattice import SparseSeries, conjugate_flip, conv_power, convolve
     spec, box = {"b3": (B3, Box(4, 9)), "p3": (P3, None)}.get(name) or \
         (request.getfixturevalue(name), None)
@@ -495,7 +495,8 @@ def test_newton_step_keeps_entries_below_the_drop_tolerance():
     u, b = nxt.u, P3.b
     assert set(u.support()) == {site(r[:b], r[b:]) for r in
                                 conservation_sites(P3, nxt.lattice_radius).tolist()}
-    assert sum(abs(x) < DROP_TOL * u.max_abs() for _, x in u.items()) == 2
+    cutoff = DROP_TOL * max(abs(x) for _, x in u.items())
+    assert sum(abs(x) < cutoff for _, x in u.items()) == 2
 
 
 def test_residual_series_flip_symmetry(tp2):
@@ -545,8 +546,7 @@ def hand_built_min_block_values(spec, samples, box):
     """Reference: every resonance block built entry by entry from the
     symbols, one det per block."""
     from nlsqp.characteristics import CharClass, ConvolutionSymbols, resonance_graph
-    u_t, v_t = linear_solution(spec)
-    graph = resonance_graph(u_t, v_t, spec, spec.omega0(), box)
+    graph = resonance_graph(spec, box)
     vertices = tagged_vertices(graph, spec.b)
     p = spec.p
     out = []
@@ -646,8 +646,7 @@ def test_excision_sweep_dets_one_block_per_class(name, components, classes, requ
     from nlsqp.characteristics import resonance_graph
     from nlsqp.lattice import default_box
     spec = request.getfixturevalue(name)
-    u0, v0 = linear_solution(spec)
-    graph = resonance_graph(u0, v0, spec, spec.omega0(), default_box(spec))
+    graph = resonance_graph(spec, default_box(spec))
     assert Counter(np.diff(graph.bounds).tolist()) == components
     calls = []
     det = np.linalg.det
@@ -672,15 +671,9 @@ def injected_case(tp2):
     # so n-sum minus tag is constant on a component.  A uu edge at an
     # n-sum-0 shift breaks that, and tp2's box then holds translated size-5
     # components that differ only in their kind pattern.
-    from nlsqp.characteristics import ConvolutionSymbols
-    from nlsqp.conditions import _augment
     from nlsqp.lattice import default_box
-    u0, v0 = linear_solution(tp2)
-    sym = ConvolutionSymbols.from_fields(u0, v0, tp2.p)
     shift = site((-1, 0), (1,))
-    aug = ConvolutionSymbols(uv_p=sym.uv_p, uu=_augment(sym.uu, [shift]),
-                             vv=_augment(sym.vv, [-shift]), p=tp2.p)
-    return tp2, default_box(tp2), aug
+    return tp2, default_box(tp2), injected_symbols(tp2, {"uu": [shift], "vv": [-shift]})
 
 
 def sweep_terms(spec):
@@ -705,8 +698,7 @@ def test_sweep_plan_covers_every_component(name, request):
     else:
         (spec, box), symbols = sweep_case(name, request), None
         supports = sweep_terms(spec)[1]
-    u0, v0 = linear_solution(spec)
-    graph = resonance_graph(u0, v0, spec, spec.omega0(), box, symbols=symbols)
+    graph = resonance_graph(spec, box, symbols=symbols)
     classes = _sweep_classes(graph, supports)
     planned = [tuple(map(tuple, terms)) for _, at in classes for terms in at.tolist()]
     entries = [(kind, s) for kind, sup in enumerate(supports) for s in sup]
@@ -740,7 +732,7 @@ def test_sweep_class_blocks_are_dense_blocks_over_delta(name, request):
     spec = request.getfixturevalue(name)
     assert spec.phase_m == 0
     u0, v0 = linear_solution(spec)
-    graph = resonance_graph(u0, v0, spec, spec.omega0(), default_box(spec))
+    graph = resonance_graph(spec, default_box(spec))
     terms, supports = sweep_terms(spec)
     table = _term_table(terms, supports, 1)[0]
     symbols = ConvolutionSymbols.from_fields(u0, v0, spec.p)
