@@ -40,17 +40,17 @@ class CharClass(enum.Enum):
     OFF = "off"
 
 
-# The most sites a truncation box may hold: the graph, the box inverse and
-# the sweep are built from the site array of their box, and a solve refuses
-# the boxes they refuse.
+# The most sites an enumeration may build: the box inverse and the theta
+# scan enumerate their box, a solve's gate refuses a box above it, and the
+# resonance graph (so check and sweep) enumerates its (n_1 .. n_{b-1}, j) grid.
 SITE_CAP = 2_000_000
 
 
 def check_site_cap(b: int, d: int, box: Box) -> None:
-    """BoxTooLarge if the box holds more than SITE_CAP sites."""
+    """BoxTooLarge if the box holds more than SITE_CAP sites of b n-axes."""
     total = box.site_count(b, d)
     if total > SITE_CAP:
-        raise BoxTooLarge(f"box holds {total} sites, exceeding the cap of {SITE_CAP}")
+        raise BoxTooLarge(f"box holds {total} sites of {b} n-axes, past the cap of {SITE_CAP}")
 
 
 def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
@@ -58,8 +58,7 @@ def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
     order, which is also the order of the box's linear index.  A box of
     more than SITE_CAP sites raises BoxTooLarge before anything is built."""
     check_site_cap(b, d, box)
-    ranges = ([np.arange(-box.n_radius, box.n_radius + 1)] * b
-              + [np.arange(-box.j_radius, box.j_radius + 1)] * d)
+    ranges = [np.arange(-r, r + 1) for r in [box.n_radius] * b + [box.j_radius] * d]
     out = np.empty([len(r) for r in ranges] + [b + d], dtype=np.int64)
     for axis, values in enumerate(np.ix_(*ranges)):  # broadcast, not copied per axis
         out[..., axis] = values
@@ -82,10 +81,10 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     equal rows get equal ids, and ids order as the rows do lexicographically.
 
     The id is the row's number in the mixed radix of its columns' spans,
-    exact while the spans' product fits in int64.  For keys from a box under
-    SITE_CAP (2e6 sites) it does: (label, tag, j) rows span at most 2e6 x 3
-    x 2e6, and site differences span 4r + 1 <= (2r + 1)^2 per axis, at most
-    (2e6)^2 in all.  Past int64 the ids are the rows' dense ranks."""
+    exact while the spans' product fits in int64.  For the package's keys it
+    does: a graph's (label, tag, j) rows span at most 4e6 x 3 x 2e6 (its
+    grid is under SITE_CAP), and site differences in a box under SITE_CAP
+    span 4r + 1 <= (2r + 1)^2 per axis.  Past int64 the ids are dense ranks."""
     cols = np.ascontiguousarray(rows.T)  # whole-column passes run several times faster
     lo = cols.min(axis=1)
     spans = (cols.max(axis=1) - lo + 1).tolist()
@@ -190,7 +189,8 @@ def diff_class_member(
             g = _intlinalg.vector_gcd([2 * x for x in dj])
             if c % g != 0:
                 return Membership("no", reason="linear constraint has no integer solution")
-            candidates = hyperplane_points(dj, c, search_radius)
+            table = _small_j_table(d, search_radius)  # the hyperplane 2 j'.dj = c
+            candidates = [tuple(j) for j in table[2 * (table @ np.array(dj)) == c].tolist()]
             exhaustive = False
     else:
         rhs = -djsq - 2 * eps1 * dn_w
@@ -227,15 +227,6 @@ def _small_j_table(d: int, radius: int) -> np.ndarray:
     table = np.array(_small_j_candidates(d, radius), dtype=np.int64).reshape(-1, d)
     table.setflags(write=False)  # shared by every search through the cache
     return table
-
-
-def hyperplane_points(normal: Sequence[int], c: int, radius: int
-                      ) -> List[Tuple[int, ...]]:
-    """Every j with |j|_inf <= radius on the hyperplane 2 j.normal = c, in
-    the order of `_small_j_candidates`."""
-    table = _small_j_table(len(normal), radius)
-    hits = table[2 * (table @ np.array(normal, dtype=np.int64)) == c]
-    return [tuple(j) for j in hits.tolist()]
 
 
 def sphere_points(center: Sequence[int], rsq: int) -> List[Tuple[int, ...]]:
@@ -424,19 +415,28 @@ def resonance_graph(spec: ProblemSpec, box: Box,
     """Connectivity of characteristic sites under the operator symbols.
 
     The vertices are the u-copies of the box's C+ sites and the v-copies of
-    its C- sites (`branch_tags` at the seed frequencies).  An edge joins x
-    and y when the symbol selected by their branch tags is supported at
-    x - y: the diagonal symbol for equal tags, uu for x in C+ against y in
-    C-, vv for the mirror pairing (`resonance_links`).  The symbols are the
-    linear seed's unless given.  Components are numbered by their smallest
-    vertex with members ascending, so the order of the links and their
-    repeats change nothing.
+    its C- sites (`branch_tags` at the seed frequencies), solved from the
+    branch equations over the box's (n_1 .. n_{b-1}, j) grid, which SITE_CAP
+    bounds: sigma's n_b = (-sigma |j|^2 - sum_{k<b} w0_k n_k) / w0_b, kept
+    where an integer within n_radius (at j = 0, n_1 <= 0 is C+), rows sorted
+    by `row_keys`.  An edge joins x and y when the symbol selected by their
+    tags is supported at x - y: the diagonal symbol for equal tags, uu for x
+    in C+ against y in C-, vv for the mirror pairing (`resonance_links`).
+    The symbols are the seed's unless given.  Components are numbered by
+    their smallest vertex with members ascending, so the order of the links
+    and their repeats change nothing.
     """
     symbols = symbols or seed_symbols(spec)
-    coords = enumerate_box_sites(spec.b, spec.d, box)
-    tags, _ = branch_tags(coords, spec.omega0())
-    on = np.nonzero(tags)[0]
-    coords, tags = coords[on], tags[on]
+    b, w = spec.b, np.array(spec.omega0().as_ints(), dtype=np.int64)
+    grid = enumerate_box_sites(b - 1, spec.d, box)
+    jsq = (grid[:, b - 1:] ** 2).sum(axis=1)
+    # Row 0 solves C+ (sigma = 1), row 1 C- (sigma = -1).
+    nb, left = np.divmod(np.outer([-1, 1], jsq) - grid[:, :b - 1] @ w[:-1], w[-1])
+    tie = (jsq != 0) | (((grid[:, 0] if b > 1 else nb) <= 0) == [[True], [False]])
+    branch, at = np.nonzero((left == 0) & (np.abs(nb) <= box.n_radius) & tie)
+    coords = np.concatenate([grid[at, :b - 1], nb[branch, at, None], grid[at, b - 1:]], axis=1)
+    order = np.argsort(row_keys(coords))  # the origin is a C+ site: never empty
+    coords, tags = coords[order], (1 - 2 * branch[order]).astype(np.int8)
     found = resonance_links(box, coords, tags, symbols)
     labels, order, bounds = ordered_components(len(coords), found[0], found[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,
@@ -457,12 +457,16 @@ def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
     for a v-copy.  Shifts past twice the radii link no two box sites and are
     dropped, so x - s stays in the tripled box, where its index is no other
     site's: no test of the box faces, and O(vertices x shifts) memory.
-    6r + 1 <= (2r + 1)^2, so under SITE_CAP indices stay below 8e12."""
+    6r + 1 <= (2r + 1)^2, so under SITE_CAP indices stay below 8e12; a box
+    whose doubled indices would pass int64 (one `resonance_graph` reads
+    through its grid alone) raises BoxTooLarge."""
     b, d = symbols.uv_p.b, symbols.uv_p.d
     radii, _ = box_strides(b, d, box)
     wide = Box(3 * box.n_radius, 3 * box.j_radius)
     wide_radii, strides = box_strides(b, d, wide)
     ns = wide.site_count(b, d)
+    if 2 * ns > np.iinfo(np.int64).max:
+        raise BoxTooLarge(f"box {box} has indices past int64 in its tripled box")
     index = (vertices + wide_radii) @ strides  # x - s has index(x) - s . strides
     keys = index + ns * (copies < 0)
     rank = np.argsort(keys)
@@ -474,11 +478,11 @@ def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
         sv = sv[np.all(np.abs(sv) <= 2 * radii, axis=1)]
         return sv @ strides - (ns if dst_tag < 0 else 0)
 
-    diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
+    diag = offsets([s for s in symbols.uv_p.support() if not s.is_zero()], 1)
     found = []
     for tag, cross in ((1, symbols.uu), (-1, symbols.vv)):
         own = np.nonzero(copies == tag)[0]
-        shift = np.concatenate([offsets(diag_shifts, tag), offsets(cross.support(), -tag)])
+        shift = np.concatenate([diag - ns * (tag < 0), offsets(cross.support(), -tag)])
         # Shift-major, so each shift's queries ascend with the vertices'
         # index: searchsorted takes sorted queries about twice as fast.
         query = index[own][None, :] - shift[:, None]

@@ -13,7 +13,6 @@ certificate covers Lambda (+) -Lambda inside the truncation box.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -257,33 +256,25 @@ def default_dio_radius(b: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _dio_candidates(b: int, n_radius: int) -> Tuple[Tuple[int, ...], ...]:
-    """Canonical representatives n (first nonzero positive), sorted by
-    (sup norm, l1 norm, preferring earlier coordinates).  Built once per
-    (b, n_radius) and shared by every scan."""
-    cands = set()
-    for n in itertools.product(range(-n_radius, n_radius + 1), repeat=b):
-        if all(x == 0 for x in n):
-            continue
-        for x in n:
-            if x != 0:
-                if x < 0:
-                    n = tuple(-y for y in n)
-                break
-        cands.add(n)
-    return tuple(sorted(cands, key=lambda n: (max(abs(x) for x in n),
-                                              sum(abs(x) for x in n),
-                                              tuple(-x for x in n))))
+    """Canonical representatives n (first nonzero positive) of the nonzero
+    n with |n|_inf <= n_radius, sorted by (sup norm, l1 norm, preferring
+    earlier coordinates: -n ascending).  Built once per (b, n_radius) and
+    shared by every scan."""
+    grid = np.indices((2 * n_radius + 1,) * b).reshape(b, -1).T - n_radius
+    cands = grid[grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)] > 0]
+    size = np.abs(cands)
+    order = np.lexsort((*(-cands).T[::-1], size.sum(axis=1), size.max(axis=1)))
+    return tuple(map(tuple, cands[order].tolist()))
 
 
 @functools.lru_cache(maxsize=16, typed=True)
 def _dio_table(b: int, n_radius: int, gamma: float
                ) -> Tuple[np.ndarray, np.ndarray]:
     """The candidates of `_dio_candidates` as an int64 array, and |n|^gamma
-    (sup norm) of each, taken with Python's `**` so that an int gamma stays
-    exact up to the one rounding of `float`."""
-    cands = _dio_candidates(b, n_radius)
-    weights = np.array([float(max(abs(c) for c in n) ** gamma) for n in cands])
-    table = np.array(cands, dtype=np.int64).reshape(len(cands), b)
+    (sup norm) of each, taken with Python's `**` on each sup norm so that an
+    int gamma stays exact up to the one rounding of `float`."""
+    table = np.array(_dio_candidates(b, n_radius), dtype=np.int64).reshape(-1, b)
+    weights = np.array([float(r ** gamma) for r in range(n_radius + 1)])[np.abs(table).max(axis=1)]
     table.setflags(write=False)  # shared by every scan through the cache
     weights.setflags(write=False)
     return table, weights

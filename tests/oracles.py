@@ -1,8 +1,9 @@
 """Independent oracles of the tests: a finite-difference Q Jacobian, the
 seed equations of a box by index arithmetic, the convexity partition of
 the spatial lattice, re-checks of the witnesses that the admissibility
-conditions report, and seed symbols with injected support elements.  The
-pipeline runs none of them."""
+conditions report, seed symbols with injected support elements, and the
+object-based walk graph and BFS of condition (ii), and the resonance graph
+built from every site of its box.  The pipeline runs none of them."""
 
 from __future__ import annotations
 
@@ -13,9 +14,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from nlsqp import _intlinalg
 from nlsqp.characteristics import (
-    CharClass, ConvolutionSymbols, box_strides, classify_site, ordered_components, seed_symbols)
-from nlsqp.conditions import WalkViolation
+    CharClass, ConvolutionSymbols, ResonanceGraph, _spiral_pairs, box_strides, branch_tags,
+    classify_site, enumerate_box_sites, ordered_components,
+    resonance_links, seed_symbols, sphere_points)
+from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
     Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, linear_solution)
 from nlsqp.newton import q_solve
@@ -159,3 +163,184 @@ def _l1_diameters(coords: np.ndarray, order: np.ndarray, bounds: np.ndarray
     starts = bounds[:-1]
     spread = np.maximum.reduceat(proj, starts) - np.minimum.reduceat(proj, starts)
     return spread.max(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# The walk graph of condition (ii) on objects: one WalkNode per (branch, j)
+# class, one WalkEdge per step, a dict BFS over them.  The package builds the
+# same graph on integer arrays; these are its reference.
+
+
+@dataclass
+class ObjectWalkGraph:
+    nodes: List[WalkNode]
+    edges: Dict[WalkNode, List[WalkEdge]]
+    immediate_spirals: List[WalkEdge]
+    truncated: bool
+
+
+def branch_realizable(j, branch, w, kernel) -> bool:
+    """Whether the class (branch, j) holds a site: n.w = -branch |j|^2
+    solvable, and at j = 0 on C- some n_1 > 0 (a kernel vector with a
+    nonzero first coordinate)."""
+    jsq = sum(x * x for x in j)
+    g = _intlinalg.vector_gcd(w)
+    if g == 0:
+        return jsq == 0
+    if jsq % g != 0:
+        return False
+    if all(x == 0 for x in j) and branch == -1:
+        return any(k[0] != 0 for k in kernel)
+    return True
+
+
+def same_branch_sources(element, branch, w, d, j_radius):
+    """Source j's of a same-branch step: 2 j.dj + |dj|^2 + branch dn.w = 0,
+    solved in one dimension, tested at every j of the box in more.  Returns
+    (sources, everywhere)."""
+    dn_w = sum(a * b for a, b in zip(element.n, w))
+    dj = element.j
+    c = -sum(x * x for x in dj) - branch * dn_w
+    if all(x == 0 for x in dj):
+        return [], c == 0
+    if d == 1:
+        return ([(c // (2 * dj[0]),)] if c % (2 * dj[0]) == 0 else []), False
+    return [j for j in itertools.product(range(-j_radius, j_radius + 1), repeat=d)
+            if 2 * sum(a * b for a, b in zip(j, dj)) == c], False
+
+
+def cross_branch_sources(element, branch, w, j_radius):
+    """Source j's of a branch-switching step: the sphere
+    |2j + dj|^2 = 2 branch dn.w - |dj|^2, clipped to the j box if given."""
+    dn_w = sum(a * b for a, b in zip(element.n, w))
+    dj = element.j
+    out = sphere_points(tuple(-x for x in dj), 2 * branch * dn_w - sum(x * x for x in dj))
+    if j_radius is not None:
+        out = [j for j in out if all(abs(x) <= j_radius for x in j)]
+    return out
+
+
+def spiral_anchor(w, d, branch, kernel):
+    """The first realizable j by sup norm 0..3, product order within."""
+    for r in range(0, 4):
+        for j in itertools.product(range(-r, r + 1), repeat=d):
+            if max((abs(x) for x in j), default=0) == r and branch_realizable(
+                    j, branch, w, kernel):
+                return j
+    return None
+
+
+def object_walk_graph(supports, omega0, d, j_radius=None) -> ObjectWalkGraph:
+    """The quotient walk graph built one WalkEdge at a time."""
+    w = omega0.as_ints()
+    kernel = _intlinalg.kernel_basis([list(w)])
+    edges: Dict[WalkNode, List[WalkEdge]] = {}
+    immediate: List[WalkEdge] = []
+
+    def add_edge(src, dst, element, kind):
+        if branch_realizable(src.j, src.branch, w, kernel):
+            edges.setdefault(src, []).append(WalkEdge(src, dst, element.n, element, kind))
+
+    for element in supports.get("uv", []):
+        if element.is_zero():
+            continue
+        for branch in (1, -1):
+            sources, everywhere = same_branch_sources(element, branch, w, d, j_radius)
+            if everywhere:
+                jw = spiral_anchor(w, d, branch, kernel)
+                if jw is not None:
+                    node = WalkNode(branch, jw)
+                    immediate.append(WalkEdge(node, node, element.n, element, "diag"))
+                continue
+            for j in sources:
+                dst = tuple(a + b for a, b in zip(j, element.j))
+                add_edge(WalkNode(branch, j), WalkNode(branch, dst), element, "diag")
+    for key, branch in (("vv", 1), ("uu", -1)):
+        for element in supports.get(key, []):
+            for j in cross_branch_sources(element, branch, w, j_radius):
+                dst = tuple(a + b for a, b in zip(j, element.j))
+                add_edge(WalkNode(branch, j), WalkNode(-branch, dst), element, key)
+    def key(node):  # C+ first, then j ascending
+        return (-node.branch, node.j)
+
+    nodes = sorted(set(edges) | {e.dst for lst in edges.values() for e in lst}, key=key)
+    for lst in edges.values():
+        lst.sort(key=lambda e: (key(e.dst), e.dn))
+    return ObjectWalkGraph(nodes=nodes, edges=edges, immediate_spirals=immediate,
+                           truncated=d > 1)
+
+
+def object_walk_check(graph: ObjectWalkGraph, b: int, m_max: int):
+    """The potential BFS over the object graph: verdict, the unlifted
+    witness, stats."""
+    zero = (0,) * b
+    if graph.immediate_spirals:
+        e = graph.immediate_spirals[0]
+        return "fail", WalkViolation(start=e.src, steps=[e], total_dn=e.dn), {"mode": "self_loop"}
+    visited_any = set()
+    hit_depth_cap = False
+    for root in graph.nodes:
+        if root in visited_any:
+            continue
+        pot, parent, frontier, depth = {root: zero}, {}, [root], 0
+        while frontier:
+            if depth >= m_max:
+                hit_depth_cap = True
+                break
+            depth += 1
+            nxt = []
+            for node in frontier:
+                for e in graph.edges.get(node, []):
+                    p_new = tuple(a + c for a, c in zip(pot[node], e.dn))
+                    if e.dst not in pot:
+                        pot[e.dst] = p_new
+                        parent[e.dst] = (node, e)
+                        nxt.append(e.dst)
+                    elif pot[e.dst] != p_new:
+                        viol = _object_violation(root, node, e, parent, graph)
+                        if viol is not None:
+                            return "fail", viol, {"mode": "cycle", "depth": depth}
+            frontier = nxt
+        visited_any.update(pot)
+    stats = {"nodes_explored": len(visited_any), "depth_cap_hit": hit_depth_cap}
+    return ("unknown_at_depth" if hit_depth_cap else "pass"), None, stats
+
+
+def _object_violation(root, node, edge, parent, graph):
+    def path_to(n):
+        out = []
+        while n in parent:
+            n, e = parent[n]
+            out.append(e)
+        return out[::-1]
+
+    def total(steps):
+        return tuple(map(sum, zip(*(e.dn for e in steps))))
+
+    fwd = path_to(node) + [edge]
+    if edge.dst == root and any(total(fwd)):
+        return WalkViolation(start=root, steps=fwd, total_dn=total(fwd))
+    rev = []
+    for e in reversed(path_to(edge.dst)):
+        back = [c for c in graph.edges.get(e.dst, [])
+                if c.dst == e.src and c.element == -e.element]
+        if not back:
+            return None
+        rev.append(back[0])
+    steps = fwd + rev
+    if not any(total(steps)):
+        return None
+    return WalkViolation(start=root, steps=steps, total_dn=total(steps))
+
+
+def box_resonance_graph(spec: ProblemSpec, box: Box) -> ResonanceGraph:
+    """The resonance graph of the seed symbols on the characteristic sites
+    found by tagging every site of the box with `branch_tags`, in the
+    box's lexicographic order."""
+    coords = enumerate_box_sites(spec.b, spec.d, box)
+    tags, _ = branch_tags(coords, spec.omega0())
+    coords, tags = coords[tags != 0], tags[tags != 0]
+    links = resonance_links(box, coords, tags, seed_symbols(spec))
+    labels, order, bounds = ordered_components(len(coords), links[0], links[1])
+    return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order, bounds=bounds,
+                          spiral_pairs=_spiral_pairs(coords[:, spec.b:], tags, labels))

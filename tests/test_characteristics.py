@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,7 +15,7 @@ from nlsqp.characteristics import (
     sphere_points,
 )
 
-from oracles import build_partition, verify_diff_witness
+from oracles import box_resonance_graph, build_partition, verify_diff_witness
 
 
 OM_TP2 = FrequencyVector((1.0, 4.0))
@@ -121,12 +122,66 @@ def test_characteristic_set_radius_zero(tp1):
 
 
 def test_characteristic_set_site_cap(tp2):
-    # 201^3 sites, above the cap, refused before any array is built.
+    # The cap bounds the (n_1 .. n_{b-1}, j) grid the graph enumerates, not
+    # the box: 201^3 sites on a 201^2 grid build, and a 2001^2 grid is
+    # refused before any array is built.
     from nlsqp.characteristics import SITE_CAP
     from nlsqp.lattice import BoxTooLarge
-    assert Box(100, 100).site_count(2, 1) > SITE_CAP
+    assert Box(100, 100).site_count(2, 1) > SITE_CAP >= Box(100, 100).site_count(1, 1)
+    assert (site((0, 0), (0,)), CharClass.CPLUS) in characteristic_set(tp2, Box(100, 100))
+    assert Box(1000, 1000).site_count(1, 1) > SITE_CAP
     with pytest.raises(BoxTooLarge, match=f"cap of {SITE_CAP}"):
-        characteristic_set(tp2, Box(100, 100))
+        characteristic_set(tp2, Box(1000, 1000))
+
+
+def test_resonance_graph_refuses_indices_past_int64(tp1):
+    # b = 1: the grid holds the 7 j's alone, but the links look vertices up
+    # in the tripled box, whose doubled indices would wrap int64.
+    from nlsqp.lattice import BoxTooLarge
+    with pytest.raises(BoxTooLarge, match="past int64"):
+        resonance_graph(tp1, Box(10 ** 17, 3))
+
+
+def assert_same_graph(got, want):
+    for name in ("vertices", "tags", "labels", "order", "bounds", "spiral_pairs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+# (d, j_list, box, whether j = 0 holds sites of both branches): b = 1, 2, 3
+# in one and two dimensions; at b >= 2 the sites n = +-(w0_2, -w0_1, 0 ..)
+# lie in the box, n_1 > 0 on C-; tp2's gcd(w0) is 1, (2), (4)'s is 4.
+VARIETY_CASES = [
+    (1, [2], Box(6, 5), False),
+    (2, [(1, 1)], Box(4, 3), False),
+    (1, [1, 2], Box(9, 3), True),
+    (1, [2, 4], Box(16, 4), True),
+    (2, [(1, 0), (0, 1)], Box(9, 3), True),
+    (1, [1, 2, 4], Box(16, 4), True),
+    (2, [(1, 0), (0, 1), (1, 1)], Box(3, 2), True),
+]
+
+
+@pytest.mark.parametrize("d, js, box, both_at_zero", VARIETY_CASES)
+def test_variety_from_branch_equations_matches_tagged_box(d, js, box, both_at_zero):
+    spec = make_spec(d=d, b=len(js), p=1, delta=1e-3, j_list=js, amplitudes=[0.5] * len(js))
+    got = resonance_graph(spec, box)
+    assert_same_graph(got, box_resonance_graph(spec, box))
+    at_zero = set(got.tags[~got.vertices[:, spec.b:].any(axis=1)].tolist())
+    assert at_zero == ({1, -1} if both_at_zero else {1})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.data())
+def test_variety_from_branch_equations_matches_tagged_box_random(b, d, data):
+    # Random seeds and boxes small enough to tag site by site.
+    pool = [j for j in itertools.product(range(-2, 3), repeat=d) if any(j)]
+    js = data.draw(st.lists(st.sampled_from(pool), min_size=b, max_size=b, unique=True))
+    n_radius = data.draw(st.integers(0, {1: 12, 2: 8, 3: 4}[b]))
+    box = Box(n_radius, data.draw(st.integers(0, 3)))
+    spec = make_spec(d=d, b=b, p=data.draw(st.integers(1, 2)), delta=1e-3, j_list=js,
+                     amplitudes=[0.5] * b)
+    assert_same_graph(resonance_graph(spec, box), box_resonance_graph(spec, box))
 
 
 @settings(max_examples=200, deadline=None)

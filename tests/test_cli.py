@@ -750,12 +750,15 @@ def test_parse_config_fuzz_exits_cleanly(text):
 # certify only Lambda (+) -Lambda inside the box: no resonance block of it
 # is left off the seed equations on tp2 or tp3, so min_block_value reads
 # "n/a (no resonance block of Lambda (+) -Lambda in the box)" (was 3.6e-4
-# and 2.5e-4, from blocks off Lambda); no other line changed.
+# and 2.5e-4, from blocks off Lambda); no other line changed.  verify.txt,
+# of the solve's solution.txt, was pinned as it stood when the walk graph
+# moved to integer arrays.
 TP2_ARTIFACT_SHA256 = {
     "check.txt": "228c35587e4e94fcb5ff8cf50a8b715ce0ec0ce697742fb467012051dd63fbf6",
     "solve/report.txt": "39167165a1016431a4bf1f0185da6139fff251c9a022b4adf1f0564b1fecc95e",
     "solve/solution.txt": "30712c6aed0ca254d3cecc883e01d9bbd763934afbb791bb8de098673516dea6",
     "sweep.csv": "def176f8d04330e2eef3dc8011d974d47401cb5b138bf214f3681f64ece52705",
+    "verify.txt": "4de9239e015ff3c4b2973e6d2477a0ce20cc3cf06ae97d2c41518f9a04f13404",
 }
 
 
@@ -772,6 +775,8 @@ modes = (1):0.6, (2):0.8
     assert run_command("check", cfg, out_path=str(tmp_path / "check.txt")) == EXIT_OK
     assert run_command("solve", cfg, out_path=str(tmp_path / "solve")) == EXIT_OK
     assert run_command("sweep", cfg, out_path=str(tmp_path / "sweep.csv")) == EXIT_OK
+    assert run_command("verify", cfg, out_path=str(tmp_path / "verify.txt"),
+                       solution=str(tmp_path / "solve" / "solution.txt")) == EXIT_OK
     for name, digest in TP2_ARTIFACT_SHA256.items():
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith("generated_at"))
@@ -779,13 +784,14 @@ modes = (1):0.6, (2):0.8
 
 
 # The same for tp3 (d = 2), the seed whose walk graph scans the j box and
-# whose cross-branch steps land on spheres: check, solve and a 100-sample
-# sweep.
+# whose cross-branch steps land on spheres: check, solve, a 100-sample
+# sweep and the verify of the solution.
 TP3_ARTIFACT_SHA256 = {
     "check.txt": "17a59b53b4f7d6c91a1884b621f3aea37c36685c0fe8cd94c3e8c20f538be2ef",
     "solve/report.txt": "2fd5653c8f8831c3091bd2084b2b88dbe12dcbbf72786c0f5dc196d71a1383c5",
     "solve/solution.txt": "9622b2f782cf6c5b1783b6530e0077321feacd8b1d0415eafad4ae8e0c2ebfce",
     "sweep.csv": "681bd2aea99f89982a98a77678df6ba1652ce94939840d8dd5bb4ce967606e8a",
+    "verify.txt": "06b07a1127c8f9ff4bc29a8b6e189544083faf742f457ee6a0098f23f10cdc0d",
 }
 
 
@@ -805,6 +811,8 @@ def test_tp3_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
     assert run_command("check", cfg, out_path=str(tmp_path / "check.txt")) == EXIT_OK
     assert run_command("solve", cfg, out_path=str(tmp_path / "solve")) == EXIT_OK
     assert run_command("sweep", cfg, out_path=str(tmp_path / "sweep.csv")) == EXIT_OK
+    assert run_command("verify", cfg, out_path=str(tmp_path / "verify.txt"),
+                       solution=str(tmp_path / "solve" / "solution.txt")) == EXIT_OK
     for name, digest in TP3_ARTIFACT_SHA256.items():
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith("generated_at"))
@@ -812,8 +820,10 @@ def test_tp3_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
 
 
 def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):
-    # The graph check of condition (ii) enumerates the condition box once;
-    # the gates of a solve enumerate none, whatever its box.
+    # A solve enumerates the sites of no box: the graph check of condition
+    # (ii) enumerates the (n_1, j) grid of the condition box once (b - 1 = 1
+    # n-axis; its C+ and C- sites come from their branch equations), and the
+    # gates enumerate nothing, whatever the box.
     from collections import Counter
     from nlsqp import characteristics
     from nlsqp.lattice import Box
@@ -821,17 +831,17 @@ def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):
     enumerate_box_sites = characteristics.enumerate_box_sites
 
     def counted(b, d, box):
-        counts[box] += 1
+        counts[b, box] += 1
         return enumerate_box_sites(b, d, box)
 
     monkeypatch.setattr(characteristics, "enumerate_box_sites", counted)
     monkeypatch.setattr("nlsqp.linop.enumerate_box_sites", counted)
     smaller = parse_config(TP3_CFG + "\n[conditions]\ngraph_n_radius = 5\n")
     assert run_command("solve", smaller, out_path=str(tmp_path / "a")) == EXIT_OK
-    assert counts == {Box(5, 3): 1}  # the gates read Lambda in the box, not its sites
+    assert counts == {(1, Box(5, 3)): 1}  # the gates read Lambda in the box, not its sites
     counts.clear()
     assert run_command("solve", parse_config(TP3_CFG), out_path=str(tmp_path / "b")) == EXIT_OK
-    assert counts == {Box(9, 3): 1}  # the condition box is the solve box
+    assert counts == {(1, Box(9, 3)): 1}  # the condition box is the solve box
 
 
 def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_path,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nlsqp import conditions
 from nlsqp.lattice import Box, linear_solution, make_spec, site
-from nlsqp.characteristics import CharClass, ConvolutionSymbols
+from nlsqp.characteristics import CharClass, ConvolutionSymbols, seed_symbols
 from nlsqp.conditions import (
     build_walk_graph,
     check_condition_i,
@@ -18,7 +18,8 @@ from nlsqp.conditions import (
 )
 from nlsqp._intlinalg import int_det, kernel_basis, lattice_basis, solve_dot
 
-from oracles import injected_symbols, verify_walk_witness
+from oracles import (
+    injected_symbols, object_walk_check, object_walk_graph, verify_walk_witness)
 
 
 def naive_error_support(spec):
@@ -345,20 +346,37 @@ def test_oned_check_pairs_match_closed_form_solver():
     assert total > 200
 
 
-def product_loop_same_branch_sources(element, branch, w, d, j_radius):
-    """Oracle: the same-branch source equation 2 j.dj = -|dj|^2 - branch dn.w
-    tested at every j of the box, in lexicographic order."""
-    dj = element.j
-    c = -sum(x * x for x in dj) - branch * sum(a * b for a, b in zip(element.n, w))
-    if not any(dj):
-        return [], c == 0
-    if d == 1:
-        return ([(c // (2 * dj[0]),)] if c % (2 * dj[0]) == 0 else []), False
-    return [j for j in itertools.product(range(-j_radius, j_radius + 1), repeat=d)
-            if 2 * sum(a * b for a, b in zip(j, dj)) == c], False
+@pytest.mark.parametrize("js, p, oned_verdict, explored", [
+    ([1, 410], 1, "pass", 4), ([1, 150], 3, "fail", 8), ([3, 97], 2, "fail", 8)])
+def test_oned_sources_are_solved_without_a_box_at_large_modes(js, p, oned_verdict, explored):
+    # Each 1-D source is solved from its equation: a j box of radius
+    # max(|dj|^2 + |dn.w|) would hold about 2e6 rows at j = 410 (past the
+    # site cap) and 1.4e7 at j = 150, p = 3.
+    spec = oned_spec(js, p)
+    rep = oned_check(spec)
+    assert rep.verdict == oned_verdict
+    assert [(q.j, q.j_next, q.element, q.branch_relation) for q in rep.details["pairs"]] == \
+        closed_form_oned_pairs(js, p)
+    cond = check_condition_ii(spec, box=Box(9, max(js) + 1))  # the CLI's condition box
+    assert cond.verdict == "pass"
+    assert cond.details == {"walk": {"verdict": "pass", "nodes_explored": explored,
+                                     "depth_cap_hit": False},
+                            "graph": {"vertices": 17, "max_component": 4}}
 
 
-def test_walk_graph_matches_product_loop_sources_in_2d(monkeypatch):
+def object_form(graph):
+    """An array walk graph's nodes and edges as the objects of the oracle:
+    the WalkNode list and the dict of each node's WalkEdge list."""
+    edges = {}
+    for k in range(len(graph.src)):
+        edge = graph.edge(k)
+        edges.setdefault(edge.src, []).append(edge)
+    return [graph.node(i) for i in range(len(graph.nodes))], edges
+
+
+def test_walk_graph_matches_product_loop_sources_in_2d():
+    # The array graph against the object oracle, whose same-branch sources
+    # test the hyperplane equation at every j of the box.
     rng = random.Random(5)
     for _ in range(8):
         b = rng.randint(2, 3)
@@ -371,13 +389,57 @@ def test_walk_graph_matches_product_loop_sources_in_2d(monkeypatch):
                     "vv": symbols.vv.support()}
         radius = (2 * p + 1) * max(max(abs(c) for c in j) for j in js) + 1
         got = build_walk_graph(supports, spec.omega0(), 2, j_radius=radius)
-        with monkeypatch.context() as m:
-            m.setattr(conditions, "_same_branch_sources", product_loop_same_branch_sources)
-            want = build_walk_graph(supports, spec.omega0(), 2, j_radius=radius)
-        assert got.nodes == want.nodes
-        assert got.edges == want.edges
+        want = object_walk_graph(supports, spec.omega0(), 2, j_radius=radius)
+        assert object_form(got) == (want.nodes, want.edges)
         assert got.immediate_spirals == want.immediate_spirals
-        assert sum(map(len, got.edges.values())) > 0
+        assert len(got.src) > 0
+
+
+def walk_cases():
+    """(spec, symbols, m_max) of the walk graphs the array BFS is held to:
+    tp1-tp3, three 1-D seeds with a far mode, the failing seeds above (two
+    injected spirals and a depth bound too small), and the random 2-D seeds
+    of the source test."""
+    tp1 = make_spec(d=1, b=1, p=1, delta=1e-3, j_list=[2], amplitudes=[0.7])
+    tp2 = make_spec(d=1, b=2, p=1, delta=1e-3, j_list=[1, 2], amplitudes=[0.6, 0.8])
+    tp3 = make_spec(d=2, b=2, p=2, delta=1e-3, j_list=[(1, 0), (0, 1)],
+                    amplitudes=[0.9, 0.35])
+    far = [oned_spec(js, p) for js, p in (([1, 410], 1), ([1, 150], 3), ([3, 97], 2))]
+    cases = [(spec, None, 8) for spec in (tp1, tp2, tp3, *far)] + [
+        (tp2, injected_symbols(tp2, {"uv": [site((1, -1), (1,)), site((3, 0), (-1,))]}), 8),
+        (tp2, injected_symbols(tp2, {"uv": [site((4, -1), (0,))]}), 8),
+        (tp2, None, 1)]
+    rng = random.Random(5)
+    for _ in range(8):
+        b = rng.randint(2, 3)
+        js = rng.sample([j for j in itertools.product(range(-2, 3), repeat=2) if any(j)], b)
+        cases.append((make_spec(d=2, b=b, p=rng.choice([1, 2]), delta=1e-3, j_list=js,
+                                amplitudes=[0.5] * b), None, 8))
+    return cases
+
+
+@pytest.mark.parametrize("spec, symbols, m_max", walk_cases())
+def test_array_walk_check_matches_the_object_oracle(spec, symbols, m_max):
+    # Same nodes, edges, verdict, explored count, depth flag and witness
+    # steps as the frozen object-based builder and BFS; a witness still
+    # re-verifies from scratch.
+    symbols = symbols or seed_symbols(spec)
+    supports = dict(zip(("uv", "uu", "vv"), symbols.supports()))
+    radius = (2 * spec.p + 1) * max(max(map(abs, j)) for j in spec.j_list) + 1
+    radius = radius if spec.d > 1 else None
+    got = build_walk_graph(supports, spec.omega0(), spec.d, j_radius=radius)
+    want = object_walk_graph(supports, spec.omega0(), spec.d, j_radius=radius)
+    assert object_form(got) == (want.nodes, want.edges)
+    assert got.immediate_spirals == want.immediate_spirals
+    verdict, witness, stats = conditions._walk_check(got, spec.omega0(), m_max)
+    assert (verdict, stats) == object_walk_check(want, spec.b, m_max)[::2]
+    oracle = object_walk_check(want, spec.b, m_max)[1]
+    if witness is None:
+        assert oracle is None
+    else:
+        assert (witness.start, witness.steps, witness.total_dn) == \
+            (oracle.start, oracle.steps, oracle.total_dn)
+        assert verify_walk_witness(witness, spec.omega0())
 
 
 # -- integer linear algebra helpers ------------------------------------------

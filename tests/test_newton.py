@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -804,6 +805,26 @@ def test_diophantine_candidates_built_once():
     assert isinstance(first, tuple)
     assert _dio_candidates(2, 7) is first
     assert _dio_table(2, 7, 6.0) is _dio_table(2, 7, 6.0)
+
+
+def loop_dio_candidates(b, n_radius):
+    """The candidate table by a loop over the box: each nonzero n made
+    canonical (first nonzero entry positive), deduplicated, sorted by (sup
+    norm, l1 norm, -n)."""
+    cands = set()
+    for n in itertools.product(range(-n_radius, n_radius + 1), repeat=b):
+        if any(n):
+            lead = next(x for x in n if x)
+            cands.add(n if lead > 0 else tuple(-x for x in n))
+    return tuple(sorted(cands, key=lambda n: (max(map(abs, n)), sum(map(abs, n)),
+                                              tuple(-x for x in n))))
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_diophantine_candidates_equal_the_loop_table(b):
+    from nlsqp.newton import _dio_candidates
+    for n_radius in range(0, 5):
+        assert _dio_candidates(b, n_radius) == loop_dio_candidates(b, n_radius)
 
 
 def scalar_diophantine_scan(omega, delta, gamma, n_radius):
