@@ -437,7 +437,7 @@ def _condition_sections(cfg: RunConfig, symbols: ConvolutionSymbols
     if rank.kernel_vector is not None:
         sections["conditions.rank_test"]["kernel"] = list(rank.kernel_vector)
     if spec.d == 1:
-        oned = oned_check(spec)
+        oned = oned_check(spec, symbols=symbols)
         sections["conditions.oned"] = {
             "verdict": oned.verdict,
             "gamma_plus_size": oned.details["gamma_plus_size"],

@@ -534,20 +534,22 @@ class ConnectedPair:
     cubic_type: bool
 
 
-def oned_check(spec: ProblemSpec) -> ConditionReport:
+def oned_check(spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] = None
+               ) -> ConditionReport:
     """Direct 1d enumeration of the connected-pair equations.
 
     Enumerates Gamma+ (the diagonal symbol support) and Gamma- (the vv
-    symbol support), solves the two connection equations over the integers
-    (on the C+ branch, as the walk graph's source equations), records every
-    solution pair, and fails when a pure time shift occurs or when two
-    overlapping pairs of different spatial step are not both of cubic type
-    (endpoints among +-j_k).
+    symbol support) of `seed_symbols` (built here unless given), solves the
+    two connection equations over the integers (on the C+ branch, as the
+    walk graph's source equations), records every solution pair, and fails
+    when a pure time shift occurs or when two overlapping pairs of
+    different spatial step are not both of cubic type (endpoints among
+    +-j_k).
     """
     if spec.d != 1:
         raise ValueError("oned_check is defined for d = 1 only")
     js = [j for (j,) in spec.j_list]
-    symbols = seed_symbols(spec)
+    symbols = symbols or seed_symbols(spec)
     w = np.array(spec.omega0().as_ints(), dtype=np.int64)
 
     gamma_plus = symbols.uv_p.support()

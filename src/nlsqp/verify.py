@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -134,10 +134,10 @@ def pde_residual(
         grid = (max(2 * int(math.ceil(max_t)) + 1, 16), max(2 * max_j + 1, 9))
     t_points, x_points = grid
     if x_points < 2 * max_j + 1:
-        raise GridTooCoarse(
-            f"need at least {2 * max_j + 1} spatial points per dimension")
+        raise GridTooCoarse(f"need at least {2 * max_j + 1} spatial points "
+                            f"per dimension, got {x_points}")
     if t_points < 2 * max_t:
-        raise GridTooCoarse(f"need at least {math.ceil(2 * max_t)} time points")
+        raise GridTooCoarse(f"need at least {math.ceil(2 * max_t)} time points, got {t_points}")
 
     tg = np.linspace(0.0, 2 * math.pi, t_points, endpoint=False)
     yg = np.linspace(0.0, 2 * math.pi, x_points, endpoint=False)
@@ -198,25 +198,6 @@ def _linear_propagator(symbol: np.ndarray, dt: float) -> np.ndarray:
     return c.astype(complex)[(shift[:, None] - shift) % len(symbol)]
 
 
-def _phase_base(mod2: np.ndarray, p: int, m: float) -> Tuple[np.ndarray, Optional[Callable]]:
-    """(base, refresh) of the nonlinear sub-flow's rotation e^{-i tau base}:
-    after refresh(), base holds mod2 ** p + m of what mod2 holds, bit for
-    bit (numpy's mod2 ** 2 is mod2 * mod2; m = 0 is not added).  For p = 1,
-    m = 0 base is mod2 and refresh is None.  base times the scalar -i tau
-    has real part +0.0, so its exp is the rotation."""
-    if p == 1 and not m:
-        return mod2, None
-    base = np.empty(mod2.shape)
-
-    def refresh():
-        b = mod2 if p == 1 else (np.multiply(mod2, mod2, base) if p == 2
-                                 else np.power(mod2, p, base))
-        if m:
-            np.add(b, m, base)
-
-    return base, refresh
-
-
 def evolve_drift(
     u: SparseSeries,
     omega: FrequencyVector,
@@ -247,16 +228,19 @@ def evolve_drift(
     dense m x m propagator of `_linear_propagator` (one per distinct
     coefficient), which on 16-64 points costs less than an FFT pair; for
     r = 2 it is FFT, multiply, inverse FFT, which also covers the cross
-    terms of B^T B.  A phase flow is one multiply of the real base
-    |phi|^{2p} + m (`_phase_base`) by -i tau into a complex buffer and one
-    exp in place.  So on r <= 1 a stage is six numpy calls (dot, conjugate,
-    multiply, multiply, exp, multiply; one more each for p > 1 and m != 0)
-    into reused buffers.  The l2 mass is read off |phi|^2 after the
-    last stage of every step; a mass that is not finite or drifts by more
-    than 1e-3 raises IntegratorInstability.  Each sampled phi is copied
-    into a preallocated (samples, m^r) array (samples x m^r x 16 bytes:
-    206 KB on tp3); after the loop one fftn over its grid axes and one exp
-    of the (samples, terms) phases give trajectory_error, the largest
+    terms of B^T B, written into the spare buffer.  A phase flow is one
+    complex multiply of the base |phi|^{2p} + m by -i tau (a 0-d array)
+    and one exp in place; the base is |phi|^2 itself for p = 1, m = 0
+    (numpy casts it), else the real half of a complex buffer whose
+    imaginary half stays +0.0 (the cast's bits, no cast).  The six free
+    flows alternate phi and the spare buffer, so phi ends each step in its
+    own.  On r <= 1 a stage is six numpy calls (dot, conjugate, multiply,
+    multiply, exp, multiply; one more each for p > 1 and m != 0).  The l2
+    mass is read off |phi|^2 after the last stage of every step; one that
+    is not finite or drifts by more than 1e-3 raises IntegratorInstability.
+    Each sampled phi is copied into a preallocated (samples, m^r) array
+    (206 KB on tp3); after the loop one fftn over its grid axes and one
+    exp of the (samples, terms) phases give trajectory_error, the largest
     relative l2 gap between phi_hat and the series' own field
     sum_n u_{n,j} e^{i (n.omega) t} on the c bins.
     """
@@ -277,16 +261,18 @@ def evolve_drift(
     freqs = np.meshgrid(*[np.fft.fftfreq(m, d=1.0 / m)] * len(shape), indexing="ij")
     jc = np.array(j0, dtype=float)[:, None] + bmat @ np.stack([f.ravel() for f in freqs])
     symbol = np.sum(jc * jc, axis=0).reshape(shape)
-    # Each free flow (phi, out) -> P phi (a bound dot on r <= 1; FFT,
-    # multiply, inverse FFT on r = 2) and the -i tau of the phase flow after
-    # it.  The sixth phase flow fuses the step's last with the next step's
-    # first, or is only its first half where a sample is taken.
-    flows = {a: _linear_propagator(symbol, a * dt).dot if len(shape) == 1
-             else (lambda f, out, e=np.exp(-1j * symbol * (a * dt)):
-                   np.fft.ifftn(np.fft.fftn(f) * e)) for a in set(S6_FREE)}
+    # The free flow of each stage, phi -> P phi written into the other
+    # buffer: a bound dot on r <= 1; FFT, multiply, inverse FFT on r = 2.
+    props = {a: _linear_propagator(symbol, a * dt).dot if len(shape) == 1
+             else (lambda f, out, e=np.exp(-1j * symbol * (a * dt)): np.fft.ifftn(
+                 np.multiply(np.fft.fftn(f, out=out), e, out), out=out))
+             for a in set(S6_FREE)}
+    flows = [props[a] for a in S6_FREE]
+    # -i tau of each stage's phase flow, as 0-d arrays (numpy converts a
+    # Python scalar on every call); the sixth is fused, or split at a sample.
     tau1 = S6_PHASE[0] * dt
-    inner = [(flows[a], -1j * (b * dt)) for a, b in zip(S6_FREE, S6_PHASE[1:-1])]
-    fused, split = (inner + [(flows[S6_FREE[-1]], -1j * t)] for t in (2.0 * tau1, tau1))
+    ntaus = [np.array(-1j * (b * dt)) for b in S6_PHASE[1:-1]] + [None]
+    fused, split = np.array(-1j * (2.0 * tau1)), np.array(-1j * tau1)
 
     steps = int(round(T / dt))
     # At least 200 samples, and densely enough that no mode advances more
@@ -307,24 +293,36 @@ def evolve_drift(
     phi = np.fft.ifftn(phi) * phi.size  # values on the grid
     snaps = np.empty((len(times),) + shape, dtype=complex)
     snaps[0] = phi
+    # Stage k's free flow writes bufs[k - 1] into bufs[k]; six end in phi.
     spare, sq, rot = np.empty((3,) + shape, dtype=complex)
+    bufs = (spare, phi) * 3
     mod2 = sq.real  # phi conj(phi) is written into sq: mod2 is |phi|^2
-    mul, conj, exp, add = np.multiply, np.conjugate, np.exp, np.add  # looked up once
+    # The rotation's base |phi|^{2p} + m: mod2, or a zeroed complex buffer.
+    p, pm, m0 = spec.p, spec.phase_m, np.array(spec.phase_m)
+    base = mod2 if p == 1 and not pm else np.zeros(shape, dtype=complex)
+    lifted = base.real
+    pw = mod2 if p == 1 else lifted  # |phi|^{2p}
+    mul, conj, exp, add, power = np.multiply, np.conjugate, np.exp, np.add, np.power
     mul(phi, conj(phi, sq), sq)
     mass0 = float(add.reduce(mod2, None))
-    base, refresh = _phase_base(mod2, spec.p, spec.phase_m)
-    if refresh:
-        refresh()
-    mul(phi, exp(mul(base, -1j * tau1, rot), rot), phi)  # the first phase flow
+    if p > 1:  # the first phase flow, with the stage's calls
+        mul(mod2, mod2, lifted) if p == 2 else power(mod2, p, lifted)
+    if pm:
+        add(pw, m0, lifted)
+    mul(phi, exp(mul(base, split, rot), rot), phi)
     mass, sample = mass0, 1
     for step in range(1, steps + 1):
         sampled = step % sample_every == 0 or step == steps
-        for flow, ntau in split if sampled else fused:
-            phi, spare = flow(phi, spare), phi
-            mul(phi, conj(phi, sq), sq)
-            if refresh:
-                refresh()
-            mul(phi, exp(mul(base, ntau, rot), rot), phi)
+        ntaus[5] = split if sampled else fused
+        for k in range(6):
+            x = bufs[k]
+            flows[k](bufs[k - 1], x)
+            mul(x, conj(x, sq), sq)
+            if p > 1:  # the order of numpy's mod2 ** p + m
+                mul(mod2, mod2, lifted) if p == 2 else power(mod2, p, lifted)
+            if pm:
+                add(pw, m0, lifted)
+            mul(x, exp(mul(base, ntaus[k], rot), rot), x)
         # A phase flow leaves |phi|^2 as it is: mod2 still holds it.
         mass = float(add.reduce(mod2, None))
         if not math.isfinite(mass) or (

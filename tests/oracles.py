@@ -2,8 +2,10 @@
 seed equations of a box by index arithmetic, the convexity partition of
 the spatial lattice, re-checks of the witnesses that the admissibility
 conditions report, seed symbols with injected support elements, and the
-object-based walk graph and BFS of condition (ii), and the resonance graph
-built from every site of its box.  The pipeline runs none of them."""
+object-based walk graph and BFS of condition (ii), the resonance graph
+built from every site of its box, and the split-step loop of
+`evolve_drift` frozen as it stood before its stage was rewritten.  The
+pipeline runs none of them."""
 
 from __future__ import annotations
 
@@ -23,6 +25,9 @@ from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
     Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, linear_solution)
 from nlsqp.newton import q_solve
+from nlsqp.verify import (
+    S6_FREE, S6_PHASE, DriftReport, IntegratorInstability, VerifyError,
+    _linear_propagator, _sub_torus)
 
 
 def fd_q_jacobian(spec: ProblemSpec, h: float = 1e-7) -> np.ndarray:
@@ -344,3 +349,116 @@ def box_resonance_graph(spec: ProblemSpec, box: Box) -> ResonanceGraph:
     labels, order, bounds = ordered_components(len(coords), links[0], links[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order, bounds=bounds,
                           spiral_pairs=_spiral_pairs(coords[:, spec.b:], tags, labels))
+
+
+def _phase_base(mod2: np.ndarray, p: int, m: float):
+    """(base, refresh) of the frozen loop's rotation e^{-i tau base}: after
+    refresh(), base holds mod2 ** p + m (mod2 * mod2 for p = 2; m = 0 is
+    not added).  For p = 1, m = 0 base is mod2 and refresh is None."""
+    if p == 1 and not m:
+        return mod2, None
+    base = np.empty(mod2.shape)
+
+    def refresh():
+        b = mod2 if p == 1 else (np.multiply(mod2, mod2, base) if p == 2
+                                 else np.power(mod2, p, base))
+        if m:
+            np.add(b, m, base)
+
+    return base, refresh
+
+
+def frozen_evolve_drift(u: SparseSeries, omega: FrequencyVector, spec: ProblemSpec,
+                        T: float, dt: float) -> DriftReport:
+    """`verify.evolve_drift` as it was before its stage was cut to the numpy
+    call floor: each phase flow multiplies the real base by the complex
+    scalar -i tau (numpy casts the base to complex) and exps in place, a
+    closure refreshes |phi|^{2p} + m, and each stage swaps phi and the spare
+    buffer by tuple.  The loop oracle compares every DriftReport field with
+    it bit for bit."""
+    terms = u.items()
+    j0 = spec.j_list[0]
+    rank, bmat, coords = _sub_torus([s.j for s, _ in terms], spec)
+    if rank > 2:
+        raise VerifyError(
+            f"split-step validator needs a support of rank <= 2, got rank {rank}")
+    max_c = int(np.abs(coords).max())
+    m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_c + 2)))
+    if dt > 0.5:
+        raise IntegratorInstability("dt too large for the phase rotation", 0.1)
+
+    shape = (m,) * bmat.shape[1]
+    freqs = np.meshgrid(*[np.fft.fftfreq(m, d=1.0 / m)] * len(shape), indexing="ij")
+    jc = np.array(j0, dtype=float)[:, None] + bmat @ np.stack([f.ravel() for f in freqs])
+    symbol = np.sum(jc * jc, axis=0).reshape(shape)
+    flows = {a: _linear_propagator(symbol, a * dt).dot if len(shape) == 1
+             else (lambda f, out, e=np.exp(-1j * symbol * (a * dt)):
+                   np.fft.ifftn(np.fft.fftn(f) * e)) for a in set(S6_FREE)}
+    tau1 = S6_PHASE[0] * dt
+    inner = [(flows[a], -1j * (b * dt)) for a, b in zip(S6_FREE, S6_PHASE[1:-1])]
+    fused, split = (inner + [(flows[S6_FREE[-1]], -1j * t)] for t in (2.0 * tau1, tau1))
+
+    steps = int(round(T / dt))
+    max_omega = max(1.0, max(abs(w) for w in omega.omega))
+    max_interval = 0.5 * math.pi / max_omega
+    sample_every = max(1, min(steps // 200, int(max_interval / dt)))
+    times = np.array([0.0] + [s * dt for s in range(1, steps + 1)
+                              if s % sample_every == 0 or s == steps])
+    bins = np.ravel_multi_index(tuple((coords % m).T), shape)
+    term_bins, mode_bins = bins[:len(terms)], bins[len(terms):]
+    term_freqs = np.array([s.n for s, _ in terms], dtype=float) @ np.array(omega.omega)
+    term_vals = np.array([v for _, v in terms], dtype=complex)
+
+    phi = np.zeros(shape, dtype=complex)
+    np.add.at(phi.reshape(-1), term_bins, term_vals)
+    phi = np.fft.ifftn(phi) * phi.size
+    snaps = np.empty((len(times),) + shape, dtype=complex)
+    snaps[0] = phi
+    spare, sq, rot = np.empty((3,) + shape, dtype=complex)
+    mod2 = sq.real
+    mul, conj, exp, add = np.multiply, np.conjugate, np.exp, np.add
+    mul(phi, conj(phi, sq), sq)
+    mass0 = float(add.reduce(mod2, None))
+    base, refresh = _phase_base(mod2, spec.p, spec.phase_m)
+    if refresh:
+        refresh()
+    mul(phi, exp(mul(base, -1j * tau1, rot), rot), phi)
+    mass, sample = mass0, 1
+    for step in range(1, steps + 1):
+        sampled = step % sample_every == 0 or step == steps
+        for flow, ntau in split if sampled else fused:
+            phi, spare = flow(phi, spare), phi
+            mul(phi, conj(phi, sq), sq)
+            if refresh:
+                refresh()
+            mul(phi, exp(mul(base, ntau, rot), rot), phi)
+        mass = float(add.reduce(mod2, None))
+        if not math.isfinite(mass) or (
+                mass0 > 0 and abs(mass - mass0) / mass0 > 1e-3):
+            raise IntegratorInstability(
+                f"mass drifted {abs(mass - mass0) / mass0:.2e} "
+                f"at t={step * dt:.3f}", suggested_dt=dt / 4.0)
+        if sampled:
+            snaps[sample] = phi
+            mul(phi, rot, phi)
+            sample += 1
+
+    ft = np.fft.fftn(snaps, axes=range(1, snaps.ndim)).reshape(len(times), -1) / phi.size
+    modes = ft[:, mode_bins]
+    field = np.zeros_like(ft)
+    np.add.at(field, (slice(None), term_bins),
+              term_vals * np.exp(1j * np.outer(times, term_freqs)))
+    gaps = np.linalg.norm(ft - field, axis=1) / np.linalg.norm(field, axis=1)
+
+    amps_a = np.hypot(modes.real, modes.imag)
+    a0 = amps_a[0]
+    amp_drift = float(np.max(np.abs(amps_a - a0) / np.maximum(a0, 1e-300)))
+    expected = -np.outer(times, np.array(omega.omega))
+    raw = np.arctan2(modes.imag, modes.real)
+    phase_err = np.unwrap(raw - expected, axis=0) - (raw[0] - expected[0])
+    phases_a = raw[0] + expected + phase_err
+    mass_drift = abs(mass - mass0) / mass0 if mass0 > 0 else 0.0
+    return DriftReport(times=times, mode_amps=amps_a, mode_phases=phases_a,
+                       amp_drift=amp_drift, phase_error=phase_err,
+                       mass_drift=mass_drift, trajectory_error=float(gaps.max()),
+                       dt=dt, grid=m, rank=rank)

@@ -267,6 +267,25 @@ def test_solve_decides_admissibility_once(tmp_path, monkeypatch):
     assert calls == [cfg.condition_box()]
 
 
+def test_a_d1_check_convolves_the_seed_once(tmp_path, monkeypatch):
+    # Conditions (i) and (ii), the restricted supports and the 1d check all
+    # read the one set of seed symbols that the check builds.
+    from nlsqp import characteristics, cli, conditions
+    calls = []
+    seed_symbols = characteristics.seed_symbols
+
+    def counted(spec):
+        calls.append(spec)
+        return seed_symbols(spec)
+
+    for mod in (characteristics, cli, conditions):
+        monkeypatch.setattr(mod, "seed_symbols", counted)
+    cfg = parse_config(TP2_CFG)
+    assert run_command("check", cfg, out_path=str(tmp_path / "check.txt")) == EXIT_OK
+    assert "[conditions.oned]" in (tmp_path / "check.txt").read_text()
+    assert calls == [cfg.problem]
+
+
 def test_verify_command(tmp_path):
     cfg = parse_config(TP1_CFG + "\n[verify]\nT = 5.0\ndt = 0.001\n")
     out = str(tmp_path / "out")
@@ -290,8 +309,7 @@ def test_exit_verify_grid_too_coarse(tmp_path, capsys):
     cfg = parse_config(TP1_CFG + "\n[verify]\nx_points = 3\n")
     assert solve_then_verify(tmp_path, cfg) == EXIT_VERIFY
     err = capsys.readouterr().err.strip()
-    assert err.startswith("verify failure: need at least 5 spatial points")
-    assert "\n" not in err
+    assert err == "verify failure: need at least 5 spatial points per dimension, got 3"
 
 
 def test_exit_verify_integrator_instability(tmp_path, capsys):
@@ -990,60 +1008,62 @@ def test_no_module_reads_the_environment():
         assert "environ" not in text and "getenv" not in text, path.name
 
 
-def test_every_public_function_has_a_caller():
-    # A public module-level function is named (called, imported or passed)
-    # somewhere in src/ or scripts/ besides its own def.  The oracles that
-    # only the tests call live in tests/oracles.py.
-    import ast
-    from pathlib import Path
-    root = Path(__file__).resolve().parents[1]
-    package = sorted((root / "src" / "nlsqp").glob("*.py"))
-    defined, named = set(), set()
-    for path in package + sorted((root / "scripts").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        if path in package:
-            defined |= {node.name for node in tree.body
-                        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
-    assert "solve" in defined and "excision_sweep" in named
-    assert defined - named == set()
-
-
-def test_every_public_method_has_a_caller():
-    # A public method of a package class is named somewhere in src/,
-    # scripts/ or bench/ outside its own def: a method only the tests call
-    # leaves the package.
+def _public_defs_and_uses():
+    # The public methods of package classes and the public module-level
+    # functions of the package, as (owner, FunctionDef), with a count of
+    # every name used in src/ or scripts/ (an import is not a use; neither
+    # the tests nor the benchmark are pipeline callers).
     import ast
     from collections import Counter
     root = Path(__file__).resolve().parents[1]
     package = sorted((root / "src" / "nlsqp").glob("*.py"))
-    sources = package + sorted((root / "scripts").glob("*.py")) + sorted(
-        (root / "bench").glob("*.py"))
-
-    def names(tree):
-        return Counter(node.id if isinstance(node, ast.Name) else
-                       node.attr if isinstance(node, ast.Attribute) else node.name
-                       for node in ast.walk(tree)
-                       if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
-
-    named, methods = Counter(), []
-    for path in sources:
+    named, methods, functions = Counter(), [], []
+    for path in package + sorted((root / "scripts").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        named += names(tree)
+        named += _names_used(tree)
         if path in package:
             methods += [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
-                        for fn in cls.body if isinstance(fn, ast.FunctionDef)
-                        and not fn.name.startswith("_")]
-    assert ("SparseSeries", "support") in {(c, fn.name) for c, fn in methods}
-    uncalled = sorted(f"{c}.{fn.name}" for c, fn in methods
-                      if named[fn.name] <= names(fn)[fn.name])
-    assert uncalled == []
+                        for fn in _public_functions(cls.body)]
+            functions += [(path.stem, fn) for fn in _public_functions(tree.body)]
+    return methods, functions, named
+
+
+def _names_used(tree):
+    import ast
+    from collections import Counter
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _public_functions(body):
+    import ast
+    return [fn for fn in body
+            if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
+
+
+def _uncalled(defs, named):
+    return sorted(f"{owner}.{fn.name}" for owner, fn in defs
+                  if named[fn.name] <= _names_used(fn)[fn.name])
+
+
+def test_every_public_function_has_a_caller():
+    # A public module-level function of the package is named somewhere in
+    # src/ or scripts/ outside its own def.  The oracles that only the tests
+    # call live in tests/oracles.py.
+    _, functions, named = _public_defs_and_uses()
+    assert {("verify", "evolve_drift"), ("newton", "solve")} <= {
+        (owner, fn.name) for owner, fn in functions}
+    assert _uncalled(functions, named) == []
+
+
+def test_every_public_method_has_a_caller():
+    # A public method of a package class is named somewhere in src/ or
+    # scripts/ outside its own def: a method only the tests or the benchmark
+    # call leaves the package.
+    methods, _, named = _public_defs_and_uses()
+    assert ("SparseSeries", "support") in {(cls, fn.name) for cls, fn in methods}
+    assert _uncalled(methods, named) == []
 
 
 # Dataclass fields of the package that nothing reads as an attribute, each

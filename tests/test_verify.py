@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -22,12 +23,12 @@ from nlsqp.verify import (
     IntegratorInstability,
     WeightSpec,
     _linear_propagator,
-    _phase_base,
     default_weight,
     evolve_drift,
     pde_residual,
     weighted_norm,
 )
+from oracles import frozen_evolve_drift
 
 
 def test_weight_flat_inside_core():
@@ -509,14 +510,15 @@ def test_pde_residual_on_the_sub_torus_matches_the_x_grid(name, request):
 
 
 def test_pde_residual_time_grid_message_names_the_least_accepted_count(tp3):
-    # The rule is t_points >= 2 max|n.w|; the message rounds that up.
+    # The rule is t_points >= 2 max|n.w|; the message rounds that up and
+    # names the count it was given beside it.
     rep = solved(tp3)
     u, omega = rep.physical_u(), rep.state.omega
-    with pytest.raises(GridTooCoarse, match=r"need at least \d+ time points") as exc:
+    with pytest.raises(GridTooCoarse, match=r"need at least \d+ time points, got 1$") as exc:
         pde_residual(u, omega, tp3, grid=(1, 33))
     need = int(str(exc.value).split()[3])
     assert need == 3
-    with pytest.raises(GridTooCoarse, match=f"need at least {need} time points"):
+    with pytest.raises(GridTooCoarse, match=f"need at least {need} time points, got {need - 1}$"):
         pde_residual(u, omega, tp3, grid=(need - 1, 33))
     assert pde_residual(u, omega, tp3, grid=(need, 33)).t_points == need
 
@@ -537,51 +539,103 @@ def exp_phase(mod2, p, m, tau):
     return np.exp((mod2 ** p + m) * (-1j * tau))
 
 
-def loop_rotation(mod2, p, m, tau):
-    """The rotation as evolve_drift's phase flow takes it: `_phase_base`'s
-    base times the scalar -i tau into a complex buffer, then exp in place."""
-    base, refresh = _phase_base(mod2, p, m)
-    if refresh:
-        refresh()
-    rot = np.empty(mod2.shape, dtype=complex)
-    return np.exp(np.multiply(base, -1j * tau, rot), rot)
-
-
 def assert_same_bits(a, b):
     assert a.dtype == b.dtype == complex and a.shape == b.shape
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-# Phase-flow times of S6 at dt = 0.1 and 0.01, the negative b3 among them.
-PHASE_TAUS = (S6_B[0] * 0.1, 2 * S6_B[0] * 0.1, S6_B[2] * 0.1, S6_B[3] * 0.01)
+def loop_rotations(u, omega, spec, T, dt, monkeypatch):
+    """The rotations evolve_drift's phase flows write (exp in place), each
+    asserted bitwise equal to exp_phase of the |phi|^2 its stage read (phi
+    conj(phi) into a buffer, as the loop takes it) and of its S6 angle: b1 dt
+    first, then per step b2 dt .. b6 dt and 2 b1 dt, or b1 dt where a sample
+    is taken.  Returns (rotations, fused phase flows)."""
+    sampled = set(np.rint(evolve_drift(u, omega, spec, T=T, dt=dt).times[1:] / dt)
+                  .astype(int).tolist())
+    steps = int(round(T / dt))
+    taus = [S6_B[0] * dt]
+    for step in range(1, steps + 1):
+        taus += [b * dt for b in S6_B[1:-1]]
+        taus.append(S6_B[0] * dt if step in sampled else 2 * (S6_B[0] * dt))
+    conj, exp, mod2, rots = np.conjugate, np.exp, [None], []
+
+    def conj_spy(a, *out):
+        if out:  # the stage's |phi|^2
+            sq = np.empty_like(a)
+            np.multiply(a, conj(a, sq), sq)
+            mod2[0] = sq.real
+        return conj(a, *out)
+
+    def exp_spy(a, *out):
+        got = exp(a, *out)
+        if out:  # a rotation
+            assert_same_bits(got, exp_phase(mod2[0], spec.p, spec.phase_m,
+                                            taus[len(rots)]))
+            rots.append(got.copy())
+        return got
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "conjugate", conj_spy)
+        patch.setattr(np, "exp", exp_spy)
+        evolve_drift(u, omega, spec, T=T, dt=dt)
+    assert len(rots) == len(taus)
+    return rots, steps - len(sampled)
 
 
 @pytest.mark.parametrize("name", ["tp2", "tp3"])
-def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_solutions(name, request):
-    spec = request.getfixturevalue(name)
-    psi = initial_field(solved(spec).physical_u(), spec)
-    mod2 = (psi * psi.conj()).real
-    for tau in PHASE_TAUS:
-        assert_same_bits(loop_rotation(mod2, spec.p, spec.phase_m, tau),
-                         exp_phase(mod2, spec.p, spec.phase_m, tau))
+def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_solutions(name, request, monkeypatch):
+    u, omega, spec = evolve_input(name, request)
+    for T, dt in ((40.0, 0.1), (4.0, 0.01)):
+        assert loop_rotations(u, omega, spec, T, dt, monkeypatch)[1] > 0
+
+
+# Seeds of rank d = 1 and 2 for the p/m grid.
+GRID_SEEDS = {1: ([1, 3], [0.6, 0.8]), 2: ([(1, 0), (0, 1), (2, 1)], [0.6, 0.8, 0.5])}
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("m", [0.0, 0.5, 2.0])
 @pytest.mark.parametrize("d", [1, 2])
-def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_random_fields(p, m, d):
+def test_nonlinear_phase_bitwise_equal_to_complex_exp_on_random_fields(p, m, d, monkeypatch):
+    # Random amplitudes on the seed sites; at scale 4 the base reaches the
+    # hundreds (p = 1) to the millions (p = 3).
     rng = np.random.default_rng(100 * p + 10 * d + int(2 * m))
-    shape = (32,) * d
+    js, amps = GRID_SEEDS[d]
+    spec = make_spec(d=d, b=len(js), p=p, delta=1e-3, j_list=js, amplitudes=amps, phase_m=m)
+    omega = spec.omega0()
     for scale in (1e-3, 1.0, 4.0):
-        psi = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        mod2 = (psi * psi.conj()).real
-        for tau in PHASE_TAUS:
-            assert_same_bits(loop_rotation(mod2, p, m, tau), exp_phase(mod2, p, m, tau))
+        vals = scale * (rng.standard_normal(len(js)) + 1j * rng.standard_normal(len(js)))
+        u = SparseSeries(spec.b, d, dict(zip(spec.seed_sites(), vals)))
+        assert loop_rotations(u, omega, spec, 20.0, 0.05, monkeypatch)[1] > 0
 
 
-def test_nonlinear_phase_at_zero_angle_is_bitwise_the_complex_exp():
-    # The real part of base * -i tau is +0.0 and so is its imaginary part at
-    # a zero base, so exp gives exactly 1 + 0j, as exp_phase does.
-    got = loop_rotation(np.zeros(3), 1, 0.0, 5e-3)
-    assert_same_bits(got, exp_phase(np.zeros(3), 1, 0.0, 5e-3))
-    assert np.all(got == 1.0) and not np.any(np.signbit(got.imag))
+def test_nonlinear_phase_at_zero_angle_is_bitwise_the_complex_exp(tp2, tp3, monkeypatch):
+    # Scaled by 1e-170, |phi|^2 underflows to 0 at every point, so every
+    # phase flow of the loop turns by a zero angle.  As in exp_phase, each
+    # rotation is 1 + 0j with an imaginary +0.0 for either sign of tau (a
+    # real product -tau base would give -0.0 where tau > 0).
+    for spec in (tp2, tp3):
+        rep = solved(spec)
+        with np.errstate(invalid="ignore"):  # the field's norm underflows too
+            rots, _ = loop_rotations(rep.physical_u().scale(1e-170), rep.state.omega,
+                                     spec, 1.0, 0.1, monkeypatch)
+        assert len(rots) == 61
+        for rot in rots:
+            assert np.all(rot == 1.0) and not np.any(np.signbit(rot.imag))
+
+
+def assert_same_report(got, want):
+    for f in dataclasses.fields(want):
+        a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+        assert a.tobytes() == b.tobytes(), f.name
+
+
+# The pinned CLI digests cover rank 1 with m = 0 and p <= 2 only; these add
+# a rank-2 support, p = 3 and a mass term.
+@pytest.mark.parametrize("name", ["tp2", "tp3", "rank_two", "p3", "tp3_phase_m"])
+@pytest.mark.parametrize("T, dt", [(100.0, 0.1), (10.0, 1e-2)])
+def test_evolve_drift_bitwise_equal_to_the_frozen_loop(name, T, dt, request):
+    u, omega, spec = evolve_input(name, request)
+    assert_same_report(evolve_drift(u, omega, spec, T=T, dt=dt),
+                       frozen_evolve_drift(u, omega, spec, T=T, dt=dt))
