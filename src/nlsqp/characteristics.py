@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def diff_class_member(
     djsq = sum(a * a for a in dj)
 
     # Every branch leaves the candidates unique and sorted by (l1 norm, j').
-    candidates: Sequence[Tuple[int, ...]] = ()
+    candidates: Iterable[Tuple[int, ...]] = ()
     exhaustive = True  # did we enumerate every possible j'?
 
     if eps1 == eps2:
@@ -176,8 +176,9 @@ def diff_class_member(
         if all(x == 0 for x in dj):
             if c != 0:
                 return Membership("no", reason="pure time shift off the kernel of w0")
-            # Any j' works arithmetically; search small representatives.
-            candidates = _small_j_candidates(d, search_radius)
+            # Any j' works arithmetically; search small representatives,
+            # each row read when it is tried.
+            candidates = map(tuple, map(np.ndarray.tolist, _small_j_table(d, search_radius)))
             exhaustive = False
         elif d == 1:
             twice = 2 * dj[0]
@@ -214,17 +215,12 @@ def diff_class_member(
 
 
 @functools.lru_cache(maxsize=16)
-def _small_j_candidates(d: int, radius: int) -> Tuple[Tuple[int, ...], ...]:
-    """Every j' with |j'|_inf <= radius, sorted by (l1 norm, j').  Built once
-    per (d, radius) and shared by every membership search."""
-    return tuple(sorted(itertools.product(range(-radius, radius + 1), repeat=d),
-                        key=lambda jp: (sum(abs(x) for x in jp), jp)))
-
-
-@functools.lru_cache(maxsize=16)
 def _small_j_table(d: int, radius: int) -> np.ndarray:
-    """`_small_j_candidates` as a read-only (count, d) int64 array."""
-    table = np.array(_small_j_candidates(d, radius), dtype=np.int64).reshape(-1, d)
+    """Every j' with |j'|_inf <= radius as a read-only (count, d) int64
+    array, sorted by (l1 norm, j').  Built once per (d, radius) and shared
+    by every membership search."""
+    grid = np.indices((2 * radius + 1,) * d, dtype=np.int64).reshape(d, -1).T - radius
+    table = grid[np.lexsort((*grid.T[::-1], np.abs(grid).sum(axis=1)))]
     table.setflags(write=False)  # shared by every search through the cache
     return table
 
@@ -556,7 +552,8 @@ def _lattice(spec: ProblemSpec, lo: int, hi: int) -> np.ndarray:
     """The sites sum_k c_k s_k (n = -c, j = sum_k c_k j_k) of every c with
     sum c = 1 and c_1 .. c_{b-1} in [lo, hi]."""
     b = spec.b
-    free = np.array(list(itertools.product(range(lo, hi + 1), repeat=b - 1)), dtype=np.int64)
+    free = np.indices((hi - lo + 1,) * (b - 1), dtype=np.int64).reshape(
+        b - 1, (hi - lo + 1) ** (b - 1)).T + lo
     c = np.concatenate([free, 1 - free.sum(axis=1, keepdims=True)], axis=1)
     return np.concatenate([-c, c @ np.array(spec.j_list, dtype=np.int64).reshape(b, -1)],
                           axis=1)

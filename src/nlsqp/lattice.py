@@ -10,13 +10,22 @@ conjugate flip (n, j) -> (-n, -j) representing complex conjugation.
 
 from __future__ import annotations
 
-import operator
+import itertools
+import struct
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 # Relative threshold below which post-convolution amplitudes are treated as
 # cancellation noise and dropped.
 DROP_TOL = 1e-14
+
+# Convolutions key sites by packed integers: coordinate i of the b + d
+# coordinates (n then j) is field i, most significant first, each 64 bits
+# wide and holding the coordinate plus 2^63.  Integer order is then the
+# lexicographic order of the sites.  A convolved series keeps every
+# coordinate below FIELD_LIMIT in modulus, so the fields of a sum of two
+# sites stay in range and never carry into one another.
+FIELD_LIMIT = 1 << 62
 
 
 class LatticeError(ValueError):
@@ -202,16 +211,19 @@ class SparseSeries:
     """Finite map SiteIndex -> complex amplitude.
 
     Entries with modulus below drop_tol * max modulus are removed, so the
-    support always equals the key set.  Instances are treated as immutable.
+    support always equals the key set.  Instances are treated as immutable,
+    so a convolved series keeps its sorted terms on packed site keys
+    (`_packed_terms`).
     """
 
-    __slots__ = ("b", "d", "_terms")
+    __slots__ = ("b", "d", "_terms", "_packed")
 
     def __init__(self, b: int, d: int, terms: Optional[Dict[SiteIndex, complex]] = None,
                  drop_tol: float = DROP_TOL):
         self.b = b
         self.d = d
         self._terms: Dict[SiteIndex, complex] = {}
+        self._packed: Optional[Tuple[List[Tuple[int, complex]], int]] = None
         if terms:
             cutoff = drop_tol * max(abs(v) for v in terms.values()) if drop_tol else 0.0
             for s, v in terms.items():
@@ -247,6 +259,31 @@ class SparseSeries:
     def norm2(self) -> float:
         return sum(abs(v) ** 2 for _, v in self.items()) ** 0.5
 
+    def _packed_terms(self) -> Tuple[List[Tuple[int, complex]], int]:
+        """The terms as (packed key, value) in ascending key order, which is
+        the order of `items`, and the largest coordinate modulus; packed on
+        first use (`_pack_sites`)."""
+        if self._packed is None:
+            keys, bound = _pack_sites(self._terms, self.b + self.d)
+            self._packed = (sorted(zip(keys, self._terms.values())), bound)
+        return self._packed
+
+    @classmethod
+    def _from_packed(cls, b: int, d: int, terms: Dict[int, complex], bound: int,
+                     drop_tol: float) -> "SparseSeries":
+        """The series of a map from packed keys to values, kept and dropped
+        by the rule of the constructor, in the map's order; bound is at least
+        every coordinate's modulus and below 2^63."""
+        cutoff = drop_tol * max(map(abs, terms.values())) if terms and drop_tol else 0.0
+        kept = {k: v for k, v in terms.items() if v != 0 and abs(v) > cutoff}
+        sites = _unpack_sites(kept, b, d)
+        if bound >= FIELD_LIMIT:
+            bound = _pack_sites(sites, b + d)[1]
+        out = cls(b, d)
+        out._terms = dict(zip(sites, kept.values()))
+        out._packed = (sorted(kept.items()), bound)
+        return out
+
     # -- algebra ------------------------------------------------------------
 
     def _check_compatible(self, other: "SparseSeries"):
@@ -279,33 +316,84 @@ def delta_series(b: int, d: int, s: SiteIndex, amp: complex = 1.0) -> SparseSeri
     return SparseSeries(b, d, {s: complex(amp)})
 
 
+def _site_bias(m: int) -> int:
+    """The packed key of the origin of m coordinates: 2^63 in each field.
+    A key XOR the bias is the big-endian two's complement of the site."""
+    return int.from_bytes(b"\x80\0\0\0\0\0\0\0" * m, "big")
+
+
+def _pack_sites(sites: Iterable[SiteIndex], m: int) -> Tuple[List[int], int]:
+    """The packed keys of sites of m coordinates, and the largest modulus of
+    their coordinates; LatticeError unless it is below FIELD_LIMIT."""
+    coords = [s.n + s.j for s in sites]
+    bound = max(map(abs, itertools.chain.from_iterable(coords)), default=0)
+    if bound >= FIELD_LIMIT:
+        raise LatticeError(f"a site coordinate of modulus {bound} is not below 2^62")
+    pack, bias = struct.Struct(f">{m}q").pack, _site_bias(m)
+    return [int.from_bytes(pack(*c), "big") ^ bias for c in coords], bound
+
+
+def _unpack_sites(keys: Iterable[int], b: int, d: int) -> List[SiteIndex]:
+    """The sites of packed keys whose coordinates lie below 2^63 in modulus."""
+    unpack, bias, width = struct.Struct(f">{b + d}q").unpack, _site_bias(b + d), 8 * (b + d)
+    return [SiteIndex(c[:b], c[b:])
+            for c in map(unpack, [(k ^ bias).to_bytes(width, "big") for k in keys])]
+
+
+def _pair_sums(f_terms: Sequence[Tuple[int, Any]], g_terms: Sequence[Tuple[int, Any]],
+               m: int) -> Dict[int, Any]:
+    """The sorted double loop of a convolution on (packed key, value) lists:
+    out[k] = out.get(k, 0j) + v1 * v2 at the key k = k1 + k2 - bias of the
+    sum site, in the order first reached.  Values may be numbers or arrays."""
+    bias = _site_bias(m)
+    out: Dict[int, Any] = {}
+    get = out.get
+    for k1, v1 in f_terms:
+        k1 -= bias
+        for k2, v2 in g_terms:
+            k = k1 + k2
+            out[k] = get(k, 0j) + v1 * v2
+    return out
+
+
 def convolve(f: SparseSeries, g: SparseSeries, drop_tol: float = DROP_TOL) -> SparseSeries:
     """(f*g)(s) = sum_{s'} f(s') g(s - s').
 
     Accumulation runs over the lexicographically sorted term lists so the
-    floating-point result is reproducible bit for bit; sums are keyed by
-    flat n + j tuples, so one SiteIndex is built per output site.
+    floating-point result is reproducible bit for bit.  Sums are keyed by
+    packed sites (`SparseSeries._packed_terms`), and one SiteIndex is
+    decoded per output site.
     """
     f._check_compatible(g)
-    out: Dict[Tuple[int, ...], complex] = {}
-    g_terms = [(s.n + s.j, v) for s, v in g.items()]
-    add = operator.add
-    for s1, v1 in f.items():
-        k1 = s1.n + s1.j
-        for k2, v2 in g_terms:
-            k = tuple(map(add, k1, k2))
-            out[k] = out.get(k, 0j) + v1 * v2
-    b = f.b
-    return SparseSeries(b, f.d, {SiteIndex(k[:b], k[b:]): v for k, v in out.items()},
-                        drop_tol=drop_tol)
+    (f_terms, f_bound), (g_terms, g_bound) = f._packed_terms(), g._packed_terms()
+    return SparseSeries._from_packed(f.b, f.d, _pair_sums(f_terms, g_terms, f.b + f.d),
+                                     f_bound + g_bound, drop_tol)
+
+
+def convolve_sorted(f_terms: Sequence[Tuple[SiteIndex, Any]],
+                    g_terms: Sequence[Tuple[SiteIndex, Any]], b: int, d: int
+                    ) -> Dict[SiteIndex, Any]:
+    """The sums of `convolve` on two lists of (site, value) in site order,
+    values numbers or arrays, keyed by site in the order first reached and
+    with no drop rule."""
+    packed = [list(zip(_pack_sites([s for s, _ in terms], b + d)[0], [v for _, v in terms]))
+              for terms in (f_terms, g_terms)]
+    out = _pair_sums(*packed, b + d)
+    return dict(zip(_unpack_sites(out, b, d), out.values()))
 
 
 def conv_power(f: SparseSeries, p: int, drop_tol: float = DROP_TOL) -> SparseSeries:
-    """p-fold convolution power; p = 0 is the unit mass at the origin."""
+    """p-fold convolution power; p = 0 is the unit mass at the origin.  The
+    first factor is the convolution of the unit mass with f written out:
+    0j + (1 + 0j) v per term, then the drop rule."""
     if p < 0:
         raise LatticeError("convolution power requires p >= 0")
-    out = delta_series(f.b, f.d, SiteIndex((0,) * f.b, (0,) * f.d))
-    for _ in range(p):
+    if p == 0:
+        return delta_series(f.b, f.d, SiteIndex((0,) * f.b, (0,) * f.d))
+    terms, bound = f._packed_terms()
+    out = SparseSeries._from_packed(f.b, f.d, {k: 0j + (1 + 0j) * v for k, v in terms},
+                                    bound, drop_tol)
+    for _ in range(p - 1):
         out = convolve(out, f, drop_tol=drop_tol)
     return out
 

@@ -40,6 +40,7 @@ from .lattice import (
     SparseSeries,
     conjugate_flip,
     convolve,
+    convolve_sorted,
     default_box,
     linear_solution,
 )
@@ -79,6 +80,8 @@ class IterationState:
     step_index: int
     lattice_radius: int  # R of the step's Lambda_R; for the seed, 2p
     symbols: Optional[ConvolutionSymbols] = None  # from_fields(u, v, p): its products
+    # residual_series at omega, which the residual norms were read from
+    residual: Optional[Tuple[SparseSeries, SparseSeries]] = None
 
 
 @dataclass
@@ -106,21 +109,37 @@ def residual_series(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
     """Full sparse residual of the doubled system at (u, v, omega):
     delta (u*v)^{*p} * u + (n.omega + |j|^2 + m) u, and the same for v with
     -n.omega, the convolutions read from the symbols of (u, v), built here
-    unless given: only the diagonal moves with omega."""
+    unless given: only the diagonal moves with omega.
+
+    Each part is delta g, exact zeros dropped, in g's order, then the
+    nonzero diagonal terms added in site order: the terms and their order
+    of `g.scale(delta).add(diagonal)`, in one pass."""
     symbols = symbols or ConvolutionSymbols.from_fields(u, v, spec.p)
-    m = spec.phase_m
+    delta, m, dot = spec.delta, spec.phase_m, omega.dot
 
     def part(f: SparseSeries, g: SparseSeries, sign: int) -> SparseSeries:
-        diagonal = SparseSeries(f.b, f.d, {s: (sign * omega.dot(s.n) + s.jsq() + m) * val
-                                           for s, val in f.items()}, drop_tol=0.0)
-        return g.scale(spec.delta).add(diagonal)
+        out = {}
+        for s, val in g._terms.items():
+            x = delta * val
+            if x != 0 and abs(x) > 0.0:
+                out[s] = x
+        get = out.get
+        for s, val in f.items():
+            x = (sign * dot(s.n) + s.jsq() + m) * val
+            if x != 0 and abs(x) > 0.0:
+                out[s] = get(s, 0j) + x
+        return SparseSeries(f.b, f.d, out, drop_tol=0.0)
 
     return part(u, symbols.gu, 1), part(v, symbols.gv, -1)
 
 
 def residual_norms(u, v, omega, spec, symbols=None) -> Tuple[float, float]:
     """Plain and weighted (`default_weight`) norms of the whole residual."""
-    fu, fv = residual_series(u, v, omega, spec, symbols)
+    return _norms(*residual_series(u, v, omega, spec, symbols), spec)
+
+
+def _norms(fu: SparseSeries, fv: SparseSeries, spec: ProblemSpec) -> Tuple[float, float]:
+    """Plain and weighted norms of a residual's two parts."""
     weight = default_weight(spec)
     return (math.hypot(fu.norm2(), fv.norm2()),
             math.hypot(weighted_norm(fu, weight), weighted_norm(fv, weight)))
@@ -165,14 +184,20 @@ def newton_step(
     first step, a step that grows the weighted residual more than 1.5-fold
     raises StepRejected.  Each iterate is convolved once: the state
     carries its symbols (built here if it does not) and the new state those
-    of u - du, kept whole however small its entries.
+    of u - du, kept whole however small its entries.  Each iterate's
+    residual is formed once: the step reads the state's own when it was
+    taken at the frequency the step works at, and the new state carries
+    the one its norms are read from.
     """
     u, v = state.u, state.v
     symbols = state.symbols or ConvolutionSymbols.from_fields(u, v, spec.p)
     omega_work = q_solve(u, spec, symbols)
     admissibility_gate(omega_work, spec, box, symbols, eps_second=eps_second)
 
-    fu, fv = residual_series(u, v, omega_work, spec, symbols)
+    if state.residual is not None and state.omega == omega_work:
+        fu, fv = state.residual
+    else:
+        fu, fv = residual_series(u, v, omega_work, spec, symbols)
     radius = _lattice_radius(state.lattice_radius, fu, fv, spec, tol)
     sites = conservation_sites(spec, radius)
     mat, keep = lattice_operator(symbols, omega_work, spec, sites)
@@ -187,7 +212,8 @@ def newton_step(
     v_next = conjugate_flip(u_next)
     symbols_next = ConvolutionSymbols.from_fields(u_next, v_next, spec.p)
     omega_next = q_solve(u_next, spec, symbols_next)
-    plain, weighted = residual_norms(u_next, v_next, omega_next, spec, symbols_next)
+    residual = residual_series(u_next, v_next, omega_next, spec, symbols_next)
+    plain, weighted = _norms(*residual, spec)
 
     if weighted > max(1.5 * state.residual_weighted, 1e-13) and state.step_index > 0:
         raise StepRejected(
@@ -196,7 +222,7 @@ def newton_step(
     return IterationState(u=u_next, v=v_next, omega=omega_next,
                           residual_plain=plain, residual_weighted=weighted,
                           step_index=state.step_index + 1, lattice_radius=radius,
-                          symbols=symbols_next)
+                          symbols=symbols_next, residual=residual)
 
 
 def _lattice_radius(radius: int, fu: SparseSeries, fv: SparseSeries, spec: ProblemSpec,
@@ -368,10 +394,11 @@ def first_iteration(
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
 
-    plain0, weighted0 = residual_norms(u0, v0, omega0, spec, symbols)
+    residual0 = residual_series(u0, v0, omega0, spec, symbols)
+    plain0, weighted0 = _norms(*residual0, spec)
     state0 = IterationState(u=u0, v=v0, omega=omega0, residual_plain=plain0,
                             residual_weighted=weighted0, step_index=0,
-                            lattice_radius=2 * spec.p, symbols=symbols)
+                            lattice_radius=2 * spec.p, symbols=symbols, residual=residual0)
 
     omega1 = q_solve(u0, spec, symbols)
     delta_omega = tuple(w1 - w0 for w1, w0 in zip(omega1.omega, omega0.omega))
@@ -653,15 +680,17 @@ def _batch_drop(terms: BatchSeries) -> BatchSeries:
 
 
 def _batch_convolve(f: BatchSeries, g: BatchSeries) -> BatchSeries:
-    """`lattice.convolve` for N samples at once: the same sorted term order,
-    then the drop rule per sample.  A term dropped from a sample is 0 there,
-    so it adds only signed zeros, which change no nonzero sum."""
-    out: BatchSeries = {}
-    for s1 in sorted(f):
-        for s2 in sorted(g):
-            s = s1 + s2
-            out[s] = out.get(s, 0j) + f[s1] * g[s2]
-    return _batch_drop(out)
+    """`lattice.convolve` for N samples at once: the same sorted term order
+    and sums (`convolve_sorted`), then the drop rule per sample.  A term
+    dropped from a sample is 0 there, so it adds only signed zeros, which
+    change no nonzero sum.
+
+    numpy's complex products equal Python's here only because every seed
+    value is real (imaginary part +-0): numpy may fuse a complex product's
+    multiply and add, and on random complex operands it differs from
+    Python's in the last bit for about 44 % of products."""
+    first = next(iter(f))
+    return _batch_drop(convolve_sorted(sorted(f.items()), sorted(g.items()), first.b, first.d))
 
 
 def _seed_symbols_batch(spec: ProblemSpec, amps: np.ndarray

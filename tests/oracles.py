@@ -3,14 +3,18 @@ seed equations of a box by index arithmetic, the convexity partition of
 the spatial lattice, re-checks of the witnesses that the admissibility
 conditions report, seed symbols with injected support elements, and the
 object-based walk graph and BFS of condition (ii), the resonance graph
-built from every site of its box, and the split-step loop of
-`evolve_drift` frozen as it stood before its stage was rewritten.  The
-pipeline runs none of them."""
+built from every site of its box, the split-step loop of
+`evolve_drift` frozen as it stood before its stage was rewritten, the
+tuple-keyed convolution, convolution power and residual frozen as they
+stood before convolutions keyed sites by packed integers, and the tuple
+list of small spatial modes that the membership search read before its
+table was built in numpy.  The pipeline runs none of them."""
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -23,7 +27,8 @@ from nlsqp.characteristics import (
     resonance_links, seed_symbols, sphere_points)
 from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
-    Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, linear_solution)
+    DROP_TOL, Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, delta_series,
+    linear_solution)
 from nlsqp.newton import q_solve
 from nlsqp.verify import (
     S6_FREE, S6_PHASE, DriftReport, IntegratorInstability, VerifyError,
@@ -462,3 +467,51 @@ def frozen_evolve_drift(u: SparseSeries, omega: FrequencyVector, spec: ProblemSp
                        amp_drift=amp_drift, phase_error=phase_err,
                        mass_drift=mass_drift, trajectory_error=float(gaps.max()),
                        dt=dt, grid=m, rank=rank)
+
+
+def tuple_convolve(f: SparseSeries, g: SparseSeries, drop_tol: float = DROP_TOL
+                   ) -> SparseSeries:
+    """`lattice.convolve` as it stood with sums keyed by flat n + j tuples."""
+    f._check_compatible(g)
+    out: Dict[Tuple[int, ...], complex] = {}
+    g_terms = [(s.n + s.j, v) for s, v in g.items()]
+    add = operator.add
+    for s1, v1 in f.items():
+        k1 = s1.n + s1.j
+        for k2, v2 in g_terms:
+            k = tuple(map(add, k1, k2))
+            out[k] = out.get(k, 0j) + v1 * v2
+    b = f.b
+    return SparseSeries(b, f.d, {SiteIndex(k[:b], k[b:]): v for k, v in out.items()},
+                        drop_tol=drop_tol)
+
+
+def tuple_conv_power(f: SparseSeries, p: int, drop_tol: float = DROP_TOL) -> SparseSeries:
+    """`lattice.conv_power` as it stood: the unit mass convolved p times."""
+    out = delta_series(f.b, f.d, SiteIndex((0,) * f.b, (0,) * f.d))
+    for _ in range(p):
+        out = tuple_convolve(out, f, drop_tol=drop_tol)
+    return out
+
+
+def tuple_residual_series(u: SparseSeries, v: SparseSeries, omega: FrequencyVector,
+                          spec: ProblemSpec) -> Tuple[SparseSeries, SparseSeries]:
+    """`newton.residual_series` as it stood, on symbols built by the
+    tuple-keyed convolution: delta g scaled, then the diagonal added."""
+    uv = tuple_convolve(u, v)
+    uv_p = tuple_convolve(tuple_conv_power(uv, spec.p - 1), uv)
+    m = spec.phase_m
+
+    def part(f: SparseSeries, sign: int) -> SparseSeries:
+        diagonal = SparseSeries(f.b, f.d, {s: (sign * omega.dot(s.n) + s.jsq() + m) * val
+                                           for s, val in f.items()}, drop_tol=0.0)
+        return tuple_convolve(uv_p, f).scale(spec.delta).add(diagonal)
+
+    return part(u, 1), part(v, -1)
+
+
+def small_j_candidates(d: int, radius: int) -> Tuple[Tuple[int, ...], ...]:
+    """Every j' with |j'|_inf <= radius, sorted by (l1 norm, j'), as the
+    membership search's tuple list stood."""
+    return tuple(sorted(itertools.product(range(-radius, radius + 1), repeat=d),
+                        key=lambda jp: (sum(abs(x) for x in jp), jp)))

@@ -15,7 +15,8 @@ from nlsqp.characteristics import (
     sphere_points,
 )
 
-from oracles import box_resonance_graph, build_partition, verify_diff_witness
+from oracles import (
+    box_resonance_graph, build_partition, small_j_candidates, verify_diff_witness)
 
 
 OM_TP2 = FrequencyVector((1.0, 4.0))
@@ -246,12 +247,10 @@ def test_diff_member_cross_class_empty_sphere():
     assert res.status == "no"
 
 
-def uncached_small_j_candidates(d, radius):
-    """A fresh, re-sorted candidate list per call: the oracle for the
-    cached tuple."""
-    out = [tuple(v) for v in itertools.product(range(-radius, radius + 1), repeat=d)]
-    out.sort(key=lambda jp: (sum(abs(x) for x in jp), jp))
-    return out
+def uncached_small_j_table(d, radius):
+    """A fresh table per call, from the sorted tuple list: the oracle for
+    the cached numpy table."""
+    return np.array(small_j_candidates(d, radius), dtype=np.int64).reshape(-1, d)
 
 
 def membership_grid():
@@ -267,9 +266,7 @@ def membership_grid():
 
 def test_diff_class_member_matches_uncached_resorting_oracle(monkeypatch):
     from nlsqp import characteristics
-    assert isinstance(characteristics._small_j_candidates(2, 8), tuple)
-    assert characteristics._small_j_candidates(2, 8) is \
-        characteristics._small_j_candidates(2, 8)
+    assert characteristics._small_j_table(2, 8) is characteristics._small_j_table(2, 8)
     key = lambda jp: (sum(abs(x) for x in jp), jp)
     for delta, omega0, pair in membership_grid():
         # Every candidate, in the order tried: re-sorting changes nothing.
@@ -280,8 +277,7 @@ def test_diff_class_member_matches_uncached_resorting_oracle(monkeypatch):
         monkeypatch.undo()
         assert tried == sorted(set(tried), key=key)
         got = diff_class_member(delta, omega0, pair, search_radius=8)
-        monkeypatch.setattr(characteristics, "_small_j_candidates",
-                            uncached_small_j_candidates)
+        monkeypatch.setattr(characteristics, "_small_j_table", uncached_small_j_table)
         assert diff_class_member(delta, omega0, pair, search_radius=8) == got
         monkeypatch.undo()
 
@@ -401,3 +397,22 @@ def test_conservation_sites_match_brute_force(tp1, tp2, tp3):
             got = conservation_sites(spec, radius)
             assert str(got.dtype) == "int64" and [tuple(r) for r in got.tolist()] == want
             assert set(seeds) <= set(want) and (radius > 0 or sorted(seeds) == want)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_lattice_equals_the_product_build(b):
+    # The np.indices grid gives the rows, dtype and lexicographic c order of
+    # the itertools.product build, b = 1 its single empty prefix included.
+    from nlsqp.characteristics import _lattice
+    for d, j_list in ((1, [1, 2, 4, 7]), (2, [(1, 0), (0, 1), (1, 1), (2, -1)])):
+        spec = make_spec(d=d, b=b, p=1, delta=1e-3, j_list=j_list[:b], amplitudes=[0.5] * b)
+        jmat = np.array(spec.j_list, dtype=np.int64).reshape(b, -1)
+        for radius in range(5):
+            for lo, hi in ((-radius, radius), (-radius, radius + 1)):
+                rows = list(itertools.product(range(lo, hi + 1), repeat=b - 1))
+                free = np.array(rows, dtype=np.int64).reshape(len(rows), b - 1)
+                c = np.concatenate([free, 1 - free.sum(axis=1, keepdims=True)], axis=1)
+                want = np.concatenate([-c, c @ jmat], axis=1)
+                got = _lattice(spec, lo, hi)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)

@@ -321,6 +321,25 @@ def test_exit_verify_integrator_instability(tmp_path, capsys):
     assert "\n" not in err
 
 
+def test_exit_verify_field_underflow(tmp_path, capsys):
+    # tp2's solution scaled by 1e-170: every |u|^2 underflows to 0, so the
+    # drift's relative errors would read 0 / 0.  verify refuses it before
+    # sampling the field, with one line and no RuntimeWarning.
+    import warnings
+    cfg = parse_config(TP2_CFG)
+    out = str(tmp_path / "out")
+    assert run_command("solve", cfg, out_path=out) == EXIT_OK
+    spec, omega, u = read_solution((tmp_path / "out" / "solution.txt").read_text())
+    sol = write(tmp_path, "tiny.txt", write_solution(spec, omega, u.scale(1e-170)))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_command("verify", cfg, out_path=str(tmp_path / "v.txt"), solution=sol)
+    assert code == EXIT_VERIFY and not (tmp_path / "v.txt").exists()
+    assert capsys.readouterr().err == ("verify failure: the solution's mass sum |u|^2 = 0 "
+                                       "underflows; its drift cannot be measured\n")
+
+
 def test_exit_verify_rank_above_two(tmp_path, capsys):
     # The collocation residual runs in any d; the split-step validator
     # integrates on the sub-torus of the support's difference lattice and
@@ -901,7 +920,9 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
         assert [sup for _, sup in gates] == [graph[1], gates[1][1], gates[1][1]] != [graph[1]] * 3
         calls.update(convolve=0, links=[])
     assert counts[0] == counts[1]
-    assert counts[0][0] <= 40
+    # Four sets of products (the seed's and three steps'), six convolutions
+    # each at p = 2, and ten for the seed's Q Jacobian.
+    assert counts[0][0] == 4 * 6 + 10
 
 
 def test_the_names_the_benchmark_reads_exist():

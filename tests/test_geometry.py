@@ -28,7 +28,7 @@ from nlsqp.lattice import (
 from nlsqp.linop import _box_blocks, _copy_signs, _stacks
 from nlsqp.newton import solve
 
-from oracles import build_partition, injected_symbols
+from oracles import build_partition, injected_symbols, small_j_candidates
 from test_characteristics import (
     brute_characteristic_set,
     component_members,
@@ -173,7 +173,7 @@ def loop_diff_class_member(delta, omega0, class_pair, search_radius=30):
         if all(x == 0 for x in dj):
             if c != 0:
                 return M("no", reason="pure time shift off the kernel of w0")
-            candidates = characteristics._small_j_candidates(d, search_radius)
+            candidates = small_j_candidates(d, search_radius)
             exhaustive = False
         elif d == 1:
             twice = 2 * dj[0]
@@ -185,7 +185,7 @@ def loop_diff_class_member(delta, omega0, class_pair, search_radius=30):
             g = characteristics._intlinalg.vector_gcd([2 * x for x in dj])
             if c % g != 0:
                 return M("no", reason="linear constraint has no integer solution")
-            candidates = [jp for jp in characteristics._small_j_candidates(d, search_radius)
+            candidates = [jp for jp in small_j_candidates(d, search_radius)
                           if 2 * sum(a * b for a, b in zip(jp, dj)) == c]
             exhaustive = False
     else:
@@ -559,7 +559,17 @@ def test_small_j_table_is_cached_and_read_only():
     table = characteristics._small_j_table(2, 8)
     assert table is characteristics._small_j_table(2, 8)
     assert table.dtype == np.int64 and not table.flags.writeable
-    assert [tuple(r) for r in table.tolist()] == list(characteristics._small_j_candidates(2, 8))
+    assert [tuple(r) for r in table.tolist()] == list(small_j_candidates(2, 8))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_small_j_table_equals_the_sorted_tuple_list(d):
+    # The numpy build sorts by (l1 norm, j') as the tuple list did, at every
+    # radius up to the membership search's default of 30 (d = 3 up to 12).
+    for radius in [*range(9), 12, *([30] if d < 3 else [])]:
+        table = characteristics._small_j_table(d, radius)
+        assert table.shape == ((2 * radius + 1) ** d, d)
+        assert [tuple(r) for r in table.tolist()] == list(small_j_candidates(d, radius))
 
 
 # -- partition ---------------------------------------------------------------------

@@ -253,3 +253,86 @@ def test_convolve_keeps_the_summation_order_of_the_pairwise_loop(b, d):
         for s2, v2 in g.items():
             out[s1 + s2] = out.get(s1 + s2, 0j) + v1 * v2
     assert bits(SparseSeries(b, d, out)) != bits(convolve(f, g))
+
+
+# -- packed site keys against the tuple-keyed convolution --------------------
+
+# Values with a signed zero part, exact ones, one below the drop threshold
+# and random ones; a series holds no exact zero, so a signed zero can only
+# sit in a real or imaginary part.
+SIGNED_AMPS = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5j, -0.5j, complex(1.0, -0.0), complex(-0.0, 2.0),
+                     complex(-1.5, 0.0), complex(-0.0, -0.25), 1e-15, 3.0 - 2.0j]),
+    amps)
+
+
+@st.composite
+def packed_series_pairs(draw, max_coord=2 ** 40):
+    # Coordinates come from a small pool holding huge values next to -1, 0
+    # and 1, so products land on shared sites with coordinates up to +-2^40.
+    b = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5 - b))
+    pool = draw(st.lists(st.integers(-max_coord, max_coord), min_size=1, max_size=3))
+    coord = st.sampled_from([-1, 0, 1, *pool])
+    sites = st.tuples(st.tuples(*[coord] * b), st.tuples(*[coord] * d))
+
+    def series():
+        terms = draw(st.dictionaries(sites, SIGNED_AMPS, max_size=6))
+        return SparseSeries(b, d, {SiteIndex(n, j): complex(v) for (n, j), v in terms.items()},
+                            drop_tol=0.0)
+
+    return series(), series()
+
+
+def full_bits(f):
+    """Value bits in items() order, then the _terms insertion order."""
+    return bits(f), list(f._terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_series_pairs())
+def test_convolve_is_bitwise_the_tuple_keyed_convolve(pair):
+    from oracles import tuple_convolve
+    f, g = pair
+    for drop_tol in (0.0, DROP_TOL):
+        assert full_bits(convolve(f, g, drop_tol=drop_tol)) == \
+            full_bits(tuple_convolve(f, g, drop_tol=drop_tol))
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_series_pairs(), st.integers(0, 3))
+def test_conv_power_is_bitwise_the_unit_mass_convolved(pair, p):
+    from oracles import tuple_conv_power
+    f, _ = pair
+    for drop_tol in (0.0, DROP_TOL):
+        assert full_bits(conv_power(f, p, drop_tol=drop_tol)) == \
+            full_bits(tuple_conv_power(f, p, drop_tol=drop_tol))
+
+
+@settings(max_examples=100, deadline=None)
+@given(packed_series_pairs(), st.integers(1, 2), st.booleans(),
+       st.floats(-2.0, 2.0), st.sampled_from([0.0, 0.25, -1.0]))
+def test_residual_series_is_bitwise_the_scaled_add(pair, p, integral, shift, phase_m):
+    # An integral omega makes exact zeros of the diagonal common.
+    from nlsqp.lattice import FrequencyVector
+    from nlsqp.newton import residual_series
+    from oracles import tuple_residual_series
+    u, v = pair
+    b, d = u.b, u.d
+    spec = ProblemSpec(d=d, b=b, p=p, delta=1e-3, phase_m=phase_m,
+                       modes=tuple(((k + 1,) + (0,) * (d - 1), 0.5) for k in range(b)))
+    omega = FrequencyVector(tuple(float(k + 1) + (0.0 if integral else shift) for k in range(b)))
+    for got, want in zip(residual_series(u, v, omega, spec),
+                         tuple_residual_series(u, v, omega, spec)):
+        assert full_bits(got) == full_bits(want)
+
+
+def test_convolve_refuses_a_coordinate_outside_the_field_range():
+    from nlsqp.lattice import FIELD_LIMIT, LatticeError
+    near = SparseSeries(1, 1, {site((FIELD_LIMIT - 1,), (0,)): 1.0})
+    assert convolve(near, delta_series(1, 1, site((0,), (-FIELD_LIMIT + 1,)))).support() == \
+        [site((FIELD_LIMIT - 1,), (-FIELD_LIMIT + 1,))]
+    with pytest.raises(LatticeError, match="2\\^62"):  # an operand out of range
+        convolve(delta_series(1, 1, site((0,), (FIELD_LIMIT,))), near)
+    with pytest.raises(LatticeError, match="2\\^62"):  # a product out of range
+        convolve(near, near)

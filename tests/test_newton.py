@@ -336,16 +336,45 @@ def test_solve_tp3(tp3):
 
 
 def test_solve_computes_each_state_residual_once(tp2, monkeypatch):
-    # The seed's residual comes out of first_iteration, not a second call.
+    # Each state's residual series is formed once, the seed's in
+    # first_iteration; the seed's is formed again at the first step's
+    # frequency, and every later step reads the one its state carries.
     from nlsqp import newton
     calls = []
-    real = newton.residual_norms
-    monkeypatch.setattr(newton, "residual_norms",
-                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    real = newton.residual_series
+    monkeypatch.setattr(newton, "residual_series",
+                        lambda *args, **kw: calls.append(args[2]) or real(*args, **kw))
     rep = solve(tp2)
-    assert len(calls) == rep.steps + 1 == len(rep.residual_history)
+    assert len(calls) == rep.steps + 2 == len(rep.residual_history) + 1
+    assert calls[0] == tp2.omega0() != calls[1]
     u0, v0 = linear_solution(tp2)
-    assert rep.residual_history[0] == real(u0, v0, tp2.omega0(), tp2)
+    assert rep.residual_history[0] == residual_norms(u0, v0, tp2.omega0(), tp2)
+
+
+def test_a_later_newton_step_reads_the_residual_its_state_carries(tp3, monkeypatch):
+    # The first step's state carries its residual at its own omega, which
+    # is the frequency the next step works at: that step forms only its new
+    # state's residual, and takes the same step, bit for bit, as one from
+    # a state that carries none.
+    import dataclasses
+    from nlsqp import newton
+    from nlsqp.lattice import default_box
+    box = default_box(tp3)
+    state, _ = first_iteration(tp3)
+    for got, want in zip(state.residual,
+                         residual_series(state.u, state.v, state.omega, tp3, state.symbols)):
+        assert_same_bits(got, want)
+    calls = []
+    real = newton.residual_series
+    monkeypatch.setattr(newton, "residual_series",
+                        lambda *args, **kw: calls.append(args[0]) or real(*args, **kw))
+    nxt = newton_step(state, tp3, box)
+    assert len(calls) == 1 and calls[0] is nxt.u
+    bare = newton_step(dataclasses.replace(state, residual=None), tp3, box)
+    assert len(calls) == 3 and calls[1] is state.u
+    assert_same_bits(nxt.u, bare.u)
+    assert (nxt.omega, nxt.residual_plain, nxt.residual_weighted) == \
+        (bare.omega, bare.residual_plain, bare.residual_weighted)
 
 
 @pytest.mark.parametrize("name, radius, sites", [
