@@ -41,23 +41,19 @@ class CharClass(enum.Enum):
 
 
 # The most sites an enumeration may build: the box inverse and the theta
-# scan enumerate their box, a solve's gate refuses a box above it, and the
-# resonance graph (so check and sweep) enumerates its (n_1 .. n_{b-1}, j) grid.
+# scan enumerate their box, the resonance graph (so check and sweep) its
+# (n_1 .. n_{b-1}, j) grid, and a solve's gate the sites of Lambda in its box
+# (`lattice_in_box`).
 SITE_CAP = 2_000_000
-
-
-def check_site_cap(b: int, d: int, box: Box) -> None:
-    """BoxTooLarge if the box holds more than SITE_CAP sites of b n-axes."""
-    total = box.site_count(b, d)
-    if total > SITE_CAP:
-        raise BoxTooLarge(f"box holds {total} sites of {b} n-axes, past the cap of {SITE_CAP}")
 
 
 def enumerate_box_sites(b: int, d: int, box: Box) -> np.ndarray:
     """Every site of the box as a (count, b + d) int64 array in lexicographic
     order, which is also the order of the box's linear index.  A box of
     more than SITE_CAP sites raises BoxTooLarge before anything is built."""
-    check_site_cap(b, d, box)
+    total = box.site_count(b, d)
+    if total > SITE_CAP:
+        raise BoxTooLarge(f"box holds {total} sites of {b} n-axes, past the cap of {SITE_CAP}")
     ranges = [np.arange(-r, r + 1) for r in [box.n_radius] * b + [box.j_radius] * d]
     out = np.empty([len(r) for r in ranges] + [b + d], dtype=np.int64)
     for axis, values in enumerate(np.ix_(*ranges)):  # broadcast, not copied per axis
@@ -525,12 +521,46 @@ def conservation_sites(spec: ProblemSpec, radius: int) -> np.ndarray:
 
 def lattice_in_box(spec: ProblemSpec, box: Box) -> np.ndarray:
     """The sites of Lambda in a box as a (count, b + d) int64 array, in
-    lexicographic order: every c with sum c = 1 and |c_k| <= n_radius
-    (n = -c), kept where |j|_inf <= j_radius."""
-    sites = _lattice(spec, -box.n_radius, box.n_radius)
-    radii, _ = box_strides(spec.b, spec.d, box)
-    sites = sites[np.all(np.abs(sites) <= radii, axis=1)]
-    return sites[np.lexsort(sites.T[::-1])]
+    lexicographic order: every c with sum c = 1, |c_k| <= n_radius and
+    |j|_inf <= j_radius (n = -c, j = sum_k c_k j_k).
+
+    No candidate grid is built.  c_1 .. c_{b-2} run over their grid, and
+    each bound leaves an interval for c_{b-1}: its own, that of c_b =
+    1 - sum_{k<b} c_k, and each j coordinate, affine in c_{b-1}.  n = -c
+    orders the sites as c descending, so the grid and every interval run
+    down.  The rows are counted before any is built: more than SITE_CAP of
+    them, or a c_1 .. c_{b-2} grid of more than SITE_CAP, raises
+    BoxTooLarge."""
+    b, nr, jr = spec.b, box.n_radius, box.j_radius
+    jmat = np.array(spec.j_list, dtype=np.int64).reshape(b, -1)
+    if b == 1:  # Lambda is the seed site alone
+        seed = np.concatenate([[-1], jmat[0]])[None]
+        return seed[:int(nr >= 1 and np.abs(jmat[0]).max() <= jr)]
+    grid = (2 * nr + 1) ** (b - 2)
+    if grid > SITE_CAP:
+        raise BoxTooLarge(f"Lambda in box {box} needs a grid of {grid} c-prefixes, "
+                          f"past the cap of {SITE_CAP}")
+    prefix = nr - np.indices((2 * nr + 1,) * (b - 2), dtype=np.int64).reshape(b - 2, grid).T
+    rest = 1 - prefix.sum(axis=1)  # c_{b-1} + c_b
+    lo, hi = np.maximum(-nr, rest - nr), np.minimum(nr, rest + nr)
+    # j = base + c_{b-1} (j_{b-1} - j_b), per coordinate.
+    base = jmat[b - 1] + prefix @ (jmat[:b - 2] - jmat[b - 1])
+    for slope, at in zip((jmat[b - 2] - jmat[b - 1]).tolist(), base.T):
+        if slope < 0:
+            slope, at = -slope, -at
+        if slope == 0:
+            hi = np.where(np.abs(at) <= jr, hi, lo - 1)
+        else:
+            lo, hi = np.maximum(lo, -((jr + at) // slope)), np.minimum(hi, (jr - at) // slope)
+    counts = np.maximum(hi - lo + 1, 0)
+    total = int(counts.sum())
+    if total > SITE_CAP:
+        raise BoxTooLarge(f"Lambda in box {box} holds {total} sites, past the cap of {SITE_CAP}")
+    rows = np.repeat(np.arange(grid), counts)
+    step = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
+    free = np.column_stack([prefix[rows], hi[rows] - step])
+    c = np.concatenate([free, 1 - free.sum(axis=1, keepdims=True)], axis=1)
+    return np.concatenate([-c, c @ jmat], axis=1)
 
 
 def lattice_generation(sites: np.ndarray, b: int) -> np.ndarray:

@@ -533,11 +533,18 @@ def cmd_verify(cfg: RunConfig, solution_path: str, out_path: Optional[str]) -> i
         raise SolutionError(f"cannot read {solution_path}: {exc.strerror or exc}") from exc
     spec, omega, u = read_solution(text)
     # The drift is read relative to the field's norm and mass, sums of
-    # |u|^2 that lose their digits below the smallest normal float.
-    mass = sum(abs(val) ** 2 for _, val in u.items())
+    # |u|^2 that lose their digits below the smallest normal float, and
+    # a term whose |u|^2 lies there drops out of them.
+    terms = u.items()
+    mass = sum(abs(val) ** 2 for _, val in terms)
     if mass < sys.float_info.min:
         raise verify.VerifyError(f"the solution's mass sum |u|^2 = {mass:.3g} underflows; "
                                  "its drift cannot be measured")
+    small, val = min(terms, key=lambda term: abs(term[1]))
+    if abs(val) ** 2 < sys.float_info.min:
+        raise verify.VerifyError(f"the solution's term at {small} has |u|^2 = "
+                                 f"{abs(val) ** 2:.3g}, which underflows; its drift "
+                                 "cannot be measured")
     vcfg = cfg.verify
     res = verify.pde_residual(u, omega, spec, grid=(vcfg.t_points, vcfg.x_points))
     drift = verify.evolve_drift(u, omega, spec, T=vcfg.T, dt=vcfg.dt)
@@ -613,9 +620,10 @@ def run_command(cmd: str, config: RunConfig, out_path: Optional[str] = None,
     seed site, or a solution file that is missing or malformed, has a
     non-finite amplitude or misses a seed site), 5 verify failure (grid too
     coarse for the solution, unstable split-step integration, a support
-    whose difference lattice has rank above 2, or a field whose mass
-    underflows), 6 truncation box above the
-    site cap, 7 Newton step rejected (the weighted residual grew), 8
+    whose difference lattice has rank above 2, or a field with a term
+    whose |u|^2 underflows), 6 a box past the site cap (a condition box
+    whose graph grid, or a solve box whose sites of Lambda, number more
+    than SITE_CAP), 7 Newton step rejected (the weighted residual grew), 8
     non-real Q frequency, 9 off-characteristic diagonal too close to zero.
     Each failure prints one line to stderr.
     """

@@ -212,17 +212,19 @@ class SparseSeries:
 
     Entries with modulus below drop_tol * max modulus are removed, so the
     support always equals the key set.  Instances are treated as immutable,
-    so a convolved series keeps its sorted terms on packed site keys
+    so a series sorts its terms once, on first use (`_sorted_terms`), and a
+    convolved series keeps its sorted terms on packed site keys
     (`_packed_terms`).
     """
 
-    __slots__ = ("b", "d", "_terms", "_packed")
+    __slots__ = ("b", "d", "_terms", "_sorted", "_packed")
 
     def __init__(self, b: int, d: int, terms: Optional[Dict[SiteIndex, complex]] = None,
                  drop_tol: float = DROP_TOL):
         self.b = b
         self.d = d
         self._terms: Dict[SiteIndex, complex] = {}
+        self._sorted: Optional[Tuple[Tuple[SiteIndex, complex], ...]] = None
         self._packed: Optional[Tuple[List[Tuple[int, complex]], int]] = None
         if terms:
             cutoff = drop_tol * max(abs(v) for v in terms.values()) if drop_tol else 0.0
@@ -234,12 +236,18 @@ class SparseSeries:
 
     # -- basic access -------------------------------------------------------
 
+    def _sorted_terms(self) -> Tuple[Tuple[SiteIndex, complex], ...]:
+        """The terms in lexicographic site order, sorted on first use."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self._terms.items()))
+        return self._sorted
+
     def items(self) -> List[Tuple[SiteIndex, complex]]:
         """Terms in deterministic (lexicographic) order."""
-        return sorted(self._terms.items())
+        return list(self._sorted_terms())
 
     def support(self) -> List[SiteIndex]:
-        return sorted(self._terms.keys())
+        return [s for s, _ in self._sorted_terms()]
 
     def __getitem__(self, s: SiteIndex) -> complex:
         return self._terms.get(s, 0j)
@@ -257,7 +265,7 @@ class SparseSeries:
         return f"SparseSeries(b={self.b}, d={self.d}, nterms={len(self)})"
 
     def norm2(self) -> float:
-        return sum(abs(v) ** 2 for _, v in self.items()) ** 0.5
+        return sum(abs(v) ** 2 for _, v in self._sorted_terms()) ** 0.5
 
     def _packed_terms(self) -> Tuple[List[Tuple[int, complex]], int]:
         """The terms as (packed key, value) in ascending key order, which is

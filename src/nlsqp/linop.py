@@ -27,7 +27,6 @@ import numpy as np
 from .characteristics import (
     ConvolutionSymbols,
     branch_tags,
-    check_site_cap,
     enumerate_box_sites,
     lattice_generation,
     lattice_in_box,
@@ -168,30 +167,47 @@ def _exclude(order: np.ndarray, bounds: np.ndarray, dropped: np.ndarray
     return order[keep], np.concatenate([[0], np.cumsum(sizes[sizes > 0])])
 
 
-def _lattice_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The resonance components of Lambda (+) -Lambda inside a box.
+@dataclass
+class LatticeBox:
+    """Lambda (+) -Lambda inside a box, as every gate of a solve reads it:
+    it depends on the spec and the box alone (`lattice_box`).
 
     The vertices are the u-copies of the sites of Lambda in the box
     (`lattice_in_box`, lexicographic) with a vanishing seed diagonal n.w0 +
     |j|^2 (`branch_tags`), then the v-copies at their flips, whose seed
     diagonal is the same, in the same order: their doubled box indices
-    ascend.  Links are those of `resonance_links` under the symbols; a
-    component holding a seed equation keeps it (`_seed_mask`).
-
-    Returns (sites, copies, order, bounds, off): vertex i is the copy
-    copies[i] (+1 u, -1 v) of sites[i]; component c is order[bounds[c]:
-    bounds[c + 1]], numbered by its smallest vertex, members ascending; off
-    holds the other sites of Lambda in the box, off the variety.
+    ascend.  Vertex i is the copy copies[i] (+1 u, -1 v) of sites[i], and
+    seeds marks the seed equations among them (`_seed_mask`); off holds
+    the other sites of Lambda in the box, off the variety.
     """
+
+    sites: np.ndarray
+    copies: np.ndarray
+    seeds: np.ndarray
+    off: np.ndarray
+
+
+def lattice_box(spec: ProblemSpec, box: Box) -> LatticeBox:
+    """The `LatticeBox` of a spec in a box.  LinopError if the box misses a
+    seed; BoxTooLarge past SITE_CAP sites of Lambda (`lattice_in_box`)."""
     lam = lattice_in_box(spec, box)
     on = branch_tags(lam, spec.omega0())[1][:len(lam)]
     res = lam[on]
     sites = np.concatenate([res, -res[::-1]])
     copies = np.repeat(np.array([1, -1], dtype=np.int8), len(res))
-    links = resonance_links(box, sites, copies, symbols)
-    _, order, bounds = ordered_components(len(sites), links[0], links[1])
-    return sites, copies, order, bounds, lam[~on]
+    return LatticeBox(sites, copies, _seed_mask(spec, sites, copies), lam[~on])
+
+
+def _lattice_blocks(lat: LatticeBox, box: Box, symbols: ConvolutionSymbols
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """The resonance components of the vertices of Lambda (+) -Lambda in the
+    box, linked by `resonance_links` under the symbols, as (order, bounds):
+    component c is order[bounds[c]:bounds[c + 1]], numbered by its smallest
+    vertex, members ascending.  A component holding a seed equation keeps
+    it."""
+    links = resonance_links(box, lat.sites, lat.copies, symbols)
+    _, order, bounds = ordered_components(len(lat.sites), links[0], links[1])
+    return order, bounds
 
 
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
@@ -211,36 +227,39 @@ def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
 
 
 def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, box: Box,
-                       symbols: ConvolutionSymbols, eps_second: float = 0.5) -> float:
+                       symbols: ConvolutionSymbols, eps_second: float = 0.5,
+                       lattice: Optional[LatticeBox] = None) -> float:
     """The admissibility certificate of the iterate with the given symbols
-    at omega, on Lambda (+) -Lambda inside the box, the only part of the box
-    the iteration moves.
+    at omega, on Lambda (+) -Lambda inside the box (its `LatticeBox`, built
+    here unless given), the only part of the box the iteration moves.
 
     The resonance blocks are those of `_lattice_blocks` off the seed
-    equations.  Every gate of a solve follows a Q solve, so their smallest
-    singular values, by one batched SVD per block size, are thresholded
-    against delta^(1 + eps_second): the first block at or below it raises
-    ExcisionError.  Then a diagonal of Lambda (+) -Lambda off the variety
-    below 0.25 raises OffCharDiagonalError at its first smallest value; a
-    v-copy at -x has the diagonal of the u-copy at x, so the u-copies are
-    read.  Returns the smallest block value, inf with no block.  A box of
-    more than SITE_CAP sites raises BoxTooLarge, as every box-wide build
-    does.
+    equations; with every vertex a seed equation there is none, and no link
+    is looked up.  Every gate of a solve follows a Q solve, so their
+    smallest singular values, by one batched SVD per block size, are
+    thresholded against delta^(1 + eps_second): the first block at or below
+    it raises ExcisionError.  Then a diagonal of Lambda (+) -Lambda off the
+    variety below 0.25 raises OffCharDiagonalError at its first smallest
+    value; a v-copy at -x has the diagonal of the u-copy at x, so the
+    u-copies are read.  Returns the smallest block value, inf with no
+    block.
     """
-    check_site_cap(spec.b, spec.d, box)
-    sites, copies, order, bounds, off = _lattice_blocks(spec, box, symbols)
-    order, bounds = _exclude(order, bounds, _seed_mask(spec, sites, copies))
-    sizes = np.diff(bounds)
-    values = np.empty(len(sizes))
-    for k, stack in _stacks(sites, copies, order, bounds, symbols, omega, spec).items():
-        values[sizes == k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
-    threshold = spec.delta ** (1.0 + eps_second)
-    failing = np.nonzero(values <= threshold)[0]
-    b = spec.b
-    if len(failing):
-        k = int(failing[0])
-        x = sites[order[bounds[k]]]
-        raise ExcisionError(k, float(values[k]), threshold, int(sizes[k]), site(x[:b], x[b:]))
+    lat = lattice or lattice_box(spec, box)
+    sites, copies, off, b = lat.sites, lat.copies, lat.off, spec.b
+    values = np.empty(0)
+    if not lat.seeds.all():
+        order, bounds = _exclude(*_lattice_blocks(lat, box, symbols), lat.seeds)
+        sizes = np.diff(bounds)
+        values = np.empty(len(sizes))
+        for k, stack in _stacks(sites, copies, order, bounds, symbols, omega, spec).items():
+            values[sizes == k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
+        threshold = spec.delta ** (1.0 + eps_second)
+        failing = np.nonzero(values <= threshold)[0]
+        if len(failing):
+            k = int(failing[0])
+            x = sites[order[bounds[k]]]
+            raise ExcisionError(k, float(values[k]), threshold, int(sizes[k]),
+                                site(x[:b], x[b:]))
     if len(off):
         diag = np.abs(_dispersion(off, omega, spec)[0])
         i = int(np.argmin(diag))
@@ -278,7 +297,9 @@ def _box_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
     doubled box index i.  Links are those of `resonance_links`, so no entry
     of F' joins two components, whatever fields gave the symbols.
 
-    Returns (sites, copies, order, bounds) as `_lattice_blocks` does.
+    Returns (sites, copies, order, bounds): vertex i is the copy copies[i]
+    of sites[i], and component c is order[bounds[c]:bounds[c + 1]], as in
+    `_lattice_blocks`.
     """
     coords = enumerate_box_sites(spec.b, spec.d, box)
     sites = np.concatenate([coords, coords])

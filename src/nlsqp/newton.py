@@ -44,7 +44,14 @@ from .lattice import (
     default_box,
     linear_solution,
 )
-from .linop import _gather, admissibility_gate, lattice_inverse, lattice_operator
+from .linop import (
+    LatticeBox,
+    _gather,
+    admissibility_gate,
+    lattice_box,
+    lattice_inverse,
+    lattice_operator,
+)
 from .verify import default_weight, weighted_norm
 
 
@@ -170,12 +177,14 @@ def newton_step(
     box: Box,
     tol: float = 1e-11,
     eps_second: float = 0.5,
+    lattice: Optional[LatticeBox] = None,
 ) -> IterationState:
     """One P-then-Q update.
 
     The step first certifies Lambda (+) -Lambda inside the box at the
     frequency solving the Q equations for the current u
-    (`admissibility_gate`).  The linear solve then runs on Lambda_R, R the
+    (`admissibility_gate`, on the box's `LatticeBox`, built there unless
+    given).  The linear solve then runs on Lambda_R, R the
     state's radius (2p for the seed) grown until at most tol / 2 of the
     weighted residual lies off it (`_lattice_radius`): one dense LU of F'
     there, off the 2b seed equations, so seed amplitudes are anchored
@@ -192,7 +201,7 @@ def newton_step(
     u, v = state.u, state.v
     symbols = state.symbols or ConvolutionSymbols.from_fields(u, v, spec.p)
     omega_work = q_solve(u, spec, symbols)
-    admissibility_gate(omega_work, spec, box, symbols, eps_second=eps_second)
+    admissibility_gate(omega_work, spec, box, symbols, eps_second, lattice)
 
     if state.residual is not None and state.omega == omega_work:
         fu, fv = state.residual
@@ -367,6 +376,7 @@ def first_iteration(
     eps_second: float = 0.5,
     tol: float = 1e-11,
     symbols: Optional[ConvolutionSymbols] = None,
+    lattice: Optional[LatticeBox] = None,
 ) -> Tuple[IterationState, ModulationReport]:
     """Seed -> first corrected state, with the modulation diagnostics.
 
@@ -376,7 +386,8 @@ def first_iteration(
     error term enters the first bound: it must avoid its resonant set off
     the seed support.  The returned delta-omega is the exact first-order
     modulation, evaluated at the seed.  The step reads the seed's
-    `seed_symbols`, built here unless given.  Lambda_R starts at R = 2p,
+    `seed_symbols`, built here unless given, and its gate the box's
+    `LatticeBox`, built by the gate unless given.  Lambda_R starts at R = 2p,
     set by the nonlinearity, not the box: the seed residual delta (u
     v)^{*p} u reaches generation p and the step's coupling delta A p
     generations further, so du is O(delta^2) beyond generation p and the
@@ -407,7 +418,7 @@ def first_iteration(
                               jac_det=float(np.linalg.det(analytic_q_jacobian(spec, symbols))),
                               diophantine=dio, seed_residual=(plain0, weighted0))
 
-    state1 = newton_step(state0, spec, box, tol=tol, eps_second=eps_second)
+    state1 = newton_step(state0, spec, box, tol=tol, eps_second=eps_second, lattice=lattice)
     return state1, report
 
 
@@ -484,15 +495,18 @@ def solve(
     on its Lambda_R.  min_block_value is the final gate's, inf when no
     resonance block of Lambda (+) -Lambda lies in the box.  Each state
     carries its iterate's symbols (the seed's given or built by
-    `first_iteration`)."""
+    `first_iteration`).  Lambda (+) -Lambda inside the box depends on the
+    spec and the box alone, so its `LatticeBox` is built once, here, and
+    every gate reads it."""
     if box is None:
         box = default_box(spec)
     condition_reports = _admissible(spec, box, condition_reports, m_max)
+    lattice = lattice_box(spec, box)
 
     state, modreport = first_iteration(
         spec, box=box, condition_reports=condition_reports,
         kappa=kappa, gamma=gamma, dio_radius=dio_radius, m_max=m_max,
-        eps_second=eps_second, tol=tol, symbols=symbols)
+        eps_second=eps_second, tol=tol, symbols=symbols, lattice=lattice)
 
     u0, v0 = linear_solution(spec)
     omega0 = spec.omega0()
@@ -500,7 +514,7 @@ def solve(
                                           (state.residual_plain, state.residual_weighted)]
 
     while state.residual_weighted > tol and state.step_index < max_iter:
-        state = newton_step(state, spec, box, tol=tol, eps_second=eps_second)
+        state = newton_step(state, spec, box, tol=tol, eps_second=eps_second, lattice=lattice)
         history.append((state.residual_plain, state.residual_weighted))
 
     converged = state.residual_weighted <= tol
@@ -517,7 +531,7 @@ def solve(
     ratios = [r for r, _ in gains]
     quad_c = max((r for r, w_next in gains if w_next > 1e2 * floor), default=None)
 
-    min_block = admissibility_gate(state.omega, spec, box, state.symbols, eps_second)
+    min_block = admissibility_gate(state.omega, spec, box, state.symbols, eps_second, lattice)
     sites = conservation_sites(spec, state.lattice_radius)
     inverse_norm, decay = lattice_inverse(state.symbols, state.omega, spec, sites)
 

@@ -6,9 +6,10 @@ object-based walk graph and BFS of condition (ii), the resonance graph
 built from every site of its box, the split-step loop of
 `evolve_drift` frozen as it stood before its stage was rewritten, the
 tuple-keyed convolution, convolution power and residual frozen as they
-stood before convolutions keyed sites by packed integers, and the tuple
+stood before convolutions keyed sites by packed integers, the tuple
 list of small spatial modes that the membership search read before its
-table was built in numpy.  The pipeline runs none of them."""
+table was built in numpy, and the sites of Lambda in a box filtered from
+the full grid of c-vectors.  The pipeline runs none of them."""
 
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from nlsqp import _intlinalg
 from nlsqp.characteristics import (
-    CharClass, ConvolutionSymbols, ResonanceGraph, _spiral_pairs, box_strides, branch_tags,
-    classify_site, enumerate_box_sites, ordered_components,
+    CharClass, ConvolutionSymbols, ResonanceGraph, _lattice, _spiral_pairs, box_strides,
+    branch_tags, classify_site, enumerate_box_sites, ordered_components,
     resonance_links, seed_symbols, sphere_points)
 from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
@@ -354,6 +355,17 @@ def box_resonance_graph(spec: ProblemSpec, box: Box) -> ResonanceGraph:
     labels, order, bounds = ordered_components(len(coords), links[0], links[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order, bounds=bounds,
                           spiral_pairs=_spiral_pairs(coords[:, spec.b:], tags, labels))
+
+
+def grid_lattice_in_box(spec: ProblemSpec, box: Box) -> np.ndarray:
+    """The sites of Lambda in a box as `lattice_in_box` gives them, built as
+    it was before its intervals: every c of the (2 n_radius + 1)^(b - 1)
+    grid with sum c = 1 (`_lattice`), kept where the site lies in the box,
+    then sorted lexicographically."""
+    sites = _lattice(spec, -box.n_radius, box.n_radius)
+    radii, _ = box_strides(spec.b, spec.d, box)
+    sites = sites[np.all(np.abs(sites) <= radii, axis=1)]
+    return sites[np.lexsort(sites.T[::-1])]
 
 
 def _phase_base(mod2: np.ndarray, p: int, m: float):

@@ -16,7 +16,8 @@ from nlsqp.characteristics import (
 )
 
 from oracles import (
-    box_resonance_graph, build_partition, small_j_candidates, verify_diff_witness)
+    box_resonance_graph, build_partition, grid_lattice_in_box, small_j_candidates,
+    verify_diff_witness)
 
 
 OM_TP2 = FrequencyVector((1.0, 4.0))
@@ -397,6 +398,53 @@ def test_conservation_sites_match_brute_force(tp1, tp2, tp3):
             got = conservation_sites(spec, radius)
             assert str(got.dtype) == "int64" and [tuple(r) for r in got.tolist()] == want
             assert set(seeds) <= set(want) and (radius > 0 or sorted(seeds) == want)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_lattice_in_box_equals_the_grid_build(b):
+    # The intervals of c_{b-1} give the rows, dtype and lexicographic order
+    # of the filtered (2 n_radius + 1)^(b - 1) grid: radius-0 boxes, boxes
+    # that miss Lambda (n_radius 0 holds none of it, as sum c = 1) and modes
+    # whose last two share a coordinate (a j bound on the c_{b-1} prefix
+    # alone) included.
+    from nlsqp.characteristics import lattice_in_box
+    for d, j_list in ((1, [1, 2, 4, 7]), (1, [3, -2, 5, 7]),
+                      (2, [(1, 0), (0, 1), (1, 1), (2, -1)]),
+                      (2, [(1, 2), (-3, 1), (2, 2), (2, -1)])):
+        spec = make_spec(d=d, b=b, p=1, delta=1e-3, j_list=j_list[:b], amplitudes=[0.5] * b)
+        for n_radius, j_radius in itertools.product(range(5), range(5)):
+            box = Box(n_radius, j_radius)
+            want, got = grid_lattice_in_box(spec, box), lattice_in_box(spec, box)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+
+def test_lattice_in_box_counts_its_rows_against_the_cap(tp2, monkeypatch):
+    # Lambda in a box is counted before any row is built: tp2's Box(1.1e6,
+    # 1.1e6) holds 2 199 999 sites of Lambda, 53 MB of rows, and is refused
+    # having allocated well under 1 MB.  The cap is that count, not the box's
+    # size, and a c-prefix grid past the cap is refused before it is built.
+    import tracemalloc
+    from nlsqp import characteristics
+    from nlsqp.characteristics import SITE_CAP, lattice_in_box
+    from nlsqp.lattice import BoxTooLarge
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoxTooLarge, match=f"holds 2199999 sites, past the cap of {SITE_CAP}"):
+            lattice_in_box(tp2, Box(1_100_000, 1_100_000))
+        assert tracemalloc.get_traced_memory()[1] < 1_000_000
+    finally:
+        tracemalloc.stop()
+    b4 = make_spec(d=1, b=4, p=1, delta=1e-3, j_list=[1, 2, 4, 7], amplitudes=[0.5] * 4)
+    with pytest.raises(BoxTooLarge, match="grid of 4004001 c-prefixes"):
+        lattice_in_box(b4, Box(1000, 1))
+    count = len(lattice_in_box(b4, Box(64, 8)))
+    assert count == 43994 and Box(64, 8).site_count(4, 1) > SITE_CAP
+    monkeypatch.setattr(characteristics, "SITE_CAP", count)
+    assert len(lattice_in_box(b4, Box(64, 8))) == count
+    monkeypatch.setattr(characteristics, "SITE_CAP", count - 1)
+    with pytest.raises(BoxTooLarge, match=f"holds {count} sites"):
+        lattice_in_box(b4, Box(64, 8))
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])

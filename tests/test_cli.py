@@ -340,6 +340,24 @@ def test_exit_verify_field_underflow(tmp_path, capsys):
                                        "underflows; its drift cannot be measured\n")
 
 
+def test_exit_verify_term_underflow(tmp_path, capsys):
+    # tp2's solution scaled by 1e-150: its mass is a normal float, but the
+    # |u|^2 of its small modes underflow, and the drift measured without
+    # them read a trajectory_error of 0.1465 (1.8e-11 unscaled).  verify
+    # refuses the smallest such term.
+    cfg = parse_config(TP2_CFG)
+    out = str(tmp_path / "out")
+    assert run_command("solve", cfg, out_path=out) == EXIT_OK
+    spec, omega, u = read_solution((tmp_path / "out" / "solution.txt").read_text())
+    sol = write(tmp_path, "small.txt", write_solution(spec, omega, u.scale(1e-150)))
+    capsys.readouterr()
+    code = run_command("verify", cfg, out_path=str(tmp_path / "v.txt"), solution=sol)
+    assert code == EXIT_VERIFY and not (tmp_path / "v.txt").exists()
+    err = one_line_err(capsys)
+    assert re.fullmatch(r"verify failure: the solution's term at \(-?\d+ -?\d+ \| -?\d+\) has "
+                        r"\|u\|\^2 = \S+, which underflows; its drift cannot be measured", err)
+
+
 def test_exit_verify_rank_above_two(tmp_path, capsys):
     # The collocation residual runs in any d; the split-step validator
     # integrates on the sub-torus of the support's difference lattice and
@@ -446,6 +464,16 @@ j_radius = 9
         "3.162e-05; first member (-1 2 -2 | 5)")
 
 
+B3_CFG = """
+[problem]
+d = 1
+b = 3
+p = 1
+delta = 1e-3
+modes = (1):0.6, (2):0.8, (4):0.5
+"""
+
+
 # Runs nlsqp.cli.main on its arguments and prints the exit code and the
 # peak resident memory of the process in MB.
 RSS_PROBE = """
@@ -464,14 +492,7 @@ def test_exit_excised_b3_default_box(tmp_path):
     import subprocess
     import sys
     from pathlib import Path
-    cfg = write(tmp_path, "b3.cfg", """
-[problem]
-d = 1
-b = 3
-p = 1
-delta = 1e-3
-modes = (1):0.6, (2):0.8, (4):0.5
-""")
+    cfg = write(tmp_path, "b3.cfg", B3_CFG)
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", RSS_PROBE, "solve", cfg, "--out", "out"],
                           env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
@@ -481,6 +502,39 @@ modes = (1):0.6, (2):0.8, (4):0.5
     report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
     assert "min_block_value = 0.00042002" in report
     assert float(peak_mb) < 300
+
+
+def test_b4_default_box_solves_within_150_mb(tmp_path):
+    # Four modes on the 4.7e9-site default box Box(64, 8): the gate reads
+    # only the 43 994 sites of Lambda in it, and its solution is Box(4, 8)'s
+    # byte for byte.  a_4 = 0.38, not 0.4: with a = (0.6, 0.8, 0.5, 0.4)
+    # the first-order shifts resonate exactly (n = (3, -2, 4, -5) has
+    # sum n = 0 and n.a^2 = 0), and the Diophantine scan fails.
+    import subprocess
+    import sys
+    from pathlib import Path
+    text = """
+[problem]
+d = 1
+b = 4
+p = 1
+delta = 1e-3
+modes = (1):0.6, (2):0.8, (4):0.5, (7):0.38
+"""
+    cfg = write(tmp_path, "b4.cfg", text)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE, "solve", cfg, "--out", "out"],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    code, peak_mb = proc.stdout.split()
+    assert int(code) == EXIT_OK, proc.stderr
+    assert float(peak_mb) < 150
+    report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+    assert "diophantine_pass = True" in report
+    small = parse_config(text + "\n[truncation]\nn_radius = 4\nj_radius = 8\n")
+    assert run_command("solve", small, out_path=str(tmp_path / "small")) == EXIT_OK
+    assert (tmp_path / "out" / "solution.txt").read_bytes() == \
+        (tmp_path / "small" / "solution.txt").read_bytes()
 
 
 def test_exit_no_convergence(tmp_path):
@@ -556,7 +610,13 @@ def one_line_err(capsys) -> str:
 
 
 def test_exit_box_too_large(tmp_path, capsys):
+    # A box is refused for what is built in it, not for its size: tp2 solves
+    # on Box(2000, 3), whose 7 sites of Lambda are all the gate reads.  With
+    # j_radius 1 100 000 too, the condition box's (n_1, j) graph grid holds
+    # 19 x 2 200 001 sites, and Lambda in the solve box 2 199 999.
     cfg = parse_config(TP2_CFG + "\n[truncation]\nn_radius = 2000\n")
+    assert run_command("solve", cfg, out_path=str(tmp_path / "small")) == EXIT_OK
+    cfg = parse_config(TP2_CFG + "\n[truncation]\nn_radius = 1100000\nj_radius = 1100000\n")
     code = run_command("solve", cfg, out_path=str(tmp_path / "out"))
     assert code == EXIT_BOX_TOO_LARGE
     assert one_line_err(capsys).startswith("box too large: box holds")
@@ -885,11 +945,13 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
                                                                          monkeypatch):
     # One set of products per iterate (the seed's shared by the checks and
     # the first step) and one set of box links per symbol supports: the
-    # condition (ii) graph links the box's variety under the seed's; each of
-    # the three gates links only the vertices of Lambda (+) -Lambda, under
-    # the seed's supports, then twice under the last step's.  Nothing is
-    # held across commands, so a second identical solve in the same process
-    # does the same work.
+    # condition (ii) graph links the box's variety under the seed's.  A gate
+    # links only the vertices of Lambda (+) -Lambda, and only when one of
+    # them lies off the seed equations: tp3's gates link nothing, and each
+    # of b = 3's three gates on Box(4, 9) links its 8 vertices, under the
+    # seed's supports, then under each step's.  Nothing is held across
+    # commands, so a second identical solve in the same process does the
+    # same work.
     import sys
     from nlsqp import characteristics, lattice
     calls = {"convolve": 0, "links": []}
@@ -915,14 +977,17 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
     for run in ("a", "b"):
         assert run_command("solve", cfg, out_path=str(tmp_path / run)) == EXIT_OK
         counts.append((calls["convolve"], len(calls["links"])))
-        graph, *gates = calls["links"]
-        assert len(gates) == 3 and len({n for n, _ in gates}) == 1 and graph[0] > gates[0][0]
-        assert [sup for _, sup in gates] == [graph[1], gates[1][1], gates[1][1]] != [graph[1]] * 3
+        assert counts[-1][1] == 1  # the graph alone
         calls.update(convolve=0, links=[])
     assert counts[0] == counts[1]
     # Four sets of products (the seed's and three steps'), six convolutions
     # each at p = 2, and ten for the seed's Q Jacobian.
     assert counts[0][0] == 4 * 6 + 10
+    cfg = parse_config(B3_CFG + "\n[truncation]\nn_radius = 4\nj_radius = 9\n")
+    assert run_command("solve", cfg, out_path=str(tmp_path / "b3")) == EXIT_OK
+    graph, *gates = calls["links"]
+    assert len(gates) == 3 and {n for n, _ in gates} == {8} and graph[0] > 8
+    assert gates[0][1] == graph[1] and len({sup for _, sup in gates}) == 3
 
 
 def test_the_names_the_benchmark_reads_exist():
@@ -949,6 +1014,16 @@ def test_the_names_the_benchmark_reads_exist():
                  "cli.write_report"):
         module, attr = name.split(".")
         assert inspect.isfunction(getattr(importlib.import_module(f"nlsqp.{module}"), attr)), name
+
+
+B3_CFG = """
+[problem]
+d = 1
+b = 3
+p = 1
+delta = 1e-3
+modes = (1):0.6, (2):0.8, (4):0.5
+"""
 
 
 # Runs nlsqp.cli.main on its arguments (or only imports nlsqp.cli) and prints

@@ -236,6 +236,26 @@ def test_convolve_is_bitwise_the_pairwise_siteindex_loop(pair):
             bits(pairwise_convolve(f, g, drop_tol))
 
 
+@settings(max_examples=100, deadline=None)
+@given(series_pairs())
+def test_items_and_support_are_the_sorted_terms_after_every_operation(pair):
+    # A series sorts its terms once and keeps them: every read, before and
+    # after the others, gives the sorted terms and a fresh list, on
+    # convolved, added, scaled, restricted and flipped series alike.
+    f, g = pair
+    h = convolve(f, g)
+    for series in (h, conv_power(f, 2), f.add(g), h.add(f), f.scale(0.5j), h.scale(-2.0),
+                   h.restrict(g.support() + h.support()[::2]), conjugate_flip(h)):
+        want = sorted(series._terms.items())
+        for _ in range(2):
+            items, support = series.items(), series.support()
+            assert items == want and support == [s for s, _ in want]
+            items.clear()
+            support.clear()
+        assert list(series) == [s for s, _ in want]
+        assert series.norm2() == sum(abs(v) ** 2 for _, v in want) ** 0.5
+
+
 @pytest.mark.parametrize("b, d", [(1, 1), (2, 2), (3, 1), (1, 3), (3, 3)])
 def test_convolve_keeps_the_summation_order_of_the_pairwise_loop(b, d):
     # Random amplitudes on a small cube: many sites collect three or more

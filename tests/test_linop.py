@@ -33,6 +33,7 @@ from nlsqp.linop import (
     _stacks,
     admissibility_gate,
     box_inverse,
+    lattice_box,
     lattice_inverse,
     lattice_operator,
     theta_spectrum_scan,
@@ -68,9 +69,11 @@ def blocks(case, drop_seed=True):
     the doubled box index of each vertex (`index`), the components (`order`,
     `bounds`) and the dense stacks by size."""
     spec, box, symbols = case.spec, case.box, case.symbols
-    sites, copies, order, bounds, _ = _lattice_blocks(spec, box, symbols)
+    lat = lattice_box(spec, box)
+    sites, copies = lat.sites, lat.copies
+    order, bounds = _lattice_blocks(lat, box, symbols)
     if drop_seed:
-        order, bounds = _exclude(order, bounds, _seed_mask(spec, sites, copies))
+        order, bounds = _exclude(order, bounds, lat.seeds)
     radii, strides = box_strides(spec.b, spec.d, box)
     index = (sites + radii) @ strides + box.site_count(spec.b, spec.d) * (copies < 0)
     stacks = _stacks(sites, copies, order, bounds, symbols, case.omega, spec)

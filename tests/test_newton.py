@@ -151,6 +151,33 @@ def test_no_gate_takes_both_det_and_svd(tp2, tp3, monkeypatch):
     assert sum(math.isfinite(value) for value, _ in per_gate) >= 3
 
 
+def test_a_solve_builds_lambda_in_its_box_once(tp2, tp3, monkeypatch):
+    # Lambda (+) -Lambda in the box depends on the spec and the box alone:
+    # solve builds it once and hands it to every gate, the final one
+    # included, so each solve enumerates Lambda in its box once.
+    from nlsqp import characteristics, linop, newton
+    from nlsqp.lattice import default_box
+    builds, gates = [], []
+    build, enumerate_lambda, gate = linop.lattice_box, characteristics.lattice_in_box, \
+        newton.admissibility_gate
+
+    def counted_gate(*args):
+        gates.append(args[-1])
+        return gate(*args)
+
+    monkeypatch.setattr(linop, "lattice_in_box",
+                        lambda *args: builds.append(args) or enumerate_lambda(*args))
+    monkeypatch.setattr(newton, "admissibility_gate", counted_gate)
+    for spec, box in ((tp2, None), (tp3, None), (B3, Box(4, 9))):
+        builds.clear()
+        gates.clear()
+        report = solve(spec, box=box)
+        assert len(builds) == 1 and len(gates) == report.steps + 1
+        assert all(lat is gates[0] and isinstance(lat, linop.LatticeBox) for lat in gates)
+    # tp2's vertices are its seed equations alone, so its gates link nothing.
+    assert build(tp2, default_box(tp2)).seeds.all()
+
+
 @pytest.mark.parametrize("delta", [1e-5, 1e-6, 1e-8])
 def test_gate_value_means_one_thing_at_every_delta(delta):
     # The gate reads sigma_min at every delta, however close the modulated
@@ -210,16 +237,18 @@ def test_first_iteration_checks_a_missing_condition_report():
 
 
 def test_solve_refuses_an_inadmissible_seed_before_a_box_too_large(tp2):
-    # solve's first gate refuses a box above the site cap only once the seed
-    # is admissible, so a failed verdict wins over it, as in first_iteration.
+    # solve refuses a box whose sites of Lambda pass the site cap (tp2's
+    # Box(1 100 000, 1 100 000) holds 2 199 999) only once the seed is
+    # admissible, so a failed verdict wins over it, as in first_iteration.
     from nlsqp.conditions import ConditionReport
     from nlsqp.lattice import BoxTooLarge
     unknown = {"i": ConditionReport(name="non_intersection", verdict="pass"),
                "ii": ConditionReport(name="non_spiral", verdict="unknown_at_depth")}
     with pytest.raises(ConditionGateError, match=r"condition \(ii\) verdict is unknown"):
-        solve(tp2, box=Box(2000, 3), condition_reports=unknown)
+        solve(tp2, box=Box(1_100_000, 1_100_000), condition_reports=unknown)
     with pytest.raises(BoxTooLarge):
-        solve(tp2, box=Box(2000, 3), condition_reports={**unknown, "ii": unknown["i"]})
+        solve(tp2, box=Box(1_100_000, 1_100_000),
+              condition_reports={**unknown, "ii": unknown["i"]})
 
 
 def test_first_iteration_refuses_tiny_amplitude():
