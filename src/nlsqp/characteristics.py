@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -143,7 +143,7 @@ def _eps(cls: CharClass) -> int:
 
 def diff_class_member(
     delta: SiteIndex,
-    omega0: FrequencyVector,
+    omega0: FrequencyVector | Tuple[int, ...],
     class_pair: Tuple[CharClass, CharClass],
     search_radius: int = 30,
 ) -> Membership:
@@ -155,9 +155,16 @@ def diff_class_member(
     integer n' with n'.w0 = -eps * |j'|^2; the j = 0 sign conditions are
     honored by shifting n' along the kernel of w0.  Exhausting the bounded
     search without a certificate in either direction yields "unknown".
+
+    omega0 is the seed frequencies or their ints (`as_ints()`), which a
+    caller deciding many deltas reads once.  The bounded searches try the
+    j' with |j'|_inf <= search_radius in (l1 norm, j') order, one block of
+    `_small_j_blocks` at a time: a pure time shift tries every row, the
+    hyperplane 2 j'.dj = c the rows that one float64 product over the
+    block's columns keeps.
     """
     eps1, eps2 = _eps(class_pair[0]), _eps(class_pair[1])
-    w = omega0.as_ints()
+    w = omega0 if isinstance(omega0, tuple) else omega0.as_ints()
     d = delta.d
     dn_w = sum(a * b for a, b in zip(delta.n, w))
     dj = delta.j
@@ -174,7 +181,8 @@ def diff_class_member(
                 return Membership("no", reason="pure time shift off the kernel of w0")
             # Any j' works arithmetically; search small representatives,
             # each row read when it is tried.
-            candidates = map(tuple, map(np.ndarray.tolist, _small_j_table(d, search_radius)))
+            candidates = (tuple(jp.tolist()) for block, _ in _small_j_blocks(d, search_radius)
+                          for jp in block)
             exhaustive = False
         elif d == 1:
             twice = 2 * dj[0]
@@ -186,8 +194,11 @@ def diff_class_member(
             g = _intlinalg.vector_gcd([2 * x for x in dj])
             if c % g != 0:
                 return Membership("no", reason="linear constraint has no integer solution")
-            table = _small_j_table(d, search_radius)  # the hyperplane 2 j'.dj = c
-            candidates = [tuple(j) for j in table[2 * (table @ np.array(dj)) == c].tolist()]
+            # The hyperplane j'.dj = c / 2 (g is even).  The products are
+            # sums of integers far below 2^53, so exact in float64.
+            half, djf = c // 2, np.array(dj, dtype=np.float64)
+            candidates = (tuple(jp) for block, cols in _small_j_blocks(d, search_radius)
+                          for jp in block[djf @ cols == half].tolist())
             exhaustive = False
     else:
         rhs = -djsq - 2 * eps1 * dn_w
@@ -210,15 +221,50 @@ def diff_class_member(
     return Membership("unknown", reason="bounded j search exhausted")
 
 
+# The first block of the membership search holds the j' of l1 norm below
+# this; each later block doubles the bound: [0, 8), [8, 16), [16, 32), ...
+J_BLOCK_L1 = 8
+
+
+def _small_j_blocks(d: int, radius: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Every j' with |j'|_inf <= radius, sorted by (l1 norm, j'), one l1
+    range of `J_BLOCK_L1` at a time: per block the read-only (count, d)
+    int64 rows and a read-only (d, count) float64 copy of their columns.
+    Each block is built on its first read and kept per (d, radius)."""
+    built = _built_j_blocks(d, radius)
+    for k in itertools.count():
+        hi = J_BLOCK_L1 << k
+        lo = hi // 2 if k else 0
+        if lo > d * radius:  # every range up to the largest l1 is nonempty
+            return
+        if k == len(built):
+            built.append(_j_block(d, radius, lo, hi))
+        yield built[k]
+
+
 @functools.lru_cache(maxsize=16)
-def _small_j_table(d: int, radius: int) -> np.ndarray:
-    """Every j' with |j'|_inf <= radius as a read-only (count, d) int64
-    array, sorted by (l1 norm, j').  Built once per (d, radius) and shared
-    by every membership search."""
-    grid = np.indices((2 * radius + 1,) * d, dtype=np.int64).reshape(d, -1).T - radius
-    table = grid[np.lexsort((*grid.T[::-1], np.abs(grid).sum(axis=1)))]
-    table.setflags(write=False)  # shared by every search through the cache
-    return table
+def _built_j_blocks(d: int, radius: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """The blocks of `_small_j_blocks` built so far, in order."""
+    return []
+
+
+def _j_block(d: int, radius: int, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The block of `_small_j_blocks` with lo <= l1 < hi, grown one axis at a
+    time over the l1 < hi ball: each prefix row is extended by the values
+    that keep it in the ball, in ascending order, so rows stay
+    lexicographic and no row past the ball is built."""
+    values = np.arange(-min(radius, hi - 1), min(radius, hi - 1) + 1)
+    rows, l1 = np.zeros((1, 0), dtype=np.int64), np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        at, pick = np.nonzero(l1[:, None] + np.abs(values) < hi)
+        rows = np.concatenate([rows[at], values[pick, None]], axis=1)
+        l1 = l1[at] + np.abs(values[pick])
+    keep = np.flatnonzero(l1 >= lo)
+    block = rows[keep[np.argsort(l1[keep], kind="stable")]]  # stable: j' ascending per l1
+    cols = block.T.astype(np.float64, order="C")
+    block.setflags(write=False)  # shared by every search through the cache
+    cols.setflags(write=False)
+    return block, cols
 
 
 def sphere_points(center: Sequence[int], rsq: int) -> List[Tuple[int, ...]]:
@@ -286,9 +332,12 @@ def ordered_components(n: int, rows: np.ndarray, cols: np.ndarray
     Returns the component label of each vertex, the vertices sorted by
     (label, vertex), and the bounds of each component in that order:
     component c is order[bounds[c]:bounds[c + 1]], members ascending.
+    A component's label is the number of `_min_labels` roots (vertices that
+    are their own smallest vertex) below its root, a cumulative count over
+    the vertices with no sort.
     """
     low, _ = _min_labels(n, rows, cols)
-    _, labels = np.unique(low, return_inverse=True)
+    labels = (np.cumsum(low == np.arange(n)) - 1)[low]  # roots counted in vertex order
     order = np.argsort(labels, kind="stable")  # stable: members ascending
     return labels, order, np.concatenate([[0], np.cumsum(np.bincount(labels))])
 

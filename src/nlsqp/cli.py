@@ -257,6 +257,12 @@ def parse_config(text: str) -> RunConfig:
                       ("graph_j_radius", cfg.conditions.graph_j_radius)):
         if val is not None and val <= 0:
             raise ConfigError(f"{name} must be positive")
+    # A negative search radius sizes no j' range; a negative gamma raises
+    # 0.0 to a negative power in the Diophantine weights.
+    for name, val in (("search_radius", cfg.conditions.search_radius),
+                      ("gamma", cfg.newton.gamma)):
+        if val is not None and val < 0:
+            raise ConfigError(f"{name} must be non-negative")
     return cfg
 
 

@@ -127,7 +127,7 @@ class SymbolSupports:
 def symbol_supports(spec: ProblemSpec, search_radius: int = 30,
                     symbols: Optional[ConvolutionSymbols] = None) -> SymbolSupports:
     symbols = symbols or seed_symbols(spec)
-    omega0 = spec.omega0()
+    w = spec.omega0().as_ints()  # read once, not per element
     P, M = CharClass.CPLUS, CharClass.CMINUS
     out = SymbolSupports(gpp=[], gpm=[], gmm=[], gmp=[])
     for name, series, pair in (
@@ -138,7 +138,7 @@ def symbol_supports(spec: ProblemSpec, search_radius: int = 30,
     ):
         bucket = getattr(out, name)
         for delta in series.support():
-            res = diff_class_member(delta, omega0, pair, search_radius=search_radius)
+            res = diff_class_member(delta, w, pair, search_radius=search_radius)
             if res.status == "yes":
                 bucket.append(delta)
                 out.witnesses[(name, delta)] = res.witness

@@ -23,8 +23,8 @@ import numpy as np
 
 from nlsqp import _intlinalg
 from nlsqp.characteristics import (
-    CharClass, ConvolutionSymbols, ResonanceGraph, _lattice, _spiral_pairs, box_strides,
-    branch_tags, classify_site, enumerate_box_sites, ordered_components,
+    CharClass, ConvolutionSymbols, ResonanceGraph, _lattice, _min_labels, _spiral_pairs,
+    box_strides, branch_tags, classify_site, enumerate_box_sites, ordered_components,
     resonance_links, seed_symbols, sphere_points)
 from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
@@ -527,3 +527,20 @@ def small_j_candidates(d: int, radius: int) -> Tuple[Tuple[int, ...], ...]:
     membership search's tuple list stood."""
     return tuple(sorted(itertools.product(range(-radius, radius + 1), repeat=d),
                         key=lambda jp: (sum(abs(x) for x in jp), jp)))
+
+
+def full_small_j_table(d: int, radius: int) -> np.ndarray:
+    """Every j' with |j'|_inf <= radius as one (count, d) int64 array sorted
+    by (l1 norm, j'), built from the whole (2 radius + 1)^d grid, as the
+    membership search's table stood before it was read in l1 blocks."""
+    grid = np.indices((2 * radius + 1,) * d, dtype=np.int64).reshape(d, -1).T - radius
+    return grid[np.lexsort((*grid.T[::-1], np.abs(grid).sum(axis=1)))]
+
+
+def unique_ordered_components(n: int, rows: np.ndarray, cols: np.ndarray):
+    """`ordered_components` with its labels numbered by `np.unique` over the
+    `_min_labels` roots, as it stood before the cumulative count."""
+    low, _ = _min_labels(n, rows, cols)
+    _, labels = np.unique(low, return_inverse=True)
+    order = np.argsort(labels, kind="stable")
+    return labels, order, np.concatenate([[0], np.cumsum(np.bincount(labels))])

@@ -248,10 +248,14 @@ def test_diff_member_cross_class_empty_sphere():
     assert res.status == "no"
 
 
-def uncached_small_j_table(d, radius):
-    """A fresh table per call, from the sorted tuple list: the oracle for
-    the cached numpy table."""
-    return np.array(small_j_candidates(d, radius), dtype=np.int64).reshape(-1, d)
+def uncached_small_j_blocks(d, radius):
+    """Fresh blocks per call, cut from the sorted tuple list at the l1 bounds
+    8, 16, 32, ...: the oracle for the cached numpy blocks."""
+    table = np.array(small_j_candidates(d, radius), dtype=np.int64).reshape(-1, d)
+    l1, hi = np.abs(table).sum(axis=1), 8
+    while len(table):
+        block, table, l1, hi = table[l1 < hi], table[l1 >= hi], l1[l1 >= hi], 2 * hi
+        yield block, block.T.astype(np.float64)
 
 
 def membership_grid():
@@ -267,7 +271,8 @@ def membership_grid():
 
 def test_diff_class_member_matches_uncached_resorting_oracle(monkeypatch):
     from nlsqp import characteristics
-    assert characteristics._small_j_table(2, 8) is characteristics._small_j_table(2, 8)
+    cached = list(characteristics._small_j_blocks(2, 8))
+    assert all(a is b for a, b in zip(cached, characteristics._small_j_blocks(2, 8)))
     key = lambda jp: (sum(abs(x) for x in jp), jp)
     for delta, omega0, pair in membership_grid():
         # Every candidate, in the order tried: re-sorting changes nothing.
@@ -278,7 +283,7 @@ def test_diff_class_member_matches_uncached_resorting_oracle(monkeypatch):
         monkeypatch.undo()
         assert tried == sorted(set(tried), key=key)
         got = diff_class_member(delta, omega0, pair, search_radius=8)
-        monkeypatch.setattr(characteristics, "_small_j_table", uncached_small_j_table)
+        monkeypatch.setattr(characteristics, "_small_j_blocks", uncached_small_j_blocks)
         assert diff_class_member(delta, omega0, pair, search_radius=8) == got
         monkeypatch.undo()
 

@@ -717,6 +717,22 @@ def test_config_rejects_small_sweep(tmp_path, capsys):
     assert one_line_err(capsys) == "config error: n_samples must be at least 100"
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("check", "\n[conditions]\nsearch_radius = -1\n", "search_radius must be non-negative"),
+    ("solve", "\n[conditions]\nsearch_radius = -1\n", "search_radius must be non-negative"),
+    ("solve", "gamma = -1\n", "gamma must be non-negative"),
+    ("sweep", "gamma = -1\n", "gamma must be non-negative"),
+])
+def test_config_refuses_a_negative_search_radius_or_gamma(tmp_path, capsys, command, text,
+                                                          message):
+    # Both used to end in a bare traceback with exit 1: a ValueError from the
+    # j' range, a ZeroDivisionError from 0.0 ** gamma.  TP2_CFG ends in [newton].
+    cfg = write(tmp_path, "bad.cfg", TP2_CFG + text)
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert one_line_err(capsys) == f"config error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_garbage_solution(tmp_path, capsys):
     cfg = write(tmp_path, "a.cfg", TP1_CFG)
     sol = write(tmp_path, "sol.txt", "this is not a solution\n")
@@ -914,6 +930,38 @@ def test_tp3_artifacts_are_byte_identical_to_pinned_digests(tmp_path):
         lines = (tmp_path / name).read_text(encoding="utf-8").splitlines(keepends=True)
         text = "".join(line for line in lines if not line.startswith("generated_at"))
         assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+
+
+def test_d4_check_reads_the_j_search_in_blocks(tmp_path):
+    # A d = 4 seed: the membership search's default radius of 30 spans
+    # 61^4 = 13.8 M j', which a whole-table build held at 988 MB of RSS to
+    # keep a few rows.  Read one l1 block at a time, the search stops in the
+    # first blocks, and check.txt is as the whole table made it.
+    import hashlib
+    import tracemalloc
+    from nlsqp import characteristics
+    from nlsqp.conditions import symbol_supports
+    cfg = parse_config("""
+[problem]
+d = 4
+b = 2
+p = 1
+delta = 1e-3
+modes = (1,0,0,0):0.9, (0,1,0,0):0.35
+""")
+    assert run_command("check", cfg, out_path=str(tmp_path / "check.txt")) == EXIT_OK
+    lines = (tmp_path / "check.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    text = "".join(line for line in lines if not line.startswith("generated_at"))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "74176268b928c5ef2ea876f91152f4b97c50d17e7d35fae53d52ded70bf5411e"
+    characteristics._built_j_blocks.cache_clear()  # build the blocks again
+    tracemalloc.start()
+    try:
+        symbol_supports(cfg.problem, search_radius=cfg.conditions.search_radius)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_a_solve_enumerates_each_box_once(tmp_path, monkeypatch):

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nlsqp import characteristics
 from nlsqp.characteristics import (
@@ -28,7 +28,8 @@ from nlsqp.lattice import (
 from nlsqp.linop import _box_blocks, _copy_signs, _stacks
 from nlsqp.newton import solve
 
-from oracles import build_partition, injected_symbols, small_j_candidates
+from oracles import (build_partition, full_small_j_table, injected_symbols, small_j_candidates,
+                     unique_ordered_components)
 from test_characteristics import (
     brute_characteristic_set,
     component_members,
@@ -555,21 +556,44 @@ def test_diff_class_member_matches_loop_filter():
                 == loop_diff_class_member(delta, omega0, pair, search_radius=8))
 
 
+def small_j_table(d, radius):
+    """The blocks of the membership search concatenated into one table."""
+    return np.concatenate([block for block, _ in characteristics._small_j_blocks(d, radius)])
+
+
 def test_small_j_table_is_cached_and_read_only():
-    table = characteristics._small_j_table(2, 8)
-    assert table is characteristics._small_j_table(2, 8)
-    assert table.dtype == np.int64 and not table.flags.writeable
-    assert [tuple(r) for r in table.tolist()] == list(small_j_candidates(2, 8))
+    # Each block is built once per (d, radius), kept with its float64 columns.
+    first = list(characteristics._small_j_blocks(2, 8))
+    again = list(characteristics._small_j_blocks(2, 8))
+    assert len(first) == 3 and all(a is b for pair in zip(first, again) for a, b in zip(*pair))
+    for block, cols in first:
+        assert block.dtype == np.int64 and not block.flags.writeable
+        assert cols.dtype == np.float64 and not cols.flags.writeable
+        assert cols.flags.c_contiguous and np.array_equal(cols, block.T)
+    assert [tuple(r) for r in small_j_table(2, 8).tolist()] == list(small_j_candidates(2, 8))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_small_j_table_equals_the_sorted_tuple_list(d):
-    # The numpy build sorts by (l1 norm, j') as the tuple list did, at every
-    # radius up to the membership search's default of 30 (d = 3 up to 12).
+    # The blocks, concatenated, sort by (l1 norm, j') as the tuple list did,
+    # at every radius up to the membership search's default of 30 (d = 3 up
+    # to 12), and block k holds the l1 norms in [0, 8), [8, 16), [16, 32) ...
     for radius in [*range(9), 12, *([30] if d < 3 else [])]:
-        table = characteristics._small_j_table(d, radius)
+        table = small_j_table(d, radius)
         assert table.shape == ((2 * radius + 1) ** d, d)
         assert [tuple(r) for r in table.tolist()] == list(small_j_candidates(d, radius))
+        for k, (block, _) in enumerate(characteristics._small_j_blocks(d, radius)):
+            l1 = np.abs(block).sum(axis=1)
+            hi = characteristics.J_BLOCK_L1 << k
+            assert len(block) and l1.min() >= (hi // 2 if k else 0) and l1.max() < hi
+
+
+@pytest.mark.parametrize("d, radius", [*itertools.product([1, 2, 3], range(9)),
+                                       (1, 30), (2, 30)])
+def test_small_j_blocks_concatenate_to_the_full_table(d, radius):
+    got, want = small_j_table(d, radius), full_small_j_table(d, radius)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
 
 
 # -- partition ---------------------------------------------------------------------
@@ -642,6 +666,23 @@ def graphs(draw):
 @given(graphs())
 def test_ordered_components_matches_bfs(graph):
     assert_components_match_bfs(*graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+@example((0, [], []))
+@example((1, [], []))
+@example((1, [0, 0], [0, 0]))
+@example((6, [4, 4, 2], [2, 4, 2]))
+def test_ordered_components_matches_the_unique_numbering(graph):
+    # Labels counted from the roots equal np.unique's numbering of them:
+    # labels with their dtype, order and bounds.
+    n, rows, cols = graph
+    rows, cols = np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)
+    for got, want in zip(ordered_components(n, rows, cols),
+                         unique_ordered_components(n, rows, cols)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n, rows, cols", [
