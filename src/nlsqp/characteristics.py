@@ -3,9 +3,9 @@
 The characteristic variety C = {(n, j) : +-n.w0 + |j|^2 = 0} splits into a
 C+ branch (carrying the u-component of the doubled system) and a C- branch
 (the v-component); sites with j = 0 and n.w0 = 0 satisfy both equations and
-are assigned by the sign of n_1.  On top of the variety live the difference
-classes C^{++}, C^{+-}, C^{-+}, C^{--} and the connectivity graph induced
-by the convolution symbols of the linearized operator.
+are assigned by the sign of n_1 (`branch_tags`).  On top of the variety live
+the difference classes C^{++}, C^{+-}, C^{-+}, C^{--} and the connectivity
+graph induced by the convolution symbols of the linearized operator.
 """
 
 from __future__ import annotations
@@ -91,35 +91,31 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     return np.cumprod([1] + spans[:0:-1])[::-1] @ (cols - lo[:, None])
 
 
-def branch_tags(coords: np.ndarray, omega0: FrequencyVector
+def branch_tags(coords: np.ndarray, omega0: FrequencyVector | Tuple[int, ...]
                 ) -> Tuple[np.ndarray, np.ndarray]:
     """Branch membership of the rows of a (count, b + d) site array: the
     tags, +1 on C+ (n.w0 + |j|^2 = 0), -1 on C- (-n.w0 + |j|^2 = 0) and 0
     off the variety, with C+ at j = 0 for n_1 <= 0 and C- for n_1 > 0; and
     the two branch equations themselves, without that tie-break,
-    concatenated into one (2 count,) mask."""
-    w0 = omega0.as_ints()
+    concatenated into one (2 count,) mask.  This is the package's one
+    tie-break rule.  omega0 is the seed frequencies or their ints."""
+    w0 = omega0 if isinstance(omega0, tuple) else omega0.as_ints()
     b = len(w0)
     cols = coords.T  # column by column: rows are too short to reduce fast
-    nw = sum(w * n for w, n in zip(w0, cols[:b]))
-    jsq = sum(j * j for j in cols[b:])
-    plus_eq, minus_eq = nw + jsq == 0, -nw + jsq == 0
-    # At j = 0 both equations read n.w0 = 0; sign(n_1) picks the branch.
-    free = jsq != 0
-    tags = np.zeros(len(coords), dtype=np.int8)
-    tags[plus_eq & (free | (cols[0] <= 0))] = 1
-    tags[minus_eq & (free | (cols[0] > 0))] = -1
+    nw = sum((w * n for w, n in zip(w0[1:], cols[1:b])), w0[0] * cols[0])
+    jsq = sum((j * j for j in cols[b + 1:]), cols[b] * cols[b])
+    plus_eq, minus_eq = nw == -jsq, nw == jsq
+    # Both equations hold only at j = 0, n.w0 = 0; sign(n_1) picks the branch.
+    tags = plus_eq.view(np.int8) - minus_eq.view(np.int8)
+    both = np.flatnonzero(plus_eq & minus_eq)
+    tags[both] = np.where(cols[0, both] > 0, -1, 1)
     return tags, np.concatenate([plus_eq, minus_eq])
 
 
-# The class of each tag of `branch_tags`.
+# The class of each tag of `branch_tags`, and the tag of each branch (the
+# difference classes are defined for C+ / C- only).
 TAG_CLASS = {1: CharClass.CPLUS, -1: CharClass.CMINUS, 0: CharClass.OFF}
-
-
-def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
-    """`branch_tags` on one site."""
-    tags, _ = branch_tags(np.array([s.n + s.j], dtype=np.int64), omega0)
-    return TAG_CLASS[int(tags[0])]
+CLASS_TAG = {CharClass.CPLUS: 1, CharClass.CMINUS: -1}
 
 
 # ---------------------------------------------------------------------------
@@ -133,92 +129,96 @@ class Membership:
     reason: str = ""
 
 
-def _eps(cls: CharClass) -> int:
-    if cls is CharClass.CPLUS:
-        return 1
-    if cls is CharClass.CMINUS:
-        return -1
-    raise ValueError("difference classes are defined for C+ / C- only")
+LIFT_ROWS = 256  # the most j' a round of `diff_class_members` lifts per search
 
 
-def diff_class_member(
-    delta: SiteIndex,
-    omega0: FrequencyVector | Tuple[int, ...],
-    class_pair: Tuple[CharClass, CharClass],
-    search_radius: int = 30,
-) -> Membership:
-    """Decide delta in {s' - s'' : s' in C^a, s'' in C^b} over the full lattice.
-
-    Intersecting the two branch equations leaves a single constraint on the
-    j-coordinate of s': linear in j' when the classes agree, a sphere when
-    they differ.  Each integer solution j' is then completed (or not) by an
-    integer n' with n'.w0 = -eps * |j'|^2; the j = 0 sign conditions are
-    honored by shifting n' along the kernel of w0.  Exhausting the bounded
-    search without a certificate in either direction yields "unknown".
-
-    omega0 is the seed frequencies or their ints (`as_ints()`), which a
-    caller deciding many deltas reads once.  The bounded searches try the
-    j' with |j'|_inf <= search_radius in (l1 norm, j') order, one block of
-    `_small_j_blocks` at a time: a pure time shift tries every row, the
-    hyperplane 2 j'.dj = c the rows that one float64 product over the
-    block's columns keeps.
-    """
-    eps1, eps2 = _eps(class_pair[0]), _eps(class_pair[1])
+def diff_class_members(queries: Sequence[Tuple[SiteIndex, Tuple[CharClass, CharClass]]],
+                       omega0: FrequencyVector | Tuple[int, ...], search_radius: int = 30
+                       ) -> List[Membership]:
+    """Decide delta in {s' - s'' : s' in C^a, s'' in C^b} over the full
+    lattice for each query (delta, (C^a, C^b)): "yes" with the first j' of
+    `_j_search` that an n' completes to s' = (n', j') and s'' = s' - delta
+    on their branches (`lift_chains`), "unknown" when a bounded search runs
+    out.  Rounds lift the next 1, 2, 4 .. LIFT_ROWS j' of every undecided
+    search in one call.  omega0 is the seed frequencies or their ints."""
     w = omega0 if isinstance(omega0, tuple) else omega0.as_ints()
-    d = delta.d
-    dn_w = sum(a * b for a, b in zip(delta.n, w))
-    dj = delta.j
-    djsq = sum(a * a for a in dj)
+    out: List[Optional[Membership]] = [None] * len(queries)
+    searches = {}
+    for k, (delta, pair) in enumerate(queries):
+        eps = (CLASS_TAG[pair[0]], CLASS_TAG[pair[1]])
+        found = _j_search(delta, w, *eps, search_radius)
+        if isinstance(found, Membership):
+            out[k] = found
+        else:
+            searches[k] = (delta, eps, iter(found[0]), found[1])
+    size = 1
+    while searches:
+        chains, want, tried = [], [], []
+        for k, (delta, eps, candidates, exhaustive) in searches.items():
+            jps = list(itertools.islice(candidates, size))
+            if not jps:
+                out[k] = (Membership("no", reason="all solutions fail the frequency divisibility")
+                          if exhaustive else
+                          Membership("unknown", reason="bounded j search exhausted"))
+                continue
+            tried.append((k, len(jps)))
+            # s' = (n', j') and s'' = s' - delta, as n-offsets from n' and modes.
+            back = tuple(-x for x in delta.n)
+            chains += [((0,) * len(w) + jp, back + tuple(a - b for a, b in zip(jp, delta.j)))
+                       for jp in jps]
+            want += [eps] * len(jps)
+        if chains:
+            lifts, start = lift_chains(np.array(chains), np.array(want), w), 0
+            for k, count in tried:
+                sites = next(filter(None, lifts[start:start + count]), None)
+                if sites:
+                    out[k] = Membership("yes", witness=tuple(sites))
+                start += count
+        searches = {k: q for k, q in searches.items() if out[k] is None}
+        size = min(2 * size, LIFT_ROWS)
+    return out
 
-    # Every branch leaves the candidates unique and sorted by (l1 norm, j').
-    candidates: Iterable[Tuple[int, ...]] = ()
-    exhaustive = True  # did we enumerate every possible j'?
 
+def _j_search(delta: SiteIndex, w: Tuple[int, ...], eps1: int, eps2: int,
+              search_radius: int) -> Membership | Tuple[Iterable[Tuple[int, ...]], bool]:
+    """The j' whose s' = (n', j') on the eps1 branch and s'' = s' - delta
+    on the eps2 branch meet their branch equations, unique and in (l1 norm,
+    j') order, and whether they are all; or the Membership decided with no
+    j' to lift.  The equations leave one constraint on j': linear when the
+    classes agree, a sphere when they differ.  Bounded searches read the j'
+    of |j'|_inf <= search_radius from `_small_j_blocks`: a pure time shift
+    every row, the hyperplane 2 j'.dj = c the rows one float64 product
+    over a block keeps."""
+    d, dj = delta.d, delta.j
+    dn_w, djsq = sum(a * b for a, b in zip(delta.n, w)), sum(a * a for a in dj)
     if eps1 == eps2:
         c = djsq - eps1 * dn_w
         if all(x == 0 for x in dj):
             if c != 0:
                 return Membership("no", reason="pure time shift off the kernel of w0")
-            # Any j' works arithmetically; search small representatives,
-            # each row read when it is tried.
-            candidates = (tuple(jp.tolist()) for block, _ in _small_j_blocks(d, search_radius)
-                          for jp in block)
-            exhaustive = False
-        elif d == 1:
-            twice = 2 * dj[0]
-            if c % twice == 0:
-                candidates = [(c // twice,)]
-            else:
+            # Any j' works arithmetically; search small representatives.
+            return (tuple(jp.tolist()) for block, _ in _small_j_blocks(d, search_radius)
+                    for jp in block), False
+        if d == 1:
+            if c % (2 * dj[0]) != 0:
                 return Membership("no", reason="linear constraint has no integer solution")
-        else:
-            g = _intlinalg.vector_gcd([2 * x for x in dj])
-            if c % g != 0:
-                return Membership("no", reason="linear constraint has no integer solution")
-            # The hyperplane j'.dj = c / 2 (g is even).  The products are
-            # sums of integers far below 2^53, so exact in float64.
-            half, djf = c // 2, np.array(dj, dtype=np.float64)
-            candidates = (tuple(jp) for block, cols in _small_j_blocks(d, search_radius)
-                          for jp in block[djf @ cols == half].tolist())
-            exhaustive = False
-    else:
-        rhs = -djsq - 2 * eps1 * dn_w
-        if rhs < 0:
-            return Membership("no", reason="sphere constraint is empty")
-        if math.isqrt(rhs) > 4 * search_radius:
-            return Membership("unknown", reason="sphere radius exceeds the search bound")
-        candidates = sorted(sphere_points(dj, rhs),
-                            key=lambda jp: (sum(abs(x) for x in jp), jp))
-        if not candidates:
-            return Membership("no", reason="no lattice point on the sphere")
-
-    for jp in candidates:
-        jpp = tuple(a - b for a, b in zip(jp, dj))
-        wit = _complete_witness(jp, jpp, delta, w, eps1, eps2)
-        if wit is not None:
-            return Membership("yes", witness=wit)
-    if exhaustive:
-        return Membership("no", reason="all solutions fail the frequency divisibility")
-    return Membership("unknown", reason="bounded j search exhausted")
+            return [(c // (2 * dj[0]),)], True
+        if c % _intlinalg.vector_gcd([2 * x for x in dj]) != 0:
+            return Membership("no", reason="linear constraint has no integer solution")
+        # The hyperplane j'.dj = c / 2 (the gcd is even).  The products are
+        # sums of integers far below 2^53, so exact in float64.
+        half, djf = c // 2, np.array(dj, dtype=np.float64)
+        return (tuple(jp) for block, cols in _small_j_blocks(d, search_radius)
+                for jp in block[djf @ cols == half].tolist()), False
+    rhs = -djsq - 2 * eps1 * dn_w
+    if rhs < 0:
+        return Membership("no", reason="sphere constraint is empty")
+    if math.isqrt(rhs) > 4 * search_radius:
+        return Membership("unknown", reason="sphere radius exceeds the search bound")
+    points = sorted(sphere_points(dj, rhs), key=lambda jp: (sum(abs(x) for x in jp), jp))
+    if not points:
+        return Membership("no", reason="no lattice point on the sphere")
+    return points, True
 
 
 # The first block of the membership search holds the j' of l1 norm below
@@ -282,46 +282,49 @@ def sphere_points(center: Sequence[int], rsq: int) -> List[Tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=16)
-def kernel_shifts(w: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
-    """The n-shifts along the integer kernel of w tried when a j is lifted
-    to a site: zero, then the kernel-basis combinations whose largest
-    coefficient is 1, 2 and 3 in turn."""
-    kernel = _intlinalg.kernel_basis([list(w)])
-    shifts = [tuple(0 for _ in w)]
-    for r in range(1, 4):
-        for combo in itertools.product(range(-r, r + 1), repeat=len(kernel)):
-            if max((abs(c) for c in combo), default=0) != r:
-                continue
-            shifts.append(tuple(sum(c * k[i] for c, k in zip(combo, kernel))
-                                for i in range(len(w))))
-    return tuple(shifts)
+def _lift_basis(w: Tuple[int, ...]) -> Tuple[int, np.ndarray, np.ndarray, int, int]:
+    """gcd(w), one Bezout vector x0 (`solve_dot(w, gcd(w))`, so x0.w =
+    gcd(w)) and the n-shifts along the integer kernel of w that a lift
+    tries, read-only int64: zero, then the kernel-basis combinations whose
+    largest coefficient is 1, 2 and 3 in turn; and the largest |entry| of
+    x0 and of the shifts.  solve_dot is linear in its target, so
+    (t // gcd(w)) x0 is solve_dot(w, t) for every t it solves."""
+    g = _intlinalg.vector_gcd(w)
+    kernel = np.array(_intlinalg.kernel_basis([list(w)]), dtype=np.int64).reshape(-1, len(w))
+    combos = sorted(itertools.product(range(-3, 4), repeat=len(kernel)),  # stable: by max |c|
+                    key=lambda combo: max(map(abs, combo), default=0))
+    x0 = np.array(_intlinalg.solve_dot(w, g), dtype=np.int64)
+    shifts = np.array(combos, dtype=np.int64).reshape(len(combos), len(kernel)) @ kernel
+    for a in (x0, shifts):
+        a.setflags(write=False)
+    return g, x0, shifts, int(np.abs(x0).max()), int(np.abs(shifts).max())
 
 
-def _complete_witness(jp, jpp, delta, w, eps1, eps2):
-    """Find n' realizing s' = (n', jp) in the eps1 branch with s'' = s' - delta
-    in the eps2 branch, or None."""
-    target = -eps1 * sum(a * a for a in jp)
-    base = _intlinalg.solve_dot(w, target)
-    if base is None:
-        return None
-
-    def ok(nvec) -> bool:
-        n1 = nvec[0]
-        if all(x == 0 for x in jp):
-            if (eps1 == 1 and n1 > 0) or (eps1 == -1 and n1 <= 0):
-                return False
-        n2 = tuple(a - b for a, b in zip(nvec, delta.n))
-        if all(x == 0 for x in jpp):
-            if (eps2 == 1 and n2[0] > 0) or (eps2 == -1 and n2[0] <= 0):
-                return False
-        return True
-
-    for sh in kernel_shifts(w):
-        cand = tuple(a + b for a, b in zip(base, sh))
-        if ok(cand):
-            s1 = SiteIndex(cand, tuple(jp))
-            return s1, s1 - delta
-    return None
+def lift_chains(chains: np.ndarray, want: np.ndarray, w: Tuple[int, ...]
+                ) -> List[Optional[List[SiteIndex]]]:
+    """Lift each chain of a (count, length, b + d) int64 stack of n-offsets
+    (the first zero) and modes to the first sites (n0 + chain[k, :b],
+    chain[k, b:]) that `branch_tags` marks want[., k] (+1 C+, -1 C-) at
+    every k, or None.  The n0 tried solve n0.w = t = -want[., 0] |j_0|^2:
+    (t // gcd(w)) x0 of `_lift_basis` plus each of its kernel shifts, in
+    order, all of every chain tagged in one `branch_tags` pass (where
+    gcd(w) does not divide t they miss t, and the first site's tag misses
+    want).  The sites are int64: OverflowError when n0.w0 + |j|^2 could
+    pass it."""
+    g, x0, shifts, x0_max, shift_max = _lift_basis(w)
+    b, (count, length, width) = len(w), chains.shape
+    m, d = int(np.abs(chains).max()), width - b  # |n0| <= d m^2 |x0| + |shift|
+    if sum(map(abs, w)) * (d * m * m * x0_max + shift_max + m) + d * m * m >= 2 ** 63:
+        raise OverflowError(f"lifting sites of entries up to {m} at w0 = {w} passes int64")
+    target = -want[:, 0] * (chains[:, 0, b:] ** 2).sum(axis=1)
+    sites = np.repeat(chains[:, None], len(shifts), axis=1)  # (chain, shift, site, coord)
+    sites[..., :b] += ((target // g)[:, None, None] * x0 + shifts)[:, :, None]
+    tags, _ = branch_tags(sites.reshape(-1, width), w)
+    ok = (tags.reshape(count, len(shifts), length) == want[:, None]).all(axis=2)
+    lifted, out = np.flatnonzero(ok.any(axis=1)), [None] * count
+    for i, rows in zip(lifted.tolist(), sites[lifted, ok[lifted].argmax(axis=1)].tolist()):
+        out[i] = [SiteIndex(tuple(x[:b]), tuple(x[b:])) for x in rows]
+    return out
 
 
 def ordered_components(n: int, rows: np.ndarray, cols: np.ndarray
@@ -459,7 +462,8 @@ def resonance_graph(spec: ProblemSpec, box: Box,
     its C- sites (`branch_tags` at the seed frequencies), solved from the
     branch equations over the box's (n_1 .. n_{b-1}, j) grid, which SITE_CAP
     bounds: sigma's n_b = (-sigma |j|^2 - sum_{k<b} w0_k n_k) / w0_b, kept
-    where an integer within n_radius (at j = 0, n_1 <= 0 is C+), rows sorted
+    where an integer within n_radius and tagged sigma by `branch_tags` (at
+    j = 0 both equations hold and its tie-break keeps one), rows sorted
     by `row_keys`.  An edge joins x and y when the symbol selected by their
     tags is supported at x - y: the diagonal symbol for equal tags, uu for x
     in C+ against y in C-, vv for the mirror pairing (`resonance_links`).
@@ -468,16 +472,19 @@ def resonance_graph(spec: ProblemSpec, box: Box,
     and their repeats change nothing.
     """
     symbols = symbols or seed_symbols(spec)
-    b, w = spec.b, np.array(spec.omega0().as_ints(), dtype=np.int64)
+    b, w0 = spec.b, spec.omega0().as_ints()
+    w = np.array(w0, dtype=np.int64)
     grid = enumerate_box_sites(b - 1, spec.d, box)
-    jsq = (grid[:, b - 1:] ** 2).sum(axis=1)
+    jsq = sum(c * c for c in grid[:, b - 1:].T)  # column by column, as in branch_tags
     # Row 0 solves C+ (sigma = 1), row 1 C- (sigma = -1).
     nb, left = np.divmod(np.outer([-1, 1], jsq) - grid[:, :b - 1] @ w[:-1], w[-1])
-    tie = (jsq != 0) | (((grid[:, 0] if b > 1 else nb) <= 0) == [[True], [False]])
-    branch, at = np.nonzero((left == 0) & (np.abs(nb) <= box.n_radius) & tie)
-    coords = np.concatenate([grid[at, :b - 1], nb[branch, at, None], grid[at, b - 1:]], axis=1)
-    order = np.argsort(row_keys(coords))  # the origin is a C+ site: never empty
-    coords, tags = coords[order], (1 - 2 * branch[order]).astype(np.int8)
+    branch, at = np.nonzero((left == 0) & (np.abs(nb) <= box.n_radius))
+    rows = grid[at]
+    coords = np.concatenate([rows[:, :b - 1], nb[branch, at, None], rows[:, b - 1:]], axis=1)
+    tags, _ = branch_tags(coords, w0)
+    keep = np.flatnonzero(tags == 1 - 2 * branch)  # the origin is a C+ site: never empty
+    order = keep[np.argsort(row_keys(coords)[keep])]
+    coords, tags = coords[order], tags[order]
     found = resonance_links(box, coords, tags, symbols)
     labels, order, bounds = ordered_components(len(coords), found[0], found[1])
     return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,

@@ -135,16 +135,24 @@ class RunConfig:
 _MODE_RE = re.compile(r"\(([^)]*)\)\s*:\s*([^,]+)")
 
 
+def _finite(value: str) -> float:
+    """A config float: inf and nan (and what overflows to inf) are refused."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{value.strip()} is not a finite number")
+    return x
+
+
 def _conv_float_list(value: str) -> Tuple[float, ...]:
-    return tuple(float(x) for x in value.split(",") if x.strip())
+    return tuple(_finite(x) for x in value.split(",") if x.strip())
 
 
 # (parse, format) of a value, per field annotation; None formats as empty.
 _CODECS: Dict[str, Tuple[Callable[[str], object], Callable[[object], str]]] = {
     "int": (int, str),
     "Optional[int]": (int, str),
-    "float": (float, repr),
-    "Optional[float]": (float, repr),
+    "float": (_finite, repr),
+    "Optional[float]": (_finite, repr),
     "Tuple[float, ...]": (_conv_float_list, lambda v: ", ".join(repr(x) for x in v)),
 }
 
@@ -214,8 +222,8 @@ def parse_config(text: str) -> RunConfig:
     d = _get(sections, "problem", "d", int, None)
     b = _get(sections, "problem", "b", int, None)
     p = _get(sections, "problem", "p", int, None)
-    delta = _get(sections, "problem", "delta", float, None)
-    phase_m = _get(sections, "problem", "phase_m", float, 0.0)
+    delta = _get(sections, "problem", "delta", _finite, None)
+    phase_m = _get(sections, "problem", "phase_m", _finite, 0.0)
 
     modes_text, modes_line = sections["problem"]["modes"]
     try:
@@ -258,19 +266,21 @@ def parse_config(text: str) -> RunConfig:
         if val is not None and val <= 0:
             raise ConfigError(f"{name} must be positive")
     # A negative search radius sizes no j' range; a negative gamma raises
-    # 0.0 to a negative power in the Diophantine weights.
+    # 0.0 to a negative power in the Diophantine weights; numpy's generator
+    # takes no negative seed.
     for name, val in (("search_radius", cfg.conditions.search_radius),
-                      ("gamma", cfg.newton.gamma)):
+                      ("gamma", cfg.newton.gamma),
+                      ("seed", cfg.sweep.seed)):
         if val is not None and val < 0:
             raise ConfigError(f"{name} must be non-negative")
     return cfg
 
 
 def _parse_modes(text: str) -> List[Tuple[str, Tuple[int, ...], float]]:
-    """Each `(j):a` of a modes value: its text, j and a.  A bad number
-    raises ValueError."""
+    """Each `(j):a` of a modes value: its text, j and a.  A bad or
+    non-finite number raises ValueError."""
     return [(mt.group(0), tuple(int(x) for x in mt.group(1).replace(" ", "").split(",") if x),
-             float(mt.group(2))) for mt in _MODE_RE.finditer(text)]
+             _finite(mt.group(2))) for mt in _MODE_RE.finditer(text)]
 
 
 def _problem_lines(spec: ProblemSpec) -> List[str]:

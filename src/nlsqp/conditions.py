@@ -33,10 +33,9 @@ from .characteristics import (
     CharClass,
     ConvolutionSymbols,
     branch_tags,
-    classify_site,
-    diff_class_member,
+    diff_class_members,
     enumerate_box_sites,
-    kernel_shifts,
+    lift_chains,
     resonance_graph,
     row_keys,
     seed_symbols,
@@ -84,11 +83,12 @@ def check_condition_i(spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] =
     s_set = set(u0.support()) | set(v0.support())
     symbols = symbols or seed_symbols(spec)
     fu, fv = symbols.gu.support(), symbols.gv.support()
+    tags, on_branch = branch_tags(_site_rows(fu + fv, spec.b + spec.d), spec.omega0())
+    plus_eq, minus_eq = on_branch.reshape(2, -1)
     witnesses = []
-    for component, sites, branch in (("u", fu, 0), ("v", fv, 1)):
-        tags, on_branch = branch_tags(_site_rows(sites, spec.b + spec.d), spec.omega0())
-        for x, tag, hit in zip(sites, tags.tolist(),
-                               on_branch.reshape(2, -1)[branch].tolist()):
+    for component, sites, on, at in (("u", fu, plus_eq, np.s_[:len(fu)]),
+                                     ("v", fv, minus_eq, np.s_[len(fu):])):
+        for x, tag, hit in zip(sites, tags[at].tolist(), on[at].tolist()):
             if hit and x not in s_set:
                 witnesses.append({"site": x, "component": component,
                                   "class": TAG_CLASS[tag].value})
@@ -127,24 +127,22 @@ class SymbolSupports:
 def symbol_supports(spec: ProblemSpec, search_radius: int = 30,
                     symbols: Optional[ConvolutionSymbols] = None) -> SymbolSupports:
     symbols = symbols or seed_symbols(spec)
-    w = spec.omega0().as_ints()  # read once, not per element
     P, M = CharClass.CPLUS, CharClass.CMINUS
     out = SymbolSupports(gpp=[], gpm=[], gmm=[], gmp=[])
-    for name, series, pair in (
+    queries = [(name, delta, pair) for name, series, pair in (
         ("gpp", symbols.uv_p, (P, P)),
         ("gmm", symbols.uv_p, (M, M)),
         ("gpm", symbols.vv, (M, P)),
         ("gmp", symbols.uu, (P, M)),
-    ):
-        bucket = getattr(out, name)
-        for delta in series.support():
-            res = diff_class_member(delta, w, pair, search_radius=search_radius)
-            if res.status == "yes":
-                bucket.append(delta)
-                out.witnesses[(name, delta)] = res.witness
-            elif res.status == "unknown":
-                bucket.append(delta)
-                out.unknown.add((name, delta))
+    ) for delta in series.support()]
+    found = diff_class_members([q[1:] for q in queries], spec.omega0(), search_radius)
+    for (name, delta, _), res in zip(queries, found):
+        if res.status != "no":
+            getattr(out, name).append(delta)
+        if res.status == "yes":
+            out.witnesses[(name, delta)] = res.witness
+        elif res.status == "unknown":
+            out.unknown.add((name, delta))
     return out
 
 
@@ -207,8 +205,9 @@ def _site_rows(sites: Sequence[SiteIndex], width: int) -> np.ndarray:
 def _realizable(jsq, branch, w: Sequence[int]):
     """Whether the classes (branch, j) with |j|^2 = jsq hold a site (ints
     or arrays that broadcast): n.w0 = -branch |j|^2 needs gcd(w0) to divide
-    |j|^2, and j = 0 on C- needs an n.w0 = 0 with n_1 > 0, which exists iff
-    b > 1: (w0_2, -w0_1, 0, ..) is one, as no w0_k is 0."""
+    |j|^2, and j = 0 on C- needs an n.w0 = 0 with n_1 > 0 (the tie-break of
+    `branch_tags`), which exists iff b > 1: (w0_2, -w0_1, 0, ..) is one, as
+    no w0_k is 0.  Existence only: a lift tags its sites by `branch_tags`."""
     return (jsq % math.gcd(*w) == 0) & ((jsq != 0) | (branch > 0) | (len(w) > 1))
 
 
@@ -413,22 +412,12 @@ def _reverse_edge(graph: WalkGraph, k: int) -> Optional[int]:
 
 
 def _lift_walk(viol: WalkViolation, omega0: FrequencyVector) -> Optional[List[SiteIndex]]:
-    """Realize the quotient walk as a site chain on the variety."""
+    """Realize the quotient walk as a site chain on the variety: its
+    cumulative steps from (0, start j), lifted by `lift_chains`."""
     w = omega0.as_ints()
-    j0 = viol.start.j
-    target = -viol.start.branch * sum(x * x for x in j0)
-    base = _intlinalg.solve_dot(w, target)
-    if base is None:
-        return None
+    steps = [(0,) * len(w) + viol.start.j] + [e.dn + e.element.j for e in viol.steps]
     want = [viol.start.branch] + [e.dst.branch for e in viol.steps]
-    for sh in kernel_shifts(w):
-        n0 = tuple(a + c for a, c in zip(base, sh))
-        sites = [SiteIndex(n0, j0)]
-        for e in viol.steps:
-            sites.append(sites[-1] + SiteIndex(e.dn, e.element.j))
-        if [classify_site(s, omega0) for s in sites] == [TAG_CLASS[br] for br in want]:
-            return sites
-    return None
+    return lift_chains(np.cumsum([steps], axis=1), np.array([want]), w)[0]
 
 
 def check_condition_ii(

@@ -1,15 +1,19 @@
 """Independent oracles of the tests: a finite-difference Q Jacobian, the
 seed equations of a box by index arithmetic, the convexity partition of
-the spatial lattice, re-checks of the witnesses that the admissibility
-conditions report, seed symbols with injected support elements, and the
-object-based walk graph and BFS of condition (ii), the resonance graph
+the spatial lattice, `branch_tags` on one site and the re-checks of the
+witnesses that the admissibility conditions report, seed symbols with
+injected support elements, and the object-based walk graph and BFS of
+condition (ii), the resonance graph
 built from every site of its box, the split-step loop of
 `evolve_drift` frozen as it stood before its stage was rewritten, the
 tuple-keyed convolution, convolution power and residual frozen as they
 stood before convolutions keyed sites by packed integers, the tuple
 list of small spatial modes that the membership search read before its
-table was built in numpy, and the sites of Lambda in a box filtered from
-the full grid of c-vectors.  The pipeline runs none of them."""
+table was built in numpy, the sites of Lambda in a box filtered from
+the full grid of c-vectors, and the lifts of a membership witness and of
+a quotient walk frozen as they stood before both read `branch_tags` through
+one batched lift, each with its own solve_dot and written tie-break.  The
+pipeline runs none of them."""
 
 from __future__ import annotations
 
@@ -23,9 +27,9 @@ import numpy as np
 
 from nlsqp import _intlinalg
 from nlsqp.characteristics import (
-    CharClass, ConvolutionSymbols, ResonanceGraph, _lattice, _min_labels, _spiral_pairs,
-    box_strides, branch_tags, classify_site, enumerate_box_sites, ordered_components,
-    resonance_links, seed_symbols, sphere_points)
+    TAG_CLASS, CharClass, ConvolutionSymbols, ResonanceGraph, _lattice, _min_labels,
+    _spiral_pairs, box_strides, branch_tags, enumerate_box_sites,
+    ordered_components, resonance_links, seed_symbols, sphere_points)
 from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
     DROP_TOL, Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, delta_series,
@@ -82,6 +86,12 @@ def injected_symbols(spec: ProblemSpec, inject: Optional[Dict[str, List[SiteInde
     return ConvolutionSymbols(*(_augment(series, inject.get(key, [])) for key, series
                                 in zip(("uv", "uu", "vv"), (sym.uv_p, sym.uu, sym.vv))),
                               p=spec.p)
+
+
+def classify_site(s: SiteIndex, omega0: FrequencyVector) -> CharClass:
+    """`branch_tags` on one site."""
+    tags, _ = branch_tags(np.array([s.n + s.j], dtype=np.int64), omega0)
+    return TAG_CLASS[int(tags[0])]
 
 
 def verify_diff_witness(
@@ -544,3 +554,71 @@ def unique_ordered_components(n: int, rows: np.ndarray, cols: np.ndarray):
     _, labels = np.unique(low, return_inverse=True)
     order = np.argsort(labels, kind="stable")
     return labels, order, np.concatenate([[0], np.cumsum(np.bincount(labels))])
+
+
+# ---------------------------------------------------------------------------
+# The lifts of a membership witness and of a quotient walk, frozen
+
+
+def frozen_kernel_shifts(w: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """The n-shifts along the integer kernel of w tried when a j is lifted
+    to a site: zero, then the kernel-basis combinations whose largest
+    coefficient is 1, 2 and 3 in turn."""
+    kernel = _intlinalg.kernel_basis([list(w)])
+    shifts = [tuple(0 for _ in w)]
+    for r in range(1, 4):
+        for combo in itertools.product(range(-r, r + 1), repeat=len(kernel)):
+            if max((abs(c) for c in combo), default=0) != r:
+                continue
+            shifts.append(tuple(sum(c * k[i] for c, k in zip(combo, kernel))
+                                for i in range(len(w))))
+    return tuple(shifts)
+
+
+def frozen_complete_witness(jp, jpp, delta, w, eps1, eps2):
+    """Find n' realizing s' = (n', jp) in the eps1 branch with s'' = s' - delta
+    in the eps2 branch, or None: one solve_dot per call, the j = 0
+    tie-break written out."""
+    target = -eps1 * sum(a * a for a in jp)
+    base = _intlinalg.solve_dot(w, target)
+    if base is None:
+        return None
+
+    def ok(nvec) -> bool:
+        n1 = nvec[0]
+        if all(x == 0 for x in jp):
+            if (eps1 == 1 and n1 > 0) or (eps1 == -1 and n1 <= 0):
+                return False
+        n2 = tuple(a - b for a, b in zip(nvec, delta.n))
+        if all(x == 0 for x in jpp):
+            if (eps2 == 1 and n2[0] > 0) or (eps2 == -1 and n2[0] <= 0):
+                return False
+        return True
+
+    for sh in frozen_kernel_shifts(w):
+        cand = tuple(a + b for a, b in zip(base, sh))
+        if ok(cand):
+            s1 = SiteIndex(cand, tuple(jp))
+            return s1, s1 - delta
+    return None
+
+
+def frozen_lift_walk(viol: WalkViolation, omega0: FrequencyVector
+                     ) -> Optional[List[SiteIndex]]:
+    """Realize the quotient walk as a site chain on the variety, one
+    candidate chain of sites at a time."""
+    w = omega0.as_ints()
+    j0 = viol.start.j
+    target = -viol.start.branch * sum(x * x for x in j0)
+    base = _intlinalg.solve_dot(w, target)
+    if base is None:
+        return None
+    want = [viol.start.branch] + [e.dst.branch for e in viol.steps]
+    for sh in frozen_kernel_shifts(w):
+        n0 = tuple(a + c for a, c in zip(base, sh))
+        sites = [SiteIndex(n0, j0)]
+        for e in viol.steps:
+            sites.append(sites[-1] + SiteIndex(e.dn, e.element.j))
+        if [classify_site(s, omega0) for s in sites] == [TAG_CLASS[br] for br in want]:
+            return sites
+    return None

@@ -9,18 +9,22 @@ from nlsqp.lattice import Box, FrequencyVector, linear_solution, make_spec, site
 from nlsqp.characteristics import (
     CharClass,
     ConvolutionSymbols,
-    classify_site,
-    diff_class_member,
+    diff_class_members,
     resonance_graph,
     sphere_points,
 )
 
 from oracles import (
-    box_resonance_graph, build_partition, grid_lattice_in_box, small_j_candidates,
-    verify_diff_witness)
+    box_resonance_graph, build_partition, classify_site, grid_lattice_in_box,
+    small_j_candidates, verify_diff_witness)
 
 
 OM_TP2 = FrequencyVector((1.0, 4.0))
+
+
+def diff_class_member(delta, omega0, class_pair, search_radius=30):
+    """`diff_class_members` of the one query (delta, class_pair)."""
+    return diff_class_members([(delta, class_pair)], omega0, search_radius)[0]
 
 
 def tagged_vertices(graph, b):
@@ -173,6 +177,28 @@ def test_variety_from_branch_equations_matches_tagged_box(d, js, box, both_at_ze
     assert at_zero == ({1, -1} if both_at_zero else {1})
 
 
+# The CLI's seeds: tp1-tp3, p = 3, b = 3 and the two b = 4 seeds.
+CLI_SEEDS = {
+    "tp1": "d = 1\nb = 1\np = 1\ndelta = 1e-3\nmodes = (2):0.7",
+    "tp2": "d = 1\nb = 2\np = 1\ndelta = 1e-3\nmodes = (1):0.6, (2):0.8",
+    "tp3": "d = 2\nb = 2\np = 2\ndelta = 1e-3\nmodes = (1,0):0.9, (0,1):0.35",
+    "p3": "d = 1\nb = 2\np = 3\ndelta = 1e-3\nmodes = (1):0.6, (3):0.8",
+    "b3": "d = 1\nb = 3\np = 1\ndelta = 1e-3\nmodes = (1):0.6, (2):0.8, (4):0.5",
+    "b4": "d = 1\nb = 4\np = 1\ndelta = 1e-3\nmodes = (1):0.5, (2):0.5, (3):0.5, (4):0.5",
+    "b4-solve": "d = 1\nb = 4\np = 1\ndelta = 1e-3\nmodes = (1):0.6, (2):0.8, (4):0.5, (7):0.38",
+}
+
+
+@pytest.mark.parametrize("problem", CLI_SEEDS.values(), ids=CLI_SEEDS)
+def test_resonance_graph_matches_tagged_box_on_the_cli_seeds(problem):
+    # On the box `check` builds its graph on, every vertex, tag and
+    # component equals the graph of the box's sites that branch_tags tags.
+    from nlsqp.cli import parse_config
+    cfg = parse_config("[problem]\n" + problem + "\n")
+    box = cfg.condition_box()
+    assert_same_graph(resonance_graph(cfg.problem, box), box_resonance_graph(cfg.problem, box))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 2), st.data())
 def test_variety_from_branch_equations_matches_tagged_box_random(b, d, data):
@@ -248,6 +274,46 @@ def test_diff_member_cross_class_empty_sphere():
     assert res.status == "no"
 
 
+def test_diff_member_witness_past_the_first_hyperplane_rows():
+    # omega0 = (5, 10) (modes (1, 2) and (1, 3) in d = 2): n.w0 = -|j'|^2
+    # needs 5 | |j'|^2.  delta = (-3, 0 | -3, 0) in C^{++} puts j' on the
+    # line j'_1 = -4, whose first rows in the l1 < 8 block, (-4, 0),
+    # (-4, -1) and (-4, 1), fail that divisibility; the fourth, (-4, -2),
+    # is the witness.
+    omega0, pair = FrequencyVector((5.0, 10.0)), (CharClass.CPLUS, CharClass.CPLUS)
+    delta = site((-3, 0), (-3, 0))
+    res = diff_class_member(delta, omega0, pair)
+    assert res.status == "yes"
+    assert res.witness == (site((-4, 0), (-4, -2)), site((-1, 0), (-1, -2)))
+    assert verify_diff_witness(delta, omega0, pair, res.witness)
+
+
+def test_symbol_supports_solves_dot_once_per_omega0(monkeypatch, tp3):
+    # One Bezout vector per omega0, cached with its kernel shifts: a
+    # symbol_supports call lifts all its witnesses from it.
+    from nlsqp import _intlinalg, characteristics
+    from nlsqp.conditions import symbol_supports
+    calls, solve_dot = [], _intlinalg.solve_dot
+    monkeypatch.setattr(_intlinalg, "solve_dot",
+                        lambda w, t: calls.append((tuple(w), t)) or solve_dot(w, t))
+    characteristics._lift_basis.cache_clear()
+    assert len(symbol_supports(tp3).witnesses) == 16
+    assert calls == [((1, 1), 1)]
+    symbol_supports(tp3)
+    assert len(calls) == 1
+
+
+def test_lift_refuses_sites_past_int64():
+    # The lift's candidates are int64: where n0.w0 could wrap, it raises
+    # rather than tag wrapped sites.
+    from nlsqp.characteristics import lift_chains
+    want = np.array([[1, -1]])
+    small = np.array([[(0, 0, 3), (1, 3, 2)]])  # n0.w0 = -9, then n.w0 = 4 at j = 2
+    assert lift_chains(small, want, (1, 4))[0] == [site((-9, 0), (3,)), site((-8, 3), (2,))]
+    with pytest.raises(OverflowError, match="passes int64"):
+        lift_chains(np.array([[(0, 0, 10 ** 6), (1, -1, 10 ** 6)]]), want, (99991, 99989))
+
+
 def uncached_small_j_blocks(d, radius):
     """Fresh blocks per call, cut from the sorted tuple list at the l1 bounds
     8, 16, 32, ...: the oracle for the cached numpy blocks."""
@@ -275,10 +341,14 @@ def test_diff_class_member_matches_uncached_resorting_oracle(monkeypatch):
     assert all(a is b for a, b in zip(cached, characteristics._small_j_blocks(2, 8)))
     key = lambda jp: (sum(abs(x) for x in jp), jp)
     for delta, omega0, pair in membership_grid():
-        # Every candidate, in the order tried: re-sorting changes nothing.
+        # Every candidate, in the order lifted: re-sorting changes nothing.
         tried = []
-        monkeypatch.setattr(characteristics, "_complete_witness",
-                            lambda jp, *rest: tried.append(tuple(jp)))
+
+        def spy(chains, want, w):
+            tried.extend(tuple(jp) for jp in chains[:, 0, len(w):].tolist())
+            return [None] * len(chains)
+
+        monkeypatch.setattr(characteristics, "lift_chains", spy)
         diff_class_member(delta, omega0, pair, search_radius=8)
         monkeypatch.undo()
         assert tried == sorted(set(tried), key=key)

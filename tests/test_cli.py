@@ -733,6 +733,39 @@ def test_config_refuses_a_negative_search_radius_or_gamma(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, edit, message", [
+    # [problem]: a scalar key, the modes' amplitudes.
+    ("check", ("delta = 0.001", "delta = nan"), "line 6: bad value for problem.delta: "
+                                                 "nan is not a finite number"),
+    ("solve", ("delta = 0.001", "delta = 0.001\nphase_m = -inf"),
+     "line 7: bad value for problem.phase_m: -inf is not a finite number"),
+    ("check", ("(2):0.7", "(2):inf"), "line 7: bad value for problem.modes: "
+                                       "inf is not a finite number"),
+    # A float key of a section, written out or overflowing to inf.
+    ("verify", "[verify]\nT = inf", "line 10: bad value for verify.T: inf is not a finite number"),
+    ("verify", "[verify]\ndt = nan", "line 10: bad value for verify.dt: nan is not a finite number"),
+    ("verify", "[verify]\nT = 1e400", "line 10: bad value for verify.T: "
+                                      "1e400 is not a finite number"),
+    ("solve", "[newton]\nkappa = nan", "line 10: bad value for newton.kappa: "
+                                       "nan is not a finite number"),
+    # A float list, and the sweep's seed.
+    ("sweep", "[sweep]\nepsilons = 0.1, nan", "line 10: bad value for sweep.epsilons: "
+                                              "nan is not a finite number"),
+    ("sweep", "[sweep]\nseed = -1", "seed must be non-negative"),
+])
+def test_config_refuses_non_finite_floats_and_a_negative_seed(tmp_path, capsys, command, edit,
+                                                              message):
+    # T = inf used to end in an OverflowError traceback and dt = nan in a
+    # ValueError one (exit 1), seed = -1 in numpy's ValueError, and kappa =
+    # nan or epsilons = nan in exit 0 with meaningless verdicts.
+    text = TP1_CFG.replace(*edit) if isinstance(edit, tuple) else TP1_CFG + "\n" + edit + "\n"
+    cfg = write(tmp_path, "bad.cfg", text)
+    extra = ["--solution", str(tmp_path / "solution.txt")] if command == "verify" else []
+    assert main([command, cfg, "--out", str(tmp_path / "out"), *extra]) == EXIT_CONFIG
+    assert one_line_err(capsys) == f"config error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
 def test_exit_garbage_solution(tmp_path, capsys):
     cfg = write(tmp_path, "a.cfg", TP1_CFG)
     sol = write(tmp_path, "sol.txt", "this is not a solution\n")

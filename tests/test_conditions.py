@@ -19,7 +19,8 @@ from nlsqp.conditions import (
 from nlsqp._intlinalg import int_det, kernel_basis, lattice_basis, solve_dot
 
 from oracles import (
-    injected_symbols, object_walk_check, object_walk_graph, verify_walk_witness)
+    frozen_lift_walk, injected_symbols, object_walk_check, object_walk_graph,
+    verify_walk_witness)
 
 
 def naive_error_support(spec):
@@ -162,6 +163,22 @@ def test_gamma_plus_structure(tp2):
         assert (s.n, s.j) in reachable
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-4, 4)] * d).filter(any), min_size=1, max_size=5, unique=True)))
+def test_condition_i_fails_iff_three_modes_make_a_right_angle(js):
+    # p = 1: the error sites off S are s_a + s_b - s_c of distinct modes, at
+    # j = j_a + j_b - j_c (the fourth vertex of a parallelogram), and
+    # n.w0 + |j|^2 = 2 (j_a - j_c).(j_b - j_c) there.  So (i) fails iff some
+    # three distinct modes make a right angle at j_c, which no three modes
+    # of one dimension do.
+    spec = make_spec(d=len(js[0]), b=len(js), p=1, delta=1e-3, j_list=js,
+                     amplitudes=[0.5] * len(js))
+    right = any(sum((x - z) * (y - z) for x, y, z in zip(ja, jb, jc)) == 0
+                for ja, jb, jc in itertools.permutations(js, 3))
+    assert (check_condition_i(spec).verdict == "fail") == right
+
+
 def test_condition_ii_single_mode(tp1):
     rep = check_condition_ii(tp1)
     assert rep.verdict == "pass"
@@ -198,8 +215,10 @@ def test_condition_ii_synthetic_violation(tp2):
     viol = walk["violation"]
     assert viol.total_dn == (4, -1)
     # The witness re-verifies from scratch: summed steps, lifted sites on
-    # the variety, equal spatial mode, distinct time index.
+    # the variety, equal spatial mode, distinct time index; its sites are
+    # those of the frozen lift.
     assert verify_walk_witness(viol, tp2.omega0())
+    assert viol.lifted_sites == frozen_lift_walk(viol, tp2.omega0())
 
 
 def test_condition_ii_unknown_at_depth(tp2):
@@ -440,6 +459,42 @@ def test_array_walk_check_matches_the_object_oracle(spec, symbols, m_max):
         assert (witness.start, witness.steps, witness.total_dn) == \
             (oracle.start, oracle.steps, oracle.total_dn)
         assert verify_walk_witness(witness, spec.omega0())
+        assert witness.lifted_sites == frozen_lift_walk(witness, spec.omega0())
+
+
+@pytest.mark.parametrize("spec, symbols, m_max", walk_cases())
+def test_walk_lifts_match_the_frozen_lift(spec, symbols, m_max):
+    # The lift of every edge and of every edge followed by one of its
+    # target's first three edges, and of 100 random walks (most of which
+    # lift to nothing: random classes, branches and steps), equals the
+    # frozen lift's: the same sites or the same None.
+    symbols = symbols or seed_symbols(spec)
+    supports = dict(zip(("uv", "uu", "vv"), symbols.supports()))
+    radius = (2 * spec.p + 1) * max(max(map(abs, j)) for j in spec.j_list) + 1
+    graph = build_walk_graph(supports, spec.omega0(), spec.d,
+                             j_radius=radius if spec.d > 1 else None)
+    edges = [graph.edge(k) for k in range(min(len(graph.src), 200))]
+    walks = [[e] for e in edges] + [[e, f] for e in edges for f in edges
+                                    if f.src == e.dst][:400]
+    rng = random.Random(7)
+    elements = [s for series in supports.values() for s in series]
+    for _ in range(100):
+        node = conditions.WalkNode(rng.choice([1, -1]), tuple(
+            rng.randint(-3, 3) if rng.random() < 0.8 else 0 for _ in range(spec.d)))
+        walk = []
+        for el in rng.sample(elements, min(len(elements), rng.randint(1, 3))):
+            dst = conditions.WalkNode(rng.choice([1, -1]),
+                                      tuple(a + b for a, b in zip(node.j, el.j)))
+            walk.append(conditions.WalkEdge(node, dst, el.n, el, "diag"))
+            node = dst
+        walks.append(walk)
+    lifted = 0
+    for steps in walks:
+        viol = conditions.WalkViolation(start=steps[0].src, steps=steps, total_dn=None)
+        got = conditions._lift_walk(viol, spec.omega0())
+        assert got == frozen_lift_walk(viol, spec.omega0())
+        lifted += got is not None
+    assert 0 < lifted < len(walks)
 
 
 # -- integer linear algebra helpers ------------------------------------------

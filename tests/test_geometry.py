@@ -18,7 +18,6 @@ from nlsqp.characteristics import (
     CharClass,
     ConvolutionSymbols,
     _min_labels,
-    diff_class_member,
     ordered_components,
     resonance_graph,
 )
@@ -28,11 +27,13 @@ from nlsqp.lattice import (
 from nlsqp.linop import _box_blocks, _copy_signs, _stacks
 from nlsqp.newton import solve
 
-from oracles import (build_partition, full_small_j_table, injected_symbols, small_j_candidates,
+from oracles import (build_partition, classify_site, frozen_complete_witness,
+                     full_small_j_table, injected_symbols, small_j_candidates,
                      unique_ordered_components)
 from test_characteristics import (
     brute_characteristic_set,
     component_members,
+    diff_class_member,
     membership_grid,
     tagged_vertices,
     written_class,
@@ -159,9 +160,9 @@ def coset_keys(spec, box):
 
 def loop_diff_class_member(delta, omega0, class_pair, search_radius=30):
     """`diff_class_member` with the d >= 2 linear constraint tested one
-    candidate at a time."""
-    eps1, eps2 = characteristics._eps(class_pair[0]), characteristics._eps(class_pair[1])
-    w = omega0.as_ints()
+    candidate at a time, each lifted by the frozen one-candidate lift."""
+    eps1, eps2 = (characteristics.CLASS_TAG[c] for c in class_pair)
+    w = omega0 if isinstance(omega0, tuple) else omega0.as_ints()
     d = delta.d
     dn_w = sum(a * b for a, b in zip(delta.n, w))
     dj = delta.j
@@ -209,7 +210,7 @@ def loop_diff_class_member(delta, omega0, class_pair, search_radius=30):
             return M("no", reason="no lattice point on the sphere")
     for jp in candidates:
         jpp = tuple(a - b for a, b in zip(jp, dj))
-        wit = characteristics._complete_witness(jp, jpp, delta, w, eps1, eps2)
+        wit = frozen_complete_witness(jp, jpp, delta, w, eps1, eps2)
         if wit is not None:
             return M("yes", witness=wit)
     if exhaustive:
@@ -537,7 +538,7 @@ def test_assemble_tags_match_classify_site(tp2, tp3):
         code = {CharClass.CPLUS: 1, CharClass.CMINUS: -1, CharClass.OFF: 0}
         sites = [site(x[:spec.b], x[spec.b:]) for x in coords.tolist()]
         assert tags.tolist() == [code[written_class(s, om)] for s in sites]
-        assert [characteristics.classify_site(s, om) for s in sites] == \
+        assert [classify_site(s, om) for s in sites] == \
             [written_class(s, om) for s in sites]
         nw = [sum(n * w for n, w in zip(s.n, om.as_ints())) for s in sites]
         assert equations.tolist() == ([a + s.jsq() == 0 for a, s in zip(nw, sites)]
@@ -549,11 +550,48 @@ def test_assemble_tags_match_classify_site(tp2, tp3):
 
 
 def test_diff_class_member_matches_loop_filter():
+    # Status, witness and reason of every case equal the loop oracle's, whose
+    # lift is the frozen one-candidate lift; deciding every case of an
+    # omega0 in one batched call changes nothing.
     cases = list(membership_grid())
     assert len(cases) == 5416
-    for delta, omega0, pair in cases:
-        assert (diff_class_member(delta, omega0, pair, search_radius=8)
-                == loop_diff_class_member(delta, omega0, pair, search_radius=8))
+    want = [loop_diff_class_member(delta, omega0, pair, search_radius=8)
+            for delta, omega0, pair in cases]
+    assert [diff_class_member(delta, omega0, pair, search_radius=8)
+            for delta, omega0, pair in cases] == want
+    for omega0 in {omega0 for _, omega0, _ in cases}:
+        mine = [k for k, case in enumerate(cases) if case[1] == omega0]
+        got = characteristics.diff_class_members(
+            [cases[k][::2] for k in mine], omega0, search_radius=8)
+        assert got == [want[k] for k in mine]
+
+
+# tp1-tp3, the p = 3 seed, b = 3 and b = 4 (the CLI's), and a d = 3 seed.
+SUPPORT_SPECS = [
+    (1, [2], 1, [0.7]), (1, [1, 2], 1, [0.6, 0.8]), (2, [(1, 0), (0, 1)], 2, [0.9, 0.35]),
+    (1, [1, 3], 3, [0.6, 0.8]), (1, [1, 2, 4], 1, [0.6, 0.8, 0.5]),
+    (1, [1, 2, 3, 4], 1, [0.5] * 4), (3, [(1, 0, 0), (0, 1, 1)], 1, [0.5, 0.5]),
+]
+
+
+@pytest.mark.parametrize("d, js, p, amplitudes", SUPPORT_SPECS)
+def test_symbol_supports_match_the_frozen_lift(d, js, p, amplitudes):
+    # Every bucket, witness and unknown flag equals the loop oracle's at the
+    # default search radius (12 in d = 3, to keep the oracle's scan short).
+    from nlsqp.conditions import symbol_supports
+    spec = make_spec(d=d, b=len(js), p=p, delta=1e-3, j_list=js, amplitudes=amplitudes)
+    radius = 12 if d == 3 else 30
+    got = symbol_supports(spec, search_radius=radius)
+    sym = characteristics.seed_symbols(spec)
+    P, M = CharClass.CPLUS, CharClass.CMINUS
+    for name, series, pair in (("gpp", sym.uv_p, (P, P)), ("gmm", sym.uv_p, (M, M)),
+                               ("gpm", sym.vv, (M, P)), ("gmp", sym.uu, (P, M))):
+        found = {delta: loop_diff_class_member(delta, spec.omega0(), pair, radius)
+                 for delta in series.support()}
+        assert getattr(got, name) == [x for x, res in found.items() if res.status != "no"]
+        for delta, res in found.items():
+            assert got.witnesses.get((name, delta)) == res.witness
+            assert ((name, delta) in got.unknown) == (res.status == "unknown")
 
 
 def small_j_table(d, radius):
