@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -352,6 +352,32 @@ def members_of_size(order: np.ndarray, bounds: np.ndarray, k: int) -> np.ndarray
     return order[starts[:, None] + np.arange(k)]
 
 
+def component_terms(n: int, order: np.ndarray, bounds: np.ndarray, links: np.ndarray,
+                    diagonal: Sequence[SiteIndex]) -> Dict[int, np.ndarray]:
+    """The terms that the blocks of F' on the groups order[bounds[c]:bounds[c
+    + 1]] of n vertices read, as a (count, k, k) stack per group size k,
+    ascending, groups as in `members_of_size`: entry (r, s) holds the term
+    of the link (`resonance_links`) from member r to member s, -1 for none,
+    and each diagonal entry the origin's position in diagonal, uv_p's
+    support (-1 for none).  Links with an end in no group are dropped."""
+    sizes = np.diff(bounds)
+    by_size = np.argsort(sizes, kind="stable")  # stable: groups in order per size
+    start = np.empty_like(sizes)
+    start[by_size] = np.cumsum(sizes[by_size] ** 2) - sizes[by_size] ** 2
+    # Per vertex: its group's start in one array of the stacks, size and slot.
+    base, width, slot = np.full((3, n), -1)
+    base[order], width[order] = np.repeat(start, sizes), np.repeat(sizes, sizes)
+    slot[order] = np.arange(len(order)) - np.repeat(bounds[:-1], sizes)
+    x, y, term = links[:, (slot[links[0]] >= 0) & (slot[links[1]] >= 0)]
+    flat = np.full(int(sizes @ sizes), -1)
+    flat[base[order] + slot[order] * (width[order] + 1)] = next(
+        (i for i, s in enumerate(diagonal) if s.is_zero()), -1)
+    flat[base[x] + slot[x] * width[x] + slot[y]] = term
+    counts = np.bincount(sizes, minlength=1)
+    parts = np.split(flat, np.cumsum(counts * np.arange(len(counts)) ** 2)[:-1])
+    return {k: part.reshape(-1, k, k) for k, part in enumerate(parts) if counts[k]}
+
+
 def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, int]:
     """The smallest vertex of each vertex's component, and the number of
     propagation rounds it took.
@@ -437,26 +463,25 @@ class ResonanceGraph:
     """The characteristic sites of a box and their connectivity, as arrays.
 
     vertices is (n_vertices, b + d) int64, n then j, in lexicographic order,
-    and tags is (n_vertices,) int8, +1 on C+ and -1 on C-.  labels, order
-    and bounds are those of `ordered_components`: component c is
-    order[bounds[c]:bounds[c + 1]], numbered by its smallest vertex with
-    members ascending.  spiral_pairs is (count, 2) int64, in component
-    order: for each component holding two same-branch vertices that share
-    j but not n (the geometric signature of a non-spiral violation inside
-    the box), the first such pair, earlier vertex first.
+    and tags is (n_vertices,) int8, +1 on C+ and -1 on C-.  links is the
+    (3, count) int64 array of `resonance_links` between them under the
+    graph's supports.  labels, order and bounds are those of
+    `ordered_components`: component c is order[bounds[c]:bounds[c + 1]],
+    numbered by its smallest vertex with members ascending.
     """
 
     vertices: np.ndarray
     tags: np.ndarray
+    links: np.ndarray
     labels: np.ndarray
     order: np.ndarray
     bounds: np.ndarray
-    spiral_pairs: np.ndarray
 
 
 def resonance_graph(spec: ProblemSpec, box: Box,
-                    symbols: Optional[ConvolutionSymbols] = None) -> ResonanceGraph:
-    """Connectivity of characteristic sites under the operator symbols.
+                    supports: Optional[Sequence[Sequence[SiteIndex]]] = None) -> ResonanceGraph:
+    """Connectivity of characteristic sites under the supports of uv_p, uu
+    and vv, the seed's (`seed_symbols`) unless given.
 
     The vertices are the u-copies of the box's C+ sites and the v-copies of
     its C- sites (`branch_tags` at the seed frequencies), solved from the
@@ -467,11 +492,11 @@ def resonance_graph(spec: ProblemSpec, box: Box,
     by `row_keys`.  An edge joins x and y when the symbol selected by their
     tags is supported at x - y: the diagonal symbol for equal tags, uu for x
     in C+ against y in C-, vv for the mirror pairing (`resonance_links`).
-    The symbols are the seed's unless given.  Components are numbered by
-    their smallest vertex with members ascending, so the order of the links
-    and their repeats change nothing.
+    Components are numbered by their smallest vertex with members ascending,
+    so the order of the links and their repeats change nothing.
     """
-    symbols = symbols or seed_symbols(spec)
+    if supports is None:
+        supports = seed_symbols(spec).supports()
     b, w0 = spec.b, spec.omega0().as_ints()
     w = np.array(w0, dtype=np.int64)
     grid = enumerate_box_sites(b - 1, spec.d, box)
@@ -485,30 +510,32 @@ def resonance_graph(spec: ProblemSpec, box: Box,
     keep = np.flatnonzero(tags == 1 - 2 * branch)  # the origin is a C+ site: never empty
     order = keep[np.argsort(row_keys(coords)[keep])]
     coords, tags = coords[order], tags[order]
-    found = resonance_links(box, coords, tags, symbols)
-    labels, order, bounds = ordered_components(len(coords), found[0], found[1])
-    return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order,
-                          bounds=bounds,
-                          spiral_pairs=_spiral_pairs(coords[:, spec.b:], tags, labels))
+    links = resonance_links(box, coords, tags, supports, b)
+    labels, order, bounds = ordered_components(len(coords), links[0], links[1])
+    return ResonanceGraph(vertices=coords, tags=tags, links=links, labels=labels, order=order,
+                          bounds=bounds)
 
 
 def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
-                    symbols: ConvolutionSymbols) -> np.ndarray:
+                    supports: Sequence[Sequence[SiteIndex]], b: int) -> np.ndarray:
     """The links of `resonance_graph`'s rule between the vertices, the
     copies copies[i] (+1 u, -1 v) of the rows vertices[i] of a site array in
-    the box, as a (2, count) array of (vertex, other vertex) columns: one
-    array pass over the u-copies and their shifts (uv_p to u, uu to v), one
-    over the v-copies (uv_p, vv).
+    the box (b n-axes), under the supports of uv_p, uu and vv, as a (3,
+    count) array of (vertex, other vertex, term) columns: the entry of F' at
+    that row and column reads the term-th site of the supports in turn, as
+    `linop._gather` numbers them.  One array pass over the u-copies and
+    their shifts (uv_p but its origin to u, uu to v), one over the v-copies
+    (uv_p, vv).
 
     Each vertex is looked up by its doubled index among the sorted ones:
     its index in the box of thrice the radii, plus that box's site count
-    for a v-copy.  Shifts past twice the radii link no two box sites and are
-    dropped, so x - s stays in the tripled box, where its index is no other
-    site's: no test of the box faces, and O(vertices x shifts) memory.
+    ns for a v-copy.  Shifts past twice the radii link no two box sites and
+    are dropped, so x - s stays in the tripled box, where its index is no
+    other site's: no test of the box faces, and O(vertices x shifts) memory.
     6r + 1 <= (2r + 1)^2, so under SITE_CAP indices stay below 8e12; a box
     whose doubled indices would pass int64 (one `resonance_graph` reads
     through its grid alone) raises BoxTooLarge."""
-    b, d = symbols.uv_p.b, symbols.uv_p.d
+    d = vertices.shape[1] - b
     radii, _ = box_strides(b, d, box)
     wide = Box(3 * box.n_radius, 3 * box.j_radius)
     wide_radii, strides = box_strides(b, d, wide)
@@ -519,40 +546,22 @@ def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
     keys = index + ns * (copies < 0)
     rank = np.argsort(keys)
     keys = np.append(keys[rank], np.iinfo(np.int64).max)  # no query reaches the sentinel
-
-    def offsets(shifts: List[SiteIndex], dst_tag: int) -> np.ndarray:
-        """s . strides of the kept shifts, less the v-copies' key offset."""
-        sv = np.array([s.n + s.j for s in shifts], dtype=np.int64).reshape(-1, b + d)
-        sv = sv[np.all(np.abs(sv) <= 2 * radii, axis=1)]
-        return sv @ strides - (ns if dst_tag < 0 else 0)
-
-    diag = offsets([s for s in symbols.uv_p.support() if not s.is_zero()], 1)
+    sv = np.array([s.n + s.j for sup in supports for s in sup], dtype=np.int64).reshape(-1, b + d)
+    kind = np.repeat([0, 1, 2], [len(sup) for sup in supports])
+    kept = np.all(np.abs(sv) <= 2 * radii, axis=1) & ((kind > 0) | sv.any(axis=1))
     found = []
-    for tag, cross in ((1, symbols.uu), (-1, symbols.vv)):
-        own = np.nonzero(copies == tag)[0]
-        shift = np.concatenate([diag - ns * (tag < 0), offsets(cross.support(), -tag)])
+    for tag, cross in ((1, 1), (-1, 2)):
+        own = np.flatnonzero(copies == tag)
+        term = np.flatnonzero(kept & ((kind == 0) | (kind == cross)))
+        # x - s on the copy its kind selects: a v-copy's key is offset by ns.
+        shift = sv[term] @ strides - ns * ((kind[term] == 0) == (tag < 0))
         # Shift-major, so each shift's queries ascend with the vertices'
         # index: searchsorted takes sorted queries about twice as fast.
         query = index[own][None, :] - shift[:, None]
         pos = np.searchsorted(keys, query)
-        hit = keys[pos] == query
-        found.append(np.stack([np.broadcast_to(own, query.shape)[hit], rank[pos[hit]]]))
+        at, col = np.nonzero(keys[pos] == query)
+        found.append(np.stack([own[col], rank[pos[at, col]], term[at]]))
     return np.concatenate(found, axis=1)
-
-
-def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
-                  ) -> np.ndarray:
-    """Per component, the first vertex (in ascending order) that shares its
-    tag and j with an earlier one, paired with the first such earlier
-    vertex, as a (count, 2) array in component order.  Distinct vertices
-    with equal tag and j differ in n.  The (label, tag, j) rows are compared
-    by their `row_keys`."""
-    keys = row_keys(np.column_stack([labels, tags, jarr]))
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    first = first[inverse]
-    second = np.nonzero(first != np.arange(len(labels)))[0]
-    _, head = np.unique(labels[second], return_index=True)  # smallest repeat per component
-    return np.stack([first[second[head]], second[head]], axis=1)
 
 
 # ---------------------------------------------------------------------------

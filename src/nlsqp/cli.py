@@ -253,9 +253,12 @@ def parse_config(text: str) -> RunConfig:
                       ("max_iter", cfg.newton.max_iter),
                       ("tol", cfg.newton.tol),
                       ("dt", cfg.verify.dt),
-                      ("T", cfg.verify.T)):
+                      ("T", cfg.verify.T),
+                      ("epsilons", min(cfg.sweep.epsilons, default=1.0))):
         if val <= 0:
             raise ConfigError(f"{name} must be positive")
+    if cfg.verify.T / cfg.verify.dt <= 0.5:  # verify takes round(T / dt) steps
+        raise ConfigError(f"T = {cfg.verify.T!r} rounds to no step of dt = {cfg.verify.dt!r}")
     if cfg.sweep.n_samples < 100:  # the sweep's own floor, refused here as input
         raise ConfigError("n_samples must be at least 100")
     for name, val in (("n_radius", cfg.truncation.n_radius),

@@ -420,6 +420,20 @@ def _lift_walk(viol: WalkViolation, omega0: FrequencyVector) -> Optional[List[Si
     return lift_chains(np.cumsum([steps], axis=1), np.array([want]), w)[0]
 
 
+def _spiral_pairs(jarr: np.ndarray, tags: np.ndarray, labels: np.ndarray
+                  ) -> np.ndarray:
+    """Per component, the first vertex that shares its tag and j (so not
+    its n) with an earlier one, paired with the first such earlier vertex,
+    as a (count, 2) array in component order: the graph's witness of a
+    spiral.  (label, tag, j) rows are compared by their `row_keys`."""
+    keys = row_keys(np.column_stack([labels, tags, jarr]))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first = first[inverse]
+    second = np.nonzero(first != np.arange(len(labels)))[0]
+    _, head = np.unique(labels[second], return_index=True)  # smallest repeat per component
+    return np.stack([first[second[head]], second[head]], axis=1)
+
+
 def check_condition_ii(
     spec: ProblemSpec,
     m_max: int = 8,
@@ -430,8 +444,8 @@ def check_condition_ii(
     check.  Pass requires both to find nothing; the scale is reported.  Both
     read the supports of `seed_symbols`, built here unless given."""
     omega0 = spec.omega0()
-    symbols = symbols or seed_symbols(spec)
-    supports = dict(zip(("uv", "uu", "vv"), symbols.supports()))
+    sups = (symbols or seed_symbols(spec)).supports()
+    supports = dict(zip(("uv", "uu", "vv"), sups))
 
     maxj = max(max(abs(c) for c in j) for j in spec.j_list)
     walk_j_radius = (2 * spec.p + 1) * maxj + 1
@@ -441,14 +455,15 @@ def check_condition_ii(
 
     if box is None:
         box = default_box(spec)
-    rg = resonance_graph(spec, box, symbols=symbols)
+    rg = resonance_graph(spec, box, sups)
 
     witnesses = []
     if walk_verdict == "fail" and walk_witness is not None:
         witnesses.append({"kind": "walk", "violation": walk_witness})
     sizes = np.diff(rg.bounds)
-    if len(rg.spiral_pairs):
-        i, k = rg.spiral_pairs[0].tolist()
+    pairs = _spiral_pairs(rg.vertices[:, spec.b:], rg.tags, rg.labels)
+    if len(pairs):
+        i, k = pairs[0].tolist()
         first, second = rg.vertices[[i, k]].tolist()
         witnesses.append({
             "kind": "graph",

@@ -27,6 +27,7 @@ import numpy as np
 from .characteristics import (
     ConvolutionSymbols,
     branch_tags,
+    component_terms,
     enumerate_box_sites,
     lattice_generation,
     lattice_in_box,
@@ -104,14 +105,16 @@ def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec
 
 
 def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
-           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec
-           ) -> np.ndarray:
+           symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
+           at: Optional[np.ndarray] = None) -> np.ndarray:
     """F' on groups of doubled vertices as a (count, k, k) stack, one group
     per row of the (count, k) array members.  Vertex i is the copy
-    copies[i] (+1 u, -1 v) of the site coords[i].  An entry is the term
-    that `_gather` selects, times delta (p + 1) from uv_p and delta p from
-    uu or vv; the diagonal adds D (`_dispersion`)."""
-    at = _gather(coords, copies, members[:, :, None], members[:, None, :], symbols.supports())
+    copies[i] (+1 u, -1 v) of the site coords[i].  An entry is the term at
+    its position in at (`component_terms`; `_gather`'s without at), times
+    delta (p + 1) from uv_p and delta p from uu or vv; the diagonal adds D
+    (`_dispersion`)."""
+    if at is None:
+        at = _gather(coords, copies, members[:, :, None], members[:, None, :], symbols.supports())
     delta, p = spec.delta, spec.p
     vals = [coef * ampl for coef, series in ((delta * (p + 1), symbols.uv_p),
                                              (delta * p, symbols.uu), (delta * p, symbols.vv))
@@ -147,13 +150,14 @@ def _gather(coords: np.ndarray, copies: np.ndarray, rows: np.ndarray, cols: np.n
 
 
 def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
-            symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec
-            ) -> Dict[int, np.ndarray]:
+            links: np.ndarray, symbols: ConvolutionSymbols, omega: FrequencyVector,
+            spec: ProblemSpec) -> Dict[int, np.ndarray]:
     """`_dense` on the groups order[bounds[c]:bounds[c + 1]] of the vertices
     (coords, copies), one stack per group size k, sizes ascending: the
-    (count, k, k) stack of the size-k groups, rows as in `members_of_size`."""
-    return {k: _dense(coords, copies, members_of_size(order, bounds, k), symbols, omega, spec)
-            for k in np.flatnonzero(np.bincount(np.diff(bounds))).tolist()}
+    (count, k, k) stack of the size-k groups, read off the vertices' links."""
+    terms = component_terms(len(coords), order, bounds, links, symbols.uv_p.support())
+    return {k: _dense(coords, copies, members_of_size(order, bounds, k), symbols, omega, spec,
+                      at) for k, at in terms.items()}
 
 
 def _exclude(order: np.ndarray, bounds: np.ndarray, dropped: np.ndarray
@@ -198,18 +202,6 @@ def lattice_box(spec: ProblemSpec, box: Box) -> LatticeBox:
     return LatticeBox(sites, copies, _seed_mask(spec, sites, copies), lam[~on])
 
 
-def _lattice_blocks(lat: LatticeBox, box: Box, symbols: ConvolutionSymbols
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """The resonance components of the vertices of Lambda (+) -Lambda in the
-    box, linked by `resonance_links` under the symbols, as (order, bounds):
-    component c is order[bounds[c]:bounds[c + 1]], numbered by its smallest
-    vertex, members ascending.  A component holding a seed equation keeps
-    it."""
-    links = resonance_links(box, lat.sites, lat.copies, symbols)
-    _, order, bounds = ordered_components(len(lat.sites), links[0], links[1])
-    return order, bounds
-
-
 def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
                      spec: ProblemSpec, sites: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
@@ -233,9 +225,9 @@ def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, box: Box,
     at omega, on Lambda (+) -Lambda inside the box (its `LatticeBox`, built
     here unless given), the only part of the box the iteration moves.
 
-    The resonance blocks are those of `_lattice_blocks` off the seed
-    equations; with every vertex a seed equation there is none, and no link
-    is looked up.  Every gate of a solve follows a Q solve, so their
+    The resonance blocks are the components of the vertices'
+    `resonance_links` under the symbols, off the seed equations; with every
+    vertex a seed equation there is none, and no link is looked up.  Every gate of a solve follows a Q solve, so their
     smallest singular values, by one batched SVD per block size, are
     thresholded against delta^(1 + eps_second): the first block at or below
     it raises ExcisionError.  Then a diagonal of Lambda (+) -Lambda off the
@@ -248,10 +240,12 @@ def admissibility_gate(omega: FrequencyVector, spec: ProblemSpec, box: Box,
     sites, copies, off, b = lat.sites, lat.copies, lat.off, spec.b
     values = np.empty(0)
     if not lat.seeds.all():
-        order, bounds = _exclude(*_lattice_blocks(lat, box, symbols), lat.seeds)
+        links = resonance_links(box, sites, copies, symbols.supports(), b)
+        _, order, bounds = ordered_components(len(sites), links[0], links[1])
+        order, bounds = _exclude(order, bounds, lat.seeds)
         sizes = np.diff(bounds)
         values = np.empty(len(sizes))
-        for k, stack in _stacks(sites, copies, order, bounds, symbols, omega, spec).items():
+        for k, stack in _stacks(sites, copies, order, bounds, links, symbols, omega, spec).items():
             values[sizes == k] = np.linalg.svd(stack, compute_uv=False)[:, -1]
         threshold = spec.delta ** (1.0 + eps_second)
         failing = np.nonzero(values <= threshold)[0]
@@ -289,7 +283,7 @@ def _inverse_norm(blocks: Iterable[np.ndarray]) -> float:
 
 
 def _box_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The doubled vertices of a whole box, split by F' under the symbols.
 
     The vertices are the u-copies of the box's sites (`enumerate_box_sites`,
@@ -297,16 +291,16 @@ def _box_blocks(spec: ProblemSpec, box: Box, symbols: ConvolutionSymbols
     doubled box index i.  Links are those of `resonance_links`, so no entry
     of F' joins two components, whatever fields gave the symbols.
 
-    Returns (sites, copies, order, bounds): vertex i is the copy copies[i]
-    of sites[i], and component c is order[bounds[c]:bounds[c + 1]], as in
-    `_lattice_blocks`.
+    Returns (sites, copies, order, bounds, links): vertex i is the copy
+    copies[i] of sites[i], and component c is order[bounds[c]:bounds[c +
+    1]], numbered by its smallest vertex, members ascending.
     """
     coords = enumerate_box_sites(spec.b, spec.d, box)
     sites = np.concatenate([coords, coords])
     copies = np.repeat(np.array([1, -1], dtype=np.int8), len(coords))
-    links = resonance_links(box, sites, copies, symbols)
+    links = resonance_links(box, sites, copies, symbols.supports(), spec.b)
     _, order, bounds = ordered_components(len(sites), links[0], links[1])
-    return sites, copies, order, bounds
+    return sites, copies, order, bounds, links
 
 
 def box_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
@@ -321,8 +315,9 @@ def box_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: Probl
     This reports a norm and certifies nothing: admissibility is
     `admissibility_gate`'s.
     """
-    sites, copies, order, bounds = _box_blocks(spec, box, symbols)
-    norm = _inverse_norm(_stacks(sites, copies, order, bounds, symbols, omega, spec).values())
+    sites, copies, order, bounds, links = _box_blocks(spec, box, symbols)
+    norm = _inverse_norm(_stacks(sites, copies, order, bounds, links, symbols, omega,
+                                 spec).values())
     if not fit_decay:
         return norm, None
     lam = np.flatnonzero(on_lattice(sites, copies, spec))
@@ -461,9 +456,9 @@ def theta_spectrum_scan(
     theta times the copy sign to their diagonals and takes one batched SVD
     per block size.
     """
-    sites, copies, order, bounds = _box_blocks(spec, box, symbols)
+    sites, copies, order, bounds, links = _box_blocks(spec, box, symbols)
     order, bounds = _exclude(order, bounds, _seed_mask(spec, sites, copies))
-    stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
+    stacks = _stacks(sites, copies, order, bounds, links, symbols, omega, spec)
     signs = _copy_signs(copies, order, bounds, stacks)
     delta = spec.delta
     threshold = delta ** (-(1.0 + eps))

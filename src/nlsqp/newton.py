@@ -23,6 +23,7 @@ from .characteristics import (
     ConvolutionSymbols,
     ResonanceGraph,
     branch_tags,
+    component_terms,
     conservation_sites,
     lattice_generation,
     members_of_size,
@@ -46,7 +47,6 @@ from .lattice import (
 )
 from .linop import (
     LatticeBox,
-    _gather,
     admissibility_gate,
     lattice_box,
     lattice_inverse,
@@ -605,19 +605,20 @@ def excision_sweep(
     from a single sample set, hence monotone by construction.
 
     The blocks are the resonance-graph components, whose support pattern
-    does not depend on a, so the graph is built once.  Every block entry
-    reads one term of the seed symbols, times p + 1 for uv_p and p for uu
-    or vv (`linop._gather`).  Components whose term matrices are equal give
-    equal blocks in every sample, so one block per class of them is kept
-    (`_sweep_classes`): 5 blocks instead of 773 on tp3, 2 instead of 50 on
-    tp2.  The samples then go through the array pass in groups of
-    SYMBOL_CHUNK, so memory does not grow with n_samples: a group's seed
-    symbols and Q brackets are convolved at once (`_seed_symbols_batch`),
-    its scaled terms form one table (`_term_table`), and per SWEEP_CHUNK
-    samples det runs once per block size over a (chunk, n_classes, k, k)
-    stack and the Diophantine scan once.  Every value is bitwise that of building each
-    sample's fields, symbols, blocks, `q_solve` and `diophantine_check` one
-    sample at a time: equal blocks have equal dets.
+    does not depend on a, so the graph is built once, on the supports of
+    the first group's symbols.  Every block entry reads the term of its
+    graph link (`component_terms`), times p + 1 for uv_p and p for uu or
+    vv.  Components whose term matrices are equal give equal blocks in
+    every sample, so one block per class of them is kept (`_sweep_classes`):
+    5 blocks instead of 773 on tp3, 2 instead of 50 on tp2.  The samples
+    then go through the array pass in groups of SYMBOL_CHUNK, so memory does
+    not grow with n_samples: a group's seed symbols and Q brackets are
+    convolved at once (`_seed_symbols_batch`), its scaled terms form one
+    table (`_term_table`), and per SWEEP_CHUNK samples det runs once per
+    block size over a (chunk, n_classes, k, k) stack and the Diophantine
+    scan once.  Every value is bitwise that of building each sample's
+    fields, symbols, blocks, `q_solve` and `diophantine_check` one sample at
+    a time: equal blocks have equal dets.
     """
     if n_samples < 100:
         raise NewtonError("n_samples must be at least 100")
@@ -626,7 +627,6 @@ def excision_sweep(
     if box is None:
         box = default_box(spec)
 
-    graph = resonance_graph(spec, box)
     p = spec.p
 
     rng = np.random.default_rng(seed)
@@ -654,7 +654,7 @@ def excision_sweep(
         terms = ((p + 1, uv_p), (p, uu), (p, vv))
         if classes is None:  # every group's symbols have the same sites
             supports = [sorted(sym) for _, sym in terms]
-            classes = _sweep_classes(graph, supports)
+            classes = _sweep_classes(resonance_graph(spec, box, supports), supports)
         table = _term_table(terms, supports, len(amps))
         for lo in range(0, len(amps), SWEEP_CHUNK):
             rows = slice(lo, lo + SWEEP_CHUNK)
@@ -746,31 +746,19 @@ def _sweep_classes(graph: ResonanceGraph, supports: Sequence[Sequence[SiteIndex]
                    ) -> List[Tuple[np.ndarray, np.ndarray]]:
     """One block per class of equal blocks: per block size, ascending, the
     (n_classes, k) members of the first component of each class and their
-    (n_classes, k, k) term matrices, `linop._gather` under supports with
-    the vertices' tags as copies.
+    (n_classes, k, k) term matrices, `component_terms` of the graph's links,
+    which read the supports.
 
     Two components of one size fall in the same class when their term
     matrices are equal: their blocks then read the same term entry by
     entry, so they are equal in every sample and one det stands for all of
     them.  Classes keep the order of their first components.
     """
-    sizes = np.flatnonzero(np.bincount(np.diff(graph.bounds))).tolist()  # ascending
-    members = [members_of_size(graph.order, graph.bounds, k) for k in sizes]
-    if not members:
-        return []
-    # Entry (r, s) of a size-k block is entry r * k + s of its term row.
-    entries = [np.arange(k * k) for k in sizes]
-    at = _gather(graph.vertices, graph.tags,
-                 np.concatenate([m[:, e // k].ravel() for k, m, e in zip(sizes, members, entries)]),
-                 np.concatenate([m[:, e % k].ravel() for k, m, e in zip(sizes, members, entries)]),
-                 supports)
     out = []
-    start = 0
-    for k, m in zip(sizes, members):
-        terms = at[start:start + m.size * k].reshape(len(m), k * k)
-        start += m.size * k
-        ids = row_keys(terms)
+    for k, terms in component_terms(len(graph.vertices), graph.order, graph.bounds,
+                                    graph.links, supports[0]).items():
+        ids = row_keys(terms.reshape(len(terms), k * k))
         by_id = np.argsort(ids, kind="stable")
         first = np.sort(by_id[np.diff(ids[by_id], prepend=-1) != 0])
-        out.append((m[first], terms[first].reshape(-1, k, k)))
+        out.append((members_of_size(graph.order, graph.bounds, k)[first], terms[first]))
     return out

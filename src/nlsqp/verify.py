@@ -255,6 +255,9 @@ def evolve_drift(
     m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_c + 2)))
     if dt > 0.5:
         raise IntegratorInstability("dt too large for the phase rotation", 0.1)
+    steps = int(round(T / dt))
+    if steps < 1:
+        raise VerifyError(f"T = {T!r} rounds to no step of dt = {dt!r}")
 
     shape = (m,) * bmat.shape[1]
     # |j0 + Bc|^2 on the FFT frequencies c of the grid.
@@ -274,7 +277,6 @@ def evolve_drift(
     ntaus = [np.array(-1j * (b * dt)) for b in S6_PHASE[1:-1]] + [None]
     fused, split = np.array(-1j * (2.0 * tau1)), np.array(-1j * tau1)
 
-    steps = int(round(T / dt))
     # At least 200 samples, and densely enough that no mode advances more
     # than ~pi/2 between samples, but at most one per step.
     max_omega = max(1.0, max(abs(w) for w in omega.omega))

@@ -28,7 +28,7 @@ import numpy as np
 from nlsqp import _intlinalg
 from nlsqp.characteristics import (
     TAG_CLASS, CharClass, ConvolutionSymbols, ResonanceGraph, _lattice, _min_labels,
-    _spiral_pairs, box_strides, branch_tags, enumerate_box_sites,
+    box_strides, branch_tags, enumerate_box_sites,
     ordered_components, resonance_links, seed_symbols, sphere_points)
 from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
@@ -361,10 +361,10 @@ def box_resonance_graph(spec: ProblemSpec, box: Box) -> ResonanceGraph:
     coords = enumerate_box_sites(spec.b, spec.d, box)
     tags, _ = branch_tags(coords, spec.omega0())
     coords, tags = coords[tags != 0], tags[tags != 0]
-    links = resonance_links(box, coords, tags, seed_symbols(spec))
+    links = resonance_links(box, coords, tags, seed_symbols(spec).supports(), spec.b)
     labels, order, bounds = ordered_components(len(coords), links[0], links[1])
-    return ResonanceGraph(vertices=coords, tags=tags, labels=labels, order=order, bounds=bounds,
-                          spiral_pairs=_spiral_pairs(coords[:, spec.b:], tags, labels))
+    return ResonanceGraph(vertices=coords, tags=tags, links=links, labels=labels, order=order,
+                          bounds=bounds)
 
 
 def grid_lattice_in_box(spec: ProblemSpec, box: Box) -> np.ndarray:

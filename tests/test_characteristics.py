@@ -149,7 +149,7 @@ def test_resonance_graph_refuses_indices_past_int64(tp1):
 
 
 def assert_same_graph(got, want):
-    for name in ("vertices", "tags", "labels", "order", "bounds", "spiral_pairs"):
+    for name in ("vertices", "tags", "links", "labels", "order", "bounds"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
@@ -412,8 +412,9 @@ def test_resonance_graph_tp1_seed_component(tp1):
 
 
 def test_resonance_graph_no_spiral_single_mode(tp1):
+    from nlsqp.conditions import _spiral_pairs
     g = resonance_graph(tp1, Box(9, 3))
-    assert g.spiral_pairs.shape == (0, 2)
+    assert _spiral_pairs(g.vertices[:, tp1.b:], g.tags, g.labels).shape == (0, 2)
 
 
 def test_resonance_graph_partition_blocks_never_connected(tp2):

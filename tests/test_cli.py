@@ -766,6 +766,32 @@ def test_config_refuses_non_finite_floats_and_a_negative_seed(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, text, message", [
+    # round(T / dt) = 0 steps: verify used to integrate nothing and exit 0
+    # with zero drifts.
+    ("verify", "[verify]\nT = 0.04\ndt = 0.1", "T = 0.04 rounds to no step of dt = 0.1"),
+    ("verify", "[verify]\nT = 0.05\ndt = 0.1", "T = 0.05 rounds to no step of dt = 0.1"),
+    ("check", "[verify]\nT = 0.001", "T = 0.001 rounds to no step of dt = 0.1"),
+    # Block values are >= 0, so an epsilon <= 0 used to count no sample.
+    ("sweep", "[sweep]\nepsilons = 0.1, -1", "epsilons must be positive"),
+    ("sweep", "[sweep]\nepsilons = 0", "epsilons must be positive"),
+])
+def test_config_refuses_a_verify_of_no_step_and_a_non_positive_epsilon(tmp_path, capsys,
+                                                                        command, text, message):
+    cfg = write(tmp_path, "bad.cfg", TP1_CFG + "\n" + text + "\n")
+    extra = ["--solution", str(tmp_path / "solution.txt")] if command == "verify" else []
+    assert main([command, cfg, "--out", str(tmp_path / "out"), *extra]) == EXIT_CONFIG
+    assert one_line_err(capsys) == f"config error: {message}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_takes_a_T_of_one_step_that_is_no_multiple_of_dt():
+    # Criterion 8 runs T = 200 pi at dt = 1e-2; 0.06 is one step of 0.1.
+    for T, dt in ((0.06, 0.1), (200 * 3.141592653589793, 1e-2)):
+        cfg = parse_config(TP1_CFG + f"\n[verify]\nT = {T!r}\ndt = {dt!r}\n")
+        assert (cfg.verify.T, cfg.verify.dt) == (T, dt)
+
+
 def test_exit_garbage_solution(tmp_path, capsys):
     cfg = write(tmp_path, "a.cfg", TP1_CFG)
     sol = write(tmp_path, "sol.txt", "this is not a solution\n")
@@ -1042,9 +1068,9 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
         calls["convolve"] += 1
         return convolve(*args, **kwargs)
 
-    def counted_links(box, vertices, copies, symbols):
-        calls["links"].append((len(vertices), symbols.supports()))
-        return resonance_links(box, vertices, copies, symbols)
+    def counted_links(box, vertices, copies, supports, b):
+        calls["links"].append((len(vertices), supports))
+        return resonance_links(box, vertices, copies, supports, b)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("nlsqp"):
@@ -1301,8 +1327,7 @@ def test_graph_block_and_modulation_fields_are_read_outside_the_tests():
     # command, script or the benchmark reads.
     declared = dataclass_fields()
     read = attributes_read("src", "scripts", "bench")
-    kept = {"ResonanceGraph": {"vertices", "tags", "labels", "order", "bounds",
-                               "spiral_pairs"},
+    kept = {"ResonanceGraph": {"vertices", "tags", "links", "labels", "order", "bounds"},
             "ModulationReport": {"delta_omega", "jac_det", "diophantine", "seed_residual"}}
     for cls, fields in kept.items():
         assert {name for c, name in declared if c == cls} == fields

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsqp import conditions
+from nlsqp.cli import parse_config
 from nlsqp.lattice import Box, linear_solution, make_spec, site
 from nlsqp.characteristics import CharClass, ConvolutionSymbols, seed_symbols
 from nlsqp.conditions import (
@@ -554,3 +555,17 @@ def test_lattice_basis_spans_exactly_the_input_lattice(vectors):
         assert maximal_minor_gcd(vectors, r) == maximal_minor_gcd(basis, r) != 0
     else:
         assert not any(any(v) for v in vectors)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-7, 7).filter(bool), min_size=1, max_size=4, unique=True),
+       st.data())
+def test_condition_ii_passes_every_cubic_seed_in_one_dimension(js, data):
+    # The paper's Remark: cubic NLS fulfils (ii) in d = 1 for all seeds.
+    # Checked as `check` checks it, on the CLI's condition box and m_max.
+    amps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(js), max_size=len(js)))
+    modes = ", ".join(f"({j}):{a!r}" for j, a in zip(js, amps))
+    cfg = parse_config(f"[problem]\nd = 1\nb = {len(js)}\np = 1\ndelta = 1e-3\n"
+                       f"modes = {modes}\n")
+    rep = check_condition_ii(cfg.problem, m_max=cfg.conditions.m_max, box=cfg.condition_box())
+    assert rep.verdict == "pass", rep.witnesses

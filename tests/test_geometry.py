@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nlsqp import characteristics
+from nlsqp import characteristics, conditions
 from nlsqp.characteristics import (
     CharClass,
     ConvolutionSymbols,
@@ -24,7 +24,7 @@ from nlsqp.characteristics import (
 from nlsqp.conditions import check_condition_ii
 from nlsqp.lattice import (
     Box, SiteIndex, SparseSeries, default_box, linear_solution, make_spec, site)
-from nlsqp.linop import _box_blocks, _copy_signs, _stacks
+from nlsqp.linop import _box_blocks, _copy_signs, _exclude, _gather, _stacks
 from nlsqp.newton import solve
 
 from oracles import (build_partition, classify_site, frozen_complete_witness,
@@ -43,16 +43,17 @@ from test_characteristics import (
 # -- oracles ----------------------------------------------------------------
 
 
-def loop_resonance_graph(u, v, spec, omega0, box, symbols=None):
-    if symbols is None:
-        symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
+def loop_resonance_graph(u, v, spec, omega0, box, supports=None):
+    if supports is None:
+        supports = ConvolutionSymbols.from_fields(u, v, spec.p).supports()
+    uv_support, uu_support, vv_support = supports
     vertices = brute_characteristic_set(omega0, spec.d, box)
     index = {s: i for i, (s, _) in enumerate(vertices)}
     tags = [t for _, t in vertices]
-    diag_shifts = [s for s in symbols.uv_p.support() if not s.is_zero()]
+    diag_shifts = [s for s in uv_support if not s.is_zero()]
     edges = set()
     for i, (x, tag) in enumerate(vertices):
-        cross = symbols.uu.support() if tag is CharClass.CPLUS else symbols.vv.support()
+        cross = uu_support if tag is CharClass.CPLUS else vv_support
         want = CharClass.CMINUS if tag is CharClass.CPLUS else CharClass.CPLUS
         for shift in diag_shifts:
             k = index.get(x - shift)
@@ -291,10 +292,9 @@ def graph_of_lists(vertices, edges, comps):
         labels[idxs] = c
     return characteristics.ResonanceGraph(
         vertices=coords, tags=tags, labels=labels,
+        links=np.empty((3, 0), dtype=np.int64),  # condition (ii) reads no link
         order=np.array(sum(members, []), dtype=np.int64),
-        bounds=np.cumsum([0] + [len(m) for m in members]),
-        spiral_pairs=np.array([pair for _, pair in comps if pair is not None],
-                              dtype=np.int64).reshape(-1, 2))
+        bounds=np.cumsum([0] + [len(m) for m in members]))
 
 
 def link_edges(spec, omega0, box, symbols):
@@ -303,9 +303,10 @@ def link_edges(spec, omega0, box, symbols):
     coords = characteristics.enumerate_box_sites(spec.b, spec.d, box)
     tags, _ = characteristics.branch_tags(coords, omega0)
     on = np.nonzero(tags)[0]
-    found = characteristics.resonance_links(box, coords[on], tags[on], symbols)
+    found = characteristics.resonance_links(box, coords[on], tags[on], symbols.supports(),
+                                            spec.b)
     assert found.dtype == np.int64
-    return sorted({(min(i, k), max(i, k)) for i, k in found.T.tolist()})
+    return sorted({(min(i, k), max(i, k)) for i, k, _ in found.T.tolist()})
 
 
 def assert_same_graph(got, want, spec):
@@ -314,13 +315,15 @@ def assert_same_graph(got, want, spec):
     coords, tags = vertex_arrays(vertices)
     assert got.vertices.dtype == coords.dtype and np.array_equal(got.vertices, coords)
     assert got.tags.dtype == tags.dtype and np.array_equal(got.tags, tags)
-    for arr in (got.labels, got.order, got.bounds, got.spiral_pairs):
+    pairs = conditions._spiral_pairs(got.vertices[:, spec.b:], got.tags, got.labels)
+    for arr in (got.links, got.labels, got.order, got.bounds, pairs):
         assert arr.dtype == np.int64
+    assert sorted({(min(i, k), max(i, k)) for i, k, _ in got.links.T.tolist()}) == edges
     members = component_members(got)
     for c, idxs in enumerate(members):
         assert np.all(got.labels[idxs] == c)
-    pair_of = {int(got.labels[i]): (i, k) for i, k in got.spiral_pairs.tolist()}
-    assert np.all(np.diff(got.labels[got.spiral_pairs[:, 0]]) > 0)  # component order
+    pair_of = {int(got.labels[i]): (i, k) for i, k in pairs.tolist()}
+    assert np.all(np.diff(got.labels[pairs[:, 0]]) > 0)  # component order
     assert [(idxs, pair_of.get(c)) for c, idxs in enumerate(members)] == comps
 
 
@@ -343,20 +346,19 @@ def test_resonance_graph_with_injected_symbols_matches_loop(tp2):
     for inject in INJECTIONS:
         aug = injected_symbols(tp2, inject)
         box = default_box(tp2)
-        got = resonance_graph(tp2, box, symbols=aug)
-        want = loop_resonance_graph(u0, v0, tp2, tp2.omega0(), box, symbols=aug)
+        got = resonance_graph(tp2, box, aug.supports())
+        want = loop_resonance_graph(u0, v0, tp2, tp2.omega0(), box, aug.supports())
         assert_same_graph(got, want, tp2)
         assert link_edges(tp2, tp2.omega0(), box, aug) == want[1]
-        spirals += len(got.spiral_pairs) > 0
+        spirals += len(conditions._spiral_pairs(got.vertices[:, tp2.b:], got.tags,
+                                                got.labels)) > 0
     assert spirals >= 2
 
 
 def test_condition_ii_inject_report_matches_loop_graph(tp2, monkeypatch):
-    from nlsqp import conditions
-
-    def as_graph(spec, box, symbols=None):
+    def as_graph(spec, box, supports=None):
         u, v = linear_solution(spec)
-        return graph_of_lists(*loop_resonance_graph(u, v, spec, spec.omega0(), box, symbols))
+        return graph_of_lists(*loop_resonance_graph(u, v, spec, spec.omega0(), box, supports))
 
     for inject in INJECTIONS + [None]:
         got = check_condition_ii(tp2, symbols=injected_symbols(tp2, inject))
@@ -383,7 +385,7 @@ def test_resonance_links_match_a_dict_oracle_past_the_box_faces(box, data):
     # three radii past its faces, so x - s often leaves the box, where its
     # index in the box itself would alias another site's.  Every link is a
     # vertex pair at a shift its copies select, once per shift, as a dict
-    # lookup of x - s finds it.
+    # lookup of x - s finds it, with the position of s in the supports.
     b, d = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
     sites = characteristics.enumerate_box_sites(b, d, box)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, len(sites) - 1),
@@ -396,21 +398,75 @@ def test_resonance_links_match_a_dict_oracle_past_the_box_faces(box, data):
     def series():
         return SparseSeries(b, d, {s: 1.0 for s in data.draw(st.lists(shift, max_size=6))})
 
-    symbols = ConvolutionSymbols(uv_p=series(), uu=series(), vv=series(), p=1)
-    got = characteristics.resonance_links(box, vertices, copies, symbols)
+    supports = [series().support() for _ in range(3)]
+    got = characteristics.resonance_links(box, vertices, copies, supports, b)
 
     rows = [(tuple(x), c) for x, c in zip(vertices.tolist(), copies.tolist())]
     where = {row: i for i, row in enumerate(rows)}
     want = []
     for i, (x, c) in enumerate(rows):
-        for src, dst, sym in ((1, 1, symbols.uv_p), (-1, -1, symbols.uv_p),
-                              (1, -1, symbols.uu), (-1, 1, symbols.vv)):
-            for s in sym.support() if c == src else []:
+        for src, dst, kind in ((1, 1, 0), (-1, -1, 0), (1, -1, 1), (-1, 1, 2)):
+            for at, s in enumerate(supports[kind]) if c == src else []:
                 k = where.get((tuple(a - t for a, t in zip(x, s.n + s.j)), dst))
                 if k is not None and not (src == dst and s.is_zero()):
-                    want.append((i, k))
+                    want.append((i, k, sum(map(len, supports[:kind])) + at))
     assert got.dtype == np.int64
     assert sorted(map(tuple, got.T.tolist())) == sorted(want)
+
+
+def assert_link_terms_are_gathered(vertices, copies, supports, b, box, dropped):
+    """Each link of `resonance_links` between the vertices carries the term
+    `_gather` finds at its entry, and the stacks `component_terms` scatters
+    from the links, on the components with the dropped vertices taken out,
+    equal `_gather` on the members of every size."""
+    links = characteristics.resonance_links(box, vertices, copies, supports, b)
+    assert links.dtype == np.int64
+    assert np.array_equal(links[2], _gather(vertices, copies, links[0], links[1], supports))
+    _, order, bounds = ordered_components(len(vertices), links[0], links[1])
+    order, bounds = _exclude(order, bounds, dropped)
+    stacks = characteristics.component_terms(len(vertices), order, bounds, links, supports[0])
+    assert sorted(stacks) == sorted(set(np.diff(bounds).tolist()))
+    for k, stack in stacks.items():
+        members = characteristics.members_of_size(order, bounds, k)
+        want = _gather(vertices, copies, members[:, :, None], members[:, None, :], supports)
+        assert stack.dtype == np.int64 and np.array_equal(stack, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.data())
+def test_link_terms_and_component_stacks_match_gather(b, d, p, data):
+    # Random seeds on small boxes, their supports widened by shifts up to
+    # three radii past the box faces: on the graph's vertices and on the
+    # doubled sites of the whole box, some dropped as the gate drops seed
+    # equations.
+    pool = [j for j in itertools.product(range(-2, 3), repeat=d) if any(j)]
+    js = data.draw(st.lists(st.sampled_from(pool), min_size=b, max_size=b, unique=True))
+    spec = make_spec(d=d, b=b, p=p, delta=1e-3, j_list=js, amplitudes=[0.5] * b)
+    box = Box(data.draw(st.integers(0, {1: 6, 2: 3, 3: 1}[b])), data.draw(st.integers(0, 2)))
+    reach = [3 * box.n_radius + 1] * b + [3 * box.j_radius + 1] * d
+    shift = st.tuples(*[st.integers(-r, r) for r in reach]).map(lambda t: site(t[:b], t[b:]))
+    supports = [sorted(set(sup) | set(data.draw(st.lists(shift, max_size=4))))
+                for sup in characteristics.seed_symbols(spec).supports()]
+    graph = resonance_graph(spec, box, supports)
+    sites = characteristics.enumerate_box_sites(b, d, box)
+    for vertices, copies in ((graph.vertices, graph.tags),
+                             (np.concatenate([sites, sites]),
+                              np.repeat(np.array([1, -1], dtype=np.int8), len(sites)))):
+        dropped = np.array(data.draw(st.lists(st.booleans(), min_size=len(vertices),
+                                              max_size=len(vertices))), dtype=bool)
+        assert_link_terms_are_gathered(vertices, copies, supports, b, box, dropped)
+
+
+def test_link_terms_and_component_stacks_match_gather_on_injected_supports(tp2):
+    # A uu edge at an n-sum-0 shift: tp2's box then holds size-5 components
+    # of two kind patterns.
+    shift = site((-1, 0), (1,))
+    supports = injected_symbols(tp2, {"uu": [shift], "vv": [-shift]}).supports()
+    box = default_box(tp2)
+    graph = resonance_graph(tp2, box, supports)
+    assert 5 in np.diff(graph.bounds)
+    assert_link_terms_are_gathered(graph.vertices, graph.tags, supports, tp2.b, box,
+                                   np.zeros(len(graph.vertices), dtype=bool))
 
 
 # -- row keys ------------------------------------------------------------------------
@@ -470,7 +526,7 @@ def assert_box_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
     the blocks are the cosets of the difference lattice (`coset_keys`)."""
     m = loop_scatter_matrix(u, v, omega, spec, box, theta)
     symbols = ConvolutionSymbols.from_fields(u, v, spec.p)
-    sites, copies, order, bounds = _box_blocks(spec, box, symbols)
+    sites, copies, order, bounds, links = _box_blocks(spec, box, symbols)
     ns = m.shape[0] // 2
     coords = characteristics.enumerate_box_sites(spec.b, spec.d, box)
     assert np.array_equal(copies, np.repeat([1, -1], ns))
@@ -490,7 +546,7 @@ def assert_box_blocks_are_slices(u, v, omega, spec, box, theta=0.0):
         assert np.array_equal(keys[order], np.repeat(first, np.diff(bounds), axis=0))
         assert len(np.unique(first, axis=0)) == len(first)
 
-    stacks = _stacks(sites, copies, order, bounds, symbols, omega, spec)
+    stacks = _stacks(sites, copies, order, bounds, links, symbols, omega, spec)
     assert sorted(stacks) == sorted(set(np.diff(bounds).tolist()))
     signs = _copy_signs(copies, order, bounds, stacks)
     for k, stack in stacks.items():

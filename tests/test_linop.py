@@ -11,6 +11,8 @@ from nlsqp.characteristics import (
     conservation_sites,
     enumerate_box_sites,
     members_of_size,
+    ordered_components,
+    resonance_links,
     seed_symbols,
 )
 from nlsqp.lattice import (
@@ -26,9 +28,9 @@ from nlsqp.linop import (
     LinopError,
     _box_blocks,
     _copy_signs,
+    _dense,
     _dispersion,
     _exclude,
-    _lattice_blocks,
     _seed_mask,
     _stacks,
     admissibility_gate,
@@ -71,12 +73,13 @@ def blocks(case, drop_seed=True):
     spec, box, symbols = case.spec, case.box, case.symbols
     lat = lattice_box(spec, box)
     sites, copies = lat.sites, lat.copies
-    order, bounds = _lattice_blocks(lat, box, symbols)
+    links = resonance_links(box, sites, copies, symbols.supports(), spec.b)
+    _, order, bounds = ordered_components(len(sites), links[0], links[1])
     if drop_seed:
         order, bounds = _exclude(order, bounds, lat.seeds)
     radii, strides = box_strides(spec.b, spec.d, box)
     index = (sites + radii) @ strides + box.site_count(spec.b, spec.d) * (copies < 0)
-    stacks = _stacks(sites, copies, order, bounds, symbols, case.omega, spec)
+    stacks = _stacks(sites, copies, order, bounds, links, symbols, case.omega, spec)
     return SimpleNamespace(index=index, order=order, bounds=bounds, stacks=stacks)
 
 
@@ -93,8 +96,8 @@ def box_stacks(spec, box=None):
     """The blocks of the seed operator over a box, as `box_inverse` builds
     them, and the dispersion diagonal of each block, by size."""
     symbols = seed_symbols(spec)
-    sites, copies, order, bounds = _box_blocks(spec, box or Box(9, 3), symbols)
-    stacks = _stacks(sites, copies, order, bounds, symbols, spec.omega0(), spec)
+    sites, copies, order, bounds, links = _box_blocks(spec, box or Box(9, 3), symbols)
+    stacks = _stacks(sites, copies, order, bounds, links, symbols, spec.omega0(), spec)
     diag = _dispersion(sites[:len(sites) // 2], spec.omega0(), spec).ravel()
     return stacks, {k: diag[members_of_size(order, bounds, k)] for k in stacks}
 
@@ -103,11 +106,10 @@ def lambda_block(spec, box=None):
     """The block of Lambda (+) -Lambda in the seed operator over a box, as
     `box_inverse` reads it, and its members' sites and copies."""
     symbols = seed_symbols(spec)
-    sites, copies, _, _ = _box_blocks(spec, box or Box(9, 3), symbols)
+    sites, copies, *_ = _box_blocks(spec, box or Box(9, 3), symbols)
     lam = np.flatnonzero(on_lattice(sites, spec, -copies))
-    stacks = _stacks(sites, copies, lam, np.array([0, len(lam)]), symbols, spec.omega0(),
-                     spec)
-    return stacks[len(lam)][0], sites[lam], copies[lam]
+    block = _dense(sites, copies, lam[None, :], symbols, spec.omega0(), spec)[0]
+    return block, sites[lam], copies[lam]
 
 
 def doubled_indices(spec, box, rows, copy):
@@ -162,7 +164,7 @@ def test_assemble_theta_enters_antisymmetrically(tp2):
     # The scan's shift is +theta on the u-copies' diagonal, -theta on the
     # v-copies', and nothing off the diagonal.
     s0, _ = box_stacks(tp2)
-    _, copies, order, bounds = _box_blocks(tp2, Box(9, 3), seed_symbols(tp2))
+    _, copies, order, bounds, _ = _box_blocks(tp2, Box(9, 3), seed_symbols(tp2))
     shift = _copy_signs(copies, order, bounds, s0)
     assert sorted(shift) == sorted(s0)
     for k in s0:

@@ -640,6 +640,8 @@ def sweep_case(name, request):
     from nlsqp.lattice import default_box
     if name == "b3":
         return B3, B3_BOX
+    if name == "p3":
+        return P3, default_box(P3)
     spec = request.getfixturevalue(name)
     return spec, default_box(spec)
 
@@ -648,7 +650,7 @@ def sweep_samples(spec, n, seed):
     return 1.0 - np.random.default_rng(seed).random((n, spec.b))
 
 
-@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "p3", "b3"])
 def test_excision_sweep_matches_hand_built_blocks(name, request):
     spec, box = sweep_case(name, request)
     res = excision_sweep(spec, [1e-2], n_samples=100, seed=5, box=box)
@@ -667,7 +669,7 @@ def per_sample_dio_kappas(spec, samples, kappa, gamma, n_radius):
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "b3"])
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "p3", "b3"])
 def test_excision_sweep_dio_kappas_match_per_sample_loop(name, request):
     # 300 samples: two full chunks of the batched pass and a partial one.
     spec, box = sweep_case(name, request)
@@ -714,6 +716,29 @@ def test_excision_sweep_dets_one_block_per_class(name, components, classes, requ
     assert calls == [(100, n, k, k) for k, n in sorted(classes.items())]
 
 
+def test_component_blocks_gather_nothing_and_the_sweep_convolves_no_seed(monkeypatch):
+    # The sweep, the gate, `box_inverse` without its decay fit and the
+    # theta scan read every block term off the links that found it: none
+    # calls `_gather`, the sweep convolves no seed symbols beyond its own
+    # batch, and only condition (ii) pairs spirals.
+    from nlsqp import characteristics, conditions, linop, newton
+    symbols = ConvolutionSymbols.from_fields(*linear_solution(B3), B3.p)
+    box = Box(4, 9)
+    lattice = linop.lattice_box(B3, box)
+    assert not lattice.seeds.all()  # the gate has blocks to build
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called")
+
+    for module, name in ((linop, "_gather"), (characteristics, "seed_symbols"),
+                         (newton, "seed_symbols"), (conditions, "_spiral_pairs")):
+        monkeypatch.setattr(module, name, refuse)
+    excision_sweep(B3, [1e-2], n_samples=100, seed=1, box=B3_BOX)
+    assert linop.admissibility_gate(B3.omega0(), B3, box, symbols, lattice=lattice) < math.inf
+    linop.box_inverse(symbols, B3.omega0(), B3, B3_BOX, fit_decay=False)
+    linop.theta_spectrum_scan(symbols, B3.omega0(), B3, B3_BOX, [0.0, 0.25])
+
+
 def component_block(vertices, comp):
     """A component's block as (kind, shift) matrices, built from the vertex
     list entry by entry: kind 0 diagonal symbol, 1 uu, 2 vv."""
@@ -755,9 +780,9 @@ def test_sweep_plan_covers_every_component(name, request):
         spec, box, symbols = injected_case(request.getfixturevalue("tp2"))
         supports = symbols.supports()
     else:
-        (spec, box), symbols = sweep_case(name, request), None
+        spec, box = sweep_case(name, request)
         supports = sweep_terms(spec)[1]
-    graph = resonance_graph(spec, box, symbols=symbols)
+    graph = resonance_graph(spec, box, supports)
     classes = _sweep_classes(graph, supports)
     planned = [tuple(map(tuple, terms)) for _, at in classes for terms in at.tolist()]
     entries = [(kind, s) for kind, sup in enumerate(supports) for s in sup]

@@ -21,6 +21,7 @@ from nlsqp.newton import q_solve, residual_series, solve
 from nlsqp.verify import (
     GridTooCoarse,
     IntegratorInstability,
+    VerifyError,
     WeightSpec,
     _linear_propagator,
     default_weight,
@@ -139,6 +140,22 @@ def test_evolve_dt_guard(tp1):
     rep = solve(tp1)
     with pytest.raises(IntegratorInstability):
         evolve_drift(rep.physical_u(), rep.state.omega, tp1, T=10.0, dt=0.9)
+
+
+@pytest.mark.parametrize("T, dt", [(0.04, 0.1), (0.05, 0.1), (1e-9, 1e-2)])
+def test_evolve_drift_refuses_a_T_of_no_step(tp2, T, dt):
+    # round(T / dt) = 0 steps used to integrate nothing and report zero drift.
+    u, _ = linear_solution(tp2)
+    with pytest.raises(VerifyError, match=f"T = {T!r} rounds to no step of dt = {dt!r}"):
+        evolve_drift(u, tp2.omega0(), tp2, T=T, dt=dt)
+
+
+def test_evolve_drift_takes_a_T_that_is_no_multiple_of_dt(tp2):
+    # T = 0.06 is one step of dt = 0.1, as criterion 8's T = 200 pi is
+    # round(T / dt) steps of dt = 1e-2.
+    u, _ = linear_solution(tp2)
+    drift = evolve_drift(u, tp2.omega0(), tp2, T=0.06, dt=0.1)
+    assert drift.times.tolist() == [0.0, 0.1]
 
 
 def test_pde_residual_and_drift_d2(tp3):
