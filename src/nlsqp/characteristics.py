@@ -77,10 +77,10 @@ def row_keys(rows: np.ndarray) -> np.ndarray:
     equal rows get equal ids, and ids order as the rows do lexicographically.
 
     The id is the row's number in the mixed radix of its columns' spans,
-    exact while the spans' product fits in int64.  For the package's keys it
-    does: a graph's (label, tag, j) rows span at most 4e6 x 3 x 2e6 (its
-    grid is under SITE_CAP), and site differences in a box under SITE_CAP
-    span 4r + 1 <= (2r + 1)^2 per axis.  Past int64 the ids are dense ranks."""
+    exact while the spans' product fits in int64.  For the package's site
+    keys it does: a graph's (label, tag, j) rows span at most 4e6 x 3 x 2e6
+    (its grid is under SITE_CAP), and the sites of a box span its site
+    count.  Past int64 the ids are dense ranks."""
     cols = np.ascontiguousarray(rows.T)  # whole-column passes run several times faster
     lo = cols.min(axis=1)
     spans = (cols.max(axis=1) - lo + 1).tolist()
@@ -368,14 +368,15 @@ def component_terms(n: int, order: np.ndarray, bounds: np.ndarray, links: np.nda
     base, width, slot = np.full((3, n), -1)
     base[order], width[order] = np.repeat(start, sizes), np.repeat(sizes, sizes)
     slot[order] = np.arange(len(order)) - np.repeat(bounds[:-1], sizes)
-    x, y, term = links[:, (slot[links[0]] >= 0) & (slot[links[1]] >= 0)]
+    x, y, term = links.compress((slot[links[0]] >= 0) & (slot[links[1]] >= 0), axis=1)
     flat = np.full(int(sizes @ sizes), -1)
     flat[base[order] + slot[order] * (width[order] + 1)] = next(
         (i for i, s in enumerate(diagonal) if s.is_zero()), -1)
     flat[base[x] + slot[x] * width[x] + slot[y]] = term
-    counts = np.bincount(sizes, minlength=1)
-    parts = np.split(flat, np.cumsum(counts * np.arange(len(counts)) ** 2)[:-1])
-    return {k: part.reshape(-1, k, k) for k, part in enumerate(parts) if counts[k]}
+    counts = np.bincount(sizes)
+    present = np.flatnonzero(counts)
+    parts = np.split(flat, np.cumsum(counts[present] * present ** 2)[:-1])
+    return {k: part.reshape(counts[k], k, k) for k, part in zip(present.tolist(), parts)}
 
 
 def _min_labels(n: int, rows: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, int]:
@@ -522,10 +523,9 @@ def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
     copies copies[i] (+1 u, -1 v) of the rows vertices[i] of a site array in
     the box (b n-axes), under the supports of uv_p, uu and vv, as a (3,
     count) array of (vertex, other vertex, term) columns: the entry of F' at
-    that row and column reads the term-th site of the supports in turn, as
-    `linop._gather` numbers them.  One array pass over the u-copies and
-    their shifts (uv_p but its origin to u, uu to v), one over the v-copies
-    (uv_p, vv).
+    that row and column reads the term-th site of the supports in turn.
+    One array pass over the u-copies and their shifts (uv_p but its origin
+    to u, uu to v), one over the v-copies (uv_p, vv).
 
     Each vertex is looked up by its doubled index among the sorted ones:
     its index in the box of thrice the radii, plus that box's site count
@@ -536,9 +536,9 @@ def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
     whose doubled indices would pass int64 (one `resonance_graph` reads
     through its grid alone) raises BoxTooLarge."""
     d = vertices.shape[1] - b
-    radii, _ = box_strides(b, d, box)
     wide = Box(3 * box.n_radius, 3 * box.j_radius)
     wide_radii, strides = box_strides(b, d, wide)
+    radii = wide_radii // 3
     ns = wide.site_count(b, d)
     if 2 * ns > np.iinfo(np.int64).max:
         raise BoxTooLarge(f"box {box} has indices past int64 in its tripled box")
@@ -548,7 +548,7 @@ def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
     keys = np.append(keys[rank], np.iinfo(np.int64).max)  # no query reaches the sentinel
     sv = np.array([s.n + s.j for sup in supports for s in sup], dtype=np.int64).reshape(-1, b + d)
     kind = np.repeat([0, 1, 2], [len(sup) for sup in supports])
-    kept = np.all(np.abs(sv) <= 2 * radii, axis=1) & ((kind > 0) | sv.any(axis=1))
+    kept = (np.abs(sv) <= 2 * radii).all(axis=1) & ((kind > 0) | sv.any(axis=1))
     found = []
     for tag, cross in ((1, 1), (-1, 2)):
         own = np.flatnonzero(copies == tag)
@@ -560,7 +560,7 @@ def resonance_links(box: Box, vertices: np.ndarray, copies: np.ndarray,
         query = index[own][None, :] - shift[:, None]
         pos = np.searchsorted(keys, query)
         at, col = np.nonzero(keys[pos] == query)
-        found.append(np.stack([own[col], rank[pos[at, col]], term[at]]))
+        found.append((own[col], rank[pos[at, col]], term[at]))
     return np.concatenate(found, axis=1)
 
 

@@ -257,8 +257,11 @@ def parse_config(text: str) -> RunConfig:
                       ("epsilons", min(cfg.sweep.epsilons, default=1.0))):
         if val <= 0:
             raise ConfigError(f"{name} must be positive")
-    if cfg.verify.T / cfg.verify.dt <= 0.5:  # verify takes round(T / dt) steps
-        raise ConfigError(f"T = {cfg.verify.T!r} rounds to no step of dt = {cfg.verify.dt!r}")
+    T, dt = cfg.verify.T, cfg.verify.dt
+    if not math.isfinite(T / dt):  # verify takes round(T / dt) steps
+        raise ConfigError(f"T = {T!r} over dt = {dt!r} is no finite step count")
+    if T / dt <= 0.5:
+        raise ConfigError(f"T = {T!r} rounds to no step of dt = {dt!r}")
     if cfg.sweep.n_samples < 100:  # the sweep's own floor, refused here as input
         raise ConfigError("n_samples must be at least 100")
     for name, val in (("n_radius", cfg.truncation.n_radius),
@@ -434,10 +437,14 @@ def _condition_sections(cfg: RunConfig, symbols: ConvolutionSymbols
     rep_ii = check_condition_ii(spec, m_max=cfg.conditions.m_max, box=box, symbols=symbols)
     rank = rank_check_momenta(spec.j_list, spec.d)
     sections: Dict[str, Dict[str, object]] = {}
-    sections["conditions.non_intersection"] = {"verdict": rep_i.verdict,
-                                               "witness_count": len(rep_i.witnesses)}
+    section = sections["conditions.non_intersection"] = {
+        "verdict": rep_i.verdict, "witness_count": len(rep_i.witnesses)}
     if rep_i.witnesses:
-        sections["conditions.non_intersection"]["first_witness"] = rep_i.witnesses[0]["site"]
+        first = rep_i.witnesses[0]
+        section["first_witness"] = first["site"]
+        if "rectangle" in first:  # p = 1: the corners in turn
+            section["first_witness_rectangle"] = " ".join(
+                f"({' '.join(map(str, j))})" for j in first["rectangle"])
     sections["conditions.non_spiral"] = {
         "verdict": rep_ii.verdict,
         "graph_vertices": rep_ii.details["graph"]["vertices"],

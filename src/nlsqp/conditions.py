@@ -78,6 +78,9 @@ def check_condition_i(spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] =
     is harmless.  Supports (of gu and gv of `seed_symbols`, built here
     unless given) are finite and exact, so the verdict is exact.  Both
     equations and a witness's class come from `branch_tags`.
+
+    For p = 1 a u-witness (a v-witness's flip) is s_a + s_b - s_c, with a
+    right angle at j_c: it names the rectangle j_a, j_c, j_b, j_a + j_b - j_c.
     """
     u0, v0 = linear_solution(spec)
     s_set = set(u0.support()) | set(v0.support())
@@ -92,6 +95,10 @@ def check_condition_i(spec: ProblemSpec, symbols: Optional[ConvolutionSymbols] =
             if hit and x not in s_set:
                 witnesses.append({"site": x, "component": component,
                                   "class": TAG_CLASS[tag].value})
+                if spec.p == 1:
+                    y = x if component == "u" else -x
+                    (a, b), c = [k for k, n in enumerate(y.n) if n == -1], y.n.index(1)
+                    witnesses[-1]["rectangle"] = (*(spec.j_list[k] for k in (a, c, b)), y.j)
     return ConditionReport(
         name="non_intersection",
         verdict="fail" if witnesses else "pass",

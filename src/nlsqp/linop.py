@@ -35,7 +35,6 @@ from .characteristics import (
     on_lattice,
     ordered_components,
     resonance_links,
-    row_keys,
 )
 from .lattice import (
     Box,
@@ -106,15 +105,12 @@ def _dispersion(coords: np.ndarray, omega: FrequencyVector, spec: ProblemSpec
 
 def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
            symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
-           at: Optional[np.ndarray] = None) -> np.ndarray:
+           at: np.ndarray) -> np.ndarray:
     """F' on groups of doubled vertices as a (count, k, k) stack, one group
     per row of the (count, k) array members.  Vertex i is the copy
     copies[i] (+1 u, -1 v) of the site coords[i].  An entry is the term at
-    its position in at (`component_terms`; `_gather`'s without at), times
-    delta (p + 1) from uv_p and delta p from uu or vv; the diagonal adds D
-    (`_dispersion`)."""
-    if at is None:
-        at = _gather(coords, copies, members[:, :, None], members[:, None, :], symbols.supports())
+    its position in at (`component_terms`), times delta (p + 1) from uv_p
+    and delta p from uu or vv; the diagonal adds D (`_dispersion`)."""
     delta, p = spec.delta, spec.p
     vals = [coef * ampl for coef, series in ((delta * (p + 1), symbols.uv_p),
                                              (delta * p, symbols.uu), (delta * p, symbols.vv))
@@ -125,28 +121,6 @@ def _dense(coords: np.ndarray, copies: np.ndarray, members: np.ndarray,
     k = members.shape[1]
     out[:, np.arange(k), np.arange(k)] += np.where(c > 0, diag[0], diag[1])
     return out
-
-
-def _gather(coords: np.ndarray, copies: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-            supports: Sequence[Sequence[SiteIndex]]) -> np.ndarray:
-    """Where the entries of F' at the row vertices rows and the column
-    vertices cols (index arrays that broadcast together) read: the position
-    of their term in the terms of uv_p, uu and vv (supports) in turn, or -1
-    for none.  An entry reads the symbol its two copies select at row site
-    minus column site: uv_p between equal copies, uu from a u-row to a
-    v-column and vv the other way."""
-    keys = np.array([(kind,) + s.n + s.j for kind, sup in enumerate(supports) for s in sup],
-                    dtype=np.int64).reshape(-1, 1 + coords.shape[1])
-    r, c = copies[rows], copies[cols]
-    kind = np.where(r == c, 0, np.where(r > 0, 1, 2))
-    diff = np.take(coords, rows, axis=0) - np.take(coords, cols, axis=0)  # faster than [rows]
-    query = np.concatenate([kind[..., None], diff], axis=-1)
-    # Keys and queries numbered together: a query matches the key of its id.
-    ids = row_keys(np.concatenate([keys, query.reshape(-1, keys.shape[1])]))
-    by_id = np.argsort(ids[:len(keys)])
-    codes, code = ids[:len(keys)][by_id], ids[len(keys):].reshape(query.shape[:-1])
-    pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
-    return np.where(codes[pos] == code, by_id[pos], -1)
 
 
 def _stacks(coords: np.ndarray, copies: np.ndarray, order: np.ndarray, bounds: np.ndarray,
@@ -207,10 +181,16 @@ def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
                      ) -> Tuple[np.ndarray, np.ndarray]:
     """F' on the u-copies at the rows of `sites` and then the v-copies at
     their flips, as a dense (2k, 2k) matrix, and the mask of the rows and
-    columns off the 2b seed equations.  On sites = Lambda_R this is the
-    Newton operator: u on Lambda and v on -Lambda couple to nothing else."""
+    columns off the 2b seed equations.  The vertices are one group of
+    `_stacks`, linked (`resonance_links`) in the smallest box that holds the
+    rows.  On sites = Lambda_R this is the Newton operator: u on Lambda and
+    v on -Lambda couple to nothing else."""
     coords, copies = np.concatenate([sites, -sites]), np.repeat([1, -1], len(sites))
-    mat = _dense(coords, copies, np.arange(len(coords))[None, :], symbols, omega, spec)[0]
+    radii, n = np.abs(sites).max(axis=0), len(coords)
+    box = Box(int(radii[:spec.b].max()), int(radii[spec.b:].max(initial=0)))
+    links = resonance_links(box, coords, copies, symbols.supports(), spec.b)
+    mat = _stacks(coords, copies, np.arange(n), np.array([0, n]), links, symbols, omega,
+                  spec)[n][0]
     return mat, ~_seed_mask(spec, coords, copies)
 
 
@@ -321,7 +301,8 @@ def box_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: Probl
     if not fit_decay:
         return norm, None
     lam = np.flatnonzero(on_lattice(sites, copies, spec))
-    a = _dense(sites, copies, lam[None, :], symbols, omega, spec)[0]
+    a = _stacks(sites, copies, lam, np.array([0, len(lam)]), links, symbols, omega,
+                spec)[len(lam)][0]
     return norm, _fit_decay(spec, symbols, sites[lam], copies[lam], a)
 
 

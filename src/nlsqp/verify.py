@@ -255,6 +255,8 @@ def evolve_drift(
     m = max(16, 2 ** math.ceil(math.log2(2 * (2 * spec.p + 1) * max_c + 2)))
     if dt > 0.5:
         raise IntegratorInstability("dt too large for the phase rotation", 0.1)
+    if not math.isfinite(T / dt):
+        raise VerifyError(f"T = {T!r} over dt = {dt!r} is no finite step count")
     steps = int(round(T / dt))
     if steps < 1:
         raise VerifyError(f"T = {T!r} rounds to no step of dt = {dt!r}")

@@ -12,8 +12,9 @@ list of small spatial modes that the membership search read before its
 table was built in numpy, the sites of Lambda in a box filtered from
 the full grid of c-vectors, and the lifts of a membership witness and of
 a quotient walk frozen as they stood before both read `branch_tags` through
-one batched lift, each with its own solve_dot and written tie-break.  The
-pipeline runs none of them."""
+one batched lift, each with its own solve_dot and written tie-break, and
+the term lookup of F' on every pair of vertices, frozen as it stood before
+every entry read its term off a link.  The pipeline runs none of them."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from nlsqp import _intlinalg
 from nlsqp.characteristics import (
     TAG_CLASS, CharClass, ConvolutionSymbols, ResonanceGraph, _lattice, _min_labels,
     box_strides, branch_tags, enumerate_box_sites,
-    ordered_components, resonance_links, seed_symbols, sphere_points)
+    ordered_components, resonance_links, row_keys, seed_symbols, sphere_points)
 from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
     DROP_TOL, Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, delta_series,
@@ -622,3 +623,25 @@ def frozen_lift_walk(viol: WalkViolation, omega0: FrequencyVector
         if [classify_site(s, omega0) for s in sites] == [TAG_CLASS[br] for br in want]:
             return sites
     return None
+
+
+def _gather(coords: np.ndarray, copies: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            supports: Sequence[Sequence[SiteIndex]]) -> np.ndarray:
+    """Where the entries of F' at the row vertices rows and the column
+    vertices cols (index arrays that broadcast together) read: the position
+    of their term in the terms of uv_p, uu and vv (supports) in turn, or -1
+    for none.  An entry reads the symbol its two copies select at row site
+    minus column site: uv_p between equal copies, uu from a u-row to a
+    v-column and vv the other way."""
+    keys = np.array([(kind,) + s.n + s.j for kind, sup in enumerate(supports) for s in sup],
+                    dtype=np.int64).reshape(-1, 1 + coords.shape[1])
+    r, c = copies[rows], copies[cols]
+    kind = np.where(r == c, 0, np.where(r > 0, 1, 2))
+    diff = np.take(coords, rows, axis=0) - np.take(coords, cols, axis=0)  # faster than [rows]
+    query = np.concatenate([kind[..., None], diff], axis=-1)
+    # Keys and queries numbered together: a query matches the key of its id.
+    ids = row_keys(np.concatenate([keys, query.reshape(-1, keys.shape[1])]))
+    by_id = np.argsort(ids[:len(keys)])
+    codes, code = ids[:len(keys)][by_id], ids[len(keys):].reshape(query.shape[:-1])
+    pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
+    return np.where(codes[pos] == code, by_id[pos], -1)

@@ -219,6 +219,18 @@ modes = (-2,-2):0.5, (-2,2):0.5, (2,2):0.5
     assert "verdict = fail\nwitness_count = 2\nfirst_witness = (-1 1 -1 | 2 -2)\n" in text
 
 
+def test_check_names_the_rectangle_of_a_cubic_witness(tmp_path):
+    # p = 1: the witness (0 -1 -1 1 | -2 2) is s_2 + s_3 - s_4, so the
+    # modes (-1, 3) and (1, -1) meet at a right angle at (2, 0), and (-2, 2)
+    # is the fourth vertex; the corners are printed in turn.
+    cfg = parse_config(TP1_CFG.replace("d = 1\nb = 1", "d = 2\nb = 4").replace(
+        "(2):0.7", "(1,-3):0.5, (-1,3):0.5, (1,-1):0.5, (2,0):0.5"))
+    assert run_command("check", cfg, out_path=str(tmp_path / "rep.txt")) == EXIT_CONDITION
+    assert ("first_witness = (0 -1 -1 1 | -2 2)\n"
+            "first_witness_rectangle = (-1 3) (2 0) (1 -1) (-2 2)\n"
+            in (tmp_path / "rep.txt").read_text())
+
+
 def test_check_reports_kernel_for_b4(tmp_path):
     cfg = parse_config("""
 [problem]
@@ -785,6 +797,17 @@ def test_config_refuses_a_verify_of_no_step_and_a_non_positive_epsilon(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["verify", "check"])
+def test_config_refuses_a_T_over_dt_past_the_floats(tmp_path, capsys, command):
+    # T = 1e300 over dt = 1e-10 overflows to inf: verify used to end in an
+    # OverflowError traceback with exit 1.
+    cfg = write(tmp_path, "bad.cfg", TP1_CFG + "\n[verify]\nT = 1e300\ndt = 1e-10\n")
+    extra = ["--solution", str(tmp_path / "solution.txt")] if command == "verify" else []
+    assert main([command, cfg, "--out", str(tmp_path / "out"), *extra]) == EXIT_CONFIG
+    assert one_line_err(capsys) == "config error: T = 1e+300 over dt = 1e-10 is no finite step count"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_takes_a_T_of_one_step_that_is_no_multiple_of_dt():
     # Criterion 8 runs T = 200 pi at dt = 1e-2; 0.06 is one step of 0.1.
     for T, dt in ((0.06, 0.1), (200 * 3.141592653589793, 1e-2)):
@@ -1056,7 +1079,9 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
     # links only the vertices of Lambda (+) -Lambda, and only when one of
     # them lies off the seed equations: tp3's gates link nothing, and each
     # of b = 3's three gates on Box(4, 9) links its 8 vertices, under the
-    # seed's supports, then under each step's.  Nothing is held across
+    # seed's supports, then under each step's.  Each Newton operator on
+    # Lambda_R, and the final inverse's, links its own doubled sites once,
+    # under the supports its step's gate read.  Nothing is held across
     # commands, so a second identical solve in the same process does the
     # same work.
     import sys
@@ -1084,7 +1109,9 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
     for run in ("a", "b"):
         assert run_command("solve", cfg, out_path=str(tmp_path / run)) == EXIT_OK
         counts.append((calls["convolve"], len(calls["links"])))
-        assert counts[-1][1] == 1  # the graph alone
+        graph, *operators = calls["links"]
+        assert [n for n, _ in operators] == [20, 24, 24] and graph[0] > 24
+        assert operators[0][1] == graph[1]
         calls.update(convolve=0, links=[])
     assert counts[0] == counts[1]
     # Four sets of products (the seed's and three steps'), six convolutions
@@ -1092,9 +1119,12 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
     assert counts[0][0] == 4 * 6 + 10
     cfg = parse_config(B3_CFG + "\n[truncation]\nn_radius = 4\nj_radius = 9\n")
     assert run_command("solve", cfg, out_path=str(tmp_path / "b3")) == EXIT_OK
-    graph, *gates = calls["links"]
+    graph, *steps = calls["links"]
+    gates, operators = steps[0::2], steps[1::2]
     assert len(gates) == 3 and {n for n, _ in gates} == {8} and graph[0] > 8
     assert gates[0][1] == graph[1] and len({sup for _, sup in gates}) == 3
+    assert [n for n, _ in operators] == [54, 96, 96]
+    assert [sup for _, sup in operators] == [sup for _, sup in gates]
 
 
 def test_the_names_the_benchmark_reads_exist():

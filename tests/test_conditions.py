@@ -180,6 +180,26 @@ def test_condition_i_fails_iff_three_modes_make_a_right_angle(js):
     assert (check_condition_i(spec).verdict == "fail") == right
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 3).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-4, 4)] * d).filter(any), min_size=3, max_size=5, unique=True)))
+def test_condition_i_witnesses_name_their_rectangles(js):
+    # p = 1: each witness names three distinct seed modes j_a, j_c, j_b with
+    # a right angle at j_c and the fourth vertex, which is the witness's j
+    # (its flip's on the v-copy).  For p = 2 no witness names one.
+    spec = make_spec(d=len(js[0]), b=len(js), p=1, delta=1e-3, j_list=js,
+                     amplitudes=[0.5] * len(js))
+    for w in check_condition_i(spec).witnesses:
+        ja, jc, jb, jd = w["rectangle"]
+        assert len({ja, jb, jc}) == 3 and {ja, jb, jc} <= set(js)
+        assert sum((x - z) * (y - z) for x, y, z in zip(ja, jb, jc)) == 0
+        assert jd == tuple(x + y - z for x, y, z in zip(ja, jb, jc))
+        assert w["site"].j == (jd if w["component"] == "u" else tuple(-x for x in jd))
+    quintic = make_spec(d=len(js[0]), b=len(js), p=2, delta=1e-3, j_list=js,
+                        amplitudes=[0.5] * len(js))
+    assert not any("rectangle" in w for w in check_condition_i(quintic).witnesses)
+
+
 def test_condition_ii_single_mode(tp1):
     rep = check_condition_ii(tp1)
     assert rep.verdict == "pass"

@@ -24,10 +24,10 @@ from nlsqp.characteristics import (
 from nlsqp.conditions import check_condition_ii
 from nlsqp.lattice import (
     Box, SiteIndex, SparseSeries, default_box, linear_solution, make_spec, site)
-from nlsqp.linop import _box_blocks, _copy_signs, _exclude, _gather, _stacks
+from nlsqp.linop import _box_blocks, _copy_signs, _exclude, _stacks
 from nlsqp.newton import solve
 
-from oracles import (build_partition, classify_site, frozen_complete_witness,
+from oracles import (_gather, build_partition, classify_site, frozen_complete_witness,
                      full_small_j_table, injected_symbols, small_j_candidates,
                      unique_ordered_components)
 from test_characteristics import (

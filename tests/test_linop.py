@@ -1,7 +1,11 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from nlsqp.characteristics import (
@@ -42,7 +46,7 @@ from nlsqp.linop import (
 )
 from nlsqp.newton import first_iteration, q_solve, residual_series
 
-from oracles import seed_equations
+from oracles import _gather, seed_equations
 from test_geometry import loop_scatter_matrix
 
 # Three modes in one dimension, cubic: Lambda carries small divisors of its
@@ -108,7 +112,8 @@ def lambda_block(spec, box=None):
     symbols = seed_symbols(spec)
     sites, copies, *_ = _box_blocks(spec, box or Box(9, 3), symbols)
     lam = np.flatnonzero(on_lattice(sites, spec, -copies))
-    block = _dense(sites, copies, lam[None, :], symbols, spec.omega0(), spec)[0]
+    at = _gather(sites, copies, lam[:, None], lam[None, :], symbols.supports())
+    block = _dense(sites, copies, lam[None, :], symbols, spec.omega0(), spec, at[None])[0]
     return block, sites[lam], copies[lam]
 
 
@@ -566,6 +571,81 @@ def test_lattice_decouples_and_its_step_is_the_box_step(name, request):
     if keep.any():
         step[keep] = np.linalg.solve(mat[np.ix_(keep, keep)], rhs[rows][keep])
     assert np.abs(step - full[rows]).max() <= 1e-12 * max(np.abs(step).max(), 1e-300)
+
+
+def gathered_lattice_operator(symbols, omega, spec, sites):
+    """`lattice_operator` with every term looked up by the `_gather` oracle
+    on all pairs of vertices."""
+    coords, copies = np.concatenate([sites, -sites]), np.repeat([1, -1], len(sites))
+    every = np.arange(len(coords))
+    at = _gather(coords, copies, every[:, None], every[None, :], symbols.supports())
+    mat = _dense(coords, copies, every[None, :], symbols, omega, spec, at[None])[0]
+    return mat, ~_seed_mask(spec, coords, copies)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 2), st.integers(1, 2), st.data())
+def test_lattice_operator_equals_the_gathered_operator(b, d, p, data):
+    # Random seeds on Lambda_R, R <= 3: the operator read off the links of
+    # the doubled sites equals the one whose terms the oracle looks up on
+    # every pair, byte for byte, and so does the mask.  For b = 1 Lambda_R
+    # is the seed alone.
+    pool = [j for j in itertools.product(range(-2, 3), repeat=d) if any(j)]
+    js = data.draw(st.lists(st.sampled_from(pool), min_size=b, max_size=b, unique=True))
+    amps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=b, max_size=b))
+    spec = make_spec(d=d, b=b, p=p, delta=1e-3, j_list=js, amplitudes=amps)
+    sites = conservation_sites(spec, data.draw(st.integers(0, 3)))
+    symbols = seed_symbols(spec)
+    got = lattice_operator(symbols, spec.omega0(), spec, sites)
+    want = gathered_lattice_operator(symbols, spec.omega0(), spec, sites)
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def lambda_block_read(spec, box, monkeypatch):
+    """The block of Lambda (+) -Lambda that `box_inverse` hands its decay
+    fit."""
+    import nlsqp.linop as linop
+    seen, fit = [], linop._fit_decay
+    monkeypatch.setattr(linop, "_fit_decay", lambda *args: seen.append(args[-1]) or fit(*args))
+    box_inverse(seed_symbols(spec), spec.omega0(), spec, box)
+    return seen[0]
+
+
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "p3", "b3"])
+def test_box_inverse_lambda_block_equals_the_gathered_block(name, request, monkeypatch):
+    # The Lambda block is one group of the box's vertices, read off the box
+    # links: byte for byte the block whose terms the oracle looks up.
+    if name == "p3":
+        spec = make_spec(d=1, b=2, p=3, delta=1e-3, j_list=[1, 3], amplitudes=[0.6, 0.8])
+    else:
+        spec = B3 if name == "b3" else request.getfixturevalue(name)
+    box = Box(3, 5) if name == "b3" else Box(9, 3)
+    got = lambda_block_read(spec, box, monkeypatch)
+    assert got.shape[0] > 0 and got.tobytes() == lambda_block(spec, box)[0].tobytes()
+
+
+def test_box_inverse_on_a_box_without_lambda_fits_no_decay(tp1, monkeypatch):
+    # Box(0, 3) holds no site of Lambda: the group is empty, its block 0 x 0
+    # and the fit has nothing to probe.
+    assert lambda_block_read(tp1, Box(0, 3), monkeypatch).shape == (0, 0)
+    _, decay = box_inverse(seed_symbols(tp1), tp1.omega0(), tp1, Box(0, 3))
+    assert (decay.beta_hat, decay.bound_ok, decay.checked_beyond) == (0.0, True, 0)
+
+
+def test_lattice_operator_memory_is_the_operators_own():
+    # b = 4 on Lambda_3: 216 sites, a 432 x 432 complex operator of 3 MB.
+    # Looking every pair's term up took a 46 MB peak.
+    spec = make_spec(d=1, b=4, p=1, delta=1e-3, j_list=[1, 2, 4, 7],
+                     amplitudes=[0.6, 0.8, 0.5, 0.38])
+    sites, symbols = conservation_sites(spec, 3), seed_symbols(spec)
+    assert len(sites) == 216
+    tracemalloc.start()
+    try:
+        lattice_operator(symbols, spec.omega0(), spec, sites)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 def test_lattice_inverse_is_the_exact_inverse_norm(tp2, tp3):

@@ -22,7 +22,7 @@ from nlsqp.newton import (
     solve,
 )
 
-from oracles import fd_q_jacobian, injected_symbols
+from oracles import _gather, fd_q_jacobian, injected_symbols
 from test_characteristics import component_members, tagged_vertices
 from test_linop import count_calls
 
@@ -718,9 +718,9 @@ def test_excision_sweep_dets_one_block_per_class(name, components, classes, requ
 
 def test_component_blocks_gather_nothing_and_the_sweep_convolves_no_seed(monkeypatch):
     # The sweep, the gate, `box_inverse` without its decay fit and the
-    # theta scan read every block term off the links that found it: none
-    # calls `_gather`, the sweep convolves no seed symbols beyond its own
-    # batch, and only condition (ii) pairs spirals.
+    # theta scan read every block term off the links that found it: the
+    # sweep convolves no seed symbols beyond its own batch, and only
+    # condition (ii) pairs spirals.
     from nlsqp import characteristics, conditions, linop, newton
     symbols = ConvolutionSymbols.from_fields(*linear_solution(B3), B3.p)
     box = Box(4, 9)
@@ -730,8 +730,8 @@ def test_component_blocks_gather_nothing_and_the_sweep_convolves_no_seed(monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("called")
 
-    for module, name in ((linop, "_gather"), (characteristics, "seed_symbols"),
-                         (newton, "seed_symbols"), (conditions, "_spiral_pairs")):
+    for module, name in ((characteristics, "seed_symbols"), (newton, "seed_symbols"),
+                         (conditions, "_spiral_pairs")):
         monkeypatch.setattr(module, name, refuse)
     excision_sweep(B3, [1e-2], n_samples=100, seed=1, box=B3_BOX)
     assert linop.admissibility_gate(B3.omega0(), B3, box, symbols, lattice=lattice) < math.inf
@@ -806,9 +806,10 @@ def test_sweep_plan_covers_every_component(name, request):
 def test_sweep_class_blocks_are_dense_blocks_over_delta(name, request):
     # At the spec's own amplitudes each class block of the sweep is F' on
     # the class's first component over delta: the gate's `_dense` of the
-    # vertices with their tags as copies.  At omega0 with phase_m = 0 the
-    # dispersion diagonal vanishes on the variety, so the two differ only
-    # by the rounding of delta.
+    # vertices with their tags as copies, its terms looked up by the
+    # `_gather` oracle.  At omega0 with phase_m = 0 the dispersion diagonal
+    # vanishes on the variety, so the two differ only by the rounding of
+    # delta.
     from nlsqp.characteristics import resonance_graph
     from nlsqp.lattice import default_box
     from nlsqp.linop import _dense
@@ -823,7 +824,9 @@ def test_sweep_class_blocks_are_dense_blocks_over_delta(name, request):
     classes = _sweep_classes(graph, supports)
     assert sum(len(reps) for reps, _ in classes) == {"tp2": 2, "tp3": 5}[name]
     for reps, at in classes:
-        dense = _dense(graph.vertices, graph.tags, reps, symbols, spec.omega0(), spec)
+        gathered = _gather(graph.vertices, graph.tags, reps[:, :, None], reps[:, None, :],
+                           symbols.supports())
+        dense = _dense(graph.vertices, graph.tags, reps, symbols, spec.omega0(), spec, gathered)
         dense /= spec.delta
         assert np.abs(table[at] - dense).max() <= 1e-12 * np.abs(dense).max()
 

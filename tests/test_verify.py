@@ -150,6 +150,13 @@ def test_evolve_drift_refuses_a_T_of_no_step(tp2, T, dt):
         evolve_drift(u, tp2.omega0(), tp2, T=T, dt=dt)
 
 
+def test_evolve_drift_refuses_a_T_over_dt_past_the_floats(tp2):
+    # T / dt overflows to inf: round(inf) used to escape as an OverflowError.
+    u, _ = linear_solution(tp2)
+    with pytest.raises(VerifyError, match=r"T = 1e\+300 over dt = 1e-10 is no finite step count"):
+        evolve_drift(u, tp2.omega0(), tp2, T=1e300, dt=1e-10)
+
+
 def test_evolve_drift_takes_a_T_that_is_no_multiple_of_dt(tp2):
     # T = 0.06 is one step of dt = 0.1, as criterion 8's T = 200 pi is
     # round(T / dt) steps of dt = 1e-2.
