@@ -279,6 +279,14 @@ def parse_config(text: str) -> RunConfig:
                       ("seed", cfg.sweep.seed)):
         if val is not None and val < 0:
             raise ConfigError(f"{name} must be non-negative")
+    # The weights |n|^gamma stay finite at the largest radius solve or sweep scans.
+    gamma = cfg.newton.gamma
+    radius = cfg.newton.dio_radius or max(newton.default_dio_radius(b), 10)
+    try:
+        float(radius ** (gamma or 0))  # no gamma set: the default 2b + 2 stays small
+    except OverflowError:
+        raise ConfigError(f"gamma = {gamma!r} overflows |n|^gamma at the Diophantine "
+                          f"radius {radius}") from None
     return cfg
 
 

@@ -176,22 +176,48 @@ def lattice_box(spec: ProblemSpec, box: Box) -> LatticeBox:
     return LatticeBox(sites, copies, _seed_mask(spec, sites, copies), lam[~on])
 
 
-def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
-                     spec: ProblemSpec, sites: np.ndarray
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """F' on the u-copies at the rows of `sites` and then the v-copies at
-    their flips, as a dense (2k, 2k) matrix, and the mask of the rows and
-    columns off the 2b seed equations.  The vertices are one group of
-    `_stacks`, linked (`resonance_links`) in the smallest box that holds the
-    rows.  On sites = Lambda_R this is the Newton operator: u on Lambda and
-    v on -Lambda couple to nothing else."""
+@dataclass
+class LatticeFrame:
+    """The doubled vertices of a site array (`lattice_frame`): the u-copies
+    at its rows `points`, then the v-copies at their flips, vertex i the
+    copy copies[i] (+1 u, -1 v) of coords[i], keep those off the 2b seed
+    equations, in box, the smallest that holds the rows.  terms: the
+    supports last linked here and their term positions (`component_terms`),
+    read again by an operator under equal supports."""
+
+    coords: np.ndarray
+    copies: np.ndarray
+    keep: np.ndarray
+    box: Box
+    points: List[SiteIndex]
+    terms: Optional[Tuple[Tuple[Tuple[SiteIndex, ...], ...], np.ndarray]] = None
+
+
+def lattice_frame(spec: ProblemSpec, sites: np.ndarray) -> LatticeFrame:
+    """The `LatticeFrame` of a site array, linked under no supports yet."""
     coords, copies = np.concatenate([sites, -sites]), np.repeat([1, -1], len(sites))
-    radii, n = np.abs(sites).max(axis=0), len(coords)
+    radii = np.abs(sites).max(axis=0)
     box = Box(int(radii[:spec.b].max()), int(radii[spec.b:].max(initial=0)))
-    links = resonance_links(box, coords, copies, symbols.supports(), spec.b)
-    mat = _stacks(coords, copies, np.arange(n), np.array([0, n]), links, symbols, omega,
-                  spec)[n][0]
-    return mat, ~_seed_mask(spec, coords, copies)
+    points = [SiteIndex(tuple(r[:spec.b]), tuple(r[spec.b:])) for r in sites.tolist()]
+    return LatticeFrame(coords, copies, ~_seed_mask(spec, coords, copies), box, points)
+
+
+def lattice_operator(symbols: ConvolutionSymbols, omega: FrequencyVector,
+                     spec: ProblemSpec, frame: LatticeFrame
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """F' on the frame's vertices as a dense (2k, 2k) matrix, and the mask of
+    the rows and columns off the 2b seed equations.  The vertices are one
+    group of `component_terms`, linked (`resonance_links`) in the frame's
+    box unless the frame was last linked under the symbols' supports.  On
+    the frame of Lambda_R this is the Newton operator: u on Lambda and v on
+    -Lambda couple to nothing else."""
+    supports, n = symbols.supports(), len(frame.coords)
+    if frame.terms is None or frame.terms[0] != supports:
+        links = resonance_links(frame.box, frame.coords, frame.copies, supports, spec.b)
+        frame.terms = supports, component_terms(n, np.arange(n), np.array([0, n]), links,
+                                                supports[0])[n]
+    return (_dense(frame.coords, frame.copies, np.arange(n)[None], symbols, omega, spec,
+                   frame.terms[1])[0], frame.keep)
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +333,17 @@ def box_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: Probl
 
 
 def lattice_inverse(symbols: ConvolutionSymbols, omega: FrequencyVector, spec: ProblemSpec,
-                    sites: np.ndarray) -> Tuple[float, DecayFit]:
-    """||F'^{-1}|| on the lattice sites off the seed equations
+                    frame: LatticeFrame) -> Tuple[float, DecayFit]:
+    """||F'^{-1}|| on the frame's vertices off the seed equations
     (`lattice_operator`), exactly 1/sigma_min (`_inverse_norm`), and the
     decay fit of that inverse's kernel.  With no equation left the norm is
     0."""
-    mat, keep = lattice_operator(symbols, omega, spec, sites)
+    mat, keep = lattice_operator(symbols, omega, spec, frame)
     if not keep.any():
         return 0.0, DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
     a = mat[np.ix_(keep, keep)]
-    return _inverse_norm([a[None]]), _fit_decay(spec, symbols,
-                                                np.concatenate([sites, -sites])[keep],
-                                                np.repeat([1, -1], len(sites))[keep], a)
+    return _inverse_norm([a[None]]), _fit_decay(spec, symbols, frame.coords[keep],
+                                                frame.copies[keep], a)
 
 
 def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols,
@@ -327,23 +352,22 @@ def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols,
     inverse.
 
     Index i of the operator a is the copy copies[i] (+1 u, -1 v) of the site
-    coords[i].  Up to four columns of the inverse are probed, one solve
-    each: at the seed equations (u at each seed, v at its flip) where kept,
-    else at the u-copies of the nonlinear forcing sites (gu = uv_p * u) off
-    the seeds.  Their log|entry| are pooled against the l1 site distance
-    from the probe and fitted as log|entry| = c - beta * |log delta| *
-    dist.
+    coords[i], each (site, copy) once.  Up to four columns of the inverse
+    are probed, one solve each (four at once differ in the last bits where
+    a threaded BLAS splits them): at the seed equations (u at each seed, v
+    at its flip) where kept, else at the u-copies of the nonlinear forcing
+    sites (gu = uv_p * u) off the seeds.  Their log|entry| are pooled
+    against the l1 site distance from the probe and fitted as log|entry| =
+    c - beta * |log delta| * dist.
     """
-    def at(s: SiteIndex, copy: int) -> List[int]:
-        return np.nonzero(np.all(coords == s.n + s.j, axis=1) & (copies == copy))[0].tolist()
-
+    rows = {(tuple(x), c): i for i, (x, c) in enumerate(zip(coords.tolist(), copies.tolist()))}
     seeds = spec.seed_sites()
-    probes = [i for s in seeds for i in at(s, 1) + at(-s, -1)]
+    probes = [rows[key] for s in seeds for key in ((s.n + s.j, 1), ((-s).n + (-s).j, -1))
+              if key in rows]
     if not probes:
-        probes = [i for s in symbols.gu.support() if s not in seeds
-                  for i in at(s, 1)]
-    delta = spec.delta
-    logd = abs(math.log(delta))
+        probes = [rows[s.n + s.j, 1] for s in symbols.gu.support()
+                  if s not in seeds and (s.n + s.j, 1) in rows]
+    logd = abs(math.log(spec.delta))
     dists: List[np.ndarray] = []
     logs: List[np.ndarray] = []
     for pi in probes[:4]:
@@ -353,36 +377,33 @@ def _fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols,
         mask = (av > floor) & (dist >= 1)
         dists.append(dist[mask])
         logs.append(np.log(av[mask]))
-    dists_a = np.concatenate(dists) if dists else np.zeros(0)
-    logs_a = np.concatenate(logs) if logs else np.zeros(0)
+    dists_a, logs_a = (np.concatenate(x) if x else np.zeros(0) for x in (dists, logs))
     levels = np.unique(dists_a)
-    if len(dists_a) < 2 or len(levels) < 2:
+    if len(levels) < 2:
         return DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
-    alpha = np.vstack([dists_a, np.ones_like(dists_a)]).T
-    slope = np.linalg.lstsq(alpha, logs_a, rcond=None)[0][0]
+    slope = np.linalg.lstsq(np.vstack([dists_a, np.ones_like(dists_a)]).T, logs_a,
+                            rcond=None)[0][0]
     beta_ls = max(-slope / logd, 0.0)
     # Certify the largest beta <= beta_ls such that every entry at distance
     # beyond 1/beta^2 obeys |entry| <= delta^{beta * dist}.  The resonant
     # blocks carry O(1/delta) inverse entries at short distance, which is
     # exactly why the bound only starts past 1/beta^2: the cutoff must be
-    # pushed beyond the block diameter.
-    per_entry = -logs_a / (dists_a * logd)
+    # pushed beyond the block diameter.  Sorted by distance, the entries
+    # beyond a cut are a suffix, and their smallest exponent its minimum.
+    by_dist = np.argsort(dists_a, kind="stable")
+    sorted_d = dists_a[by_dist]
+    suffix_min = np.minimum.accumulate((-logs_a / (dists_a * logd))[by_dist][::-1])[::-1]
     beta = 0.0
-    checked = 0
-    for cut in [0.0] + levels.tolist():
-        far = dists_a > cut
+    cuts = [0.0] + levels.tolist()
+    for cut, start in zip(cuts, np.searchsorted(sorted_d, cuts, side="right").tolist()):
         cap = beta_ls if cut == 0 else min(beta_ls, (1.0 - 1e-12) / math.sqrt(cut))
-        cand = cap if not np.any(far) else min(cap, float(np.min(per_entry[far])))
-        if cand > beta:
-            beta = cand
-            checked = int(np.sum(dists_a > 1.0 / beta ** 2)) if beta > 0 else 0
-    beta = max(beta, 0.0)
-    ok = True
-    if beta > 0:
-        far = dists_a > 1.0 / beta ** 2
-        if np.any(far):
-            ok = bool(np.all(per_entry[far] >= beta - 1e-12))
-    return DecayFit(beta_hat=float(beta), bound_ok=ok, checked_beyond=checked)
+        cand = cap if start == len(sorted_d) else min(cap, float(suffix_min[start]))
+        beta = max(beta, cand)
+    if beta <= 0:
+        return DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
+    start = int(np.searchsorted(sorted_d, 1.0 / beta ** 2, side="right"))
+    ok = start == len(sorted_d) or bool(suffix_min[start] >= beta - 1e-12)
+    return DecayFit(beta_hat=float(beta), bound_ok=ok, checked_beyond=len(sorted_d) - start)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .characteristics import (
+    SITE_CAP,
     ConvolutionSymbols,
     ResonanceGraph,
     branch_tags,
@@ -35,6 +36,7 @@ from .conditions import ConditionReport, check_condition_i, check_condition_ii
 from .lattice import (
     DROP_TOL,
     Box,
+    BoxTooLarge,
     FrequencyVector,
     ProblemSpec,
     SiteIndex,
@@ -47,8 +49,10 @@ from .lattice import (
 )
 from .linop import (
     LatticeBox,
+    LatticeFrame,
     admissibility_gate,
     lattice_box,
+    lattice_frame,
     lattice_inverse,
     lattice_operator,
 )
@@ -89,6 +93,7 @@ class IterationState:
     symbols: Optional[ConvolutionSymbols] = None  # from_fields(u, v, p): its products
     # residual_series at omega, which the residual norms were read from
     residual: Optional[Tuple[SparseSeries, SparseSeries]] = None
+    frame: Optional[LatticeFrame] = None  # of the step's Lambda_R; none for the seed
 
 
 @dataclass
@@ -196,7 +201,8 @@ def newton_step(
     of u - du, kept whole however small its entries.  Each iterate's
     residual is formed once: the step reads the state's own when it was
     taken at the frequency the step works at, and the new state carries
-    the one its norms are read from.
+    the one its norms are read from; it carries the step's `lattice_frame`
+    too, which the next step reads again at the same R.
     """
     u, v = state.u, state.v
     symbols = state.symbols or ConvolutionSymbols.from_fields(u, v, spec.p)
@@ -208,9 +214,10 @@ def newton_step(
     else:
         fu, fv = residual_series(u, v, omega_work, spec, symbols)
     radius = _lattice_radius(state.lattice_radius, fu, fv, spec, tol)
-    sites = conservation_sites(spec, radius)
-    mat, keep = lattice_operator(symbols, omega_work, spec, sites)
-    points = [SiteIndex(tuple(r[:spec.b]), tuple(r[spec.b:])) for r in sites.tolist()]
+    frame = (state.frame if state.frame is not None and state.lattice_radius == radius
+             else lattice_frame(spec, conservation_sites(spec, radius)))
+    mat, keep = lattice_operator(symbols, omega_work, spec, frame)
+    points = frame.points
     rhs = np.array([fu[s] for s in points] + [fv[-s] for s in points], dtype=complex)
     step = np.zeros(len(rhs), dtype=complex)
     step[keep] = np.linalg.solve(mat[np.ix_(keep, keep)], rhs[keep])
@@ -231,7 +238,7 @@ def newton_step(
     return IterationState(u=u_next, v=v_next, omega=omega_next,
                           residual_plain=plain, residual_weighted=weighted,
                           step_index=state.step_index + 1, lattice_radius=radius,
-                          symbols=symbols_next, residual=residual)
+                          symbols=symbols_next, residual=residual, frame=frame)
 
 
 def _lattice_radius(radius: int, fu: SparseSeries, fv: SparseSeries, spec: ProblemSpec,
@@ -294,7 +301,11 @@ def _dio_candidates(b: int, n_radius: int) -> Tuple[Tuple[int, ...], ...]:
     """Canonical representatives n (first nonzero positive) of the nonzero
     n with |n|_inf <= n_radius, sorted by (sup norm, l1 norm, preferring
     earlier coordinates: -n ascending).  Built once per (b, n_radius) and
-    shared by every scan."""
+    shared by every scan; a grid of more than SITE_CAP n raises BoxTooLarge
+    before it is built."""
+    if (2 * n_radius + 1) ** b > SITE_CAP:
+        raise BoxTooLarge(f"the Diophantine scan of radius {n_radius} needs a grid of "
+                          f"{(2 * n_radius + 1) ** b} n, past the cap of {SITE_CAP}")
     grid = np.indices((2 * n_radius + 1,) * b).reshape(b, -1).T - n_radius
     cands = grid[grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)] > 0]
     size = np.abs(cands)
@@ -492,8 +503,9 @@ def solve(
     The steps run on Lambda_R with R grown from the residual (`newton_step`)
     and certify Lambda (+) -Lambda inside the box; the final state is
     certified once more, and its inverse norm and decay fit are those of F'
-    on its Lambda_R.  min_block_value is the final gate's, inf when no
-    resonance block of Lambda (+) -Lambda lies in the box.  Each state
+    on its Lambda_R, through the frame of its last step.  min_block_value
+    is the final gate's, inf when no resonance block of Lambda (+) -Lambda
+    lies in the box.  Each state
     carries its iterate's symbols (the seed's given or built by
     `first_iteration`).  Lambda (+) -Lambda inside the box depends on the
     spec and the box alone, so its `LatticeBox` is built once, here, and
@@ -532,8 +544,7 @@ def solve(
     quad_c = max((r for r, w_next in gains if w_next > 1e2 * floor), default=None)
 
     min_block = admissibility_gate(state.omega, spec, box, state.symbols, eps_second, lattice)
-    sites = conservation_sites(spec, state.lattice_radius)
-    inverse_norm, decay = lattice_inverse(state.symbols, state.omega, spec, sites)
+    inverse_norm, decay = lattice_inverse(state.symbols, state.omega, spec, state.frame)
 
     # u vanishes off its support, so only its own sites can carry C \ S mass.
     s_set = set(u0.support()) | set(v0.support())
@@ -556,7 +567,7 @@ def solve(
         cs_mass=cs_mass, modulation=modreport,
         inverse_norm=inverse_norm, decay_beta=decay.beta_hat,
         decay_bound_ok=decay.bound_ok, min_block_value=min_block,
-        lattice_sites=len(sites), state=state,
+        lattice_sites=len(state.frame.points), state=state,
     )
 
 

@@ -14,7 +14,9 @@ the full grid of c-vectors, and the lifts of a membership witness and of
 a quotient walk frozen as they stood before both read `branch_tags` through
 one batched lift, each with its own solve_dot and written tie-break, and
 the term lookup of F' on every pair of vertices, frozen as it stood before
-every entry read its term off a link.  The pipeline runs none of them."""
+every entry read its term off a link, and the decay fit, frozen as it
+stood before its probes shared one solve.  The pipeline runs none of
+them."""
 
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from nlsqp.conditions import WalkEdge, WalkNode, WalkViolation
 from nlsqp.lattice import (
     DROP_TOL, Box, FrequencyVector, ProblemSpec, SiteIndex, SparseSeries, delta_series,
     linear_solution)
+from nlsqp.linop import DecayFit
 from nlsqp.newton import q_solve
 from nlsqp.verify import (
     S6_FREE, S6_PHASE, DriftReport, IntegratorInstability, VerifyError,
@@ -645,3 +648,69 @@ def _gather(coords: np.ndarray, copies: np.ndarray, rows: np.ndarray, cols: np.n
     codes, code = ids[:len(keys)][by_id], ids[len(keys):].reshape(query.shape[:-1])
     pos = np.minimum(np.searchsorted(codes, code), len(codes) - 1)
     return np.where(codes[pos] == code, by_id[pos], -1)
+
+
+def frozen_fit_decay(spec: ProblemSpec, symbols: ConvolutionSymbols,
+                     coords: np.ndarray, copies: np.ndarray, a: np.ndarray) -> DecayFit:
+    """`linop._fit_decay` as it stood before its probes shared one solve,
+    found their rows through one dict and certified beta from suffix
+    minima: the least-squares decay exponent of the kernel of a dense
+    operator's inverse.
+
+    Index i of the operator a is the copy copies[i] (+1 u, -1 v) of the site
+    coords[i].  Up to four columns of the inverse are probed, one solve
+    each: at the seed equations (u at each seed, v at its flip) where kept,
+    else at the u-copies of the nonlinear forcing sites (gu = uv_p * u) off
+    the seeds.  Their log|entry| are pooled against the l1 site distance
+    from the probe and fitted as log|entry| = c - beta * |log delta| *
+    dist.
+    """
+    def at(s: SiteIndex, copy: int) -> List[int]:
+        return np.nonzero(np.all(coords == s.n + s.j, axis=1) & (copies == copy))[0].tolist()
+
+    seeds = spec.seed_sites()
+    probes = [i for s in seeds for i in at(s, 1) + at(-s, -1)]
+    if not probes:
+        probes = [i for s in symbols.gu.support() if s not in seeds
+                  for i in at(s, 1)]
+    delta = spec.delta
+    logd = abs(math.log(delta))
+    dists: List[np.ndarray] = []
+    logs: List[np.ndarray] = []
+    for pi in probes[:4]:
+        av = np.abs(np.linalg.solve(a, np.eye(len(a))[pi]))
+        floor = max(av.max() * 1e-16, 1e-300)
+        dist = np.sum(np.abs(coords - coords[pi]), axis=1).astype(float)
+        mask = (av > floor) & (dist >= 1)
+        dists.append(dist[mask])
+        logs.append(np.log(av[mask]))
+    dists_a = np.concatenate(dists) if dists else np.zeros(0)
+    logs_a = np.concatenate(logs) if logs else np.zeros(0)
+    levels = np.unique(dists_a)
+    if len(dists_a) < 2 or len(levels) < 2:
+        return DecayFit(beta_hat=0.0, bound_ok=True, checked_beyond=0)
+    alpha = np.vstack([dists_a, np.ones_like(dists_a)]).T
+    slope = np.linalg.lstsq(alpha, logs_a, rcond=None)[0][0]
+    beta_ls = max(-slope / logd, 0.0)
+    # Certify the largest beta <= beta_ls such that every entry at distance
+    # beyond 1/beta^2 obeys |entry| <= delta^{beta * dist}.  The resonant
+    # blocks carry O(1/delta) inverse entries at short distance, which is
+    # exactly why the bound only starts past 1/beta^2: the cutoff must be
+    # pushed beyond the block diameter.
+    per_entry = -logs_a / (dists_a * logd)
+    beta = 0.0
+    checked = 0
+    for cut in [0.0] + levels.tolist():
+        far = dists_a > cut
+        cap = beta_ls if cut == 0 else min(beta_ls, (1.0 - 1e-12) / math.sqrt(cut))
+        cand = cap if not np.any(far) else min(cap, float(np.min(per_entry[far])))
+        if cand > beta:
+            beta = cand
+            checked = int(np.sum(dists_a > 1.0 / beta ** 2)) if beta > 0 else 0
+    beta = max(beta, 0.0)
+    ok = True
+    if beta > 0:
+        far = dists_a > 1.0 / beta ** 2
+        if np.any(far):
+            ok = bool(np.all(per_entry[far] >= beta - 1e-12))
+    return DecayFit(beta_hat=float(beta), bound_ok=ok, checked_beyond=checked)

@@ -634,6 +634,15 @@ def test_exit_box_too_large(tmp_path, capsys):
     assert one_line_err(capsys).startswith("box too large: box holds")
 
 
+def test_exit_box_too_large_for_the_diophantine_grid(tmp_path, capsys):
+    # b = 4 at dio_radius = 100: a scan grid of 201^4 n.
+    cfg = parse_config(TP2_CFG.replace("(1):0.6, (2):0.8", "(1):0.6, (2):0.8, (4):0.5, (7):0.38")
+                       .replace("b = 2", "b = 4") + "dio_radius = 100\n")
+    assert run_command("solve", cfg, out_path=str(tmp_path / "out")) == EXIT_BOX_TOO_LARGE
+    assert one_line_err(capsys) == ("box too large: the Diophantine scan of radius 100 needs "
+                                    "a grid of 1632240801 n, past the cap of 2000000")
+
+
 def test_exit_step_rejected(tmp_path, capsys, monkeypatch):
     # No seed config is known to grow the weighted residual in a step.
     from nlsqp import newton
@@ -743,6 +752,25 @@ def test_config_refuses_a_negative_search_radius_or_gamma(tmp_path, capsys, comm
     assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert one_line_err(capsys) == f"config error: {message}"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("solve", "gamma = 237\n", "gamma = 237.0 overflows |n|^gamma at the Diophantine radius 20"),
+    ("sweep", "gamma = 400\n", "gamma = 400.0 overflows |n|^gamma at the Diophantine radius 20"),
+    ("check", "gamma = 300\ndio_radius = 12\n",
+     "gamma = 300.0 overflows |n|^gamma at the Diophantine radius 12"),
+])
+def test_config_refuses_a_gamma_whose_weights_overflow(tmp_path, capsys, command, text,
+                                                       message):
+    # |n|^gamma at the largest radius scanned, 20 for tp2 by default, used
+    # to end solve and sweep in an OverflowError traceback with exit 1.
+    # 20^236 is a float, 20^237 is not; 10^300 is.
+    cfg = write(tmp_path, "bad.cfg", TP2_CFG + text)
+    assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert one_line_err(capsys) == f"config error: {message}"
+    assert not (tmp_path / "out").exists()
+    for ok in ("gamma = 236\n", "gamma = 300\ndio_radius = 10\n"):
+        parse_config(TP2_CFG + ok)
 
 
 @pytest.mark.parametrize("command, edit, message", [
@@ -1080,8 +1108,10 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
     # them lies off the seed equations: tp3's gates link nothing, and each
     # of b = 3's three gates on Box(4, 9) links its 8 vertices, under the
     # seed's supports, then under each step's.  Each Newton operator on
-    # Lambda_R, and the final inverse's, links its own doubled sites once,
-    # under the supports its step's gate read.  Nothing is held across
+    # Lambda_R links its own doubled sites once, under the supports its
+    # step's gate read; the final inverse reads the last step's frame,
+    # which links again only under other supports: tp3's final supports
+    # are its second step's, b = 3's are not.  Nothing is held across
     # commands, so a second identical solve in the same process does the
     # same work.
     import sys
@@ -1110,7 +1140,7 @@ def test_a_solve_convolves_each_iterate_once_and_links_each_support_once(tmp_pat
         assert run_command("solve", cfg, out_path=str(tmp_path / run)) == EXIT_OK
         counts.append((calls["convolve"], len(calls["links"])))
         graph, *operators = calls["links"]
-        assert [n for n, _ in operators] == [20, 24, 24] and graph[0] > 24
+        assert [n for n, _ in operators] == [20, 24] and graph[0] > 24
         assert operators[0][1] == graph[1]
         calls.update(convolve=0, links=[])
     assert counts[0] == counts[1]

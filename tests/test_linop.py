@@ -35,18 +35,20 @@ from nlsqp.linop import (
     _dense,
     _dispersion,
     _exclude,
+    _fit_decay,
     _seed_mask,
     _stacks,
     admissibility_gate,
     box_inverse,
     lattice_box,
+    lattice_frame,
     lattice_inverse,
     lattice_operator,
     theta_spectrum_scan,
 )
 from nlsqp.newton import first_iteration, q_solve, residual_series
 
-from oracles import _gather, seed_equations
+from oracles import _gather, frozen_fit_decay, seed_equations
 from test_geometry import loop_scatter_matrix
 
 # Three modes in one dimension, cubic: Lambda carries small divisors of its
@@ -413,7 +415,7 @@ def test_seed_mask_is_the_box_index_rule(name, request):
         sorted(seed_equations(spec, box))
     lam = conservation_sites(spec, 2)
     _, keep = lattice_operator(ConvolutionSymbols.from_fields(u0, v0, spec.p),
-                               spec.omega0(), spec, lam)
+                               spec.omega0(), spec, lattice_frame(spec, lam))
     seeds = [s.n + s.j for s in spec.seed_sites()]
     assert np.array_equal(~keep, np.tile([tuple(x) in seeds for x in lam.tolist()], 2))
     sites, copies, *_ = _box_blocks(spec, Box(0, 3), seed_symbols(spec))
@@ -553,7 +555,7 @@ def test_lattice_decouples_and_its_step_is_the_box_step(name, request):
 
     sites = coords[inside[:ns]]
     assert len(sites) == {"tp1": 1, "tp2": 7, "tp3": 6, "b3": 50}[name]
-    mat, keep = lattice_operator(case.symbols, omega, spec, sites)
+    mat, keep = lattice_operator(case.symbols, omega, spec, lattice_frame(spec, sites))
     rows = doubled_indices(spec, box, sites, "U") + doubled_indices(spec, box, -sites, "V")
     assert np.array_equal(mat, m[rows][:, rows].toarray())
 
@@ -596,7 +598,7 @@ def test_lattice_operator_equals_the_gathered_operator(b, d, p, data):
     spec = make_spec(d=d, b=b, p=p, delta=1e-3, j_list=js, amplitudes=amps)
     sites = conservation_sites(spec, data.draw(st.integers(0, 3)))
     symbols = seed_symbols(spec)
-    got = lattice_operator(symbols, spec.omega0(), spec, sites)
+    got = lattice_operator(symbols, spec.omega0(), spec, lattice_frame(spec, sites))
     want = gathered_lattice_operator(symbols, spec.omega0(), spec, sites)
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
@@ -641,7 +643,7 @@ def test_lattice_operator_memory_is_the_operators_own():
     assert len(sites) == 216
     tracemalloc.start()
     try:
-        lattice_operator(symbols, spec.omega0(), spec, sites)
+        lattice_operator(symbols, spec.omega0(), spec, lattice_frame(spec, sites))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -655,11 +657,64 @@ def test_lattice_inverse_is_the_exact_inverse_norm(tp2, tp3):
         state, _ = first_iteration(spec)
         symbols = ConvolutionSymbols.from_fields(state.u, state.v, spec.p)
         sites = conservation_sites(spec, state.lattice_radius)
-        norm, decay = lattice_inverse(symbols, state.omega, spec, sites)
-        mat, keep = lattice_operator(symbols, state.omega, spec, sites)
+        frame = lattice_frame(spec, sites)
+        norm, decay = lattice_inverse(symbols, state.omega, spec, frame)
+        mat, keep = lattice_operator(symbols, state.omega, spec, frame)
         exact = np.linalg.norm(np.linalg.inv(mat[np.ix_(keep, keep)]), 2)
         assert norm == pytest.approx(exact, rel=1e-10)
         assert decay.bound_ok
+
+
+def fit_or_singular(fit, *args):
+    """A decay fit, or "singular" where its operator has no inverse."""
+    try:
+        return fit(*args)
+    except np.linalg.LinAlgError:
+        return "singular"
+
+
+def assert_fit_is_frozen(spec, radius, seeds_kept):
+    """The fit of F' at the Q frequency on Lambda_R, its seed equations kept
+    as `box_inverse` probes them or removed as `lattice_inverse` does,
+    equals the frozen fit field for field.  Returns the path it took:
+    "seeds", "forcing" (probes on gu's support), "levels" (fewer than two
+    distance levels) or "empty" (no equation left)."""
+    symbols = seed_symbols(spec)
+    frame = lattice_frame(spec, conservation_sites(spec, radius))
+    mat, keep = lattice_operator(symbols, q_solve(linear_solution(spec)[0], spec, symbols),
+                                 spec, frame)
+    keep = np.ones_like(keep) if seeds_kept else keep
+    if not keep.any():
+        return "empty"
+    args = (spec, symbols, frame.coords[keep], frame.copies[keep], mat[np.ix_(keep, keep)])
+    got = fit_or_singular(_fit_decay, *args)
+    assert got == fit_or_singular(frozen_fit_decay, *args)
+    dist = np.abs(args[2][:, None] - args[2][None]).sum(axis=2)
+    if got != "singular" and len(np.unique(dist[dist >= 1])) < 2:
+        return "levels"
+    return "seeds" if seeds_kept else "forcing"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 2), st.integers(1, 2), st.integers(0, 3),
+       st.booleans(), st.data())
+def test_fit_decay_equals_the_frozen_fit(b, d, p, radius, seeds_kept, data):
+    # Random seeds on Lambda_R, R <= 3: one row lookup and suffix minima
+    # over the sorted distances leave every field of the fit as it was.
+    pool = [j for j in itertools.product(range(-2, 3), repeat=d) if any(j)]
+    js = data.draw(st.lists(st.sampled_from(pool), min_size=b, max_size=b, unique=True))
+    amps = data.draw(st.lists(st.floats(0.05, 1.0), min_size=b, max_size=b))
+    spec = make_spec(d=d, b=b, p=p, delta=1e-3, j_list=js, amplitudes=amps)
+    assert_fit_is_frozen(spec, radius, seeds_kept)
+
+
+@pytest.mark.parametrize("name, radius, seeds_kept, path", [
+    ("tp1", 0, True, "levels"), ("tp1", 2, False, "empty"), ("tp2", 3, True, "seeds"),
+    ("tp2", 3, False, "forcing"), ("tp3", 5, True, "seeds"), ("tp3", 5, False, "forcing"),
+    ("b3", 3, True, "seeds"), ("b3", 3, False, "forcing")])
+def test_fit_decay_takes_each_path_as_the_frozen_fit(name, radius, seeds_kept, path, request):
+    spec = B3 if name == "b3" else request.getfixturevalue(name)
+    assert assert_fit_is_frozen(spec, radius, seeds_kept) == path
 
 
 # -- Theta family ------------------------------------------------------------

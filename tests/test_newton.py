@@ -305,6 +305,26 @@ def test_diophantine_integral_frequency_fails(tp2):
     assert rep.worst_n == (1, 0)
 
 
+def test_diophantine_scan_refuses_a_grid_past_the_cap():
+    # dio_radius = 100 at b = 4 asked np.indices for 4 x 201^4 int64, about
+    # 52 GB; the grid is refused before anything is built.  The default
+    # radii keep it under the cap up to b = 6 (11^6 = 1 771 561).
+    import tracemalloc
+    from nlsqp.characteristics import SITE_CAP
+    from nlsqp.lattice import BoxTooLarge
+    from nlsqp.newton import default_dio_radius
+    omega = FrequencyVector((1.1, 4.2, 16.3, 49.4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(BoxTooLarge, match="radius 100 needs a grid of 1632240801 n"):
+            diophantine_check(omega, 1e-3, 1e-2, 10.0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert all((2 * default_dio_radius(b) + 1) ** b <= SITE_CAP for b in range(1, 7))
+
+
 def test_diophantine_tp2_modulated_passes(tp2):
     u0, _ = linear_solution(tp2)
     w1 = q_solve(u0, tp2)
@@ -533,6 +553,28 @@ def test_iterate_products_match_standalone_convolutions(name, request):
 
 # A p = 3 seed (the nonlinearity |u|^6 u).
 P3 = make_spec(d=1, b=2, p=3, delta=1e-3, j_list=[1, 3], amplitudes=[0.6, 0.8])
+
+
+# inverse_norm, decay_beta and decay_bound_ok of each seed's solve, the
+# digits its report.txt prints.  They hang on Lambda_R alone, not on the
+# box, which bounds only the gate.  b = 4's final operator (424 rows) is
+# left out: past 100 rows OpenBLAS factors on several threads, and its
+# last digits follow the thread count.
+CERTIFICATE_DIGITS = {
+    "tp1": (0.0, 0.0, True),
+    "tp2": (0.5001369119737791, 0.293334237793444, True),
+    "tp3": (0.2500838515838872, 0.15421732133287724, True),
+    "p3": (0.12503212755790985, 0.10985898511590307, True),
+    "b3": (2380.5083715241462, 0.19113819292656645, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGITS))
+def test_final_certificate_digits_are_pinned(name, request):
+    spec, box = {"b3": (B3, Box(4, 9)), "p3": (P3, None)}.get(name) or \
+        (request.getfixturevalue(name), None)
+    rep = solve(spec, box=box)
+    assert (rep.inverse_norm, rep.decay_beta, rep.decay_bound_ok) == CERTIFICATE_DIGITS[name]
 
 
 def test_p3_seed_converges_at_the_default_tol():
