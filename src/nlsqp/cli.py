@@ -279,9 +279,10 @@ def parse_config(text: str) -> RunConfig:
                       ("seed", cfg.sweep.seed)):
         if val is not None and val < 0:
             raise ConfigError(f"{name} must be non-negative")
-    # The weights |n|^gamma stay finite at the largest radius solve or sweep scans.
+    # The weights |n|^gamma stay finite at the solve's radius, which the
+    # sweep's never passes.
     gamma = cfg.newton.gamma
-    radius = cfg.newton.dio_radius or max(newton.default_dio_radius(b), 10)
+    radius = cfg.newton.dio_radius or newton.default_dio_radius(b)
     try:
         float(radius ** (gamma or 0))  # no gamma set: the default 2b + 2 stays small
     except OverflowError:
@@ -609,7 +610,7 @@ def cmd_sweep(cfg: RunConfig, out_csv: str) -> int:
     result = newton.excision_sweep(
         cfg.problem, scfg.epsilons, n_samples=scfg.n_samples, seed=scfg.seed,
         kappa=cfg.newton.kappa, gamma=cfg.newton.gamma,
-        dio_radius=min(cfg.newton.dio_radius or 10, 10), box=cfg.condition_box())
+        dio_radius=cfg.newton.dio_radius, box=cfg.condition_box())
     dio_fail = float(np.mean(result.dio_kappas < result.kappa))
     lines = ["epsilon,excised_count,excised_fraction,dio_fail_fraction,n_samples,seed"]
     for eps, cnt, frac in zip(result.epsilons, result.counts, result.fractions):

@@ -296,51 +296,44 @@ def default_dio_radius(b: int) -> int:
     return {1: 20, 2: 20, 3: 12, 4: 8}.get(b, 5)
 
 
-@functools.lru_cache(maxsize=16)
-def _dio_candidates(b: int, n_radius: int) -> Tuple[Tuple[int, ...], ...]:
-    """Canonical representatives n (first nonzero positive) of the nonzero
-    n with |n|_inf <= n_radius, sorted by (sup norm, l1 norm, preferring
-    earlier coordinates: -n ascending).  Built once per (b, n_radius) and
+@functools.lru_cache(maxsize=16, typed=True)
+def _dio_table(b: int, n_radius: int, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The Diophantine candidates, as read-only int64 rows: the canonical
+    representatives n (first nonzero positive) of the nonzero n with
+    |n|_inf <= n_radius, sorted by (sup norm, l1 norm, preferring earlier
+    coordinates: -n ascending); and |n|^gamma (sup norm) of each, taken with
+    Python's `**` on each sup norm so that an int gamma stays exact up to
+    the one rounding of `float`.  Built once per (b, n_radius, gamma) and
     shared by every scan; a grid of more than SITE_CAP n raises BoxTooLarge
     before it is built."""
+    if n_radius < 1:
+        raise NewtonError("n_radius must be >= 1")
     if (2 * n_radius + 1) ** b > SITE_CAP:
         raise BoxTooLarge(f"the Diophantine scan of radius {n_radius} needs a grid of "
                           f"{(2 * n_radius + 1) ** b} n, past the cap of {SITE_CAP}")
-    grid = np.indices((2 * n_radius + 1,) * b).reshape(b, -1).T - n_radius
+    grid = np.indices((2 * n_radius + 1,) * b, dtype=np.int64).reshape(b, -1).T - n_radius
     cands = grid[grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)] > 0]
     size = np.abs(cands)
-    order = np.lexsort((*(-cands).T[::-1], size.sum(axis=1), size.max(axis=1)))
-    return tuple(map(tuple, cands[order].tolist()))
-
-
-@functools.lru_cache(maxsize=16, typed=True)
-def _dio_table(b: int, n_radius: int, gamma: float
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """The candidates of `_dio_candidates` as an int64 array, and |n|^gamma
-    (sup norm) of each, taken with Python's `**` on each sup norm so that an
-    int gamma stays exact up to the one rounding of `float`."""
-    table = np.array(_dio_candidates(b, n_radius), dtype=np.int64).reshape(-1, b)
-    weights = np.array([float(r ** gamma) for r in range(n_radius + 1)])[np.abs(table).max(axis=1)]
+    sup = size.max(axis=1)
+    order = np.lexsort((*(-cands).T[::-1], size.sum(axis=1), sup))
+    table = cands[order]
+    weights = np.array([float(r ** gamma) for r in range(n_radius + 1)])[sup[order]]
     table.setflags(write=False)  # shared by every scan through the cache
     weights.setflags(write=False)
     return table, weights
 
 
-def _dio_scan(omegas: np.ndarray, delta: float, gamma: float, n_radius: int,
-              work: Optional[np.ndarray] = None
-              ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scan of every candidate n for each row of an (N, b) frequency array:
-    per row the index of the first minimiser of ||n.omega||_T |n|^gamma /
-    delta in `_dio_candidates`, that fitted kappa, and ||n.omega||_T there.
+def _dio_scan(omegas: np.ndarray, gamma: float, n_radius: int,
+              work: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
+    """||n.omega||_T |n|^gamma (not yet over delta) and ||n.omega||_T for
+    each row of an (N, b) frequency array and each `_dio_table` candidate n.
 
     The arithmetic is that of a per-candidate `omega.dot(n)` scan, so the
     result is the same to the bit: n.omega summed left to right as in
-    `FrequencyVector.dot`, `np.rint` rounding half to even as `round` does,
-    and the first minimum kept.  It works in the first N rows of `work`, a
-    (2, >= N, candidates) float array, which a sweep reuses over its chunks.
+    `FrequencyVector.dot` and `np.rint` rounding half to even as `round`
+    does.  It works in the first N rows of `work`, a (2, >= N, candidates)
+    float array, which a sweep reuses over its passes.
     """
-    if n_radius < 1:
-        raise NewtonError("n_radius must be >= 1")
     cands, weights = _dio_table(omegas.shape[1], n_radius, gamma)
     x, margins = (np.empty((2, len(omegas), len(cands))) if work is None
                   else work)[:, :len(omegas)]
@@ -349,11 +342,7 @@ def _dio_scan(omegas: np.ndarray, delta: float, gamma: float, n_radius: int,
         x += np.multiply(cands[:, k], omegas[:, k, None], out=margins)
     np.subtract(x, np.rint(x, out=margins), out=margins)
     np.abs(margins, out=margins)
-    fitted = np.multiply(margins, weights, out=x)
-    fitted /= delta
-    best = np.argmin(fitted, axis=1)
-    rows = np.arange(len(best))
-    return best, fitted[rows, best], margins[rows, best]
+    return np.multiply(margins, weights, out=x), margins
 
 
 def diophantine_check(omega: FrequencyVector, delta: float, kappa: float,
@@ -361,15 +350,18 @@ def diophantine_check(omega: FrequencyVector, delta: float, kappa: float,
     """Exhaustive scan of ||n.omega||_T >= kappa*delta/|n|^gamma over the box.
 
     |n| is the sup norm; the fitted kappa (the smallest normalized margin)
-    is reported alongside the worst offender.  All candidates are scanned
-    at once by `_dio_scan`, bitwise as a per-candidate scan would.
+    is reported alongside the worst offender, the first candidate that
+    attains it.  All candidates are scanned at once by `_dio_scan`, bitwise
+    as a per-candidate scan would.
     """
-    best, fitted, margins = _dio_scan(np.array([omega.omega], dtype=float), delta,
-                                      gamma, n_radius)
-    fitted_kappa = float(fitted[0])
+    cands = _dio_table(len(omega), n_radius, gamma)[0]
+    weighted, margins = _dio_scan(np.array([omega.omega], dtype=float), gamma, n_radius)
+    fitted = weighted[0] / delta
+    best = int(np.argmin(fitted))
+    fitted_kappa = float(fitted[best])
     return DiophantineReport(passed=bool(fitted_kappa >= kappa),
-                             worst_n=_dio_candidates(len(omega), n_radius)[int(best[0])],
-                             worst_margin=float(margins[0]), fitted_kappa=fitted_kappa,
+                             worst_n=tuple(cands[best].tolist()),
+                             worst_margin=float(margins[0, best]), fitted_kappa=fitted_kappa,
                              kappa=kappa, gamma=gamma, n_radius=n_radius)
 
 
@@ -575,10 +567,12 @@ def solve(
 # Excision sweep over the amplitude cube
 
 
-# Samples per array pass of the sweep: keeps the Diophantine margin table
-# of a pass, the largest array it makes, at a few MB (the gathered block
-# stacks hold one block per class, a few per sample).
+# Samples per array pass of the sweep (the gathered block stacks hold one
+# block per class, a few per sample).
 SWEEP_CHUNK = 128
+# Float cells (rows x candidates) of a Diophantine pass of 1 to SWEEP_CHUNK
+# rows: its pair of buffers stays at 512 KB unless one row passes it (b >= 4).
+DIO_CELLS = 2 ** 15
 # Samples whose seed symbols are convolved together: the batched
 # convolution's per-site Python work is paid once per group, and the
 # group's symbol table stays at a few MB.
@@ -605,7 +599,7 @@ def excision_sweep(
     seed: int = 0,
     kappa: float = 1e-2,
     gamma: Optional[float] = None,
-    dio_radius: int = 10,
+    dio_radius: Optional[int] = None,
     box: Optional[Box] = None,
 ) -> SweepResult:
     """Monte Carlo measure of the excised amplitude set.
@@ -626,10 +620,13 @@ def excision_sweep(
     not grow with n_samples: a group's seed symbols and Q brackets are
     convolved at once (`_seed_symbols_batch`), its scaled terms form one
     table (`_term_table`), and per SWEEP_CHUNK samples det runs once per
-    block size over a (chunk, n_classes, k, k) stack and the Diophantine
-    scan once.  Every value is bitwise that of building each sample's
-    fields, symbols, blocks, `q_solve` and `diophantine_check` one sample at
-    a time: equal blocks have equal dets.
+    block size over a (chunk, n_classes, k, k) stack.  The Diophantine scan,
+    at radius min(10, dio_radius), dio_radius `default_dio_radius` if none,
+    runs in passes of at most DIO_CELLS cells and divides only each row's
+    smallest margin x |n|^gamma by delta: rounded division by delta > 0 is
+    monotone, so that is the smallest quotient to the bit.  Every value is
+    bitwise that of building each sample's fields, symbols, blocks,
+    `q_solve` and `diophantine_check` one sample at a time.
     """
     if n_samples < 100:
         raise NewtonError("n_samples must be at least 100")
@@ -637,6 +634,7 @@ def excision_sweep(
         gamma = 2 * spec.b + 2
     if box is None:
         box = default_box(spec)
+    dio_radius = min(10, default_dio_radius(spec.b) if dio_radius is None else dio_radius)
 
     p = spec.p
 
@@ -649,7 +647,9 @@ def excision_sweep(
     jsq_m = np.array([s.jsq() + spec.phase_m for s in spec.seed_sites()])
     min_vals = np.empty(n_samples)
     dio_vals = np.empty(n_samples)
-    dio_work = np.empty((2, SWEEP_CHUNK, len(_dio_candidates(spec.b, dio_radius))))
+    n_cands = len(_dio_table(spec.b, dio_radius, gamma)[0])
+    dio_rows = min(SWEEP_CHUNK, max(1, DIO_CELLS // n_cands))
+    dio_work = np.empty((2, dio_rows, n_cands))
     classes = None
     for start in range(0, n_samples, SYMBOL_CHUNK):
         group = slice(start, start + SYMBOL_CHUNK)
@@ -676,16 +676,14 @@ def excision_sweep(
                 # numpy's vectorised complex abs can differ in the last bit.
                 worst = np.minimum(worst, np.hypot(dets.real, dets.imag).min(axis=1))
             group_min[rows] = worst
-            group_dio[rows] = _dio_scan(omegas[rows], spec.delta, gamma, dio_radius, dio_work)[1]
+        for lo in range(0, len(amps), dio_rows):
+            weighted = _dio_scan(omegas[lo:lo + dio_rows], gamma, dio_radius, dio_work)[0]
+            np.divide(weighted.min(axis=1), spec.delta, out=group_dio[lo:lo + dio_rows])
         del uv_p, uu, vv, bracket, terms, table  # freed before the next group is built
 
     eps_list = list(epsilons)
-    fractions, counts = [], []
-    for eps in eps_list:
-        cnt = int(np.sum(min_vals < eps))
-        counts.append(cnt)
-        fractions.append(cnt / n_samples)
-    return SweepResult(epsilons=eps_list, fractions=fractions, counts=counts,
+    counts = [int(np.sum(min_vals < eps)) for eps in eps_list]
+    return SweepResult(epsilons=eps_list, fractions=[c / n_samples for c in counts], counts=counts,
                        n_samples=n_samples, seed=seed, min_block_values=min_vals,
                        dio_kappas=dio_vals, kappa=kappa, gamma=gamma)
 

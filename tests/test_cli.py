@@ -437,6 +437,32 @@ seed = 5
     assert fracs[0] >= fracs[1]
 
 
+B5_CFG = """
+[problem]
+d = 1
+b = 5
+p = 1
+delta = 1e-3
+modes = (1):0.6, (2):0.8, (4):0.5, (7):0.38, (11):0.27
+
+[sweep]
+n_samples = 100
+"""
+
+
+def test_sweep_b5_scans_at_its_default_radius(tmp_path):
+    # Five modes: the sweep scans at default_dio_radius(5) = 5 (80 525
+    # candidates), not at 10, whose 21^5-point grid is past SITE_CAP; the
+    # CSV is the one pinned at [newton] dio_radius = 5.
+    out = tmp_path / "sweep.csv"
+    assert run_command("sweep", parse_config(B5_CFG), out_path=str(out)) == EXIT_OK
+    assert out.read_text() == (
+        "epsilon,excised_count,excised_fraction,dio_fail_fraction,n_samples,seed\n"
+        "0.1,2,0.02,0.36,100,1234\n"
+        "0.01,0,0.0,0.36,100,1234\n"
+        "0.001,0,0.0,0.36,100,1234\n")
+
+
 def test_exit_condition_failure(tmp_path):
     # Three corners of a rectangle in d = 2: the cubic error term pumps the
     # fourth corner resonantly, so the non-intersection condition fails.

@@ -676,12 +676,21 @@ def hand_built_min_block_values(spec, samples, box):
 # hand-built oracle (the default box holds 1.46 M sites).
 B3 = make_spec(d=1, b=3, p=1, delta=1e-3, j_list=[1, 2, 4], amplitudes=[0.6, 0.8, 0.5])
 B3_BOX = Box(3, 5)
+# Four and five modes, cubic, on the condition boxes `nlsqp sweep` gives
+# them by default: their Diophantine candidates (97 240 at radius 10,
+# 80 525 at radius 5) fill a scan pass with one row each.
+B4 = make_spec(d=1, b=4, p=1, delta=1e-3, j_list=[1, 2, 4, 7],
+               amplitudes=[0.6, 0.8, 0.5, 0.38])
+B4_BOX = Box(3, 8)
+B5 = make_spec(d=1, b=5, p=1, delta=1e-3, j_list=[1, 2, 4, 7, 11],
+               amplitudes=[0.6, 0.8, 0.5, 0.38, 0.27])
+B5_BOX = Box(2, 12)
 
 
 def sweep_case(name, request):
     from nlsqp.lattice import default_box
-    if name == "b3":
-        return B3, B3_BOX
+    if name in ("b3", "b4", "b5"):
+        return {"b3": (B3, B3_BOX), "b4": (B4, B4_BOX), "b5": (B5, B5_BOX)}[name]
     if name == "p3":
         return P3, default_box(P3)
     spec = request.getfixturevalue(name)
@@ -711,14 +720,35 @@ def per_sample_dio_kappas(spec, samples, kappa, gamma, n_radius):
     return np.array(out)
 
 
-@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "p3", "b3"])
+@pytest.mark.parametrize("name", ["tp1", "tp2", "tp3", "p3", "b3", "b4", "b5"])
 def test_excision_sweep_dio_kappas_match_per_sample_loop(name, request):
-    # 300 samples: two full chunks of the batched pass and a partial one.
+    # 300 samples: two full 128-row passes of the scan and a partial one up
+    # to b = 3; b = 4 (radius 10) and b = 5 (radius 5) scan one row per pass.
     spec, box = sweep_case(name, request)
-    res = excision_sweep(spec, [1e-2], n_samples=300, seed=8, box=box, dio_radius=10)
+    dio_radius = 5 if name == "b5" else 10
+    res = excision_sweep(spec, [1e-2], n_samples=300, seed=8, box=box,
+                         dio_radius=dio_radius)
     expected = per_sample_dio_kappas(spec, sweep_samples(spec, 300, 8), 1e-2,
-                                     2 * spec.b + 2, 10)
+                                     2 * spec.b + 2, dio_radius)
     assert np.array_equal(res.dio_kappas, expected)
+
+
+def test_excision_sweep_b4_stays_within_16_mb():
+    # The b = 4 seed on its condition box at the default radius 8 (41 760
+    # candidates, one per row of a pass): the sweep's pair of scan buffers
+    # holds one row, 0.7 MB.  The peak, 9.1 MB, is the candidate table's
+    # build (8.4 MB); a pair of 128-row buffers at the radius 10 the sweep
+    # used to scan b = 4 at held 199 MB.
+    import tracemalloc
+    from nlsqp import newton
+    newton._dio_table.cache_clear()  # the table's build counts too
+    tracemalloc.start()
+    try:
+        excision_sweep(B4, [1e-2], n_samples=100, box=B4_BOX)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_excision_sweep_is_one_batched_pass(tp2, monkeypatch):
@@ -928,11 +958,12 @@ def test_seed_symbols_batch_matches_from_fields(spec):
 
 
 def test_diophantine_candidates_built_once():
-    from nlsqp.newton import _dio_candidates, _dio_table
-    first = _dio_candidates(2, 7)
-    assert isinstance(first, tuple)
-    assert _dio_candidates(2, 7) is first
-    assert _dio_table(2, 7, 6.0) is _dio_table(2, 7, 6.0)
+    from nlsqp.newton import _dio_table
+    first = _dio_table(2, 7, 6.0)
+    assert _dio_table(2, 7, 6.0) is first
+    table, weights = first
+    assert table.dtype == np.int64 and weights.dtype == np.float64
+    assert not table.flags.writeable and not weights.flags.writeable
 
 
 def loop_dio_candidates(b, n_radius):
@@ -950,17 +981,24 @@ def loop_dio_candidates(b, n_radius):
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4])
 def test_diophantine_candidates_equal_the_loop_table(b):
-    from nlsqp.newton import _dio_candidates
-    for n_radius in range(0, 5):
-        assert _dio_candidates(b, n_radius) == loop_dio_candidates(b, n_radius)
+    from nlsqp.newton import NewtonError, _dio_table
+    for n_radius in range(1, 5):
+        for gamma in (2 * b + 2, 3.7):
+            table, weights = _dio_table(b, n_radius, gamma)
+            cands = loop_dio_candidates(b, n_radius)
+            assert table.shape == (len(cands), b)
+            assert tuple(map(tuple, table.tolist())) == cands
+            assert weights.tolist() == [float(max(map(abs, n)) ** gamma) for n in cands]
+    with pytest.raises(NewtonError, match="n_radius must be >= 1"):
+        _dio_table(b, 0, 6.0)
 
 
 def scalar_diophantine_scan(omega, delta, gamma, n_radius):
     """Per-candidate scan, one `omega.dot(n)` each: the oracle for the
     vectorised scan."""
-    from nlsqp.newton import _dio_candidates
+    from nlsqp.newton import _dio_table
     best = None
-    for n in _dio_candidates(len(omega), n_radius):
+    for n in map(tuple, _dio_table(len(omega), n_radius, gamma)[0].tolist()):
         x = omega.dot(n)
         margin = abs(x - round(x))
         fitted = margin * max(abs(c) for c in n) ** gamma / delta
